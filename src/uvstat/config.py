@@ -11,6 +11,7 @@ re-run any plan.
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -82,6 +83,8 @@ def _number(value, where, lo=None, hi=None):
     if isinstance(value, bool) or not isinstance(value, (int, float)):
         raise ConfigError(f"{where} must be a number, got {value!r}")
     v = float(value)
+    if not math.isfinite(v):
+        raise ConfigError(f"{where} must be finite, got {value!r}")
     if lo is not None and v < lo:
         raise ConfigError(f"{where} must be >= {lo}, got {v}")
     if hi is not None and v > hi:

@@ -9,18 +9,18 @@ A kernel is
 where L is built from a small catalog of smooth atoms (constant one,
 sin^2 of a scaled coordinate difference, Gaussian bumps, even
 polynomials) closed under sums and products.  Restricting L to this
-catalog buys three things that automatic differentiation would not:
+catalog makes H an exact finite sum of *separable* terms (products of
+one-dimensional factors), which is what makes O(n) evaluation of the
+d-fold statistics possible.
 
-* exact analytic partial derivatives of H at arbitrary points,
-* an exact expansion of H into finitely many *separable* terms
-  (sums of products of one-dimensional factors), which is what makes
-  O(n) evaluation of the d-fold statistics possible, and
-* closed-form or one-dimensional-quadrature Gaussian moments
-  E[H(sigma_1 U_1, ..., sigma_l U_l, y)] for standard normal U.
-
-The separable term machinery lives in :class:`Factor1D`; everything
-else in the package (statistics, limit functionals, conditional
-variances) is written against it.
+The one exact calculus is :class:`Factor1D`: products, derivatives and
+Gaussian moments E[f(sigma U)] of the one-dimensional factors (closed
+form, or one-dimensional quadrature when cos/sin are present).  Partial
+derivatives of H, rho_H and everything else in the package (statistics,
+limit functionals, conditional variances) are written against the
+separable terms.  The :class:`LExpr` tree only parses, prints, expands
+into separable terms and evaluates L directly; :func:`eval_h` keeps that
+direct evaluation as the oracle independent of the factorization.
 """
 
 from __future__ import annotations
@@ -100,10 +100,11 @@ class Factor1D:
     """A one-dimensional factor |x|^power * sign(x)^sign_pow * smooth part.
 
     The smooth part is a product of cos(c x), sin(c x), exp(-c x^2) and an
-    even polynomial sum_k poly2[k] * x^{2k}.  The class is closed under
-    multiplication and differentiation, and knows its own Gaussian moments
-    E[f(sigma U)] with U ~ N(0, 1) (closed form where available, split
-    adaptive quadrature otherwise).
+    even polynomial sum_k poly2[k] * x^{2k}.  This is the package's one
+    exact calculus: the class is closed under multiplication (:meth:`mul`)
+    and differentiation (:meth:`derivative`), and knows its own Gaussian
+    moments E[f(sigma U)] with U ~ N(0, 1) (:meth:`gaussian_moment_vec`;
+    closed form where available, split adaptive quadrature otherwise).
     """
 
     power: float = 0.0
@@ -205,22 +206,6 @@ class Factor1D:
     def _moment_parity_odd(self) -> bool:
         return (self.sign_pow + len(self.sin_args)) % 2 == 1
 
-    def gaussian_moment(self, sigma: float) -> float:
-        """E[f(sigma U)] for U ~ N(0,1) and sigma > 0."""
-        if self._moment_parity_odd():
-            return 0.0
-        if not self.cos_args and not self.sin_args:
-            a = sum(self.gauss_args)
-            scale = 1.0 + 2.0 * a * sigma * sigma
-            if not self.poly2:
-                return abs_moment(self.power) * sigma ** self.power * scale ** (-(self.power + 1.0) / 2.0)
-            total = 0.0
-            for k, coef in enumerate(self.poly2):
-                pw = self.power + 2 * k
-                total += coef * abs_moment(pw) * sigma ** pw * scale ** (-(pw + 1.0) / 2.0)
-            return total
-        return self._moment_quad(sigma)
-
     def _moment_quad(self, sigma: float) -> float:
         # integrand is even here, so integrate the positive half axis twice;
         # splitting at 0 keeps the |x|^p cusp off the panel interior.
@@ -288,19 +273,15 @@ def _pow_factor(p: float) -> Factor1D:
 
 
 class LExpr:
-    """Base class for the smooth-factor expression tree."""
+    """Base class for the smooth-factor expression tree.
+
+    Nodes parse and print (:meth:`to_text`), expand into separable terms
+    (:meth:`sep_terms`), answer structural queries, and evaluate L
+    directly (:meth:`value`).  Derivatives are taken on the separable
+    terms with :meth:`Factor1D.derivative`, not on the tree.
+    """
 
     def value(self, pt):
-        raise NotImplementedError
-
-    def partial(self, j: int, pt):
-        raise NotImplementedError
-
-    def partial2(self, j: int, k: int, pt):
-        raise NotImplementedError
-
-    def partial_multi(self, coords: tuple, pt):
-        """Mixed partial over distinct coordinates (empty tuple = value)."""
         raise NotImplementedError
 
     def coords(self) -> frozenset:
@@ -335,21 +316,6 @@ class One(LExpr):
     def value(self, pt):
         pt = np.asarray(pt, dtype=float)
         out = np.ones(pt.shape[:-1])
-        return out if out.ndim else float(out)
-
-    def partial(self, j, pt):
-        return self._zero(pt)
-
-    def partial2(self, j, k, pt):
-        return self._zero(pt)
-
-    def partial_multi(self, coords, pt):
-        return self.value(pt) if not coords else self._zero(pt)
-
-    @staticmethod
-    def _zero(pt):
-        pt = np.asarray(pt, dtype=float)
-        out = np.zeros(pt.shape[:-1])
         return out if out.ndim else float(out)
 
     def coords(self):
@@ -391,38 +357,6 @@ class GridSin(LExpr):
         out = s * s
         return out if out.ndim else float(out)
 
-    def _sprime(self, pt):
-        # d/du sin^2(pi u / beta) = (pi/beta) sin(2 pi u / beta)
-        return (math.pi / self.beta) * np.sin(2.0 * math.pi * self._u(pt) / self.beta)
-
-    def _sprime2(self, pt):
-        return 2.0 * (math.pi / self.beta) ** 2 * np.cos(2.0 * math.pi * self._u(pt) / self.beta)
-
-    def partial(self, j, pt):
-        if j == self.i:
-            out = self._sprime(pt)
-        elif j == self.j:
-            out = -self._sprime(pt)
-        else:
-            return One._zero(pt)
-        return out if np.ndim(out) else float(out)
-
-    def partial2(self, j, k, pt):
-        if {j, k} <= {self.i, self.j}:
-            sgn = 1.0 if j == k else -1.0
-            out = sgn * self._sprime2(pt)
-            return out if np.ndim(out) else float(out)
-        return One._zero(pt)
-
-    def partial_multi(self, coords, pt):
-        if not coords:
-            return self.value(pt)
-        if set(coords) <= {self.i, self.j}:
-            if len(coords) == 1:
-                return self.partial(coords[0], pt)
-            return self.partial2(coords[0], coords[1], pt)
-        return One._zero(pt)
-
     def coords(self):
         return frozenset((self.i, self.j))
 
@@ -460,29 +394,6 @@ class GaussBump(LExpr):
         out = np.exp(-self.c * x * x)
         return out if out.ndim else float(out)
 
-    def partial(self, j, pt):
-        if j != self.i:
-            return One._zero(pt)
-        pt = np.asarray(pt, dtype=float)
-        x = pt[..., self.i]
-        out = -2.0 * self.c * x * np.exp(-self.c * x * x)
-        return out if np.ndim(out) else float(out)
-
-    def partial2(self, j, k, pt):
-        if j != self.i or k != self.i:
-            return One._zero(pt)
-        pt = np.asarray(pt, dtype=float)
-        x = pt[..., self.i]
-        out = (-2.0 * self.c + 4.0 * self.c ** 2 * x * x) * np.exp(-self.c * x * x)
-        return out if np.ndim(out) else float(out)
-
-    def partial_multi(self, coords, pt):
-        if not coords:
-            return self.value(pt)
-        if coords == (self.i,):
-            return self.partial(self.i, pt)
-        return One._zero(pt)
-
     def coords(self):
         return frozenset((self.i,))
 
@@ -513,38 +424,6 @@ class PolyEven(LExpr):
         x = pt[..., self.i]
         out = np.polynomial.polynomial.polyval(x * x, self.coeffs)
         return out if np.ndim(out) else float(out)
-
-    def partial(self, j, pt):
-        if j != self.i:
-            return One._zero(pt)
-        pt = np.asarray(pt, dtype=float)
-        x = pt[..., self.i]
-        dp = tuple(k * a for k, a in enumerate(self.coeffs))[1:]
-        if not dp:
-            return One._zero(pt)
-        out = 2.0 * x * np.polynomial.polynomial.polyval(x * x, dp)
-        return out if np.ndim(out) else float(out)
-
-    def partial2(self, j, k, pt):
-        if j != self.i or k != self.i:
-            return One._zero(pt)
-        pt = np.asarray(pt, dtype=float)
-        x = pt[..., self.i]
-        dp = tuple(kk * a for kk, a in enumerate(self.coeffs))[1:]
-        if not dp:
-            return One._zero(pt)
-        out = 2.0 * np.polynomial.polynomial.polyval(x * x, dp)
-        dp2 = tuple(kk * a for kk, a in enumerate(dp))[1:]
-        if dp2:
-            out = out + 4.0 * x * x * np.polynomial.polynomial.polyval(x * x, dp2)
-        return out if np.ndim(out) else float(out)
-
-    def partial_multi(self, coords, pt):
-        if not coords:
-            return self.value(pt)
-        if coords == (self.i,):
-            return self.partial(self.i, pt)
-        return One._zero(pt)
 
     def coords(self):
         return frozenset((self.i,))
@@ -578,16 +457,10 @@ class Sum(LExpr):
             raise KernelError("empty sum")
 
     def value(self, pt):
-        return _accum(t.value(pt) for t in self.terms)
-
-    def partial(self, j, pt):
-        return _accum(t.partial(j, pt) for t in self.terms)
-
-    def partial2(self, j, k, pt):
-        return _accum(t.partial2(j, k, pt) for t in self.terms)
-
-    def partial_multi(self, coords, pt):
-        return _accum(t.partial_multi(coords, pt) for t in self.terms)
+        out = self.terms[0].value(pt)
+        for t in self.terms[1:]:
+            out = out + t.value(pt)
+        return out
 
     def coords(self):
         return frozenset().union(*(t.coords() for t in self.terms))
@@ -627,57 +500,6 @@ class Product(LExpr):
             out = out * t.value(pt)
         return out
 
-    def partial(self, j, pt):
-        vals = [t.value(pt) for t in self.factors]
-        total = None
-        for m, t in enumerate(self.factors):
-            term = t.partial(j, pt)
-            for i, v in enumerate(vals):
-                if i != m:
-                    term = term * v
-            total = term if total is None else total + term
-        return total
-
-    def partial2(self, j, k, pt):
-        vals = [t.value(pt) for t in self.factors]
-        total = None
-        for m, t in enumerate(self.factors):
-            # second derivative hitting factor m twice
-            term = t.partial2(j, k, pt)
-            for i, v in enumerate(vals):
-                if i != m:
-                    term = term * v
-            total = term if total is None else total + term
-            # first derivatives split across two factors
-            for m2, t2 in enumerate(self.factors):
-                if m2 == m:
-                    continue
-                cross = t.partial(j, pt) * t2.partial(k, pt)
-                for i, v in enumerate(vals):
-                    if i != m and i != m2:
-                        cross = cross * v
-                total = total + cross
-        return total
-
-    def partial_multi(self, coords, pt):
-        if not coords:
-            return self.value(pt)
-        # general Leibniz over distinct coordinates: split coords among factors
-        def rec(factors, coords):
-            if len(factors) == 1:
-                return factors[0].partial_multi(coords, pt)
-            head, rest = factors[0], factors[1:]
-            total = None
-            m = len(coords)
-            for mask in range(1 << m):
-                sub = tuple(coords[i] for i in range(m) if mask >> i & 1)
-                other = tuple(coords[i] for i in range(m) if not mask >> i & 1)
-                term = head.partial_multi(sub, pt) * rec(rest, other)
-                total = term if total is None else total + term
-            return total
-
-        return rec(list(self.factors), tuple(coords))
-
     def coords(self):
         return frozenset().union(*(t.coords() for t in self.factors))
 
@@ -706,13 +528,6 @@ class Product(LExpr):
 
     def to_text(self):
         return "(product %s)" % " ".join(t.to_text() for t in self.factors)
-
-
-def _accum(values):
-    total = None
-    for v in values:
-        total = v if total is None else total + v
-    return total
 
 
 # ---------------------------------------------------------------------------
@@ -779,36 +594,36 @@ def eval_h(kernel: KernelSpec, point) -> float:
 
 
 def partial_h(kernel: KernelSpec, j: int, point) -> float:
-    """Analytic partial derivative of H in coordinate j.
+    """Exact partial derivative of H in coordinate j.
 
-    Assembled as d_j(power part) * L + (power part) * d_j L with no
-    cancellation near x_j = 0: for power > 1 the value at x_j = 0 is the
-    true limit 0, while power <= 1 at x_j = 0 is a domain error.
+    Computed on the separable terms, where only the j-th factor
+    |x_j|^p s(x_j) differentiates: p sign(x_j) |x_j|^{p-1} s(x_j) (not a
+    Factor1D when p < 1, so evaluated directly) plus |x_j|^p times
+    s' from :meth:`Factor1D.derivative`.  No cancellation occurs near
+    x_j = 0: for power > 1 the value there is exactly the true limit 0,
+    while power <= 1 at x_j = 0 is a domain error.
     """
     if not 0 <= j < kernel.d:
         raise KernelError(f"coordinate {j} outside 0..{kernel.d - 1}")
     pt = np.asarray(point, dtype=float)
-    powers = kernel.powers
-    pj = powers[j]
+    pj = kernel.powers[j]
     xj = pt[..., j]
     if np.any(xj == 0.0) and pj <= 1.0:
         raise KernelError(
             f"partial_h at x_{j} = 0 with power {pj} <= 1 is not defined"
         )
-    others = np.ones(pt.shape[:-1])
-    for i, pw in enumerate(powers):
-        if i != j and pw != 0.0:
-            others = others * np.abs(pt[..., i]) ** pw
-    axj = np.abs(xj)
-    if pj == 0.0:
-        dpow = np.zeros_like(axj)
-        powj = np.ones_like(axj)
-    else:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dpow = pj * np.sign(xj) * axj ** (pj - 1.0)
-        dpow = np.where(axj == 0.0, 0.0, dpow)  # only reachable when pj > 1
-        powj = axj ** pj
-    out = others * (dpow * kernel.L.value(pt) + powj * kernel.L.partial(j, pt))
+    dpow = pj * np.sign(xj) * np.abs(xj) ** (pj - 1.0) if pj != 0.0 else 0.0
+    out = np.zeros(pt.shape[:-1])
+    for coeff, factors in separable_terms(kernel):
+        smooth = replace(factors[j], power=0.0)
+        term = dpow * smooth.val(xj)
+        for dcoef, dfac in smooth.derivative():
+            term = term + dcoef * replace(dfac, power=dfac.power + pj).val(xj)
+        term = coeff * term
+        for i, f in enumerate(factors):
+            if i != j:
+                term = term * f.val(pt[..., i])
+        out = out + term
     return out if np.ndim(out) else float(out)
 
 
@@ -838,20 +653,6 @@ def separable_terms(kernel: KernelSpec) -> tuple:
     return tuple(out)
 
 
-def term_partial(term_factors, j: int) -> tuple:
-    """Differentiate one separable term in coordinate j.
-
-    Returns ((coef, [Factor1D] * d), ...): only the j-th factor
-    differentiates, so separability is preserved.
-    """
-    out = []
-    for coef, df in term_factors[j].derivative():
-        fs = list(term_factors)
-        fs[j] = df
-        out.append((coef, fs))
-    return tuple(out)
-
-
 # ---------------------------------------------------------------------------
 # Gaussian smoothing rho_H
 # ---------------------------------------------------------------------------
@@ -860,10 +661,10 @@ def term_partial(term_factors, j: int) -> tuple:
 def rho(kernel: KernelSpec, sigmas, y) -> float:
     """rho_H(sigma, y) = E[H(sigma_1 U_1, ..., sigma_l U_l, y)], U ~ N(0, I_l).
 
-    Closed form when the smooth factor does not touch the first block
-    (prod m_{p_i} sigma_i^{p_i} * prod |y_j|^{q_j} * L(0, y)); otherwise the
-    separable expansion reduces everything to one-dimensional adaptive
-    quadrature split at the origin.
+    Computed on the separable terms: each first-block factor contributes
+    its :meth:`Factor1D.gaussian_moment_vec` at sigma_i (closed form, or
+    one-dimensional adaptive quadrature split at the origin when cos/sin
+    are present), each second-block factor its value at y.
     """
     sigmas = np.asarray(sigmas, dtype=float).ravel()
     y = np.asarray(y, dtype=float).ravel()
@@ -880,7 +681,7 @@ def rho(kernel: KernelSpec, sigmas, y) -> float:
         for i in range(l):
             if v == 0.0:
                 break
-            v *= factors[i].gaussian_moment(float(sigmas[i]))
+            v *= float(factors[i].gaussian_moment_vec(sigmas[i]))
         for j in range(l, kernel.d):
             if v == 0.0:
                 break

@@ -132,6 +132,62 @@ def _time_integrated_moment(factor: Factor1D, sigmas, weights) -> float:
     return float(np.dot(weights, factor.gaussian_moment_vec(sigmas)))
 
 
+_JUMP_SLOTS = ("sum", "free", "deriv")
+
+
+def _contract(terms, slots, sizes, points=None, grid=None):
+    """Contract the separable terms of H slot by slot against the ground truth.
+
+    slots[j] says what becomes of the j-th factor f of every term:
+
+    * None: dropped (the slot is handled by the caller);
+    * a number x: the fixed scalar f(x) (x = 0 on the jump route);
+    * "moment": the fixed scalar int_0^t E[f(sigma_u U)] du on grid =
+      (sigmas, weights), the mixed route;
+    * "sum": summed over the jump sizes;
+    * "free": evaluated at points;
+    * "deriv": f' (from Factor1D.derivative) evaluated at points.
+
+    Several free/deriv slots take the free role in turn, the others being
+    summed over the jumps; the result adds up those choices.  Terms are
+    taken in order, the coefficient is multiplied by the fixed scalars
+    left to right, and a term (or a choice of free slot) is skipped once
+    its fixed part or the product of its slot sums is exactly 0.
+    """
+    jump = [j for j, s in enumerate(slots) if s in _JUMP_SLOTS]
+    free = [j for j in jump if slots[j] != "sum"]
+    total = np.zeros(np.shape(points)) if free else 0.0
+    for coeff, factors in terms:
+        fixed = coeff
+        for f, s in zip(factors, slots):
+            if fixed == 0.0:
+                break
+            if s == "moment":
+                fixed *= _time_integrated_moment(f, *grid)
+            elif isinstance(s, float):
+                fixed *= f.val(s)
+        if fixed == 0.0:
+            continue
+        sums = {j: float(np.sum(factors[j].val(sizes))) for j in jump if free != [j]}
+        for k in free or [None]:
+            rest = 1.0
+            for j in jump:
+                if j != k:
+                    rest *= sums[j]
+            if rest == 0.0:
+                continue
+            if k is None:
+                total += fixed * rest
+            elif slots[k] == "free":
+                total += fixed * rest * factors[k].val(points)
+            else:
+                dvals = np.zeros(np.shape(points))
+                for dcoef, dfac in factors[k].derivative():
+                    dvals += dcoef * dfac.val(points)
+                total += fixed * rest * dvals
+    return total if np.ndim(total) else float(total)
+
+
 # ---------------------------------------------------------------------------
 # Laws of large numbers
 # ---------------------------------------------------------------------------
@@ -154,30 +210,12 @@ def jump_limit(
     scale = t ** (d - l)
     terms = separable_terms(kernel)
     if l == 0:
-        value = 0.0
-        for coeff, factors in terms:
-            prod = coeff
-            for j in range(d):
-                prod *= factors[j].val(0.0)
-                if prod == 0.0:
-                    break
-            value += prod
-        value *= scale
+        value = _contract(terms, (0.0,) * d, sizes) * scale
         return LimitValue(value, (("deterministic", value),), kernel.regime)
     if len(sizes) == 0:
         return LimitValue(0.0, (), kernel.regime)
-    contrib = np.zeros(len(sizes))
-    for coeff, factors in terms:
-        zero_tail = 1.0
-        for j in range(l, d):
-            zero_tail *= factors[j].val(0.0)
-        if zero_tail == 0.0 or coeff == 0.0:
-            continue
-        rest = 1.0
-        for i in range(1, l):
-            rest *= float(np.sum(factors[i].val(sizes)))
-        contrib += coeff * zero_tail * rest * factors[0].val(sizes)
-    contrib *= scale
+    slots = ("free",) + ("sum",) * (l - 1) + (0.0,) * (d - l)
+    contrib = _contract(terms, slots, sizes, sizes) * scale
     value = float(np.sum(contrib))
     table = tuple((f"jump_{p}", float(v)) for p, v in enumerate(contrib))
     return LimitValue(value, table, kernel.regime)
@@ -192,33 +230,15 @@ def mixed_limit(
     d = kernel.d
     recs, sizes, _, _ = _jump_data(path, t)
     _check_budget(len(sizes), d - l)
-    sigmas, weights = _time_weights(path, t)
+    grid = _time_weights(path, t)
     terms = separable_terms(kernel)
     if d == l:
-        value = 0.0
-        for coeff, factors in terms:
-            prod = coeff
-            for i in range(l):
-                if prod == 0.0:
-                    break
-                prod *= _time_integrated_moment(factors[i], sigmas, weights)
-            value += prod
+        value = _contract(terms, ("moment",) * l, sizes, grid=grid)
         return LimitValue(value, (("time_integral", value),), kernel.regime)
     if len(sizes) == 0:
         return LimitValue(0.0, (), kernel.regime)
-    contrib = np.zeros(len(sizes))
-    for coeff, factors in terms:
-        xpart = coeff
-        for i in range(l):
-            if xpart == 0.0:
-                break
-            xpart *= _time_integrated_moment(factors[i], sigmas, weights)
-        if xpart == 0.0:
-            continue
-        rest = 1.0
-        for j in range(l + 1, d):
-            rest *= float(np.sum(factors[j].val(sizes)))
-        contrib += xpart * rest * factors[l].val(sizes)
+    slots = ("moment",) * l + ("free",) + ("sum",) * (d - l - 1)
+    contrib = _contract(terms, slots, sizes, sizes, grid)
     value = float(np.sum(contrib))
     table = tuple((f"jump_{p}", float(v)) for p, v in enumerate(contrib))
     return LimitValue(value, table, kernel.regime)
@@ -227,34 +247,6 @@ def mixed_limit(
 # ---------------------------------------------------------------------------
 # Jump-case CLT machinery
 # ---------------------------------------------------------------------------
-
-
-def _vbar_profile(kernel: KernelSpec, sizes: np.ndarray, l: int) -> np.ndarray:
-    """sum_{k=1}^{l} Vbar_k(H, X, l, y) evaluated at y = each jump size.
-
-    Vbar_k sums the k-th partial of H over (l-1)-tuples of jumps in the
-    other first-block slots, with the trailing block at 0.
-    """
-    out = np.zeros(len(sizes))
-    for coeff, factors in separable_terms(kernel):
-        zero_tail = 1.0
-        for j in range(l, kernel.d):
-            zero_tail *= factors[j].val(0.0)
-        if zero_tail == 0.0 or coeff == 0.0:
-            continue
-        slot_sums = [float(np.sum(factors[i].val(sizes))) for i in range(l)]
-        for k in range(l):
-            rest = 1.0
-            for i in range(l):
-                if i != k:
-                    rest *= slot_sums[i]
-            if rest == 0.0:
-                continue
-            dvals = np.zeros(len(sizes))
-            for dcoef, dfac in factors[k].derivative():
-                dvals += dcoef * dfac.val(sizes)
-            out += coeff * zero_tail * rest * dvals
-    return out
 
 
 def vbar(
@@ -267,33 +259,19 @@ def vbar(
 ) -> float:
     """Vbar_k(H, X, l, y): partial_k H summed over (l-1)-tuples of jumps.
 
-    k_idx is 1-based within the first block (1 <= k_idx <= l).
+    k_idx is 1-based within the first block (1 <= k_idx <= l).  With every
+    first-block slot marked "deriv", _contract gives sum_k Vbar_k at each
+    point: the profile that the jump-case variance and draw use.
     """
     t = _resolve_t(path, t)
     l = _check_l(kernel, l)
     if not 1 <= k_idx <= l:
         raise KernelError(f"k_idx={k_idx} outside 1..l={l}")
-    k0 = k_idx - 1
     recs, sizes, _, _ = _jump_data(path, t)
     _check_budget(len(sizes), l - 1)
-    total = 0.0
-    for coeff, factors in separable_terms(kernel):
-        zero_tail = 1.0
-        for j in range(l, kernel.d):
-            zero_tail *= factors[j].val(0.0)
-        if zero_tail == 0.0 or coeff == 0.0:
-            continue
-        rest = 1.0
-        for i in range(l):
-            if i != k0:
-                rest *= float(np.sum(factors[i].val(sizes)))
-        if rest == 0.0:
-            continue
-        dval = 0.0
-        for dcoef, dfac in factors[k0].derivative():
-            dval += dcoef * float(dfac.val(y))
-        total += coeff * zero_tail * rest * dval
-    return total
+    slots = ["sum"] * l + [0.0] * (kernel.d - l)
+    slots[k_idx - 1] = "deriv"
+    return _contract(separable_terms(kernel), slots, sizes, y)
 
 
 def cond_var_jump(
@@ -307,7 +285,8 @@ def cond_var_jump(
     recs, sizes, pre, post = _jump_data(path, t)
     if len(sizes) == 0:
         return CondVariance(0.0, 0.0, 0.0, ())
-    w = _vbar_profile(kernel, sizes, l)
+    slots = ("deriv",) * l + (0.0,) * (kernel.d - l)
+    w = _contract(separable_terms(kernel), slots, sizes, sizes)
     scale = 0.5 * t ** (2 * (kernel.d - l))
     per = scale * w * w * (pre * pre + post * post)
     total = float(np.sum(per))
@@ -374,29 +353,23 @@ class _CovStructure:
                 self.P[a, b] = val
                 self.P[b, a] = val
 
+    def _weighted(self, yslots, sizes=None) -> np.ndarray:
+        """base_weight times the second-block part Y_m, one entry per (m, i) pair."""
+        ypart = [
+            _contract(((1.0, factors),), (None,) * self.l + yslots, sizes)
+            for _, factors in self.terms
+        ]
+        return self.base_weight * np.array([ypart[m] for m, _ in self.pairs])
+
     def y_vector(self, y: Sequence[float]) -> np.ndarray:
         y = np.asarray(y, dtype=float).ravel()
         if y.size != self.d - self.l:
             raise KernelError(f"expected {self.d - self.l} y-coordinates, got {y.size}")
-        out = np.empty(len(self.pairs))
-        for a, (m, i) in enumerate(self.pairs):
-            factors = self.terms[m][1]
-            ypart = 1.0
-            for j in range(self.l, self.d):
-                ypart *= float(factors[j].val(y[j - self.l]))
-            out[a] = self.base_weight[a] * ypart
-        return out
+        return self._weighted(tuple(float(v) for v in y))
 
     def tuple_sum_vector(self, sizes: np.ndarray) -> np.ndarray:
         """sum over all (d-l)-tuples of jumps of y_vector(tuple)."""
-        out = np.empty(len(self.pairs))
-        for a, (m, i) in enumerate(self.pairs):
-            factors = self.terms[m][1]
-            ypart = 1.0
-            for j in range(self.l, self.d):
-                ypart *= float(np.sum(factors[j].val(sizes)))
-            out[a] = self.base_weight[a] * ypart
-        return out
+        return self._weighted(("sum",) * (self.d - self.l), sizes)
 
     def cov(self, y1, y2) -> float:
         v1 = self.y_vector(y1)
@@ -426,36 +399,6 @@ def cov_c_matrix(path: SamplePath, kernel: KernelSpec, y_list, t: Optional[float
     return _CovStructure(path, kernel, t).cov_matrix(y_list)
 
 
-def _vtilde_profile(
-    path: SamplePath, kernel: KernelSpec, sizes: np.ndarray, l: int, t: float
-) -> np.ndarray:
-    """sum_{k=l+1}^{d} Vtilde_k(H, X, l, y) at y = each jump size."""
-    d = kernel.d
-    sigmas, weights = _time_weights(path, t)
-    out = np.zeros(len(sizes))
-    for coeff, factors in separable_terms(kernel):
-        xpart = coeff
-        for i in range(l):
-            if xpart == 0.0:
-                break
-            xpart *= _time_integrated_moment(factors[i], sigmas, weights)
-        if xpart == 0.0:
-            continue
-        slot_sums = [float(np.sum(factors[j].val(sizes))) for j in range(l, d)]
-        for k in range(l, d):
-            rest = 1.0
-            for j in range(l, d):
-                if j != k:
-                    rest *= slot_sums[j - l]
-            if rest == 0.0:
-                continue
-            dvals = np.zeros(len(sizes))
-            for dcoef, dfac in factors[k].derivative():
-                dvals += dcoef * dfac.val(sizes)
-            out += xpart * rest * dvals
-    return out
-
-
 def vtilde(
     path: SamplePath,
     kernel: KernelSpec,
@@ -467,37 +410,20 @@ def vtilde(
     """Vtilde_k(H, X, l, y): rho_{partial_k H} integrated in time, summed
     over (d-l-1)-tuples of jumps in the other second-block slots.
 
-    k_idx is the 1-based global coordinate, l < k_idx <= d.
+    k_idx is the 1-based global coordinate, l < k_idx <= d.  With every
+    second-block slot marked "deriv", _contract gives sum_{k>l} Vtilde_k
+    at each point.
     """
     t = _resolve_t(path, t)
     l = _check_l(kernel, l)
     d = kernel.d
     if not l < k_idx <= d:
         raise KernelError(f"k_idx={k_idx} outside l+1..d={d}")
-    k0 = k_idx - 1
     recs, sizes, _, _ = _jump_data(path, t)
     _check_budget(len(sizes), d - l - 1)
-    sigmas, weights = _time_weights(path, t)
-    total = 0.0
-    for coeff, factors in separable_terms(kernel):
-        xpart = coeff
-        for i in range(l):
-            if xpart == 0.0:
-                break
-            xpart *= _time_integrated_moment(factors[i], sigmas, weights)
-        if xpart == 0.0:
-            continue
-        rest = 1.0
-        for j in range(l, d):
-            if j != k0:
-                rest *= float(np.sum(factors[j].val(sizes)))
-        if rest == 0.0:
-            continue
-        dval = 0.0
-        for dcoef, dfac in factors[k0].derivative():
-            dval += dcoef * float(dfac.val(y))
-        total += xpart * rest * dval
-    return total
+    slots = ["moment"] * l + ["sum"] * (d - l)
+    slots[k_idx - 1] = "deriv"
+    return _contract(separable_terms(kernel), slots, sizes, y, _time_weights(path, t))
 
 
 def cond_var_mixed(
@@ -517,7 +443,8 @@ def cond_var_mixed(
     recs, sizes, pre, post = _jump_data(path, t)
     if len(sizes) == 0:
         return CondVariance(0.0, 0.0, 0.0, ())
-    prof = _vtilde_profile(path, kernel, sizes, l, t)
+    slots = ("moment",) * l + ("deriv",) * (d - l)
+    prof = _contract(separable_terms(kernel), slots, sizes, sizes, _time_weights(path, t))
     per = prof * prof * post * post
     jump_term = float(np.sum(per))
     struct = _CovStructure(path, kernel, t)

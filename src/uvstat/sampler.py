@@ -17,14 +17,15 @@ derived by hashing so the two terms stay reproducible independently.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
-from uvstat.kernels import KernelError, KernelSpec
-from uvstat.limits import _CovStructure, _resolve_t, _vbar_profile, _vtilde_profile
+from uvstat.kernels import KernelError, KernelSpec, separable_terms
+from uvstat.limits import _check_l, _contract, _CovStructure, _resolve_t, _time_weights
 from uvstat.simulate import SamplePath
 
 __all__ = [
@@ -121,10 +122,7 @@ def sample_U_jump(
     sum_q [t^{d-l} sum_k Vbar_k(Delta X_q)] R_q.
     """
     t = _resolve_t(path, t)
-    if l is None:
-        l = kernel.l
-    elif l != kernel.l:
-        raise KernelError(f"block split l={l} != kernel block split l={kernel.l}")
+    l = _check_l(kernel, l)
     if len(aug) != len(path.jumps):
         raise SamplerError("augmentation does not match the path's jump count")
     recs = path.jumps_until(t)
@@ -132,7 +130,8 @@ def sample_U_jump(
     if J == 0:
         return LimitDraw(0.0, (), aug.seed)
     sizes = np.array([r.size for r in recs])
-    coeff = t ** (kernel.d - l) * _vbar_profile(kernel, sizes, l)
+    slots = ("deriv",) * l + (0.0,) * (kernel.d - l)
+    coeff = t ** (kernel.d - l) * _contract(separable_terms(kernel), slots, sizes, sizes)
     per = coeff * aug.r[:J]
     value = float(np.sum(per))
     table = tuple((f"jump_{p}", float(v)) for p, v in enumerate(per))
@@ -172,10 +171,7 @@ def sample_V_mixed(
     that isolates the jump term.
     """
     t = _resolve_t(path, t)
-    if l is None:
-        l = kernel.l
-    elif l != kernel.l:
-        raise KernelError(f"block split l={l} != kernel block split l={kernel.l}")
+    l = _check_l(kernel, l)
     d = kernel.d
     if not 1 <= l < d:
         raise KernelError("mixed-case sampling needs 1 <= l < d")
@@ -186,7 +182,8 @@ def sample_V_mixed(
     if J == 0:
         return LimitDraw(0.0, (), aug.seed)
     sizes = np.array([r.size for r in recs])
-    coeff = _vtilde_profile(path, kernel, sizes, l, t)
+    slots = ("moment",) * l + ("deriv",) * (d - l)
+    coeff = _contract(separable_terms(kernel), slots, sizes, sizes, _time_weights(path, t))
     per = coeff * aug.r[:J]
     jump_term = float(np.sum(per))
     table = tuple((f"jump_{p}", float(v)) for p, v in enumerate(per))
@@ -200,8 +197,6 @@ def sample_V_mixed(
             raise SamplerError(
                 f"{n_tuples} distinct jump tuples exceed the field budget {FIELD_TUPLE_BUDGET}"
             )
-        import itertools
-
         combos = list(itertools.product(range(K), repeat=d - l))
         y_list = [[float(uniq[i]) for i in combo] for combo in combos]
         weights = np.array(
@@ -233,10 +228,7 @@ def truncated_Z(
     truncation reuses the same augmentation values, aligned by jump index.
     """
     t = _resolve_t(path, t)
-    if l is None:
-        l = kernel.l
-    elif l != kernel.l:
-        raise KernelError(f"block split l={l} != kernel block split l={kernel.l}")
+    l = _check_l(kernel, l)
     if m < 0:
         raise SamplerError(f"truncation level must be >= 0, got {m}")
     if len(aug) != len(path.jumps):
@@ -249,5 +241,6 @@ def truncated_Z(
     order = np.argsort(-np.abs(sizes), kind="stable")
     keep = np.sort(order[: min(m, J)])
     sub_sizes = sizes[keep]
-    coeff = t ** (kernel.d - l) * _vbar_profile(kernel, sub_sizes, l)
+    slots = ("deriv",) * l + (0.0,) * (kernel.d - l)
+    coeff = t ** (kernel.d - l) * _contract(separable_terms(kernel), slots, sub_sizes, sub_sizes)
     return float(np.sum(coeff * aug.r[keep]))

@@ -20,6 +20,7 @@ for.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
@@ -226,8 +227,6 @@ def u_stat(
                 f"nested evaluation guard exceeded (d={d}, count={count}); "
                 "use the factorized strategy with a separable kernel"
             )
-        import itertools
-
         total = 0.0
         for combo in itertools.combinations(range(count), d):
             total += eval_h(kernel, z[list(combo)])
@@ -305,11 +304,14 @@ def load_increments_csv(path_or_file) -> np.ndarray:
         if not text:
             continue
         try:
-            values.append(float(text))
+            value = float(text)
         except ValueError:
             if i == 0:
                 continue
             raise SimulationError(f"non-numeric increment on line {i + 1}: {text!r}")
+        if not math.isfinite(value):
+            raise SimulationError(f"non-finite increment on line {i + 1}: {text!r}")
+        values.append(value)
     if not values:
         raise SimulationError("no increments found in CSV input")
     return np.array(values)

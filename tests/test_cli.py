@@ -232,6 +232,19 @@ def test_runtime_error_exits_2(tmp_path, capsys):
     assert "runtime error" in capsys.readouterr().err
 
 
+def test_non_finite_numbers_exit_1(tmp_path, capsys):
+    # json accepts Infinity/NaN; they must fail validation, not reach the sampler
+    doc = jump_clt_doc(reps=2, n=64, intensity=float("inf"))
+    rc = main(["verify-clt", "--config", str(write_config(tmp_path, doc))])
+    assert rc == 1
+    assert "model.jumps.intensity must be finite" in capsys.readouterr().err
+    doc = jump_clt_doc(reps=2, n=64)
+    doc["model"]["drift_b"] = float("nan")
+    rc = main(["verify-clt", "--config", str(write_config(tmp_path, doc))])
+    assert rc == 1
+    assert "model.drift_b must be finite" in capsys.readouterr().err
+
+
 def test_manifest_suffices_to_rerun(tmp_path):
     from uvstat.config import parse_config
 

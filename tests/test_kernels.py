@@ -158,9 +158,23 @@ def test_partial_h_simple_values():
     assert partial_h(k2, 0, [1.0, 1.0]) == pytest.approx(4.0)
 
 
+def partial_h_kernels():
+    """The catalog plus one kernel per smooth-factor shape on two coordinates."""
+    exprs = [
+        GridSin(1.2, 0, 1),
+        GaussBump(0.7, 0),
+        PolyEven(1, (1.0, -0.5, 0.25)),
+        Sum((GaussBump(0.7, 0), PolyEven(1, (1.0, 0.3)))),
+        Product((GaussBump(0.7, 0), GridSin(0.9, 0, 1))),
+    ]
+    return catalog_kernels() + [
+        KernelSpec(d=2, l=1, p=(0.5,), q=(4.0,), L=L, regime="MixedCLT") for L in exprs
+    ]
+
+
 def test_partial_h_matches_finite_differences():
     gen = np.random.default_rng(23)
-    for k in catalog_kernels():
+    for k in partial_h_kernels():
         for _ in range(100):
             pt = gen.uniform(0.3, 1.8, size=k.d) * np.where(gen.random(k.d) < 0.5, -1, 1)
             j = int(gen.integers(k.d))
@@ -177,39 +191,15 @@ def test_partial_h_at_zero():
         partial_h(k_low, 0, [0.0])
 
 
-def test_lexpr_partial2_matches_finite_differences():
-    gen = np.random.default_rng(29)
-    exprs = [
-        GridSin(1.2, 0, 1),
-        GaussBump(0.7, 0),
-        PolyEven(1, (1.0, -0.5, 0.25)),
-        Sum((GaussBump(0.7, 0), PolyEven(1, (1.0, 0.3)))),
-        Product((GaussBump(0.7, 0), GridSin(0.9, 0, 1))),
-    ]
-    h = 1e-4
-    for L in exprs:
-        for _ in range(20):
-            pt = gen.uniform(-1.5, 1.5, size=2)
-            for j in range(2):
-                for k in range(2):
-                    pjk = np.array(pt)
-                    vals = np.zeros((2, 2))
-                    for a, da in enumerate((-h, h)):
-                        for b, db in enumerate((-h, h)):
-                            q = np.array(pt)
-                            q[j] += da
-                            q[k] += db
-                            vals[a, b] = L.value(q)
-                    if j == k:
-                        up, mid, dn = (
-                            L.value(np.array(pt) + np.eye(2)[j] * h),
-                            L.value(pt),
-                            L.value(np.array(pt) - np.eye(2)[j] * h),
-                        )
-                        approx = (up - 2 * mid + dn) / h**2
-                    else:
-                        approx = (vals[1, 1] - vals[1, 0] - vals[0, 1] + vals[0, 0]) / (4 * h * h)
-                    assert L.partial2(j, k, pt) == pytest.approx(approx, rel=2e-4, abs=5e-5)
+def test_partial_h_at_zero_with_smooth_factor_on_the_coordinate():
+    # power > 1 at x_j = 0: exactly 0, also when a bump or grid_sin sits on x_j
+    bump_and_sin = Product((GaussBump(0.3, 0), GridSin(1.3, 1, 0)))
+    for L in (GaussBump(0.7, 0), GridSin(0.9, 0, 1), bump_and_sin):
+        k = KernelSpec(d=2, l=2, p=(1.5, 4.0), L=L, regime="JumpCLT")
+        for y in (-0.8, 0.35, 1.7):
+            assert partial_h(k, 0, [0.0, y]) == 0.0
+        pts = np.array([[0.0, 0.4], [0.0, -1.2]])
+        assert np.all(partial_h(k, 0, pts) == 0.0)
 
 
 # ---------------------------------------------------------------------------

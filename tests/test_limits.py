@@ -1,5 +1,6 @@
 """Limit functionals and conditional variances vs hand values and brute force."""
 
+import itertools
 import math
 
 import numpy as np
@@ -10,6 +11,7 @@ from uvstat.kernels import (
     KernelError,
     KernelSpec,
     abs_moment,
+    eval_h,
     partial_h,
     rho,
 )
@@ -32,6 +34,8 @@ from uvstat.simulate import (
     VolatilityModel,
     simulate_path,
 )
+
+from test_kernels import catalog_kernels
 
 
 def synthetic_path(sizes, sigma=1.0, n=64, T=1.0, drift=0.0):
@@ -355,8 +359,6 @@ def test_cond_var_mixed_total_nonnegative_random():
 def test_constant_sigma_closed_forms_across_catalog():
     # for constant sigma the time integral collapses: Y_t = t^l * sum over
     # jump tuples of rho_H(sigma, y); rho is the independent route here
-    from test_kernels import catalog_kernels
-
     sigma = 1.2
     sizes = [0.8, -1.1]
     path = synthetic_path(sizes, sigma=sigma)
@@ -365,8 +367,53 @@ def test_constant_sigma_closed_forms_across_catalog():
             continue
         lv = mixed_limit(path, k)
         direct = 0.0
-        import itertools
-
         for combo in itertools.product(sizes, repeat=k.d - k.l):
             direct += rho(k, [sigma] * k.l, list(combo))
         assert lv.value == pytest.approx(direct, rel=1e-6), k.text()
+
+
+# ---------------------------------------------------------------------------
+# the factorized contractions against tuple enumeration, across the catalog
+# ---------------------------------------------------------------------------
+
+
+def test_jump_limit_against_eval_h_enumeration_across_catalog():
+    sizes = [0.8, -1.3, 0.55]
+    path = synthetic_path(sizes, T=0.75, n=64)
+    t = 0.75
+    for k in catalog_kernels():
+        brute = 0.0
+        for combo in itertools.product(sizes, repeat=k.l):
+            brute += eval_h(k, list(combo) + [0.0] * (k.d - k.l))
+        brute *= t ** (k.d - k.l)
+        assert jump_limit(path, k).value == pytest.approx(brute, rel=1e-10, abs=1e-12), k.text()
+
+
+def test_vbar_against_partial_h_enumeration_across_catalog():
+    # first-block powers >= 1 only: below that the derivative factor has a
+    # negative power, which Factor1D does not represent
+    sizes = [0.8, -1.3, 0.55]
+    path = synthetic_path(sizes)
+    y = -0.65
+    checked = 0
+    for k in catalog_kernels():
+        if min(k.p) < 1.0:
+            continue
+        for k_idx in range(1, k.l + 1):
+            brute = 0.0
+            for combo in itertools.product(sizes, repeat=k.l - 1):
+                first = list(combo)
+                first.insert(k_idx - 1, y)
+                brute += partial_h(k, k_idx - 1, first + [0.0] * (k.d - k.l))
+            got = vbar(path, k, k_idx=k_idx, y=y)
+            assert got == pytest.approx(brute, rel=1e-10, abs=1e-12), (k.text(), k_idx)
+            checked += 1
+    assert checked >= 15
+
+
+def test_cond_var_mixed_field_term_pairwise_d3():
+    k = next(k for k in catalog_kernels() if (k.d, k.l) == (3, 1))
+    path = synthetic_path([0.7, -1.2, 0.4], sigma=1.1)
+    tuples = [list(c) for c in itertools.product(path.jump_sizes(), repeat=2)]
+    pairwise = sum(cov_c(path, k, a, b) for a in tuples for b in tuples)
+    assert cond_var_mixed(path, k).field_term == pytest.approx(pairwise, rel=1e-9)

@@ -308,6 +308,15 @@ def test_load_increments_csv_rejects_garbage():
         load_increments_csv(buf)
 
 
+def test_load_increments_csv_rejects_non_finite():
+    from uvstat.simulate import SimulationError
+
+    with pytest.raises(SimulationError, match="line 3"):
+        load_increments_csv(io.StringIO("x\n0.1\nnan\ninf\n"))
+    with pytest.raises(SimulationError, match="line 2"):
+        load_increments_csv(io.StringIO("0.1\n-inf\n"))
+
+
 def test_stat_on_raw_increments_matches_path():
     path = brownian_path(seed=37, n=128, intensity=2.0)
     inc = increments(path)
