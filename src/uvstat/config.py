@@ -1,31 +1,31 @@
 """Run configuration: a strict JSON document with nested blocks.
 
 A config fully determines a run: model block, textual kernel, experiment
-block, io block, base seed.  Parsing is strict (unknown keys are
-rejected, every message names the offending key and the violated
-constraint) and canonicalization is exact: parse -> canonical_text is a
-fixed point, so configs round-trip byte-identically and manifests can
-re-run any plan.
+block, io block, base seed.  Parsing is strict: every block must be a
+JSON object, unknown keys are rejected, and every message names the
+offending key and the violated constraint.  The model block, jump-size
+distribution included, is decoded by simulate.config_from_dict, the same
+decoder that reads path files, so the model dataclasses alone hold its
+field names, defaults and checks.  Canonicalization is exact: parse ->
+canonical_text is a fixed point, so configs round-trip byte-identically
+and manifests can re-run any plan.
 """
 
 from __future__ import annotations
 
+import contextlib
 import json
-import math
 from dataclasses import dataclass
 from typing import Optional
 
 from uvstat.harness import EXPERIMENT_KINDS, ExperimentPlan, HarnessError
-from uvstat.kernels import KernelError, KernelSpec, kernel_from_text, kernel_to_text
-from uvstat.simulate import (
-    JumpModel,
-    ModelConfig,
-    SimulationError,
-    VolatilityModel,
-    size_dist_from_dict,
-)
+from uvstat.kernels import KernelError, kernel_from_text
+from uvstat.simulate import _REQUIRED, SimulationError, _number, _require, config_from_dict
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "canonical_text", "parse_beta_grid"]
+
+# largest number of entries a 'start:stop:step' beta range may expand to
+_MAX_BETA_GRID = 10_000
 
 
 class ConfigError(ValueError):
@@ -39,57 +39,27 @@ class RunConfig:
     output_dir: str
 
     def canonical_dict(self) -> dict:
-        plan = self.plan
-        doc = {
-            "model": plan.to_dict()["model"],
-            "kernel": kernel_to_text(plan.kernel) if plan.kernel is not None else None,
-            "experiment": {
-                "kind": plan.kind,
-                "n_list": list(plan.n_list),
-                "reps": plan.reps,
-                "t": plan.t,
-                "beta_grid": list(plan.beta_grid),
-                "m_list": list(plan.m_list),
-                "require_jumps": plan.require_jumps,
-                "collect_samples": plan.collect_samples,
-            },
+        experiment = self.plan.to_dict()
+        return {
+            "model": experiment.pop("model"),
+            "kernel": experiment.pop("kernel"),
+            "base_seed": experiment.pop("base_seed"),
+            "experiment": experiment,
             "io": {"input_csv": self.input_csv, "output_dir": self.output_dir},
-            "base_seed": plan.base_seed,
         }
-        return doc
 
 
 def canonical_text(cfg: RunConfig) -> str:
     return json.dumps(cfg.canonical_dict(), sort_keys=True, indent=1) + "\n"
 
 
-def _require(block: dict, where: str, allowed: dict):
-    """Reject unknown keys; return values with defaults applied."""
-    unknown = sorted(set(block) - set(allowed))
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
-    out = {}
-    for key, default in allowed.items():
-        if default is _REQUIRED and key not in block:
-            raise ConfigError(f"missing required key {key!r} in {where}")
-        out[key] = block.get(key, default)
-    return out
-
-
-_REQUIRED = object()
-
-
-def _number(value, where, lo=None, hi=None):
-    if isinstance(value, bool) or not isinstance(value, (int, float)):
-        raise ConfigError(f"{where} must be a number, got {value!r}")
-    v = float(value)
-    if not math.isfinite(v):
-        raise ConfigError(f"{where} must be finite, got {value!r}")
-    if lo is not None and v < lo:
-        raise ConfigError(f"{where} must be >= {lo}, got {v}")
-    if hi is not None and v > hi:
-        raise ConfigError(f"{where} must be <= {hi}, got {v}")
-    return v
+@contextlib.contextmanager
+def _config_errors():
+    """Report a failed shared check (a SimulationError) as a ConfigError, exit code 1."""
+    try:
+        yield
+    except SimulationError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _integer(value, where, lo=None):
@@ -100,6 +70,7 @@ def _integer(value, where, lo=None):
     return value
 
 
+@_config_errors()
 def parse_beta_grid(spec) -> tuple:
     """A beta grid: a list of numbers or a 'start:stop:step' range (inclusive)."""
     if spec is None:
@@ -116,74 +87,23 @@ def parse_beta_grid(spec) -> tuple:
             raise ConfigError(f"non-numeric beta_grid range {spec!r}")
         if step <= 0 or stop < start:
             raise ConfigError(f"beta_grid range needs step > 0 and stop >= start, got {spec!r}")
+        span = (stop - start + 1e-12) / step
+        if not span < _MAX_BETA_GRID:
+            raise ConfigError(f"beta_grid range {spec!r} has more than {_MAX_BETA_GRID} entries")
         out = []
-        k = 0
-        while True:
+        # one spare step: the float test below decides whether stop is included
+        for k in range(int(span) + 2):
             v = start + k * step
             if v > stop + 1e-12:
                 break
             out.append(round(v, 12))
-            k += 1
         return tuple(out)
     if isinstance(spec, (list, tuple)):
         return tuple(_number(v, "experiment.beta_grid entry", lo=None) for v in spec)
     raise ConfigError(f"beta_grid must be a list or 'start:stop:step' string, got {spec!r}")
 
 
-def _build_model(block: dict) -> ModelConfig:
-    vals = _require(
-        block,
-        "model",
-        {
-            "drift_b": _REQUIRED,
-            "vol": _REQUIRED,
-            "jumps": _REQUIRED,
-            "bound_A": _REQUIRED,
-            "reject_bound_excursions": False,
-        },
-    )
-    volb = _require(
-        vals["vol"],
-        "model.vol",
-        {
-            "kind": _REQUIRED,
-            "sigma0": _REQUIRED,
-            "tilde_b": 0.0,
-            "tilde_sigma": 0.0,
-            "tilde_v": 0.0,
-            "floor_eps": 1e-4,
-        },
-    )
-    jumpb = _require(
-        vals["jumps"],
-        "model.jumps",
-        {"intensity": _REQUIRED, "size_dist": _REQUIRED, "max_abs": _REQUIRED},
-    )
-    try:
-        vol = VolatilityModel(
-            kind=volb["kind"],
-            sigma0=_number(volb["sigma0"], "model.vol.sigma0"),
-            tilde_b=_number(volb["tilde_b"], "model.vol.tilde_b"),
-            tilde_sigma=_number(volb["tilde_sigma"], "model.vol.tilde_sigma"),
-            tilde_v=_number(volb["tilde_v"], "model.vol.tilde_v"),
-            floor_eps=_number(volb["floor_eps"], "model.vol.floor_eps"),
-        )
-        jumps = JumpModel(
-            intensity=_number(jumpb["intensity"], "model.jumps.intensity", lo=0.0),
-            size_dist=size_dist_from_dict(jumpb["size_dist"]),
-            max_abs=_number(jumpb["max_abs"], "model.jumps.max_abs"),
-        )
-        return ModelConfig(
-            drift_b=_number(vals["drift_b"], "model.drift_b"),
-            vol=vol,
-            jumps=jumps,
-            bound_A=_number(vals["bound_A"], "model.bound_A"),
-            reject_bound_excursions=bool(vals["reject_bound_excursions"]),
-        )
-    except SimulationError as exc:
-        raise ConfigError(f"invalid model block: {exc}") from exc
-
-
+@_config_errors()
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a config document.
 
@@ -195,8 +115,6 @@ def parse_config(text: str) -> RunConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ConfigError("config must be a JSON object")
     top = _require(
         doc,
         "config",
@@ -208,14 +126,14 @@ def parse_config(text: str) -> RunConfig:
             "base_seed": _REQUIRED,
         },
     )
-    model = _build_model(top["model"])
+    model = config_from_dict(top["model"])
     kernel = None
     if top["kernel"] is not None:
         try:
             kernel = kernel_from_text(top["kernel"])
         except KernelError as exc:
             raise ConfigError(f"invalid kernel text: {exc}") from exc
-    expb = _require(
+    exp = _require(
         top["experiment"],
         "experiment",
         {
@@ -229,41 +147,26 @@ def parse_config(text: str) -> RunConfig:
             "collect_samples": False,
         },
     )
-    kind = expb["kind"]
-    if kind not in EXPERIMENT_KINDS:
+    if exp["kind"] not in EXPERIMENT_KINDS:
         raise ConfigError(
-            f"experiment.kind must be one of {EXPERIMENT_KINDS}, got {kind!r}"
+            f"experiment.kind must be one of {EXPERIMENT_KINDS}, got {exp['kind']!r}"
         )
-    if not isinstance(expb["n_list"], (list, tuple)) or not expb["n_list"]:
+    if not isinstance(exp["n_list"], (list, tuple)) or not exp["n_list"]:
         raise ConfigError("experiment.n_list must be a nonempty list of integers")
-    n_list = tuple(_integer(n, "experiment.n_list entry", lo=1) for n in expb["n_list"])
-    reps = _integer(expb["reps"], "experiment.reps", lo=1)
-    t = _number(expb["t"], "experiment.t")
-    beta_grid = parse_beta_grid(expb["beta_grid"])
-    if any(b <= 0 for b in beta_grid):
-        raise ConfigError(f"experiment.beta_grid must be > 0 everywhere, got {beta_grid}")
-    m_list = tuple(
-        _integer(m, "experiment.m_list entry", lo=0) for m in (expb["m_list"] or ())
+    exp["n_list"] = tuple(_integer(n, "experiment.n_list entry", lo=1) for n in exp["n_list"])
+    exp["reps"] = _integer(exp["reps"], "experiment.reps", lo=1)
+    exp["t"] = _number(exp["t"], "experiment.t")
+    exp["beta_grid"] = parse_beta_grid(exp["beta_grid"])
+    exp["m_list"] = tuple(
+        _integer(m, "experiment.m_list entry", lo=0) for m in (exp["m_list"] or ())
     )
-    require_jumps = expb["require_jumps"]
-    if require_jumps is not None:
-        require_jumps = _integer(require_jumps, "experiment.require_jumps", lo=1)
+    if exp["require_jumps"] is not None:
+        exp["require_jumps"] = _integer(exp["require_jumps"], "experiment.require_jumps", lo=1)
+    exp["collect_samples"] = bool(exp["collect_samples"])
     iob = _require(top["io"], "io", {"input_csv": None, "output_dir": "out"})
     base_seed = _integer(top["base_seed"], "base_seed")
     try:
-        plan = ExperimentPlan(
-            kind=kind,
-            model=model,
-            kernel=kernel,
-            t=t,
-            n_list=n_list,
-            reps=reps,
-            base_seed=base_seed,
-            beta_grid=beta_grid,
-            m_list=m_list,
-            require_jumps=require_jumps,
-            collect_samples=bool(expb["collect_samples"]),
-        )
+        plan = ExperimentPlan(model=model, kernel=kernel, base_seed=base_seed, **exp)
     except (HarnessError, KernelError) as exc:
         raise ConfigError(f"invalid experiment plan: {exc}") from exc
     return RunConfig(plan=plan, input_csv=iob["input_csv"], output_dir=iob["output_dir"])

@@ -321,12 +321,17 @@ class _CovStructure:
             raise KernelError("the Gaussian field needs a nonempty scaled block (l >= 1)")
         self.terms = separable_terms(kernel)
         sigmas, weights = _time_weights(path, t)
-        # time-integrated single moments per (term, slot)
+        self.pairs = [(m, i) for m in range(len(self.terms)) for i in range(self.l)]
+        # E[f(sigma U)] on the grid for every first-block factor, and its time integral
+        single = {}
+        for m, i in self.pairs:
+            f = self.terms[m][1][i]
+            if f not in single:
+                single[f] = f.gaussian_moment_vec(sigmas)
         tmom = [
-            [_time_integrated_moment(factors[i], sigmas, weights) for i in range(self.l)]
+            [float(np.dot(weights, single[factors[i]])) for i in range(self.l)]
             for _, factors in self.terms
         ]
-        self.pairs = [(m, i) for m in range(len(self.terms)) for i in range(self.l)]
         self.base_weight = np.array(
             [
                 self.terms[m][0]
@@ -336,11 +341,6 @@ class _CovStructure:
         )
         npairs = len(self.pairs)
         self.P = np.zeros((npairs, npairs))
-        single = {}
-        for a, (m, i) in enumerate(self.pairs):
-            f = self.terms[m][1][i]
-            if f not in single:
-                single[f] = f.gaussian_moment_vec(sigmas)
         for a in range(npairs):
             m, i = self.pairs[a]
             fa = self.terms[m][1][i]

@@ -20,7 +20,7 @@ from __future__ import annotations
 import json
 import math
 import struct
-from dataclasses import dataclass, field
+from dataclasses import MISSING, asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -49,6 +49,36 @@ __all__ = [
 
 class SimulationError(ValueError):
     """Invalid model configuration or simulation failure."""
+
+
+_REQUIRED = object()
+
+
+def _require(block, where: str, allowed: dict) -> dict:
+    """Reject a non-object block and unknown or missing keys; apply defaults."""
+    if not isinstance(block, dict):
+        raise SimulationError(f"{where} must be an object, got {block!r}")
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise SimulationError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
+    out = {}
+    for key, default in allowed.items():
+        if default is _REQUIRED and key not in block:
+            raise SimulationError(f"missing required key {key!r} in {where}")
+        out[key] = block.get(key, default)
+    return out
+
+
+def _number(value, where, lo=None) -> float:
+    """A finite number, as float, and at least lo when given."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)):
+        raise SimulationError(f"{where} must be a number, got {value!r}")
+    v = float(value)
+    if not math.isfinite(v):
+        raise SimulationError(f"{where} must be finite, got {value!r}")
+    if lo is not None and v < lo:
+        raise SimulationError(f"{where} must be >= {lo}, got {v}")
+    return v
 
 
 # ---------------------------------------------------------------------------
@@ -92,14 +122,22 @@ class AtomList:
     atoms: tuple
 
     def __post_init__(self):
-        atoms = tuple((float(v), float(p)) for v, p in self.atoms)
+        atoms = []
+        for i, atom in enumerate(self.atoms):
+            if not isinstance(atom, (list, tuple)) or len(atom) != 2:
+                raise SimulationError(f"AtomList atom {i} must be a (value, prob) pair, got {atom!r}")
+            v, p = atom
+            atoms.append(
+                (_number(v, f"AtomList atom {i} value"), _number(p, f"AtomList atom {i} prob", lo=0.0))
+            )
+        atoms = tuple(atoms)
         object.__setattr__(self, "atoms", atoms)
         if not atoms:
             raise SimulationError("AtomList needs at least one atom")
         if any(v == 0.0 for v, _ in atoms):
             raise SimulationError("jump sizes must be nonzero")
-        if any(p < 0 for _, p in atoms) or not math.isclose(sum(p for _, p in atoms), 1.0, rel_tol=1e-9):
-            raise SimulationError("atom probabilities must be nonnegative and sum to 1")
+        if not math.isclose(sum(p for _, p in atoms), 1.0, rel_tol=1e-9):
+            raise SimulationError("atom probabilities must sum to 1")
 
     def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         values = np.array([v for v, _ in self.atoms])
@@ -112,9 +150,6 @@ class AtomList:
 
     def second_moment(self) -> float:
         return sum(p * v * v for v, p in self.atoms)
-
-    def to_dict(self):
-        return {"type": "AtomList", "atoms": [[v, p] for v, p in self.atoms]}
 
 
 @dataclass(frozen=True)
@@ -137,8 +172,10 @@ class Uniform:
     def second_moment(self) -> float:
         return (self.a ** 2 + self.a * self.b + self.b ** 2) / 3.0
 
-    def to_dict(self):
-        return {"type": "Uniform", "a": self.a, "b": self.b}
+
+# draw() rejects a candidate with probability 1 - P(|Z| >= min_abs); below
+# this acceptance rate it would effectively never fill
+_MIN_TAIL_MASS = 1e-6
 
 
 @dataclass(frozen=True)
@@ -150,10 +187,20 @@ class TruncNormal:
     min_abs: float
 
     def __post_init__(self):
+        for name in ("mu", "s", "min_abs"):
+            _number(getattr(self, name), f"TruncNormal {name}")
         if not self.s > 0:
             raise SimulationError(f"TruncNormal scale must be > 0, got {self.s}")
         if not self.min_abs > 0:
             raise SimulationError(f"TruncNormal min_abs must be > 0, got {self.min_abs}")
+        scale = self.s * math.sqrt(2.0)
+        mass = 0.5 * (
+            math.erfc((self.min_abs - self.mu) / scale) + math.erfc((self.min_abs + self.mu) / scale)
+        )
+        if mass < _MIN_TAIL_MASS:
+            raise SimulationError(
+                f"TruncNormal tail mass P(|Z| >= min_abs) = {mass:.3g} is below {_MIN_TAIL_MASS:g}"
+            )
 
     def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
         out = np.empty(count)
@@ -186,21 +233,6 @@ class TruncNormal:
             np.inf,
         )
         return (val + val2) / mass
-
-    def to_dict(self):
-        return {"type": "TruncNormal", "mu": self.mu, "s": self.s, "min_abs": self.min_abs}
-
-
-def size_dist_from_dict(d: dict):
-    kinds = {"AtomList": AtomList, "Uniform": Uniform, "TruncNormal": TruncNormal}
-    kind = d.get("type")
-    if kind == "AtomList":
-        return AtomList(tuple((v, p) for v, p in d["atoms"]))
-    if kind == "Uniform":
-        return Uniform(d["a"], d["b"])
-    if kind == "TruncNormal":
-        return TruncNormal(d["mu"], d["s"], d["min_abs"])
-    raise SimulationError(f"unknown size distribution {kind!r}; choose from {sorted(kinds)}")
 
 
 @dataclass(frozen=True)
@@ -533,45 +565,95 @@ def jump_neighborhood(path: SamplePath, p: int) -> JumpNeighborhood:
 # ---------------------------------------------------------------------------
 
 
-def _vol_to_dict(v: VolatilityModel) -> dict:
-    return {
-        "kind": v.kind,
-        "sigma0": v.sigma0,
-        "tilde_b": v.tilde_b,
-        "tilde_sigma": v.tilde_sigma,
-        "tilde_v": v.tilde_v,
-        "floor_eps": v.floor_eps,
-    }
-
-
 def config_to_dict(cfg: ModelConfig) -> dict:
-    return {
-        "drift_b": cfg.drift_b,
-        "vol": _vol_to_dict(cfg.vol),
-        "jumps": {
-            "intensity": cfg.jumps.intensity,
-            "size_dist": cfg.jumps.size_dist.to_dict(),
-            "max_abs": cfg.jumps.max_abs,
-        },
-        "bound_A": cfg.bound_A,
-        "reject_bound_excursions": cfg.reject_bound_excursions,
-    }
+    """The model block: the dataclass fields, the size distribution tagged with its "type"."""
+    doc = asdict(cfg)
+    doc["jumps"]["size_dist"]["type"] = type(cfg.jumps.size_dist).__name__
+    return doc
 
 
-def config_from_dict(d: dict) -> ModelConfig:
-    vol = VolatilityModel(**d["vol"])
-    jm = d["jumps"]
-    jumps = JumpModel(
-        intensity=jm["intensity"],
-        size_dist=size_dist_from_dict(jm["size_dist"]),
-        max_abs=jm["max_abs"],
+_SIZE_DISTS = {cls.__name__: cls for cls in (AtomList, Uniform, TruncNormal)}
+
+
+def _boolean(value, where) -> bool:
+    if not isinstance(value, bool):
+        raise SimulationError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+def _array(value, where) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise SimulationError(f"{where} must be an array, got {value!r}")
+    return tuple(value)
+
+
+def _size_dist(block, where):
+    """A tagged size distribution: "type" names the class, the other keys are its fields."""
+    if not isinstance(block, dict):
+        raise SimulationError(f"{where} must be an object, got {block!r}")
+    rest = dict(block)
+    kind = rest.pop("type", None)
+    cls = _SIZE_DISTS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise SimulationError(f"{where}.type must be one of {sorted(_SIZE_DISTS)}, got {kind!r}")
+    return _decode(cls, rest, where)
+
+
+# decoder of a model dataclass field, keyed by its annotation; "object" is
+# JumpModel.size_dist
+_FIELD_DECODERS = {
+    "float": _number,
+    "bool": _boolean,
+    "str": lambda value, where: value,
+    "tuple": _array,
+    "object": _size_dist,
+    "VolatilityModel": lambda value, where: _decode(VolatilityModel, value, where),
+    "JumpModel": lambda value, where: _decode(JumpModel, value, where),
+}
+
+
+def _decode(cls, block, where: str):
+    """Build the dataclass cls from a JSON object; field names and defaults come from cls."""
+    allowed = {f.name: _REQUIRED if f.default is MISSING else f.default for f in fields(cls)}
+    vals = _require(block, where, allowed)
+    kwargs = {f.name: _FIELD_DECODERS[f.type](vals[f.name], f"{where}.{f.name}") for f in fields(cls)}
+    try:
+        return cls(**kwargs)
+    except SimulationError as exc:
+        raise SimulationError(f"{where}: {exc}") from exc
+
+
+def config_from_dict(d) -> ModelConfig:
+    """Decode a model block (the inverse of config_to_dict).
+
+    This is the one decoder behind run configs and both path formats.  It
+    is strict: every block must be a JSON object, unknown and missing keys
+    are rejected (fields with a dataclass default may be omitted), float
+    fields must be finite numbers, and booleans must be true/false.  Every
+    error is a SimulationError naming its key path, e.g.
+    model.jumps.size_dist.mu.
+    """
+    return _decode(ModelConfig, d, "model")
+
+
+_MAGIC = b"UVSTATP1"
+# the scalar head of a path (binary layout _HEAD_FORMAT), its grid arrays
+# and the columns of its jump records, in the order both formats use
+_PATH_HEAD = ("T", "n", "seed", "n_sigma_clamps")
+_HEAD_FORMAT = "<dqqq"
+_PATH_ARRAYS = ("x_grid", "sigma_grid", "w_increments", "w_before_jump")
+_JUMP_FIELDS = tuple(f.name for f in fields(JumpRecord))
+
+
+def _assemble_path(head, model, arrays, jump_rows) -> SamplePath:
+    jumps = tuple(
+        JumpRecord(*map(float, row[:-1]), interval_index=int(row[-1])) for row in jump_rows
     )
-    return ModelConfig(
-        drift_b=d["drift_b"],
-        vol=vol,
+    return SamplePath(
+        **dict(zip(_PATH_HEAD, head)),
+        **{name: np.asarray(arr, dtype=float) for name, arr in zip(_PATH_ARRAYS, arrays)},
         jumps=jumps,
-        bound_A=d["bound_A"],
-        reject_bound_excursions=d.get("reject_bound_excursions", False),
+        config=config_from_dict(model),
     )
 
 
@@ -579,58 +661,24 @@ def path_to_json(path: SamplePath) -> str:
     doc = {
         "format": "uvstat.sample_path",
         "version": 1,
-        "T": path.T,
-        "n": path.n,
-        "seed": path.seed,
-        "n_sigma_clamps": path.n_sigma_clamps,
         "model": config_to_dict(path.config),
-        "x_grid": path.x_grid.tolist(),
-        "sigma_grid": path.sigma_grid.tolist(),
-        "w_increments": path.w_increments.tolist(),
-        "w_before_jump": path.w_before_jump.tolist(),
-        "jumps": [
-            {
-                "time": r.time,
-                "size": r.size,
-                "sigma_pre": r.sigma_pre,
-                "sigma_post": r.sigma_post,
-                "interval_index": r.interval_index,
-            }
-            for r in path.jumps
-        ],
+        "jumps": [asdict(r) for r in path.jumps],
+        **{name: getattr(path, name) for name in _PATH_HEAD},
+        **{name: getattr(path, name).tolist() for name in _PATH_ARRAYS},
     }
     return json.dumps(doc, sort_keys=True, indent=1)
 
 
 def path_from_json(text: str) -> SamplePath:
     doc = json.loads(text)
-    if doc.get("format") != "uvstat.sample_path":
+    if not isinstance(doc, dict) or doc.get("format") != "uvstat.sample_path":
         raise SimulationError("not a sample path document")
-    jumps = tuple(
-        JumpRecord(
-            time=j["time"],
-            size=j["size"],
-            sigma_pre=j["sigma_pre"],
-            sigma_post=j["sigma_post"],
-            interval_index=j["interval_index"],
-        )
-        for j in doc["jumps"]
+    return _assemble_path(
+        [doc[name] for name in _PATH_HEAD],
+        doc["model"],
+        [doc[name] for name in _PATH_ARRAYS],
+        [[j[name] for name in _JUMP_FIELDS] for j in doc["jumps"]],
     )
-    return SamplePath(
-        T=doc["T"],
-        n=doc["n"],
-        x_grid=np.array(doc["x_grid"], dtype=float),
-        sigma_grid=np.array(doc["sigma_grid"], dtype=float),
-        w_increments=np.array(doc["w_increments"], dtype=float),
-        jumps=jumps,
-        seed=doc["seed"],
-        config=config_from_dict(doc["model"]),
-        w_before_jump=np.array(doc["w_before_jump"], dtype=float),
-        n_sigma_clamps=doc["n_sigma_clamps"],
-    )
-
-
-_MAGIC = b"UVSTATP1"
 
 
 def _pack_array(arr: np.ndarray) -> bytes:
@@ -652,24 +700,11 @@ def path_to_binary(path: SamplePath) -> bytes:
     the dump stays self-contained.
     """
     cfg_blob = json.dumps(config_to_dict(path.config), sort_keys=True).encode()
-    head = _MAGIC + struct.pack(
-        "<dqqq", path.T, path.n, path.seed, path.n_sigma_clamps
-    )
-    body = b"".join(
-        [
-            struct.pack("<Q", len(cfg_blob)),
-            cfg_blob,
-            _pack_array(path.x_grid),
-            _pack_array(path.sigma_grid),
-            _pack_array(path.w_increments),
-            _pack_array(path.w_before_jump),
-            _pack_array(np.array([r.time for r in path.jumps])),
-            _pack_array(np.array([r.size for r in path.jumps])),
-            _pack_array(np.array([r.sigma_pre for r in path.jumps])),
-            _pack_array(np.array([r.sigma_post for r in path.jumps])),
-            _pack_array(np.array([float(r.interval_index) for r in path.jumps])),
-        ]
-    )
+    head = _MAGIC + struct.pack(_HEAD_FORMAT, *(getattr(path, name) for name in _PATH_HEAD))
+    columns = [getattr(path, name) for name in _PATH_ARRAYS] + [
+        np.array([float(getattr(r, name)) for r in path.jumps]) for name in _JUMP_FIELDS
+    ]
+    body = b"".join([struct.pack("<Q", len(cfg_blob)), cfg_blob] + [_pack_array(c) for c in columns])
     return head + body
 
 
@@ -677,34 +712,15 @@ def path_from_binary(buf: bytes) -> SamplePath:
     if buf[: len(_MAGIC)] != _MAGIC:
         raise SimulationError("bad magic in binary path dump")
     offset = len(_MAGIC)
-    T, n, seed, clamps = struct.unpack_from("<dqqq", buf, offset)
-    offset += struct.calcsize("<dqqq")
+    head = struct.unpack_from(_HEAD_FORMAT, buf, offset)
+    offset += struct.calcsize(_HEAD_FORMAT)
     (blob_len,) = struct.unpack_from("<Q", buf, offset)
     offset += 8
-    cfg = config_from_dict(json.loads(buf[offset : offset + blob_len].decode()))
+    model = json.loads(buf[offset : offset + blob_len].decode())
     offset += blob_len
-    x_grid, offset = _unpack_array(buf, offset)
-    sigma_grid, offset = _unpack_array(buf, offset)
-    w_inc, offset = _unpack_array(buf, offset)
-    w_before, offset = _unpack_array(buf, offset)
-    times, offset = _unpack_array(buf, offset)
-    sizes, offset = _unpack_array(buf, offset)
-    pres, offset = _unpack_array(buf, offset)
-    posts, offset = _unpack_array(buf, offset)
-    idxs, offset = _unpack_array(buf, offset)
-    jumps = tuple(
-        JumpRecord(time=t, size=s, sigma_pre=a, sigma_post=b, interval_index=int(i))
-        for t, s, a, b, i in zip(times, sizes, pres, posts, idxs)
-    )
-    return SamplePath(
-        T=T,
-        n=n,
-        x_grid=x_grid,
-        sigma_grid=sigma_grid,
-        w_increments=w_inc,
-        jumps=jumps,
-        seed=seed,
-        config=cfg,
-        w_before_jump=w_before,
-        n_sigma_clamps=clamps,
-    )
+    columns = []
+    for _ in range(len(_PATH_ARRAYS) + len(_JUMP_FIELDS)):
+        column, offset = _unpack_array(buf, offset)
+        columns.append(column)
+    arrays, jump_columns = columns[: len(_PATH_ARRAYS)], columns[len(_PATH_ARRAYS) :]
+    return _assemble_path(head, model, arrays, zip(*jump_columns))

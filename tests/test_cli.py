@@ -1,12 +1,16 @@
 """Config parsing, canonical round-trips, and the CLI surface."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from uvstat.cli import main
 from uvstat.config import ConfigError, canonical_text, parse_beta_grid, parse_config
+from uvstat.simulate import path_from_binary, path_from_json
+
+CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
 
 def config_doc(**overrides):
@@ -49,6 +53,15 @@ def test_minimal_config_round_trip():
     canon = canonical_text(cfg)
     again = canonical_text(parse_config(canon))
     assert canon == again
+
+
+@pytest.mark.parametrize("cfgfile", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_canonical_fixed_point(cfgfile):
+    cfg = parse_config(cfgfile.read_text(encoding="utf-8"))
+    canon = canonical_text(cfg)
+    again = parse_config(canon)
+    assert again == cfg
+    assert canonical_text(again) == canon
 
 
 def test_rejects_unknown_keys():
@@ -94,6 +107,11 @@ def test_parse_beta_grid_range():
         parse_beta_grid("0.5:2.0")
     with pytest.raises(ConfigError):
         parse_beta_grid("2.0:0.5:0.1")
+    grid = parse_beta_grid("0.5:2.0:0.01")
+    assert len(grid) == 151 and grid[0] == 0.5 and grid[-1] == 2.0
+    assert len(parse_beta_grid("0.0001:1.0:0.0001")) == 10_000
+    with pytest.raises(ConfigError, match="more than 10000 entries"):
+        parse_beta_grid("0:1.0:0.0001")
 
 
 def test_seed_and_reps_validation():
@@ -257,3 +275,62 @@ def test_manifest_suffices_to_rerun(tmp_path):
     cfg2 = parse_config(json.dumps(manifest["config"]))
     cfg1 = parse_config(cfgfile.read_text())
     assert cfg1.plan == cfg2.plan
+
+
+NAN = float("nan")
+
+
+@pytest.mark.parametrize(
+    "size_dist, expected",
+    [
+        ({"type": "AtomList", "atoms": [[NAN, 0.5], [1.0, 0.5]]},
+         "model.jumps.size_dist: AtomList atom 0 value must be finite"),
+        ({"type": "AtomList", "atoms": [[1.0]]},
+         "model.jumps.size_dist: AtomList atom 0 must be a (value, prob) pair"),
+        ("AtomList", "model.jumps.size_dist must be an object"),
+        ({"type": "AtomList"}, "missing required key 'atoms' in model.jumps.size_dist"),
+        ({"type": "AtomList", "atoms": [[1.0, 1.0]], "probs": [1.0]},
+         "unknown key(s) ['probs'] in model.jumps.size_dist"),
+        ({"type": "Gamma", "shape": 2.0}, "model.jumps.size_dist.type must be one of"),
+        ({"type": "TruncNormal", "mu": NAN, "s": 1.0, "min_abs": 0.5},
+         "model.jumps.size_dist.mu must be finite"),
+        ({"type": "TruncNormal", "mu": 0.0, "s": 1.0, "min_abs": 50.0},
+         "model.jumps.size_dist: TruncNormal tail mass P(|Z| >= min_abs) = 0 is below 1e-06"),
+    ],
+    ids=["nan_atom", "short_atom", "non_object", "missing_atoms", "unknown_key",
+         "unknown_type", "nan_mu", "tail_mass"],
+)
+def test_malformed_size_dist_exits_1(tmp_path, capsys, size_dist, expected):
+    # zero intensity: no jump size is ever drawn, whatever the distribution
+    doc = jump_clt_doc(reps=2, n=64, intensity=0.0)
+    doc["model"]["jumps"]["size_dist"] = size_dist
+    doc["io"] = {"output_dir": str(tmp_path / "out")}
+    rc = main(["verify-clt", "--config", str(write_config(tmp_path, doc))])
+    assert rc == 1
+    assert expected in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_oversized_beta_range_exits_1(tmp_path, capsys):
+    doc = config_doc()
+    doc["experiment"] = {"kind": "GRID", "n_list": [64], "reps": 1, "beta_grid": "0.5:2.5:0.0001"}
+    doc["io"] = {"output_dir": str(tmp_path / "out")}
+    rc = main(["grid-test", "--config", str(write_config(tmp_path, doc))])
+    assert rc == 1
+    assert "beta_grid range '0.5:2.5:0.0001' has more than 10000 entries" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
+def test_simulate_binary_matches_json(tmp_path):
+    doc = jump_clt_doc(kind="LLN", reps=2, n=128)
+    doc["io"] = {"output_dir": str(tmp_path / "out")}
+    cfgfile = write_config(tmp_path, doc)
+    assert main(["simulate", "--config", str(cfgfile), "--format", "binary"]) == 0
+    assert main(["simulate", "--config", str(cfgfile), "--format", "json"]) == 0
+    back = path_from_binary((tmp_path / "out" / "path.bin").read_bytes())
+    ref = path_from_json((tmp_path / "out" / "path.json").read_text(encoding="utf-8"))
+    assert back.n == 128 and back.seed == 7
+    assert back.config == ref.config == parse_config(cfgfile.read_text()).plan.model
+    assert back.jumps == ref.jumps and len(back.jumps) > 0
+    for name in ("x_grid", "sigma_grid", "w_increments", "w_before_jump"):
+        np.testing.assert_array_equal(getattr(back, name), getattr(ref, name))

@@ -1,5 +1,6 @@
 """Path simulation: determinism, reconstruction, jump ground truth."""
 
+import json
 import math
 
 import numpy as np
@@ -250,6 +251,19 @@ def test_config_validation():
         AtomList(((1.0, 0.5), (2.0, 0.2)))
     with pytest.raises(SimulationError):
         Uniform(2.0, 1.0)
+    with pytest.raises(SimulationError, match="atom 0 value must be finite"):
+        AtomList(((math.nan, 0.5), (1.0, 0.5)))
+    with pytest.raises(SimulationError, match="atom 0 must be a"):
+        AtomList(((1.0,),))
+    with pytest.raises(SimulationError, match="atom 1 prob must be >= 0"):
+        AtomList(((1.0, 1.5), (2.0, -0.5)))
+    for bad in ({"mu": math.nan}, {"s": math.inf}, {"min_abs": math.nan}):
+        with pytest.raises(SimulationError, match="must be finite"):
+            TruncNormal(**{"mu": 0.0, "s": 1.0, "min_abs": 0.5, **bad})
+    # P(|Z| >= 50) underflows: draw() could never fill, so construction refuses
+    with pytest.raises(SimulationError, match="tail mass"):
+        TruncNormal(mu=0.0, s=1.0, min_abs=50.0)
+    TruncNormal(mu=0.0, s=1.0, min_abs=4.8)  # tail mass 1.6e-6 is still accepted
     with pytest.raises(SimulationError):
         JumpModel(intensity=-1.0, size_dist=AtomList(((1.0, 1.0),)), max_abs=5.0)
     with pytest.raises(SimulationError):
@@ -312,3 +326,11 @@ def test_binary_round_trip():
     np.testing.assert_array_equal(back.w_before_jump, path.w_before_jump)
     with pytest.raises(SimulationError):
         path_from_binary(b"NOTMAGIC" + b"\x00" * 64)
+
+
+def test_path_from_json_is_strict_about_the_model_block():
+    path = simulate_path(make_config(), n=16, T=1.0, seed=3)
+    doc = json.loads(path_to_json(path))
+    doc["model"]["vol"]["sigma"] = 1.0
+    with pytest.raises(SimulationError, match=r"unknown key\(s\) \['sigma'\] in model.vol"):
+        path_from_json(json.dumps(doc))
