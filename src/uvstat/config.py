@@ -20,7 +20,16 @@ from typing import Optional
 
 from uvstat.harness import EXPERIMENT_KINDS, ExperimentPlan, HarnessError
 from uvstat.kernels import KernelError, kernel_from_text
-from uvstat.simulate import _REQUIRED, SimulationError, _number, _require, config_from_dict
+from uvstat.simulate import (
+    _REQUIRED,
+    SimulationError,
+    _array,
+    _boolean,
+    _number,
+    _require,
+    _string,
+    config_from_dict,
+)
 
 __all__ = ["ConfigError", "RunConfig", "parse_config", "canonical_text", "parse_beta_grid"]
 
@@ -127,10 +136,11 @@ def parse_config(text: str) -> RunConfig:
         },
     )
     model = config_from_dict(top["model"])
+    kernel_text = _string(top["kernel"], "kernel", null=True)
     kernel = None
-    if top["kernel"] is not None:
+    if kernel_text is not None:
         try:
-            kernel = kernel_from_text(top["kernel"])
+            kernel = kernel_from_text(kernel_text)
         except KernelError as exc:
             raise ConfigError(f"invalid kernel text: {exc}") from exc
     exp = _require(
@@ -158,15 +168,20 @@ def parse_config(text: str) -> RunConfig:
     exp["t"] = _number(exp["t"], "experiment.t")
     exp["beta_grid"] = parse_beta_grid(exp["beta_grid"])
     exp["m_list"] = tuple(
-        _integer(m, "experiment.m_list entry", lo=0) for m in (exp["m_list"] or ())
+        _integer(m, "experiment.m_list entry", lo=0)
+        for m in _array(exp["m_list"], "experiment.m_list")
     )
     if exp["require_jumps"] is not None:
         exp["require_jumps"] = _integer(exp["require_jumps"], "experiment.require_jumps", lo=1)
-    exp["collect_samples"] = bool(exp["collect_samples"])
+    exp["collect_samples"] = _boolean(exp["collect_samples"], "experiment.collect_samples")
     iob = _require(top["io"], "io", {"input_csv": None, "output_dir": "out"})
     base_seed = _integer(top["base_seed"], "base_seed")
     try:
         plan = ExperimentPlan(model=model, kernel=kernel, base_seed=base_seed, **exp)
     except (HarnessError, KernelError) as exc:
         raise ConfigError(f"invalid experiment plan: {exc}") from exc
-    return RunConfig(plan=plan, input_csv=iob["input_csv"], output_dir=iob["output_dir"])
+    return RunConfig(
+        plan=plan,
+        input_csv=_string(iob["input_csv"], "io.input_csv", null=True),
+        output_dir=_string(iob["output_dir"], "io.output_dir"),
+    )

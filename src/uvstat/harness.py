@@ -35,7 +35,7 @@ from scipy.stats import norm
 from uvstat.kernels import KernelSpec, check_admissibility, grid_test_kernel, kernel_to_text
 from uvstat.limits import cond_var_jump, cond_var_mixed, jump_limit, mixed_limit
 from uvstat.sampler import augment, sample_U_jump, sample_V_mixed, truncated_Z
-from uvstat.simulate import ModelConfig, SamplePath, jump_neighborhood, simulate_path
+from uvstat.simulate import ModelConfig, SamplePath, _streams, jump_neighborhood, simulate_path
 from uvstat.simulate import config_to_dict
 from uvstat.stats import v_stat, y_stat
 
@@ -514,12 +514,17 @@ def grid_scan(
 
 
 def _find_path_with_jumps(plan: ExperimentPlan, n: int) -> SamplePath:
+    """The path of the first seed whose Poisson jump count is plan.require_jumps.
+
+    Seeds are rejected on the count alone (the first draw of their jump
+    substream); only the accepted seed is simulated.
+    """
     tries = 10_000
     for k in range(tries):
         seed = derive_seed(plan.base_seed, _S_PATH, n, k)
-        path = simulate_path(plan.model, n, plan.t, seed)
-        if plan.require_jumps is None or len(path.jumps) == plan.require_jumps:
-            return path
+        n_jumps = _streams(plan.model, plan.t, seed)[0]
+        if plan.require_jumps is None or n_jumps == plan.require_jumps:
+            return simulate_path(plan.model, n, plan.t, seed)
     raise HarnessError(
         f"no path with exactly {plan.require_jumps} jumps found in {tries} seeds"
     )

@@ -346,6 +346,20 @@ def _count(n: int, t: float) -> int:
     return int(math.floor(n * t + 1e-12))
 
 
+def _streams(cfg: ModelConfig, T: float, seed: int):
+    """Expand a path seed into its jump, W and V substreams; draw the jump count.
+
+    Returns (n_jumps, jump_gen, w_ss, v_ss): the Poisson number of jumps on
+    (0, T] is the first draw of the jump generator, so callers that only
+    need the count (harness._find_path_with_jumps) read it without
+    simulating the path.
+    """
+    jump_ss, w_ss, v_ss = np.random.SeedSequence(seed).spawn(3)
+    jump_gen = np.random.default_rng(jump_ss)
+    n_jumps = int(jump_gen.poisson(cfg.jumps.intensity * T)) if cfg.jumps.intensity > 0 else 0
+    return n_jumps, jump_gen, w_ss, v_ss
+
+
 def simulate_path(
     cfg: ModelConfig, n: int, T: float, seed: int, clamp_budget: int = 1000
 ) -> SamplePath:
@@ -357,6 +371,15 @@ def simulate_path(
     The X increment over interval i is b/n + sigma_{(i-1)/n} Delta_i W
     plus the sizes of the jumps it contains (Euler with left-frozen
     volatility).
+
+    The Brownian draws are one vector call whose scales follow the order
+    of a per-interval scalar loop: sqrt(1/n) for an interval without
+    jumps, sqrt(dt) for each sub-segment of one with jumps (a segment
+    with dt <= 0 draws nothing), so the random stream is that of one
+    scalar draw per segment.  An ItoSM volatility is one sequential
+    running sum of sigma0, b~/n, s~ Delta W_i, v~ Delta V_i, ... (the
+    Euler step's own order of additions) up to the first value below
+    floor_eps; from there on a scalar loop clamps and counts.
     """
     if n < 1:
         raise SimulationError(f"n must be >= 1, got {n}")
@@ -366,14 +389,11 @@ def simulate_path(
     if N < 1:
         raise SimulationError(f"grid {{0, 1/n, ...}} has no step for n={n}, T={T}")
 
-    root = np.random.SeedSequence(seed)
-    jump_ss, w_ss, v_ss = root.spawn(3)
-    jump_gen = np.random.default_rng(jump_ss)
+    n_jumps, jump_gen, w_ss, v_ss = _streams(cfg, T, seed)
     w_gen = np.random.default_rng(w_ss)
     v_gen = np.random.default_rng(v_ss)
 
-    # jumps: count, sorted times on (0, T], then sizes in time order
-    n_jumps = int(jump_gen.poisson(cfg.jumps.intensity * T)) if cfg.jumps.intensity > 0 else 0
+    # jumps: sorted times on (0, T], then sizes in time order
     if n_jumps > 0:
         times = np.sort(T * (1.0 - jump_gen.random(n_jumps)))
         sizes = cfg.jumps.draw_sizes(jump_gen, n_jumps)
@@ -383,41 +403,59 @@ def simulate_path(
     intervals = np.ceil(times * n - 1e-12).astype(int)
     intervals = np.maximum(intervals, 1)
 
-    # Brownian increments, split at jump times inside each interval
-    w_inc = np.empty(N)
-    w_before = np.full(n_jumps, np.nan)
+    # Brownian increments, split at jump times inside each interval; one
+    # draw whose scales run interval by interval, and within an interval
+    # holding jumps over its sub-segments in time order
     jumps_by_interval: dict = {}
     for p, idx in enumerate(intervals):
         if idx <= N:
             jumps_by_interval.setdefault(int(idx), []).append(p)
-    for i in range(1, N + 1):
-        t_left = (i - 1) / n
-        t_right = i / n
-        here = jumps_by_interval.get(i, ())
-        if not here:
-            w_inc[i - 1] = w_gen.normal(0.0, math.sqrt(1.0 / n))
-            continue
-        cuts = [t_left] + [times[p] for p in here] + [t_right]
+    step = math.sqrt(1.0 / n)
+    segments = {}  # sub-segment lengths of each interval holding jumps
+    scales = []
+    prev = 0  # intervals prev+1 .. i-1 hold no jump
+    for i, here in jumps_by_interval.items():
+        cuts = [(i - 1) / n] + [times[p] for p in here] + [i / n]
+        segments[i] = [b - a for a, b in zip(cuts[:-1], cuts[1:])]
+        scales += [np.full(i - 1 - prev, step), np.sqrt([dt for dt in segments[i] if dt > 0])]
+        prev = i
+    scales.append(np.full(N - prev, step))
+    dw = w_gen.normal(0.0, np.concatenate(scales))
+
+    w_inc = np.empty(N)
+    w_before = np.full(n_jumps, np.nan)
+    k = prev = 0  # next unread draw; intervals done
+    for i, dts in segments.items():
+        w_inc[prev : i - 1] = dw[k : k + i - 1 - prev]
+        k += i - 1 - prev
+        here = jumps_by_interval[i]
         acc = 0.0
-        for seg, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
-            dt = b - a
-            dw = w_gen.normal(0.0, math.sqrt(dt)) if dt > 0 else 0.0
-            acc += dw
+        for seg, dt in enumerate(dts):
+            if dt > 0:
+                acc += dw[k]
+                k += 1
             if seg < len(here):
                 w_before[here[seg]] = acc
         w_inc[i - 1] = acc
+        prev = i
+    w_inc[prev:] = dw[k:]
 
     # volatility on the grid (Euler, clamped at floor_eps)
     vol = cfg.vol
-    sigma = np.empty(N + 1)
-    sigma[0] = vol.sigma0
     n_clamps = 0
     first_clamp = -1
     if vol.kind == "Constant":
-        sigma[:] = vol.sigma0
+        sigma = np.full(N + 1, vol.sigma0)
     else:
-        v_inc = v_gen.normal(0.0, math.sqrt(1.0 / n), size=N)
-        for i in range(N):
+        v_inc = v_gen.normal(0.0, step, size=N)
+        terms = np.empty(3 * N + 1)
+        terms[0] = vol.sigma0
+        terms[1::3] = vol.tilde_b / n
+        terms[2::3] = vol.tilde_sigma * w_inc
+        terms[3::3] = vol.tilde_v * v_inc
+        sigma = np.add.accumulate(terms)[::3].copy()
+        low = np.flatnonzero(sigma[1:] < vol.floor_eps)
+        for i in range(low[0] if len(low) else N, N):
             nxt = sigma[i] + vol.tilde_b / n + vol.tilde_sigma * w_inc[i] + vol.tilde_v * v_inc[i]
             if nxt < vol.floor_eps:
                 nxt = vol.floor_eps
@@ -581,6 +619,12 @@ def _boolean(value, where) -> bool:
     return value
 
 
+def _string(value, where, null=False):
+    if not (isinstance(value, str) or (null and value is None)):
+        raise SimulationError(f"{where} must be a string{' or null' if null else ''}, got {value!r}")
+    return value
+
+
 def _array(value, where) -> tuple:
     if not isinstance(value, (list, tuple)):
         raise SimulationError(f"{where} must be an array, got {value!r}")
@@ -604,7 +648,7 @@ def _size_dist(block, where):
 _FIELD_DECODERS = {
     "float": _number,
     "bool": _boolean,
-    "str": lambda value, where: value,
+    "str": _string,
     "tuple": _array,
     "object": _size_dist,
     "VolatilityModel": lambda value, where: _decode(VolatilityModel, value, where),

@@ -311,6 +311,32 @@ def test_malformed_size_dist_exits_1(tmp_path, capsys, size_dist, expected):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "block, key, value, expected",
+    [
+        (None, "kernel", 5, "kernel must be a string or null, got 5"),
+        ("experiment", "m_list", 5, "experiment.m_list must be an array, got 5"),
+        ("experiment", "collect_samples", "no",
+         "experiment.collect_samples must be true or false, got 'no'"),
+        ("io", "input_csv", 5, "io.input_csv must be a string or null, got 5"),
+        ("io", "output_dir", 5, "io.output_dir must be a string, got 5"),
+        ("io", "output_dir", None, "io.output_dir must be a string, got None"),
+    ],
+    ids=["kernel_number", "m_list_number", "collect_samples_string", "input_csv_number",
+         "output_dir_number", "output_dir_null"],
+)
+def test_config_field_types_exit_1(tmp_path, monkeypatch, capsys, block, key, value, expected):
+    doc = jump_clt_doc(kind="LLN", reps=2, n=64)
+    doc["io"] = {"output_dir": "out"}
+    (doc if block is None else doc[block])[key] = value
+    cfgfile = write_config(tmp_path, doc)
+    monkeypatch.chdir(tmp_path)
+    rc = main(["verify-lln", "--config", str(cfgfile)])
+    assert rc == 1
+    assert expected in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [cfgfile.name]
+
+
 def test_oversized_beta_range_exits_1(tmp_path, capsys):
     doc = config_doc()
     doc["experiment"] = {"kind": "GRID", "n_list": [64], "reps": 1, "beta_grid": "0.5:2.5:0.0001"}

@@ -7,8 +7,10 @@ import pytest
 from scipy.stats import norm
 
 from uvstat.harness import (
+    _S_PATH,
     ExperimentPlan,
     HarnessError,
+    _find_path_with_jumps,
     derive_seed,
     grid_scan,
     ks_1samp_normal,
@@ -20,7 +22,14 @@ from uvstat.harness import (
     run_ztrunc,
 )
 from uvstat.kernels import KernelSpec, grid_test_kernel
-from uvstat.simulate import AtomList, JumpModel, ModelConfig, Uniform, VolatilityModel
+from uvstat.simulate import (
+    AtomList,
+    JumpModel,
+    ModelConfig,
+    Uniform,
+    VolatilityModel,
+    simulate_path,
+)
 
 from test_limits import synthetic_path
 
@@ -227,6 +236,36 @@ def test_grid_scan_rejects_bad_beta():
     path = synthetic_path([0.5])
     with pytest.raises(HarnessError):
         grid_scan(path, beta_grid=(0.0, 1.0))
+
+
+def grid_plan(cfg, require_jumps, base_seed=5):
+    return ExperimentPlan(
+        "GRID", cfg, None, 1.0, (64,), 1, base_seed=base_seed, beta_grid=(1.0,),
+        require_jumps=require_jumps,
+    )
+
+
+def test_find_path_with_jumps_matches_a_simulated_search():
+    # the jump-count rejection picks the seed a search over simulated paths picks
+    cfg = model(intensity=3.0)
+    for require_jumps in (None, 1, 4, 9):
+        for base_seed in (5, 91):
+            plan = grid_plan(cfg, require_jumps, base_seed)
+            k = 0
+            while True:
+                expected = simulate_path(cfg, 64, 1.0, derive_seed(base_seed, _S_PATH, 64, k))
+                if require_jumps is None or len(expected.jumps) == require_jumps:
+                    break
+                k += 1
+            path = _find_path_with_jumps(plan, 64)
+            assert path.seed == expected.seed
+            assert np.array_equal(path.x_grid, expected.x_grid)
+            assert path.jumps == expected.jumps
+
+
+def test_find_path_with_jumps_gives_up_after_10000_seeds():
+    with pytest.raises(HarnessError, match="no path with exactly 1 jumps found in 10000 seeds"):
+        _find_path_with_jumps(grid_plan(model(intensity=0.0), 1), 64)
 
 
 # ---------------------------------------------------------------------------

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -10,7 +11,9 @@ from scipy.stats import chisquare, ks_2samp, poisson
 from uvstat.simulate import (
     AtomList,
     JumpModel,
+    JumpRecord,
     ModelConfig,
+    SamplePath,
     SimulationError,
     TruncNormal,
     Uniform,
@@ -24,6 +27,7 @@ from uvstat.simulate import (
     path_to_json,
     simulate_path,
 )
+from uvstat.simulate import _count
 
 
 def make_config(
@@ -334,3 +338,186 @@ def test_path_from_json_is_strict_about_the_model_block():
     doc["model"]["vol"]["sigma"] = 1.0
     with pytest.raises(SimulationError, match=r"unknown key\(s\) \['sigma'\] in model.vol"):
         path_from_json(json.dumps(doc))
+
+
+# ---------------------------------------------------------------------------
+# scalar oracle: one normal draw per grid segment, a per-step Euler loop
+# ---------------------------------------------------------------------------
+
+
+def _simulate_path_scalar(cfg, n, T, seed, clamp_budget=1000):
+    """simulate_path written as scalar loops; the vector code must match it bit for bit."""
+    if n < 1:
+        raise SimulationError(f"n must be >= 1, got {n}")
+    if not T > 0:
+        raise SimulationError(f"T must be > 0, got {T}")
+    N = _count(n, T)
+    if N < 1:
+        raise SimulationError(f"grid {{0, 1/n, ...}} has no step for n={n}, T={T}")
+
+    root = np.random.SeedSequence(seed)
+    jump_ss, w_ss, v_ss = root.spawn(3)
+    jump_gen = np.random.default_rng(jump_ss)
+    w_gen = np.random.default_rng(w_ss)
+    v_gen = np.random.default_rng(v_ss)
+
+    # jumps: count, sorted times on (0, T], then sizes in time order
+    n_jumps = int(jump_gen.poisson(cfg.jumps.intensity * T)) if cfg.jumps.intensity > 0 else 0
+    if n_jumps > 0:
+        times = np.sort(T * (1.0 - jump_gen.random(n_jumps)))
+        sizes = cfg.jumps.draw_sizes(jump_gen, n_jumps)
+    else:
+        times = np.zeros(0)
+        sizes = np.zeros(0)
+    intervals = np.ceil(times * n - 1e-12).astype(int)
+    intervals = np.maximum(intervals, 1)
+
+    # Brownian increments, split at jump times inside each interval
+    w_inc = np.empty(N)
+    w_before = np.full(n_jumps, np.nan)
+    jumps_by_interval: dict = {}
+    for p, idx in enumerate(intervals):
+        if idx <= N:
+            jumps_by_interval.setdefault(int(idx), []).append(p)
+    for i in range(1, N + 1):
+        t_left = (i - 1) / n
+        t_right = i / n
+        here = jumps_by_interval.get(i, ())
+        if not here:
+            w_inc[i - 1] = w_gen.normal(0.0, math.sqrt(1.0 / n))
+            continue
+        cuts = [t_left] + [times[p] for p in here] + [t_right]
+        acc = 0.0
+        for seg, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+            dt = b - a
+            dw = w_gen.normal(0.0, math.sqrt(dt)) if dt > 0 else 0.0
+            acc += dw
+            if seg < len(here):
+                w_before[here[seg]] = acc
+        w_inc[i - 1] = acc
+
+    # volatility on the grid (Euler, clamped at floor_eps)
+    vol = cfg.vol
+    sigma = np.empty(N + 1)
+    sigma[0] = vol.sigma0
+    n_clamps = 0
+    first_clamp = -1
+    if vol.kind == "Constant":
+        sigma[:] = vol.sigma0
+    else:
+        v_inc = v_gen.normal(0.0, math.sqrt(1.0 / n), size=N)
+        for i in range(N):
+            nxt = sigma[i] + vol.tilde_b / n + vol.tilde_sigma * w_inc[i] + vol.tilde_v * v_inc[i]
+            if nxt < vol.floor_eps:
+                nxt = vol.floor_eps
+                n_clamps += 1
+                if first_clamp < 0:
+                    first_clamp = i + 1
+            sigma[i + 1] = nxt
+    if n_clamps > clamp_budget:
+        raise SimulationError(
+            f"volatility clamped {n_clamps} times (> budget {clamp_budget}); "
+            f"first offending interval {first_clamp}"
+        )
+
+    # spot volatility at jump times: left grid state plus deterministic
+    # partial Euler drift step (continuous volatility, so pre = post)
+    records = []
+    for p in range(n_jumps):
+        idx = int(intervals[p])
+        left = sigma[min(idx - 1, N)]
+        if vol.kind == "ItoSM":
+            pre = max(left + vol.tilde_b * (times[p] - (idx - 1) / n), vol.floor_eps)
+        else:
+            pre = left
+        records.append(
+            JumpRecord(
+                time=float(times[p]),
+                size=float(sizes[p]),
+                sigma_pre=float(pre),
+                sigma_post=float(pre),
+                interval_index=idx,
+            )
+        )
+
+    # X increments and grid values
+    inc = cfg.drift_b / n + sigma[:N] * w_inc
+    for i, here in jumps_by_interval.items():
+        inc[i - 1] += sizes[here].sum()
+    x_grid = np.empty(N + 1)
+    x_grid[0] = 0.0
+    np.cumsum(inc, out=x_grid[1:])
+
+    if cfg.reject_bound_excursions and np.max(np.abs(x_grid)) > cfg.bound_A:
+        raise SimulationError(
+            f"path exceeded bound_A={cfg.bound_A} (max |X| = {np.max(np.abs(x_grid)):.6g})"
+        )
+
+    return SamplePath(
+        T=float(T),
+        n=int(n),
+        x_grid=x_grid,
+        sigma_grid=sigma,
+        w_increments=w_inc,
+        jumps=tuple(records),
+        seed=int(seed),
+        config=cfg,
+        w_before_jump=w_before,
+        n_sigma_clamps=n_clamps,
+    )
+
+
+ORACLE_MODELS = {
+    "constant": make_config(drift=0.1, intensity=1.5, size_dist=AtomList(((1.0, 0.5), (-1.0, 0.5)))),
+    "itosm": make_config(drift=0.1, vol_kind="ItoSM", intensity=4.0, tilde=(0.05, 0.2, 0.3),
+                         size_dist=Uniform(-1.0, 1.0)),
+    # high tilde_v and a negative tilde_b: most paths clamp at floor_eps
+    "itosm_clamping": make_config(sigma0=0.3, vol_kind="ItoSM", intensity=4.0,
+                                  tilde=(-2.0, 0.5, 3.0), size_dist=Uniform(-1.0, 1.0)),
+    # about 200 jumps: many intervals hold several
+    "constant_dense": make_config(intensity=200.0, size_dist=Uniform(-1.0, 1.0)),
+    "itosm_dense": make_config(vol_kind="ItoSM", intensity=200.0, tilde=(-0.5, 0.2, 1.0),
+                               size_dist=Uniform(-1.0, 1.0)),
+}
+# (n, T); a non-integer nT leaves jumps past the last grid interval
+ORACLE_GRIDS = ((1, 1.0), (1, 2.5), (7, 1.0), (64, 1.37), (257, 1.0))
+
+
+def assert_same_path(a, b):
+    for name in ("x_grid", "sigma_grid", "w_increments"):
+        assert np.array_equal(getattr(a, name), getattr(b, name)), name
+    assert np.array_equal(a.w_before_jump, b.w_before_jump, equal_nan=True)
+    assert a.jumps == b.jumps
+    assert a.n_sigma_clamps == b.n_sigma_clamps
+
+
+@pytest.mark.parametrize("model", sorted(ORACLE_MODELS))
+def test_simulate_path_matches_scalar_oracle(model):
+    cfg = ORACLE_MODELS[model]
+    clamped = shared = past_grid = 0
+    for seed in range(300):
+        n, T = ORACLE_GRIDS[seed % len(ORACLE_GRIDS)]
+        path = simulate_path(cfg, n, T, seed)
+        assert_same_path(path, _simulate_path_scalar(cfg, n, T, seed))
+        clamped += path.clamped
+        intervals = [r.interval_index for r in path.jumps]
+        shared += len(intervals) > len(set(intervals))
+        past_grid += any(i > path.n_steps for i in intervals)
+    assert past_grid > 0
+    if "dense" in model:
+        assert shared > 0
+    if "clamping" in model:
+        assert clamped > 100
+
+
+def test_simulate_path_matches_scalar_oracle_over_the_clamp_budget():
+    cfg = ORACLE_MODELS["itosm_clamping"]
+    for seed in range(20):
+        for budget in (0, 3, 1000):
+            try:
+                expected = _simulate_path_scalar(cfg, 257, 1.0, seed, clamp_budget=budget)
+            except SimulationError as exc:
+                with pytest.raises(SimulationError, match=re.escape(str(exc))):
+                    simulate_path(cfg, 257, 1.0, seed, clamp_budget=budget)
+            else:
+                assert_same_path(simulate_path(cfg, 257, 1.0, seed, clamp_budget=budget), expected)

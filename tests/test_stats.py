@@ -285,6 +285,18 @@ def test_performance_contract_large_n():
     assert elapsed < 2.0
 
 
+def test_simulate_performance_contract_large_n():
+    # one vector Brownian draw per path: 65536 steps take a few ms (the
+    # per-step scalar loop took about 0.1 s)
+    import time
+
+    start = time.perf_counter()
+    path = brownian_path(seed=31, n=65536, intensity=5.0)
+    elapsed = time.perf_counter() - start
+    assert path.n_steps == 65536
+    assert elapsed < 0.25
+
+
 # ---------------------------------------------------------------------------
 # CSV input
 # ---------------------------------------------------------------------------
