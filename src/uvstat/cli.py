@@ -2,17 +2,16 @@
 
 Subcommands: simulate, stat, limits, verify-lln, verify-clt, rnp-check,
 grid-test, ztrunc.  All are driven by a config file (see config module);
---seed overrides the config's base seed and --threads caps worker
-parallelism without changing any result byte.
+--seed overrides the config's base seed.  --threads is accepted and
+ignored, so existing command lines still parse.
 
 Exit codes: 0 success, 1 validation error (bad config/usage), 2 runtime
 error during execution.
 
 Each experiment run writes report.json, errors.csv, manifest.json and
 optionally samples.csv into the output directory.  The manifest carries
-the canonical config plus library versions (but neither wall time nor
-thread count, so reports stay byte-identical across re-runs); timing is
-printed to stdout.
+the canonical config plus library versions (but not wall time, so
+reports stay byte-identical across re-runs); timing is printed to stdout.
 """
 
 from __future__ import annotations
@@ -49,7 +48,9 @@ def _build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help_text)
         p.add_argument("--config", help="path to the JSON run configuration", required=False)
         p.add_argument("--seed", type=int, default=None, help="override the config base_seed")
-        p.add_argument("--threads", type=int, default=1, help="worker pool size (results unchanged)")
+        p.add_argument(
+            "--threads", type=int, default=1, help="ignored; kept so existing command lines parse"
+        )
         p.add_argument("--output", default=None, help="override the config output directory")
         return p
 
@@ -218,7 +219,7 @@ def _cmd_experiment(args, cfg: RunConfig, expected_kinds) -> int:
             f"config experiment.kind is {plan.kind!r}; this subcommand runs {expected_kinds}"
         )
     start = time.perf_counter()
-    report = run_plan(plan, threads=max(1, args.threads))
+    report = run_plan(plan)
     elapsed = time.perf_counter() - start
     written = _write_report(report, cfg, Path(cfg.output_dir))
     print(f"{plan.kind} finished in {elapsed:.2f}s ({plan.reps} reps)")

@@ -15,15 +15,14 @@ Five experiment kinds:
 
 Replication r of an experiment uses seeds derived by hashing
 (base_seed, stream, n, r) through numpy's SeedSequence, so streams never
-overlap, results do not depend on the parallelism degree, and any plan
-re-runs bit-identically from its manifest.
+overlap and any plan re-runs bit-identically from its manifest.
+Replications run one after another and reduce in rep order.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -138,6 +137,8 @@ class ExperimentPlan:
         object.__setattr__(self, "m_list", tuple(int(m) for m in self.m_list))
         if self.kind not in EXPERIMENT_KINDS:
             raise HarnessError(f"unknown experiment kind {self.kind!r}")
+        if self.base_seed < 0:
+            raise HarnessError(f"base_seed must be >= 0, got {self.base_seed}")
         if self.reps < 1:
             raise HarnessError(f"reps must be >= 1, got {self.reps}")
         if not self.n_list:
@@ -214,14 +215,6 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _map_ordered(fn, count: int, threads: int):
-    """Evaluate fn(0..count-1), preserving index order in the output."""
-    if threads <= 1:
-        return [fn(i) for i in range(count)]
-    with ThreadPoolExecutor(max_workers=threads) as pool:
-        return list(pool.map(fn, range(count)))
-
-
 def _is_jump_route(kernel: KernelSpec) -> bool:
     return kernel.regime in _JUMP_REGIMES
 
@@ -256,7 +249,7 @@ def _quantiles(values: np.ndarray) -> dict:
 # ---------------------------------------------------------------------------
 
 
-def run_lln(plan: ExperimentPlan, threads: int = 1) -> ExperimentReport:
+def run_lln(plan: ExperimentPlan) -> ExperimentReport:
     """Median statistic-vs-limit errors per n, plus the fitted log-log rate."""
     if plan.kind != "LLN":
         raise HarnessError(f"run_lln got plan of kind {plan.kind}")
@@ -280,7 +273,7 @@ def run_lln(plan: ExperimentPlan, threads: int = 1) -> ExperimentReport:
                 "n_collisions": _collision_count(path),
             }
 
-        results = _map_ordered(one, plan.reps, threads)
+        results = [one(r) for r in range(plan.reps)]
         rows.extend(results)
         abs_err = np.array([abs(r["error"]) for r in results])
         denom = np.array([max(abs(r["limit"]), 1e-300) for r in results])
@@ -304,7 +297,7 @@ def run_lln(plan: ExperimentPlan, threads: int = 1) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def run_clt(plan: ExperimentPlan, threads: int = 1) -> ExperimentReport:
+def run_clt(plan: ExperimentPlan) -> ExperimentReport:
     """Standardized CLT errors vs N(0,1), plus the limit-law two-sample check.
 
     Z_r = sqrt(n) (statistic - limit) / sqrt(ground-truth conditional
@@ -359,7 +352,7 @@ def run_clt(plan: ExperimentPlan, threads: int = 1) -> ExperimentReport:
                 "draw_excluded": draw_excluded,
             }
 
-        results = _map_ordered(one, plan.reps, threads)
+        results = [one(r) for r in range(plan.reps)]
         rows.extend(results)
         zs = np.array([r["z"] for r in results if not r["excluded"]])
         n_excluded = sum(1 for r in results if r["excluded"])
@@ -406,7 +399,7 @@ def run_clt(plan: ExperimentPlan, threads: int = 1) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def run_rnp_check(plan: ExperimentPlan, threads: int = 1) -> ExperimentReport:
+def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
     """Two-sample KS between discrete R(n,p) draws and extension-space R draws.
 
     One draw per replication and side: the first jump that sits alone in
@@ -436,7 +429,7 @@ def run_rnp_check(plan: ExperimentPlan, threads: int = 1) -> ExperimentReport:
                 limit_r = float(aug.r[0])
             return {"n": n, "rep": r, "seed": seed, "r_discrete": discrete, "r_limit": limit_r}
 
-        results = _map_ordered(one, plan.reps, threads)
+        results = [one(r) for r in range(plan.reps)]
         rows.extend(results)
         a = np.array([r["r_discrete"] for r in results if r["r_discrete"] is not None])
         b = np.array([r["r_limit"] for r in results if r["r_limit"] is not None])
@@ -530,7 +523,7 @@ def _find_path_with_jumps(plan: ExperimentPlan, n: int) -> SamplePath:
     )
 
 
-def run_grid(plan: ExperimentPlan, threads: int = 1) -> ExperimentReport:
+def run_grid(plan: ExperimentPlan) -> ExperimentReport:
     """Grid scan on a freshly simulated path (ground truth available)."""
     if plan.kind != "GRID":
         raise HarnessError(f"run_grid got plan of kind {plan.kind}")
@@ -546,7 +539,7 @@ def run_grid(plan: ExperimentPlan, threads: int = 1) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def run_ztrunc(plan: ExperimentPlan, threads: int = 1) -> ExperimentReport:
+def run_ztrunc(plan: ExperimentPlan) -> ExperimentReport:
     """Median |Z(m) - Z(J)| across augmentation seeds, per truncation level m."""
     if plan.kind != "ZTRUNC":
         raise HarnessError(f"run_ztrunc got plan of kind {plan.kind}")
@@ -566,7 +559,7 @@ def run_ztrunc(plan: ExperimentPlan, threads: int = 1) -> ExperimentReport:
             row[f"gap_m{m}"] = abs(truncated_Z(path, kernel, m=m, aug=aug, t=plan.t) - zj)
         return row
 
-    rows = _map_ordered(one, plan.reps, threads)
+    rows = [one(r) for r in range(plan.reps)]
     medians = {
         str(m): float(np.median([row[f"gap_m{m}"] for row in rows])) for m in m_list
     }
@@ -589,5 +582,5 @@ _RUNNERS = {
 }
 
 
-def run_plan(plan: ExperimentPlan, threads: int = 1) -> ExperimentReport:
-    return _RUNNERS[plan.kind](plan, threads=threads)
+def run_plan(plan: ExperimentPlan) -> ExperimentReport:
+    return _RUNNERS[plan.kind](plan)

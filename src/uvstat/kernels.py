@@ -580,6 +580,13 @@ class KernelSpec:
         return kernel_to_text(self)
 
 
+def _check_l(kernel: KernelSpec, l) -> int:
+    """The kernel's block split, after checking an explicit l against it."""
+    if l is not None and l != kernel.l:
+        raise KernelError(f"block split l={l} != kernel block split l={kernel.l}")
+    return kernel.l
+
+
 def eval_h(kernel: KernelSpec, point) -> float:
     """Evaluate H at a point (or batch of points, last axis = coordinate)."""
     pt = np.asarray(point, dtype=float)

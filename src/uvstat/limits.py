@@ -35,12 +35,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from uvstat.kernels import (
-    Factor1D,
-    KernelError,
-    KernelSpec,
-    separable_terms,
-)
+from uvstat.kernels import Factor1D, KernelError, KernelSpec, _check_l, separable_terms
 from uvstat.simulate import SamplePath
 
 __all__ = [
@@ -55,10 +50,7 @@ __all__ = [
     "cov_c_matrix",
     "vtilde",
     "cond_var_mixed",
-    "JUMP_TUPLE_BUDGET",
 ]
-
-JUMP_TUPLE_BUDGET = 10**8
 
 
 class LimitError(ValueError):
@@ -92,7 +84,7 @@ def _jump_data(path: SamplePath, t: float):
     sizes = np.array([r.size for r in recs])
     pre = np.array([r.sigma_pre for r in recs])
     post = np.array([r.sigma_post for r in recs])
-    return recs, sizes, pre, post
+    return sizes, pre, post
 
 
 def _resolve_t(path: SamplePath, t) -> float:
@@ -100,19 +92,6 @@ def _resolve_t(path: SamplePath, t) -> float:
     if not 0 < t <= path.T + 1e-12:
         raise LimitError(f"t={t} outside (0, T={path.T}]")
     return t
-
-
-def _check_l(kernel: KernelSpec, l) -> int:
-    if l is not None and l != kernel.l:
-        raise KernelError(f"block split l={l} != kernel block split l={kernel.l}")
-    return kernel.l
-
-
-def _check_budget(n_jumps: int, exponent: int):
-    if exponent > 0 and n_jumps > 0 and float(n_jumps) ** exponent > JUMP_TUPLE_BUDGET:
-        raise LimitError(
-            f"jump tuple count {n_jumps}^{exponent} exceeds budget {JUMP_TUPLE_BUDGET:.0e}"
-        )
 
 
 def _time_weights(path: SamplePath, t: float):
@@ -133,6 +112,16 @@ def _time_integrated_moment(factor: Factor1D, sigmas, weights) -> float:
 
 
 _JUMP_SLOTS = ("sum", "free", "deriv")
+
+
+def _vbar_slots(kernel: KernelSpec) -> tuple:
+    """Slot layout of sum_k Vbar_k: first block differentiated, second at 0."""
+    return ("deriv",) * kernel.l + (0.0,) * (kernel.d - kernel.l)
+
+
+def _vtilde_slots(kernel: KernelSpec) -> tuple:
+    """Slot layout of sum_{k>l} Vtilde_k: first block integrated, second differentiated."""
+    return ("moment",) * kernel.l + ("deriv",) * (kernel.d - kernel.l)
 
 
 def _contract(terms, slots, sizes, points=None, grid=None):
@@ -204,8 +193,7 @@ def jump_limit(
     """
     t = _resolve_t(path, t)
     l = _check_l(kernel, l)
-    recs, sizes, _, _ = _jump_data(path, t)
-    _check_budget(len(sizes), l)
+    sizes, _, _ = _jump_data(path, t)
     d = kernel.d
     scale = t ** (d - l)
     terms = separable_terms(kernel)
@@ -228,8 +216,7 @@ def mixed_limit(
     t = _resolve_t(path, t)
     l = _check_l(kernel, l)
     d = kernel.d
-    recs, sizes, _, _ = _jump_data(path, t)
-    _check_budget(len(sizes), d - l)
+    sizes, _, _ = _jump_data(path, t)
     grid = _time_weights(path, t)
     terms = separable_terms(kernel)
     if d == l:
@@ -267,8 +254,7 @@ def vbar(
     l = _check_l(kernel, l)
     if not 1 <= k_idx <= l:
         raise KernelError(f"k_idx={k_idx} outside 1..l={l}")
-    recs, sizes, _, _ = _jump_data(path, t)
-    _check_budget(len(sizes), l - 1)
+    sizes, _, _ = _jump_data(path, t)
     slots = ["sum"] * l + [0.0] * (kernel.d - l)
     slots[k_idx - 1] = "deriv"
     return _contract(separable_terms(kernel), slots, sizes, y)
@@ -282,10 +268,10 @@ def cond_var_jump(
     l = _check_l(kernel, l)
     if l < 1:
         raise KernelError("jump-case conditional variance needs l >= 1")
-    recs, sizes, pre, post = _jump_data(path, t)
+    sizes, pre, post = _jump_data(path, t)
     if len(sizes) == 0:
         return CondVariance(0.0, 0.0, 0.0, ())
-    slots = ("deriv",) * l + (0.0,) * (kernel.d - l)
+    slots = _vbar_slots(kernel)
     w = _contract(separable_terms(kernel), slots, sizes, sizes)
     scale = 0.5 * t ** (2 * (kernel.d - l))
     per = scale * w * w * (pre * pre + post * post)
@@ -419,8 +405,7 @@ def vtilde(
     d = kernel.d
     if not l < k_idx <= d:
         raise KernelError(f"k_idx={k_idx} outside l+1..d={d}")
-    recs, sizes, _, _ = _jump_data(path, t)
-    _check_budget(len(sizes), d - l - 1)
+    sizes, _, _ = _jump_data(path, t)
     slots = ["moment"] * l + ["sum"] * (d - l)
     slots[k_idx - 1] = "deriv"
     return _contract(separable_terms(kernel), slots, sizes, y, _time_weights(path, t))
@@ -440,10 +425,10 @@ def cond_var_mixed(
     d = kernel.d
     if l < 1 or l >= d:
         raise KernelError("mixed-case conditional variance needs 1 <= l < d")
-    recs, sizes, pre, post = _jump_data(path, t)
+    sizes, pre, post = _jump_data(path, t)
     if len(sizes) == 0:
         return CondVariance(0.0, 0.0, 0.0, ())
-    slots = ("moment",) * l + ("deriv",) * (d - l)
+    slots = _vtilde_slots(kernel)
     prof = _contract(separable_terms(kernel), slots, sizes, sizes, _time_weights(path, t))
     per = prof * prof * post * post
     jump_term = float(np.sum(per))

@@ -24,8 +24,9 @@ from typing import Optional
 
 import numpy as np
 
-from uvstat.kernels import KernelError, KernelSpec, separable_terms
-from uvstat.limits import _check_l, _contract, _CovStructure, _resolve_t, _time_weights
+from uvstat.kernels import KernelError, KernelSpec, _check_l, separable_terms
+from uvstat.limits import _contract, _CovStructure, _jump_data, _resolve_t, _time_weights
+from uvstat.limits import _vbar_slots, _vtilde_slots
 from uvstat.simulate import SamplePath
 
 __all__ = [
@@ -125,12 +126,11 @@ def sample_U_jump(
     l = _check_l(kernel, l)
     if len(aug) != len(path.jumps):
         raise SamplerError("augmentation does not match the path's jump count")
-    recs = path.jumps_until(t)
-    J = len(recs)
+    sizes, _, _ = _jump_data(path, t)
+    J = len(sizes)
     if J == 0:
         return LimitDraw(0.0, (), aug.seed)
-    sizes = np.array([r.size for r in recs])
-    slots = ("deriv",) * l + (0.0,) * (kernel.d - l)
+    slots = _vbar_slots(kernel)
     coeff = t ** (kernel.d - l) * _contract(separable_terms(kernel), slots, sizes, sizes)
     per = coeff * aug.r[:J]
     value = float(np.sum(per))
@@ -177,12 +177,11 @@ def sample_V_mixed(
         raise KernelError("mixed-case sampling needs 1 <= l < d")
     if len(aug) != len(path.jumps):
         raise SamplerError("augmentation does not match the path's jump count")
-    recs = path.jumps_until(t)
-    J = len(recs)
+    sizes, _, _ = _jump_data(path, t)
+    J = len(sizes)
     if J == 0:
         return LimitDraw(0.0, (), aug.seed)
-    sizes = np.array([r.size for r in recs])
-    slots = ("moment",) * l + ("deriv",) * (d - l)
+    slots = _vtilde_slots(kernel)
     coeff = _contract(separable_terms(kernel), slots, sizes, sizes, _time_weights(path, t))
     per = coeff * aug.r[:J]
     jump_term = float(np.sum(per))
@@ -233,14 +232,13 @@ def truncated_Z(
         raise SamplerError(f"truncation level must be >= 0, got {m}")
     if len(aug) != len(path.jumps):
         raise SamplerError("augmentation does not match the path's jump count")
-    recs = path.jumps_until(t)
-    J = len(recs)
+    sizes, _, _ = _jump_data(path, t)
+    J = len(sizes)
     if J == 0 or m == 0:
         return 0.0
-    sizes = np.array([r.size for r in recs])
     order = np.argsort(-np.abs(sizes), kind="stable")
     keep = np.sort(order[: min(m, J)])
     sub_sizes = sizes[keep]
-    slots = ("deriv",) * l + (0.0,) * (kernel.d - l)
+    slots = _vbar_slots(kernel)
     coeff = t ** (kernel.d - l) * _contract(separable_terms(kernel), slots, sub_sizes, sub_sizes)
     return float(np.sum(coeff * aug.r[keep]))

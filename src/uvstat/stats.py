@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 from scipy.stats import norm
 
-from uvstat.kernels import KernelSpec, KernelError, eval_h, separable_terms
+from uvstat.kernels import KernelSpec, KernelError, _check_l, eval_h, separable_terms
 from uvstat.simulate import SamplePath, SimulationError, first_order_increments, increments
 
 __all__ = [
@@ -89,14 +89,6 @@ def _resolve(data: Union[SamplePath, np.ndarray], t, n):
         inc = inc[:count]
     window = IndexWindow(n=n, t=t, count=len(inc))
     return inc, n, t, window
-
-
-def _check_l(kernel: KernelSpec, l) -> int:
-    if l is None:
-        return kernel.l
-    if l != kernel.l:
-        raise KernelError(f"statistic block split l={l} != kernel block split l={kernel.l}")
-    return kernel.l
 
 
 def _factorized_value(kernel: KernelSpec, coord_data) -> float:

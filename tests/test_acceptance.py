@@ -2,12 +2,10 @@
 
 One test per criterion, each printing a PASS/FAIL line.  Every plan runs
 at a fixed base seed, so the whole suite is deterministic; heavy
-experiment reports are shared through module-scoped fixtures.  Runs in a
-few minutes on an 8-core machine.
+experiment reports are shared through module-scoped fixtures.
 """
 
 import math
-import os
 
 import numpy as np
 import pytest
@@ -40,8 +38,6 @@ from uvstat.stats import power_variation, realized_qv, u_stat, v_stat, y_stat
 
 from test_kernels import catalog_kernels
 
-THREADS = min(8, os.cpu_count() or 1)
-
 K1 = KernelSpec(d=1, l=1, p=(4.0,), regime="JumpCLT")
 K22 = KernelSpec(d=2, l=2, p=(4.0, 4.0), regime="JumpCLT")
 KMIX = KernelSpec(d=2, l=1, p=(0.5,), q=(4.0,), regime="MixedCLT")
@@ -73,25 +69,25 @@ def clt_jump_d1():
     # low intensity keeps two-jumps-per-interval collisions (which carry
     # O(sqrt(n))-sized standardized outliers) out of the variance estimate
     plan = ExperimentPlan("CLT_jump", model(1.0), K1, 1.0, (4096,), 1000, base_seed=13)
-    return run_clt(plan, threads=THREADS).tables["per_n"]["4096"]
+    return run_clt(plan).tables["per_n"]["4096"]
 
 
 @pytest.fixture(scope="module")
 def clt_jump_d2():
     plan = ExperimentPlan("CLT_jump", model(1.0), K22, 1.0, (4096,), 500, base_seed=21)
-    return run_clt(plan, threads=THREADS).tables["per_n"]["4096"]
+    return run_clt(plan).tables["per_n"]["4096"]
 
 
 @pytest.fixture(scope="module")
 def clt_jump_marginal():
     plan = ExperimentPlan("CLT_jump", model(5.0), K1, 1.0, (4096,), 1000, base_seed=35)
-    return run_clt(plan, threads=THREADS).tables["per_n"]["4096"]
+    return run_clt(plan).tables["per_n"]["4096"]
 
 
 @pytest.fixture(scope="module")
 def clt_mixed():
     plan = ExperimentPlan("CLT_mixed", model(1.5), KMIX, 1.0, (8192,), 500, base_seed=42)
-    return run_clt(plan, threads=THREADS).tables["per_n"]["8192"]
+    return run_clt(plan).tables["per_n"]["8192"]
 
 
 # ---------------------------------------------------------------------------
@@ -164,7 +160,7 @@ def test_criterion_02_scaled_power_variation():
 
 def test_criterion_03_jump_lln():
     plan = ExperimentPlan("LLN", model(5.0), K22, 1.0, (512, 2048, 8192), 200, base_seed=71)
-    rep = run_lln(plan, threads=THREADS)
+    rep = run_lln(plan)
     med = [rep.tables["per_n"][str(n)]["rel_error"]["median"] for n in plan.n_list]
     ok = med[0] > med[1] > med[2] and med[2] < 0.05
     check(
@@ -364,7 +360,7 @@ def test_criterion_10_brute_force_equivalence():
 
 def test_criterion_11_rnp_convergence():
     plan = ExperimentPlan("RNP", model(2.0), None, 1.0, (4096,), 2400, base_seed=51)
-    table = run_rnp_check(plan, threads=THREADS).tables["per_n"]["4096"]
+    table = run_rnp_check(plan).tables["per_n"]["4096"]
     ok = (
         table["ks_pvalue"] > 0.01
         and table["n_discrete"] >= 2000
@@ -388,7 +384,7 @@ def test_criterion_12_truncation():
     plan = ExperimentPlan(
         "ZTRUNC", cfg, K1, 1.0, (2048,), 500, base_seed=61, require_jumps=20
     )
-    rep = run_ztrunc(plan, threads=THREADS)
+    rep = run_ztrunc(plan)
     ok = rep.tables["nonincreasing"] and rep.tables["median_gap"]["20"] == 0.0
     med = [round(rep.tables["median_gap"][str(m)], 2) for m in (0, 5, 10, 15, 20)]
     check(
@@ -406,16 +402,12 @@ def test_criterion_12_truncation():
 
 def test_criterion_13_determinism():
     plan = ExperimentPlan("CLT_jump", model(5.0), K1, 1.0, (512,), 50, base_seed=77)
-    rep1 = run_plan(plan, threads=1)
-    rep4 = run_plan(plan, threads=4)
-    rep1b = run_plan(plan, threads=1)
-    ok = (
-        rep1.to_json() == rep4.to_json() == rep1b.to_json()
-        and rep1.rows_csv() == rep4.rows_csv() == rep1b.rows_csv()
-    )
+    rep1 = run_plan(plan)
+    rep2 = run_plan(plan)
+    ok = rep1.to_json() == rep2.to_json() and rep1.rows_csv() == rep2.rows_csv()
     check(
         13,
         "byte-identical reports",
         ok,
-        "report.json and errors.csv identical across re-runs and thread counts 1 vs 4",
+        "report.json and errors.csv identical across re-runs",
     )

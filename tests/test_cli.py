@@ -337,6 +337,40 @@ def test_config_field_types_exit_1(tmp_path, monkeypatch, capsys, block, key, va
     assert sorted(p.name for p in tmp_path.iterdir()) == [cfgfile.name]
 
 
+@pytest.mark.parametrize(
+    "command, config_seed, seed_args",
+    [
+        ("verify-lln", -1, []),
+        ("simulate", -1, []),
+        ("verify-lln", 7, ["--seed", "-1"]),
+        ("simulate", 7, ["--seed", "-1"]),
+    ],
+    ids=["verify_lln_config", "simulate_config", "verify_lln_override", "simulate_override"],
+)
+def test_negative_seed_exits_1(tmp_path, monkeypatch, capsys, command, config_seed, seed_args):
+    doc = jump_clt_doc(kind="LLN", reps=2, n=64)
+    doc["io"] = {"output_dir": "out"}
+    doc["base_seed"] = config_seed
+    cfgfile = write_config(tmp_path, doc)
+    monkeypatch.chdir(tmp_path)
+    rc = main([command, "--config", str(cfgfile), *seed_args])
+    assert rc == 1
+    assert "base_seed must be >= 0, got -1" in capsys.readouterr().err
+    assert sorted(p.name for p in tmp_path.iterdir()) == [cfgfile.name]
+
+
+def test_limits_on_more_than_1e4_jumps_exits_0(tmp_path, capsys):
+    # J^2 > 1e8 jump pairs: the limit contracts jump by jump, it enumerates no tuples
+    kernel = "d=2 l=2 p=4.0,4.0 q=- regime=JumpCLT L=one"
+    doc = jump_clt_doc(kind="LLN", n=64, intensity=20000.0, kernel=kernel)
+    doc["model"]["jumps"]["size_dist"] = {"type": "AtomList", "atoms": [[1.0, 0.5], [-1.0, 0.5]]}
+    rc = main(["limits", "--config", str(write_config(tmp_path, doc))])
+    assert rc == 0
+    out = json.loads(capsys.readouterr().out)
+    assert out["n_jumps"] > 10**4
+    assert out["limit"] == float(out["n_jumps"]) ** 2
+
+
 def test_oversized_beta_range_exits_1(tmp_path, capsys):
     doc = config_doc()
     doc["experiment"] = {"kind": "GRID", "n_list": [64], "reps": 1, "beta_grid": "0.5:2.5:0.0001"}

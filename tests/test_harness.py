@@ -301,25 +301,17 @@ def test_run_ztrunc_monotone():
 # ---------------------------------------------------------------------------
 
 
-def test_reports_reproducible_across_threads():
-    plan = ExperimentPlan("CLT_jump", model(), K1, 1.0, (512,), 40, base_seed=41)
-    rep1 = run_plan(plan, threads=1)
-    rep4 = run_plan(plan, threads=4)
-    assert rep1.to_json() == rep4.to_json()
-    assert rep1.rows_csv() == rep4.rows_csv()
-
-
 def test_lln_report_reproducible():
     plan = ExperimentPlan("LLN", model(), K1, 1.0, (128, 256), 15, base_seed=43)
-    a = run_plan(plan, threads=1).to_json()
-    b = run_plan(plan, threads=3).to_json()
+    a = run_plan(plan).to_json()
+    b = run_plan(plan).to_json()
     assert a == b
 
 
 def test_rate_sanity_log_log_slope():
     # CLT-valid jump regime: LLN errors shrink at the sqrt(n) rate
     plan = ExperimentPlan("LLN", model(), K1, 1.0, (512, 2048, 8192), 200, base_seed=72)
-    rep = run_lln(plan, threads=4)
+    rep = run_lln(plan)
     assert -0.65 < rep.tables["log_log_slope"] < -0.35
 
 
@@ -340,7 +332,7 @@ def test_rnp_distance_decreases_with_n():
     medians = {}
     for n in (16, 4096):
         plan = ExperimentPlan("RNP", m, None, 1.0, (n,), 1500, base_seed=53)
-        rows = run_rnp_check(plan, threads=4).rows
+        rows = run_rnp_check(plan).rows
         a = np.array([r["r_discrete"] for r in rows if r["r_discrete"] is not None])
         b = np.array([r["r_limit"] for r in rows if r["r_limit"] is not None])
         medians[n] = np.median([ks_2samp(a[k::5], b[k::5])[0] for k in range(5)])
