@@ -65,7 +65,6 @@ from uvstat.limits import (
 )
 from uvstat.sampler import (
     JumpAugmentation,
-    LimitDraw,
     augment,
     sample_U_jump,
     sample_V_mixed,

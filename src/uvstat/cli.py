@@ -185,29 +185,20 @@ def _cmd_limits(args, cfg: RunConfig) -> int:
     n = plan.n_list[-1]
     path = simulate_path(plan.model, n, plan.t, plan.base_seed)
     kernel = plan.kernel
-    doc = {"n": n, "seed": plan.base_seed, "n_jumps": len(path.jumps)}
     if kernel.regime in ("JumpLLN", "JumpCLT", "GridTest"):
-        lv = jump_limit(path, kernel, t=plan.t)
-        doc["limit"] = lv.value
-        doc["contributions"] = list(lv.contributions)
-        if kernel.regime != "JumpLLN":
-            cv = cond_var_jump(path, kernel, t=plan.t)
-            doc["cond_variance"] = {
-                "total": cv.total,
-                "jump_term": cv.jump_term,
-                "field_term": cv.field_term,
-            }
+        limit, cond_var = jump_limit, cond_var_jump
     else:
-        lv = mixed_limit(path, kernel, t=plan.t)
-        doc["limit"] = lv.value
-        doc["contributions"] = list(lv.contributions)
-        if kernel.regime == "MixedCLT":
-            cv = cond_var_mixed(path, kernel, t=plan.t)
-            doc["cond_variance"] = {
-                "total": cv.total,
-                "jump_term": cv.jump_term,
-                "field_term": cv.field_term,
-            }
+        limit, cond_var = mixed_limit, cond_var_mixed
+    lv = limit(path, kernel, t=plan.t)
+    doc = {
+        "n": n,
+        "seed": plan.base_seed,
+        "n_jumps": len(path.jumps),
+        "limit": lv.value,
+        "contributions": list(lv.contributions),
+    }
+    if kernel.regime in ("JumpCLT", "GridTest", "MixedCLT"):
+        doc["cond_variance"] = dataclasses.asdict(cond_var(path, kernel, t=plan.t))
     print(json.dumps(doc, sort_keys=True, indent=1))
     return 0
 

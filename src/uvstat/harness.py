@@ -36,7 +36,7 @@ from uvstat.limits import cond_var_jump, cond_var_mixed, jump_limit, mixed_limit
 from uvstat.sampler import augment, sample_U_jump, sample_V_mixed, truncated_Z
 from uvstat.simulate import ModelConfig, SamplePath, _streams, jump_neighborhood, simulate_path
 from uvstat.simulate import config_to_dict
-from uvstat.stats import v_stat, y_stat
+from uvstat.stats import power_variation, v_stat, y_stat
 
 __all__ = [
     "ExperimentPlan",
@@ -336,9 +336,9 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
                     aug,
                     seed=derive_seed(plan.base_seed, _S_FIELD, n, r),
                     t=plan.t,
-                ).value
+                )
             else:
-                draw = sample_U_jump(path2, kernel, aug, t=plan.t).value
+                draw = sample_U_jump(path2, kernel, aug, t=plan.t)
             draw_excluded = len(path2.jumps_until(plan.t)) == 0 or (mixed and path2.clamped)
             return {
                 "n": n,
@@ -467,19 +467,19 @@ def grid_scan(
     if any(b <= 0 for b in beta_grid):
         raise HarnessError(f"beta values must be > 0, got {beta_grid}")
     is_path = isinstance(data, SamplePath)
+    # beta-independent bound: sin^2 <= 1 replaced by its mean 1/2
+    pv = power_variation(data, p=2 * power, scaled=False, t=t, n=n).value
+    envelope = 0.5 * pv * pv
+    if not (math.isfinite(envelope) and envelope > 0):
+        raise HarnessError(
+            f"grid scan envelope (sum |Delta X|^{2 * power!r})^2 / 2 = {envelope!r} "
+            "is not a positive finite number; the increments are all zero or too large"
+        )
     rows = []
-    envelope = None
     for beta in beta_grid:
         kernel = grid_test_kernel(beta, power=power)
         sv = v_stat(data, kernel, t=t, n=n)
-        if envelope is None:
-            # beta-independent bound: sin^2 <= 1 replaced by its mean 1/2
-            from uvstat.stats import power_variation
-
-            pv = power_variation(data, p=2 * power, scaled=False, t=t, n=n).value
-            envelope = 0.5 * pv * pv
-        normalized = sv.value / envelope if envelope > 0 else math.nan
-        row = {"beta": beta, "statistic": sv.value, "normalized": normalized}
+        row = {"beta": beta, "statistic": sv.value, "normalized": sv.value / envelope}
         if is_path:
             lim = jump_limit(data, kernel, t=t).value
             cv = cond_var_jump(data, kernel, t=t).total
@@ -490,12 +490,11 @@ def grid_scan(
                 math.sqrt(nn) * (sv.value - lim) / math.sqrt(cv) if cv > 0 else None
             )
         rows.append(row)
-    finite = [r for r in rows if not math.isnan(r["normalized"])]
-    best = min(finite, key=lambda r: r["normalized"]) if finite else None
+    best = min(rows, key=lambda r: r["normalized"])
     tables = {
         "envelope": envelope,
-        "beta_min_normalized": best["beta"] if best else None,
-        "min_normalized": best["normalized"] if best else None,
+        "beta_min_normalized": best["beta"],
+        "min_normalized": best["normalized"],
     }
     plan = {
         "kind": "GRID",

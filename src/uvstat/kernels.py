@@ -105,6 +105,9 @@ class Factor1D:
     and differentiation (:meth:`derivative`), and knows its own Gaussian
     moments E[f(sigma U)] with U ~ N(0, 1) (:meth:`gaussian_moment_vec`;
     closed form where available, split adaptive quadrature otherwise).
+
+    The power may be negative: the derivative of |x|^p with p < 1 carries
+    |x|^{p-1}, which is finite only away from x = 0.
     """
 
     power: float = 0.0
@@ -113,10 +116,6 @@ class Factor1D:
     sin_args: tuple = ()
     gauss_args: tuple = ()
     poly2: tuple = ()  # () means polynomial factor 1
-
-    def __post_init__(self):
-        if self.power < 0:
-            raise KernelError(f"negative power {self.power} in Factor1D")
 
     @property
     def is_one(self) -> bool:
@@ -170,7 +169,8 @@ class Factor1D:
         """d/dx as a list of (coefficient, Factor1D) terms.
 
         Valid away from x = 0 whenever power <= 1 (the |x|^p factor is not
-        differentiable there); callers guard that case.
+        differentiable there, and for power < 1 the first term has a
+        negative power); callers guard that case.
         """
         terms = []
         if self.power != 0.0:
@@ -580,13 +580,6 @@ class KernelSpec:
         return kernel_to_text(self)
 
 
-def _check_l(kernel: KernelSpec, l) -> int:
-    """The kernel's block split, after checking an explicit l against it."""
-    if l is not None and l != kernel.l:
-        raise KernelError(f"block split l={l} != kernel block split l={kernel.l}")
-    return kernel.l
-
-
 def eval_h(kernel: KernelSpec, point) -> float:
     """Evaluate H at a point (or batch of points, last axis = coordinate)."""
     pt = np.asarray(point, dtype=float)
@@ -604,11 +597,10 @@ def partial_h(kernel: KernelSpec, j: int, point) -> float:
     """Exact partial derivative of H in coordinate j.
 
     Computed on the separable terms, where only the j-th factor
-    |x_j|^p s(x_j) differentiates: p sign(x_j) |x_j|^{p-1} s(x_j) (not a
-    Factor1D when p < 1, so evaluated directly) plus |x_j|^p times
-    s' from :meth:`Factor1D.derivative`.  No cancellation occurs near
-    x_j = 0: for power > 1 the value there is exactly the true limit 0,
-    while power <= 1 at x_j = 0 is a domain error.
+    differentiates, through :meth:`Factor1D.derivative` (whose power
+    term carries the negative power p - 1 when p < 1).  No cancellation
+    occurs near x_j = 0: for power > 1 the value there is exactly the
+    true limit 0, while power <= 1 at x_j = 0 is a domain error.
     """
     if not 0 <= j < kernel.d:
         raise KernelError(f"coordinate {j} outside 0..{kernel.d - 1}")
@@ -619,13 +611,11 @@ def partial_h(kernel: KernelSpec, j: int, point) -> float:
         raise KernelError(
             f"partial_h at x_{j} = 0 with power {pj} <= 1 is not defined"
         )
-    dpow = pj * np.sign(xj) * np.abs(xj) ** (pj - 1.0) if pj != 0.0 else 0.0
     out = np.zeros(pt.shape[:-1])
     for coeff, factors in separable_terms(kernel):
-        smooth = replace(factors[j], power=0.0)
-        term = dpow * smooth.val(xj)
-        for dcoef, dfac in smooth.derivative():
-            term = term + dcoef * replace(dfac, power=dfac.power + pj).val(xj)
+        term = np.zeros(xj.shape)
+        for dcoef, dfac in factors[j].derivative():
+            term = term + dcoef * dfac.val(xj)
         term = coeff * term
         for i, f in enumerate(factors):
             if i != j:
@@ -700,9 +690,8 @@ def rho(kernel: KernelSpec, sigmas, y) -> float:
 def rho_mc(kernel: KernelSpec, sigmas, y, n_nodes: int = 200_000, seed: int = 0x5EED_0001):
     """Monte Carlo version of :func:`rho` with a fixed sub-seed.
 
-    Returns (estimate, standard_error).  Kept as the independent
-    cross-check of the quadrature path and as the fallback for l >= 3
-    smooth factors outside the separable catalog.
+    Returns (estimate, standard_error).  Kept only as the independent
+    Monte Carlo cross-check of :func:`rho`.
     """
     if n_nodes < 100_000:
         raise KernelError("rho_mc requires at least 1e5 nodes")

@@ -25,6 +25,11 @@ All time integrals use the simulation grid itself (left Riemann plus the
 partial last step, exact for constant volatility); the induced
 O(n^{-1/2}) discretization error matches the Euler scheme's accuracy and
 is the bias floor of the CLT experiments.
+
+Every function reads the block split l from the kernel (``kernel.l``).
+The limits carry the per-jump contribution table that ``uvstat limits``
+prints; the conditional variances return only their total and its jump
+and field terms.
 """
 
 from __future__ import annotations
@@ -35,7 +40,7 @@ from typing import Optional, Sequence
 
 import numpy as np
 
-from uvstat.kernels import Factor1D, KernelError, KernelSpec, _check_l, separable_terms
+from uvstat.kernels import Factor1D, KernelError, KernelSpec, separable_terms
 from uvstat.simulate import SamplePath
 
 __all__ = [
@@ -63,7 +68,6 @@ class LimitValue:
 
     value: float
     contributions: tuple
-    regime: str
 
     def table_total(self) -> float:
         return float(sum(v for _, v in self.contributions))
@@ -76,7 +80,6 @@ class CondVariance:
     total: float
     jump_term: float
     field_term: float
-    per_jump: tuple
 
 
 def _jump_data(path: SamplePath, t: float):
@@ -135,7 +138,9 @@ def _contract(terms, slots, sizes, points=None, grid=None):
       (sigmas, weights), the mixed route;
     * "sum": summed over the jump sizes;
     * "free": evaluated at points;
-    * "deriv": f' (from Factor1D.derivative) evaluated at points.
+    * "deriv": f' (from Factor1D.derivative) evaluated at points; a
+      derivative factor with a negative power (f = |x|^p ... with p < 1)
+      is not defined at a zero point, which raises KernelError.
 
     Several free/deriv slots take the free role in turn, the others being
     summed over the jumps; the result adds up those choices.  Terms are
@@ -172,9 +177,19 @@ def _contract(terms, slots, sizes, points=None, grid=None):
             else:
                 dvals = np.zeros(np.shape(points))
                 for dcoef, dfac in factors[k].derivative():
+                    if dfac.power < 0.0 and np.any(np.asarray(points) == 0.0):
+                        raise KernelError(
+                            f"derivative of |x|^{factors[k].power!r} is not defined at 0"
+                        )
                     dvals += dcoef * dfac.val(points)
                 total += fixed * rest * dvals
     return total if np.ndim(total) else float(total)
+
+
+def _limit_from_contributions(contrib) -> LimitValue:
+    """The limit as the sum of its per-jump contributions, with their table."""
+    table = tuple((f"jump_{p}", float(v)) for p, v in enumerate(contrib))
+    return LimitValue(float(np.sum(contrib)), table)
 
 
 # ---------------------------------------------------------------------------
@@ -182,9 +197,7 @@ def _contract(terms, slots, sizes, points=None, grid=None):
 # ---------------------------------------------------------------------------
 
 
-def jump_limit(
-    path: SamplePath, kernel: KernelSpec, l: Optional[int] = None, t: Optional[float] = None
-) -> LimitValue:
+def jump_limit(path: SamplePath, kernel: KernelSpec, t: Optional[float] = None) -> LimitValue:
     """V(H, X, l)_t = t^{d-l} sum_{s in (0,t]^l} H(Delta X_s, 0).
 
     The sum runs over all l-tuples (with repetition) of recorded jumps;
@@ -192,43 +205,33 @@ def jump_limit(
     the table aggregates every tuple whose first slot is jump p.
     """
     t = _resolve_t(path, t)
-    l = _check_l(kernel, l)
+    d, l = kernel.d, kernel.l
     sizes, _, _ = _jump_data(path, t)
-    d = kernel.d
     scale = t ** (d - l)
     terms = separable_terms(kernel)
     if l == 0:
         value = _contract(terms, (0.0,) * d, sizes) * scale
-        return LimitValue(value, (("deterministic", value),), kernel.regime)
+        return LimitValue(value, (("deterministic", value),))
     if len(sizes) == 0:
-        return LimitValue(0.0, (), kernel.regime)
+        return LimitValue(0.0, ())
     slots = ("free",) + ("sum",) * (l - 1) + (0.0,) * (d - l)
-    contrib = _contract(terms, slots, sizes, sizes) * scale
-    value = float(np.sum(contrib))
-    table = tuple((f"jump_{p}", float(v)) for p, v in enumerate(contrib))
-    return LimitValue(value, table, kernel.regime)
+    return _limit_from_contributions(_contract(terms, slots, sizes, sizes) * scale)
 
 
-def mixed_limit(
-    path: SamplePath, kernel: KernelSpec, l: Optional[int] = None, t: Optional[float] = None
-) -> LimitValue:
+def mixed_limit(path: SamplePath, kernel: KernelSpec, t: Optional[float] = None) -> LimitValue:
     """Y_t(H, X, l) = sum over jump tuples of int_{[0,t]^l} rho_H(sigma_u, Delta X) du."""
     t = _resolve_t(path, t)
-    l = _check_l(kernel, l)
-    d = kernel.d
+    d, l = kernel.d, kernel.l
     sizes, _, _ = _jump_data(path, t)
     grid = _time_weights(path, t)
     terms = separable_terms(kernel)
     if d == l:
         value = _contract(terms, ("moment",) * l, sizes, grid=grid)
-        return LimitValue(value, (("time_integral", value),), kernel.regime)
+        return LimitValue(value, (("time_integral", value),))
     if len(sizes) == 0:
-        return LimitValue(0.0, (), kernel.regime)
+        return LimitValue(0.0, ())
     slots = ("moment",) * l + ("free",) + ("sum",) * (d - l - 1)
-    contrib = _contract(terms, slots, sizes, sizes, grid)
-    value = float(np.sum(contrib))
-    table = tuple((f"jump_{p}", float(v)) for p, v in enumerate(contrib))
-    return LimitValue(value, table, kernel.regime)
+    return _limit_from_contributions(_contract(terms, slots, sizes, sizes, grid))
 
 
 # ---------------------------------------------------------------------------
@@ -239,7 +242,6 @@ def mixed_limit(
 def vbar(
     path: SamplePath,
     kernel: KernelSpec,
-    l: Optional[int] = None,
     k_idx: int = 1,
     y: float = 0.0,
     t: Optional[float] = None,
@@ -251,7 +253,7 @@ def vbar(
     point: the profile that the jump-case variance and draw use.
     """
     t = _resolve_t(path, t)
-    l = _check_l(kernel, l)
+    l = kernel.l
     if not 1 <= k_idx <= l:
         raise KernelError(f"k_idx={k_idx} outside 1..l={l}")
     sizes, _, _ = _jump_data(path, t)
@@ -260,24 +262,19 @@ def vbar(
     return _contract(separable_terms(kernel), slots, sizes, y)
 
 
-def cond_var_jump(
-    path: SamplePath, kernel: KernelSpec, l: Optional[int] = None, t: Optional[float] = None
-) -> CondVariance:
+def cond_var_jump(path: SamplePath, kernel: KernelSpec, t: Optional[float] = None) -> CondVariance:
     """E[U(H,X,l)_t^2 | F] = 1/2 t^{2(d-l)} sum_s (sum_k Vbar_k(DX_s))^2 (s-^2 + s^2)."""
     t = _resolve_t(path, t)
-    l = _check_l(kernel, l)
-    if l < 1:
+    if kernel.l < 1:
         raise KernelError("jump-case conditional variance needs l >= 1")
     sizes, pre, post = _jump_data(path, t)
     if len(sizes) == 0:
-        return CondVariance(0.0, 0.0, 0.0, ())
+        return CondVariance(0.0, 0.0, 0.0)
     slots = _vbar_slots(kernel)
     w = _contract(separable_terms(kernel), slots, sizes, sizes)
-    scale = 0.5 * t ** (2 * (kernel.d - l))
-    per = scale * w * w * (pre * pre + post * post)
-    total = float(np.sum(per))
-    table = tuple((f"jump_{p}", float(v)) for p, v in enumerate(per))
-    return CondVariance(total=total, jump_term=total, field_term=0.0, per_jump=table)
+    scale = 0.5 * t ** (2 * (kernel.d - kernel.l))
+    total = float(np.sum(scale * w * w * (pre * pre + post * post)))
+    return CondVariance(total=total, jump_term=total, field_term=0.0)
 
 
 # ---------------------------------------------------------------------------
@@ -388,7 +385,6 @@ def cov_c_matrix(path: SamplePath, kernel: KernelSpec, y_list, t: Optional[float
 def vtilde(
     path: SamplePath,
     kernel: KernelSpec,
-    l: Optional[int] = None,
     k_idx: int = 0,
     y: float = 0.0,
     t: Optional[float] = None,
@@ -401,8 +397,7 @@ def vtilde(
     at each point.
     """
     t = _resolve_t(path, t)
-    l = _check_l(kernel, l)
-    d = kernel.d
+    d, l = kernel.d, kernel.l
     if not l < k_idx <= d:
         raise KernelError(f"k_idx={k_idx} outside l+1..d={d}")
     sizes, _, _ = _jump_data(path, t)
@@ -411,9 +406,7 @@ def vtilde(
     return _contract(separable_terms(kernel), slots, sizes, y, _time_weights(path, t))
 
 
-def cond_var_mixed(
-    path: SamplePath, kernel: KernelSpec, l: Optional[int] = None, t: Optional[float] = None
-) -> CondVariance:
+def cond_var_mixed(path: SamplePath, kernel: KernelSpec, t: Optional[float] = None) -> CondVariance:
     """Conditional variance of the mixed-case limit: jump term plus field term.
 
     jump term:  sum_s (sum_{k>l} Vtilde_k(Delta X_s))^2 sigma_s^2
@@ -421,25 +414,15 @@ def cond_var_mixed(
                 computed in factorized form (no tuple enumeration).
     """
     t = _resolve_t(path, t)
-    l = _check_l(kernel, l)
-    d = kernel.d
-    if l < 1 or l >= d:
+    if not 1 <= kernel.l < kernel.d:
         raise KernelError("mixed-case conditional variance needs 1 <= l < d")
-    sizes, pre, post = _jump_data(path, t)
+    sizes, _, post = _jump_data(path, t)
     if len(sizes) == 0:
-        return CondVariance(0.0, 0.0, 0.0, ())
+        return CondVariance(0.0, 0.0, 0.0)
     slots = _vtilde_slots(kernel)
     prof = _contract(separable_terms(kernel), slots, sizes, sizes, _time_weights(path, t))
-    per = prof * prof * post * post
-    jump_term = float(np.sum(per))
+    jump_term = float(np.sum(prof * prof * post * post))
     struct = _CovStructure(path, kernel, t)
     svec = struct.tuple_sum_vector(sizes)
     field_term = float(svec @ struct.P @ svec)
-    table = tuple((f"jump_{p}", float(v)) for p, v in enumerate(per))
-    table += (("gaussian_field", field_term),)
-    return CondVariance(
-        total=jump_term + field_term,
-        jump_term=jump_term,
-        field_term=field_term,
-        per_jump=table,
-    )
+    return CondVariance(total=jump_term + field_term, jump_term=jump_term, field_term=field_term)

@@ -9,9 +9,10 @@ Each recorded jump k gets independent extension variables
 The jump-case limit draw contracts the per-jump derivative sums against
 R; the mixed-case draw adds a conditionally Gaussian field evaluated at
 the distinct jump-size tuples, sampled by Cholesky factorization of the
-exact covariance matrix (with escalating diagonal jitter).  Everything
-is a deterministic function of (path, seed); the field uses a sub-seed
-derived by hashing so the two terms stay reproducible independently.
+exact covariance matrix (with escalating diagonal jitter).  A draw is a
+plain float and a deterministic function of (path, seed); the field uses
+a sub-seed derived by hashing so the two terms stay reproducible
+independently.  The block split l is read from the kernel.
 """
 
 from __future__ import annotations
@@ -24,14 +25,13 @@ from typing import Optional
 
 import numpy as np
 
-from uvstat.kernels import KernelError, KernelSpec, _check_l, separable_terms
+from uvstat.kernels import KernelError, KernelSpec, separable_terms
 from uvstat.limits import _contract, _CovStructure, _jump_data, _resolve_t, _time_weights
 from uvstat.limits import _vbar_slots, _vtilde_slots
 from uvstat.simulate import SamplePath
 
 __all__ = [
     "JumpAugmentation",
-    "LimitDraw",
     "SamplerError",
     "augment",
     "sample_U_jump",
@@ -70,18 +70,6 @@ class JumpAugmentation:
         return len(self.kappa)
 
 
-@dataclass(frozen=True)
-class LimitDraw:
-    """One draw from a limit law with its component breakdown."""
-
-    value: float
-    breakdown: tuple
-    aug_seed: int
-
-    def breakdown_total(self) -> float:
-        return float(sum(v for _, v in self.breakdown))
-
-
 def augment(path: SamplePath, seed: int) -> JumpAugmentation:
     """Draw (kappa, psi-, psi+) per recorded jump; deterministic in (path, seed)."""
     gen = np.random.default_rng(np.random.SeedSequence(seed))
@@ -114,28 +102,15 @@ def sample_U_jump(
     path: SamplePath,
     kernel: KernelSpec,
     aug: JumpAugmentation,
-    l: Optional[int] = None,
     t: Optional[float] = None,
-) -> LimitDraw:
+) -> float:
     """Jump-case limit draw: t^{d-l} sum over l-tuples of partial_j H * R.
 
     Regrouped by which jump carries the R factor, the draw is
-    sum_q [t^{d-l} sum_k Vbar_k(Delta X_q)] R_q.
+    sum_q [t^{d-l} sum_k Vbar_k(Delta X_q)] R_q: the truncated draw
+    :func:`truncated_Z` with every jump kept.
     """
-    t = _resolve_t(path, t)
-    l = _check_l(kernel, l)
-    if len(aug) != len(path.jumps):
-        raise SamplerError("augmentation does not match the path's jump count")
-    sizes, _, _ = _jump_data(path, t)
-    J = len(sizes)
-    if J == 0:
-        return LimitDraw(0.0, (), aug.seed)
-    slots = _vbar_slots(kernel)
-    coeff = t ** (kernel.d - l) * _contract(separable_terms(kernel), slots, sizes, sizes)
-    per = coeff * aug.r[:J]
-    value = float(np.sum(per))
-    table = tuple((f"jump_{p}", float(v)) for p, v in enumerate(per))
-    return LimitDraw(value, table, aug.seed)
+    return truncated_Z(path, kernel, len(path.jumps), aug, t)
 
 
 def _cholesky_with_jitter(M: np.ndarray):
@@ -158,11 +133,10 @@ def sample_V_mixed(
     path: SamplePath,
     kernel: KernelSpec,
     aug: JumpAugmentation,
-    l: Optional[int] = None,
     seed: Optional[int] = None,
     t: Optional[float] = None,
     include_field: bool = True,
-) -> LimitDraw:
+) -> float:
     """Mixed-case limit draw: R-contracted drift-of-jump term plus Gaussian field.
 
     The field U_t(H, .) is a single realization evaluated at each distinct
@@ -171,8 +145,7 @@ def sample_V_mixed(
     that isolates the jump term.
     """
     t = _resolve_t(path, t)
-    l = _check_l(kernel, l)
-    d = kernel.d
+    d, l = kernel.d, kernel.l
     if not 1 <= l < d:
         raise KernelError("mixed-case sampling needs 1 <= l < d")
     if len(aug) != len(path.jumps):
@@ -180,12 +153,10 @@ def sample_V_mixed(
     sizes, _, _ = _jump_data(path, t)
     J = len(sizes)
     if J == 0:
-        return LimitDraw(0.0, (), aug.seed)
+        return 0.0
     slots = _vtilde_slots(kernel)
     coeff = _contract(separable_terms(kernel), slots, sizes, sizes, _time_weights(path, t))
-    per = coeff * aug.r[:J]
-    jump_term = float(np.sum(per))
-    table = tuple((f"jump_{p}", float(v)) for p, v in enumerate(per))
+    jump_term = float(np.sum(coeff * aug.r[:J]))
 
     field_term = 0.0
     if include_field:
@@ -209,8 +180,7 @@ def sample_V_mixed(
             gen = np.random.default_rng(np.random.SeedSequence(fseed))
             g = chol @ gen.standard_normal(len(y_list))
             field_term = float(np.dot(weights, g))
-    table += (("gaussian_field", field_term),)
-    return LimitDraw(jump_term + field_term, table, aug.seed)
+    return jump_term + field_term
 
 
 def truncated_Z(
@@ -218,16 +188,14 @@ def truncated_Z(
     kernel: KernelSpec,
     m: int,
     aug: JumpAugmentation,
-    l: Optional[int] = None,
     t: Optional[float] = None,
 ) -> float:
     """Jump-case limit draw restricted to the m largest jumps (by |size|).
 
-    Z(J) with J the full jump count reproduces sample_U_jump exactly; the
-    truncation reuses the same augmentation values, aligned by jump index.
+    Z(J), with J the full jump count, is the full draw; the truncation
+    reuses the same augmentation values, aligned by jump index.
     """
     t = _resolve_t(path, t)
-    l = _check_l(kernel, l)
     if m < 0:
         raise SamplerError(f"truncation level must be >= 0, got {m}")
     if len(aug) != len(path.jumps):
@@ -240,5 +208,7 @@ def truncated_Z(
     keep = np.sort(order[: min(m, J)])
     sub_sizes = sizes[keep]
     slots = _vbar_slots(kernel)
-    coeff = t ** (kernel.d - l) * _contract(separable_terms(kernel), slots, sub_sizes, sub_sizes)
+    coeff = t ** (kernel.d - kernel.l) * _contract(
+        separable_terms(kernel), slots, sub_sizes, sub_sizes
+    )
     return float(np.sum(coeff * aug.r[keep]))

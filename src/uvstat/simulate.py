@@ -193,10 +193,7 @@ class TruncNormal:
             raise SimulationError(f"TruncNormal scale must be > 0, got {self.s}")
         if not self.min_abs > 0:
             raise SimulationError(f"TruncNormal min_abs must be > 0, got {self.min_abs}")
-        scale = self.s * math.sqrt(2.0)
-        mass = 0.5 * (
-            math.erfc((self.min_abs - self.mu) / scale) + math.erfc((self.min_abs + self.mu) / scale)
-        )
+        mass = self._tail_mass()
         if mass < _MIN_TAIL_MASS:
             raise SimulationError(
                 f"TruncNormal tail mass P(|Z| >= min_abs) = {mass:.3g} is below {_MIN_TAIL_MASS:g}"
@@ -217,22 +214,26 @@ class TruncNormal:
         # unbounded support; the model-level bound comes from max_abs below
         return math.inf
 
-    def second_moment(self) -> float:
-        from scipy.integrate import quad
-        from scipy.stats import norm
+    def _tail_mass(self) -> float:
+        """P(|Z| >= min_abs) = Q(alpha) + Phi(beta), alpha = (a - mu)/s, beta = (-a - mu)/s."""
+        scale = self.s * math.sqrt(2.0)
+        return 0.5 * (
+            math.erfc((self.min_abs - self.mu) / scale) + math.erfc((self.min_abs + self.mu) / scale)
+        )
 
-        mass = norm.sf(self.min_abs, self.mu, self.s) + norm.cdf(-self.min_abs, self.mu, self.s)
-        val, _ = quad(
-            lambda z: z * z * norm.pdf(z, self.mu, self.s),
-            -np.inf,
-            -self.min_abs,
-        )
-        val2, _ = quad(
-            lambda z: z * z * norm.pdf(z, self.mu, self.s),
-            self.min_abs,
-            np.inf,
-        )
-        return (val + val2) / mass
+    def second_moment(self) -> float:
+        """E[Z^2 | |Z| >= a] in closed form, with Q = 1 - Phi:
+
+        E[Z^2; |Z| >= a] = (mu^2 + s^2)(Q(alpha) + Phi(beta))
+                           + s (a + mu) phi(alpha) - s (mu - a) phi(beta).
+        """
+        mu, s, a = self.mu, self.s, self.min_abs
+        alpha, beta = (a - mu) / s, (-a - mu) / s
+        mass = self._tail_mass()
+        pdf_alpha = math.exp(-0.5 * alpha * alpha) / math.sqrt(2.0 * math.pi)
+        pdf_beta = math.exp(-0.5 * beta * beta) / math.sqrt(2.0 * math.pi)
+        tail = (mu * mu + s * s) * mass + s * (a + mu) * pdf_alpha - s * (mu - a) * pdf_beta
+        return tail / mass
 
 
 @dataclass(frozen=True)

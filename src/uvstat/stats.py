@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 from scipy.stats import norm
 
-from uvstat.kernels import KernelSpec, KernelError, _check_l, eval_h, separable_terms
+from uvstat.kernels import KernelSpec, KernelError, eval_h, separable_terms
 from uvstat.simulate import SamplePath, SimulationError, first_order_increments, increments
 
 __all__ = [
@@ -111,18 +111,21 @@ def _factorized_value(kernel: KernelSpec, coord_data) -> float:
     return total
 
 
-def _nested_value(kernel: KernelSpec, coord_data) -> float:
-    """Brute force over all index tuples, chunked; the oracle path."""
-    d = kernel.d
-    count = len(coord_data[0])
+def _check_nested_size(d: int, count: int) -> None:
     if d > 3 or count > NESTED_MAX_COUNT or count**d > _NESTED_MAX_TUPLES:
         raise KernelError(
             f"nested evaluation guard exceeded (d={d}, count={count}); "
             "use the factorized strategy with a separable kernel"
         )
+
+
+def _nested_value(kernel: KernelSpec, coord_data) -> float:
+    """Brute force over all index tuples, chunked; the oracle path."""
+    d = kernel.d
+    count = len(coord_data[0])
+    _check_nested_size(d, count)
     total = 0.0
     n_tuples = count**d
-    idx = np.arange(count)
     for start in range(0, n_tuples, _NESTED_CHUNK):
         stop = min(start + _NESTED_CHUNK, n_tuples)
         flat = np.arange(start, stop)
@@ -135,32 +138,32 @@ def _nested_value(kernel: KernelSpec, coord_data) -> float:
     return total
 
 
+def _full_sum(kernel: KernelSpec, coord_data, strategy: str) -> float:
+    """Sum of H over all index tuples by the chosen strategy."""
+    if strategy == "factorized":
+        return _factorized_value(kernel, coord_data)
+    if strategy == "nested":
+        return _nested_value(kernel, coord_data)
+    raise KernelError(f"unknown strategy {strategy!r}")
+
+
 def v_stat(
     data,
     kernel: KernelSpec,
-    l: Optional[int] = None,
     t: Optional[float] = None,
     n: Optional[int] = None,
     strategy: str = "factorized",
 ) -> StatValue:
     """V(H, X, l)_t^n = n^{-(d-l)} sum over all index tuples of H(Delta X)."""
-    l = _check_l(kernel, l)
     inc, n, t, window = _resolve(data, t, n)
-    coord_data = [inc] * kernel.d
-    if strategy == "factorized":
-        raw = _factorized_value(kernel, coord_data)
-    elif strategy == "nested":
-        raw = _nested_value(kernel, coord_data)
-    else:
-        raise KernelError(f"unknown strategy {strategy!r}")
-    value = raw * float(n) ** (-(kernel.d - l))
+    raw = _full_sum(kernel, [inc] * kernel.d, strategy)
+    value = raw * float(n) ** (-(kernel.d - kernel.l))
     return StatValue("V", value, window, kernel.text(), strategy)
 
 
 def y_stat(
     data,
     kernel: KernelSpec,
-    l: Optional[int] = None,
     t: Optional[float] = None,
     n: Optional[int] = None,
     strategy: str = "factorized",
@@ -170,16 +173,10 @@ def y_stat(
     The first l coordinates see sqrt(n)-scaled increments, the rest see
     raw increments.
     """
-    l = _check_l(kernel, l)
     inc, n, t, window = _resolve(data, t, n)
-    scaled = math.sqrt(n) * inc
-    coord_data = [scaled] * l + [inc] * (kernel.d - l)
-    if strategy == "factorized":
-        raw = _factorized_value(kernel, coord_data)
-    elif strategy == "nested":
-        raw = _nested_value(kernel, coord_data)
-    else:
-        raise KernelError(f"unknown strategy {strategy!r}")
+    l = kernel.l
+    coord_data = [math.sqrt(n) * inc] * l + [inc] * (kernel.d - l)
+    raw = _full_sum(kernel, coord_data, strategy)
     value = raw * float(n) ** (-l)
     return StatValue("Y", value, window, kernel.text(), strategy)
 
@@ -214,11 +211,7 @@ def u_stat(
                 prev = cur
             total += coeff * prev[count]
     elif strategy == "nested":
-        if d > 3 or count > NESTED_MAX_COUNT or count**d > _NESTED_MAX_TUPLES:
-            raise KernelError(
-                f"nested evaluation guard exceeded (d={d}, count={count}); "
-                "use the factorized strategy with a separable kernel"
-            )
+        _check_nested_size(d, count)
         total = 0.0
         for combo in itertools.combinations(range(count), d):
             total += eval_h(kernel, z[list(combo)])

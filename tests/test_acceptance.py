@@ -243,7 +243,7 @@ def test_criterion_07_mixed_clt(clt_mixed):
             break
     draws = np.array(
         [
-            sample_V_mixed(path, KMIX, augment(path, derive_seed(404, 1, 0, s))).value
+            sample_V_mixed(path, KMIX, augment(path, derive_seed(404, 1, 0, s)))
             for s in range(10_000)
         ]
     )

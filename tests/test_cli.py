@@ -1,5 +1,6 @@
 """Config parsing, canonical round-trips, and the CLI surface."""
 
+import hashlib
 import json
 from pathlib import Path
 
@@ -209,6 +210,16 @@ def test_grid_test_on_csv(tmp_path, capsys):
     assert len(rows) == 5
 
 
+def test_grid_test_on_zero_increments_exits_1(tmp_path, capsys):
+    zeros = tmp_path / "zeros.csv"
+    zeros.write_text("0.0\n0.0\n0.0\n", encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["grid-test", "--input", str(zeros), "--beta", "0.5:1.0:0.5", "--output", str(out)])
+    assert rc == 1
+    assert "envelope" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_simulate_and_stat_commands(tmp_path, capsys):
     doc = jump_clt_doc(kind="LLN", reps=2, n=128)
     doc["io"] = {"output_dir": str(tmp_path / "out")}
@@ -394,3 +405,37 @@ def test_simulate_binary_matches_json(tmp_path):
     assert back.jumps == ref.jumps and len(back.jumps) > 0
     for name in ("x_grid", "sigma_grid", "w_increments", "w_before_jump"):
         np.testing.assert_array_equal(getattr(back, name), getattr(ref, name))
+
+
+# sha256 of report.json and errors.csv for each shipped config at its own seed
+SHIPPED_DIGESTS = {
+    "clt_jump.cfg": (
+        "f35d79447e46cc159413d1834e4f0f86aa129a5e6bf273a252d9b704fc3a09fa",
+        "f667f1b9522219e2cfc34f9cd8bb584b8a3101b93262db57d0d319fa4308591d",
+    ),
+    "clt_mixed.cfg": (
+        "7a56d1ea30c304c1e862fbd9dbe5fc77b4f567cfbef1bfde86bd4d62f501b153",
+        "9aa0f4c01225b369c85823190f3962457495fa670f3f1c1d5e1bb06517365e4a",
+    ),
+    "grid_test.cfg": (
+        "888f54dc8ec7d6e6387f48562ffabf7a371245b59c18b4c801e3a79cdaf38952",
+        "8e5ab6fc055561dd29997819946b996b1a4c28990eb0fe4ac6e6aca1ee74a969",
+    ),
+    "lln_jump.cfg": (
+        "a5217ac49943e48ad591eb7489f4c8e083e139274bc60788ab1d2b782129bd41",
+        "772447cf6b736defa7c0e5851f487573bdf27d4543e31dfd576e8cd43a6d172e",
+    ),
+}
+SUBCOMMAND = {"CLT_jump": "verify-clt", "CLT_mixed": "verify-clt", "GRID": "grid-test", "LLN": "verify-lln"}
+
+
+@pytest.mark.parametrize("cfgfile", CONFIGS, ids=lambda p: p.name)
+def test_shipped_config_reports_byte_identical(cfgfile, tmp_path, capsys):
+    kind = json.loads(cfgfile.read_text(encoding="utf-8"))["experiment"]["kind"]
+    rc = main([SUBCOMMAND[kind], "--config", str(cfgfile), "--output", str(tmp_path)])
+    assert rc == 0
+    digests = tuple(
+        hashlib.sha256((tmp_path / name).read_bytes()).hexdigest()
+        for name in ("report.json", "errors.csv")
+    )
+    assert digests == SHIPPED_DIGESTS[cfgfile.name]

@@ -244,7 +244,6 @@ def test_cond_var_jump_two_jumps_brute_force():
                 w += partial_h(K22, k_idx - 1, pt)
         brute += 0.5 * w * w * (sigma**2 + sigma**2)
     assert cv.total == pytest.approx(brute, rel=1e-12)
-    assert sum(v for _, v in cv.per_jump) == pytest.approx(cv.total, rel=1e-12)
 
 
 # ---------------------------------------------------------------------------
@@ -390,15 +389,11 @@ def test_jump_limit_against_eval_h_enumeration_across_catalog():
 
 
 def test_vbar_against_partial_h_enumeration_across_catalog():
-    # first-block powers >= 1 only: below that the derivative factor has a
-    # negative power, which Factor1D does not represent
     sizes = [0.8, -1.3, 0.55]
     path = synthetic_path(sizes)
     y = -0.65
     checked = 0
     for k in catalog_kernels():
-        if min(k.p) < 1.0:
-            continue
         for k_idx in range(1, k.l + 1):
             brute = 0.0
             for combo in itertools.product(sizes, repeat=k.l - 1):
@@ -409,6 +404,31 @@ def test_vbar_against_partial_h_enumeration_across_catalog():
             assert got == pytest.approx(brute, rel=1e-10, abs=1e-12), (k.text(), k_idx)
             checked += 1
     assert checked >= 15
+
+
+def test_vbar_first_block_power_below_one():
+    # d/dx |x|^0.5 = 0.5 sign(x) |x|^-0.5: finite away from 0, undefined at 0
+    k = KernelSpec(d=1, l=1, p=(0.5,), regime="JumpCLT")
+    path = synthetic_path([0.8, -1.3])
+    assert vbar(path, k, y=-0.65) == pytest.approx(partial_h(k, 0, [-0.65]), rel=1e-12)
+    with pytest.raises(KernelError, match="not defined at 0"):
+        vbar(path, k, y=0.0)
+
+
+def test_cond_var_jump_power_below_one_brute_force():
+    sigma = 0.9
+    k = KernelSpec(d=2, l=2, p=(0.5, 1.5), regime="JumpCLT")
+    path = synthetic_path([0.8, -1.3, 0.55], sigma=sigma)
+    sizes = path.jump_sizes()
+    brute = 0.0
+    for z in sizes:
+        w = 0.0
+        for k_idx in (1, 2):
+            for other in sizes:
+                pt = [z, other] if k_idx == 1 else [other, z]
+                w += partial_h(k, k_idx - 1, pt)
+        brute += 0.5 * w * w * (sigma**2 + sigma**2)
+    assert cond_var_jump(path, k).total == pytest.approx(brute, rel=1e-12)
 
 
 def test_cond_var_mixed_field_term_pairwise_d3():

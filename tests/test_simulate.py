@@ -1,12 +1,14 @@
 """Path simulation: determinism, reconstruction, jump ground truth."""
 
+import itertools
 import json
 import math
 import re
 
 import numpy as np
 import pytest
-from scipy.stats import chisquare, ks_2samp, poisson
+from scipy.integrate import quad
+from scipy.stats import chisquare, ks_2samp, norm, poisson
 
 from uvstat.simulate import (
     AtomList,
@@ -306,6 +308,17 @@ def test_truncnormal_sizes():
     draws = dist.draw(gen, 500)
     assert np.all(np.abs(draws) >= 0.4)
     assert dist.second_moment() > 0.4**2
+
+
+def test_truncnormal_second_moment_against_quadrature():
+    for mu, s, a in itertools.product((-2.0, -0.3, 0.0, 0.7, 3.0), (0.2, 1.0, 2.5), (0.05, 0.4, 1.5)):
+        mass = norm.sf(a, mu, s) + norm.cdf(-a, mu, s)
+        if mass < 1e-6:
+            continue  # refused by TruncNormal itself
+        dist = TruncNormal(mu=mu, s=s, min_abs=a)
+        integrand = lambda z: z * z * norm.pdf(z, mu, s)
+        oracle = (quad(integrand, -np.inf, -a)[0] + quad(integrand, a, np.inf)[0]) / mass
+        assert dist.second_moment() == pytest.approx(oracle, rel=1e-9), (mu, s, a)
 
 
 def test_json_round_trip():

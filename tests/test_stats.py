@@ -49,9 +49,9 @@ def brownian_path(seed=1, n=256, intensity=0.0, sigma0=1.0, drift=0.0):
 def test_v_stat_hand_values():
     data = np.array([1.0, -2.0])
     k22 = KernelSpec(d=2, l=2, p=(4.0, 4.0), regime="JumpCLT")
-    assert v_stat(data, k22, l=2, t=1.0).value == pytest.approx((1 + 16.0) ** 2)
+    assert v_stat(data, k22, t=1.0).value == pytest.approx((1 + 16.0) ** 2)
     k21 = KernelSpec(d=2, l=1, p=(4.0,), q=(0.0,), regime="JumpLLN")
-    assert v_stat(data, k21, l=1, t=1.0).value == pytest.approx(17.0)
+    assert v_stat(data, k21, t=1.0).value == pytest.approx(17.0)
 
 
 def test_v_stat_gridsin_factorized_vs_nested():
@@ -60,12 +60,6 @@ def test_v_stat_gridsin_factorized_vs_nested():
     fac = v_stat(data, gt, t=1.0, strategy="factorized").value
     nst = v_stat(data, gt, t=1.0, strategy="nested").value
     assert abs(fac - nst) <= 1e-12 * (1 + abs(nst))
-
-
-def test_v_stat_l_mismatch():
-    k = KernelSpec(d=2, l=2, p=(4.0, 4.0), regime="JumpCLT")
-    with pytest.raises(KernelError):
-        v_stat(np.array([1.0, 2.0]), k, l=1)
 
 
 def test_nested_guard():
@@ -84,8 +78,8 @@ def test_y_stat_l0_equals_v_stat_full_jump_block():
     data = np.array([0.4, -0.8, 1.1])
     k = KernelSpec(d=2, l=0, q=(4.0, 4.0), regime="JumpLLN")
     kv = KernelSpec(d=2, l=2, p=(4.0, 4.0), regime="JumpCLT")
-    y = y_stat(data, k, l=0, t=1.0).value
-    v = v_stat(data, kv, l=2, t=1.0).value
+    y = y_stat(data, k, t=1.0).value
+    v = v_stat(data, kv, t=1.0).value
     assert y == pytest.approx(v, rel=1e-12)
 
 
@@ -106,7 +100,7 @@ def test_y_stat_hand_double_sum():
         for j in range(2):
             direct += abs(math.sqrt(n) * data[i]) ** 0.5 * abs(data[j]) ** 4
     direct /= n
-    assert y_stat(data, k, l=1, t=1.0).value == pytest.approx(direct, rel=1e-12)
+    assert y_stat(data, k, t=1.0).value == pytest.approx(direct, rel=1e-12)
 
 
 def test_y_stat_scaling_identity():
