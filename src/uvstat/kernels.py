@@ -15,7 +15,8 @@ d-fold statistics possible.
 
 The one exact calculus is :class:`Factor1D`: products, derivatives and
 Gaussian moments E[f(sigma U)] of the one-dimensional factors (closed
-form, or one-dimensional quadrature when cos/sin are present).  Partial
+form, or quadrature over a bit-identical float copy of Factor1D.val
+when cos/sin are present).  Partial
 derivatives of H, rho_H and everything else in the package (statistics,
 limit functionals, conditional variances) are written against the
 separable terms.  The :class:`LExpr` tree only parses, prints, expands
@@ -62,6 +63,7 @@ __all__ = [
 REGIMES = ("JumpLLN", "JumpCLT", "MixedLLN", "MixedCLT", "GridTest")
 
 _SQRT_PI = math.sqrt(math.pi)
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 class KernelError(ValueError):
@@ -86,10 +88,6 @@ def abs_moment(p: float) -> float:
     return 2.0 ** (p / 2.0) * math.gamma((p + 1.0) / 2.0) / _SQRT_PI
 
 
-def _phi(u):
-    return math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-
-
 # ---------------------------------------------------------------------------
 # One-dimensional factors
 # ---------------------------------------------------------------------------
@@ -104,7 +102,8 @@ class Factor1D:
     exact calculus: the class is closed under multiplication (:meth:`mul`)
     and differentiation (:meth:`derivative`), and knows its own Gaussian
     moments E[f(sigma U)] with U ~ N(0, 1) (:meth:`gaussian_moment_vec`;
-    closed form where available, split adaptive quadrature otherwise).
+    closed form where available, split adaptive quadrature otherwise,
+    over the scalar copy :meth:`_val_scalar` of :meth:`val`).
 
     The power may be negative: the derivative of |x|^p with p < 1 carries
     |x|^{p-1}, which is finite only away from x = 0.
@@ -150,6 +149,32 @@ class Factor1D:
         if self.poly2:
             out = out * np.polynomial.polynomial.polyval(x * x, self.poly2)
         return out if out.ndim else float(out)
+
+    def _val_scalar(self, x: float) -> float:
+        """:meth:`val` on a Python float, bit for bit (the quadrature integrand).
+
+        Step for step as val on a 0-d array: ``**`` is C pow like numpy's
+        scalar power (with val's inf at 0 for a negative power), np.sign's
+        values (0 at +-0), math.cos/sin (equal to numpy's), numpy's exp
+        (math.exp is not its AVX-512 exp) and polyval's Horner order.
+        """
+        p = self.power
+        out = 1.0 if p == 0.0 else abs(x) ** p if x or p > 0.0 else math.inf
+        if self.sign_pow:
+            out *= (x > 0.0) - (x < 0.0)
+        for c in self.cos_args:
+            out *= math.cos(c * x)
+        for c in self.sin_args:
+            out *= math.sin(c * x)
+        for c in self.gauss_args:
+            out *= float(np.exp(-c * x * x))
+        if self.poly2:
+            xx = x * x
+            acc = self.poly2[-1] + xx * 0.0
+            for a in self.poly2[-2::-1]:
+                acc = a + acc * xx
+            out *= acc
+        return out
 
     def mul(self, other: "Factor1D") -> "Factor1D":
         if self.poly2 and other.poly2:
@@ -208,16 +233,21 @@ class Factor1D:
 
     def _moment_quad(self, sigma: float) -> float:
         # integrand is even here, so integrate the positive half axis twice;
-        # splitting at 0 keeps the |x|^p cusp off the panel interior.
+        # splitting at 0 keeps the |x|^p cusp off the panel interior.  The
+        # integrand has val's bits; full_output hands back QUADPACK's note
+        # for the error instead of warning.
         def integrand(u):
-            return self.val(sigma * u) * _phi(u)
+            return self._val_scalar(sigma * u) * (math.exp(-0.5 * u * u) / _SQRT_2PI)
 
-        val, err = quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400)
+        val, err, _, *msg = quad(
+            integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400, full_output=1
+        )
         val, err = 2.0 * val, 2.0 * err
         if err > 1e-8 * (1.0 + abs(val)):
+            note = f" ({' '.join(msg[0].split())})" if msg else ""
             raise QuadratureError(
                 f"gaussian moment quadrature achieved tolerance {err:.3e} "
-                f"for factor {self} at sigma={sigma}",
+                f"for factor {self} at sigma={sigma}{note}",
                 achieved=err,
             )
         return val
@@ -600,16 +630,17 @@ def partial_h(kernel: KernelSpec, j: int, point) -> float:
     differentiates, through :meth:`Factor1D.derivative` (whose power
     term carries the negative power p - 1 when p < 1).  No cancellation
     occurs near x_j = 0: for power > 1 the value there is exactly the
-    true limit 0, while power <= 1 at x_j = 0 is a domain error.
+    true limit 0, while 0 < power <= 1 at x_j = 0 is a domain error
+    (power 0 leaves only the smooth factor to differentiate).
     """
     if not 0 <= j < kernel.d:
         raise KernelError(f"coordinate {j} outside 0..{kernel.d - 1}")
     pt = np.asarray(point, dtype=float)
     pj = kernel.powers[j]
     xj = pt[..., j]
-    if np.any(xj == 0.0) and pj <= 1.0:
+    if np.any(xj == 0.0) and 0.0 < pj <= 1.0:
         raise KernelError(
-            f"partial_h at x_{j} = 0 with power {pj} <= 1 is not defined"
+            f"partial_h at x_{j} = 0 with power 0 < {pj} <= 1 is not defined"
         )
     out = np.zeros(pt.shape[:-1])
     for coeff, factors in separable_terms(kernel):

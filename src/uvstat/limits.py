@@ -138,9 +138,9 @@ def _contract(terms, slots, sizes, points=None, grid=None):
       (sigmas, weights), the mixed route;
     * "sum": summed over the jump sizes;
     * "free": evaluated at points;
-    * "deriv": f' (from Factor1D.derivative) evaluated at points; a
-      derivative factor with a negative power (f = |x|^p ... with p < 1)
-      is not defined at a zero point, which raises KernelError.
+    * "deriv": f' (from Factor1D.derivative) evaluated at points; for
+      f = |x|^p ... with 0 < p <= 1 the derivative is not defined at a
+      zero point, which raises KernelError (as partial_h does).
 
     Several free/deriv slots take the free role in turn, the others being
     summed over the jumps; the result adds up those choices.  Terms are
@@ -175,12 +175,12 @@ def _contract(terms, slots, sizes, points=None, grid=None):
             elif slots[k] == "free":
                 total += fixed * rest * factors[k].val(points)
             else:
+                if 0.0 < factors[k].power <= 1.0 and np.any(np.asarray(points) == 0.0):
+                    raise KernelError(
+                        f"derivative of |x|^{factors[k].power!r} is not defined at 0"
+                    )
                 dvals = np.zeros(np.shape(points))
                 for dcoef, dfac in factors[k].derivative():
-                    if dfac.power < 0.0 and np.any(np.asarray(points) == 0.0):
-                        raise KernelError(
-                            f"derivative of |x|^{factors[k].power!r} is not defined at 0"
-                        )
                     dvals += dcoef * dfac.val(points)
                 total += fixed * rest * dvals
     return total if np.ndim(total) else float(total)

@@ -2,6 +2,7 @@
 
 import hashlib
 import json
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -243,6 +244,26 @@ def test_stat_on_csv_input(tmp_path, capsys):
     assert main(["stat", "--config", str(cfgfile), "--stat", "V", "--input", str(ticks)]) == 0
     doc_out = json.loads(capsys.readouterr().out)
     assert doc_out["value"] == pytest.approx(289.0)
+
+
+def test_quadrature_failure_exits_2_with_one_line(tmp_path, capsys):
+    doc = config_doc(
+        kernel="d=2 l=1 p=0.5 q=4.0 regime=MixedLLN L=(grid_sin 0.125 0 1)",
+        experiment={"kind": "LLN", "n_list": [32], "reps": 2, "t": 1.0},
+        io={"output_dir": str(tmp_path / "out")},
+    )
+    doc["model"]["vol"]["sigma0"] = 5.0
+    doc["model"]["jumps"]["intensity"] = 2.0
+    cfgfile = write_config(tmp_path, doc)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no IntegrationWarning ahead of the error line
+        rc = main(["verify-lln", "--config", str(cfgfile)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert len(err.splitlines()) == 1
+    assert err.startswith("runtime error: gaussian moment quadrature achieved tolerance")
+    assert "for factor Factor1D(power=0.5" in err and "at sigma=5.0" in err
+    assert not (tmp_path / "out").exists()
 
 
 def test_wrong_kind_for_subcommand(tmp_path, capsys):

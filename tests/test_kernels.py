@@ -1,6 +1,8 @@
 """Kernel evaluation, derivatives, Gaussian moments, admissibility."""
 
 import math
+import re
+import warnings
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 
 from uvstat.kernels import (
+    Factor1D,
     GaussBump,
     GridSin,
     KernelError,
@@ -15,6 +18,7 @@ from uvstat.kernels import (
     ONE,
     PolyEven,
     Product,
+    QuadratureError,
     Sum,
     abs_moment,
     check_admissibility,
@@ -291,6 +295,95 @@ def test_rho_rejects_bad_sigma():
     k = KernelSpec(d=1, l=1, p=(0.5,), regime="MixedCLT")
     with pytest.raises(KernelError):
         rho(k, [-1.0], [])
+
+
+# ---------------------------------------------------------------------------
+# Gaussian-moment quadrature
+# ---------------------------------------------------------------------------
+
+TWO_PI = 2.0 * math.pi
+QUAD_SIGMAS = (0.05, 0.3, 1.0, 2.5)
+# float.hex of Factor1D._moment_quad at QUAD_SIGMAS, as the integrand built
+# from val on 0-d arrays gave them; the float copy _val_scalar keeps them.
+QUAD_PINS = [
+    (
+        Factor1D(cos_args=(TWO_PI,)),
+        ("0x1.e758dba2b5b96p-1", "0x1.5a92659d24385p-3", "0x1.6fb054aa0a8d8p-29", "0x1.35e0000000000p-55"),
+    ),
+    (
+        Factor1D(power=0.5, cos_args=(TWO_PI,)),
+        ("0x1.5d6e88baf86f4p-3", "-0x1.483e1868d5c56p-5", "-0x1.11e431a78531cp-5", "-0x1.a35360040c5a3p-7"),
+    ),
+    (
+        Factor1D(power=4.0, sign_pow=1, sin_args=(TWO_PI / 0.7,)),
+        ("0x1.e9104efaa9cf8p-17", "-0x1.dd7e495099864p-9", "0x1.a68f9b4de2788p-12", "0x1.1c251beffe000p-13"),
+    ),
+    (
+        Factor1D(power=-0.5, sign_pow=1, sin_args=(TWO_PI,)),
+        ("0x1.208a9fc6dced5p+0", "0x1.5b1938b93dba3p+0", "0x1.9ca3a742b176ap-2", "0x1.47508fa96fc03p-3"),
+    ),
+    (
+        Factor1D(power=1.5, cos_args=(TWO_PI,), gauss_args=(0.5,)),
+        ("0x1.14d7e0b43b1fep-7", "-0x1.82889403e2474p-5", "-0x1.55b66ec5484cbp-7", "-0x1.cd0fc7b43f380p-9"),
+    ),
+    (
+        Factor1D(power=4.0, cos_args=(TWO_PI / 1.3,), poly2=(1.0, 0.25)),
+        ("0x1.0ef92f174e716p-16", "-0x1.0885cd4c12d4cp-6", "-0x1.12c4e0f7a72c0p-7", "-0x1.2000000000000p-45"),
+    ),
+]
+
+
+def test_moment_quad_pinned_bits():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # full_output: QUADPACK's notes never warn
+        for f, pins in QUAD_PINS:
+            got = tuple(f._moment_quad(s).hex() for s in QUAD_SIGMAS)
+            assert got == pins, f.to_tokens()
+
+
+def _catalog_factors():
+    out = set()
+    for k in catalog_kernels():
+        for _, factors in separable_terms(k):
+            for f in factors:
+                out.add(f)
+                out.update(d for _, d in f.derivative())
+    return sorted(out, key=repr)
+
+
+def test_val_scalar_matches_val_bitwise():
+    # plus the pinned factors, a three-coefficient polynomial (Horner's
+    # order) and |x|^-0.5, which val sends to inf at +-0 where ** raises
+    factors = _catalog_factors() + [f for f, _ in QUAD_PINS]
+    factors.append(Factor1D(power=2.0, cos_args=(TWO_PI,), poly2=(1.0, -0.5, 0.125)))
+    factors.append(Factor1D(power=-0.5))
+    assert len(factors) >= 40
+    tiny = (5e-324, 2.2250738585072014e-308, 1e-300, 1e-160, 1e-20)
+    special = [0.0, -0.0] + [s * t for t in tiny for s in (1.0, -1.0)]
+    # 10^5 normal points across scales 0.05..50, dealt out over the factors:
+    # val on a 0-d array costs ~5 us, too slow for every factor at every point
+    gen = np.random.default_rng(20151)
+    per = -(-100_000 // len(factors))
+    scales = np.exp(gen.uniform(math.log(0.05), math.log(50.0), size=(len(factors), per)))
+    points = scales * gen.standard_normal((len(factors), per))
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # val's 0 ** -0.5 = inf
+        for f, row in zip(factors, points):
+            for x in special + row.tolist():
+                assert f._val_scalar(x).hex() == f.val(x).hex(), (f.to_tokens(), x)
+
+
+def test_moment_quad_failure_is_a_clean_quadrature_error():
+    f = Factor1D(power=4.0, cos_args=(50.0,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError) as info:
+            f._moment_quad(5.0)
+    assert info.value.achieved > 1e-8
+    text = str(info.value)
+    assert "\n" not in text
+    assert "cos_args=(50.0,)" in text
+    assert re.search(r"at sigma=5\.0 \(\w.+\)$", text)  # QUADPACK's own note
 
 
 # ---------------------------------------------------------------------------

@@ -8,10 +8,12 @@ import pytest
 
 from uvstat.kernels import (
     GaussBump,
+    GridSin,
     KernelError,
     KernelSpec,
     abs_moment,
     eval_h,
+    kernel_from_text,
     partial_h,
     rho,
 )
@@ -175,6 +177,21 @@ def test_mixed_limit_stochastic_sigma_riemann():
             acc += rho(KMIX, [path.sigma_grid[i]], [z]) / path.n
         direct += acc
     assert lv.value == pytest.approx(direct, rel=1e-9)
+
+
+def test_mixed_limit_grid_sin_itosm_pinned_bits():
+    # every grid sigma of this path is one Gaussian-moment quadrature per
+    # cos/sin factor; the value is pinned to the last bit
+    cfg = ModelConfig(
+        drift_b=0.0,
+        vol=VolatilityModel(kind="ItoSM", sigma0=1.0, tilde_sigma=0.2, tilde_v=0.2),
+        jumps=JumpModel(intensity=2.0, size_dist=AtomList(((1.0, 0.5), (-1.0, 0.5))), max_abs=3.0),
+        bound_A=10.0,
+    )
+    k = kernel_from_text("d=2 l=1 p=0.5 q=4.0 regime=MixedLLN L=(grid_sin 1.0 0 1)")
+    path = simulate_path(cfg, n=64, T=1.0, seed=4)
+    assert len(path.jump_sizes()) == 5
+    assert mixed_limit(path, k).value.hex() == "0x1.1ce5e760d4d94p+1"
 
 
 def test_mixed_limit_gauss_bump_vs_quadrature():
@@ -413,6 +430,22 @@ def test_vbar_first_block_power_below_one():
     assert vbar(path, k, y=-0.65) == pytest.approx(partial_h(k, 0, [-0.65]), rel=1e-12)
     with pytest.raises(KernelError, match="not defined at 0"):
         vbar(path, k, y=0.0)
+
+
+def test_vbar_and_partial_h_agree_at_zero():
+    # d/dx |x| = sign(x) has no value at 0: both refuse it; with power 0
+    # only the smooth factor is differentiated, which both do at 0
+    path = synthetic_path([0.8, -1.3])
+    k1 = KernelSpec(d=1, l=1, p=(1.0,), regime="JumpCLT")
+    with pytest.raises(KernelError, match="not defined"):
+        partial_h(k1, 0, [0.0])
+    with pytest.raises(KernelError, match="not defined at 0"):
+        vbar(path, k1, y=0.0)
+    assert vbar(path, k1, y=-0.65) == partial_h(k1, 0, [-0.65]) == -1.0
+    k0 = KernelSpec(d=2, l=2, p=(0.0, 4.0), L=GridSin(1.3, 0, 1), regime="JumpCLT")
+    brute = sum(partial_h(k0, 0, [0.0, z]) for z in path.jump_sizes())
+    assert brute != 0.0
+    assert vbar(path, k0, y=0.0) == pytest.approx(brute, rel=1e-12)
 
 
 def test_cond_var_jump_power_below_one_brute_force():
