@@ -29,6 +29,7 @@ import scipy
 import uvstat
 from uvstat.config import ConfigError, RunConfig, canonical_text, parse_beta_grid, parse_config
 from uvstat.harness import ExperimentPlan, ExperimentReport, HarnessError, grid_scan, run_plan
+from uvstat.harness import _is_jump_route
 from uvstat.kernels import KernelError, check_admissibility
 from uvstat.limits import cond_var_jump, cond_var_mixed, jump_limit, mixed_limit
 from uvstat.simulate import SimulationError, path_to_binary, path_to_json, simulate_path
@@ -185,7 +186,7 @@ def _cmd_limits(args, cfg: RunConfig) -> int:
     n = plan.n_list[-1]
     path = simulate_path(plan.model, n, plan.t, plan.base_seed)
     kernel = plan.kernel
-    if kernel.regime in ("JumpLLN", "JumpCLT", "GridTest"):
+    if _is_jump_route(kernel):
         limit, cond_var = jump_limit, cond_var_jump
     else:
         limit, cond_var = mixed_limit, cond_var_mixed

@@ -13,6 +13,11 @@ exact covariance matrix (with escalating diagonal jitter).  A draw is a
 plain float and a deterministic function of (path, seed); the field uses
 a sub-seed derived by hashing so the two terms stay reproducible
 independently.  The block split l is read from the kernel.
+
+Each draw reads the path through one ground-truth context of
+:mod:`uvstat.limits`, as the limits do: the jump sizes up to t, the
+kernel's separable terms and one Gaussian moment vector per distinct
+factor, shared by the jump-term coefficients and the field covariance.
 """
 
 from __future__ import annotations
@@ -25,9 +30,8 @@ from typing import Optional
 
 import numpy as np
 
-from uvstat.kernels import KernelError, KernelSpec, separable_terms
-from uvstat.limits import _contract, _CovStructure, _jump_data, _resolve_t, _time_weights
-from uvstat.limits import _vbar_slots, _vtilde_slots
+from uvstat.kernels import KernelError, KernelSpec
+from uvstat.limits import _CovStructure, _Truth, _vbar_slots, _vtilde_slots
 from uvstat.simulate import SamplePath
 
 __all__ = [
@@ -135,51 +139,43 @@ def sample_V_mixed(
     aug: JumpAugmentation,
     seed: Optional[int] = None,
     t: Optional[float] = None,
-    include_field: bool = True,
 ) -> float:
     """Mixed-case limit draw: R-contracted drift-of-jump term plus Gaussian field.
 
     The field U_t(H, .) is a single realization evaluated at each distinct
     (d-l)-tuple of jump sizes; index tuples with equal size vectors reuse
-    the same field value.  include_field=False is the diagnostic switch
-    that isolates the jump term.
+    the same field value.
     """
-    t = _resolve_t(path, t)
+    truth = _Truth(path, kernel, t)
     d, l = kernel.d, kernel.l
     if not 1 <= l < d:
         raise KernelError("mixed-case sampling needs 1 <= l < d")
     if len(aug) != len(path.jumps):
         raise SamplerError("augmentation does not match the path's jump count")
-    sizes, _, _ = _jump_data(path, t)
+    sizes = truth.sizes
     J = len(sizes)
     if J == 0:
         return 0.0
-    slots = _vtilde_slots(kernel)
-    coeff = _contract(separable_terms(kernel), slots, sizes, sizes, _time_weights(path, t))
+    coeff = truth.contract(_vtilde_slots(kernel), sizes)
     jump_term = float(np.sum(coeff * aug.r[:J]))
 
-    field_term = 0.0
-    if include_field:
-        uniq, counts = np.unique(sizes, return_counts=True)
-        K = len(uniq)
-        n_tuples = K ** (d - l)
-        if n_tuples > FIELD_TUPLE_BUDGET:
-            raise SamplerError(
-                f"{n_tuples} distinct jump tuples exceed the field budget {FIELD_TUPLE_BUDGET}"
-            )
-        combos = list(itertools.product(range(K), repeat=d - l))
-        y_list = [[float(uniq[i]) for i in combo] for combo in combos]
-        weights = np.array(
-            [math.prod(int(counts[i]) for i in combo) for combo in combos], dtype=float
+    uniq, counts = np.unique(sizes, return_counts=True)
+    K = len(uniq)
+    n_tuples = K ** (d - l)
+    if n_tuples > FIELD_TUPLE_BUDGET:
+        raise SamplerError(
+            f"{n_tuples} distinct jump tuples exceed the field budget {FIELD_TUPLE_BUDGET}"
         )
-        struct = _CovStructure(path, kernel, t)
-        M = struct.cov_matrix(y_list)
-        chol = _cholesky_with_jitter(M)
-        if chol is not None:
-            fseed = field_subseed(aug.seed) if seed is None else int(seed)
-            gen = np.random.default_rng(np.random.SeedSequence(fseed))
-            g = chol @ gen.standard_normal(len(y_list))
-            field_term = float(np.dot(weights, g))
+    combos = list(itertools.product(range(K), repeat=d - l))
+    y_list = [[float(uniq[i]) for i in combo] for combo in combos]
+    weights = np.array([math.prod(int(counts[i]) for i in combo) for combo in combos], dtype=float)
+    chol = _cholesky_with_jitter(_CovStructure(truth).cov_matrix(y_list))
+    field_term = 0.0
+    if chol is not None:
+        fseed = field_subseed(aug.seed) if seed is None else int(seed)
+        gen = np.random.default_rng(np.random.SeedSequence(fseed))
+        g = chol @ gen.standard_normal(len(y_list))
+        field_term = float(np.dot(weights, g))
     return jump_term + field_term
 
 
@@ -195,20 +191,19 @@ def truncated_Z(
     Z(J), with J the full jump count, is the full draw; the truncation
     reuses the same augmentation values, aligned by jump index.
     """
-    t = _resolve_t(path, t)
+    truth = _Truth(path, kernel, t)
     if m < 0:
         raise SamplerError(f"truncation level must be >= 0, got {m}")
     if len(aug) != len(path.jumps):
         raise SamplerError("augmentation does not match the path's jump count")
-    sizes, _, _ = _jump_data(path, t)
+    sizes = truth.sizes
     J = len(sizes)
     if J == 0 or m == 0:
         return 0.0
     order = np.argsort(-np.abs(sizes), kind="stable")
     keep = np.sort(order[: min(m, J)])
     sub_sizes = sizes[keep]
-    slots = _vbar_slots(kernel)
-    coeff = t ** (kernel.d - kernel.l) * _contract(
-        separable_terms(kernel), slots, sub_sizes, sub_sizes
+    coeff = truth.t ** (kernel.d - kernel.l) * truth.contract(
+        _vbar_slots(kernel), sub_sizes, sizes=sub_sizes
     )
     return float(np.sum(coeff * aug.r[keep]))

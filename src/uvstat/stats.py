@@ -29,7 +29,7 @@ import numpy as np
 from scipy.stats import norm
 
 from uvstat.kernels import KernelSpec, KernelError, eval_h, separable_terms
-from uvstat.simulate import SamplePath, SimulationError, first_order_increments, increments
+from uvstat.simulate import SamplePath, SimulationError, _count, first_order_increments, increments
 
 __all__ = [
     "IndexWindow",
@@ -81,7 +81,7 @@ def _resolve(data: Union[SamplePath, np.ndarray], t, n):
         inc = np.asarray(data, dtype=float).ravel()
         n = len(inc) if n is None else int(n)
         t = (len(inc) / n) if t is None else float(t)
-        count = int(math.floor(n * t + 1e-12))
+        count = _count(n, t)
         if not 1 <= count <= len(inc):
             raise SimulationError(
                 f"window floor(n t) = {count} outside 1..{len(inc)} available increments"

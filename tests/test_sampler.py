@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from scipy.stats import kstest
 
-from uvstat.kernels import KernelSpec
-from uvstat.limits import cond_var_jump, cond_var_mixed
+from uvstat.kernels import Factor1D, GaussBump, KernelSpec
+from uvstat.limits import cond_var_jump, cond_var_mixed, cov_c_matrix, vbar, vtilde
 from uvstat.sampler import (
     SamplerError,
     augment,
@@ -15,6 +15,14 @@ from uvstat.sampler import (
     sample_U_jump,
     sample_V_mixed,
     truncated_Z,
+)
+from uvstat.simulate import (
+    AtomList,
+    JumpModel,
+    ModelConfig,
+    Uniform,
+    VolatilityModel,
+    simulate_path,
 )
 
 from test_limits import synthetic_path, K1, K22, KMIX
@@ -139,15 +147,35 @@ def test_sample_v_mixed_variance_match():
 
 
 def test_sample_v_mixed_field_switch():
+    # with p = 0 the first-block factor is 1, so the field covariance P is
+    # exactly 0 and a draw is its jump term alone
+    kzero = KernelSpec(d=2, l=1, p=(0.0,), q=(4.0,), regime="MixedCLT")
     path = synthetic_path([1.0, -0.7], sigma=1.1)
+    cv = cond_var_mixed(path, kzero)
+    assert cv.field_term == 0.0
     draws = np.array(
-        [
-            sample_V_mixed(path, KMIX, augment(path, seed=s), include_field=False)
-            for s in range(10_000)
-        ]
+        [sample_V_mixed(path, kzero, augment(path, seed=s)) for s in range(10_000)]
     )
-    cv = cond_var_mixed(path, KMIX)
     assert draws.var(ddof=1) == pytest.approx(cv.jump_term, rel=0.05)
+
+
+def test_one_moment_vector_per_distinct_factor(monkeypatch):
+    # KMIX integrates |x|^0.5 and, in the field covariance, its square
+    # |x|^1: each call evaluates one moment vector per distinct factor
+    calls = []
+    moment = Factor1D.gaussian_moment_vec
+
+    def counted(self, sigmas):
+        calls.append(self)
+        return moment(self, sigmas)
+
+    monkeypatch.setattr(Factor1D, "gaussian_moment_vec", counted)
+    path = synthetic_path([1.0, -0.7], sigma=1.1)
+    cond_var_mixed(path, KMIX)
+    assert sorted(f.power for f in calls) == [0.5, 1.0]
+    calls.clear()
+    sample_V_mixed(path, KMIX, augment(path, seed=3))
+    assert sorted(f.power for f in calls) == [0.5, 1.0]
 
 
 def test_sample_v_mixed_repeated_sizes_share_field_value():
@@ -189,3 +217,110 @@ def test_truncated_z_median_gap_decreases():
     medians = [np.median(gaps[m]) for m in sorted(gaps)]
     assert all(b <= a for a, b in zip(medians, medians[1:]))
     assert medians[-1] == 0.0
+
+
+# ---------------------------------------------------------------------------
+# pinned bits across the limits and the sampler
+# ---------------------------------------------------------------------------
+
+
+def _layer_bits(path, kmix, kjump, t):
+    """float.hex of every conditional variance, covariance, profile and draw."""
+    sizes = path.jump_sizes(t)
+    aug = augment(path, seed=5)
+    e = kmix.d - kmix.l
+    ys = [[float(sizes[(i + j) % len(sizes)]) for j in range(e)] for i in range(3)]
+    cv = cond_var_mixed(path, kmix, t=t)
+    cj = cond_var_jump(path, kjump, t=t)
+    out = {
+        "cond_var_mixed": [cv.total, cv.jump_term, cv.field_term],
+        "cov_c_matrix": list(np.ravel(cov_c_matrix(path, kmix, ys, t=t))),
+        "sample_V_mixed": [
+            sample_V_mixed(path, kmix, aug, t=t),
+            sample_V_mixed(path, kmix, aug, seed=9, t=t),
+        ],
+        "vtilde": [vtilde(path, kmix, k_idx=k, y=0.8, t=t) for k in range(kmix.l + 1, kmix.d + 1)],
+        "cond_var_jump": [cj.total, cj.jump_term, cj.field_term],
+        "vbar": [vbar(path, kjump, k_idx=k, y=-0.6, t=t) for k in range(1, kjump.l + 1)],
+        "truncated_Z": [truncated_Z(path, kjump, m, aug, t=t) for m in (1, 3)]
+        + [sample_U_jump(path, kjump, aug, t=t)],
+    }
+    return {name: [float(v).hex() for v in vals] for name, vals in out.items()}
+
+
+PINNED_ITOSM = {
+    "cond_var_mixed": ["0x1.c467f266649cfp+1", "0x1.8eda99b841f44p+1", "0x1.ac6ac57115459p-2"],
+    "cov_c_matrix": [
+        "0x1.44be3e918be3dp-31",
+        "0x1.ce3da7bd4a2e8p-19",
+        "0x1.a5b4b36f94a82p-18",
+        "0x1.ce3da7bd4a2e8p-19",
+        "0x1.48fa53b61f8dap-6",
+        "0x1.2c21068189bf5p-5",
+        "0x1.a5b4b36f94a82p-18",
+        "0x1.2c21068189bf5p-5",
+        "0x1.11cf5bb02c130p-4",
+    ],
+    "sample_V_mixed": ["-0x1.82a2a56715ab9p-1", "-0x1.6c823d409111cp-1"],
+    "vtilde": ["0x1.55bf062345039p-1"],
+    "cond_var_jump": ["0x1.b835d4d879732p+5", "0x1.b835d4d879732p+5", "0x0.0p+0"],
+    "vbar": ["-0x1.ba5e353f7ced8p-1"],
+    "truncated_Z": ["-0x1.73d571ad959b9p+2", "0x1.6cc9c5362dba0p-2", "0x1.6d5486facebe0p-2"],
+}
+PINNED_CONST = {
+    "cond_var_mixed": ["0x1.f8fb5461e9fc1p+9", "0x1.f54f65fc1505ap+9", "0x1.d5f732ea7b3a9p+2"],
+    "cov_c_matrix": [
+        "0x1.d34a8238f3a3cp-12",
+        "0x1.e68f0c04486dap-10",
+        "0x1.e68f0c04486dap-10",
+        "0x1.e68f0c04486dbp-10",
+        "0x1.fa9ef7b88b638p-8",
+        "0x1.fa9ef7b88b638p-8",
+        "0x1.e68f0c04486dbp-10",
+        "0x1.fa9ef7b88b638p-8",
+        "0x1.fa9ef7b88b638p-8",
+    ],
+    "sample_V_mixed": ["-0x1.6d118fadac748p+4", "-0x1.6478797a806d1p+4"],
+    "vtilde": ["0x1.3375e7efc5ec2p+2", "0x1.3375e7efc5ec2p+2"],
+    "cond_var_jump": ["0x1.5eca3f4a03d1fp+14", "0x1.5eca3f4a03d1fp+14", "0x0.0p+0"],
+    "vbar": ["-0x1.993132583c091p+2", "-0x1.993132583c091p+2", "-0x1.993132583c091p+2"],
+    "truncated_Z": ["-0x1.03e161c070124p+4", "-0x1.821571a7eea1dp+5", "-0x1.7c86d12c762b6p+6"],
+}
+
+
+def test_limits_and_draws_pinned_bits():
+    # an ItoSM path with continuous jump sizes, read up to a t off the grid,
+    # and a d=3 mixed kernel on a Constant path with repeated sizes; every
+    # value is pinned to the last bit
+    itosm = simulate_path(
+        ModelConfig(
+            drift_b=0.1,
+            vol=VolatilityModel(kind="ItoSM", sigma0=1.0, tilde_sigma=0.2, tilde_v=0.2),
+            jumps=JumpModel(intensity=3.0, size_dist=Uniform(-1.5, 1.5), max_abs=3.0),
+            bound_A=10.0,
+        ),
+        n=64,
+        T=1.0,
+        seed=4,
+    )
+    const = simulate_path(
+        ModelConfig(
+            drift_b=0.0,
+            vol=VolatilityModel(kind="Constant", sigma0=1.1),
+            jumps=JumpModel(
+                intensity=3.0, size_dist=AtomList(((1.0, 0.5), (-0.7, 0.5))), max_abs=3.0
+            ),
+            bound_A=10.0,
+        ),
+        n=64,
+        T=1.0,
+        seed=11,
+    )
+    assert len(itosm.jump_sizes(0.7)) == 4
+    assert len(const.jump_sizes()) == 5
+    kmix2 = KernelSpec(d=2, l=1, p=(0.5,), q=(4.0,), L=GaussBump(0.6, 1), regime="MixedCLT")
+    kjump2 = KernelSpec(d=2, l=1, p=(4.0,), q=(0.0,), L=GaussBump(0.8, 1), regime="JumpCLT")
+    kmix3 = KernelSpec(d=3, l=1, p=(0.5,), q=(4.0, 4.0), regime="MixedCLT")
+    kjump3 = KernelSpec(d=3, l=3, p=(4.0, 4.0, 4.0), regime="JumpCLT")
+    assert _layer_bits(itosm, kmix2, kjump2, 0.7) == PINNED_ITOSM
+    assert _layer_bits(const, kmix3, kjump3, None) == PINNED_CONST
