@@ -27,10 +27,10 @@ import numpy as np
 import scipy
 
 import uvstat
-from uvstat.config import ConfigError, RunConfig, canonical_text, parse_beta_grid, parse_config
-from uvstat.harness import ExperimentPlan, ExperimentReport, HarnessError, grid_scan, run_plan
+from uvstat.config import ConfigError, RunConfig, parse_beta_grid, parse_config
+from uvstat.harness import ExperimentReport, HarnessError, grid_scan, run_plan
 from uvstat.harness import _is_jump_route
-from uvstat.kernels import KernelError, check_admissibility
+from uvstat.kernels import KernelError
 from uvstat.limits import cond_var_jump, cond_var_mixed, jump_limit, mixed_limit
 from uvstat.simulate import SimulationError, path_to_binary, path_to_json, simulate_path
 from uvstat.stats import load_increments_csv, power_variation, realized_qv, u_stat, v_stat, y_stat

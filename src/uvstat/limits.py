@@ -31,8 +31,9 @@ Every public function opens one private ground-truth context for its
 spot volatilities up to t and the kernel's separable terms once, builds
 the sigma grid on first use and evaluates the Gaussian moment vector of
 each distinct factor once, whether a limit, a variance profile or the
-field covariance asks for it.  The context lives for one call; nothing
-is kept between calls.
+field covariance asks for it; a constant grid (a Constant volatility
+path) costs one moment evaluation per factor.  The context lives for one
+call; nothing is kept between calls.
 
 Every function reads the block split l from the kernel (``kernel.l``).
 The limits carry the per-jump contribution table that ``uvstat limits``
@@ -110,7 +111,8 @@ class _Truth:
     Holds the jump sizes and one-sided spot volatilities up to t, the
     separable terms of the kernel, the left-Riemann sigma grid (built on
     first use) and, per distinct factor f, E[f(sigma U)] on that grid with
-    its time integral (computed on first use).
+    its time integral (computed on first use).  A constant grid costs one
+    moment evaluation per factor.
     """
 
     def __init__(self, path: SamplePath, kernel: KernelSpec, t: Optional[float] = None):
@@ -136,11 +138,24 @@ class _Truth:
             return sigma_grid[:count], weights[:count]
         return sigma_grid[: count + 1], weights
 
+    @functools.cached_property
+    def constant_grid(self) -> bool:
+        """Whether the grid holds one sigma value, repeated (an empty grid does not)."""
+        sigmas = self.grid[0]
+        return len(sigmas) > 0 and bool((sigmas == sigmas[0]).all())
+
     def moment(self, factor: Factor1D):
-        """(E[f(sigma_u U)] on the grid, int_0^t E[f(sigma_u U)] du), once per factor."""
+        """(E[f(sigma_u U)] on the grid, int_0^t E[f(sigma_u U)] du), once per factor.
+
+        On a constant grid the moment is evaluated at the first sigma and
+        repeated, which is the full-grid vector bit for bit.
+        """
         if factor not in self._moments:
             sigmas, weights = self.grid
-            vec = factor.gaussian_moment_vec(sigmas)
+            if self.constant_grid:
+                vec = np.full(len(sigmas), factor.gaussian_moment_vec(sigmas[:1])[0])
+            else:
+                vec = factor.gaussian_moment_vec(sigmas)
             self._moments[factor] = (vec, float(np.dot(weights, vec)))
         return self._moments[factor]
 

@@ -373,11 +373,12 @@ def simulate_path(
     plus the sizes of the jumps it contains (Euler with left-frozen
     volatility).
 
-    The Brownian draws are one vector call whose scales follow the order
-    of a per-interval scalar loop: sqrt(1/n) for an interval without
-    jumps, sqrt(dt) for each sub-segment of one with jumps (a segment
-    with dt <= 0 draws nothing), so the random stream is that of one
-    scalar draw per segment.  An ItoSM volatility is one sequential
+    The Brownian draws are one standard-normal fill, scaled in place, whose
+    scales follow the order of a per-interval scalar loop: sqrt(1/n) for
+    an interval without jumps, sqrt(dt) for each sub-segment of one with
+    jumps (a segment with dt <= 0 draws nothing), so the random stream and
+    every bit (0.0 + scale * z, as numpy's normal forms it) are those of
+    one scalar draw per segment.  An ItoSM volatility is one sequential
     running sum of sigma0, b~/n, s~ Delta W_i, v~ Delta V_i, ... (the
     Euler step's own order of additions) up to the first value below
     floor_eps; from there on a scalar loop clamps and counts.
@@ -392,7 +393,6 @@ def simulate_path(
 
     n_jumps, jump_gen, w_ss, v_ss = _streams(cfg, T, seed)
     w_gen = np.random.default_rng(w_ss)
-    v_gen = np.random.default_rng(v_ss)
 
     # jumps: sorted times on (0, T], then sizes in time order
     if n_jumps > 0:
@@ -421,7 +421,11 @@ def simulate_path(
         scales += [np.full(i - 1 - prev, step), np.sqrt([dt for dt in segments[i] if dt > 0])]
         prev = i
     scales.append(np.full(N - prev, step))
-    dw = w_gen.normal(0.0, np.concatenate(scales))
+    scales = np.concatenate(scales)
+    # numpy's normal(0.0, scale) is 0.0 + scale * z, element by element
+    dw = w_gen.standard_normal(len(scales))
+    dw *= scales
+    dw += 0.0
 
     w_inc = np.empty(N)
     w_before = np.full(n_jumps, np.nan)
@@ -448,7 +452,7 @@ def simulate_path(
     if vol.kind == "Constant":
         sigma = np.full(N + 1, vol.sigma0)
     else:
-        v_inc = v_gen.normal(0.0, step, size=N)
+        v_inc = np.random.default_rng(v_ss).normal(0.0, step, size=N)
         terms = np.empty(3 * N + 1)
         terms[0] = vol.sigma0
         terms[1::3] = vol.tilde_b / n

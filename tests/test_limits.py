@@ -1,5 +1,6 @@
 """Limit functionals and conditional variances vs hand values and brute force."""
 
+import dataclasses
 import itertools
 import math
 
@@ -7,6 +8,7 @@ import numpy as np
 import pytest
 
 from uvstat.kernels import (
+    Factor1D,
     GaussBump,
     GridSin,
     KernelError,
@@ -16,8 +18,10 @@ from uvstat.kernels import (
     kernel_from_text,
     partial_h,
     rho,
+    separable_terms,
 )
 from uvstat.limits import (
+    _Truth,
     cond_var_jump,
     cond_var_mixed,
     cov_c,
@@ -27,6 +31,7 @@ from uvstat.limits import (
     vbar,
     vtilde,
 )
+from uvstat.sampler import augment, sample_V_mixed
 from uvstat.simulate import (
     AtomList,
     JumpModel,
@@ -470,3 +475,76 @@ def test_cond_var_mixed_field_term_pairwise_d3():
     tuples = [list(c) for c in itertools.product(path.jump_sizes(), repeat=2)]
     pairwise = sum(cov_c(path, k, a, b) for a in tuples for b in tuples)
     assert cond_var_mixed(path, k).field_term == pytest.approx(pairwise, rel=1e-9)
+
+
+# ---------------------------------------------------------------------------
+# one moment evaluation per factor on a constant sigma grid
+# ---------------------------------------------------------------------------
+
+
+def _catalog_moment_factors():
+    """Every factor whose Gaussian moment a limit, variance or draw asks for."""
+    factors = set()
+    for k in catalog_kernels():
+        terms = separable_terms(k)
+        for _, fs in terms:
+            factors.update(fs)
+            factors.update(f for f0 in fs for _, f in f0.derivative())
+        first = [fs[i] for _, fs in terms for i in range(k.l)]
+        factors.update(fa.mul(fb) for fa in first for fb in first)
+    return sorted(factors, key=repr)
+
+
+@pytest.mark.parametrize("length", [1, 2, 7, 8, 9, 17, 8193])
+def test_constant_grid_moment_matches_full_grid_bitwise(length):
+    factors = _catalog_moment_factors()
+    assert len(factors) > 40
+    for sigma in (0.3, 1.0, 1.1, 2.5):
+        truth = _Truth(synthetic_path([], sigma=sigma, n=length), KMIX)
+        sigmas, weights = truth.grid
+        assert len(sigmas) == length and truth.constant_grid
+        for f in factors:
+            full = f.gaussian_moment_vec(sigmas)
+            vec, integral = truth.moment(f)
+            assert vec.dtype == full.dtype and vec.tobytes() == full.tobytes(), (f, sigma)
+            assert integral.hex() == float(np.dot(weights, full)).hex(), (f, sigma)
+
+
+def test_moment_sigmas_per_call_constant_vs_itosm(monkeypatch):
+    # a Constant path evaluates each moment at one sigma, an ItoSM path at
+    # every sigma of its grid
+    lengths = []
+    moment = Factor1D.gaussian_moment_vec
+
+    def counted(self, sigmas):
+        lengths.append(len(sigmas))
+        return moment(self, sigmas)
+
+    monkeypatch.setattr(Factor1D, "gaussian_moment_vec", counted)
+    jumps = JumpModel(intensity=3.0, size_dist=AtomList(((1.0, 0.5), (-1.0, 0.5))), max_abs=3.0)
+    for vol, expected in (
+        (VolatilityModel(kind="Constant", sigma0=1.0), 1),
+        (VolatilityModel(kind="ItoSM", sigma0=1.0, tilde_sigma=0.2, tilde_v=0.2), 512),
+    ):
+        path = simulate_path(ModelConfig(0.0, vol, jumps, 10.0), n=512, T=1.0, seed=2)
+        assert len(path.jump_sizes()) > 0
+        lengths.clear()
+        mixed_limit(path, KMIX)
+        cond_var_mixed(path, KMIX)
+        sample_V_mixed(path, KMIX, augment(path, seed=1))
+        assert len(lengths) == 5 and set(lengths) == {expected}, vol.kind
+
+
+def test_mixed_limit_on_an_empty_grid():
+    # t <= 1e-15 leaves no grid step, but a jump at 5e-17 is counted and
+    # contributes an exact 0.0
+    path = synthetic_path([1.0, -0.7], sigma=1.1)
+    first = JumpRecord(time=5e-17, size=1.3, sigma_pre=1.1, sigma_post=1.1, interval_index=1)
+    path = dataclasses.replace(path, jumps=(first,) + path.jumps)
+    for t in (1e-16, 1e-15):
+        truth = _Truth(path, KMIX, t)
+        assert len(truth.grid[0]) == 0 and not truth.constant_grid
+        lv = mixed_limit(path, KMIX, t)
+        assert lv.value.hex() == "0x0.0p+0" and lv.contributions == (("jump_0", 0.0),)
+        cv = cond_var_mixed(path, KMIX, t)
+        assert (cv.total, cv.jump_term, cv.field_term) == (0.0, 0.0, 0.0)

@@ -497,9 +497,11 @@ ORACLE_GRIDS = ((1, 1.0), (1, 2.5), (7, 1.0), (64, 1.37), (257, 1.0))
 
 
 def assert_same_path(a, b):
-    for name in ("x_grid", "sigma_grid", "w_increments"):
-        assert np.array_equal(getattr(a, name), getattr(b, name)), name
-    assert np.array_equal(a.w_before_jump, b.w_before_jump, equal_nan=True)
+    # bytes, not values: a sign-of-zero or NaN-payload change fails too
+    for name in ("x_grid", "sigma_grid", "w_increments", "w_before_jump"):
+        x, y = getattr(a, name), getattr(b, name)
+        assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
+    assert np.array_equal(np.isnan(a.w_before_jump), np.isnan(b.w_before_jump))
     assert a.jumps == b.jumps
     assert a.n_sigma_clamps == b.n_sigma_clamps
 
@@ -521,6 +523,21 @@ def test_simulate_path_matches_scalar_oracle(model):
         assert shared > 0
     if "clamping" in model:
         assert clamped > 100
+
+
+@pytest.mark.parametrize("model", ["constant", "constant_dense"])
+def test_simulate_path_matches_scalar_oracle_at_benchmark_size(model):
+    # the clt_mixed grid, n = 8192; the dense model puts several jumps in
+    # one interval
+    cfg = ORACLE_MODELS[model]
+    shared = 0
+    for seed in range(3):
+        path = simulate_path(cfg, 8192, 1.0, seed)
+        assert_same_path(path, _simulate_path_scalar(cfg, 8192, 1.0, seed))
+        intervals = [r.interval_index for r in path.jumps]
+        shared += len(intervals) > len(set(intervals))
+    if "dense" in model:
+        assert shared > 0
 
 
 def test_simulate_path_matches_scalar_oracle_over_the_clamp_budget():
