@@ -257,12 +257,12 @@ def run_lln(plan: ExperimentPlan) -> ExperimentReport:
     rows = []
     per_n = {}
     for n in plan.n_list:
-
-        def one(r, n=n):
+        results = []
+        for r in range(plan.reps):
             seed = derive_seed(plan.base_seed, _S_PATH, n, r)
             path = simulate_path(plan.model, n, plan.t, seed)
             stat, lim = _stat_and_limit(path, kernel, plan.t)
-            return {
+            results.append({
                 "n": n,
                 "rep": r,
                 "seed": seed,
@@ -271,9 +271,7 @@ def run_lln(plan: ExperimentPlan) -> ExperimentReport:
                 "error": stat - lim,
                 "n_jumps": len(path.jumps),
                 "n_collisions": _collision_count(path),
-            }
-
-        results = [one(r) for r in range(plan.reps)]
+            })
         rows.extend(results)
         abs_err = np.array([abs(r["error"]) for r in results])
         denom = np.array([max(abs(r["limit"]), 1e-300) for r in results])
@@ -312,8 +310,8 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
     rows = []
     per_n = {}
     for n in plan.n_list:
-
-        def one(r, n=n):
+        results = []
+        for r in range(plan.reps):
             seed = derive_seed(plan.base_seed, _S_PATH, n, r)
             path = simulate_path(plan.model, n, plan.t, seed)
             stat, lim = _stat_and_limit(path, kernel, plan.t)
@@ -340,7 +338,7 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
             else:
                 draw = sample_U_jump(path2, kernel, aug, t=plan.t)
             draw_excluded = len(path2.jumps_until(plan.t)) == 0 or (mixed and path2.clamped)
-            return {
+            results.append({
                 "n": n,
                 "rep": r,
                 "seed": seed,
@@ -350,9 +348,7 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
                 "excluded": excluded,
                 "limit_draw": draw,
                 "draw_excluded": draw_excluded,
-            }
-
-        results = [one(r) for r in range(plan.reps)]
+            })
         rows.extend(results)
         zs = np.array([r["z"] for r in results if not r["excluded"]])
         n_excluded = sum(1 for r in results if r["excluded"])
@@ -411,8 +407,8 @@ def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
     rows = []
     per_n = {}
     for n in plan.n_list:
-
-        def one(r, n=n):
+        results = []
+        for r in range(plan.reps):
             seed = derive_seed(plan.base_seed, _S_PATH, n, r)
             path = simulate_path(plan.model, n, plan.t, seed)
             discrete = None
@@ -427,9 +423,9 @@ def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
             if path2.jumps:
                 aug = augment(path2, derive_seed(plan.base_seed, _S_AUG, n, r))
                 limit_r = float(aug.r[0])
-            return {"n": n, "rep": r, "seed": seed, "r_discrete": discrete, "r_limit": limit_r}
-
-        results = [one(r) for r in range(plan.reps)]
+            results.append(
+                {"n": n, "rep": r, "seed": seed, "r_discrete": discrete, "r_limit": limit_r}
+            )
         rows.extend(results)
         a = np.array([r["r_discrete"] for r in results if r["r_discrete"] is not None])
         b = np.array([r["r_limit"] for r in results if r["r_limit"] is not None])
@@ -550,15 +546,14 @@ def run_ztrunc(plan: ExperimentPlan) -> ExperimentReport:
         raise HarnessError("truncation experiment needs a path with jumps")
     m_list = plan.m_list if plan.m_list else tuple(range(J + 1))
 
-    def one(r):
+    rows = []
+    for r in range(plan.reps):
         aug = augment(path, derive_seed(plan.base_seed, _S_AUG, n, r))
         zj = truncated_Z(path, kernel, m=J, aug=aug, t=plan.t)
         row = {"rep": r, "n": n}
         for m in m_list:
             row[f"gap_m{m}"] = abs(truncated_Z(path, kernel, m=m, aug=aug, t=plan.t) - zj)
-        return row
-
-    rows = [one(r) for r in range(plan.reps)]
+        rows.append(row)
     medians = {
         str(m): float(np.median([row[f"gap_m{m}"] for row in rows])) for m in m_list
     }

@@ -19,15 +19,18 @@ form, or quadrature over a bit-identical float copy of Factor1D.val
 when cos/sin are present).  Partial
 derivatives of H, rho_H and everything else in the package (statistics,
 limit functionals, conditional variances) are written against the
-separable terms.  The :class:`LExpr` tree only parses, prints, expands
-into separable terms and evaluates L directly; :func:`eval_h` keeps that
-direct evaluation as the oracle independent of the factorization.
+separable terms, and so are the structural questions the admissibility
+checker asks: which coordinates L touches, its evenness and its
+polynomial growth in the scaled block.  The :class:`LExpr` tree only
+parses, prints, expands into separable terms and evaluates L directly;
+:func:`eval_h` keeps that direct evaluation as the oracle independent of
+the factorization.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.integrate import quad
@@ -115,21 +118,6 @@ class Factor1D:
     sin_args: tuple = ()
     gauss_args: tuple = ()
     poly2: tuple = ()  # () means polynomial factor 1
-
-    @property
-    def is_one(self) -> bool:
-        return (
-            self.power == 0.0
-            and self.sign_pow == 0
-            and not self.cos_args
-            and not self.sin_args
-            and not self.gauss_args
-            and not self.poly2
-        )
-
-    @property
-    def is_pure_power(self) -> bool:
-        return not (self.cos_args or self.sin_args or self.gauss_args or self.poly2)
 
     def val(self, x):
         """Evaluate at a scalar or ndarray; 0^0 is treated as 1."""
@@ -306,39 +294,21 @@ class LExpr:
     """Base class for the smooth-factor expression tree.
 
     Nodes parse and print (:meth:`to_text`), expand into separable terms
-    (:meth:`sep_terms`), answer structural queries, and evaluate L
-    directly (:meth:`value`).  Derivatives are taken on the separable
-    terms with :meth:`Factor1D.derivative`, not on the tree.
+    (:meth:`sep_terms`) and evaluate L directly (:meth:`value`, the
+    oracle behind :func:`eval_h`).  Every structural question (which
+    coordinates L touches, evenness, polynomial growth) and every
+    derivative is answered on the separable terms, not on the tree.
     """
 
     def value(self, pt):
-        raise NotImplementedError
-
-    def coords(self) -> frozenset:
         raise NotImplementedError
 
     def sep_terms(self) -> tuple:
         """Expansion into ((coeff, {coord: Factor1D}), ...). Exact."""
         raise NotImplementedError
 
-    def even_in(self, coord: int) -> bool:
-        raise NotImplementedError
-
-    def atoms(self):
-        yield self
-
-    def poly_degree(self, coord: int) -> int:
-        """Polynomial growth degree in the given coordinate (0 = bounded)."""
-        return 0
-
     def to_text(self) -> str:
         raise NotImplementedError
-
-    def __add__(self, other):
-        return Sum((self, other))
-
-    def __mul__(self, other):
-        return Product((self, other))
 
 
 @dataclass(frozen=True)
@@ -348,14 +318,8 @@ class One(LExpr):
         out = np.ones(pt.shape[:-1])
         return out if out.ndim else float(out)
 
-    def coords(self):
-        return frozenset()
-
     def sep_terms(self):
         return ((1.0, {}),)
-
-    def even_in(self, coord):
-        return True
 
     def to_text(self):
         return "one"
@@ -373,8 +337,8 @@ class GridSin(LExpr):
     j: int
 
     def __post_init__(self):
-        if self.beta <= 0:
-            raise KernelError(f"grid_sin requires beta > 0, got {self.beta}")
+        if not 0.0 < self.beta < math.inf:
+            raise KernelError(f"grid_sin requires a finite beta > 0, got {self.beta}")
         if self.i == self.j:
             raise KernelError("grid_sin coordinates must differ")
 
@@ -387,9 +351,6 @@ class GridSin(LExpr):
         out = s * s
         return out if out.ndim else float(out)
 
-    def coords(self):
-        return frozenset((self.i, self.j))
-
     def sep_terms(self):
         # sin^2(pi(a-b)/beta) = 1/2 - 1/2 cos(2pi a/b)cos(2pi b/b)
         #                           - 1/2 sin(2pi a/b)sin(2pi b/b)
@@ -399,9 +360,6 @@ class GridSin(LExpr):
             (-0.5, {self.i: Factor1D(cos_args=(c,)), self.j: Factor1D(cos_args=(c,))}),
             (-0.5, {self.i: Factor1D(sin_args=(c,)), self.j: Factor1D(sin_args=(c,))}),
         )
-
-    def even_in(self, coord):
-        return coord not in (self.i, self.j)
 
     def to_text(self):
         return f"(grid_sin {self.beta!r} {self.i} {self.j})"
@@ -415,8 +373,8 @@ class GaussBump(LExpr):
     i: int
 
     def __post_init__(self):
-        if self.c < 0:
-            raise KernelError(f"gauss_bump requires c >= 0, got {self.c}")
+        if not 0.0 <= self.c < math.inf:
+            raise KernelError(f"gauss_bump requires a finite c >= 0, got {self.c}")
 
     def value(self, pt):
         pt = np.asarray(pt, dtype=float)
@@ -424,14 +382,8 @@ class GaussBump(LExpr):
         out = np.exp(-self.c * x * x)
         return out if out.ndim else float(out)
 
-    def coords(self):
-        return frozenset((self.i,))
-
     def sep_terms(self):
         return ((1.0, {self.i: Factor1D(gauss_args=(self.c,))}),)
-
-    def even_in(self, coord):
-        return True
 
     def to_text(self):
         return f"(gauss_bump {self.c!r} {self.i})"
@@ -448,6 +400,9 @@ class PolyEven(LExpr):
         if not self.coeffs:
             raise KernelError("poly_even needs at least one coefficient")
         object.__setattr__(self, "coeffs", tuple(float(c) for c in self.coeffs))
+        bad = [c for c in self.coeffs if not math.isfinite(c)]
+        if bad:
+            raise KernelError(f"poly_even coefficients must be finite, got {bad[0]}")
 
     def value(self, pt):
         pt = np.asarray(pt, dtype=float)
@@ -455,23 +410,8 @@ class PolyEven(LExpr):
         out = np.polynomial.polynomial.polyval(x * x, self.coeffs)
         return out if np.ndim(out) else float(out)
 
-    def coords(self):
-        return frozenset((self.i,))
-
     def sep_terms(self):
         return ((1.0, {self.i: Factor1D(poly2=self.coeffs)}),)
-
-    def even_in(self, coord):
-        return True
-
-    def poly_degree(self, coord):
-        if coord != self.i:
-            return 0
-        deg = 0
-        for k, a in enumerate(self.coeffs):
-            if a != 0.0:
-                deg = 2 * k
-        return deg
 
     def to_text(self):
         return "(poly_even %d %s)" % (self.i, " ".join(repr(c) for c in self.coeffs))
@@ -492,24 +432,11 @@ class Sum(LExpr):
             out = out + t.value(pt)
         return out
 
-    def coords(self):
-        return frozenset().union(*(t.coords() for t in self.terms))
-
     def sep_terms(self):
         out = []
         for t in self.terms:
             out.extend(t.sep_terms())
         return tuple(out)
-
-    def even_in(self, coord):
-        return all(t.even_in(coord) for t in self.terms)
-
-    def atoms(self):
-        for t in self.terms:
-            yield from t.atoms()
-
-    def poly_degree(self, coord):
-        return max(t.poly_degree(coord) for t in self.terms)
 
     def to_text(self):
         return "(sum %s)" % " ".join(t.to_text() for t in self.terms)
@@ -530,9 +457,6 @@ class Product(LExpr):
             out = out * t.value(pt)
         return out
 
-    def coords(self):
-        return frozenset().union(*(t.coords() for t in self.factors))
-
     def sep_terms(self):
         out = [(1.0, {})]
         for t in self.factors:
@@ -546,18 +470,13 @@ class Product(LExpr):
             out = new
         return tuple(out)
 
-    def even_in(self, coord):
-        return all(t.even_in(coord) for t in self.factors)
-
-    def atoms(self):
-        for t in self.factors:
-            yield from t.atoms()
-
-    def poly_degree(self, coord):
-        return sum(t.poly_degree(coord) for t in self.factors)
-
     def to_text(self):
         return "(product %s)" % " ".join(t.to_text() for t in self.factors)
+
+
+def _l_factors(L: LExpr) -> list:
+    """(coord, Factor1D) for every factor of every separable term of L."""
+    return [(c, f) for _, fdict in L.sep_terms() for c, f in fdict.items()]
 
 
 # ---------------------------------------------------------------------------
@@ -594,11 +513,12 @@ class KernelSpec:
             raise KernelError(f"len(p)={len(self.p)} != l={self.l}")
         if len(self.q) != self.d - self.l:
             raise KernelError(f"len(q)={len(self.q)} != d-l={self.d - self.l}")
-        if any(v < 0 for v in self.p) or any(v < 0 for v in self.q):
-            raise KernelError("powers must be nonnegative")
+        bad = [v for v in self.p + self.q if not 0.0 <= v < math.inf]
+        if bad:
+            raise KernelError(f"powers must be finite and nonnegative, got {bad[0]}")
         if self.regime not in REGIMES:
             raise KernelError(f"unknown regime {self.regime!r}; choose from {REGIMES}")
-        bad = [c for c in self.L.coords() if not 0 <= c < self.d]
+        bad = sorted({c for c, _ in _l_factors(self.L)} - set(range(self.d)))
         if bad:
             raise KernelError(f"L references coordinates {bad} outside 0..{self.d - 1}")
 
@@ -750,7 +670,6 @@ class AdmissibilityItem:
     name: str
     passed: bool
     detail: str
-    warning: bool = False
 
 
 @dataclass(frozen=True)
@@ -760,21 +679,16 @@ class AdmissibilityReport:
 
     @property
     def passed(self) -> bool:
-        return all(it.passed for it in self.items if not it.warning)
-
-    @property
-    def warnings(self) -> tuple:
-        return tuple(it for it in self.items if it.warning and not it.passed)
+        return all(it.passed for it in self.items)
 
     def summary(self) -> str:
         lines = [f"regime {self.regime}: {'PASS' if self.passed else 'FAIL'}"]
         for it in self.items:
-            tag = "warn" if it.warning else ("ok" if it.passed else "FAIL")
-            lines.append(f"  [{tag}] {it.name}: {it.detail}")
+            lines.append(f"  [{'ok' if it.passed else 'FAIL'}] {it.name}: {it.detail}")
         return "\n".join(lines)
 
     def failures(self) -> tuple:
-        return tuple(it for it in self.items if not it.passed and not it.warning)
+        return tuple(it for it in self.items if not it.passed)
 
 
 def _sample_points(gen, count, dim, lo=0.2, hi=1.5):
@@ -855,66 +769,49 @@ def _check_kernel_class(kernel: KernelSpec) -> AdmissibilityItem:
     )
 
 
-def _check_growth(kernel: KernelSpec) -> list:
-    """Growth-exponent bookkeeping gamma_j + p_i < 1 per catalog atom.
+def _scaled_block_degrees(kernel: KernelSpec) -> dict:
+    """{coord: polynomial degree in x of L} over the scaled-block coordinates.
 
-    gamma_j measures growth of first partials in the scaled block only;
-    polynomial growth in the y block is absorbed by the continuous
-    envelope u(y).
+    Read off the separable terms: the factor sum_k poly2[k] x^{2k} has
+    degree 2 * (last k with poly2[k] != 0), so a zero polynomial has
+    degree 0.  Only :class:`PolyEven` contributes poly2; products multiply
+    it out.
     """
-    items = []
-    pmax = max(kernel.p) if kernel.p else 0.0
-    nontrivial = [a for a in kernel.L.atoms() if not isinstance(a, One)]
-    for atom in nontrivial:
-        for coord in sorted(atom.coords()):
-            if coord >= kernel.l:
-                continue
-            deg = atom.poly_degree(coord)
-            gamma = max(deg - 1, 0)
-            if gamma == 0:
-                continue
-            ok = gamma + pmax < 1.0
-            items.append(
-                AdmissibilityItem(
-                    "derivative_growth",
-                    ok,
-                    f"atom {atom.to_text()} has first-derivative growth exponent "
-                    f"{gamma} in coordinate {coord}; needs gamma + max(p) < 1",
-                )
-            )
-    if not items:
-        items.append(
-            AdmissibilityItem(
-                "derivative_growth", True, "all atoms have bounded first derivatives (gamma = 0)"
-            )
-        )
-    if len(nontrivial) > 1:
-        items.append(
-            AdmissibilityItem(
-                "derivative_growth_composition",
-                True,
-                "composed smooth factor: growth exponents verified per atom only (unverified growth)",
-                warning=True,
-            )
-        )
-    return items
+    degrees = {}
+    for c, f in _l_factors(kernel.L):
+        if c < kernel.l:
+            deg = max((2 * k for k, a in enumerate(f.poly2) if a != 0.0), default=0)
+            degrees[c] = max(degrees.get(c, 0), deg)
+    return degrees
+
+
+def _check_growth(kernel: KernelSpec) -> AdmissibilityItem:
+    """Growth exponent gamma of L's first partials in the scaled block.
+
+    gamma = max(deg - 1, 0) over the scaled-block degrees; gamma > 0
+    needs gamma + max(p) < 1.  Polynomial growth in the y block is
+    absorbed by the continuous envelope u(y).
+    """
+    gamma = max((max(deg - 1, 0) for deg in _scaled_block_degrees(kernel).values()), default=0)
+    return AdmissibilityItem(
+        "derivative_growth",
+        gamma == 0 or gamma + max(kernel.p, default=0.0) < 1.0,
+        f"first-derivative growth exponent gamma = {gamma} in the scaled block; "
+        "needs gamma = 0 or gamma + max(p) < 1",
+    )
 
 
 def _check_bounded_in_first_block(kernel: KernelSpec) -> AdmissibilityItem:
-    bad = []
-    for atom in kernel.L.atoms():
-        for coord in atom.coords():
-            if coord < kernel.l and atom.poly_degree(coord) > 0:
-                bad.append(atom.to_text())
+    bad = sorted(c for c, deg in _scaled_block_degrees(kernel).items() if deg > 0)
     ok = not bad
     detail = "smooth factor bounded in the scaled block" if ok else (
-        "unbounded atoms on scaled-block coordinates: " + ", ".join(bad)
+        f"smooth factor unbounded in scaled coordinates {bad}"
     )
     return AdmissibilityItem("smooth_factor_bounded", ok, detail)
 
 
 def _check_even(kernel: KernelSpec) -> AdmissibilityItem:
-    bad = [i for i in range(kernel.l) if not kernel.L.even_in(i)]
+    bad = sorted({c for c, f in _l_factors(kernel.L) if c < kernel.l and f._moment_parity_odd()})
     ok = not bad
     detail = (
         "kernel even in every scaled-block coordinate"
@@ -934,8 +831,13 @@ def _power_item(name, values, ok_fn, requirement) -> AdmissibilityItem:
 def check_admissibility(kernel: KernelSpec) -> AdmissibilityReport:
     """Check the declared regime's hypotheses, item by item.
 
-    Report-only: construction of out-of-regime kernels is allowed, the
-    harness refuses to run plans whose kernel fails here.
+    Structural items (evenness, boundedness and derivative growth in the
+    scaled block, the grid test's grid_sin factor) are read off the
+    separable expansion ``kernel.L.sep_terms()``; the small-x and
+    smooth-class items are numeric, on :meth:`LExpr.value` and
+    :func:`partial_h`.  Report-only: construction of out-of-regime
+    kernels is allowed, the harness refuses to run plans whose kernel
+    fails here.
     """
     items = []
     regime = kernel.regime
@@ -951,7 +853,7 @@ def check_admissibility(kernel: KernelSpec) -> AdmissibilityReport:
         )
         items.append(_check_kernel_class(kernel))
         if regime == "GridTest":
-            has_gridsin = any(isinstance(a, GridSin) for a in kernel.L.atoms())
+            has_gridsin = any(f.sin_args for _, f in _l_factors(kernel.L))
             items.append(
                 AdmissibilityItem(
                     "grid_test_shape",
@@ -968,7 +870,7 @@ def check_admissibility(kernel: KernelSpec) -> AdmissibilityReport:
         items.append(_power_item("q", kernel.q, lambda v: v > 3.0, "all > 3"))
         items.append(_check_even(kernel))
         items.append(_check_bounded_in_first_block(kernel))
-        items.extend(_check_growth(kernel))
+        items.append(_check_growth(kernel))
     return AdmissibilityReport(regime=regime, items=tuple(items))
 
 

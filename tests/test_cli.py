@@ -295,6 +295,28 @@ def test_non_finite_numbers_exit_1(tmp_path, capsys):
     assert "model.drift_b must be finite" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "kernel, value",
+    [
+        ("d=1 l=1 p=inf q=- regime=JumpCLT L=one", "inf"),
+        ("d=1 l=1 p=4.0 q=- regime=JumpCLT L=(gauss_bump nan 0)", "nan"),
+        ("d=1 l=1 p=4.0 q=- regime=JumpCLT L=(gauss_bump inf 0)", "inf"),
+        ("d=2 l=2 p=4.0,4.0 q=- regime=JumpCLT L=(grid_sin nan 0 1)", "nan"),
+        ("d=1 l=1 p=4.0 q=- regime=JumpCLT L=(poly_even 0 nan)", "nan"),
+    ],
+    ids=["power_inf", "gauss_nan", "gauss_inf", "grid_sin_nan", "poly_nan"],
+)
+def test_non_finite_kernel_numbers_exit_1(tmp_path, capsys, kernel, value):
+    doc = jump_clt_doc(reps=2, n=64, kernel=kernel)
+    doc["io"] = {"output_dir": str(tmp_path / "out")}
+    rc = main(["verify-clt", "--config", str(write_config(tmp_path, doc))])
+    assert rc == 1
+    errors = [line for line in capsys.readouterr().err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert "finite" in errors[0] and errors[0].endswith(f"got {value}")
+    assert not (tmp_path / "out").exists()
+
+
 def test_manifest_suffices_to_rerun(tmp_path):
     from uvstat.config import parse_config
 

@@ -457,9 +457,95 @@ def test_admissibility_composition_flagged():
         L=Product((GaussBump(0.5, 0), GaussBump(0.5, 1))),
         regime="MixedCLT",
     )
+    assert check_admissibility(k).passed
+
+
+_JUMP_ITEMS = ("powers_p", "powers_q", "smooth_class_membership")
+_MIXED_CLT_ITEMS = (
+    "powers_p", "powers_q", "even_in_scaled_block", "smooth_factor_bounded", "derivative_growth"
+)
+_REGIME_ITEMS = {
+    "JumpLLN": ("lln_small_x_condition",),
+    "JumpCLT": _JUMP_ITEMS,
+    "GridTest": _JUMP_ITEMS + ("grid_test_shape",),
+    "MixedLLN": ("powers_p", "powers_q", "smooth_factor_bounded"),
+    "MixedCLT": _MIXED_CLT_ITEMS,
+}
+
+
+def test_admissibility_catalog_items_pinned():
+    # every catalog kernel passes every item of its regime
+    for k in catalog_kernels():
+        rep = check_admissibility(k)
+        assert [(it.name, it.passed) for it in rep.items] == [
+            (n, True) for n in _REGIME_ITEMS[k.regime]
+        ]
+
+
+_NESTED_VERDICTS = [
+    # grid_sin across the block split inside a product
+    (
+        "d=2 l=1 p=0.5 q=4.0 regime=MixedCLT L=(product (grid_sin 1.0 0 1) (gauss_bump 0.5 1))",
+        {"even_in_scaled_block"},
+    ),
+    (
+        "d=2 l=1 p=4.0 q=0.0 regime=JumpCLT L=(product (gauss_bump 0.5 0) (grid_sin 1.0 1 0))",
+        {"smooth_class_membership"},
+    ),
+    (
+        "d=3 l=2 p=1.5,1.5 q=4.0 regime=MixedLLN "
+        "L=(product (grid_sin 0.7 0 2) (poly_even 2 1.0 0.5))",
+        set(),
+    ),
+    # poly_even on the scaled block times gauss_bump
+    (
+        "d=2 l=1 p=0.5 q=4.0 regime=MixedCLT L=(product (poly_even 0 1.0 0.5) (gauss_bump 0.5 0))",
+        {"smooth_factor_bounded", "derivative_growth"},
+    ),
+    (
+        "d=2 l=1 p=1.5 q=4.0 regime=MixedLLN "
+        "L=(product (gauss_bump 0.5 0) (poly_even 0 0.0 0.0 2.0))",
+        {"smooth_factor_bounded"},
+    ),
+    (
+        "d=2 l=1 p=0.5 q=4.0 regime=MixedCLT "
+        "L=(sum one (product (poly_even 0 1.0 1.0) (gauss_bump 0.3 1)))",
+        {"smooth_factor_bounded", "derivative_growth"},
+    ),
+    # sums of grid_sins
+    ("d=3 l=3 p=4.0,4.0,4.0 q=- regime=JumpCLT L=(sum (grid_sin 1.0 0 1) (grid_sin 0.7 1 2))", set()),
+    ("d=2 l=2 p=4.0,4.0 q=- regime=GridTest L=(sum (grid_sin 1.0 0 1) (grid_sin 0.5 1 0))", set()),
+    ("d=3 l=1 p=0.5 q=4.0,4.0 regime=MixedCLT L=(sum (grid_sin 1.0 1 2) (grid_sin 0.8 2 1))", set()),
+    (
+        "d=3 l=1 p=0.5 q=4.0,4.0 regime=MixedCLT L=(sum (grid_sin 1.0 1 2) (grid_sin 0.8 0 2))",
+        {"even_in_scaled_block"},
+    ),
+]
+@pytest.mark.parametrize("text, failing", _NESTED_VERDICTS, ids=range(len(_NESTED_VERDICTS)))
+def test_admissibility_nested_items_pinned(text, failing):
+    k = kernel_from_text(text)
+    rep = check_admissibility(k)
+    expected = [(n, n not in failing) for n in _REGIME_ITEMS[k.regime]]
+    assert [(it.name, it.passed) for it in rep.items] == expected
+    assert rep.passed == (not failing)
+
+
+def test_admissibility_zero_polynomial_is_bounded():
+    # the all-zero polynomial makes L = 0 on the scaled block: bounded, no growth
+    k = kernel_from_text(
+        "d=2 l=1 p=0.5 q=4.0 regime=MixedCLT L=(product (poly_even 0 0.0) (poly_even 0 1.0 1.0))"
+    )
     rep = check_admissibility(k)
     assert rep.passed
-    assert any(it.warning for it in rep.items)
+    assert [it.name for it in rep.items] == list(_MIXED_CLT_ITEMS)
+
+
+def test_nested_l_out_of_range_coordinate_rejected():
+    nested = Sum((ONE, Product((GaussBump(0.5, 0), GridSin(1.0, 1, 2)))))
+    with pytest.raises(KernelError, match=r"coordinates \[2\] outside 0\.\.1"):
+        KernelSpec(d=2, l=1, p=(0.5,), q=(4.0,), L=nested, regime="MixedCLT")
+    with pytest.raises(KernelError, match=r"coordinates \[-1\] outside 0\.\.1"):
+        KernelSpec(d=2, l=2, p=(4.0, 4.0), L=Product((ONE, PolyEven(-1, (1.0,)))), regime="JumpCLT")
 
 
 # ---------------------------------------------------------------------------
