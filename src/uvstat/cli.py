@@ -18,6 +18,7 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
+import functools
 import json
 import sys
 import time
@@ -38,7 +39,9 @@ from uvstat.stats import load_increments_csv, power_variation, realized_qv, u_st
 __all__ = ["main", "entrypoint"]
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser, built once per process (parsing leaves it unchanged)."""
     parser = argparse.ArgumentParser(
         prog="uvstat",
         description="Simulate jump diffusions, compute U-/V-statistics, verify their limit theorems.",
@@ -277,6 +280,10 @@ def main(argv=None) -> int:
         return 1
     except (SimulationError, OSError, ArithmeticError, RuntimeError) as exc:
         print(f"runtime error: {exc}", file=sys.stderr)
+        return 2
+    except MemoryError as exc:
+        detail = f" ({exc})" if str(exc) else ""
+        print(f"runtime error: out of memory{detail}", file=sys.stderr)
         return 2
 
 

@@ -35,6 +35,11 @@ __all__ = ["ConfigError", "RunConfig", "parse_config", "canonical_text", "parse_
 
 # largest number of entries a 'start:stop:step' beta range may expand to
 _MAX_BETA_GRID = 10_000
+# largest floor(n t) grid steps of one path, and largest expected jump
+# count intensity * t: a path holds a few float arrays of each length, so
+# these keep one path to some hundred megabytes
+_MAX_GRID_STEPS = 2**22
+_MAX_EXPECTED_JUMPS = 200_000
 
 
 class ConfigError(ValueError):
@@ -112,6 +117,25 @@ def parse_beta_grid(spec) -> tuple:
     raise ConfigError(f"beta_grid must be a list or 'start:stop:step' string, got {spec!r}")
 
 
+def _check_size_budgets(model, n: int, t: float) -> None:
+    """Refuse a path whose grid or expected jump count exceeds its budget.
+
+    n is the largest of experiment.n_list; floor(n t) is tested as the
+    float n t + 1e-12, so an overflowing product is refused too.
+    """
+    if n * t + 1e-12 >= _MAX_GRID_STEPS + 1:
+        raise ConfigError(
+            f"experiment.n_list entry {n} with experiment.t = {t!r} gives floor(n t) "
+            f"grid steps per path above the budget {_MAX_GRID_STEPS}"
+        )
+    expected = model.jumps.intensity * t
+    if expected > _MAX_EXPECTED_JUMPS:
+        raise ConfigError(
+            f"model.jumps.intensity = {model.jumps.intensity!r} with experiment.t = {t!r} "
+            f"expects {expected:.6g} jumps per path, above the budget {_MAX_EXPECTED_JUMPS}"
+        )
+
+
 @_config_errors()
 def parse_config(text: str) -> RunConfig:
     """Parse and fully validate a config document.
@@ -166,6 +190,7 @@ def parse_config(text: str) -> RunConfig:
     exp["n_list"] = tuple(_integer(n, "experiment.n_list entry", lo=1) for n in exp["n_list"])
     exp["reps"] = _integer(exp["reps"], "experiment.reps", lo=1)
     exp["t"] = _number(exp["t"], "experiment.t")
+    _check_size_budgets(model, max(exp["n_list"]), exp["t"])
     exp["beta_grid"] = parse_beta_grid(exp["beta_grid"])
     exp["m_list"] = tuple(
         _integer(m, "experiment.m_list entry", lo=0)

@@ -32,7 +32,7 @@ from scipy.stats import ks_2samp as _scipy_ks_2samp
 from scipy.stats import norm
 
 from uvstat.kernels import KernelSpec, check_admissibility, grid_test_kernel, kernel_to_text
-from uvstat.limits import cond_var_jump, cond_var_mixed, jump_limit, mixed_limit
+from uvstat.limits import _cond_var_jump, _cond_var_mixed, _jump_limit, _mixed_limit, _Truth
 from uvstat.sampler import augment, sample_U_jump, sample_V_mixed, truncated_Z
 from uvstat.simulate import ModelConfig, SamplePath, _streams, jump_neighborhood, simulate_path
 from uvstat.simulate import config_to_dict
@@ -219,13 +219,15 @@ def _is_jump_route(kernel: KernelSpec) -> bool:
     return kernel.regime in _JUMP_REGIMES
 
 
-def _stat_and_limit(path: SamplePath, kernel: KernelSpec, t: float):
+def _stat_and_limit(truth: _Truth):
+    """The statistic of the truth's path and its limit, read off that ground truth."""
+    path, kernel, t = truth.path, truth.kernel, truth.t
     if _is_jump_route(kernel):
         stat = v_stat(path, kernel, t=t).value
-        lim = jump_limit(path, kernel, t=t).value
+        lim = _jump_limit(truth).value
     else:
         stat = y_stat(path, kernel, t=t).value
-        lim = mixed_limit(path, kernel, t=t).value
+        lim = _mixed_limit(truth).value
     return stat, lim
 
 
@@ -261,7 +263,7 @@ def run_lln(plan: ExperimentPlan) -> ExperimentReport:
         for r in range(plan.reps):
             seed = derive_seed(plan.base_seed, _S_PATH, n, r)
             path = simulate_path(plan.model, n, plan.t, seed)
-            stat, lim = _stat_and_limit(path, kernel, plan.t)
+            stat, lim = _stat_and_limit(_Truth(path, kernel, plan.t))
             results.append({
                 "n": n,
                 "rep": r,
@@ -302,6 +304,8 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
     variance); reps whose conditional variance is zero (no jumps) are
     excluded from Z and counted.  The marginal-law comparison pits
     sqrt(n)(statistic - limit) against limit draws on independent paths.
+    Each path's ground truth is read once: the limit and the conditional
+    variance share one context.
     """
     if plan.kind not in ("CLT_jump", "CLT_mixed"):
         raise HarnessError(f"run_clt got plan of kind {plan.kind}")
@@ -314,12 +318,9 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
         for r in range(plan.reps):
             seed = derive_seed(plan.base_seed, _S_PATH, n, r)
             path = simulate_path(plan.model, n, plan.t, seed)
-            stat, lim = _stat_and_limit(path, kernel, plan.t)
-            cv = (
-                cond_var_mixed(path, kernel, t=plan.t)
-                if mixed
-                else cond_var_jump(path, kernel, t=plan.t)
-            )
+            truth = _Truth(path, kernel, plan.t)
+            stat, lim = _stat_and_limit(truth)
+            cv = _cond_var_mixed(truth) if mixed else _cond_var_jump(truth)
             raw = math.sqrt(n) * (stat - lim)
             excluded = cv.total <= 0.0 or (mixed and path.clamped)
             z = raw / math.sqrt(cv.total) if not excluded else None
@@ -477,8 +478,9 @@ def grid_scan(
         sv = v_stat(data, kernel, t=t, n=n)
         row = {"beta": beta, "statistic": sv.value, "normalized": sv.value / envelope}
         if is_path:
-            lim = jump_limit(data, kernel, t=t).value
-            cv = cond_var_jump(data, kernel, t=t).total
+            truth = _Truth(data, kernel, t)
+            lim = _jump_limit(truth).value
+            cv = _cond_var_jump(truth).total
             row["limit"] = lim
             row["cond_var"] = cv
             nn = data.n

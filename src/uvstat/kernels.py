@@ -16,19 +16,23 @@ d-fold statistics possible.
 The one exact calculus is :class:`Factor1D`: products, derivatives and
 Gaussian moments E[f(sigma U)] of the one-dimensional factors (closed
 form, or quadrature over a bit-identical float copy of Factor1D.val
-when cos/sin are present).  Partial
-derivatives of H, rho_H and everything else in the package (statistics,
-limit functionals, conditional variances) are written against the
-separable terms, and so are the structural questions the admissibility
-checker asks: which coordinates L touches, its evenness and its
-polynomial growth in the scaled block.  The :class:`LExpr` tree only
-parses, prints, expands into separable terms and evaluates L directly;
-:func:`eval_h` keeps that direct evaluation as the oracle independent of
-the factorization.
+when cos/sin are present).  Partial derivatives of H, rho_H and
+everything else in the package (statistics, limit functionals,
+conditional variances, limit draws) are written against the separable
+terms, which each kernel expands once, on first use, into its compiled
+view (``KernelSpec._compiled``: the terms, their derivatives, the
+Gaussian-field factor products and the slot layouts of the limits).
+The structural questions the admissibility checker asks (which
+coordinates L touches, and its evenness and boundedness in the scaled
+block) are answered on the separable terms of L.  The :class:`LExpr`
+tree only parses, prints, expands into separable terms and evaluates L
+directly; :func:`eval_h` keeps that direct evaluation as the oracle
+independent of the factorization.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, replace
 
@@ -296,7 +300,7 @@ class LExpr:
     Nodes parse and print (:meth:`to_text`), expand into separable terms
     (:meth:`sep_terms`) and evaluate L directly (:meth:`value`, the
     oracle behind :func:`eval_h`).  Every structural question (which
-    coordinates L touches, evenness, polynomial growth) and every
+    coordinates L touches, evenness, boundedness) and every
     derivative is answered on the separable terms, not on the tree.
     """
 
@@ -529,6 +533,11 @@ class KernelSpec:
     def text(self) -> str:
         return kernel_to_text(self)
 
+    @functools.cached_property
+    def _compiled(self) -> "_CompiledKernel":
+        """The separable expansion in the shapes its readers use, built on first use."""
+        return _CompiledKernel(self)
+
 
 def eval_h(kernel: KernelSpec, point) -> float:
     """Evaluate H at a point (or batch of points, last axis = coordinate)."""
@@ -562,10 +571,11 @@ def partial_h(kernel: KernelSpec, j: int, point) -> float:
         raise KernelError(
             f"partial_h at x_{j} = 0 with power 0 < {pj} <= 1 is not defined"
         )
+    compiled = kernel._compiled
     out = np.zeros(pt.shape[:-1])
-    for coeff, factors in separable_terms(kernel):
+    for (coeff, factors), derivs in zip(compiled.terms, compiled.derivatives):
         term = np.zeros(xj.shape)
-        for dcoef, dfac in factors[j].derivative():
+        for dcoef, dfac in derivs[j]:
             term = term + dcoef * dfac.val(xj)
         term = coeff * term
         for i, f in enumerate(factors):
@@ -601,6 +611,45 @@ def separable_terms(kernel: KernelSpec) -> tuple:
     return tuple(out)
 
 
+class _CompiledKernel:
+    """One kernel's separable expansion, compiled once for every reader.
+
+    Held by the kernel (:attr:`KernelSpec._compiled`), so it lives as long
+    as the kernel and no longer.  The statistics, limits, conditional
+    variances and limit draws read the terms here instead of expanding
+    the kernel per call:
+
+    * ``terms``: :func:`separable_terms` as ((coeff, (Factor1D,) * d), ...);
+    * ``derivatives[m][j]``: ``terms[m][1][j].derivative()``;
+    * ``vbar_slots``/``vtilde_slots``: the slot layouts of sum_k Vbar_k
+      (first block differentiated, second at 0) and sum_{k>l} Vtilde_k
+      (first block integrated, second differentiated);
+    * ``pairs`` and ``products``: the (term, scaled slot) pairs (m, i) of
+      the Gaussian-field covariance and, for pairs a <= b,
+      ``products[a][b - a]``, the product of their factors.
+
+    The derivatives and the products are built on first use.
+    """
+
+    def __init__(self, kernel: KernelSpec):
+        l, d = kernel.l, kernel.d
+        self.terms = tuple((coeff, tuple(factors)) for coeff, factors in separable_terms(kernel))
+        self.vbar_slots = ("deriv",) * l + (0.0,) * (d - l)
+        self.vtilde_slots = ("moment",) * l + ("deriv",) * (d - l)
+        self.pairs = tuple((m, i) for m in range(len(self.terms)) for i in range(l))
+
+    @functools.cached_property
+    def derivatives(self) -> tuple:
+        return tuple(tuple(f.derivative() for f in factors) for _, factors in self.terms)
+
+    @functools.cached_property
+    def products(self) -> tuple:
+        pair_factors = [self.terms[m][1][i] for m, i in self.pairs]
+        return tuple(
+            tuple(fa.mul(fb) for fb in pair_factors[a:]) for a, fa in enumerate(pair_factors)
+        )
+
+
 # ---------------------------------------------------------------------------
 # Gaussian smoothing rho_H
 # ---------------------------------------------------------------------------
@@ -624,7 +673,7 @@ def rho(kernel: KernelSpec, sigmas, y) -> float:
     if np.any(sigmas <= 0.0):
         raise KernelError("sigmas must be positive")
     total = 0.0
-    for coeff, factors in separable_terms(kernel):
+    for coeff, factors in kernel._compiled.terms:
         v = coeff
         for i in range(l):
             if v == 0.0:
@@ -769,40 +818,24 @@ def _check_kernel_class(kernel: KernelSpec) -> AdmissibilityItem:
     )
 
 
-def _scaled_block_degrees(kernel: KernelSpec) -> dict:
-    """{coord: polynomial degree in x of L} over the scaled-block coordinates.
-
-    Read off the separable terms: the factor sum_k poly2[k] x^{2k} has
-    degree 2 * (last k with poly2[k] != 0), so a zero polynomial has
-    degree 0.  Only :class:`PolyEven` contributes poly2; products multiply
-    it out.
-    """
-    degrees = {}
-    for c, f in _l_factors(kernel.L):
-        if c < kernel.l:
-            deg = max((2 * k for k, a in enumerate(f.poly2) if a != 0.0), default=0)
-            degrees[c] = max(degrees.get(c, 0), deg)
-    return degrees
-
-
-def _check_growth(kernel: KernelSpec) -> AdmissibilityItem:
-    """Growth exponent gamma of L's first partials in the scaled block.
-
-    gamma = max(deg - 1, 0) over the scaled-block degrees; gamma > 0
-    needs gamma + max(p) < 1.  Polynomial growth in the y block is
-    absorbed by the continuous envelope u(y).
-    """
-    gamma = max((max(deg - 1, 0) for deg in _scaled_block_degrees(kernel).values()), default=0)
-    return AdmissibilityItem(
-        "derivative_growth",
-        gamma == 0 or gamma + max(kernel.p, default=0.0) < 1.0,
-        f"first-derivative growth exponent gamma = {gamma} in the scaled block; "
-        "needs gamma = 0 or gamma + max(p) < 1",
-    )
-
-
 def _check_bounded_in_first_block(kernel: KernelSpec) -> AdmissibilityItem:
-    bad = sorted(c for c, deg in _scaled_block_degrees(kernel).items() if deg > 0)
+    """Whether L and its derivatives are bounded in the scaled block.
+
+    Read off the separable terms: a factor sum_k poly2[k] x^{2k} times
+    cos/sin/exp(-c x^2) is bounded, and so are its derivatives (which keep
+    that form), when its polynomial has degree 0 (the last nonzero
+    poly2[k] is k = 0, so a zero polynomial qualifies) or its Gaussian
+    exponents sum to more than 0.
+    """
+    bad = sorted(
+        {
+            c
+            for c, f in _l_factors(kernel.L)
+            if c < kernel.l
+            and any(a != 0.0 for a in f.poly2[1:])
+            and not sum(f.gauss_args) > 0.0
+        }
+    )
     ok = not bad
     detail = "smooth factor bounded in the scaled block" if ok else (
         f"smooth factor unbounded in scaled coordinates {bad}"
@@ -831,9 +864,9 @@ def _power_item(name, values, ok_fn, requirement) -> AdmissibilityItem:
 def check_admissibility(kernel: KernelSpec) -> AdmissibilityReport:
     """Check the declared regime's hypotheses, item by item.
 
-    Structural items (evenness, boundedness and derivative growth in the
-    scaled block, the grid test's grid_sin factor) are read off the
-    separable expansion ``kernel.L.sep_terms()``; the small-x and
+    Structural items (evenness and boundedness in the scaled block, the
+    grid test's grid_sin factor) are read off the separable expansion
+    ``kernel.L.sep_terms()``; the small-x and
     smooth-class items are numeric, on :meth:`LExpr.value` and
     :func:`partial_h`.  Report-only: construction of out-of-regime
     kernels is allowed, the harness refuses to run plans whose kernel
@@ -870,7 +903,6 @@ def check_admissibility(kernel: KernelSpec) -> AdmissibilityReport:
         items.append(_power_item("q", kernel.q, lambda v: v > 3.0, "all > 3"))
         items.append(_check_even(kernel))
         items.append(_check_bounded_in_first_block(kernel))
-        items.append(_check_growth(kernel))
     return AdmissibilityReport(regime=regime, items=tuple(items))
 
 

@@ -26,14 +26,21 @@ partial last step, exact for constant volatility); the induced
 O(n^{-1/2}) discretization error matches the Euler scheme's accuracy and
 is the bias floor of the CLT experiments.
 
-Every public function opens one private ground-truth context for its
-(path, kernel, t): it validates t, reads the jump sizes, the one-sided
-spot volatilities up to t and the kernel's separable terms once, builds
-the sigma grid on first use and evaluates the Gaussian moment vector of
-each distinct factor once, whether a limit, a variance profile or the
-field covariance asks for it; a constant grid (a Constant volatility
-path) costs one moment evaluation per factor.  The context lives for one
-call; nothing is kept between calls.
+Two things are read once and shared.  The kernel's separable terms,
+their derivatives, the Gaussian-field factor products and the slot
+layouts are compiled once per kernel (``KernelSpec._compiled``, built on
+first use and held by the kernel).  A path's ground truth up to t is one
+private context, ``_Truth``: it validates t, reads the jump sizes and the
+one-sided spot volatilities once, builds the sigma grid on first use
+and evaluates the Gaussian moment vector of each distinct factor once,
+whether a limit, a variance profile or the field covariance asks for it;
+a constant grid (a Constant volatility path) costs one moment evaluation
+per factor.  The left-Riemann weights are built once per (n, t), and the
+time integral of a constant over them once per (n, t, value).  Each
+public function opens its own context and calls a private twin that
+takes one (``_jump_limit``, ``_mixed_limit``, ``_cond_var_jump``,
+``_cond_var_mixed``), so a caller that reads one path several times, as
+``harness.run_clt`` does, opens one context per path and passes it on.
 
 Every function reads the block split l from the kernel (``kernel.l``).
 The limits carry the per-jump contribution table that ``uvstat limits``
@@ -53,7 +60,11 @@ import numpy as np
 from uvstat.kernels import Factor1D, KernelError, KernelSpec, separable_terms
 from uvstat.simulate import SamplePath, _count
 
+# separable_terms stays importable from this module, where the benchmark's
+# tracer test (bench/test_bench.py) looks it up; the limits themselves read
+# the kernel's compiled view
 __all__ = [
+    "separable_terms",
     "LimitValue",
     "CondVariance",
     "LimitError",
@@ -95,23 +106,41 @@ class CondVariance:
 _JUMP_SLOTS = ("sum", "free", "deriv")
 
 
-def _vbar_slots(kernel: KernelSpec) -> tuple:
-    """Slot layout of sum_k Vbar_k: first block differentiated, second at 0."""
-    return ("deriv",) * kernel.l + (0.0,) * (kernel.d - kernel.l)
+@functools.lru_cache(maxsize=4)
+def _riemann_weights(n: int, t: float, steps: int) -> np.ndarray:
+    """Left-Riemann weights up to t on a grid of the given steps (1/n, ..., partial last).
+
+    Read-only, and built once per (n, t, steps): every path of an
+    experiment at one n shares them (an experiment runs its n one after
+    another, so a few entries suffice).
+    """
+    count = min(_count(n, t), steps)
+    weights = np.full(count + 1, 1.0 / n)
+    weights[-1] = t - count / n
+    if weights[-1] <= 1e-15:
+        weights = weights[:count]
+    weights.setflags(write=False)
+    return weights
 
 
-def _vtilde_slots(kernel: KernelSpec) -> tuple:
-    """Slot layout of sum_{k>l} Vtilde_k: first block integrated, second differentiated."""
-    return ("moment",) * kernel.l + ("deriv",) * (kernel.d - kernel.l)
+@functools.lru_cache(maxsize=256)
+def _constant_integral(n: int, t: float, steps: int, value: float) -> float:
+    """int_0^t of a constant on the left-Riemann grid: the weights dotted with the value repeated.
+
+    That dot product rounds differently from value * sum(weights), so it
+    is taken as is and kept per (n, t, steps, value).
+    """
+    weights = _riemann_weights(n, t, steps)
+    return float(np.dot(weights, np.full(len(weights), value)))
 
 
 class _Truth:
-    """The ground truth of one path up to t, read once per call.
+    """The ground truth of one path up to t, read once per path.
 
     Holds the jump sizes and one-sided spot volatilities up to t, the
-    separable terms of the kernel, the left-Riemann sigma grid (built on
-    first use) and, per distinct factor f, E[f(sigma U)] on that grid with
-    its time integral (computed on first use).  A constant grid costs one
+    kernel's compiled view, the left-Riemann sigma grid (built on first
+    use) and, per distinct factor f, E[f(sigma U)] on that grid with its
+    time integral (computed on first use).  A constant grid costs one
     moment evaluation per factor.
     """
 
@@ -124,19 +153,20 @@ class _Truth:
         self.sizes = np.array([r.size for r in recs])
         self.pre = np.array([r.sigma_pre for r in recs])
         self.post = np.array([r.sigma_post for r in recs])
-        self.terms = separable_terms(kernel)
+        self.compiled = kernel._compiled
+        self.terms = self.compiled.terms
         self._moments = {}
 
     @functools.cached_property
     def grid(self):
         """(sigmas, weights) of the left Riemann sum up to t, exact for constant sigma."""
-        n, sigma_grid = self.path.n, self.path.sigma_grid
-        count = min(_count(n, self.t), len(sigma_grid) - 1)
-        weights = np.full(count + 1, 1.0 / n)
-        weights[-1] = self.t - count / n
-        if weights[-1] <= 1e-15:
-            return sigma_grid[:count], weights[:count]
-        return sigma_grid[: count + 1], weights
+        sigma_grid = self.path.sigma_grid
+        weights = _riemann_weights(*self._grid_key)
+        return sigma_grid[: len(weights)], weights
+
+    @property
+    def _grid_key(self) -> tuple:
+        return self.path.n, self.t, len(self.path.sigma_grid) - 1
 
     @functools.cached_property
     def constant_grid(self) -> bool:
@@ -144,22 +174,43 @@ class _Truth:
         sigmas = self.grid[0]
         return len(sigmas) > 0 and bool((sigmas == sigmas[0]).all())
 
-    def moment(self, factor: Factor1D):
+    def _evaluate(self, factor: Factor1D) -> tuple:
         """(E[f(sigma_u U)] on the grid, int_0^t E[f(sigma_u U)] du), once per factor.
 
-        On a constant grid the moment is evaluated at the first sigma and
-        repeated, which is the full-grid vector bit for bit.
+        On a constant grid the moment is one value, evaluated at the first
+        sigma (repeated, it is the full-grid vector bit for bit), and its
+        integral is that value repeated over the grid, dotted with the
+        weights.
         """
-        if factor not in self._moments:
+        found = self._moments.get(factor)
+        if found is None:
             sigmas, weights = self.grid
             if self.constant_grid:
-                vec = np.full(len(sigmas), factor.gaussian_moment_vec(sigmas[:1])[0])
+                value = factor.gaussian_moment_vec(sigmas[:1])[0]
+                found = (value, _constant_integral(*self._grid_key, value))
             else:
                 vec = factor.gaussian_moment_vec(sigmas)
-            self._moments[factor] = (vec, float(np.dot(weights, vec)))
-        return self._moments[factor]
+                found = (vec, float(np.dot(weights, vec)))
+            self._moments[factor] = found
+        return found
 
-    def contract(self, slots, points=None, sizes=None, terms=None):
+    def integral(self, factor: Factor1D) -> float:
+        """int_0^t E[f(sigma_u U)] du on the grid."""
+        return self._evaluate(factor)[1]
+
+    def cov_integral(self, fa: Factor1D, fb: Factor1D, fab: Factor1D) -> float:
+        """int_0^t Cov(fa(sigma_u U), fb(sigma_u U)) du on the grid; fab is fa fb.
+
+        The covariance E[fab] - E[fa] E[fb] is taken on the grid (one
+        value on a constant grid) and integrated as the moments are.
+        """
+        (ab, _), (a, _), (b, _) = (self._evaluate(f) for f in (fab, fa, fb))
+        cov = ab - a * b
+        if self.constant_grid:
+            return _constant_integral(*self._grid_key, cov)
+        return float(np.dot(self.grid[1], cov))
+
+    def contract(self, slots, points=None, sizes=None):
         """Contract the separable terms of H slot by slot against the ground truth.
 
         slots[j] says what becomes of the j-th factor f of every term:
@@ -174,10 +225,10 @@ class _Truth:
           f = |x|^p ... with 0 < p <= 1 the derivative is not defined at a
           zero point, which raises KernelError (as partial_h does).
 
-        sizes (the jumps up to t by default) and terms (those of the
-        kernel by default) may be replaced.  Several free/deriv slots take
-        the free role in turn, the others being summed over the jumps; the
-        result adds up those choices.  Terms are taken in order, the
+        sizes (the jumps up to t by default) may be replaced.  Several
+        free/deriv slots take the free role in turn, the others being
+        summed over the jumps; the result adds up those choices.  The
+        kernel's compiled terms are taken in order, the
         coefficient is multiplied by the fixed scalars left to right, and a
         term (or a choice of free slot) is skipped once its fixed part or
         the product of its slot sums is exactly 0.
@@ -186,13 +237,13 @@ class _Truth:
         jump = [j for j, s in enumerate(slots) if s in _JUMP_SLOTS]
         free = [j for j in jump if slots[j] != "sum"]
         total = np.zeros(np.shape(points)) if free else 0.0
-        for coeff, factors in self.terms if terms is None else terms:
+        for (coeff, factors), derivs in zip(self.terms, self.compiled.derivatives):
             fixed = coeff
             for f, s in zip(factors, slots):
                 if fixed == 0.0:
                     break
                 if s == "moment":
-                    fixed *= self.moment(f)[1]
+                    fixed *= self.integral(f)
                 elif isinstance(s, float):
                     fixed *= f.val(s)
             if fixed == 0.0:
@@ -215,7 +266,7 @@ class _Truth:
                             f"derivative of |x|^{factors[k].power!r} is not defined at 0"
                         )
                     dvals = np.zeros(np.shape(points))
-                    for dcoef, dfac in factors[k].derivative():
+                    for dcoef, dfac in derivs[k]:
                         dvals += dcoef * dfac.val(points)
                     total += fixed * rest * dvals
         return total if np.ndim(total) else float(total)
@@ -239,8 +290,11 @@ def jump_limit(path: SamplePath, kernel: KernelSpec, t: Optional[float] = None) 
     the factorized form collapses it to per-jump sums.  Contribution p of
     the table aggregates every tuple whose first slot is jump p.
     """
-    truth = _Truth(path, kernel, t)
-    d, l = kernel.d, kernel.l
+    return _jump_limit(_Truth(path, kernel, t))
+
+
+def _jump_limit(truth: _Truth) -> LimitValue:
+    d, l = truth.kernel.d, truth.kernel.l
     scale = truth.t ** (d - l)
     if l == 0:
         value = truth.contract((0.0,) * d) * scale
@@ -253,8 +307,11 @@ def jump_limit(path: SamplePath, kernel: KernelSpec, t: Optional[float] = None) 
 
 def mixed_limit(path: SamplePath, kernel: KernelSpec, t: Optional[float] = None) -> LimitValue:
     """Y_t(H, X, l) = sum over jump tuples of int_{[0,t]^l} rho_H(sigma_u, Delta X) du."""
-    truth = _Truth(path, kernel, t)
-    d, l = kernel.d, kernel.l
+    return _mixed_limit(_Truth(path, kernel, t))
+
+
+def _mixed_limit(truth: _Truth) -> LimitValue:
+    d, l = truth.kernel.d, truth.kernel.l
     if d == l:
         value = truth.contract(("moment",) * l)
         return LimitValue(value, (("time_integral", value),))
@@ -293,12 +350,16 @@ def vbar(
 
 def cond_var_jump(path: SamplePath, kernel: KernelSpec, t: Optional[float] = None) -> CondVariance:
     """E[U(H,X,l)_t^2 | F] = 1/2 t^{2(d-l)} sum_s (sum_k Vbar_k(DX_s))^2 (s-^2 + s^2)."""
-    truth = _Truth(path, kernel, t)
+    return _cond_var_jump(_Truth(path, kernel, t))
+
+
+def _cond_var_jump(truth: _Truth) -> CondVariance:
+    kernel = truth.kernel
     if kernel.l < 1:
         raise KernelError("jump-case conditional variance needs l >= 1")
     if len(truth.sizes) == 0:
         return CondVariance(0.0, 0.0, 0.0)
-    w = truth.contract(_vbar_slots(kernel), truth.sizes)
+    w = truth.contract(truth.compiled.vbar_slots, truth.sizes)
     scale = 0.5 * truth.t ** (2 * (kernel.d - kernel.l))
     pre, post = truth.pre, truth.post
     total = float(np.sum(scale * w * w * (pre * pre + post * post)))
@@ -321,7 +382,9 @@ class _CovStructure:
 
         P[(m,i),(m',j)] = int_0^t Cov_s( g_{m,i}(U_s), g_{m',j}(U_s) ) ds
 
-    is an integral of Gram matrices, hence positive semidefinite.
+    is an integral of Gram matrices, hence positive semidefinite.  The
+    pairs and the factor products g_{m,i} g_{m',j} come from the kernel's
+    compiled view.
     """
 
     def __init__(self, truth: _Truth):
@@ -331,8 +394,8 @@ class _CovStructure:
         if self.l < 1:
             raise KernelError("the Gaussian field needs a nonempty scaled block (l >= 1)")
         self.terms = truth.terms
-        self.pairs = [(m, i) for m in range(len(self.terms)) for i in range(self.l)]
-        tmom = [[truth.moment(f)[1] for f in factors[: self.l]] for _, factors in self.terms]
+        self.pairs = truth.compiled.pairs
+        tmom = [[truth.integral(f) for f in factors[: self.l]] for _, factors in self.terms]
         self.base_weight = np.array(
             [
                 self.terms[m][0]
@@ -340,37 +403,48 @@ class _CovStructure:
                 for (m, i) in self.pairs
             ]
         )
-        weights = truth.grid[1]
         npairs = len(self.pairs)
         self.P = np.zeros((npairs, npairs))
-        for a in range(npairs):
+        for a, row in enumerate(truth.compiled.products):
             m, i = self.pairs[a]
             fa = self.terms[m][1][i]
-            for b in range(a, npairs):
+            for b, fab in enumerate(row, start=a):
                 m2, j = self.pairs[b]
-                fb = self.terms[m2][1][j]
-                cov_s = truth.moment(fa.mul(fb))[0] - truth.moment(fa)[0] * truth.moment(fb)[0]
-                val = float(np.dot(weights, cov_s))
+                val = truth.cov_integral(fa, self.terms[m2][1][j], fab)
                 self.P[a, b] = val
                 self.P[b, a] = val
 
-    def _weighted(self, yslots) -> np.ndarray:
-        """base_weight times the second-block part Y_m, one entry per (m, i) pair."""
-        ypart = [
-            self.truth.contract((None,) * self.l + yslots, terms=((1.0, factors),))
-            for _, factors in self.terms
-        ]
+    def _weighted(self, ypart) -> np.ndarray:
+        """base_weight times the second-block parts Y_m (one per term), one entry per (m, i) pair."""
         return self.base_weight * np.array([ypart[m] for m, _ in self.pairs])
 
     def y_vector(self, y: Sequence[float]) -> np.ndarray:
         y = np.asarray(y, dtype=float).ravel()
         if y.size != self.d - self.l:
             raise KernelError(f"expected {self.d - self.l} y-coordinates, got {y.size}")
-        return self._weighted(tuple(float(v) for v in y))
+        ys = [float(v) for v in y]
+        ypart = []
+        for _, factors in self.terms:
+            # the second-block factors at y, left to right, stopping at an exact 0
+            # (which counts as +0.0)
+            value = 1.0
+            for f, v in zip(factors[self.l :], ys):
+                if value == 0.0:
+                    break
+                value *= f.val(v)
+            ypart.append(value or 0.0)
+        return self._weighted(ypart)
 
     def tuple_sum_vector(self) -> np.ndarray:
         """sum over all (d-l)-tuples of jumps of y_vector(tuple)."""
-        return self._weighted(("sum",) * (self.d - self.l))
+        sizes = self.truth.sizes
+        # per term, the product of its second-block factors' sums over the jumps
+        # (an exact 0 counts as +0.0)
+        ypart = [
+            math.prod([float(np.sum(f.val(sizes))) for f in factors[self.l :]]) or 0.0
+            for _, factors in self.terms
+        ]
+        return self._weighted(ypart)
 
     def cov(self, y1, y2) -> float:
         v1 = self.y_vector(y1)
@@ -428,12 +502,16 @@ def cond_var_mixed(path: SamplePath, kernel: KernelSpec, t: Optional[float] = No
     field term: sum over pairs of jump tuples of C(Delta X_s1, Delta X_s2),
                 computed in factorized form (no tuple enumeration).
     """
-    truth = _Truth(path, kernel, t)
+    return _cond_var_mixed(_Truth(path, kernel, t))
+
+
+def _cond_var_mixed(truth: _Truth) -> CondVariance:
+    kernel = truth.kernel
     if not 1 <= kernel.l < kernel.d:
         raise KernelError("mixed-case conditional variance needs 1 <= l < d")
     if len(truth.sizes) == 0:
         return CondVariance(0.0, 0.0, 0.0)
-    prof = truth.contract(_vtilde_slots(kernel), truth.sizes)
+    prof = truth.contract(truth.compiled.vtilde_slots, truth.sizes)
     jump_term = float(np.sum(prof * prof * truth.post * truth.post))
     struct = _CovStructure(truth)
     svec = struct.tuple_sum_vector()

@@ -15,9 +15,13 @@ a sub-seed derived by hashing so the two terms stay reproducible
 independently.  The block split l is read from the kernel.
 
 Each draw reads the path through one ground-truth context of
-:mod:`uvstat.limits`, as the limits do: the jump sizes up to t, the
-kernel's separable terms and one Gaussian moment vector per distinct
-factor, shared by the jump-term coefficients and the field covariance.
+:mod:`uvstat.limits`, as the limits do: the jump sizes up to t and one
+Gaussian moment vector per distinct factor, shared by the jump-term
+coefficients and the field covariance.  The kernel's separable terms,
+their derivatives, the field-factor products and the slot layouts come
+from the kernel's compiled view, built once per kernel.  The distinct
+jump sizes of the field are an exact tally of the (finite, nonzero)
+sizes, in increasing order.
 """
 
 from __future__ import annotations
@@ -31,7 +35,7 @@ from typing import Optional
 import numpy as np
 
 from uvstat.kernels import KernelError, KernelSpec
-from uvstat.limits import _CovStructure, _Truth, _vbar_slots, _vtilde_slots
+from uvstat.limits import _CovStructure, _Truth
 from uvstat.simulate import SamplePath
 
 __all__ = [
@@ -156,10 +160,16 @@ def sample_V_mixed(
     J = len(sizes)
     if J == 0:
         return 0.0
-    coeff = truth.contract(_vtilde_slots(kernel), sizes)
+    coeff = truth.contract(truth.compiled.vtilde_slots, sizes)
     jump_term = float(np.sum(coeff * aug.r[:J]))
 
-    uniq, counts = np.unique(sizes, return_counts=True)
+    # distinct jump sizes in increasing order, with their counts (the sizes
+    # are finite and nonzero, so a float tally sorts and counts them exactly)
+    tally: dict = {}
+    for size in sizes.tolist():
+        tally[size] = tally.get(size, 0) + 1
+    uniq = sorted(tally)
+    counts = [tally[size] for size in uniq]
     K = len(uniq)
     n_tuples = K ** (d - l)
     if n_tuples > FIELD_TUPLE_BUDGET:
@@ -167,8 +177,8 @@ def sample_V_mixed(
             f"{n_tuples} distinct jump tuples exceed the field budget {FIELD_TUPLE_BUDGET}"
         )
     combos = list(itertools.product(range(K), repeat=d - l))
-    y_list = [[float(uniq[i]) for i in combo] for combo in combos]
-    weights = np.array([math.prod(int(counts[i]) for i in combo) for combo in combos], dtype=float)
+    y_list = [[uniq[i] for i in combo] for combo in combos]
+    weights = np.array([math.prod(counts[i] for i in combo) for combo in combos], dtype=float)
     chol = _cholesky_with_jitter(_CovStructure(truth).cov_matrix(y_list))
     field_term = 0.0
     if chol is not None:
@@ -204,6 +214,6 @@ def truncated_Z(
     keep = np.sort(order[: min(m, J)])
     sub_sizes = sizes[keep]
     coeff = truth.t ** (kernel.d - kernel.l) * truth.contract(
-        _vbar_slots(kernel), sub_sizes, sizes=sub_sizes
+        truth.compiled.vbar_slots, sub_sizes, sizes=sub_sizes
     )
     return float(np.sum(coeff * aug.r[keep]))

@@ -17,6 +17,7 @@ Brownian draws do not depend on how many jumps were placed.
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import struct
@@ -139,9 +140,13 @@ class AtomList:
         if not math.isclose(sum(p for _, p in atoms), 1.0, rel_tol=1e-9):
             raise SimulationError("atom probabilities must sum to 1")
 
+    @functools.cached_property
+    def _table(self) -> tuple:
+        """(values, probabilities) as arrays, built once per distribution."""
+        return np.array([v for v, _ in self.atoms]), np.array([p for _, p in self.atoms])
+
     def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        values = np.array([v for v, _ in self.atoms])
-        probs = np.array([p for _, p in self.atoms])
+        values, probs = self._table
         idx = gen.choice(len(values), size=count, p=probs)
         return values[idx]
 
@@ -373,12 +378,12 @@ def simulate_path(
     plus the sizes of the jumps it contains (Euler with left-frozen
     volatility).
 
-    The Brownian draws are one standard-normal fill, scaled in place, whose
-    scales follow the order of a per-interval scalar loop: sqrt(1/n) for
-    an interval without jumps, sqrt(dt) for each sub-segment of one with
-    jumps (a segment with dt <= 0 draws nothing), so the random stream and
-    every bit (0.0 + scale * z, as numpy's normal forms it) are those of
-    one scalar draw per segment.  An ItoSM volatility is one sequential
+    The Brownian draws are one standard-normal fill, scaled in place, in
+    the order of a per-interval scalar loop: sqrt(1/n) for an interval
+    without jumps, sqrt(dt) for each sub-segment of one with jumps (a
+    segment with dt <= 0 draws nothing), so the random stream and every
+    bit (0.0 + scale * z, as numpy's normal forms it) are those of one
+    scalar draw per segment.  An ItoSM volatility is one sequential
     running sum of sigma0, b~/n, s~ Delta W_i, v~ Delta V_i, ... (the
     Euler step's own order of additions) up to the first value below
     floor_eps; from there on a scalar loop clamps and counts.
@@ -405,26 +410,34 @@ def simulate_path(
     intervals = np.maximum(intervals, 1)
 
     # Brownian increments, split at jump times inside each interval; one
-    # draw whose scales run interval by interval, and within an interval
-    # holding jumps over its sub-segments in time order
+    # draw that runs interval by interval, and within an interval holding
+    # jumps over its sub-segments in time order
     jumps_by_interval: dict = {}
     for p, idx in enumerate(intervals):
         if idx <= N:
             jumps_by_interval.setdefault(int(idx), []).append(p)
     step = math.sqrt(1.0 / n)
     segments = {}  # sub-segment lengths of each interval holding jumps
-    scales = []
-    prev = 0  # intervals prev+1 .. i-1 hold no jump
+    seg_draws, seg_dts = [], []  # draw index and length of each drawn sub-segment
+    draws = prev = 0  # draws so far; intervals prev+1 .. i-1 hold no jump
     for i, here in jumps_by_interval.items():
         cuts = [(i - 1) / n] + [times[p] for p in here] + [i / n]
         segments[i] = [b - a for a, b in zip(cuts[:-1], cuts[1:])]
-        scales += [np.full(i - 1 - prev, step), np.sqrt([dt for dt in segments[i] if dt > 0])]
+        draws += i - 1 - prev
+        for dt in segments[i]:
+            if dt > 0:
+                seg_draws.append(draws)
+                seg_dts.append(dt)
+                draws += 1
         prev = i
-    scales.append(np.full(N - prev, step))
-    scales = np.concatenate(scales)
-    # numpy's normal(0.0, scale) is 0.0 + scale * z, element by element
-    dw = w_gen.standard_normal(len(scales))
-    dw *= scales
+    draws += N - prev
+    # numpy's normal(0.0, scale) is 0.0 + scale * z, element by element:
+    # every draw scaled by sqrt(1/n), then the sub-segment draws rescaled
+    # from their standard normals by sqrt(dt)
+    dw = w_gen.standard_normal(draws)
+    z = dw[seg_draws]
+    dw *= step
+    dw[seg_draws] = z * np.sqrt(seg_dts)
     dw += 0.0
 
     w_inc = np.empty(N)
@@ -495,7 +508,8 @@ def simulate_path(
         )
 
     # X increments and grid values
-    inc = cfg.drift_b / n + sigma[:N] * w_inc
+    inc = sigma[:N] * w_inc
+    inc += cfg.drift_b / n
     for i, here in jumps_by_interval.items():
         inc[i - 1] += sizes[here].sum()
     x_grid = np.empty(N + 1)

@@ -28,7 +28,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 from scipy.stats import norm
 
-from uvstat.kernels import KernelSpec, KernelError, eval_h, separable_terms
+from uvstat.kernels import KernelSpec, KernelError, eval_h
 from uvstat.simulate import SamplePath, SimulationError, _count, first_order_increments, increments
 
 __all__ = [
@@ -98,7 +98,7 @@ def _factorized_value(kernel: KernelSpec, coord_data) -> float:
     """
     sums: dict = {}
     total = 0.0
-    for coeff, factors in separable_terms(kernel):
+    for coeff, factors in kernel._compiled.terms:
         prod = coeff
         for k, f in enumerate(factors):
             if prod == 0.0:
@@ -202,7 +202,7 @@ def u_stat(
     z = math.sqrt(n) * inc
     if strategy == "factorized":
         total = 0.0
-        for coeff, factors in separable_terms(kernel):
+        for coeff, factors in kernel._compiled.terms:
             prev = np.ones(count + 1)
             for f in factors:
                 vals = f.val(z)

@@ -435,6 +435,80 @@ def test_oversized_beta_range_exits_1(tmp_path, capsys):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "n, t, intensity, expected",
+    [
+        (
+            2**22 + 1, 1.0, 1.0,
+            "experiment.n_list entry 4194305 with experiment.t = 1.0 gives floor(n t) grid steps "
+            "per path above the budget 4194304",
+        ),
+        (2**20, 4.5, 1.0, "experiment.n_list entry 1048576 with experiment.t = 4.5 gives"),
+        (2, 1e308, 0.0, "experiment.n_list entry 2 with experiment.t = 1e+308 gives"),
+        (
+            64, 1.0, 200001.0,
+            "model.jumps.intensity = 200001.0 with experiment.t = 1.0 expects 200001 jumps per "
+            "path, above the budget 200000",
+        ),
+        (64, 2.5, 1e5, "model.jumps.intensity = 100000.0 with experiment.t = 2.5 expects 250000"),
+    ],
+)
+def test_size_budgets_exit_1(tmp_path, capsys, n, t, intensity, expected):
+    doc = jump_clt_doc(kind="LLN", n=n, intensity=intensity)
+    doc["experiment"]["t"] = t
+    doc["io"] = {"output_dir": str(tmp_path / "out")}
+    rc = main(["verify-lln", "--config", str(write_config(tmp_path, doc))])
+    first = capsys.readouterr().err.splitlines()[0]
+    assert rc == 1
+    assert first.startswith("error: ") and expected in first
+    assert not (tmp_path / "out").exists()
+
+
+def test_gaussian_bounded_polynomial_kernel_passes_verify_clt(tmp_path):
+    # (1 + x^2/2) exp(-x^2/2) on the scaled coordinate is admissible under MixedCLT
+    kernel = (
+        "d=2 l=1 p=0.5 q=4.0 regime=MixedCLT L=(product (poly_even 0 1.0 0.5) (gauss_bump 0.5 0))"
+    )
+    doc = jump_clt_doc(kind="CLT_mixed", reps=3, n=64, kernel=kernel)
+    doc["io"] = {"output_dir": str(tmp_path / "out")}
+    assert main(["verify-clt", "--config", str(write_config(tmp_path, doc))]) == 0
+    report = json.loads((tmp_path / "out" / "report.json").read_text())
+    assert report["kind"] == "CLT_mixed" and report["tables"]["per_n"]["64"]["reps"] == 3
+
+
+def test_size_budgets_admit_their_bounds():
+    # parsed only: a path at either bound is allowed, nothing is simulated
+    doc = jump_clt_doc(kind="LLN", n=2**22, intensity=200000.0)
+    assert parse_config(json.dumps(doc)).plan.n_list == (2**22,)
+    doc["experiment"].update(n_list=[2**21], t=2.0)
+    doc["model"]["jumps"]["intensity"] = 100000.0
+    assert parse_config(json.dumps(doc)).plan.t == 2.0
+
+
+def test_memory_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
+    def exhausted(*args, **kwargs):
+        raise MemoryError("Unable to allocate 763. MiB for an array with shape (100000000,)")
+
+    monkeypatch.setattr("uvstat.cli.run_plan", exhausted)
+    doc = jump_clt_doc(kind="LLN", reps=2, n=64)
+    doc["io"] = {"output_dir": str(tmp_path / "out")}
+    cfgfile = write_config(tmp_path, doc)
+    assert main(["verify-lln", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        "runtime error: out of memory (Unable to allocate 763. MiB for an array with shape "
+        "(100000000,))"
+    ]
+    assert not (tmp_path / "out").exists()
+
+    def bare(*args, **kwargs):
+        raise MemoryError
+
+    monkeypatch.setattr("uvstat.cli.simulate_path", bare)
+    assert main(["simulate", "--config", str(cfgfile)]) == 2
+    assert capsys.readouterr().err.splitlines() == ["runtime error: out of memory"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_simulate_binary_matches_json(tmp_path):
     doc = jump_clt_doc(kind="LLN", reps=2, n=128)
     doc["io"] = {"output_dir": str(tmp_path / "out")}

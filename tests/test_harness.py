@@ -6,6 +6,10 @@ import numpy as np
 import pytest
 from scipy.stats import norm
 
+import uvstat.harness
+import uvstat.kernels
+import uvstat.limits
+
 from uvstat.harness import (
     _S_PATH,
     ExperimentPlan,
@@ -21,7 +25,7 @@ from uvstat.harness import (
     run_rnp_check,
     run_ztrunc,
 )
-from uvstat.kernels import KernelSpec, grid_test_kernel
+from uvstat.kernels import KernelSpec, Sum, grid_test_kernel, kernel_from_text
 from uvstat.simulate import (
     AtomList,
     JumpModel,
@@ -337,3 +341,38 @@ def test_rnp_distance_decreases_with_n():
         b = np.array([r["r_limit"] for r in rows if r["r_limit"] is not None])
         medians[n] = np.median([ks_2samp(a[k::5], b[k::5])[0] for k in range(5)])
     assert medians[4096] < medians[16]
+
+
+def test_clt_mixed_plan_expands_once_and_reads_each_path_once(monkeypatch):
+    kernel = kernel_from_text(
+        "d=3 l=1 p=0.5 q=4.0,4.0 regime=MixedCLT L=(sum (grid_sin 1.0 1 2) (gauss_bump 0.5 0))"
+    )
+    plan = ExperimentPlan(
+        kind="CLT_mixed", model=model(intensity=3.0), kernel=kernel, t=1.0,
+        n_list=(32, 64), reps=4, base_seed=3,
+    )
+    calls = {"sep_terms": 0, "separable_terms": 0, "truths": 0, "paths": 0}
+
+    def counted(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    # the kernel's top-level L node (a Sum), the expansion, the path contexts, the paths
+    monkeypatch.setattr(Sum, "sep_terms", counted("sep_terms", Sum.sep_terms))
+    monkeypatch.setattr(
+        uvstat.kernels, "separable_terms", counted("separable_terms", uvstat.kernels.separable_terms)
+    )
+    monkeypatch.setattr(
+        uvstat.limits._Truth, "__init__", counted("truths", uvstat.limits._Truth.__init__)
+    )
+    monkeypatch.setattr(
+        uvstat.harness, "simulate_path", counted("paths", uvstat.harness.simulate_path)
+    )
+    first = run_plan(plan)
+    assert calls == {"sep_terms": 1, "separable_terms": 1, "truths": 16, "paths": 16}
+    # the compiled view stays with the kernel: a second run expands nothing
+    again = run_plan(plan)
+    assert calls == {"sep_terms": 1, "separable_terms": 1, "truths": 32, "paths": 32}
+    assert again.to_json() == first.to_json()

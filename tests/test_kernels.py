@@ -437,7 +437,7 @@ def test_admissibility_mixed_clt_evenness():
 
 
 def test_admissibility_growth_exponent():
-    # even polynomial on the scaled block breaks both boundedness and growth
+    # an even polynomial on the scaled block, with no Gaussian bump, is unbounded
     bad = KernelSpec(
         d=2, l=1, p=(0.5,), q=(4.0,), L=PolyEven(0, (1.0, 1.0)), regime="MixedCLT"
     )
@@ -461,9 +461,7 @@ def test_admissibility_composition_flagged():
 
 
 _JUMP_ITEMS = ("powers_p", "powers_q", "smooth_class_membership")
-_MIXED_CLT_ITEMS = (
-    "powers_p", "powers_q", "even_in_scaled_block", "smooth_factor_bounded", "derivative_growth"
-)
+_MIXED_CLT_ITEMS = ("powers_p", "powers_q", "even_in_scaled_block", "smooth_factor_bounded")
 _REGIME_ITEMS = {
     "JumpLLN": ("lln_small_x_condition",),
     "JumpCLT": _JUMP_ITEMS,
@@ -497,20 +495,18 @@ _NESTED_VERDICTS = [
         "L=(product (grid_sin 0.7 0 2) (poly_even 2 1.0 0.5))",
         set(),
     ),
-    # poly_even on the scaled block times gauss_bump
-    (
-        "d=2 l=1 p=0.5 q=4.0 regime=MixedCLT L=(product (poly_even 0 1.0 0.5) (gauss_bump 0.5 0))",
-        {"smooth_factor_bounded", "derivative_growth"},
-    ),
+    # poly_even on the scaled block times gauss_bump: bounded on that coordinate
+    ("d=2 l=1 p=0.5 q=4.0 regime=MixedCLT L=(product (poly_even 0 1.0 0.5) (gauss_bump 0.5 0))", set()),
     (
         "d=2 l=1 p=1.5 q=4.0 regime=MixedLLN "
         "L=(product (gauss_bump 0.5 0) (poly_even 0 0.0 0.0 2.0))",
-        {"smooth_factor_bounded"},
+        set(),
     ),
+    # ... but not when the bump sits on another coordinate
     (
         "d=2 l=1 p=0.5 q=4.0 regime=MixedCLT "
         "L=(sum one (product (poly_even 0 1.0 1.0) (gauss_bump 0.3 1)))",
-        {"smooth_factor_bounded", "derivative_growth"},
+        {"smooth_factor_bounded"},
     ),
     # sums of grid_sins
     ("d=3 l=3 p=4.0,4.0,4.0 q=- regime=JumpCLT L=(sum (grid_sin 1.0 0 1) (grid_sin 0.7 1 2))", set()),
@@ -538,6 +534,20 @@ def test_admissibility_zero_polynomial_is_bounded():
     rep = check_admissibility(k)
     assert rep.passed
     assert [it.name for it in rep.items] == list(_MIXED_CLT_ITEMS)
+
+
+def test_admissibility_gaussian_bounded_polynomial():
+    # (1 + x^2/2) exp(-x^2/2) on the scaled coordinate is bounded with bounded
+    # derivatives; a bump with c = 0, or one on the other coordinate, bounds nothing
+    def bounded(L):
+        k = kernel_from_text(f"d=2 l=1 p=0.5 q=4.0 regime=MixedCLT L={L}")
+        return {it.name: it.passed for it in check_admissibility(k).items}["smooth_factor_bounded"]
+
+    assert bounded("(product (poly_even 0 1.0 0.5) (gauss_bump 0.5 0))")
+    assert bounded("(product (gauss_bump 0.0 0) (poly_even 0 1.0 0.5) (gauss_bump 1e-3 0))")
+    assert not bounded("(product (poly_even 0 1.0 0.5) (gauss_bump 0.0 0))")
+    assert not bounded("(product (poly_even 0 1.0 0.5) (gauss_bump 0.5 1))")
+    assert not bounded("(sum (gauss_bump 0.5 0) (poly_even 0 1.0 0.5))")
 
 
 def test_nested_l_out_of_range_coordinate_rejected():

@@ -21,6 +21,10 @@ from uvstat.kernels import (
     separable_terms,
 )
 from uvstat.limits import (
+    _cond_var_jump,
+    _cond_var_mixed,
+    _jump_limit,
+    _mixed_limit,
     _Truth,
     cond_var_jump,
     cond_var_mixed,
@@ -505,9 +509,31 @@ def test_constant_grid_moment_matches_full_grid_bitwise(length):
         assert len(sigmas) == length and truth.constant_grid
         for f in factors:
             full = f.gaussian_moment_vec(sigmas)
-            vec, integral = truth.moment(f)
+            value, integral = truth._evaluate(f)
+            vec = np.full(length, value)
             assert vec.dtype == full.dtype and vec.tobytes() == full.tobytes(), (f, sigma)
             assert integral.hex() == float(np.dot(weights, full)).hex(), (f, sigma)
+            assert truth.integral(f) == integral
+
+
+@pytest.mark.parametrize("length", [1, 7, 8193])
+def test_constant_grid_cov_integral_matches_full_grid_bitwise(length):
+    # the field covariance integral on a constant grid, from one value per
+    # moment, against the full-grid vectors it stands for
+    kernels = [k for k in catalog_kernels() if 1 <= k.l < k.d] + [KM2, KM3]
+    for sigma in (0.3, 1.1):
+        truth = _Truth(synthetic_path([], sigma=sigma, n=length), KMIX)
+        sigmas, weights = truth.grid
+        assert truth.constant_grid
+        for k in kernels:
+            view = k._compiled
+            first = [view.terms[m][1][i] for m, i in view.pairs]
+            for a, row in enumerate(view.products):
+                for b, fab in enumerate(row, start=a):
+                    fa, fb = first[a], first[b]
+                    vab, va, vb = (f.gaussian_moment_vec(sigmas) for f in (fab, fa, fb))
+                    expected = float(np.dot(weights, vab - va * vb)).hex()
+                    assert truth.cov_integral(fa, fb, fab).hex() == expected, (k.text(), a, b)
 
 
 def test_moment_sigmas_per_call_constant_vs_itosm(monkeypatch):
@@ -548,3 +574,103 @@ def test_mixed_limit_on_an_empty_grid():
         assert lv.value.hex() == "0x0.0p+0" and lv.contributions == (("jump_0", 0.0),)
         cv = cond_var_mixed(path, KMIX, t)
         assert (cv.total, cv.jump_term, cv.field_term) == (0.0, 0.0, 0.0)
+
+
+# ---------------------------------------------------------------------------
+# one ground truth per path, one compiled view per kernel
+# ---------------------------------------------------------------------------
+
+_SHARED_JUMPS = JumpModel(
+    intensity=6.0, size_dist=AtomList(((1.0, 0.4), (-0.7, 0.3), (0.5, 0.3))), max_abs=3.0
+)
+_SHARED_VOLS = (
+    VolatilityModel(kind="Constant", sigma0=1.1),
+    VolatilityModel(kind="ItoSM", sigma0=1.0, tilde_sigma=0.2, tilde_v=0.2),
+)
+KM2 = KernelSpec(d=2, l=1, p=(0.5,), q=(4.0,), L=GaussBump(0.6, 1), regime="MixedCLT")
+KM3 = kernel_from_text(
+    "d=3 l=1 p=0.5 q=4.0,4.0 regime=MixedCLT L=(sum (grid_sin 1.0 1 2) (gauss_bump 0.5 0))"
+)
+KJ2 = KernelSpec(d=2, l=1, p=(4.0,), q=(0.0,), L=GaussBump(0.8, 1), regime="JumpCLT")
+
+
+def _shared_truth_paths():
+    """(name, path) on Constant and ItoSM volatility: no jumps, jumps, two jumps in one interval."""
+    out = []
+    for vol in _SHARED_VOLS:
+        none = simulate_path(
+            ModelConfig(0.05, vol, dataclasses.replace(_SHARED_JUMPS, intensity=0.0), 10.0),
+            n=64, T=1.0, seed=1,
+        )
+        apart = simulate_path(ModelConfig(0.05, vol, _SHARED_JUMPS, 10.0), n=512, T=1.0, seed=2)
+        shared = simulate_path(ModelConfig(0.05, vol, _SHARED_JUMPS, 10.0), n=16, T=1.0, seed=0)
+        intervals = [r.interval_index for r in apart.jumps]
+        assert not none.jumps and len(apart.jumps) > 2 and len(set(intervals)) == len(intervals)
+        assert [r.interval_index for r in shared.jumps] == [2, 3, 3, 6, 12, 15]
+        out += [(f"{vol.kind}-none", none), (f"{vol.kind}-apart", apart), (f"{vol.kind}-shared", shared)]
+    return out
+
+
+def _limit_bits(lv):
+    return [lv.value.hex()] + [(name, v.hex()) for name, v in lv.contributions]
+
+
+def _var_bits(cv):
+    return [cv.total.hex(), cv.jump_term.hex(), cv.field_term.hex()]
+
+
+def test_shared_truth_matches_public_functions_bitwise():
+    # run_clt reads each path through one _Truth: the private twins on it,
+    # in either order, give the floats of the public functions called apart
+    for name, path in _shared_truth_paths():
+        for t in (None, 0.7):
+            for k in (KM2, KM3):
+                public = (_limit_bits(mixed_limit(path, k, t)), _var_bits(cond_var_mixed(path, k, t)))
+                truth = _Truth(path, k, t)
+                assert (_limit_bits(_mixed_limit(truth)), _var_bits(_cond_var_mixed(truth))) == public
+                truth = _Truth(path, k, t)
+                var_first = _var_bits(_cond_var_mixed(truth))
+                assert (_limit_bits(_mixed_limit(truth)), var_first) == public, (name, t, k)
+            public = (_limit_bits(jump_limit(path, KJ2, t)), _var_bits(cond_var_jump(path, KJ2, t)))
+            truth = _Truth(path, KJ2, t)
+            assert (_limit_bits(_jump_limit(truth)), _var_bits(_cond_var_jump(truth))) == public
+
+
+# sample_V_mixed(path, k, augment(path, seed=3), seed=17, t) on the two
+# shared-interval paths, whose jumps take three sizes with repeats; values
+# recorded before the compiled view and the jump-size tally
+PINNED_DRAWS = {
+    "Constant": ["-0x1.a17ce4c5193dcp-2", "-0x1.370b228d3d24fp+0", "-0x1.aded8263fdaa8p+2",
+                 "-0x1.8195af011813bp+2"],
+    "ItoSM": ["-0x1.c59304c7f10f8p-4", "-0x1.f06b060ce105cp-1", "-0x1.226b8c1c1cd78p+2",
+              "-0x1.4a251b9cc2feep+2"],
+}
+
+
+def test_sample_V_mixed_on_repeated_jump_sizes_pinned_bits():
+    for name, path in _shared_truth_paths():
+        if name.endswith("-shared"):
+            assert sorted(set(path.jump_sizes())) == [-0.7, 0.5, 1.0]
+            aug = augment(path, seed=3)
+            draws = [sample_V_mixed(path, k, aug, seed=17, t=t) for k in (KM2, KM3) for t in (None, 0.7)]
+            assert [d.hex() for d in draws] == PINNED_DRAWS[name.split("-")[0]]
+
+
+def test_compiled_view_matches_a_fresh_expansion():
+    for k in catalog_kernels() + [KM2, KM3, KJ2]:
+        view = k._compiled
+        assert view is k._compiled
+        fresh = separable_terms(k)
+        assert view.terms == tuple((c, tuple(fs)) for c, fs in fresh)
+        assert view.derivatives == tuple(tuple(f.derivative() for f in fs) for _, fs in fresh)
+        assert view.vbar_slots == ("deriv",) * k.l + (0.0,) * (k.d - k.l)
+        assert view.vtilde_slots == ("moment",) * k.l + ("deriv",) * (k.d - k.l)
+        pairs = [(m, i) for m in range(len(fresh)) for i in range(k.l)]
+        assert view.pairs == tuple(pairs)
+        first = [fresh[m][1][i] for m, i in pairs]
+        assert view.products == tuple(
+            tuple(first[a].mul(first[b]) for b in range(a, len(first))) for a in range(len(first))
+        )
+        # an equal kernel compiles its own view, equal to this one
+        twin = kernel_from_text(k.text())
+        assert twin == k and twin._compiled is not view and twin._compiled.terms == view.terms

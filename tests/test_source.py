@@ -45,3 +45,41 @@ def test_unused_imports_detected():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_module_has_no_unused_imports(path):
     assert unused_imports(path.read_text(encoding="utf-8")) == []
+
+
+# the one module that expands kernels: everything else reads the compiled view
+EXPANDING_MODULE = "kernels.py"
+
+
+def expansion_calls(source: str) -> list:
+    """Calls of separable_terms(...) or of a .sep_terms() method, by line."""
+    found = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            fn = node.func
+            name = fn.id if isinstance(fn, ast.Name) else getattr(fn, "attr", None)
+            if name in ("separable_terms", "sep_terms"):
+                found.append(f"line {node.lineno}: {name}")
+    return sorted(found)
+
+
+def test_expansion_calls_detected():
+    source = (
+        "from uvstat import kernels\n"
+        "from uvstat.kernels import separable_terms\n"
+        "terms = separable_terms(k)\n"
+        "more = kernels.separable_terms(k)\n"
+        "raw = k.L.sep_terms()\n"
+        "view = k._compiled.terms\n"
+        "fn = separable_terms\n"
+    )
+    assert expansion_calls(source) == [
+        "line 3: separable_terms", "line 4: separable_terms", "line 5: sep_terms"
+    ]
+
+
+@pytest.mark.parametrize(
+    "path", [p for p in sorted(SRC.glob("*.py")) if p.name != EXPANDING_MODULE], ids=lambda p: p.name
+)
+def test_only_kernels_expands_kernels(path):
+    assert expansion_calls(path.read_text(encoding="utf-8")) == []
