@@ -18,13 +18,11 @@ from uvstat.kernels import (
     Sum,
     abs_moment,
     check_admissibility,
-    eval_h,
     grid_test_kernel,
     kernel_from_text,
     kernel_to_text,
     partial_h,
     rho,
-    rho_mc,
 )
 from uvstat.simulate import (
     AtomList,

@@ -175,7 +175,6 @@ def _cmd_stat(args, cfg: RunConfig) -> int:
         "value": sv.value,
         "window": dataclasses.asdict(sv.window),
         "kernel": sv.kernel_id,
-        "strategy": sv.strategy,
         "source": source,
     }
     print(json.dumps(doc, sort_keys=True, indent=1))

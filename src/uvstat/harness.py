@@ -31,7 +31,7 @@ from scipy.special import kolmogorov
 from scipy.stats import ks_2samp as _scipy_ks_2samp
 from scipy.stats import norm
 
-from uvstat.kernels import KernelSpec, check_admissibility, grid_test_kernel, kernel_to_text
+from uvstat.kernels import KernelSpec, grid_test_kernel, kernel_to_text
 from uvstat.limits import _cond_var_jump, _cond_var_mixed, _jump_limit, _mixed_limit, _Truth
 from uvstat.sampler import augment, sample_U_jump, sample_V_mixed, truncated_Z
 from uvstat.simulate import ModelConfig, SamplePath, _streams, jump_neighborhood, simulate_path
@@ -159,7 +159,7 @@ class ExperimentPlan:
                 raise HarnessError(
                     f"{self.kind} needs a kernel in regime {allowed}, got {self.kernel.regime}"
                 )
-            report = check_admissibility(self.kernel)
+            report = self.kernel._admissibility
             if not report.passed:
                 raise HarnessError(
                     "kernel fails admissibility for its declared regime:\n" + report.summary()

@@ -26,8 +26,9 @@ The structural questions the admissibility checker asks (which
 coordinates L touches, and its evenness and boundedness in the scaled
 block) are answered on the separable terms of L.  The :class:`LExpr`
 tree only parses, prints, expands into separable terms and evaluates L
-directly; :func:`eval_h` keeps that direct evaluation as the oracle
-independent of the factorization.
+directly, for the numeric admissibility checks.  The direct evaluation
+of H, the oracle independent of the factorization, lives with the tests
+in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
@@ -54,10 +55,8 @@ __all__ = [
     "QuadratureError",
     "REGIMES",
     "abs_moment",
-    "eval_h",
     "partial_h",
     "rho",
-    "rho_mc",
     "separable_terms",
     "check_admissibility",
     "AdmissibilityReport",
@@ -298,8 +297,8 @@ class LExpr:
     """Base class for the smooth-factor expression tree.
 
     Nodes parse and print (:meth:`to_text`), expand into separable terms
-    (:meth:`sep_terms`) and evaluate L directly (:meth:`value`, the
-    oracle behind :func:`eval_h`).  Every structural question (which
+    (:meth:`sep_terms`) and evaluate L directly (:meth:`value`, read by
+    the numeric admissibility checks).  Every structural question (which
     coordinates L touches, evenness, boundedness) and every
     derivative is answered on the separable terms, not on the tree.
     """
@@ -538,18 +537,10 @@ class KernelSpec:
         """The separable expansion in the shapes its readers use, built on first use."""
         return _CompiledKernel(self)
 
-
-def eval_h(kernel: KernelSpec, point) -> float:
-    """Evaluate H at a point (or batch of points, last axis = coordinate)."""
-    pt = np.asarray(point, dtype=float)
-    if pt.shape[-1] != kernel.d:
-        raise KernelError(f"point has {pt.shape[-1]} coordinates, kernel has d={kernel.d}")
-    out = np.ones(pt.shape[:-1])
-    for i, pw in enumerate(kernel.powers):
-        if pw != 0.0:
-            out = out * np.abs(pt[..., i]) ** pw
-    out = out * kernel.L.value(pt)
-    return out if np.ndim(out) else float(out)
+    @functools.cached_property
+    def _admissibility(self) -> "AdmissibilityReport":
+        """:func:`check_admissibility` of this kernel, run once, on first use."""
+        return check_admissibility(self)
 
 
 def partial_h(kernel: KernelSpec, j: int, point) -> float:
@@ -685,28 +676,6 @@ def rho(kernel: KernelSpec, sigmas, y) -> float:
             v *= factors[j].val(y[j - l])
         total += v
     return float(total)
-
-
-def rho_mc(kernel: KernelSpec, sigmas, y, n_nodes: int = 200_000, seed: int = 0x5EED_0001):
-    """Monte Carlo version of :func:`rho` with a fixed sub-seed.
-
-    Returns (estimate, standard_error).  Kept only as the independent
-    Monte Carlo cross-check of :func:`rho`.
-    """
-    if n_nodes < 100_000:
-        raise KernelError("rho_mc requires at least 1e5 nodes")
-    sigmas = np.asarray(sigmas, dtype=float).ravel()
-    y = np.asarray(y, dtype=float).ravel()
-    l = kernel.l
-    gen = np.random.default_rng(np.random.SeedSequence((seed, kernel.d, l)))
-    u = gen.standard_normal((n_nodes, l))
-    pts = np.empty((n_nodes, kernel.d))
-    pts[:, :l] = u * sigmas
-    pts[:, l:] = y
-    vals = eval_h(kernel, pts)
-    est = float(np.mean(vals))
-    se = float(np.std(vals, ddof=1) / math.sqrt(n_nodes))
-    return est, se
 
 
 # ---------------------------------------------------------------------------

@@ -9,18 +9,13 @@ The d-fold sums
 are evaluated through the kernel's exact separable expansion: each term
 factorizes into per-coordinate sums, so the cost is O(n) regardless of
 d (for U-statistics an O(n d) prefix-sum recursion handles the ordering
-constraint).  A brute-force nested evaluation over all index tuples is
-kept as the independent oracle; both strategies agree to 1e-12 relative
-wherever the oracle is allowed to run.
-
-Per-coordinate sums go through numpy's pairwise summation; the nested
-oracle accumulates naively, which is what the 1e-12 tolerance accounts
-for.
+constraint).  Per-coordinate sums go through numpy's pairwise summation.
+The independent brute-force oracles over all index tuples live with the
+tests (``tests/oracles.py``).
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
@@ -28,7 +23,7 @@ from typing import NamedTuple, Optional, Union
 import numpy as np
 from scipy.stats import norm
 
-from uvstat.kernels import KernelSpec, KernelError, eval_h
+from uvstat.kernels import KernelSpec, KernelError
 from uvstat.simulate import SamplePath, SimulationError, _count, first_order_increments, increments
 
 __all__ = [
@@ -43,12 +38,7 @@ __all__ = [
     "empirical_process",
     "phi_bar",
     "load_increments_csv",
-    "NESTED_MAX_COUNT",
 ]
-
-NESTED_MAX_COUNT = 10_000
-_NESTED_MAX_TUPLES = 1 << 26
-_NESTED_CHUNK = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -68,7 +58,6 @@ class StatValue:
     value: float
     window: IndexWindow
     kernel_id: Optional[str]
-    strategy: str
 
 
 def _resolve(data: Union[SamplePath, np.ndarray], t, n):
@@ -111,54 +100,17 @@ def _factorized_value(kernel: KernelSpec, coord_data) -> float:
     return total
 
 
-def _check_nested_size(d: int, count: int) -> None:
-    if d > 3 or count > NESTED_MAX_COUNT or count**d > _NESTED_MAX_TUPLES:
-        raise KernelError(
-            f"nested evaluation guard exceeded (d={d}, count={count}); "
-            "use the factorized strategy with a separable kernel"
-        )
-
-
-def _nested_value(kernel: KernelSpec, coord_data) -> float:
-    """Brute force over all index tuples, chunked; the oracle path."""
-    d = kernel.d
-    count = len(coord_data[0])
-    _check_nested_size(d, count)
-    total = 0.0
-    n_tuples = count**d
-    for start in range(0, n_tuples, _NESTED_CHUNK):
-        stop = min(start + _NESTED_CHUNK, n_tuples)
-        flat = np.arange(start, stop)
-        pts = np.empty((stop - start, d))
-        rem = flat
-        for k in range(d - 1, -1, -1):
-            pts[:, k] = coord_data[k][rem % count]
-            rem = rem // count
-        total += float(np.sum(eval_h(kernel, pts)))
-    return total
-
-
-def _full_sum(kernel: KernelSpec, coord_data, strategy: str) -> float:
-    """Sum of H over all index tuples by the chosen strategy."""
-    if strategy == "factorized":
-        return _factorized_value(kernel, coord_data)
-    if strategy == "nested":
-        return _nested_value(kernel, coord_data)
-    raise KernelError(f"unknown strategy {strategy!r}")
-
-
 def v_stat(
     data,
     kernel: KernelSpec,
     t: Optional[float] = None,
     n: Optional[int] = None,
-    strategy: str = "factorized",
 ) -> StatValue:
     """V(H, X, l)_t^n = n^{-(d-l)} sum over all index tuples of H(Delta X)."""
     inc, n, t, window = _resolve(data, t, n)
-    raw = _full_sum(kernel, [inc] * kernel.d, strategy)
+    raw = _factorized_value(kernel, [inc] * kernel.d)
     value = raw * float(n) ** (-(kernel.d - kernel.l))
-    return StatValue("V", value, window, kernel.text(), strategy)
+    return StatValue("V", value, window, kernel.text())
 
 
 def y_stat(
@@ -166,7 +118,6 @@ def y_stat(
     kernel: KernelSpec,
     t: Optional[float] = None,
     n: Optional[int] = None,
-    strategy: str = "factorized",
 ) -> StatValue:
     """Y_t^n(H, X, l) = n^{-l} sum of H(sqrt(n) Delta_i X, Delta_j X).
 
@@ -176,9 +127,9 @@ def y_stat(
     inc, n, t, window = _resolve(data, t, n)
     l = kernel.l
     coord_data = [math.sqrt(n) * inc] * l + [inc] * (kernel.d - l)
-    raw = _full_sum(kernel, coord_data, strategy)
+    raw = _factorized_value(kernel, coord_data)
     value = raw * float(n) ** (-l)
-    return StatValue("Y", value, window, kernel.text(), strategy)
+    return StatValue("Y", value, window, kernel.text())
 
 
 def u_stat(
@@ -186,7 +137,6 @@ def u_stat(
     kernel: KernelSpec,
     t: Optional[float] = None,
     n: Optional[int] = None,
-    strategy: str = "factorized",
 ) -> StatValue:
     """U(X, H)_t^n: binomially normalized sum over strictly increasing tuples.
 
@@ -200,31 +150,23 @@ def u_stat(
     if count < d:
         raise KernelError(f"need at least d={d} increments, got {count}")
     z = math.sqrt(n) * inc
-    if strategy == "factorized":
-        total = 0.0
-        for coeff, factors in kernel._compiled.terms:
-            prev = np.ones(count + 1)
-            for f in factors:
-                vals = f.val(z)
-                cur = np.zeros(count + 1)
-                cur[1:] = np.cumsum(vals * prev[:-1])
-                prev = cur
-            total += coeff * prev[count]
-    elif strategy == "nested":
-        _check_nested_size(d, count)
-        total = 0.0
-        for combo in itertools.combinations(range(count), d):
-            total += eval_h(kernel, z[list(combo)])
-    else:
-        raise KernelError(f"unknown strategy {strategy!r}")
+    total = 0.0
+    for coeff, factors in kernel._compiled.terms:
+        prev = np.ones(count + 1)
+        for f in factors:
+            vals = f.val(z)
+            cur = np.zeros(count + 1)
+            cur[1:] = np.cumsum(vals * prev[:-1])
+            prev = cur
+        total += coeff * prev[count]
     value = total / math.comb(count, d)
-    return StatValue("U", value, window, kernel.text(), strategy)
+    return StatValue("U", value, window, kernel.text())
 
 
 def realized_qv(data, t: Optional[float] = None, n: Optional[int] = None) -> StatValue:
     """Realized quadratic variation sum_{i <= floor(nt)} (Delta_i X)^2."""
     inc, n, t, window = _resolve(data, t, n)
-    return StatValue("QV", float(np.sum(inc * inc)), window, None, "factorized")
+    return StatValue("QV", float(np.sum(inc * inc)), window, None)
 
 
 def power_variation(
@@ -243,7 +185,7 @@ def power_variation(
         value = float(np.sum(np.abs(math.sqrt(n) * inc) ** p)) / n
     else:
         value = float(np.sum(np.abs(inc) ** p))
-    return StatValue("PV", value, window, None, "factorized")
+    return StatValue("PV", value, window, None)
 
 
 class EmpiricalProcess(NamedTuple):

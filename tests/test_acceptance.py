@@ -36,6 +36,7 @@ from uvstat.simulate import (
 )
 from uvstat.stats import power_variation, realized_qv, u_stat, v_stat, y_stat
 
+from oracles import nested_u_stat, nested_v_stat, nested_y_stat
 from test_kernels import catalog_kernels
 
 K1 = KernelSpec(d=1, l=1, p=(4.0,), regime="JumpCLT")
@@ -335,16 +336,14 @@ def test_criterion_10_brute_force_equivalence():
     gen = np.random.default_rng(1010)
     data = gen.normal(size=64) * 0.5
     worst = 0.0
+    pairs = ((v_stat, nested_v_stat), (y_stat, nested_y_stat), (u_stat, nested_u_stat))
     for k in catalog_kernels():
         if k.d > 3:
             continue
-        for fn in (v_stat, y_stat):
-            fac = fn(data, k, t=1.0, strategy="factorized").value
-            nst = fn(data, k, t=1.0, strategy="nested").value
+        for fn, oracle in pairs:
+            fac = fn(data, k, t=1.0).value
+            nst = oracle(data, k)
             worst = max(worst, abs(fac - nst) / (1 + abs(nst)))
-        fac = u_stat(data, k, t=1.0, strategy="factorized").value
-        nst = u_stat(data, k, t=1.0, strategy="nested").value
-        worst = max(worst, abs(fac - nst) / (1 + abs(nst)))
     check(
         10,
         "factorized vs nested oracles",

@@ -1,13 +1,20 @@
 """Config parsing, canonical round-trips, and the CLI surface."""
 
+import contextlib
 import hashlib
+import io
 import json
+import os
+import re
+import tempfile
 import warnings
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
+import uvstat.kernels
 from uvstat.cli import main
 from uvstat.config import ConfigError, canonical_text, parse_beta_grid, parse_config
 from uvstat.simulate import path_from_binary, path_from_json
@@ -189,6 +196,22 @@ def test_seed_override_changes_rows(tmp_path):
     assert a != b
 
 
+def test_seed_override_checks_admissibility_once(tmp_path, monkeypatch):
+    # --seed rebuilds the plan around the same kernel, whose report is kept
+    built = []
+    report_cls = uvstat.kernels.AdmissibilityReport
+
+    def counted(*args, **kwargs):
+        built.append(report_cls(*args, **kwargs))
+        return built[-1]
+
+    monkeypatch.setattr("uvstat.kernels.AdmissibilityReport", counted)
+    doc = jump_clt_doc(reps=2, n=64)
+    doc["io"] = {"output_dir": str(tmp_path / "out")}
+    assert main(["verify-clt", "--config", str(write_config(tmp_path, doc)), "--seed", "3"]) == 0
+    assert len(built) == 1 and built[0].passed
+
+
 def test_grid_test_on_csv(tmp_path, capsys):
     ticks = tmp_path / "ticks.csv"
     ticks.write_text("increment\n0.5\n1.5\n-0.5\n2.5\n", encoding="utf-8")
@@ -243,6 +266,7 @@ def test_stat_on_csv_input(tmp_path, capsys):
     cfgfile = write_config(tmp_path, doc)
     assert main(["stat", "--config", str(cfgfile), "--stat", "V", "--input", str(ticks)]) == 0
     doc_out = json.loads(capsys.readouterr().out)
+    assert set(doc_out) == {"kind", "value", "window", "kernel", "source"}
     assert doc_out["value"] == pytest.approx(289.0)
 
 
@@ -556,3 +580,97 @@ def test_shipped_config_reports_byte_identical(cfgfile, tmp_path, capsys):
         for name in ("report.json", "errors.csv")
     )
     assert digests == SHIPPED_DIGESTS[cfgfile.name]
+
+
+# ---------------------------------------------------------------------------
+# fuzzed exit-code contract
+# ---------------------------------------------------------------------------
+
+
+def _tiny(cfgfile):
+    """A shipped config shrunk to a fast run: n up to 32, at most 3 reps."""
+    doc = json.loads(cfgfile.read_text(encoding="utf-8"))
+    exp = doc["experiment"]
+    exp["n_list"] = [32 >> k for k in reversed(range(len(exp["n_list"])))]
+    exp["reps"] = min(exp["reps"], 3)
+    if "beta_grid" in exp:
+        exp["beta_grid"] = "0.5:2.0:0.25"
+    return doc
+
+
+FUZZ_BASES = [_tiny(p) for p in CONFIGS]
+_DELETE = object()
+# replacement values for one field; 1e300 only where it cannot size a run
+FIELD_VALUES = (
+    None, True, "x", [], {}, -1, 0, 1, 2, 3, 0.25, 0.5, 1.5, 2.5, 4.0, 1e300,
+    float("nan"), float("inf"), _DELETE,
+)
+SIZE_KEYS = {"n_list", "reps", "t", "intensity", "beta_grid", "require_jumps", "m_list"}
+KERNEL_TOKENS = (
+    "0", "-1", "0.5", "4.0", "1e300", "nan", "inf", "-", "", "x", "(", ")",
+    "d=1", "d=2", "d=3", "l=0", "l=1", "l=2", "p=0.5", "p=4.0", "p=4.0,4.0", "q=-", "q=4.0",
+    "q=4.0,4.0", "regime=JumpLLN", "regime=JumpCLT", "regime=MixedLLN", "regime=MixedCLT",
+    "regime=GridTest", "L=one", "one", "grid_sin", "gauss_bump", "poly_even", "sum", "product",
+    "(grid_sin 1.0 0 1)", "(gauss_bump 0.5 0)", "(poly_even 0 1.0 0.5)",
+)
+_TOKEN = re.compile(r"[()]|[^\s()]+")
+
+
+def _field_paths(node, prefix=()):
+    """Every key or index path into a config document."""
+    items = node.items() if isinstance(node, dict) else enumerate(node)
+    for key, child in items:
+        yield prefix + (key,)
+        if isinstance(child, (dict, list)):
+            yield from _field_paths(child, prefix + (key,))
+
+
+@st.composite
+def mutated_configs(draw):
+    """(command, config document) with one field or one kernel token changed."""
+    base = draw(st.sampled_from(FUZZ_BASES))
+    doc = json.loads(json.dumps(base))
+    own = SUBCOMMAND[doc["experiment"]["kind"]]
+    command = draw(st.sampled_from((own, own, "stat", "limits", "simulate")))
+    if doc["kernel"] is not None and draw(st.booleans()):
+        text = doc["kernel"]
+        start, stop = draw(st.sampled_from([m.span() for m in _TOKEN.finditer(text)]))
+        doc["kernel"] = text[:start] + draw(st.sampled_from(KERNEL_TOKENS)) + text[stop:]
+        return command, doc
+    path = draw(st.sampled_from(sorted(_field_paths(doc), key=repr)))
+    value = draw(st.sampled_from(FIELD_VALUES))
+    if value == 1e300 and SIZE_KEYS.intersection(path):
+        value = 3  # keeps every run inside the parse-time size budgets
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    if value is _DELETE:
+        del parent[path[-1]]
+    else:
+        parent[path[-1]] = value
+    return command, doc
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=mutated_configs())
+def test_fuzzed_configs_keep_the_exit_code_contract(case):
+    command, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        cwd = os.getcwd()
+        os.chdir(tmp)
+        try:
+            Path("run.cfg").write_text(json.dumps(doc), encoding="utf-8")
+            err = io.StringIO()
+            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+                rc = main([command, "--config", "run.cfg"])
+            left = sorted(p.relative_to(tmp).as_posix() for p in Path(tmp).rglob("*"))
+            reports = [Path(tmp, name).read_text() for name in left if name.endswith("report.json")]
+        finally:
+            os.chdir(cwd)
+    assert rc in (0, 1, 2)
+    if rc != 0:
+        assert sum("error:" in line for line in err.getvalue().splitlines()) == 1, err.getvalue()
+    if rc == 1:
+        assert left == ["run.cfg"]
+    if rc == 0:
+        assert not any("NaN" in text or "Infinity" in text for text in reports)

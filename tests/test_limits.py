@@ -14,7 +14,6 @@ from uvstat.kernels import (
     KernelError,
     KernelSpec,
     abs_moment,
-    eval_h,
     kernel_from_text,
     partial_h,
     rho,
@@ -46,6 +45,7 @@ from uvstat.simulate import (
     simulate_path,
 )
 
+from oracles import eval_h
 from test_kernels import catalog_kernels
 
 

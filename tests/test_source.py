@@ -1,4 +1,4 @@
-"""Source hygiene: no module under src/uvstat imports a name it never uses."""
+"""Source hygiene of src/uvstat: no unused imports, no unbound exports, one expanding module."""
 
 import ast
 from pathlib import Path
@@ -8,6 +8,16 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src" / "uvstat"
 # __init__.py imports only to re-export
 MODULES = sorted(p for p in SRC.glob("*.py") if p.name != "__init__.py")
+
+
+def exported_names(tree) -> list:
+    """The literal ``__all__`` of a module, or [] when it has none."""
+    for node in tree.body:
+        if isinstance(node, ast.Assign) and any(
+            isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets
+        ):
+            return list(ast.literal_eval(node.value))
+    return []
 
 
 def unused_imports(source: str) -> list:
@@ -24,11 +34,7 @@ def unused_imports(source: str) -> list:
                 imported[alias.asname or alias.name] = node.lineno
         elif isinstance(node, ast.Name):
             used.add(node.id)
-        elif (
-            isinstance(node, ast.Assign)
-            and any(isinstance(t, ast.Name) and t.id == "__all__" for t in node.targets)
-        ):
-            used.update(ast.literal_eval(node.value))
+    used.update(exported_names(tree))
     return sorted(f"line {line}: {name}" for name, line in imported.items() if name not in used)
 
 
@@ -83,3 +89,52 @@ def test_expansion_calls_detected():
 )
 def test_only_kernels_expands_kernels(path):
     assert expansion_calls(path.read_text(encoding="utf-8")) == []
+
+
+def bound_names(tree) -> set:
+    """Names bound by the module's top-level statements."""
+    bound = set()
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            bound.add(node.name)
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            bound.update(n.id for t in targets for n in ast.walk(t) if isinstance(n, ast.Name))
+        elif isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound.update(alias.asname or alias.name.split(".")[0] for alias in node.names)
+    return bound
+
+
+def unbound_exports(source: str) -> list:
+    tree = ast.parse(source)
+    bound = bound_names(tree)
+    return [name for name in exported_names(tree) if name not in bound]
+
+
+def test_unbound_exports_detected():
+    source = (
+        "from math import pi\n"
+        "import os.path\n"
+        "__all__ = ['pi', 'os', 'f', 'C', 'X', 'gone']\n"
+        "def f(): pass\n"
+        "class C: pass\n"
+        "X: int = 1\n"
+    )
+    assert unbound_exports(source) == ["gone"]
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_module_exports_only_bound_names(path):
+    assert unbound_exports(path.read_text(encoding="utf-8")) == []
+
+
+def test_package_reexports_only_exported_names():
+    tree = ast.parse((SRC / "__init__.py").read_text(encoding="utf-8"))
+    stray = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            module = node.module.rsplit(".", 1)[-1]
+            source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+            exported = set(exported_names(ast.parse(source)))
+            stray += [f"{module}.{a.name}" for a in node.names if a.name not in exported]
+    assert stray == []

@@ -26,6 +26,7 @@ from uvstat.stats import (
     y_stat,
 )
 
+from oracles import nested_u_stat, nested_v_stat, nested_y_stat
 from test_kernels import catalog_kernels
 
 
@@ -57,15 +58,15 @@ def test_v_stat_hand_values():
 def test_v_stat_gridsin_factorized_vs_nested():
     data = np.array([0.5, 1.5])
     gt = grid_test_kernel(1.0)
-    fac = v_stat(data, gt, t=1.0, strategy="factorized").value
-    nst = v_stat(data, gt, t=1.0, strategy="nested").value
+    fac = v_stat(data, gt, t=1.0).value
+    nst = nested_v_stat(data, gt)
     assert abs(fac - nst) <= 1e-12 * (1 + abs(nst))
 
 
 def test_nested_guard():
     k = KernelSpec(d=2, l=2, p=(4.0, 4.0), regime="JumpCLT")
     with pytest.raises(KernelError, match="separable"):
-        v_stat(np.ones(20001), k, n=20001, t=1.0, strategy="nested")
+        nested_v_stat(np.ones(20001), k)
 
 
 # ---------------------------------------------------------------------------
@@ -147,8 +148,8 @@ def test_u_stat_prefix_vs_brute_force():
         KernelSpec(d=2, l=2, p=(4.0, 4.0), L=GridSin(1.0, 0, 1), regime="JumpCLT"),
         KernelSpec(d=3, l=3, p=(1.0, 1.0, 1.0), regime="MixedLLN"),
     ]:
-        fac = u_stat(data, k, t=1.0, strategy="factorized").value
-        brute = u_stat(data, k, t=1.0, strategy="nested").value
+        fac = u_stat(data, k, t=1.0).value
+        brute = nested_u_stat(data, k)
         assert abs(fac - brute) <= 1e-12 * (1 + abs(brute))
 
 
@@ -241,11 +242,11 @@ def test_factorized_equals_nested_across_catalog():
     for k in catalog_kernels():
         if k.d > 3:
             continue
-        fac = v_stat(data, k, t=1.0, strategy="factorized").value
-        nst = v_stat(data, k, t=1.0, strategy="nested").value
+        fac = v_stat(data, k, t=1.0).value
+        nst = nested_v_stat(data, k)
         assert abs(fac - nst) <= 1e-12 * (1 + abs(nst)), k.text()
-        fac = y_stat(data, k, t=1.0, strategy="factorized").value
-        nst = y_stat(data, k, t=1.0, strategy="nested").value
+        fac = y_stat(data, k, t=1.0).value
+        nst = nested_y_stat(data, k)
         assert abs(fac - nst) <= 1e-12 * (1 + abs(nst)), k.text()
 
 
