@@ -222,27 +222,41 @@ def _cmd_experiment(args, cfg: RunConfig, expected_kinds) -> int:
     return 0
 
 
-def _cmd_grid(args, cfg_or_none) -> int:
-    if args.input:
-        data = load_increments_csv(args.input)
-        beta_grid = parse_beta_grid(args.beta)
-        if not beta_grid:
-            raise ConfigError("grid-test on CSV input needs --beta start:stop:step")
-        report = grid_scan(data, beta_grid)
-        outdir = Path(args.output or "out")
-        outdir.mkdir(parents=True, exist_ok=True)
-        (outdir / "report.json").write_text(report.to_json(), encoding="utf-8")
-        (outdir / "errors.csv").write_text(report.rows_csv(), encoding="utf-8")
-        best = report.tables["beta_min_normalized"]
-        print(f"grid scan over {len(beta_grid)} beta values; minimizer beta = {best}")
-        print(f"wrote {outdir / 'report.json'}")
-        print(f"wrote {outdir / 'errors.csv'}")
-        return 0
-    cfg = cfg_or_none if cfg_or_none is not None else _load_config(args)
+def _cmd_grid_csv(args) -> int:
+    data = load_increments_csv(args.input)
+    beta_grid = parse_beta_grid(args.beta)
+    if not beta_grid:
+        raise ConfigError("grid-test on CSV input needs --beta start:stop:step")
+    report = grid_scan(data, beta_grid)
+    outdir = Path(args.output or "out")
+    outdir.mkdir(parents=True, exist_ok=True)
+    (outdir / "report.json").write_text(report.to_json(), encoding="utf-8")
+    (outdir / "errors.csv").write_text(report.rows_csv(), encoding="utf-8")
+    best = report.tables["beta_min_normalized"]
+    print(f"grid scan over {len(beta_grid)} beta values; minimizer beta = {best}")
+    print(f"wrote {outdir / 'report.json'}")
+    print(f"wrote {outdir / 'errors.csv'}")
+    return 0
+
+
+def _cmd_grid(args, cfg: RunConfig) -> int:
     if args.beta:
         plan = dataclasses.replace(cfg.plan, beta_grid=parse_beta_grid(args.beta))
         cfg = dataclasses.replace(cfg, plan=plan)
     return _cmd_experiment(args, cfg, ("GRID",))
+
+
+# subcommand -> handler(args, cfg); grid-test on --input data reads no config
+_COMMANDS = {
+    "simulate": _cmd_simulate,
+    "stat": _cmd_stat,
+    "limits": _cmd_limits,
+    "verify-lln": functools.partial(_cmd_experiment, expected_kinds=("LLN",)),
+    "verify-clt": functools.partial(_cmd_experiment, expected_kinds=("CLT_jump", "CLT_mixed")),
+    "rnp-check": functools.partial(_cmd_experiment, expected_kinds=("RNP",)),
+    "grid-test": _cmd_grid,
+    "ztrunc": functools.partial(_cmd_experiment, expected_kinds=("ZTRUNC",)),
+}
 
 
 def main(argv=None) -> int:
@@ -253,26 +267,8 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 1
     try:
         if args.command == "grid-test" and args.input:
-            return _cmd_grid(args, None)
-        cfg = _load_config(args)
-        if args.command == "simulate":
-            return _cmd_simulate(args, cfg)
-        if args.command == "stat":
-            return _cmd_stat(args, cfg)
-        if args.command == "limits":
-            return _cmd_limits(args, cfg)
-        if args.command == "verify-lln":
-            return _cmd_experiment(args, cfg, ("LLN",))
-        if args.command == "verify-clt":
-            return _cmd_experiment(args, cfg, ("CLT_jump", "CLT_mixed"))
-        if args.command == "rnp-check":
-            return _cmd_experiment(args, cfg, ("RNP",))
-        if args.command == "grid-test":
-            return _cmd_grid(args, cfg)
-        if args.command == "ztrunc":
-            return _cmd_experiment(args, cfg, ("ZTRUNC",))
-        parser.print_usage(sys.stderr)
-        return 1
+            return _cmd_grid_csv(args)
+        return _COMMANDS[args.command](args, _load_config(args))
     except (ConfigError, KernelError, HarnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"usage: see `uvstat {args.command} --help`", file=sys.stderr)

@@ -6,11 +6,12 @@ Five experiment kinds:
                reports median errors and the fitted log-log rate.
 * CLT_jump  -- standardized sqrt(n)(V^n - V)/sqrt(cond. variance) tested
                against N(0,1), plus a two-sample comparison with draws
-               from the sampled limit law on independent paths.
+               from the sampled limit law on independent paths (scipy's
+               kstest and ks_2samp, asymptotic p-values).
 * CLT_mixed -- same for the Y-statistic and its mixed limit law.
 * RNP       -- two-sample comparison of the discrete jump neighborhoods
                R(n,p) with the extension-space R_k draws.
-* GRID      -- the jump-size lattice scan of the grid-test kernel.
+* GRID      -- the jump-size lattice scan of the grid-test kernel (power 4).
 * ZTRUNC    -- truncated limit sums Z(m) vs. the full Z(J).
 
 Replication r of an experiment uses seeds derived by hashing
@@ -27,11 +28,9 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.special import kolmogorov
-from scipy.stats import ks_2samp as _scipy_ks_2samp
-from scipy.stats import norm
+from scipy.stats import ks_2samp, kstest
 
-from uvstat.kernels import KernelSpec, grid_test_kernel, kernel_to_text
+from uvstat.kernels import _GRID_POWER, KernelSpec, grid_test_kernel, kernel_to_text
 from uvstat.limits import _cond_var_jump, _cond_var_mixed, _jump_limit, _mixed_limit, _Truth
 from uvstat.sampler import augment, sample_U_jump, sample_V_mixed, truncated_Z
 from uvstat.simulate import ModelConfig, SamplePath, _streams, jump_neighborhood, simulate_path
@@ -43,9 +42,6 @@ __all__ = [
     "ExperimentReport",
     "HarnessError",
     "derive_seed",
-    "ks_1samp_normal",
-    "ks_statistic",
-    "ks_2samp",
     "run_lln",
     "run_clt",
     "run_rnp_check",
@@ -83,33 +79,6 @@ def derive_seed(base_seed: int, *indices: int) -> int:
 
 # streams
 _S_PATH, _S_PATH2, _S_AUG, _S_FIELD = 0, 1, 2, 3
-
-
-# ---------------------------------------------------------------------------
-# Kolmogorov-Smirnov helpers
-# ---------------------------------------------------------------------------
-
-
-def ks_statistic(sample: np.ndarray, cdf) -> float:
-    """One-sample KS statistic, straight from the max-deviation definition."""
-    x = np.sort(np.asarray(sample, dtype=float))
-    m = len(x)
-    f = cdf(x)
-    lo = np.arange(m) / m
-    hi = np.arange(1, m + 1) / m
-    return float(max(np.max(f - lo), np.max(hi - f)))
-
-
-def ks_1samp_normal(sample: np.ndarray) -> tuple:
-    """(statistic, asymptotic p-value) against the standard normal."""
-    d = ks_statistic(sample, norm.cdf)
-    m = len(sample)
-    return d, float(kolmogorov(math.sqrt(m) * d))
-
-
-def ks_2samp(a: np.ndarray, b: np.ndarray) -> tuple:
-    res = _scipy_ks_2samp(a, b, method="asymp")
-    return float(res.statistic), float(res.pvalue)
 
 
 # ---------------------------------------------------------------------------
@@ -355,11 +324,11 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
         n_excluded = sum(1 for r in results if r["excluded"])
         table = {"reps": plan.reps, "excluded": int(n_excluded)}
         if len(zs) >= 10:
-            d, p = ks_1samp_normal(zs)
+            ks = kstest(zs, "norm", method="asymp")
             table.update(
                 {
-                    "ks_stat": d,
-                    "ks_pvalue": p,
+                    "ks_stat": float(ks.statistic),
+                    "ks_pvalue": float(ks.pvalue),
                     "z_mean": float(np.mean(zs)),
                     "z_var": float(np.var(zs, ddof=1)),
                 }
@@ -373,8 +342,9 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
         draws = np.array([r["limit_draw"] for r in results if not r["draw_excluded"]])
         table["draw_excluded"] = int(sum(1 for r in results if r["draw_excluded"]))
         if len(raws) >= 10 and len(draws) >= 10:
-            d2, p2 = ks_2samp(raws, draws)
-            table.update({"two_sample_ks_stat": d2, "two_sample_ks_pvalue": p2})
+            ks = ks_2samp(raws, draws, method="asymp")
+            table["two_sample_ks_stat"] = float(ks.statistic)
+            table["two_sample_ks_pvalue"] = float(ks.pvalue)
         per_n[str(n)] = table
     report = ExperimentReport(
         kind=plan.kind, plan=plan.to_dict(), tables={"per_n": per_n}, rows=rows
@@ -432,8 +402,8 @@ def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
         b = np.array([r["r_limit"] for r in results if r["r_limit"] is not None])
         table = {"n_discrete": int(len(a)), "n_limit": int(len(b))}
         if len(a) >= 10 and len(b) >= 10:
-            d, p = ks_2samp(a, b)
-            table.update({"ks_stat": d, "ks_pvalue": p})
+            ks = ks_2samp(a, b, method="asymp")
+            table.update({"ks_stat": float(ks.statistic), "ks_pvalue": float(ks.pvalue)})
         per_n[str(n)] = table
     return ExperimentReport(kind="RNP", plan=plan.to_dict(), tables={"per_n": per_n}, rows=rows)
 
@@ -443,19 +413,13 @@ def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
 # ---------------------------------------------------------------------------
 
 
-def grid_scan(
-    data,
-    beta_grid,
-    t: Optional[float] = None,
-    n: Optional[int] = None,
-    power: float = 4.0,
-) -> ExperimentReport:
+def grid_scan(data, beta_grid, t: Optional[float] = None) -> ExperimentReport:
     """Scan the lattice-test statistic over beta.
 
-    For each beta the d = l = 2 grid-test statistic is computed (no
-    n-normalization), normalized by its beta-independent envelope
-    (sum |Delta X|^4)^2 / 2, and, when the data is a simulated path with
-    ground truth, accompanied by the exact limit L(beta) and the
+    For each beta the d = l = 2 grid-test statistic with the fixed power
+    4 is computed (no n-normalization), normalized by its beta-independent
+    envelope (sum |Delta X|^8)^2 / 2, and, when the data is a simulated
+    path with ground truth, accompanied by the exact limit L(beta) and the
     studentized value using the jump-case conditional variance.
     """
     beta_grid = tuple(float(b) for b in beta_grid)
@@ -465,17 +429,17 @@ def grid_scan(
         raise HarnessError(f"beta values must be > 0, got {beta_grid}")
     is_path = isinstance(data, SamplePath)
     # beta-independent bound: sin^2 <= 1 replaced by its mean 1/2
-    pv = power_variation(data, p=2 * power, scaled=False, t=t, n=n).value
+    pv = power_variation(data, p=2 * _GRID_POWER, scaled=False, t=t).value
     envelope = 0.5 * pv * pv
     if not (math.isfinite(envelope) and envelope > 0):
         raise HarnessError(
-            f"grid scan envelope (sum |Delta X|^{2 * power!r})^2 / 2 = {envelope!r} "
+            f"grid scan envelope (sum |Delta X|^{2 * _GRID_POWER!r})^2 / 2 = {envelope!r} "
             "is not a positive finite number; the increments are all zero or too large"
         )
     rows = []
     for beta in beta_grid:
-        kernel = grid_test_kernel(beta, power=power)
-        sv = v_stat(data, kernel, t=t, n=n)
+        kernel = grid_test_kernel(beta)
+        sv = v_stat(data, kernel, t=t)
         row = {"beta": beta, "statistic": sv.value, "normalized": sv.value / envelope}
         if is_path:
             truth = _Truth(data, kernel, t)
@@ -497,7 +461,7 @@ def grid_scan(
     plan = {
         "kind": "GRID",
         "beta_grid": list(beta_grid),
-        "power": power,
+        "power": _GRID_POWER,
         "input": "sample_path" if is_path else "increments",
     }
     return ExperimentReport(kind="GRID", plan=plan, tables=tables, rows=rows)

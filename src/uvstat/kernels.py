@@ -258,16 +258,11 @@ class Factor1D:
                 pw = self.power + 2 * k
                 total += coef * abs_moment(pw) * sigmas ** pw * scale ** (-(pw + 1.0) / 2.0)
             return total
-        # quadrature per distinct sigma; constant-volatility paths hit the
-        # cache with a single entry
-        cache: dict = {}
-        out = np.empty_like(sigmas)
-        for i, s in enumerate(sigmas.ravel()):
-            key = float(s)
-            if key not in cache:
-                cache[key] = self._moment_quad(key)
-            out.ravel()[i] = cache[key]
-        return out
+        # one quadrature per distinct sigma (a volatility clamped at its
+        # floor repeats one)
+        distinct, inverse = np.unique(sigmas, return_inverse=True)
+        values = np.array([self._moment_quad(float(s)) for s in distinct])
+        return values[inverse].reshape(sigmas.shape)
 
     def to_tokens(self) -> str:
         parts = [f"|x|^{self.power!r}"]
@@ -982,8 +977,11 @@ def kernel_from_text(text: str) -> KernelSpec:
         raise KernelError(f"malformed kernel text {text!r}: {exc}") from exc
 
 
-def grid_test_kernel(beta: float, power: float = 4.0) -> KernelSpec:
-    """The lattice test kernel |x|^power |y|^power sin^2(pi (x - y) / beta)."""
+_GRID_POWER = 4.0
+
+
+def grid_test_kernel(beta: float) -> KernelSpec:
+    """The lattice test kernel |x|^4 |y|^4 sin^2(pi (x - y) / beta)."""
     return KernelSpec(
-        d=2, l=2, p=(power, power), q=(), L=GridSin(beta, 0, 1), regime="GridTest"
+        d=2, l=2, p=(_GRID_POWER, _GRID_POWER), q=(), L=GridSin(beta, 0, 1), regime="GridTest"
     )

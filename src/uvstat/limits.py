@@ -215,7 +215,6 @@ class _Truth:
 
         slots[j] says what becomes of the j-th factor f of every term:
 
-        * None: dropped (the slot is handled by the caller);
         * a number x: the fixed scalar f(x) (x = 0 on the jump route);
         * "moment": the fixed scalar int_0^t E[f(sigma_u U)] du, the mixed
           route;
@@ -475,7 +474,7 @@ def cov_c_matrix(path: SamplePath, kernel: KernelSpec, y_list, t: Optional[float
 def vtilde(
     path: SamplePath,
     kernel: KernelSpec,
-    k_idx: int = 0,
+    k_idx: int,
     y: float = 0.0,
     t: Optional[float] = None,
 ) -> float:

@@ -540,20 +540,14 @@ def simulate_path(
 # ---------------------------------------------------------------------------
 
 
-def increments(path: SamplePath, scaled: bool = False, t: Optional[float] = None) -> np.ndarray:
-    """Observed increments Delta_i X = X_{i/n} - X_{(i-1)/n}, i = 1..floor(nt).
-
-    With scaled=True the increments are multiplied by sqrt(n).
-    """
+def increments(path: SamplePath, t: Optional[float] = None) -> np.ndarray:
+    """Observed increments Delta_i X = X_{i/n} - X_{(i-1)/n}, i = 1..floor(nt)."""
     if t is None:
         t = path.T
     if not 0 < t <= path.T + 1e-12:
         raise SimulationError(f"t={t} outside (0, T={path.T}]")
     m = min(_count(path.n, t), len(path.x_grid) - 1)
-    out = np.diff(path.x_grid[: m + 1])
-    if scaled:
-        out = math.sqrt(path.n) * out
-    return out
+    return np.diff(path.x_grid[: m + 1])
 
 
 def first_order_increments(path: SamplePath, t: Optional[float] = None) -> np.ndarray:

@@ -65,7 +65,7 @@ def _resolve(data: Union[SamplePath, np.ndarray], t, n):
     if isinstance(data, SamplePath):
         n = data.n
         t = data.T if t is None else float(t)
-        inc = increments(data, scaled=False, t=t)
+        inc = increments(data, t=t)
     else:
         inc = np.asarray(data, dtype=float).ravel()
         n = len(inc) if n is None else int(n)

@@ -582,6 +582,23 @@ def test_shipped_config_reports_byte_identical(cfgfile, tmp_path, capsys):
     assert digests == SHIPPED_DIGESTS[cfgfile.name]
 
 
+BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
+
+
+@pytest.mark.parametrize(
+    "workload, command", [("clt_mixed", "verify-clt"), ("mixed_trig_lln", "verify-lln")]
+)
+def test_benchmark_plans_match_pinned_digests(workload, command, tmp_path, capsys):
+    # entry k of digests.json is the report.json sha256 at CLI seed k
+    pinned = json.loads((BENCH_WORKLOADS / "digests.json").read_text(encoding="utf-8"))
+    cfgfile = BENCH_WORKLOADS / f"{workload}.cfg"
+    for seed in range(4):
+        argv = [command, "--config", str(cfgfile), "--seed", str(seed), "--output", str(tmp_path)]
+        assert main(argv) == 0
+        digest = hashlib.sha256((tmp_path / "report.json").read_bytes()).hexdigest()
+        assert digest == pinned[workload][seed], f"{workload} at plan seed {seed}"
+
+
 # ---------------------------------------------------------------------------
 # fuzzed exit-code contract
 # ---------------------------------------------------------------------------

@@ -1,10 +1,10 @@
-"""Experiment harness: KS helpers, plan validation, reproducibility."""
+"""Experiment harness: seeding, plan validation, reproducibility."""
 
 import math
 
 import numpy as np
 import pytest
-from scipy.stats import norm
+from scipy.stats import ks_2samp
 
 import uvstat.harness
 import uvstat.kernels
@@ -17,8 +17,6 @@ from uvstat.harness import (
     _find_path_with_jumps,
     derive_seed,
     grid_scan,
-    ks_1samp_normal,
-    ks_statistic,
     run_clt,
     run_lln,
     run_plan,
@@ -62,7 +60,7 @@ def pure_jump_model(intensity=5.0):
 
 
 # ---------------------------------------------------------------------------
-# seeds and KS
+# seeds
 # ---------------------------------------------------------------------------
 
 
@@ -73,27 +71,6 @@ def test_derive_seed_no_collisions():
             for r in range(500):
                 seen.add(derive_seed(123, stream, n, r))
     assert len(seen) == 4 * 2 * 500
-
-
-def test_ks_statistic_matches_direct_definition():
-    # sorted uniform sample: statistic is max over the two one-sided gaps
-    gen = np.random.default_rng(5)
-    u = np.sort(gen.random(200))
-    d = ks_statistic(u, lambda x: np.clip(x, 0, 1))
-    m = len(u)
-    direct = max(
-        max(u[i] - i / m for i in range(m)), max((i + 1) / m - u[i] for i in range(m))
-    )
-    assert d == direct
-
-
-def test_ks_1samp_normal_pvalue_sane():
-    gen = np.random.default_rng(8)
-    z = gen.standard_normal(1000)
-    d, p = ks_1samp_normal(z)
-    assert p > 0.01
-    d2, p2 = ks_1samp_normal(z + 0.5)
-    assert p2 < 1e-6
 
 
 # ---------------------------------------------------------------------------
@@ -323,8 +300,6 @@ def test_rnp_distance_decreases_with_n():
     # with drift and stochastic volatility R(n,p) only approaches the
     # extension-space law as n grows; at b=0 and constant sigma the two
     # laws coincide exactly for every n
-    from uvstat.harness import ks_2samp
-
     m = ModelConfig(
         drift_b=2.0,
         vol=VolatilityModel(kind="ItoSM", sigma0=1.0, tilde_sigma=0.5, tilde_v=0.5),
@@ -339,7 +314,9 @@ def test_rnp_distance_decreases_with_n():
         rows = run_rnp_check(plan).rows
         a = np.array([r["r_discrete"] for r in rows if r["r_discrete"] is not None])
         b = np.array([r["r_limit"] for r in rows if r["r_limit"] is not None])
-        medians[n] = np.median([ks_2samp(a[k::5], b[k::5])[0] for k in range(5)])
+        medians[n] = np.median(
+            [ks_2samp(a[k::5], b[k::5], method="asymp").statistic for k in range(5)]
+        )
     assert medians[4096] < medians[16]
 
 

@@ -341,6 +341,25 @@ def test_moment_quad_pinned_bits():
             assert got == pins, f.to_tokens()
 
 
+def test_moment_vec_runs_one_quadrature_per_distinct_sigma(monkeypatch):
+    # a volatility clamped at its floor repeats a sigma on the grid
+    f = QUAD_PINS[1][0]
+    sigmas = np.array([[0.3, 1e-3, 1.0], [1e-3, 0.3, 1e-3]])
+    expected = [f._moment_quad(s).hex() for s in sigmas.ravel()]
+    calls = []
+    quad_one = Factor1D._moment_quad
+
+    def counted(self, sigma):
+        calls.append(sigma)
+        return quad_one(self, sigma)
+
+    monkeypatch.setattr(Factor1D, "_moment_quad", counted)
+    got = f.gaussian_moment_vec(sigmas)
+    assert sorted(calls) == [1e-3, 0.3, 1.0]
+    assert got.shape == sigmas.shape
+    assert [v.hex() for v in got.ravel().tolist()] == expected
+
+
 def _catalog_factors():
     out = set()
     for k in catalog_kernels():

@@ -125,10 +125,7 @@ def test_increments_directly():
     cfg = make_config()
     path = simulate_path(cfg, n=2, T=1.0, seed=5)
     object.__setattr__(path, "x_grid", np.array([0.0, 1.0, 3.0]))
-    np.testing.assert_allclose(increments(path, scaled=False, t=1.0), [1.0, 2.0])
-    np.testing.assert_allclose(
-        increments(path, scaled=True, t=1.0), [math.sqrt(2), 2 * math.sqrt(2)]
-    )
+    np.testing.assert_allclose(increments(path, t=1.0), [1.0, 2.0])
     with pytest.raises(SimulationError):
         increments(path, t=2.0)
 
@@ -150,7 +147,7 @@ def test_first_order_increments_drift_gap():
     # no jumps, constant sigma: sqrt(n) Delta X - alpha = sqrt(n) b / n exactly
     cfg = make_config(drift=0.7)
     path = simulate_path(cfg, n=128, T=1.0, seed=13)
-    gap = increments(path, scaled=True) - first_order_increments(path)
+    gap = math.sqrt(path.n) * increments(path) - first_order_increments(path)
     np.testing.assert_allclose(gap, math.sqrt(128) * 0.7 / 128, rtol=1e-9)
 
 
