@@ -418,7 +418,7 @@ def grid_scan(data, beta_grid, t: Optional[float] = None) -> ExperimentReport:
 
     For each beta the d = l = 2 grid-test statistic with the fixed power
     4 is computed (no n-normalization), normalized by its beta-independent
-    envelope (sum |Delta X|^8)^2 / 2, and, when the data is a simulated
+    envelope (sum |Delta X|^4)^2 / 2, and, when the data is a simulated
     path with ground truth, accompanied by the exact limit L(beta) and the
     studentized value using the jump-case conditional variance.
     """
@@ -429,11 +429,11 @@ def grid_scan(data, beta_grid, t: Optional[float] = None) -> ExperimentReport:
         raise HarnessError(f"beta values must be > 0, got {beta_grid}")
     is_path = isinstance(data, SamplePath)
     # beta-independent bound: sin^2 <= 1 replaced by its mean 1/2
-    pv = power_variation(data, p=2 * _GRID_POWER, scaled=False, t=t).value
+    pv = power_variation(data, p=_GRID_POWER, scaled=False, t=t).value
     envelope = 0.5 * pv * pv
     if not (math.isfinite(envelope) and envelope > 0):
         raise HarnessError(
-            f"grid scan envelope (sum |Delta X|^{2 * _GRID_POWER!r})^2 / 2 = {envelope!r} "
+            f"grid scan envelope (sum |Delta X|^{_GRID_POWER!r})^2 / 2 = {envelope!r} "
             "is not a positive finite number; the increments are all zero or too large"
         )
     rows = []

@@ -264,17 +264,6 @@ class Factor1D:
         values = np.array([self._moment_quad(float(s)) for s in distinct])
         return values[inverse].reshape(sigmas.shape)
 
-    def to_tokens(self) -> str:
-        parts = [f"|x|^{self.power!r}"]
-        if self.sign_pow:
-            parts.append("sign")
-        parts += [f"cos({c!r}x)" for c in self.cos_args]
-        parts += [f"sin({c!r}x)" for c in self.sin_args]
-        parts += [f"exp(-{c!r}x^2)" for c in self.gauss_args]
-        if self.poly2:
-            parts.append(f"poly2{self.poly2!r}")
-        return "*".join(parts)
-
 
 _F_ONE = Factor1D()
 
@@ -699,9 +688,6 @@ class AdmissibilityReport:
         for it in self.items:
             lines.append(f"  [{'ok' if it.passed else 'FAIL'}] {it.name}: {it.detail}")
         return "\n".join(lines)
-
-    def failures(self) -> tuple:
-        return tuple(it for it in self.items if not it.passed)
 
 
 def _sample_points(gen, count, dim, lo=0.2, hi=1.5):

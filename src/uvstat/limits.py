@@ -30,12 +30,17 @@ Two things are read once and shared.  The kernel's separable terms,
 their derivatives, the Gaussian-field factor products and the slot
 layouts are compiled once per kernel (``KernelSpec._compiled``, built on
 first use and held by the kernel).  A path's ground truth up to t is one
-private context, ``_Truth``: it validates t, reads the jump sizes and the
-one-sided spot volatilities once, builds the sigma grid on first use
-and evaluates the Gaussian moment vector of each distinct factor once,
+private context, ``_Truth``: it takes t and its grid steps from the
+path (``SamplePath.window``), reads the jump sizes and the one-sided
+spot volatilities once, builds the sigma grid on first use and
+evaluates the Gaussian moment vector of each distinct factor once,
 whether a limit, a variance profile or the field covariance asks for it;
 a constant grid (a Constant volatility path) costs one moment evaluation
-per factor.  The left-Riemann weights are built once per (n, t), and the
+per factor.  The Gaussian field is part of that context: its covariance
+C(y, y') = v(y)^T P v(y') is held as the weights w and the matrix P
+(``_Truth.field``, built on first use), from which the field
+vector v(y), its sum over the jump tuples and the matrix V P V^T are
+read.  The left-Riemann weights are built once per (n, t), and the
 time integral of a constant over them once per (n, t, value).  Each
 public function opens its own context and calls a private twin that
 takes one (``_jump_limit``, ``_mixed_limit``, ``_cond_var_jump``,
@@ -58,7 +63,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from uvstat.kernels import Factor1D, KernelError, KernelSpec, separable_terms
-from uvstat.simulate import SamplePath, _count
+from uvstat.simulate import SamplePath
 
 # separable_terms stays importable from this module, where the benchmark's
 # tracer test (bench/test_bench.py) looks it up; the limits themselves read
@@ -67,7 +72,6 @@ __all__ = [
     "separable_terms",
     "LimitValue",
     "CondVariance",
-    "LimitError",
     "jump_limit",
     "mixed_limit",
     "vbar",
@@ -79,19 +83,12 @@ __all__ = [
 ]
 
 
-class LimitError(ValueError):
-    """Limit evaluation outside its guarded domain."""
-
-
 @dataclass(frozen=True)
 class LimitValue:
     """An exact limit functional with its per-jump contribution table."""
 
     value: float
     contributions: tuple
-
-    def table_total(self) -> float:
-        return float(sum(v for _, v in self.contributions))
 
 
 @dataclass(frozen=True)
@@ -107,14 +104,13 @@ _JUMP_SLOTS = ("sum", "free", "deriv")
 
 
 @functools.lru_cache(maxsize=4)
-def _riemann_weights(n: int, t: float, steps: int) -> np.ndarray:
-    """Left-Riemann weights up to t on a grid of the given steps (1/n, ..., partial last).
+def _riemann_weights(n: int, t: float, count: int) -> np.ndarray:
+    """Left-Riemann weights up to t over the window's count steps (1/n, ..., partial last).
 
-    Read-only, and built once per (n, t, steps): every path of an
+    Read-only, and built once per (n, t, count): every path of an
     experiment at one n shares them (an experiment runs its n one after
     another, so a few entries suffice).
     """
-    count = min(_count(n, t), steps)
     weights = np.full(count + 1, 1.0 / n)
     weights[-1] = t - count / n
     if weights[-1] <= 1e-15:
@@ -124,32 +120,33 @@ def _riemann_weights(n: int, t: float, steps: int) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=256)
-def _constant_integral(n: int, t: float, steps: int, value: float) -> float:
+def _constant_integral(n: int, t: float, count: int, value: float) -> float:
     """int_0^t of a constant on the left-Riemann grid: the weights dotted with the value repeated.
 
     That dot product rounds differently from value * sum(weights), so it
-    is taken as is and kept per (n, t, steps, value).
+    is taken as is and kept per (n, t, count, value).
     """
-    weights = _riemann_weights(n, t, steps)
+    weights = _riemann_weights(n, t, count)
     return float(np.dot(weights, np.full(len(weights), value)))
 
 
 class _Truth:
     """The ground truth of one path up to t, read once per path.
 
-    Holds the jump sizes and one-sided spot volatilities up to t, the
-    kernel's compiled view, the left-Riemann sigma grid (built on first
-    use) and, per distinct factor f, E[f(sigma U)] on that grid with its
-    time integral (computed on first use).  A constant grid costs one
-    moment evaluation per factor.
+    t and its grid steps come from the path (``SamplePath.window``, which
+    rejects t outside (0, T]).  Holds the jump sizes and one-sided spot
+    volatilities up to t, the kernel's compiled view, the left-Riemann
+    sigma grid (built on first use), per distinct factor f, E[f(sigma U)]
+    on that grid with its time integral (computed on first use), and the
+    Gaussian-field covariance (w, P) (``field``, built on first use).  A
+    constant grid costs one moment evaluation per factor.
     """
 
     def __init__(self, path: SamplePath, kernel: KernelSpec, t: Optional[float] = None):
-        t = path.T if t is None else float(t)
-        if not 0 < t <= path.T + 1e-12:
-            raise LimitError(f"t={t} outside (0, T={path.T}]")
-        self.path, self.kernel, self.t = path, kernel, t
-        recs = path.jumps_until(t)
+        self.path, self.kernel = path, kernel
+        self.t, count = path.window(t)
+        self._grid_key = (path.n, self.t, count)
+        recs = path.jumps_until(self.t)
         self.sizes = np.array([r.size for r in recs])
         self.pre = np.array([r.sigma_pre for r in recs])
         self.post = np.array([r.sigma_post for r in recs])
@@ -160,13 +157,8 @@ class _Truth:
     @functools.cached_property
     def grid(self):
         """(sigmas, weights) of the left Riemann sum up to t, exact for constant sigma."""
-        sigma_grid = self.path.sigma_grid
         weights = _riemann_weights(*self._grid_key)
-        return sigma_grid[: len(weights)], weights
-
-    @property
-    def _grid_key(self) -> tuple:
-        return self.path.n, self.t, len(self.path.sigma_grid) - 1
+        return self.path.sigma_grid[: len(weights)], weights
 
     @functools.cached_property
     def constant_grid(self) -> bool:
@@ -209,6 +201,82 @@ class _Truth:
         if self.constant_grid:
             return _constant_integral(*self._grid_key, cov)
         return float(np.dot(self.grid[1], cov))
+
+    @functools.cached_property
+    def field(self) -> tuple:
+        """(w, P): the covariance of the limiting Gaussian field is C(y, y') = v(y)^T P v(y').
+
+        With the separable expansion H = sum_m c_m prod_k f_{m,k}, the
+        smoothing functions collapse to f_i(u, y) = sum_m g_{m,i}(u) *
+        [w_{m,i} Y_m(y)], so v ranges over the (m, i) pairs of the
+        kernel's compiled view: w_{m,i} = c_m times the time-integrated
+        moments of the other first-block slots, Y_m(y) the second-block
+        factor values, and
+
+            P[(m,i),(m',j)] = int_0^t Cov_s( g_{m,i}(U_s), g_{m',j}(U_s) ) ds
+
+        is an integral of Gram matrices, hence positive semidefinite.
+        """
+        l = self.kernel.l
+        if l < 1:
+            raise KernelError("the Gaussian field needs a nonempty scaled block (l >= 1)")
+        pairs = self.compiled.pairs
+        tmom = [[self.integral(f) for f in factors[:l]] for _, factors in self.terms]
+        w = np.array(
+            [
+                self.terms[m][0] * math.prod(tmom[m][i2] for i2 in range(l) if i2 != i)
+                for (m, i) in pairs
+            ]
+        )
+        P = np.zeros((len(pairs), len(pairs)))
+        for a, row in enumerate(self.compiled.products):
+            m, i = pairs[a]
+            fa = self.terms[m][1][i]
+            for b, fab in enumerate(row, start=a):
+                m2, j = pairs[b]
+                val = self.cov_integral(fa, self.terms[m2][1][j], fab)
+                P[a, b] = val
+                P[b, a] = val
+        return w, P
+
+    def _field_weighted(self, ypart) -> np.ndarray:
+        """w times the second-block parts Y_m (one per term), one entry per (m, i) pair."""
+        return self.field[0] * np.array([ypart[m] for m, _ in self.compiled.pairs])
+
+    def field_vector(self, y: Sequence[float]) -> np.ndarray:
+        """v(y) at a (d-l)-tuple point y."""
+        l, d = self.kernel.l, self.kernel.d
+        y = np.asarray(y, dtype=float).ravel()
+        if y.size != d - l:
+            raise KernelError(f"expected {d - l} y-coordinates, got {y.size}")
+        ys = [float(v) for v in y]
+        ypart = []
+        for _, factors in self.terms:
+            # the second-block factors at y, left to right, stopping at an exact 0
+            # (which counts as +0.0)
+            value = 1.0
+            for f, v in zip(factors[l:], ys):
+                if value == 0.0:
+                    break
+                value *= f.val(v)
+            ypart.append(value or 0.0)
+        return self._field_weighted(ypart)
+
+    def field_tuple_sum(self) -> np.ndarray:
+        """The sum of v over all (d-l)-tuples of jumps."""
+        l = self.kernel.l
+        # per term, the product of its second-block factors' sums over the jumps
+        # (an exact 0 counts as +0.0)
+        ypart = [
+            math.prod([float(np.sum(f.val(self.sizes))) for f in factors[l:]]) or 0.0
+            for _, factors in self.terms
+        ]
+        return self._field_weighted(ypart)
+
+    def field_cov(self, y_list) -> np.ndarray:
+        """[C(y_a, y_b)] = V P V^T over a list of (d-l)-tuple points."""
+        V = np.stack([self.field_vector(y) for y in y_list])
+        return V @ self.field[1] @ V.T
 
     def contract(self, slots, points=None, sizes=None):
         """Contract the separable terms of H slot by slot against the ground truth.
@@ -370,91 +438,6 @@ def _cond_var_jump(truth: _Truth) -> CondVariance:
 # ---------------------------------------------------------------------------
 
 
-class _CovStructure:
-    """Precomputed pieces of the Gaussian-field covariance C(y, y').
-
-    With the separable expansion H = sum_m c_m prod_k f_{m,k}, the
-    smoothing functions collapse to f_i(u, y) = sum_m g_{m,i}(u) *
-    [c_m A_{m,i} Y_m(y)], so C(y, y') = v(y)^T P v(y') where v ranges over
-    the (m, i) pairs, A_{m,i} collects the time-integrated moments of the
-    other first-block slots, Y_m(y) the second-block factor values, and
-
-        P[(m,i),(m',j)] = int_0^t Cov_s( g_{m,i}(U_s), g_{m',j}(U_s) ) ds
-
-    is an integral of Gram matrices, hence positive semidefinite.  The
-    pairs and the factor products g_{m,i} g_{m',j} come from the kernel's
-    compiled view.
-    """
-
-    def __init__(self, truth: _Truth):
-        self.truth = truth
-        self.l = truth.kernel.l
-        self.d = truth.kernel.d
-        if self.l < 1:
-            raise KernelError("the Gaussian field needs a nonempty scaled block (l >= 1)")
-        self.terms = truth.terms
-        self.pairs = truth.compiled.pairs
-        tmom = [[truth.integral(f) for f in factors[: self.l]] for _, factors in self.terms]
-        self.base_weight = np.array(
-            [
-                self.terms[m][0]
-                * math.prod(tmom[m][i2] for i2 in range(self.l) if i2 != i)
-                for (m, i) in self.pairs
-            ]
-        )
-        npairs = len(self.pairs)
-        self.P = np.zeros((npairs, npairs))
-        for a, row in enumerate(truth.compiled.products):
-            m, i = self.pairs[a]
-            fa = self.terms[m][1][i]
-            for b, fab in enumerate(row, start=a):
-                m2, j = self.pairs[b]
-                val = truth.cov_integral(fa, self.terms[m2][1][j], fab)
-                self.P[a, b] = val
-                self.P[b, a] = val
-
-    def _weighted(self, ypart) -> np.ndarray:
-        """base_weight times the second-block parts Y_m (one per term), one entry per (m, i) pair."""
-        return self.base_weight * np.array([ypart[m] for m, _ in self.pairs])
-
-    def y_vector(self, y: Sequence[float]) -> np.ndarray:
-        y = np.asarray(y, dtype=float).ravel()
-        if y.size != self.d - self.l:
-            raise KernelError(f"expected {self.d - self.l} y-coordinates, got {y.size}")
-        ys = [float(v) for v in y]
-        ypart = []
-        for _, factors in self.terms:
-            # the second-block factors at y, left to right, stopping at an exact 0
-            # (which counts as +0.0)
-            value = 1.0
-            for f, v in zip(factors[self.l :], ys):
-                if value == 0.0:
-                    break
-                value *= f.val(v)
-            ypart.append(value or 0.0)
-        return self._weighted(ypart)
-
-    def tuple_sum_vector(self) -> np.ndarray:
-        """sum over all (d-l)-tuples of jumps of y_vector(tuple)."""
-        sizes = self.truth.sizes
-        # per term, the product of its second-block factors' sums over the jumps
-        # (an exact 0 counts as +0.0)
-        ypart = [
-            math.prod([float(np.sum(f.val(sizes))) for f in factors[self.l :]]) or 0.0
-            for _, factors in self.terms
-        ]
-        return self._weighted(ypart)
-
-    def cov(self, y1, y2) -> float:
-        v1 = self.y_vector(y1)
-        v2 = self.y_vector(y2)
-        return float(v1 @ self.P @ v2)
-
-    def cov_matrix(self, y_list) -> np.ndarray:
-        V = np.stack([self.y_vector(y) for y in y_list])
-        return V @ self.P @ V.T
-
-
 def cov_c(
     path: SamplePath,
     kernel: KernelSpec,
@@ -463,12 +446,13 @@ def cov_c(
     t: Optional[float] = None,
 ) -> float:
     """Covariance C(y, y') of the limiting Gaussian field at two tuple points."""
-    return _CovStructure(_Truth(path, kernel, t)).cov(y, y2)
+    truth = _Truth(path, kernel, t)
+    return float(truth.field_vector(y) @ truth.field[1] @ truth.field_vector(y2))
 
 
 def cov_c_matrix(path: SamplePath, kernel: KernelSpec, y_list, t: Optional[float] = None):
     """The matrix [C(y_a, y_b)] over a list of tuple points (symmetric PSD)."""
-    return _CovStructure(_Truth(path, kernel, t)).cov_matrix(y_list)
+    return _Truth(path, kernel, t).field_cov(y_list)
 
 
 def vtilde(
@@ -512,7 +496,6 @@ def _cond_var_mixed(truth: _Truth) -> CondVariance:
         return CondVariance(0.0, 0.0, 0.0)
     prof = truth.contract(truth.compiled.vtilde_slots, truth.sizes)
     jump_term = float(np.sum(prof * prof * truth.post * truth.post))
-    struct = _CovStructure(truth)
-    svec = struct.tuple_sum_vector()
-    field_term = float(svec @ struct.P @ svec)
+    svec = truth.field_tuple_sum()
+    field_term = float(svec @ truth.field[1] @ svec)
     return CondVariance(total=jump_term + field_term, jump_term=jump_term, field_term=field_term)

@@ -15,13 +15,14 @@ a sub-seed derived by hashing so the two terms stay reproducible
 independently.  The block split l is read from the kernel.
 
 Each draw reads the path through one ground-truth context of
-:mod:`uvstat.limits`, as the limits do: the jump sizes up to t and one
-Gaussian moment vector per distinct factor, shared by the jump-term
-coefficients and the field covariance.  The kernel's separable terms,
-their derivatives, the field-factor products and the slot layouts come
-from the kernel's compiled view, built once per kernel.  The distinct
-jump sizes of the field are an exact tally of the (finite, nonzero)
-sizes, in increasing order.
+:mod:`uvstat.limits` (``_Truth``), as the limits do: the window t from
+the path, the jump sizes up to t and one Gaussian moment vector per
+distinct factor, shared by the jump-term coefficients and the field
+covariance matrix V P V^T, which the context also holds.  The kernel's
+separable terms, their derivatives, the field-factor products and the
+slot layouts come from the kernel's compiled view, built once per
+kernel.  The distinct jump sizes of the field are an exact tally of the
+(finite, nonzero) sizes, in increasing order.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ from typing import Optional
 import numpy as np
 
 from uvstat.kernels import KernelError, KernelSpec
-from uvstat.limits import _CovStructure, _Truth
+from uvstat.limits import _Truth
 from uvstat.simulate import SamplePath
 
 __all__ = [
@@ -179,7 +180,7 @@ def sample_V_mixed(
     combos = list(itertools.product(range(K), repeat=d - l))
     y_list = [[uniq[i] for i in combo] for combo in combos]
     weights = np.array([math.prod(counts[i] for i in combo) for combo in combos], dtype=float)
-    chol = _cholesky_with_jitter(_CovStructure(truth).cov_matrix(y_list))
+    chol = _cholesky_with_jitter(truth.field_cov(y_list))
     field_term = 0.0
     if chol is not None:
         fseed = field_subseed(aug.seed) if seed is None else int(seed)

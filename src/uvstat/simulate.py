@@ -347,6 +347,13 @@ class SamplePath:
             return self.jumps
         return tuple(r for r in self.jumps if r.time <= t)
 
+    def window(self, t: Optional[float] = None) -> tuple:
+        """(t, count): t in (0, T] (T by default) and its grid steps min(floor(n t), n_steps)."""
+        t = self.T if t is None else float(t)
+        if not 0 < t <= self.T + 1e-12:
+            raise SimulationError(f"t={t} outside (0, T={self.T}]")
+        return t, min(_count(self.n, t), self.n_steps)
+
 
 def _count(n: int, t: float) -> int:
     return int(math.floor(n * t + 1e-12))
@@ -542,21 +549,13 @@ def simulate_path(
 
 def increments(path: SamplePath, t: Optional[float] = None) -> np.ndarray:
     """Observed increments Delta_i X = X_{i/n} - X_{(i-1)/n}, i = 1..floor(nt)."""
-    if t is None:
-        t = path.T
-    if not 0 < t <= path.T + 1e-12:
-        raise SimulationError(f"t={t} outside (0, T={path.T}]")
-    m = min(_count(path.n, t), len(path.x_grid) - 1)
+    m = path.window(t)[1]
     return np.diff(path.x_grid[: m + 1])
 
 
 def first_order_increments(path: SamplePath, t: Optional[float] = None) -> np.ndarray:
     """First-order approximation sqrt(n) sigma_{(i-1)/n} Delta_i W of the scaled increments."""
-    if t is None:
-        t = path.T
-    if not 0 < t <= path.T + 1e-12:
-        raise SimulationError(f"t={t} outside (0, T={path.T}]")
-    m = min(_count(path.n, t), path.n_steps)
+    m = path.window(t)[1]
     return math.sqrt(path.n) * path.sigma_grid[:m] * path.w_increments[:m]
 
 

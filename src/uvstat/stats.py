@@ -63,12 +63,15 @@ class StatValue:
 def _resolve(data: Union[SamplePath, np.ndarray], t, n):
     """Return (unscaled increments, n, t, window)."""
     if isinstance(data, SamplePath):
-        n = data.n
-        t = data.T if t is None else float(t)
+        n, t = data.n, data.window(t)[0]
         inc = increments(data, t=t)
     else:
         inc = np.asarray(data, dtype=float).ravel()
+        if inc.size == 0:
+            raise SimulationError("empty sample: no increments to evaluate a statistic on")
         n = len(inc) if n is None else int(n)
+        if n < 1:
+            raise SimulationError(f"n must be >= 1, got {n}")
         t = (len(inc) / n) if t is None else float(t)
         count = _count(n, t)
         if not 1 <= count <= len(inc):
@@ -85,17 +88,13 @@ def _factorized_value(kernel: KernelSpec, coord_data) -> float:
 
     coord_data[k] is the array the k-th coordinate ranges over.
     """
-    sums: dict = {}
     total = 0.0
     for coeff, factors in kernel._compiled.terms:
         prod = coeff
-        for k, f in enumerate(factors):
+        for f, z in zip(factors, coord_data):
             if prod == 0.0:
                 break
-            key = (k, f)
-            if key not in sums:
-                sums[key] = float(np.sum(f.val(coord_data[k])))
-            prod *= sums[key]
+            prod *= float(np.sum(f.val(z)))
         total += prod
     return total
 

@@ -559,8 +559,8 @@ SHIPPED_DIGESTS = {
         "9aa0f4c01225b369c85823190f3962457495fa670f3f1c1d5e1bb06517365e4a",
     ),
     "grid_test.cfg": (
-        "888f54dc8ec7d6e6387f48562ffabf7a371245b59c18b4c801e3a79cdaf38952",
-        "8e5ab6fc055561dd29997819946b996b1a4c28990eb0fe4ac6e6aca1ee74a969",
+        "b662d6003626888fc12146151dd6761aaecc276d1c1f912d2e65052bb2ecf8d8",
+        "83ac292655ed9e8e2f0cbe9fd46f4bd04abed1a40ba821241537ec94103ede11",
     ),
     "lln_jump.cfg": (
         "a5217ac49943e48ad591eb7489f4c8e083e139274bc60788ab1d2b782129bd41",
@@ -586,7 +586,8 @@ BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"
 
 
 @pytest.mark.parametrize(
-    "workload, command", [("clt_mixed", "verify-clt"), ("mixed_trig_lln", "verify-lln")]
+    "workload, command",
+    [("clt_mixed", "verify-clt"), ("mixed_trig_lln", "verify-lln"), ("clt_jump", "verify-clt")],
 )
 def test_benchmark_plans_match_pinned_digests(workload, command, tmp_path, capsys):
     # entry k of digests.json is the report.json sha256 at CLI seed k

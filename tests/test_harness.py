@@ -213,6 +213,19 @@ def test_grid_scan_brownian_statistic_shrinks():
     assert vals[2048] < vals[256]
 
 
+def test_grid_scan_normalized_is_scale_free():
+    # doubling the data and beta multiplies the power-4 statistic by 2^8, and
+    # the envelope (sum |Delta X|^4)^2 / 2 by the same factor
+    data = 0.3 * np.random.default_rng(7).standard_normal(40)
+    betas = (0.5, 0.75, 1.0)
+    rep = grid_scan(data, beta_grid=betas)
+    rep2 = grid_scan(2.0 * data, beta_grid=tuple(2.0 * b for b in betas))
+    for row, row2 in zip(rep.rows, rep2.rows):
+        assert row2["statistic"] == pytest.approx(256.0 * row["statistic"], rel=1e-12)
+        assert row2["normalized"] == pytest.approx(row["normalized"], rel=1e-12)
+    assert rep2.tables["beta_min_normalized"] == 2.0 * rep.tables["beta_min_normalized"]
+
+
 def test_grid_scan_rejects_bad_beta():
     path = synthetic_path([0.5])
     with pytest.raises(HarnessError):

@@ -129,7 +129,7 @@ def test_jump_limit_homogeneity():
 def test_jump_limit_contribution_table():
     path = synthetic_path([0.5, 1.5, -0.25])
     lv = jump_limit(path, K22)
-    assert lv.table_total() == pytest.approx(lv.value, rel=1e-12)
+    assert sum(v for _, v in lv.contributions) == pytest.approx(lv.value, rel=1e-12)
     brute = sum(
         abs(a) ** 4 * abs(b) ** 4 for a in path.jump_sizes() for b in path.jump_sizes()
     )
@@ -147,7 +147,7 @@ def test_mixed_limit_constant_sigma_closed_form():
     lv = mixed_limit(path, KMIX)
     closed = 1.0 * abs_moment(0.5) * sigma**0.5 * sum(abs(z) ** 4 for z in (0.8, -1.2))
     assert lv.value == pytest.approx(closed, rel=1e-6)
-    assert lv.table_total() == pytest.approx(lv.value, rel=1e-12)
+    assert sum(v for _, v in lv.contributions) == pytest.approx(lv.value, rel=1e-12)
 
 
 def test_mixed_limit_l0_is_jump_sum():

@@ -11,6 +11,7 @@ from uvstat.simulate import (
     AtomList,
     JumpModel,
     ModelConfig,
+    SimulationError,
     VolatilityModel,
     increments,
     simulate_path,
@@ -331,3 +332,23 @@ def test_stat_on_raw_increments_matches_path():
     a = v_stat(path, k).value
     b = v_stat(inc, k, n=128, t=1.0).value
     assert a == pytest.approx(b, rel=1e-13)
+
+
+K_RAW = KernelSpec(d=2, l=1, p=(2.0,), q=(4.0,), regime="MixedLLN")
+RAW_STATS = {
+    "v_stat": lambda data, **kw: v_stat(data, K_RAW, **kw),
+    "y_stat": lambda data, **kw: y_stat(data, K_RAW, **kw),
+    "u_stat": lambda data, **kw: u_stat(data, K_RAW, **kw),
+    "realized_qv": realized_qv,
+    "power_variation": lambda data, **kw: power_variation(data, 2.0, **kw),
+}
+
+
+@pytest.mark.parametrize("name", sorted(RAW_STATS))
+def test_bad_raw_sample_is_a_simulation_error(name):
+    for data in (np.array([]), [], np.zeros(0)):
+        with pytest.raises(SimulationError, match="empty sample"):
+            RAW_STATS[name](data)
+    for n in (0, -4):
+        with pytest.raises(SimulationError, match="n must be >= 1"):
+            RAW_STATS[name](np.ones(4), n=n)
