@@ -28,7 +28,6 @@ from dataclasses import dataclass, field
 from typing import Optional
 
 import numpy as np
-from scipy.stats import ks_2samp, kstest
 
 from uvstat.kernels import _GRID_POWER, KernelSpec, grid_test_kernel, kernel_to_text
 from uvstat.limits import _cond_var_jump, _cond_var_mixed, _jump_limit, _mixed_limit, _Truth
@@ -278,6 +277,9 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
     """
     if plan.kind not in ("CLT_jump", "CLT_mixed"):
         raise HarnessError(f"run_clt got plan of kind {plan.kind}")
+    # scipy is imported where it runs, to keep the CLI's cold start at numpy's
+    from scipy.stats import ks_2samp, kstest
+
     kernel = plan.kernel
     mixed = plan.kind == "CLT_mixed"
     rows = []
@@ -375,6 +377,9 @@ def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
     """
     if plan.kind != "RNP":
         raise HarnessError(f"run_rnp_check got plan of kind {plan.kind}")
+    # scipy is imported where it runs, to keep the CLI's cold start at numpy's
+    from scipy.stats import ks_2samp
+
     rows = []
     per_n = {}
     for n in plan.n_list:

@@ -38,7 +38,6 @@ import math
 from dataclasses import dataclass, replace
 
 import numpy as np
-from scipy.integrate import quad
 
 __all__ = [
     "Factor1D",
@@ -223,6 +222,9 @@ class Factor1D:
         return (self.sign_pow + len(self.sin_args)) % 2 == 1
 
     def _moment_quad(self, sigma: float) -> float:
+        # scipy is imported where it runs, to keep the CLI's cold start at numpy's
+        from scipy.integrate import quad
+
         # integrand is even here, so integrate the positive half axis twice;
         # splitting at 0 keeps the |x|^p cusp off the panel interior.  The
         # integrand has val's bits; full_output hands back QUADPACK's note

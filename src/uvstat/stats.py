@@ -21,7 +21,6 @@ from dataclasses import dataclass
 from typing import NamedTuple, Optional, Union
 
 import numpy as np
-from scipy.stats import norm
 
 from uvstat.kernels import KernelSpec, KernelError
 from uvstat.simulate import SamplePath, SimulationError, _count, first_order_increments, increments
@@ -177,8 +176,8 @@ def power_variation(
               m_p int |sigma|^p ds);
     unscaled: sum |Delta_i X|^p (jump target sum |Delta X_s|^p).
     """
-    if p < 0:
-        raise KernelError(f"power variation needs p >= 0, got {p}")
+    if not (math.isfinite(p) and p >= 0):
+        raise KernelError(f"power variation needs a finite power p >= 0, got {p}")
     inc, n, t, window = _resolve(data, t, n)
     if scaled:
         value = float(np.sum(np.abs(math.sqrt(n) * inc) ** p)) / n
@@ -197,7 +196,8 @@ def phi_bar(z: float, x: float) -> float:
     """E[V 1{zV <= x}] for V ~ N(0,1): -phi(x/z) for z > 0, in closed form."""
     if z <= 0:
         raise KernelError(f"phi_bar needs z > 0, got {z}")
-    return -float(norm.pdf(x / z))
+    u = x / z
+    return -math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
 
 
 def empirical_process(path: SamplePath, t: float, x: float) -> EmpiricalProcess:
@@ -207,12 +207,16 @@ def empirical_process(path: SamplePath, t: float, x: float) -> EmpiricalProcess:
     F_bar(t, x)  = n^{-1} sum Phi_{sigma_{(i-1)/n}}(x)   (the compensator)
     G_n(t, x)    = sqrt(n) (F_n - F_bar)
     """
+    # scipy is imported where it runs, to keep the CLI's cold start at numpy's;
+    # ndtr is what scipy.stats.norm.cdf evaluates at loc 0 and scale 1
+    from scipy.special import ndtr
+
     alpha = first_order_increments(path, t)
     m = len(alpha)
     n = path.n
     sig = path.sigma_grid[:m]
     f_n = float(np.sum(alpha <= x)) / n
-    f_bar = float(np.sum(norm.cdf(x / sig))) / n
+    f_bar = float(np.sum(ndtr(x / sig))) / n
     g_n = math.sqrt(n) * (f_n - f_bar)
     return EmpiricalProcess(f_n=f_n, f_bar=f_bar, g_n=g_n)
 

@@ -6,6 +6,8 @@ import io
 import json
 import os
 import re
+import subprocess
+import sys
 import tempfile
 import warnings
 from pathlib import Path
@@ -257,6 +259,18 @@ def test_simulate_and_stat_commands(tmp_path, capsys):
     assert main(["limits", "--config", str(cfgfile)]) == 0
     doc_out = json.loads(capsys.readouterr().out)
     assert "limit" in doc_out and "cond_variance" in doc_out
+
+
+@pytest.mark.parametrize("power", ["-1", "nan", "inf"])
+def test_stat_pv_bad_power_exits_1(tmp_path, capsys, power):
+    cfgfile = write_config(tmp_path, jump_clt_doc(kind="LLN", reps=2, n=64))
+    rc = main(["stat", "--config", str(cfgfile), "--stat", "PV", "--power", power])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert len(errors) == 1
+    assert errors[0].endswith(f"got {float(power)}")
 
 
 def test_stat_on_csv_input(tmp_path, capsys):
@@ -580,6 +594,46 @@ def test_shipped_config_reports_byte_identical(cfgfile, tmp_path, capsys):
         for name in ("report.json", "errors.csv")
     )
     assert digests == SHIPPED_DIGESTS[cfgfile.name]
+
+
+# run in a fresh interpreter; prints the scipy submodules loaded after the
+# numpy-only routes, then after a verify-clt run (whose KS test needs scipy.stats)
+COLD_START_PROBE = """
+import contextlib, io, json, sys
+from pathlib import Path
+root, out = Path(sys.argv[1]), sys.argv[2]
+sys.path.insert(0, str(root / "src"))
+import uvstat, uvstat.cli
+from uvstat.config import parse_config
+for cfg in sorted(root.glob("configs/*.cfg")) + sorted(root.glob("bench/workloads/*.cfg")):
+    parse_config(cfg.read_text(encoding="utf-8"))
+heavy = ("scipy.stats", "scipy.integrate", "scipy.special")
+def loaded():
+    return [m for m in heavy if m in sys.modules]
+def run(*argv):
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert uvstat.cli.main([*argv, "--output", out]) == 0, argv
+clt_mixed = str(root / "configs" / "clt_mixed.cfg")
+run("simulate", "--config", clt_mixed)
+run("stat", "--config", clt_mixed, "--stat", "Y")
+run("limits", "--config", clt_mixed)
+run("verify-lln", "--config", str(root / "configs" / "lln_jump.cfg"))
+numpy_only = loaded()
+run("verify-clt", "--config", str(root / "configs" / "clt_jump.cfg"))
+print(json.dumps([numpy_only, loaded()]))
+"""
+
+
+def test_cold_start_loads_scipy_submodules_only_where_they_run(tmp_path):
+    root = Path(__file__).resolve().parent.parent
+    proc = subprocess.run(
+        [sys.executable, "-c", COLD_START_PROBE, str(root), str(tmp_path)],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    numpy_only, after_clt = json.loads(proc.stdout)
+    assert numpy_only == []
+    assert "scipy.stats" in after_clt
 
 
 BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"

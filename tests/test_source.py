@@ -1,4 +1,5 @@
-"""Source hygiene of src/uvstat: no unused imports, no unbound exports, one expanding module."""
+"""Source hygiene of src/uvstat: no unused imports, no unbound exports, one expanding module,
+no scipy submodule imported at module level."""
 
 import ast
 from pathlib import Path
@@ -89,6 +90,51 @@ def test_expansion_calls_detected():
 )
 def test_only_kernels_expands_kernels(path):
     assert expansion_calls(path.read_text(encoding="utf-8")) == []
+
+
+def eager_scipy_imports(source: str) -> list:
+    """Imports of a scipy submodule that run on import, i.e. outside any function body."""
+    found = []
+    stack = list(ast.parse(source).body)
+    while stack:
+        node = stack.pop()
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            continue
+        if isinstance(node, ast.Import):
+            names = [alias.name for alias in node.names]
+        elif isinstance(node, ast.ImportFrom):
+            names = [node.module or ""]
+            if node.module == "scipy":
+                names = [f"scipy.{alias.name}" for alias in node.names]
+        else:
+            stack.extend(ast.iter_child_nodes(node))
+            continue
+        found += [f"line {node.lineno}: {name}" for name in names if name.startswith("scipy.")]
+    return sorted(found)
+
+
+def test_eager_scipy_imports_detected():
+    source = (
+        "import scipy\n"
+        "from scipy.stats import norm\n"
+        "from scipy import special\n"
+        "if True:\n"
+        "    import scipy.integrate\n"
+        "def f():\n"
+        "    from scipy.integrate import quad\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        from scipy.special import ndtr\n"
+    )
+    assert eager_scipy_imports(source) == [
+        "line 2: scipy.stats", "line 3: scipy.special", "line 5: scipy.integrate"
+    ]
+
+
+# scipy's submodules cost about 1 s of cold start, so each loads where it runs
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_scipy_submodule_on_import(path):
+    assert eager_scipy_imports(path.read_text(encoding="utf-8")) == []
 
 
 def bound_names(tree) -> set:

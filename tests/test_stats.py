@@ -13,6 +13,7 @@ from uvstat.simulate import (
     ModelConfig,
     SimulationError,
     VolatilityModel,
+    first_order_increments,
     increments,
     simulate_path,
 )
@@ -185,6 +186,12 @@ def test_power_variation_pure_jump_unscaled():
     assert pv == pytest.approx(expected, rel=1e-6)
 
 
+@pytest.mark.parametrize("p", [-1.0, math.nan, math.inf], ids=["negative", "nan", "inf"])
+def test_power_variation_rejects_bad_power(p):
+    with pytest.raises(KernelError, match=f"power p >= 0, got {p}$"):
+        power_variation(np.array([1.0, -2.0]), p=p)
+
+
 def test_power_variation_scaled_monte_carlo():
     vals = []
     for seed in range(100):
@@ -204,6 +211,22 @@ def test_empirical_process_large_x():
     assert ep.f_n == pytest.approx(1.0)
     assert ep.f_bar == pytest.approx(1.0)
     assert ep.g_n == pytest.approx(0.0, abs=1e-9)
+
+
+def test_empirical_process_f_bar_is_the_norm_cdf_sum():
+    from scipy.stats import norm
+
+    cfg = ModelConfig(
+        drift_b=0.0,
+        vol=VolatilityModel(kind="ItoSM", sigma0=1.0, tilde_sigma=0.5, tilde_v=0.5),
+        jumps=JumpModel(intensity=2.0, size_dist=AtomList(((1.0, 0.5), (-1.0, 0.5))), max_abs=3.0),
+        bound_A=10.0,
+    )
+    path = simulate_path(cfg, n=256, T=1.0, seed=3)
+    for t, x in [(1.0, 0.3), (0.5, -1.2), (1.0, 1e9), (0.75, -1e9)]:
+        sig = path.sigma_grid[: len(first_order_increments(path, t))]
+        expected = float(np.sum(norm.cdf(x / sig))) / path.n
+        assert empirical_process(path, t=t, x=x).f_bar == expected
 
 
 def test_phi_bar_closed_form():
