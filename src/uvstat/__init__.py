@@ -21,7 +21,6 @@ from uvstat.kernels import (
     grid_test_kernel,
     kernel_from_text,
     kernel_to_text,
-    partial_h,
     rho,
 )
 from uvstat.simulate import (

@@ -29,7 +29,7 @@ import scipy
 
 import uvstat
 from uvstat.config import ConfigError, RunConfig, parse_beta_grid, parse_config
-from uvstat.harness import ExperimentReport, HarnessError, grid_scan, run_plan
+from uvstat.harness import ExperimentReport, HarnessError, finite_json, grid_scan, run_plan
 from uvstat.harness import _is_jump_route
 from uvstat.kernels import KernelError
 from uvstat.limits import cond_var_jump, cond_var_mixed, jump_limit, mixed_limit
@@ -107,9 +107,10 @@ def _manifest(cfg: RunConfig) -> dict:
 
 
 def _write_report(report: ExperimentReport, cfg: RunConfig, outdir: Path) -> list:
+    text = report.to_json()  # refuses a non-finite number before anything is written
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
-    (outdir / "report.json").write_text(report.to_json(), encoding="utf-8")
+    (outdir / "report.json").write_text(text, encoding="utf-8")
     written.append(outdir / "report.json")
     (outdir / "errors.csv").write_text(report.rows_csv(), encoding="utf-8")
     written.append(outdir / "errors.csv")
@@ -177,7 +178,7 @@ def _cmd_stat(args, cfg: RunConfig) -> int:
         "kernel": sv.kernel_id,
         "source": source,
     }
-    print(json.dumps(doc, sort_keys=True, indent=1))
+    print(finite_json(doc, "stat"))
     return 0
 
 
@@ -202,7 +203,7 @@ def _cmd_limits(args, cfg: RunConfig) -> int:
     }
     if kernel.regime in ("JumpCLT", "GridTest", "MixedCLT"):
         doc["cond_variance"] = dataclasses.asdict(cond_var(path, kernel, t=plan.t))
-    print(json.dumps(doc, sort_keys=True, indent=1))
+    print(finite_json(doc, "limits"))
     return 0
 
 
@@ -228,9 +229,10 @@ def _cmd_grid_csv(args) -> int:
     if not beta_grid:
         raise ConfigError("grid-test on CSV input needs --beta start:stop:step")
     report = grid_scan(data, beta_grid)
+    text = report.to_json()
     outdir = Path(args.output or "out")
     outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.json").write_text(report.to_json(), encoding="utf-8")
+    (outdir / "report.json").write_text(text, encoding="utf-8")
     (outdir / "errors.csv").write_text(report.rows_csv(), encoding="utf-8")
     best = report.tables["beta_min_normalized"]
     print(f"grid scan over {len(beta_grid)} beta values; minimizer beta = {best}")

@@ -1,6 +1,6 @@
 """Monte Carlo experiments that verify the limit theorems at desk scale.
 
-Five experiment kinds:
+Six experiment kinds:
 
 * LLN       -- statistic vs. exact per-path limit across a grid of n;
                reports median errors and the fitted log-log rate.
@@ -40,6 +40,8 @@ __all__ = [
     "ExperimentPlan",
     "ExperimentReport",
     "HarnessError",
+    "NonFiniteError",
+    "finite_json",
     "derive_seed",
     "run_lln",
     "run_clt",
@@ -63,6 +65,29 @@ _KIND_REGIMES = {
 
 class HarnessError(ValueError):
     """Invalid experiment plan or refused run."""
+
+
+class NonFiniteError(ArithmeticError):
+    """A result holds NaN or an infinity, which its JSON output refuses."""
+
+
+def _non_finite_key(node, path):
+    """Key path of the first NaN or infinity in a JSON document, or None."""
+    if isinstance(node, float):
+        return None if math.isfinite(node) else path
+    children = enumerate(node) if isinstance(node, list) else node.items() if isinstance(node, dict) else ()
+    found = (_non_finite_key(child, f"{path}.{key}") for key, child in children)
+    return next((key for key in found if key), None)
+
+
+def finite_json(doc: dict, what: str) -> str:
+    """``doc`` as sorted, indented JSON; a NaN or an infinity in it raises NonFiniteError."""
+    try:
+        return json.dumps(doc, sort_keys=True, indent=1, allow_nan=False)
+    except ValueError:
+        raise NonFiniteError(
+            f"{what} holds a non-finite number at {_non_finite_key(doc, what)}; nothing written"
+        ) from None
 
 
 def derive_seed(base_seed: int, *indices: int) -> int:
@@ -161,7 +186,7 @@ class ExperimentReport:
         doc = {"kind": self.kind, "plan": self.plan, "tables": self.tables}
         if self.samples is not None:
             doc["samples"] = self.samples
-        return json.dumps(doc, sort_keys=True, indent=1) + "\n"
+        return finite_json(doc, "report") + "\n"
 
     def rows_csv(self) -> str:
         if not self.rows:

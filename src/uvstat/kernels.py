@@ -16,24 +16,27 @@ d-fold statistics possible.
 The one exact calculus is :class:`Factor1D`: products, derivatives and
 Gaussian moments E[f(sigma U)] of the one-dimensional factors (closed
 form, or quadrature over a bit-identical float copy of Factor1D.val
-when cos/sin are present).  Partial derivatives of H, rho_H and
-everything else in the package (statistics, limit functionals,
-conditional variances, limit draws) are written against the separable
-terms, which each kernel expands once, on first use, into its compiled
-view (``KernelSpec._compiled``: the terms, their derivatives, the
-Gaussian-field factor products and the slot layouts of the limits).
-The structural questions the admissibility checker asks (which
-coordinates L touches, and its evenness and boundedness in the scaled
-block) are answered on the separable terms of L.  The :class:`LExpr`
-tree only parses, prints, expands into separable terms and evaluates L
-directly, for the numeric admissibility checks.  The direct evaluation
-of H, the oracle independent of the factorization, lives with the tests
-in ``tests/oracles.py``.
+when cos/sin are present).  rho_H and everything else in the package
+(statistics, limit functionals, conditional variances, limit draws) are
+written against the separable terms, which each kernel expands once, on
+first use, into its compiled view (``KernelSpec._compiled``: the terms,
+their derivatives, the Gaussian-field factor products and the slot
+layouts of the limits).  Every admissibility item is structural: past
+the power bounds, each is read off the separable terms of L (which
+coordinates L touches, its evenness and boundedness in the scaled block,
+and the Taylor coefficients of L at 0 that decide the jump LLN's small-x
+condition and the smooth class).
+Deciding that a sum of Taylor coefficients vanishes is the one place a
+tolerance enters, 1e-12 of the sum of the magnitudes, for rounding only.
+The :class:`LExpr` tree only parses, prints and expands into separable
+terms.  The direct evaluation of L and H, the oracle independent of the
+factorization, lives with the tests in ``tests/oracles.py``.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass, replace
 
@@ -54,7 +57,6 @@ __all__ = [
     "QuadratureError",
     "REGIMES",
     "abs_moment",
-    "partial_h",
     "rho",
     "separable_terms",
     "check_admissibility",
@@ -282,15 +284,12 @@ def _pow_factor(p: float) -> Factor1D:
 class LExpr:
     """Base class for the smooth-factor expression tree.
 
-    Nodes parse and print (:meth:`to_text`), expand into separable terms
-    (:meth:`sep_terms`) and evaluate L directly (:meth:`value`, read by
-    the numeric admissibility checks).  Every structural question (which
-    coordinates L touches, evenness, boundedness) and every
-    derivative is answered on the separable terms, not on the tree.
+    Nodes parse and print (:meth:`to_text`) and expand into separable
+    terms (:meth:`sep_terms`).  Every structural question (which
+    coordinates L touches, evenness, boundedness, Taylor coefficients at
+    0) and every derivative is answered on the separable terms, not on
+    the tree.
     """
-
-    def value(self, pt):
-        raise NotImplementedError
 
     def sep_terms(self) -> tuple:
         """Expansion into ((coeff, {coord: Factor1D}), ...). Exact."""
@@ -302,11 +301,6 @@ class LExpr:
 
 @dataclass(frozen=True)
 class One(LExpr):
-    def value(self, pt):
-        pt = np.asarray(pt, dtype=float)
-        out = np.ones(pt.shape[:-1])
-        return out if out.ndim else float(out)
-
     def sep_terms(self):
         return ((1.0, {}),)
 
@@ -326,19 +320,12 @@ class GridSin(LExpr):
     j: int
 
     def __post_init__(self):
-        if not 0.0 < self.beta < math.inf:
-            raise KernelError(f"grid_sin requires a finite beta > 0, got {self.beta}")
+        if not (0.0 < self.beta < math.inf and math.isfinite(2.0 * math.pi / self.beta)):
+            raise KernelError(
+                f"grid_sin requires a finite beta > 0 and frequency 2*pi/beta, got {self.beta}"
+            )
         if self.i == self.j:
             raise KernelError("grid_sin coordinates must differ")
-
-    def _u(self, pt):
-        pt = np.asarray(pt, dtype=float)
-        return pt[..., self.i] - pt[..., self.j]
-
-    def value(self, pt):
-        s = np.sin(math.pi * self._u(pt) / self.beta)
-        out = s * s
-        return out if out.ndim else float(out)
 
     def sep_terms(self):
         # sin^2(pi(a-b)/beta) = 1/2 - 1/2 cos(2pi a/b)cos(2pi b/b)
@@ -365,12 +352,6 @@ class GaussBump(LExpr):
         if not 0.0 <= self.c < math.inf:
             raise KernelError(f"gauss_bump requires a finite c >= 0, got {self.c}")
 
-    def value(self, pt):
-        pt = np.asarray(pt, dtype=float)
-        x = pt[..., self.i]
-        out = np.exp(-self.c * x * x)
-        return out if out.ndim else float(out)
-
     def sep_terms(self):
         return ((1.0, {self.i: Factor1D(gauss_args=(self.c,))}),)
 
@@ -393,12 +374,6 @@ class PolyEven(LExpr):
         if bad:
             raise KernelError(f"poly_even coefficients must be finite, got {bad[0]}")
 
-    def value(self, pt):
-        pt = np.asarray(pt, dtype=float)
-        x = pt[..., self.i]
-        out = np.polynomial.polynomial.polyval(x * x, self.coeffs)
-        return out if np.ndim(out) else float(out)
-
     def sep_terms(self):
         return ((1.0, {self.i: Factor1D(poly2=self.coeffs)}),)
 
@@ -414,12 +389,6 @@ class Sum(LExpr):
         object.__setattr__(self, "terms", tuple(self.terms))
         if not self.terms:
             raise KernelError("empty sum")
-
-    def value(self, pt):
-        out = self.terms[0].value(pt)
-        for t in self.terms[1:]:
-            out = out + t.value(pt)
-        return out
 
     def sep_terms(self):
         out = []
@@ -439,12 +408,6 @@ class Product(LExpr):
         object.__setattr__(self, "factors", tuple(self.factors))
         if not self.factors:
             raise KernelError("empty product")
-
-    def value(self, pt):
-        out = self.factors[0].value(pt)
-        for t in self.factors[1:]:
-            out = out * t.value(pt)
-        return out
 
     def sep_terms(self):
         out = [(1.0, {})]
@@ -527,39 +490,6 @@ class KernelSpec:
     def _admissibility(self) -> "AdmissibilityReport":
         """:func:`check_admissibility` of this kernel, run once, on first use."""
         return check_admissibility(self)
-
-
-def partial_h(kernel: KernelSpec, j: int, point) -> float:
-    """Exact partial derivative of H in coordinate j.
-
-    Computed on the separable terms, where only the j-th factor
-    differentiates, through :meth:`Factor1D.derivative` (whose power
-    term carries the negative power p - 1 when p < 1).  No cancellation
-    occurs near x_j = 0: for power > 1 the value there is exactly the
-    true limit 0, while 0 < power <= 1 at x_j = 0 is a domain error
-    (power 0 leaves only the smooth factor to differentiate).
-    """
-    if not 0 <= j < kernel.d:
-        raise KernelError(f"coordinate {j} outside 0..{kernel.d - 1}")
-    pt = np.asarray(point, dtype=float)
-    pj = kernel.powers[j]
-    xj = pt[..., j]
-    if np.any(xj == 0.0) and 0.0 < pj <= 1.0:
-        raise KernelError(
-            f"partial_h at x_{j} = 0 with power 0 < {pj} <= 1 is not defined"
-        )
-    compiled = kernel._compiled
-    out = np.zeros(pt.shape[:-1])
-    for (coeff, factors), derivs in zip(compiled.terms, compiled.derivatives):
-        term = np.zeros(xj.shape)
-        for dcoef, dfac in derivs[j]:
-            term = term + dcoef * dfac.val(xj)
-        term = coeff * term
-        for i, f in enumerate(factors):
-            if i != j:
-                term = term * f.val(pt[..., i])
-        out = out + term
-    return out if np.ndim(out) else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -692,82 +622,109 @@ class AdmissibilityReport:
         return "\n".join(lines)
 
 
-def _sample_points(gen, count, dim, lo=0.2, hi=1.5):
-    """Random points with all coordinates bounded away from 0."""
-    mags = gen.uniform(lo, hi, size=(count, dim))
-    signs = np.where(gen.random((count, dim)) < 0.5, -1.0, 1.0)
-    return mags * signs
+# A sum of Taylor coefficients is zero when it is within this share of the
+# sum of its contributions' magnitudes: room for rounding, nothing more.
+_VANISH_RTOL = 1e-12
+
+
+def _taylor(f: Factor1D, kmax: int) -> list:
+    """[(f^(k)(0) / k!, the sum of its contributions' magnitudes)] for k <= kmax.
+
+    Exact for L's factors: their power is an integer of sign_pow's parity,
+    so every derivative is a polynomial times cos/sin/exp, whose val(0.0)
+    has no cusp to meet.
+    """
+    terms, out = {f: (1.0, 1.0)}, []
+    for k in range(kmax + 1):
+        at0 = [(c, a, g.val(0.0)) for g, (c, a) in terms.items()]
+        kf = math.factorial(k)
+        out.append((sum(c * v for c, _, v in at0) / kf, sum(a * abs(v) for _, a, v in at0) / kf))
+        nxt = {}
+        for g, (c, a) in terms.items():
+            for dc, dg in g.derivative():
+                c0, a0 = nxt.get(dg, (0.0, 0.0))
+                nxt[dg] = (c0 + c * dc, a0 + a * abs(dc))
+        terms = nxt
+    return out
+
+
+def _canonical(f: Factor1D):
+    """(scale, f) with a constant polynomial and exp(-0 x^2) folded into the scale."""
+    poly = f.poly2
+    while len(poly) > 1 and poly[-1] == 0.0:
+        poly = poly[:-1]
+    scale, poly = (poly[0], ()) if len(poly) == 1 else (1.0, poly)
+    return scale, replace(f, poly2=poly, gauss_args=tuple(c for c in f.gauss_args if c))
+
+
+def _nonvanishing_coefficients(L: LExpr, block, others, max_degree: int) -> list:
+    """The alpha, |alpha| <= max_degree, whose x^alpha coefficient in L is not zero.
+
+    x ranges over the coordinates in ``block``.  In a term c * prod f_i the
+    coefficient is c * prod_i f_i^(alpha_i)(0) / alpha_i! times the term's
+    factors on ``others``; it is zero when the sum over the terms with the
+    same such factors is, for each of them (to :data:`_VANISH_RTOL`).
+    Distinct factor tuples can still be linearly dependent
+    (cos^2 + sin^2 = 1), so the read errs only toward "not zero".  Sorted
+    by degree.
+    """
+    alphas = itertools.product(range(max_degree + 1), repeat=len(block))
+    alphas = [a for a in alphas if sum(a) <= max_degree]
+    groups = {}
+    for coeff, fdict in L.sep_terms():
+        value, key = coeff, []
+        for j in others:
+            s, f = _canonical(fdict.get(j, _F_ONE))
+            value *= s
+            key.append(f)
+        taylors = [_taylor(fdict.get(i, _F_ONE), max_degree) for i in block]
+        for alpha in alphas:
+            v, a = value, abs(value)
+            for series, k in zip(taylors, alpha):
+                v, a = v * series[k][0], a * series[k][1]
+            group = groups.setdefault((alpha, tuple(key)), [0.0, 0.0])
+            group[0] += v
+            group[1] += a
+    bad = {alpha for (alpha, _), (v, a) in groups.items() if not abs(v) <= _VANISH_RTOL * a < math.inf}
+    return sorted(bad, key=lambda alpha: (sum(alpha), alpha))
 
 
 def _check_alln(kernel: KernelSpec) -> AdmissibilityItem:
-    """Numeric check of H(x, y) / prod |x_i|^2 -> 0 along shrinking x.
+    """H(x, y) / prod |x_i|^2 -> 0 as x -> 0, read off L's Taylor expansion in x.
 
-    The ratio is assembled as prod |x_i|^{p_i - 2} |y|^q |L(x, y)| so no
-    catastrophic cancellation occurs; margins below ~2^{-0.07} per halving
-    are beyond the resolution of the check.
+    Along x = eps x0 the x^alpha part of L contributes eps^(sum p - 2l + |alpha|)
+    to the ratio, so the ratio vanishes iff every coefficient of degree
+    |alpha| <= 2l - sum p vanishes in y.
     """
     d, l = kernel.d, kernel.l
     if l == 0:
         return AdmissibilityItem("lln_small_x_condition", True, "no jump block (l=0)")
-    gen = np.random.default_rng(0xA11)
-    xs = _sample_points(gen, 5, l)
-    ys = _sample_points(gen, 5, d - l) if d > l else np.zeros((5, 0))
-    r_first = 0.0
-    r_last = 0.0
-    exps = [0, 10, 20, 40, 70, 100]
-    for x0, y0 in zip(xs, ys):
-        for pos, j in enumerate(exps):
-            eps = 2.0 ** (-j)
-            x = eps * x0
-            ratio = 1.0
-            for i in range(l):
-                ratio *= abs(x[i]) ** (kernel.p[i] - 2.0)
-            for jj in range(d - l):
-                ratio *= abs(y0[jj]) ** kernel.q[jj]
-            pt = np.concatenate([x, y0])
-            ratio *= abs(kernel.L.value(pt))
-            if pos == 0:
-                r_first = max(r_first, ratio)
-            if pos == len(exps) - 1:
-                r_last = max(r_last, ratio)
-    ok = r_last <= 1e-2 * (r_first + 1e-300)
-    return AdmissibilityItem(
-        "lln_small_x_condition",
-        ok,
-        f"H/prod|x_i|^2 ratio shrank from {r_first:.3e} to {r_last:.3e} over 100 halvings",
-    )
+    margin = 2 * l - math.fsum(kernel.p)
+    bad = _nonvanishing_coefficients(kernel.L, range(l), range(l, d), math.floor(margin))
+    detail = f"x^alpha coefficients of L with |alpha| <= 2l - sum(p) = {margin:g}: "
+    detail += f"x^{bad[0]} does not vanish" if bad else "all vanish"
+    return AdmissibilityItem("lln_small_x_condition", not bad, detail)
 
 
 def _check_kernel_class(kernel: KernelSpec) -> AdmissibilityItem:
-    """d_k of (|y|^q L) -> 0 as y -> 0 for every coordinate k past the block split."""
+    """d_k(|y|^q L) -> 0 as y -> 0 for every k >= l, read off L's Taylor expansion in y.
+
+    d_k(|y|^q y^alpha) = (q_k + alpha_k) |y|^q y^alpha / y_k is of order
+    eps^(sum q + |alpha| - 1) along y = eps y0.  So the item fails iff some
+    alpha with |alpha| <= 1 - sum q has a coefficient that does not vanish
+    in x and q_k + alpha_k != 0 for some k >= l.
+    """
     d, l = kernel.d, kernel.l
     if l == d:
         return AdmissibilityItem(
             "smooth_class_membership", True, "l = d: any C^{d+1} smooth factor qualifies"
         )
-    aux = KernelSpec(d=d, l=l, p=(0.0,) * l, q=kernel.q, L=kernel.L, regime=kernel.regime)
-    gen = np.random.default_rng(0xADA)
-    xs = _sample_points(gen, 6, l) if l else np.zeros((6, 0))
-    y0s = _sample_points(gen, 3, d - l)
-    d_first = 0.0
-    d_last = 0.0
-    exps = [0, 5, 10, 20, 40]
-    for x in xs:
-        for y0 in y0s:
-            for pos, j in enumerate(exps):
-                y = 2.0 ** (-j) * y0
-                pt = np.concatenate([x, y])
-                worst = max(abs(partial_h(aux, k, pt)) for k in range(l, d))
-                if pos == 0:
-                    d_first = max(d_first, worst)
-                if pos == len(exps) - 1:
-                    d_last = max(d_last, worst)
-    ok = d_last <= max(1e-9, 1e-3 * d_first)
-    return AdmissibilityItem(
-        "smooth_class_membership",
-        ok,
-        f"max |d_k(|y|^q L)| shrank from {d_first:.3e} to {d_last:.3e} as y -> 0",
-    )
+    margin = 1.0 - math.fsum(kernel.q)
+    nonzero = _nonvanishing_coefficients(kernel.L, range(l, d), range(l), math.floor(margin))
+    bad = [a for a in nonzero if any(q + k != 0.0 for q, k in zip(kernel.q, a))]
+    detail = f"y^alpha coefficients of L with |alpha| <= 1 - sum(q) = {margin:g}: "
+    detail += f"y^{bad[0]} does not vanish, nor does its d_k(|y|^q y^alpha)" if bad else "none survives"
+    return AdmissibilityItem("smooth_class_membership", not bad, detail)
 
 
 def _check_bounded_in_first_block(kernel: KernelSpec) -> AdmissibilityItem:
@@ -816,13 +773,15 @@ def _power_item(name, values, ok_fn, requirement) -> AdmissibilityItem:
 def check_admissibility(kernel: KernelSpec) -> AdmissibilityReport:
     """Check the declared regime's hypotheses, item by item.
 
-    Structural items (evenness and boundedness in the scaled block, the
-    grid test's grid_sin factor) are read off the separable expansion
-    ``kernel.L.sep_terms()``; the small-x and
-    smooth-class items are numeric, on :meth:`LExpr.value` and
-    :func:`partial_h`.  Report-only: construction of out-of-regime
-    kernels is allowed, the harness refuses to run plans whose kernel
-    fails here.
+    Every item is structural: the powers are compared with the regime's
+    bounds, and the rest is read off the separable expansion
+    ``kernel.L.sep_terms()`` (evenness and boundedness in the scaled
+    block, the grid test's grid_sin factor, and the Taylor coefficients
+    of L at 0 that decide the small-x and smooth-class items).  The one
+    tolerance is :data:`_VANISH_RTOL`, the rounding allowed when a sum of
+    Taylor coefficients is taken for zero; a read can err only toward
+    FAIL.  Report-only: construction of out-of-regime kernels is allowed,
+    the harness refuses to run plans whose kernel fails here.
     """
     items = []
     regime = kernel.regime

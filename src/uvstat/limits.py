@@ -290,7 +290,7 @@ class _Truth:
         * "free": evaluated at points;
         * "deriv": f' (from Factor1D.derivative) evaluated at points; for
           f = |x|^p ... with 0 < p <= 1 the derivative is not defined at a
-          zero point, which raises KernelError (as partial_h does).
+          zero point, which raises KernelError.
 
         sizes (the jumps up to t by default) may be replaced.  Several
         free/deriv slots take the free role in turn, the others being

@@ -5,7 +5,11 @@ separable expansion.  The oracles here evaluate the same quantities
 directly, on the :class:`LExpr` tree and over index tuples, so the tests
 can compare the two:
 
-* :func:`eval_h`: H at a point, straight from the powers and ``L.value``;
+* :func:`eval_l`: the smooth factor L at a point, straight from its tree;
+* :func:`eval_h`: H at a point, from the powers and :func:`eval_l`;
+* :func:`partial_h`: a partial derivative of H, term by term on the
+  compiled expansion, so the one oracle here that reads it (a pointwise
+  reference for the limits' derivative slots);
 * :func:`nested_v_stat`, :func:`nested_y_stat`, :func:`nested_u_stat`:
   brute force over all (for U, all strictly increasing) index tuples,
   with the statistics' normalizations applied here;
@@ -21,11 +25,38 @@ import math
 
 import numpy as np
 
-from uvstat.kernels import KernelError, KernelSpec
+from uvstat.kernels import GaussBump, GridSin, KernelError, KernelSpec, One, PolyEven, Product, Sum
 
 NESTED_MAX_COUNT = 10_000
 _NESTED_MAX_TUPLES = 1 << 26
 _NESTED_CHUNK = 1 << 16
+
+
+def eval_l(L, pt):
+    """Evaluate the smooth factor tree L at a point (or batch, last axis = coordinate)."""
+    pt = np.asarray(pt, dtype=float)
+    if isinstance(L, One):
+        return np.ones(pt.shape[:-1])
+    if isinstance(L, GridSin):
+        s = np.sin(math.pi * (pt[..., L.i] - pt[..., L.j]) / L.beta)
+        return s * s
+    if isinstance(L, GaussBump):
+        x = pt[..., L.i]
+        return np.exp(-L.c * x * x)
+    if isinstance(L, PolyEven):
+        x = pt[..., L.i]
+        return np.polynomial.polynomial.polyval(x * x, L.coeffs)
+    if isinstance(L, Sum):
+        out = eval_l(L.terms[0], pt)
+        for t in L.terms[1:]:
+            out = out + eval_l(t, pt)
+        return out
+    if isinstance(L, Product):
+        out = eval_l(L.factors[0], pt)
+        for t in L.factors[1:]:
+            out = out * eval_l(t, pt)
+        return out
+    raise TypeError(f"not a smooth-factor node: {L!r}")
 
 
 def eval_h(kernel: KernelSpec, point) -> float:
@@ -37,7 +68,40 @@ def eval_h(kernel: KernelSpec, point) -> float:
     for i, pw in enumerate(kernel.powers):
         if pw != 0.0:
             out = out * np.abs(pt[..., i]) ** pw
-    out = out * kernel.L.value(pt)
+    out = out * eval_l(kernel.L, pt)
+    return out if np.ndim(out) else float(out)
+
+
+def partial_h(kernel: KernelSpec, j: int, point) -> float:
+    """Exact partial derivative of H in coordinate j.
+
+    Computed on the separable terms, where only the j-th factor
+    differentiates, through :meth:`Factor1D.derivative` (whose power
+    term carries the negative power p - 1 when p < 1).  No cancellation
+    occurs near x_j = 0: for power > 1 the value there is exactly the
+    true limit 0, while 0 < power <= 1 at x_j = 0 is a domain error
+    (power 0 leaves only the smooth factor to differentiate).
+    """
+    if not 0 <= j < kernel.d:
+        raise KernelError(f"coordinate {j} outside 0..{kernel.d - 1}")
+    pt = np.asarray(point, dtype=float)
+    pj = kernel.powers[j]
+    xj = pt[..., j]
+    if np.any(xj == 0.0) and 0.0 < pj <= 1.0:
+        raise KernelError(
+            f"partial_h at x_{j} = 0 with power 0 < {pj} <= 1 is not defined"
+        )
+    compiled = kernel._compiled
+    out = np.zeros(pt.shape[:-1])
+    for (coeff, factors), derivs in zip(compiled.terms, compiled.derivatives):
+        term = np.zeros(xj.shape)
+        for dcoef, dfac in derivs[j]:
+            term = term + dcoef * dfac.val(xj)
+        term = coeff * term
+        for i, f in enumerate(factors):
+            if i != j:
+                term = term * f.val(pt[..., i])
+        out = out + term
     return out if np.ndim(out) else float(out)
 
 

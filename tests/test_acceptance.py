@@ -233,9 +233,13 @@ def test_criterion_06_mixed_lln():
 
 
 def test_criterion_07_mixed_clt(clt_mixed):
-    ok_ks = clt_mixed["ks_pvalue"] > 0.01
+    # the z_var window of criterion 4 and the two-sample gate of criterion 5
+    ok_law = (
+        clt_mixed["ks_pvalue"] > 0.01
+        and 0.85 <= clt_mixed["z_var"] <= 1.15
+        and clt_mixed["two_sample_ks_pvalue"] > 0.01
+    )
     cfg = model(2.0)
-    seed = 0
     path = None
     for k in range(10_000):
         cand = simulate_path(cfg, 512, 1.0, derive_seed(404, 0, 512, k))
@@ -253,8 +257,10 @@ def test_criterion_07_mixed_clt(clt_mixed):
     check(
         7,
         "mixed CLT",
-        ok_ks and rel < 0.05,
-        f"KS p = {clt_mixed['ks_pvalue']:.3f}; sampler variance off by {rel:.3%} "
+        ok_law and rel < 0.05,
+        f"KS p = {clt_mixed['ks_pvalue']:.3f}, var = {clt_mixed['z_var']:.3f}, "
+        f"two-sample KS p = {clt_mixed['two_sample_ks_pvalue']:.3f}; "
+        f"sampler variance off by {rel:.3%} "
         f"on a fixed 2-jump path (1e4 draws)",
     )
 

@@ -355,6 +355,65 @@ def test_non_finite_kernel_numbers_exit_1(tmp_path, capsys, kernel, value):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize("command", ["stat", "limits", "grid-test"])
+def test_grid_sin_frequency_overflow_exits_1(tmp_path, capsys, command):
+    # 2 pi / 1e-310 is inf: the kernel cannot be expanded, so it is refused
+    kernel = "d=2 l=2 p=4.0,4.0 q=- regime=GridTest L=(grid_sin 1e-310 0 1)"
+    doc = jump_clt_doc(kind="GRID", kernel=kernel)
+    doc["experiment"]["beta_grid"] = [0.5, 1.0]
+    doc["io"] = {"output_dir": str(tmp_path / "out")}
+    rc = main([command, "--config", str(write_config(tmp_path, doc))])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert errors == [
+        "error: invalid kernel text: grid_sin requires a finite beta > 0 and frequency 2*pi/beta, got 1e-310"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def _overflow_doc(tmp_path, kind, kernel):
+    """Jumps of size 100 under a grid_sin frequency near the float maximum: cos/sin of inf."""
+    doc = jump_clt_doc(kind=kind, reps=1, n=64, kernel=kernel)
+    doc["model"]["jumps"]["size_dist"]["atoms"] = [[100.0, 1.0]]
+    doc["model"]["jumps"]["max_abs"] = 200.0
+    doc["model"]["bound_A"] = 1000.0
+    doc["io"] = {"output_dir": str(tmp_path / "out")}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "argv, key",
+    [
+        (["stat", "--stat", "V", "--input", "data.csv"], "stat.value"),
+        (["limits"], "limits.limit"),
+        (["grid-test"], "report.tables.min_normalized"),
+    ],
+    ids=["stat", "limits", "grid-test"],
+)
+def test_non_finite_output_exits_2(tmp_path, capsys, monkeypatch, argv, key):
+    # the frequency is finite but overflows on the data: NaN is refused, not printed
+    monkeypatch.chdir(tmp_path)
+    Path("data.csv").write_text("100.0\n", encoding="utf-8")
+    if argv[0] == "grid-test":
+        doc = _overflow_doc(tmp_path, "GRID", None)
+        doc["experiment"]["beta_grid"] = [1e-306, 0.5]
+    else:
+        kernel = "d=2 l=2 p=4.0,4.0 q=- regime=JumpLLN L=(grid_sin 1e-306 0 1)"
+        doc = _overflow_doc(tmp_path, "LLN", kernel)
+    with warnings.catch_warnings():
+        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in cos/sin
+        rc = main(argv + ["--config", str(write_config(tmp_path, doc))])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    assert captured.err.splitlines() == [
+        f"runtime error: {key.split('.')[0]} holds a non-finite number at {key}; nothing written"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_manifest_suffices_to_rerun(tmp_path):
     from uvstat.config import parse_config
 
@@ -732,8 +791,8 @@ def test_fuzzed_configs_keep_the_exit_code_contract(case):
         os.chdir(tmp)
         try:
             Path("run.cfg").write_text(json.dumps(doc), encoding="utf-8")
-            err = io.StringIO()
-            with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            out, err = io.StringIO(), io.StringIO()
+            with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
                 rc = main([command, "--config", "run.cfg"])
             left = sorted(p.relative_to(tmp).as_posix() for p in Path(tmp).rglob("*"))
             reports = [Path(tmp, name).read_text() for name in left if name.endswith("report.json")]
@@ -745,4 +804,4 @@ def test_fuzzed_configs_keep_the_exit_code_contract(case):
     if rc == 1:
         assert left == ["run.cfg"]
     if rc == 0:
-        assert not any("NaN" in text or "Infinity" in text for text in reports)
+        assert not any("NaN" in text or "Infinity" in text for text in reports + [out.getvalue()])

@@ -1,8 +1,11 @@
 """Kernel evaluation, derivatives, Gaussian moments, admissibility."""
 
+import collections
+import hashlib
 import math
 import re
 import warnings
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -25,12 +28,12 @@ from uvstat.kernels import (
     grid_test_kernel,
     kernel_from_text,
     kernel_to_text,
-    partial_h,
     rho,
     separable_terms,
 )
 
-from oracles import eval_h, rho_mc
+from oracles import eval_h, partial_h, rho_mc
+from random_kernels import random_kernels
 
 
 def catalog_kernels():
@@ -567,6 +570,115 @@ def test_admissibility_gaussian_bounded_polynomial():
     assert not bounded("(product (poly_even 0 1.0 0.5) (gauss_bump 0.0 0))")
     assert not bounded("(product (poly_even 0 1.0 0.5) (gauss_bump 0.5 1))")
     assert not bounded("(sum (gauss_bump 0.5 0) (poly_even 0 1.0 0.5))")
+
+
+def test_admissibility_alln_margin_below_the_old_probe_resolution():
+    # |x|^2.05 / |x|^2 -> 0 however slowly; p = 2 leaves the ratio at 1
+    def alln(p):
+        k = kernel_from_text(f"d=1 l=1 p={p} q=- regime=JumpLLN L=one")
+        return check_admissibility(k).items[0]
+
+    assert alln(2.05).passed and alln(2.0001).passed
+    assert not alln(2.0).passed
+    assert alln(2.0).detail.endswith("= 0: x^(0,) does not vanish")
+
+
+@pytest.mark.parametrize(
+    "text, alpha",
+    [
+        # L = x^2 in two spellings: H / x^2 = 1 at p = 0
+        ("d=1 l=1 p=0.0 q=- regime=JumpLLN L=(poly_even 0 0.0 1.0)", (2,)),
+        ("d=1 l=1 p=0.0 q=- regime=JumpLLN L=(sum one (poly_even 0 -1.0 1.0))", (2,)),
+        # x_2^2 survives 1 + (-1 + x_2^2 + x_2^4 / 2), and 2 <= 2l - sum(p) = 3.5
+        (
+            "d=3 l=3 p=1.5,0.5,0.5 q=- regime=JumpLLN "
+            "L=(sum one (grid_sin 0.5 0 1) (poly_even 2 -1.0 1.0 0.5))",
+            (0, 0, 2),
+        ),
+    ],
+)
+def test_admissibility_alln_sees_through_cancelling_spellings(text, alpha):
+    item = check_admissibility(kernel_from_text(text)).items[0]
+    assert item.name == "lln_small_x_condition"
+    assert not item.passed
+    assert item.detail.endswith(f": x^{alpha} does not vanish")
+
+
+def test_admissibility_alln_reads_the_order_of_l_at_zero():
+    # x^2 exp(-0.3 x^2) has no term of degree <= 2l - sum(p) = 1.5
+    ok = kernel_from_text(
+        "d=1 l=1 p=0.5 q=- regime=JumpLLN L=(product (poly_even 0 0.0 1.0) (gauss_bump 0.3 0))"
+    )
+    assert check_admissibility(ok).passed
+    # across the split, sin^2(pi (x - y)) keeps the constant term sin^2(pi y)
+    bad = kernel_from_text("d=2 l=1 p=0.5 q=0.0 regime=JumpLLN L=(grid_sin 1.0 0 1)")
+    assert not check_admissibility(bad).passed
+    # on x alone, grid_sin's constant and linear terms cancel exactly
+    # (1/2 - 1/2 * 1 * 1 - 1/2 * 0 * 0 = 0): pi^2 (x_0 - x_1)^2 is the first
+    two = kernel_from_text("d=2 l=2 p=0.0,0.0 q=- regime=JumpLLN L=(grid_sin 1.0 0 1)")
+    assert not check_admissibility(two).passed
+    four = kernel_from_text("d=2 l=2 p=1.0,1.5 q=- regime=JumpLLN L=(grid_sin 1.0 0 1)")
+    assert check_admissibility(four).passed
+
+
+def test_admissibility_smooth_class_reads_degree_one_in_y():
+    def smooth(q, L):
+        k = kernel_from_text(f"d=2 l=1 p=4.0 q={q} regime=JumpCLT L={L}")
+        return {it.name: it.passed for it in check_admissibility(k).items}["smooth_class_membership"]
+
+    # an even factor in y has no linear term; |y|^q with q in (0, 1) blows up
+    assert smooth(0.0, "(poly_even 1 1.0 2.0)")
+    assert not smooth(0.5, "one")
+    assert smooth(0.5, "(poly_even 1 0.0 1.0)")
+    # a linear term in y, through grid_sin across the split, matters only for sum(q) <= 0
+    assert not smooth(0.0, "(grid_sin 1.0 0 1)")
+    assert smooth(2.0, "(grid_sin 1.0 0 1)")
+    # ... and not at all when it cancels: s + s - 2 s for s = sin^2(pi (x - y))
+    twice = "(product (grid_sin 1.0 0 1) (poly_even 0 -2.0))"
+    assert smooth(0.0, f"(sum (grid_sin 1.0 0 1) (grid_sin 1.0 1 0) {twice})")
+
+
+def test_admissibility_verdicts_ignore_the_spelling_of_one():
+    # 1 + (-1) and exp(-0 x^2) are ones; no item may tell them from nothing
+    for k in random_kernels():
+        expected = [(it.name, it.passed) for it in check_admissibility(k).items]
+        for i in range(k.d):
+            for L in (Sum((k.L, ONE, PolyEven(i, (-1.0,)))), Product((k.L, GaussBump(0.0, i)))):
+                respelled = check_admissibility(replace(k, L=L))
+                assert [(it.name, it.passed) for it in respelled.items] == expected, (k.text(), L)
+
+
+# sha256 over "<kernel text> -> <item>=ok|FAIL ..." lines of random_kernels()
+_RANDOM_VERDICTS_SHA256 = "a21947a7a012e83ef4cacac3b154af48b43412d42fb86eba37db4265c1e8f114"
+_RANDOM_VERDICT_COUNTS = {
+    ("lln_small_x_condition", True): 287,
+    ("lln_small_x_condition", False): 129,
+    ("smooth_class_membership", True): 703,
+    ("smooth_class_membership", False): 119,
+    ("report", True): 417,
+    ("report", False): 1583,
+}
+
+
+def test_admissibility_random_kernel_verdicts_pinned():
+    lines = []
+    counts = collections.Counter()
+    for k in random_kernels():
+        rep = check_admissibility(k)
+        verdicts = " ".join(f"{it.name}={'ok' if it.passed else 'FAIL'}" for it in rep.items)
+        lines.append(f"{k.text()} -> {verdicts}")
+        for it in rep.items:
+            if it.name in ("lln_small_x_condition", "smooth_class_membership"):
+                counts[it.name, it.passed] += 1
+        counts["report", rep.passed] += 1
+    assert dict(counts) == _RANDOM_VERDICT_COUNTS
+    assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _RANDOM_VERDICTS_SHA256
+
+
+def test_grid_sin_rejects_an_overflowing_frequency():
+    with pytest.raises(KernelError, match=r"frequency 2\*pi/beta, got 1e-310$"):
+        GridSin(1e-310, 0, 1)
+    assert GridSin(1e-306, 0, 1).sep_terms()[1][1][0].cos_args[0] == pytest.approx(2 * math.pi / 1e-306)
 
 
 def test_nested_l_out_of_range_coordinate_rejected():

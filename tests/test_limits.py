@@ -15,7 +15,6 @@ from uvstat.kernels import (
     KernelSpec,
     abs_moment,
     kernel_from_text,
-    partial_h,
     rho,
     separable_terms,
 )
@@ -45,7 +44,7 @@ from uvstat.simulate import (
     simulate_path,
 )
 
-from oracles import eval_h
+from oracles import eval_h, partial_h
 from test_kernels import catalog_kernels
 
 
