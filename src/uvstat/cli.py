@@ -268,9 +268,12 @@ def main(argv=None) -> int:
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else 1
     try:
-        if args.command == "grid-test" and args.input:
-            return _cmd_grid_csv(args)
-        return _COMMANDS[args.command](args, _load_config(args))
+        # an overflow ends as a non-finite number that finite_json refuses,
+        # so numpy's warnings would only print ahead of that one error line
+        with np.errstate(all="ignore"):
+            if args.command == "grid-test" and args.input:
+                return _cmd_grid_csv(args)
+            return _COMMANDS[args.command](args, _load_config(args))
     except (ConfigError, KernelError, HarnessError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         print(f"usage: see `uvstat {args.command} --help`", file=sys.stderr)

@@ -101,16 +101,20 @@ def parse_beta_grid(spec) -> tuple:
             raise ConfigError(f"non-numeric beta_grid range {spec!r}")
         if step <= 0 or stop < start:
             raise ConfigError(f"beta_grid range needs step > 0 and stop >= start, got {spec!r}")
-        span = (stop - start + 1e-12) / step
+        # start + k step carries rounding of about 1e-16 of the values: pad
+        # stop and round each value to 12 significant digits, both relative
+        # to the values, so a grid of 1e-300s keeps its entries
+        slack = 1e-12 * max(abs(start), abs(stop))
+        span = (stop - start + slack) / step
         if not span < _MAX_BETA_GRID:
             raise ConfigError(f"beta_grid range {spec!r} has more than {_MAX_BETA_GRID} entries")
         out = []
         # one spare step: the float test below decides whether stop is included
         for k in range(int(span) + 2):
             v = start + k * step
-            if v > stop + 1e-12:
+            if v > stop + slack:
                 break
-            out.append(round(v, 12))
+            out.append(float(f"{v:.12g}"))
         return tuple(out)
     if isinstance(spec, (list, tuple)):
         return tuple(_number(v, "experiment.beta_grid entry", lo=None) for v in spec)

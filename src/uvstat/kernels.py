@@ -15,17 +15,19 @@ d-fold statistics possible.
 
 The one exact calculus is :class:`Factor1D`: products, derivatives and
 Gaussian moments E[f(sigma U)] of the one-dimensional factors (closed
-form, or quadrature over a bit-identical float copy of Factor1D.val
-when cos/sin are present).  rho_H and everything else in the package
-(statistics, limit functionals, conditional variances, limit draws) are
-written against the separable terms, which each kernel expands once, on
-first use, into its compiled view (``KernelSpec._compiled``: the terms,
-their derivatives, the Gaussian-field factor products and the slot
-layouts of the limits).  Every admissibility item is structural: past
-the power bounds, each is read off the separable terms of L (which
-coordinates L touches, its evenness and boundedness in the scaled block,
-and the Taylor coefficients of L at 0 that decide the jump LLN's small-x
-condition and the smooth class).
+form, or, when cos/sin are present, quadrature over an integrand that
+each factor generates once from val's steps: one straight-line Python
+function per factor, with val's bits).  rho_H and everything else in
+the package (statistics, limit functionals, conditional variances,
+limit draws) are written against the separable terms, which each kernel
+expands once, on first use, into its compiled view
+(``KernelSpec._compiled``: the terms, their derivatives, the
+Gaussian-field factor products and the slot layouts of the limits).
+Every admissibility item is structural: past the power bounds, each is
+read off the separable terms of L (which coordinates L touches, its
+evenness and boundedness in the scaled block, and the Taylor
+coefficients of L at 0 that decide the jump LLN's small-x condition and
+the smooth class).
 Deciding that a sum of Taylor coefficients vanishes is the one place a
 tolerance enters, 1e-12 of the sum of the magnitudes, for rounding only.
 The :class:`LExpr` tree only parses, prints and expands into separable
@@ -109,8 +111,11 @@ class Factor1D:
     exact calculus: the class is closed under multiplication (:meth:`mul`)
     and differentiation (:meth:`derivative`), and knows its own Gaussian
     moments E[f(sigma U)] with U ~ N(0, 1) (:meth:`gaussian_moment_vec`;
-    closed form where available, split adaptive quadrature otherwise,
-    over the scalar copy :meth:`_val_scalar` of :meth:`val`).
+    closed form where available, split adaptive quadrature otherwise).
+    The quadrature integrand and the float copy :meth:`_val_scalar` of
+    :meth:`val` are generated together, once per factor, as straight-line
+    Python from val's steps (:meth:`_step_source`, compiled by
+    :attr:`_steps`), so a call runs no loop or branch over the fields.
 
     The power may be negative: the derivative of |x|^p with p < 1 carries
     |x|^{p-1}, which is finite only away from x = 0.
@@ -142,31 +147,77 @@ class Factor1D:
             out = out * np.polynomial.polynomial.polyval(x * x, self.poly2)
         return out if out.ndim else float(out)
 
-    def _val_scalar(self, x: float) -> float:
-        """:meth:`val` on a Python float, bit for bit (the quadrature integrand).
+    # -- the float copy of val ----------------------------------------------
 
-        Step for step as val on a 0-d array: ``**`` is C pow like numpy's
-        scalar power (with val's inf at 0 for a negative power), np.sign's
-        values (0 at +-0), math.cos/sin (equal to numpy's), numpy's exp
-        (math.exp is not its AVX-512 exp) and polyval's Horner order.
+    def _step_source(self) -> tuple:
+        """Source of ``_val_scalar(x)`` and ``_integrand(sigma)``, and the names it reads.
+
+        Both return one product whose factors are val's steps on a 0-d
+        array, in val's order: ``**`` is C pow like numpy's scalar power
+        (with val's inf at 0 for a negative power), np.sign's values (0 at
+        +-0), math.cos/sin (equal to numpy's), numpy's exp (math.exp is not
+        its AVX-512 exp) and polyval's Horner order.  val's leading 1.0 is
+        kept only where the product would not be a float without it.  The
+        factor's own numbers are bound by name in the returned namespace,
+        never printed into the source, so -0.0 and subnormals keep their
+        bits.  ``_integrand(sigma)`` is the quadrature integrand
+        u -> f(sigma u) phi(u).
         """
-        p = self.power
-        out = 1.0 if p == 0.0 else abs(x) ** p if x or p > 0.0 else math.inf
+        names = {
+            "inf": math.inf,
+            "cos": math.cos,
+            "sin": math.sin,
+            "exp": math.exp,
+            "np_exp": np.exp,
+            "_SQRT_2PI": _SQRT_2PI,
+        }
+        steps = []
+        if self.power != 0.0:
+            names["p"] = self.power
+            steps.append("abs(x) ** p" if self.power > 0.0 else "(abs(x) ** p if x else inf)")
         if self.sign_pow:
-            out *= (x > 0.0) - (x < 0.0)
-        for c in self.cos_args:
-            out *= math.cos(c * x)
-        for c in self.sin_args:
-            out *= math.sin(c * x)
-        for c in self.gauss_args:
-            out *= float(np.exp(-c * x * x))
+            steps.append("((x > 0.0) - (x < 0.0))")
+        for prefix, fn, args in (("c", "cos", self.cos_args), ("s", "sin", self.sin_args)):
+            for i, c in enumerate(args):
+                names[f"{prefix}{i}"] = c
+                steps.append(f"{fn}({prefix}{i} * x)")
+        for i, c in enumerate(self.gauss_args):
+            names[f"g{i}"] = -c  # val's -c * x * x is (-c * x) * x
+            steps.append(f"float(np_exp(g{i} * x * x))")
         if self.poly2:
-            xx = x * x
-            acc = self.poly2[-1] + xx * 0.0
-            for a in self.poly2[-2::-1]:
-                acc = a + acc * xx
-            out *= acc
-        return out
+            names.update((f"a{k}", a) for k, a in enumerate(self.poly2))
+            acc = f"(a{len(self.poly2) - 1} + xx * 0.0)"
+            for k in range(len(self.poly2) - 2, -1, -1):
+                acc = f"(a{k} + {acc} * xx)"
+            steps.append(acc)
+        if self.power == 0.0 and (self.sign_pow or not steps):
+            steps.insert(0, "1.0")
+        product = " * ".join(steps)
+        xx = "xx = x * x; " if self.poly2 else ""
+        source = (
+            "def _val_scalar(x):\n"
+            f"    {xx}return {product}\n"
+            "def _integrand(sigma):\n"
+            "    def integrand(u):\n"
+            f"        x = sigma * u; {xx}return {product} * (exp(-0.5 * u * u) / _SQRT_2PI)\n"
+            "    return integrand\n"
+        )
+        return source, names
+
+    @functools.cached_property
+    def _steps(self) -> dict:
+        """The step compiler: ``_step_source`` run once per factor, kept on the instance.
+
+        The dataclass's == and hash read the fields only, so the cache does
+        not change how factors key a dict.
+        """
+        source, names = self._step_source()
+        exec(compile(source, f"<Factor1D steps {self!r}>", "exec"), names)
+        return names
+
+    def _val_scalar(self, x: float) -> float:
+        """:meth:`val` on a Python float, bit for bit (see :meth:`_step_source`)."""
+        return self._steps["_val_scalar"](x)
 
     def mul(self, other: "Factor1D") -> "Factor1D":
         if self.poly2 and other.poly2:
@@ -231,9 +282,7 @@ class Factor1D:
         # splitting at 0 keeps the |x|^p cusp off the panel interior.  The
         # integrand has val's bits; full_output hands back QUADPACK's note
         # for the error instead of warning.
-        def integrand(u):
-            return self._val_scalar(sigma * u) * (math.exp(-0.5 * u * u) / _SQRT_2PI)
-
+        integrand = self._steps["_integrand"](sigma)
         val, err, _, *msg = quad(
             integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400, full_output=1
         )

@@ -13,7 +13,10 @@ can compare the two:
 * :func:`nested_v_stat`, :func:`nested_y_stat`, :func:`nested_u_stat`:
   brute force over all (for U, all strictly increasing) index tuples,
   with the statistics' normalizations applied here;
-* :func:`rho_mc`: a Monte Carlo estimate of rho_H at a fixed sub-seed.
+* :func:`rho_mc`: a Monte Carlo estimate of rho_H at a fixed sub-seed;
+* :func:`val_scalar` and :func:`moment_integrand`: ``Factor1D.val`` on a
+  Python float and the Gaussian-moment quadrature integrand, in the loop
+  form over the factor's fields that ``Factor1D._step_source`` unrolls.
 
 The nested sums accumulate naively in chunks of tuples, where the
 package sums each coordinate pairwise; that is what the 1e-12 relative
@@ -30,6 +33,7 @@ from uvstat.kernels import GaussBump, GridSin, KernelError, KernelSpec, One, Pol
 NESTED_MAX_COUNT = 10_000
 _NESTED_MAX_TUPLES = 1 << 26
 _NESTED_CHUNK = 1 << 16
+_SQRT_2PI = math.sqrt(2.0 * math.pi)
 
 
 def eval_l(L, pt):
@@ -124,6 +128,42 @@ def rho_mc(kernel: KernelSpec, sigmas, y, n_nodes: int = 200_000, seed: int = 0x
     est = float(np.mean(vals))
     se = float(np.std(vals, ddof=1) / math.sqrt(n_nodes))
     return est, se
+
+
+def val_scalar(f, x: float) -> float:
+    """``Factor1D.val`` on a Python float, bit for bit, looping over the factor's fields.
+
+    Step for step as val on a 0-d array: ``**`` is C pow like numpy's
+    scalar power (with val's inf at 0 for a negative power), np.sign's
+    values (0 at +-0), math.cos/sin (equal to numpy's), numpy's exp
+    (math.exp is not its AVX-512 exp) and polyval's Horner order.
+    """
+    p = f.power
+    out = 1.0 if p == 0.0 else abs(x) ** p if x or p > 0.0 else math.inf
+    if f.sign_pow:
+        out *= (x > 0.0) - (x < 0.0)
+    for c in f.cos_args:
+        out *= math.cos(c * x)
+    for c in f.sin_args:
+        out *= math.sin(c * x)
+    for c in f.gauss_args:
+        out *= float(np.exp(-c * x * x))
+    if f.poly2:
+        xx = x * x
+        acc = f.poly2[-1] + xx * 0.0
+        for a in f.poly2[-2::-1]:
+            acc = a + acc * xx
+        out *= acc
+    return out
+
+
+def moment_integrand(f, sigma: float):
+    """u -> f(sigma u) phi(u), the integrand of E[f(sigma U)], through :func:`val_scalar`."""
+
+    def integrand(u):
+        return val_scalar(f, sigma * u) * (math.exp(-0.5 * u * u) / _SQRT_2PI)
+
+    return integrand
 
 
 def _check_nested_size(d: int, count: int) -> None:

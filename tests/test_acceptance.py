@@ -270,15 +270,23 @@ def test_criterion_07_mixed_clt(clt_mixed):
 # ---------------------------------------------------------------------------
 
 
-def test_criterion_08_rho_and_c_closed_forms():
-    # quadrature route vs m_p sigma^p closed form
+RHO_QUAD_TOL = 1e-8
+
+
+def rho_quadrature_worst() -> float:
+    """Worst relative error of the quadrature route against the m_p sigma^p closed form."""
     worst = 0.0
     for p in (0.5, 1.0, 1.7, 4.0):
         for sigma in (0.5, 1.0, 1.9):
             closed = abs_moment(p) * sigma**p
             viaquad = Factor1D(power=p)._moment_quad(sigma)
             worst = max(worst, abs(viaquad - closed) / closed)
-    ok_rho = worst <= 1e-8
+    return worst
+
+
+def test_criterion_08_rho_and_c_closed_forms():
+    worst = rho_quadrature_worst()
+    ok_rho = worst <= RHO_QUAD_TOL
 
     from test_limits import synthetic_path
 

@@ -120,9 +120,15 @@ def test_parse_beta_grid_range():
         parse_beta_grid("2.0:0.5:0.1")
     grid = parse_beta_grid("0.5:2.0:0.01")
     assert len(grid) == 151 and grid[0] == 0.5 and grid[-1] == 2.0
+    # the grid_test.cfg grid: 151 decimal values, bit for bit
+    assert [v.hex() for v in grid] == [round(0.5 + 0.01 * k, 2).hex() for k in range(151)]
     assert len(parse_beta_grid("0.0001:1.0:0.0001")) == 10_000
     with pytest.raises(ConfigError, match="more than 10000 entries"):
         parse_beta_grid("0:1.0:0.0001")
+    # stop's pad and the rounding are relative to the values: tiny betas keep their grid
+    assert parse_beta_grid("1e-306:1e-306:1") == (1e-306,)
+    assert parse_beta_grid("1e-300:2e-300:1e-300") == (1e-300, 2e-300)
+    assert parse_beta_grid("1e-300:5e-300:1e-300") == (1e-300, 2e-300, 3e-300, 4e-300, 5e-300)
 
 
 def test_seed_and_reps_validation():
@@ -402,9 +408,7 @@ def test_non_finite_output_exits_2(tmp_path, capsys, monkeypatch, argv, key):
     else:
         kernel = "d=2 l=2 p=4.0,4.0 q=- regime=JumpLLN L=(grid_sin 1e-306 0 1)"
         doc = _overflow_doc(tmp_path, "LLN", kernel)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", RuntimeWarning)  # numpy's overflow in cos/sin
-        rc = main(argv + ["--config", str(write_config(tmp_path, doc))])
+    rc = main(argv + ["--config", str(write_config(tmp_path, doc))])
     captured = capsys.readouterr()
     assert rc == 2
     assert captured.out == ""
@@ -412,6 +416,29 @@ def test_non_finite_output_exits_2(tmp_path, capsys, monkeypatch, argv, key):
         f"runtime error: {key.split('.')[0]} holds a non-finite number at {key}; nothing written"
     ]
     assert not (tmp_path / "out").exists()
+
+
+def test_non_finite_output_prints_no_numpy_warning(tmp_path):
+    # a fresh interpreter, warnings shown: numpy's overflow in cos/sin stays silent
+    (tmp_path / "data.csv").write_text("100.0\n", encoding="utf-8")
+    kernel = "d=2 l=2 p=4.0,4.0 q=- regime=JumpLLN L=(grid_sin 1e-306 0 1)"
+    config = write_config(tmp_path, _overflow_doc(tmp_path, "LLN", kernel))
+    src = Path(__file__).resolve().parent.parent / "src"
+    probe = (
+        "import sys; sys.path.insert(0, sys.argv[1]); "
+        "from uvstat.cli import main; sys.exit(main(sys.argv[2:]))"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", probe, str(src), "stat", "--stat", "V", "--input", "data.csv",
+         "--config", str(config)],
+        capture_output=True, text=True, timeout=300, cwd=tmp_path,
+        env={**os.environ, "PYTHONWARNINGS": "default"},
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr.splitlines() == [
+        "runtime error: stat holds a non-finite number at stat.value; nothing written"
+    ]
 
 
 def test_manifest_suffices_to_rerun(tmp_path):

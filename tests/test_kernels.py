@@ -32,7 +32,7 @@ from uvstat.kernels import (
     separable_terms,
 )
 
-from oracles import eval_h, partial_h, rho_mc
+from oracles import eval_h, moment_integrand, partial_h, rho_mc, val_scalar
 from random_kernels import random_kernels
 
 
@@ -307,7 +307,7 @@ def test_rho_rejects_bad_sigma():
 TWO_PI = 2.0 * math.pi
 QUAD_SIGMAS = (0.05, 0.3, 1.0, 2.5)
 # float.hex of Factor1D._moment_quad at QUAD_SIGMAS, as the integrand built
-# from val on 0-d arrays gave them; the float copy _val_scalar keeps them.
+# from val on 0-d arrays gave them; the generated float copy of val keeps them.
 QUAD_PINS = [
     (
         Factor1D(cos_args=(TWO_PI,)),
@@ -393,6 +393,72 @@ def test_val_scalar_matches_val_bitwise():
         for f, row in zip(factors, points):
             for x in special + row.tolist():
                 assert f._val_scalar(x).hex() == f.val(x).hex(), (repr(f), x)
+
+
+# the bare sign (val's leading 1.0 makes it a float), then constants with no
+# short literal: a subnormal frequency, -0.0 polynomial coefficients, 1e308
+# and a zero Gaussian exponent whose negation is -0.0
+ODD_CONSTANT_FACTORS = [
+    Factor1D(sign_pow=1),
+    Factor1D(cos_args=(5e-324,)),
+    Factor1D(power=1.5, sin_args=(2.2250738585072014e-308, 1.0)),
+    Factor1D(poly2=(-0.0, 1.0)),
+    Factor1D(power=2.0, sign_pow=1, poly2=(1.0, -0.0, 0.5)),
+    Factor1D(gauss_args=(1e308,)),
+    Factor1D(power=3.0, cos_args=(1e308,), poly2=(1e308, 1e308)),
+    Factor1D(power=-0.5, sign_pow=1, cos_args=(1e-300,), gauss_args=(0.0,)),
+]
+
+
+def _outcome(fn, *args):
+    """float.hex of fn(*args), or the name of the exception it raises."""
+    try:
+        return fn(*args).hex()
+    except (ArithmeticError, ValueError) as exc:  # pow's overflow, cos of inf
+        return type(exc).__name__
+
+
+def test_generated_steps_match_the_loop_oracle_bitwise():
+    factors = _catalog_factors() + [f for f, _ in QUAD_PINS] + ODD_CONSTANT_FACTORS
+    tiny = (5e-324, 2.2250738585072014e-308, 1e-300, 1e-160)
+    points = [0.0, -0.0] + [s * t for t in tiny + (0.3, 2.0, 40.0, 1e200) for s in (1.0, -1.0)]
+    sigmas = (5e-324, 0.05, 0.93, 2.5)
+    us = (0.0, 1e-300, 0.2, 1.7, 6.0, 40.0, 1e10)
+    for f in factors:
+        for x in points:
+            got = _outcome(f._val_scalar, x)
+            assert got == _outcome(val_scalar, f, x), (repr(f), x)
+            # the rest are the test above's; math.cos raises where np.cos gives nan
+            if abs(x) <= 40.0 and f in ODD_CONSTANT_FACTORS and got != "ValueError":
+                with np.errstate(all="ignore"):  # val's 0 ** -0.5 = inf
+                    assert got == _outcome(f.val, x), (repr(f), x)
+        for sigma in sigmas:
+            integrand, oracle = f._steps["_integrand"](sigma), moment_integrand(f, sigma)
+            for u in us:
+                assert _outcome(integrand, u) == _outcome(oracle, u), (repr(f), sigma, u)
+
+
+def test_compiled_steps_leave_equality_and_hash_alone(monkeypatch):
+    # _Truth._moments keys on factors: a compiled factor must find its twin's entry
+    f, twin = Factor1D(power=0.5, cos_args=(TWO_PI,)), Factor1D(power=0.5, cos_args=(TWO_PI,))
+    before = (hash(f), repr(f))
+    table = {twin: "moment"}
+    sources = []
+    step_source = Factor1D._step_source
+
+    def counted(self):
+        sources.append(self)
+        return step_source(self)
+
+    monkeypatch.setattr(Factor1D, "_step_source", counted)
+    f._val_scalar(0.3)
+    for sigma in QUAD_SIGMAS:
+        f._moment_quad(sigma)
+    assert len(sources) == 1 and sources[0] is f  # compiled once, on first use
+    assert "_steps" in vars(f) and "_steps" not in vars(twin)
+    assert (hash(f), repr(f)) == before
+    assert f == twin and hash(f) == hash(twin)
+    assert table[f] == "moment"
 
 
 def test_moment_quad_failure_is_a_clean_quadrature_error():

@@ -184,3 +184,46 @@ def test_package_reexports_only_exported_names():
             exported = set(exported_names(ast.parse(source)))
             stray += [f"{module}.{a.name}" for a in node.names if a.name not in exported]
     assert stray == []
+
+
+def exec_sites(source: str) -> list:
+    """Where the source names exec or eval: 'line N: Class.function' (or '<module>')."""
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                visit(child, scope + [child.name])
+            else:
+                if isinstance(child, ast.Name) and child.id in ("exec", "eval"):
+                    found.append(f"line {child.lineno}: {'.'.join(scope) or '<module>'}")
+                visit(child, scope)
+
+    visit(ast.parse(source), [])
+    return sorted(found)
+
+
+def test_exec_sites_detected():
+    source = (
+        "exec('x = 1')\n"
+        "class F:\n"
+        "    def compile_steps(self):\n"
+        "        run = exec\n"
+        "        def inner():\n"
+        "            return eval('1')\n"
+        "def f(x):\n"
+        "    return x.exec, 'exec'\n"
+    )
+    assert exec_sites(source) == [
+        "line 1: <module>", "line 4: F.compile_steps", "line 6: F.compile_steps.inner"
+    ]
+
+
+# generated code runs in one place: the factor's step compiler
+EXEC_SITES = {"kernels.py": ["Factor1D._steps"]}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_exec_only_in_the_step_compiler(path):
+    sites = [s.split(": ", 1)[1] for s in exec_sites(path.read_text(encoding="utf-8"))]
+    assert sites == EXEC_SITES.get(path.name, [])
