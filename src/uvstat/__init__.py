@@ -25,6 +25,7 @@ from uvstat.kernels import (
 )
 from uvstat.simulate import (
     AtomList,
+    GroundTruth,
     JumpModel,
     JumpRecord,
     ModelConfig,
@@ -37,6 +38,7 @@ from uvstat.simulate import (
     increments,
     jump_neighborhood,
     simulate_path,
+    simulate_truth,
 )
 from uvstat.stats import (
     StatValue,

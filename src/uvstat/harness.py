@@ -17,7 +17,10 @@ Six experiment kinds:
 Replication r of an experiment uses seeds derived by hashing
 (base_seed, stream, n, r) through numpy's SeedSequence, so streams never
 overlap and any plan re-runs bit-identically from its manifest.
-Replications run one after another and reduce in rep order.
+Replications run one after another and reduce in rep order.  The
+independent second path of a CLT or RNP replication feeds only the
+limit law, so it is drawn as ground truth alone (``simulate_truth``):
+no Brownian increments or X grid where nothing reads them.
 """
 
 from __future__ import annotations
@@ -32,7 +35,14 @@ import numpy as np
 from uvstat.kernels import _GRID_POWER, KernelSpec, grid_test_kernel, kernel_to_text
 from uvstat.limits import _cond_var_jump, _cond_var_mixed, _jump_limit, _mixed_limit, _Truth
 from uvstat.sampler import augment, sample_U_jump, sample_V_mixed, truncated_Z
-from uvstat.simulate import ModelConfig, SamplePath, _streams, jump_neighborhood, simulate_path
+from uvstat.simulate import (
+    ModelConfig,
+    SamplePath,
+    _jump_stream,
+    jump_neighborhood,
+    simulate_path,
+    simulate_truth,
+)
 from uvstat.simulate import config_to_dict
 from uvstat.stats import power_variation, v_stat, y_stat
 
@@ -296,9 +306,9 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
     Z_r = sqrt(n) (statistic - limit) / sqrt(ground-truth conditional
     variance); reps whose conditional variance is zero (no jumps) are
     excluded from Z and counted.  The marginal-law comparison pits
-    sqrt(n)(statistic - limit) against limit draws on independent paths.
-    Each path's ground truth is read once: the limit and the conditional
-    variance share one context.
+    sqrt(n)(statistic - limit) against limit draws on independent paths,
+    of which only the ground truth is drawn.  Each path's ground truth is
+    read once: the limit and the conditional variance share one context.
     """
     if plan.kind not in ("CLT_jump", "CLT_mixed"):
         raise HarnessError(f"run_clt got plan of kind {plan.kind}")
@@ -322,7 +332,7 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
             z = raw / math.sqrt(cv.total) if not excluded else None
 
             seed2 = derive_seed(plan.base_seed, _S_PATH2, n, r)
-            path2 = simulate_path(plan.model, n, plan.t, seed2)
+            path2 = simulate_truth(plan.model, n, plan.t, seed2)
             aug = augment(path2, derive_seed(plan.base_seed, _S_AUG, n, r))
             if mixed:
                 draw = sample_V_mixed(
@@ -398,7 +408,8 @@ def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
 
     One draw per replication and side: the first jump that sits alone in
     its grid interval (discrete side) vs. the first jump's R_k
-    (extension side), on independent paths.
+    (extension side), on independent paths; the extension side draws
+    only its path's ground truth.
     """
     if plan.kind != "RNP":
         raise HarnessError(f"run_rnp_check got plan of kind {plan.kind}")
@@ -419,7 +430,7 @@ def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
                     discrete = nb.r
                     break
             seed2 = derive_seed(plan.base_seed, _S_PATH2, n, r)
-            path2 = simulate_path(plan.model, n, plan.t, seed2)
+            path2 = simulate_truth(plan.model, n, plan.t, seed2)
             limit_r = None
             if path2.jumps:
                 aug = augment(path2, derive_seed(plan.base_seed, _S_AUG, n, r))
@@ -506,7 +517,7 @@ def _find_path_with_jumps(plan: ExperimentPlan, n: int) -> SamplePath:
     tries = 10_000
     for k in range(tries):
         seed = derive_seed(plan.base_seed, _S_PATH, n, k)
-        n_jumps = _streams(plan.model, plan.t, seed)[0]
+        n_jumps = _jump_stream(plan.model, plan.t, seed)[0]
         if plan.require_jumps is None or n_jumps == plan.require_jumps:
             return simulate_path(plan.model, n, plan.t, seed)
     raise HarnessError(

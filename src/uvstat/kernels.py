@@ -281,11 +281,19 @@ class Factor1D:
         # integrand is even here, so integrate the positive half axis twice;
         # splitting at 0 keeps the |x|^p cusp off the panel interior.  The
         # integrand has val's bits; full_output hands back QUADPACK's note
-        # for the error instead of warning.
+        # for the error instead of warning.  A c sigma u that overflows
+        # makes math.cos/math.sin raise on inf: that quadrature fails too.
         integrand = self._steps["_integrand"](sigma)
-        val, err, _, *msg = quad(
-            integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400, full_output=1
-        )
+        try:
+            val, err, _, *msg = quad(
+                integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400, full_output=1
+            )
+        except ValueError as exc:
+            raise QuadratureError(
+                f"gaussian moment quadrature failed for factor {self} at sigma={sigma}: "
+                f"the integrand raised ({exc})",
+                achieved=math.inf,
+            ) from None
         val, err = 2.0 * val, 2.0 * err
         if err > 1e-8 * (1.0 + abs(val)):
             note = f" ({' '.join(msg[0].split())})" if msg else ""

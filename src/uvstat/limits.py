@@ -31,7 +31,7 @@ their derivatives, the Gaussian-field factor products and the slot
 layouts are compiled once per kernel (``KernelSpec._compiled``, built on
 first use and held by the kernel).  A path's ground truth up to t is one
 private context, ``_Truth``: it takes t and its grid steps from the
-path (``SamplePath.window``), reads the jump sizes and the one-sided
+path (``GroundTruth.window``), reads the jump sizes and the one-sided
 spot volatilities once, builds the sigma grid on first use and
 evaluates the Gaussian moment vector of each distinct factor once,
 whether a limit, a variance profile or the field covariance asks for it;
@@ -47,7 +47,9 @@ takes one (``_jump_limit``, ``_mixed_limit``, ``_cond_var_jump``,
 ``_cond_var_mixed``), so a caller that reads one path several times, as
 ``harness.run_clt`` does, opens one context per path and passes it on.
 
-Every function reads the block split l from the kernel (``kernel.l``).
+Every function reads only the path's ground truth, so it accepts a
+``GroundTruth`` (a ``SamplePath`` is one), and reads the block split l
+from the kernel (``kernel.l``).
 The limits carry the per-jump contribution table that ``uvstat limits``
 prints; the conditional variances return only their total and its jump
 and field terms.
@@ -63,7 +65,7 @@ from typing import Optional, Sequence
 import numpy as np
 
 from uvstat.kernels import Factor1D, KernelError, KernelSpec, separable_terms
-from uvstat.simulate import SamplePath
+from uvstat.simulate import GroundTruth
 
 # separable_terms stays importable from this module, where the benchmark's
 # tracer test (bench/test_bench.py) looks it up; the limits themselves read
@@ -133,7 +135,7 @@ def _constant_integral(n: int, t: float, count: int, value: float) -> float:
 class _Truth:
     """The ground truth of one path up to t, read once per path.
 
-    t and its grid steps come from the path (``SamplePath.window``, which
+    t and its grid steps come from the path (``GroundTruth.window``, which
     rejects t outside (0, T]).  Holds the jump sizes and one-sided spot
     volatilities up to t, the kernel's compiled view, the left-Riemann
     sigma grid (built on first use), per distinct factor f, E[f(sigma U)]
@@ -142,7 +144,7 @@ class _Truth:
     constant grid costs one moment evaluation per factor.
     """
 
-    def __init__(self, path: SamplePath, kernel: KernelSpec, t: Optional[float] = None):
+    def __init__(self, path: GroundTruth, kernel: KernelSpec, t: Optional[float] = None):
         self.path, self.kernel = path, kernel
         self.t, count = path.window(t)
         self._grid_key = (path.n, self.t, count)
@@ -350,7 +352,7 @@ def _limit_from_contributions(contrib) -> LimitValue:
 # ---------------------------------------------------------------------------
 
 
-def jump_limit(path: SamplePath, kernel: KernelSpec, t: Optional[float] = None) -> LimitValue:
+def jump_limit(path: GroundTruth, kernel: KernelSpec, t: Optional[float] = None) -> LimitValue:
     """V(H, X, l)_t = t^{d-l} sum_{s in (0,t]^l} H(Delta X_s, 0).
 
     The sum runs over all l-tuples (with repetition) of recorded jumps;
@@ -372,7 +374,7 @@ def _jump_limit(truth: _Truth) -> LimitValue:
     return _limit_from_contributions(truth.contract(slots, truth.sizes) * scale)
 
 
-def mixed_limit(path: SamplePath, kernel: KernelSpec, t: Optional[float] = None) -> LimitValue:
+def mixed_limit(path: GroundTruth, kernel: KernelSpec, t: Optional[float] = None) -> LimitValue:
     """Y_t(H, X, l) = sum over jump tuples of int_{[0,t]^l} rho_H(sigma_u, Delta X) du."""
     return _mixed_limit(_Truth(path, kernel, t))
 
@@ -394,7 +396,7 @@ def _mixed_limit(truth: _Truth) -> LimitValue:
 
 
 def vbar(
-    path: SamplePath,
+    path: GroundTruth,
     kernel: KernelSpec,
     k_idx: int = 1,
     y: float = 0.0,
@@ -415,7 +417,9 @@ def vbar(
     return truth.contract(slots, y)
 
 
-def cond_var_jump(path: SamplePath, kernel: KernelSpec, t: Optional[float] = None) -> CondVariance:
+def cond_var_jump(
+    path: GroundTruth, kernel: KernelSpec, t: Optional[float] = None
+) -> CondVariance:
     """E[U(H,X,l)_t^2 | F] = 1/2 t^{2(d-l)} sum_s (sum_k Vbar_k(DX_s))^2 (s-^2 + s^2)."""
     return _cond_var_jump(_Truth(path, kernel, t))
 
@@ -439,7 +443,7 @@ def _cond_var_jump(truth: _Truth) -> CondVariance:
 
 
 def cov_c(
-    path: SamplePath,
+    path: GroundTruth,
     kernel: KernelSpec,
     y,
     y2,
@@ -450,13 +454,13 @@ def cov_c(
     return float(truth.field_vector(y) @ truth.field[1] @ truth.field_vector(y2))
 
 
-def cov_c_matrix(path: SamplePath, kernel: KernelSpec, y_list, t: Optional[float] = None):
+def cov_c_matrix(path: GroundTruth, kernel: KernelSpec, y_list, t: Optional[float] = None):
     """The matrix [C(y_a, y_b)] over a list of tuple points (symmetric PSD)."""
     return _Truth(path, kernel, t).field_cov(y_list)
 
 
 def vtilde(
-    path: SamplePath,
+    path: GroundTruth,
     kernel: KernelSpec,
     k_idx: int,
     y: float = 0.0,
@@ -478,7 +482,9 @@ def vtilde(
     return truth.contract(slots, y)
 
 
-def cond_var_mixed(path: SamplePath, kernel: KernelSpec, t: Optional[float] = None) -> CondVariance:
+def cond_var_mixed(
+    path: GroundTruth, kernel: KernelSpec, t: Optional[float] = None
+) -> CondVariance:
     """Conditional variance of the mixed-case limit: jump term plus field term.
 
     jump term:  sum_s (sum_{k>l} Vtilde_k(Delta X_s))^2 sigma_s^2

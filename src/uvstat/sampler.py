@@ -14,7 +14,9 @@ plain float and a deterministic function of (path, seed); the field uses
 a sub-seed derived by hashing so the two terms stay reproducible
 independently.  The block split l is read from the kernel.
 
-Each draw reads the path through one ground-truth context of
+A draw reads only the path's ground truth, so every function here
+accepts a ``GroundTruth`` (a ``SamplePath`` is one).  Each draw reads the
+path through one ground-truth context of
 :mod:`uvstat.limits` (``_Truth``), as the limits do: the window t from
 the path, the jump sizes up to t and one Gaussian moment vector per
 distinct factor, shared by the jump-term coefficients and the field
@@ -37,7 +39,7 @@ import numpy as np
 
 from uvstat.kernels import KernelError, KernelSpec
 from uvstat.limits import _Truth
-from uvstat.simulate import SamplePath
+from uvstat.simulate import GroundTruth
 
 __all__ = [
     "JumpAugmentation",
@@ -79,7 +81,7 @@ class JumpAugmentation:
         return len(self.kappa)
 
 
-def augment(path: SamplePath, seed: int) -> JumpAugmentation:
+def augment(path: GroundTruth, seed: int) -> JumpAugmentation:
     """Draw (kappa, psi-, psi+) per recorded jump; deterministic in (path, seed)."""
     gen = np.random.default_rng(np.random.SeedSequence(seed))
     J = len(path.jumps)
@@ -108,7 +110,7 @@ def field_subseed(aug_seed: int) -> int:
 
 
 def sample_U_jump(
-    path: SamplePath,
+    path: GroundTruth,
     kernel: KernelSpec,
     aug: JumpAugmentation,
     t: Optional[float] = None,
@@ -139,7 +141,7 @@ def _cholesky_with_jitter(M: np.ndarray):
 
 
 def sample_V_mixed(
-    path: SamplePath,
+    path: GroundTruth,
     kernel: KernelSpec,
     aug: JumpAugmentation,
     seed: Optional[int] = None,
@@ -191,7 +193,7 @@ def sample_V_mixed(
 
 
 def truncated_Z(
-    path: SamplePath,
+    path: GroundTruth,
     kernel: KernelSpec,
     m: int,
     aug: JumpAugmentation,

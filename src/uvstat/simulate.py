@@ -11,8 +11,20 @@ formulas need: jump times/sizes, one-sided spot volatilities, and the
 Brownian increment accumulated up to each jump inside its grid interval.
 
 Everything is a deterministic function of (config, n, T, seed): the seed
-is expanded into three independent substreams (jumps, W, V) so the
-Brownian draws do not depend on how many jumps were placed.
+is expanded into three independent substreams, jumps, W and V, so the
+Brownian draws do not depend on how many jumps were placed.  Substream
+i is SeedSequence(seed, spawn_key=(i,)), equal bit for bit to
+SeedSequence(seed).spawn(3)[i], and each is built only where it is read.
+
+A path is drawn in two stages.  The ground-truth stage
+(``simulate_truth``, a ``GroundTruth``) reads the jump substream for the
+jump count, times and sizes, and builds the sigma grid and the one-sided
+spot volatilities: a Constant volatility reads no other substream, an
+ItoSM one reads W and V.  The observation stage, which only
+``simulate_path`` runs (a ``SamplePath``, which extends ``GroundTruth``),
+adds the Brownian increments, W at each jump and the X grid; it reuses
+the W draws of an ItoSM ground truth and otherwise draws them from the W
+substream itself.  A draw from a limit law reads the ground truth only.
 """
 
 from __future__ import annotations
@@ -35,7 +47,9 @@ __all__ = [
     "JumpModel",
     "ModelConfig",
     "JumpRecord",
+    "GroundTruth",
     "SamplePath",
+    "simulate_truth",
     "simulate_path",
     "increments",
     "first_order_increments",
@@ -305,33 +319,31 @@ class JumpRecord:
 
 
 @dataclass(frozen=True)
-class SamplePath:
-    """A simulated path on the grid, immutable, with exact jump ground truth.
+class GroundTruth:
+    """The ground truth of a simulated path, immutable: all a limit law reads.
 
-    w_before_jump[p] is W_{S_p} - W_{(i-1)/n} for the interval containing
-    jump p (NaN when the jump falls past the last full grid interval);
-    together with the drift and the left grid volatility it reconstructs
-    the pre-jump state X_{S_p-} exactly as the simulator built it.
+    The jumps (exact times, sizes, one-sided spot volatilities) and the
+    volatility on the grid {0, 1/n, ..., floor(nT)/n} with its clamp
+    count.  The limits, conditional variances and limit-law draws accept
+    a GroundTruth; the statistics, jump_neighborhood and serialization
+    need the observation that SamplePath adds.
     """
 
     T: float
     n: int
-    x_grid: np.ndarray
     sigma_grid: np.ndarray
-    w_increments: np.ndarray
     jumps: tuple
     seed: int
     config: ModelConfig
-    w_before_jump: np.ndarray
     n_sigma_clamps: int = 0
 
     def __post_init__(self):
-        for arr in (self.x_grid, self.sigma_grid, self.w_increments, self.w_before_jump):
-            arr.setflags(write=False)
+        self.sigma_grid.setflags(write=False)
 
     @property
     def n_steps(self) -> int:
-        return len(self.w_increments)
+        """floor(nT), the steps of the sigma grid."""
+        return len(self.sigma_grid) - 1
 
     @property
     def clamped(self) -> bool:
@@ -355,74 +367,64 @@ class SamplePath:
         return t, min(_count(self.n, t), self.n_steps)
 
 
+@dataclass(frozen=True, kw_only=True)
+class SamplePath(GroundTruth):
+    """A simulated path: its ground truth plus the observation on the grid.
+
+    w_before_jump[p] is W_{S_p} - W_{(i-1)/n} for the interval containing
+    jump p (NaN when the jump falls past the last full grid interval);
+    together with the drift and the left grid volatility it reconstructs
+    the pre-jump state X_{S_p-} exactly as the simulator built it.
+    """
+
+    x_grid: np.ndarray
+    w_increments: np.ndarray
+    w_before_jump: np.ndarray
+
+    def __post_init__(self):
+        super().__post_init__()
+        for arr in (self.x_grid, self.w_increments, self.w_before_jump):
+            arr.setflags(write=False)
+
+
 def _count(n: int, t: float) -> int:
     return int(math.floor(n * t + 1e-12))
 
 
-def _streams(cfg: ModelConfig, T: float, seed: int):
-    """Expand a path seed into its jump, W and V substreams; draw the jump count.
+# the substream index i of each source: SeedSequence(seed, spawn_key=(i,)),
+# which is SeedSequence(seed).spawn(3)[i] bit for bit
+_JUMP_STREAM, _W_STREAM, _V_STREAM = 0, 1, 2
 
-    Returns (n_jumps, jump_gen, w_ss, v_ss): the Poisson number of jumps on
-    (0, T] is the first draw of the jump generator, so callers that only
-    need the count (harness._find_path_with_jumps) read it without
-    simulating the path.
+
+def _substream(seed: int, index: int) -> np.random.Generator:
+    return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
+
+
+def _jump_stream(cfg: ModelConfig, T: float, seed: int):
+    """The jump substream of a path seed, after its first draw, the jump count.
+
+    Returns (n_jumps, jump_gen): the Poisson number of jumps on (0, T] is
+    the first draw of the jump generator, so callers that only need the
+    count (harness._find_path_with_jumps) read it without simulating the
+    path.
     """
-    jump_ss, w_ss, v_ss = np.random.SeedSequence(seed).spawn(3)
-    jump_gen = np.random.default_rng(jump_ss)
+    jump_gen = _substream(seed, _JUMP_STREAM)
     n_jumps = int(jump_gen.poisson(cfg.jumps.intensity * T)) if cfg.jumps.intensity > 0 else 0
-    return n_jumps, jump_gen, w_ss, v_ss
+    return n_jumps, jump_gen
 
 
-def simulate_path(
-    cfg: ModelConfig, n: int, T: float, seed: int, clamp_budget: int = 1000
-) -> SamplePath:
-    """Simulate X on {0, 1/n, ..., floor(nT)/n} with exact jump placement.
+def _brownian(seed: int, n: int, N: int, times: np.ndarray, jumps_by_interval: dict):
+    """(w_increments, w_before_jump): the Brownian fill from the W substream.
 
-    Jump times are uniform on (0, T]; the Brownian increment of an
-    interval containing jumps is drawn as the sum of the sub-increments
-    between consecutive jump times, so W is known exactly at every jump.
-    The X increment over interval i is b/n + sigma_{(i-1)/n} Delta_i W
-    plus the sizes of the jumps it contains (Euler with left-frozen
-    volatility).
-
-    The Brownian draws are one standard-normal fill, scaled in place, in
-    the order of a per-interval scalar loop: sqrt(1/n) for an interval
-    without jumps, sqrt(dt) for each sub-segment of one with jumps (a
-    segment with dt <= 0 draws nothing), so the random stream and every
-    bit (0.0 + scale * z, as numpy's normal forms it) are those of one
-    scalar draw per segment.  An ItoSM volatility is one sequential
-    running sum of sigma0, b~/n, s~ Delta W_i, v~ Delta V_i, ... (the
-    Euler step's own order of additions) up to the first value below
-    floor_eps; from there on a scalar loop clamps and counts.
+    The Brownian increment of an interval containing jumps is the sum of
+    the sub-increments between consecutive jump times, so W is known
+    exactly at every jump.  The draws are one standard-normal fill,
+    scaled in place, in the order of a per-interval scalar loop: sqrt(1/n)
+    for an interval without jumps, sqrt(dt) for each sub-segment of one
+    with jumps (a segment with dt <= 0 draws nothing), so the random
+    stream and every bit (0.0 + scale * z, as numpy's normal forms it)
+    are those of one scalar draw per segment.
     """
-    if n < 1:
-        raise SimulationError(f"n must be >= 1, got {n}")
-    if not T > 0:
-        raise SimulationError(f"T must be > 0, got {T}")
-    N = _count(n, T)
-    if N < 1:
-        raise SimulationError(f"grid {{0, 1/n, ...}} has no step for n={n}, T={T}")
-
-    n_jumps, jump_gen, w_ss, v_ss = _streams(cfg, T, seed)
-    w_gen = np.random.default_rng(w_ss)
-
-    # jumps: sorted times on (0, T], then sizes in time order
-    if n_jumps > 0:
-        times = np.sort(T * (1.0 - jump_gen.random(n_jumps)))
-        sizes = cfg.jumps.draw_sizes(jump_gen, n_jumps)
-    else:
-        times = np.zeros(0)
-        sizes = np.zeros(0)
-    intervals = np.ceil(times * n - 1e-12).astype(int)
-    intervals = np.maximum(intervals, 1)
-
-    # Brownian increments, split at jump times inside each interval; one
-    # draw that runs interval by interval, and within an interval holding
-    # jumps over its sub-segments in time order
-    jumps_by_interval: dict = {}
-    for p, idx in enumerate(intervals):
-        if idx <= N:
-            jumps_by_interval.setdefault(int(idx), []).append(p)
     step = math.sqrt(1.0 / n)
     segments = {}  # sub-segment lengths of each interval holding jumps
     seg_draws, seg_dts = [], []  # draw index and length of each drawn sub-segment
@@ -441,14 +443,14 @@ def simulate_path(
     # numpy's normal(0.0, scale) is 0.0 + scale * z, element by element:
     # every draw scaled by sqrt(1/n), then the sub-segment draws rescaled
     # from their standard normals by sqrt(dt)
-    dw = w_gen.standard_normal(draws)
+    dw = _substream(seed, _W_STREAM).standard_normal(draws)
     z = dw[seg_draws]
     dw *= step
     dw[seg_draws] = z * np.sqrt(seg_dts)
     dw += 0.0
 
     w_inc = np.empty(N)
-    w_before = np.full(n_jumps, np.nan)
+    w_before = np.full(len(times), np.nan)
     k = prev = 0  # next unread draw; intervals done
     for i, dts in segments.items():
         w_inc[prev : i - 1] = dw[k : k + i - 1 - prev]
@@ -464,15 +466,83 @@ def simulate_path(
         w_inc[i - 1] = acc
         prev = i
     w_inc[prev:] = dw[k:]
+    return w_inc, w_before
 
-    # volatility on the grid (Euler, clamped at floor_eps)
+
+def simulate_truth(
+    cfg: ModelConfig, n: int, T: float, seed: int, clamp_budget: int = 1000
+) -> GroundTruth:
+    """The ground-truth stage of simulate_path alone: its GroundTruth, bit for bit.
+
+    Reads the jump substream and, for an ItoSM volatility, the W and V
+    substreams; a Constant volatility opens neither, so no Brownian
+    increment is drawn.  This is all a draw from the limit law reads.
+    """
+    return _simulate(cfg, n, T, seed, clamp_budget, observe=False)
+
+
+def simulate_path(
+    cfg: ModelConfig, n: int, T: float, seed: int, clamp_budget: int = 1000
+) -> SamplePath:
+    """Simulate X on {0, 1/n, ..., floor(nT)/n} with exact jump placement.
+
+    Two stages, each substream built only where it is read.  The ground
+    truth (simulate_truth): the jump count, then the jump times, uniform
+    on (0, T], and their sizes from the jump substream; the sigma grid
+    (constant, or an ItoSM Euler scheme that reads the W and V
+    substreams); the one-sided spot volatility at each jump.  The
+    observation: the Brownian increments and W at each jump from the W
+    substream (the draws the ItoSM stage made, or a fresh fill for a
+    Constant volatility), then the X grid.  The X increment over interval
+    i is b/n + sigma_{(i-1)/n} Delta_i W plus the sizes of the jumps it
+    contains (Euler with left-frozen volatility).
+
+    An ItoSM volatility is one sequential running sum of sigma0, b~/n,
+    s~ Delta W_i, v~ Delta V_i, ... (the Euler step's own order of
+    additions) up to the first value below floor_eps; from there on a
+    scalar loop clamps and counts.  With reject_bound_excursions, a path
+    whose |X| exceeds bound_A raises SimulationError.
+    """
+    return _simulate(cfg, n, T, seed, clamp_budget, observe=True)
+
+
+def _simulate(cfg: ModelConfig, n: int, T: float, seed: int, clamp_budget: int, observe: bool):
+    if n < 1:
+        raise SimulationError(f"n must be >= 1, got {n}")
+    if not T > 0:
+        raise SimulationError(f"T must be > 0, got {T}")
+    N = _count(n, T)
+    if N < 1:
+        raise SimulationError(f"grid {{0, 1/n, ...}} has no step for n={n}, T={T}")
+
+    # jumps: sorted times on (0, T], then sizes in time order
+    n_jumps, jump_gen = _jump_stream(cfg, T, seed)
+    if n_jumps > 0:
+        times = np.sort(T * (1.0 - jump_gen.random(n_jumps)))
+        sizes = cfg.jumps.draw_sizes(jump_gen, n_jumps)
+    else:
+        times = np.zeros(0)
+        sizes = np.zeros(0)
+    intervals = np.ceil(times * n - 1e-12).astype(int)
+    intervals = np.maximum(intervals, 1)
+    jumps_by_interval: dict = {}
+    for p, idx in enumerate(intervals):
+        if idx <= N:
+            jumps_by_interval.setdefault(int(idx), []).append(p)
+
+    # volatility on the grid (Euler, clamped at floor_eps); an ItoSM
+    # volatility reads W, and the observation reuses those draws
     vol = cfg.vol
+    brownian = None
+    if observe or vol.kind == "ItoSM":
+        brownian = _brownian(seed, n, N, times, jumps_by_interval)
     n_clamps = 0
     first_clamp = -1
     if vol.kind == "Constant":
         sigma = np.full(N + 1, vol.sigma0)
     else:
-        v_inc = np.random.default_rng(v_ss).normal(0.0, step, size=N)
+        w_inc = brownian[0]
+        v_inc = _substream(seed, _V_STREAM).normal(0.0, math.sqrt(1.0 / n), size=N)
         terms = np.empty(3 * N + 1)
         terms[0] = vol.sigma0
         terms[1::3] = vol.tilde_b / n
@@ -513,8 +583,20 @@ def simulate_path(
                 interval_index=idx,
             )
         )
+    truth = dict(
+        T=float(T),
+        n=int(n),
+        sigma_grid=sigma,
+        jumps=tuple(records),
+        seed=int(seed),
+        config=cfg,
+        n_sigma_clamps=n_clamps,
+    )
+    if not observe:
+        return GroundTruth(**truth)
 
-    # X increments and grid values
+    # the observation: X increments and grid values
+    w_inc, w_before = brownian
     inc = sigma[:N] * w_inc
     inc += cfg.drift_b / n
     for i, here in jumps_by_interval.items():
@@ -527,19 +609,7 @@ def simulate_path(
         raise SimulationError(
             f"path exceeded bound_A={cfg.bound_A} (max |X| = {np.max(np.abs(x_grid)):.6g})"
         )
-
-    return SamplePath(
-        T=float(T),
-        n=int(n),
-        x_grid=x_grid,
-        sigma_grid=sigma,
-        w_increments=w_inc,
-        jumps=tuple(records),
-        seed=int(seed),
-        config=cfg,
-        w_before_jump=w_before,
-        n_sigma_clamps=n_clamps,
-    )
+    return SamplePath(**truth, x_grid=x_grid, w_increments=w_inc, w_before_jump=w_before)
 
 
 # ---------------------------------------------------------------------------
@@ -702,12 +772,25 @@ _JUMP_FIELDS = tuple(f.name for f in fields(JumpRecord))
 
 
 def _assemble_path(head, model, arrays, jump_rows) -> SamplePath:
+    """A SamplePath from a document's parts; arrays of mismatched lengths raise SimulationError."""
     jumps = tuple(
         JumpRecord(*map(float, row[:-1]), interval_index=int(row[-1])) for row in jump_rows
     )
+    arrays = {name: np.asarray(arr, dtype=float) for name, arr in zip(_PATH_ARRAYS, arrays)}
+    lengths = {name: len(arr) for name, arr in arrays.items()}
+    steps = lengths["w_increments"]
+    if not (
+        lengths["x_grid"] == lengths["sigma_grid"] == steps + 1
+        and lengths["w_before_jump"] == len(jumps)
+    ):
+        raise SimulationError(
+            f"inconsistent path document: array lengths {lengths} with {len(jumps)} jumps; "
+            "x_grid and sigma_grid need len(w_increments) + 1 entries, "
+            "w_before_jump one per jump"
+        )
     return SamplePath(
         **dict(zip(_PATH_HEAD, head)),
-        **{name: np.asarray(arr, dtype=float) for name, arr in zip(_PATH_ARRAYS, arrays)},
+        **arrays,
         jumps=jumps,
         config=config_from_dict(model),
     )

@@ -418,6 +418,22 @@ def test_non_finite_output_exits_2(tmp_path, capsys, monkeypatch, argv, key):
     assert not (tmp_path / "out").exists()
 
 
+def test_limits_overflowing_quadrature_exits_2(tmp_path, capsys):
+    # grid_sin at beta = 1e-305 on ItoSM paths: c sigma u overflows inside the
+    # Gaussian-moment quadrature, which fails with one line
+    doc = json.loads((BENCH_WORKLOADS / "mixed_trig_lln.cfg").read_text(encoding="utf-8"))
+    doc["kernel"] = "d=2 l=1 p=0.5 q=4.0 regime=MixedLLN L=(grid_sin 1e-305 0 1)"
+    doc["io"] = {"output_dir": str(tmp_path / "out")}
+    rc = main(["limits", "--config", str(write_config(tmp_path, doc))])
+    captured = capsys.readouterr()
+    assert rc == 2
+    assert captured.out == ""
+    lines = captured.err.splitlines()
+    assert len(lines) == 1
+    assert lines[0].startswith("runtime error: gaussian moment quadrature failed for factor ")
+    assert lines[0].endswith("(math domain error)")
+
+
 def test_non_finite_output_prints_no_numpy_warning(tmp_path):
     # a fresh interpreter, warnings shown: numpy's overflow in cos/sin stays silent
     (tmp_path / "data.csv").write_text("100.0\n", encoding="utf-8")

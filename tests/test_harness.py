@@ -9,6 +9,7 @@ from scipy.stats import ks_2samp
 import uvstat.harness
 import uvstat.kernels
 import uvstat.limits
+import uvstat.simulate
 
 from uvstat.harness import (
     _S_PATH,
@@ -333,6 +334,44 @@ def test_rnp_distance_decreases_with_n():
     assert medians[4096] < medians[16]
 
 
+def itosm_model():
+    return ModelConfig(
+        drift_b=0.0,
+        vol=VolatilityModel(kind="ItoSM", sigma0=1.0, tilde_sigma=0.2, tilde_v=0.2),
+        jumps=JumpModel(intensity=3.0, size_dist=AtomList(((1.0, 0.5), (-1.0, 0.5))), max_abs=3.0),
+        bound_A=10.0,
+    )
+
+
+@pytest.mark.parametrize(
+    "kind, kernel, vol, fills_per_rep",
+    [
+        ("CLT_mixed", KMIX, "Constant", 1),
+        ("CLT_jump", K1, "Constant", 1),
+        ("RNP", None, "Constant", 1),
+        # an ItoSM sigma reads W, so the limit-law path draws it too; the
+        # observed path's observation reuses its own stage's draws
+        ("CLT_mixed", KMIX, "ItoSM", 2),
+        ("RNP", None, "ItoSM", 2),
+    ],
+)
+def test_limit_law_path_draws_no_brownian_fill(monkeypatch, kind, kernel, vol, fills_per_rep):
+    fills = []
+    brownian = uvstat.simulate._brownian
+
+    def spy(*args):
+        fills.append(args[0])
+        return brownian(*args)
+
+    monkeypatch.setattr(uvstat.simulate, "_brownian", spy)
+    m = model(intensity=3.0) if vol == "Constant" else itosm_model()
+    plan = ExperimentPlan(kind, m, kernel, 1.0, (32, 64), 3, base_seed=9)
+    run_plan(plan)
+    assert len(fills) == fills_per_rep * 2 * 3
+    observed = {derive_seed(9, _S_PATH, n, r) for n in (32, 64) for r in range(3)}
+    assert observed <= set(fills)
+
+
 def test_clt_mixed_plan_expands_once_and_reads_each_path_once(monkeypatch):
     kernel = kernel_from_text(
         "d=3 l=1 p=0.5 q=4.0,4.0 regime=MixedCLT L=(sum (grid_sin 1.0 1 2) (gauss_bump 0.5 0))"
@@ -341,7 +380,7 @@ def test_clt_mixed_plan_expands_once_and_reads_each_path_once(monkeypatch):
         kind="CLT_mixed", model=model(intensity=3.0), kernel=kernel, t=1.0,
         n_list=(32, 64), reps=4, base_seed=3,
     )
-    calls = {"sep_terms": 0, "separable_terms": 0, "truths": 0, "paths": 0}
+    calls = {"sep_terms": 0, "separable_terms": 0, "truths": 0, "paths": 0, "ground_truths": 0}
 
     def counted(name, fn):
         def wrapper(*args, **kwargs):
@@ -349,7 +388,8 @@ def test_clt_mixed_plan_expands_once_and_reads_each_path_once(monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
-    # the kernel's top-level L node (a Sum), the expansion, the path contexts, the paths
+    # the kernel's top-level L node (a Sum), the expansion, the path contexts,
+    # the observed paths and the limit-law paths drawn as ground truth alone
     monkeypatch.setattr(Sum, "sep_terms", counted("sep_terms", Sum.sep_terms))
     monkeypatch.setattr(
         uvstat.kernels, "separable_terms", counted("separable_terms", uvstat.kernels.separable_terms)
@@ -360,9 +400,16 @@ def test_clt_mixed_plan_expands_once_and_reads_each_path_once(monkeypatch):
     monkeypatch.setattr(
         uvstat.harness, "simulate_path", counted("paths", uvstat.harness.simulate_path)
     )
+    monkeypatch.setattr(
+        uvstat.harness, "simulate_truth", counted("ground_truths", uvstat.harness.simulate_truth)
+    )
     first = run_plan(plan)
-    assert calls == {"sep_terms": 1, "separable_terms": 1, "truths": 16, "paths": 16}
+    assert calls == {
+        "sep_terms": 1, "separable_terms": 1, "truths": 16, "paths": 8, "ground_truths": 8
+    }
     # the compiled view stays with the kernel: a second run expands nothing
     again = run_plan(plan)
-    assert calls == {"sep_terms": 1, "separable_terms": 1, "truths": 32, "paths": 32}
+    assert calls == {
+        "sep_terms": 1, "separable_terms": 1, "truths": 32, "paths": 16, "ground_truths": 16
+    }
     assert again.to_json() == first.to_json()

@@ -474,6 +474,19 @@ def test_moment_quad_failure_is_a_clean_quadrature_error():
     assert re.search(r"at sigma=5\.0 \(\w.+\)$", text)  # QUADPACK's own note
 
 
+def test_moment_quad_overflowing_frequency_is_a_quadrature_error():
+    # c sigma u overflows to inf inside QUADPACK, where math.cos raises
+    f = Factor1D(power=4.0, cos_args=(6.28e305,))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(QuadratureError) as info:
+            f._moment_quad(1.0)
+    assert not isinstance(info.value, ValueError)
+    text = str(info.value)
+    assert "\n" not in text
+    assert "cos_args=(6.28e+305,)" in text and text.endswith("(math domain error)")
+
+
 # ---------------------------------------------------------------------------
 # admissibility
 # ---------------------------------------------------------------------------

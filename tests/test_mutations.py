@@ -1,26 +1,43 @@
 """Mutation checks: seeded defects that a named gate must catch.
 
-Each defect is patched into the source that ``Factor1D._step_source``
-hands to the step compiler, so every factor built afterwards computes
-with it; factors compiled before the patch keep their functions, which
-is why the gates below run on fresh factors.  The test asserts which
-gate catches which defect, so a gate that stops catching one fails here.
+The test asserts which gate catches which defect, so a gate that stops
+catching one fails here.
 
-Quadrature defects (the Gaussian-moment integrand u -> f(sigma u) phi(u)):
+Quadrature defects are patched into the source that
+``Factor1D._step_source`` hands to the step compiler, so every factor
+built afterwards computes with it; factors compiled before the patch
+keep their functions, which is why their gates run on fresh factors.
+The Gaussian-moment integrand is u -> f(sigma u) phi(u):
 
     defect                        criterion 8 (rho vs m_p)   QUAD_PINS bits
     weight exp(-u*u)              caught                     caught
     1/sqrt(2 pi) dropped          caught                     caught
     cos step dropped              missed (no cos factor)     caught
+
+Simulator-stream defects move a substream index of ``uvstat.simulate``
+(substream i of a path seed is SeedSequence(seed, spawn_key=(i,)): 0
+jumps, 1 W, 2 V).  The gates are the limit and draw bits pinned on an
+ItoSM and a Constant path (``test_limits_and_draws_pinned_bits``) and
+the report digest of the shipped ``lln_jump.cfg`` (Constant volatility,
+statistics read off X):
+
+    defect                                   limit/draw pins   lln_jump.cfg digest
+    W drawn from the V substream (2,)        caught (ItoSM)    caught
+    jumps drawn from the W substream (1,)    caught            caught
+    V drawn from the W substream (1,)        caught (ItoSM)    missed (V unread)
 """
 
 import re
 from dataclasses import replace
+from pathlib import Path
 
 import pytest
 
+import uvstat.simulate
 from uvstat.kernels import Factor1D, QuadratureError
 
+import test_cli
+import test_sampler
 from test_acceptance import RHO_QUAD_TOL, rho_quadrature_worst
 from test_kernels import QUAD_PINS, QUAD_SIGMAS
 
@@ -66,3 +83,41 @@ def test_quadrature_defect_caught_by_its_gates(monkeypatch, defect):
 
     monkeypatch.setattr(Factor1D, "_step_source", mutated)
     assert (_criterion_08_fails(), _quad_pins_fail()) == CAUGHT[defect]
+
+
+# defect -> (module constant, substream index it is given)
+STREAM_DEFECTS = {
+    "none": None,
+    "w_from_v_substream": ("_W_STREAM", 2),
+    "jumps_from_w_substream": ("_JUMP_STREAM", 1),
+    "v_from_w_substream": ("_V_STREAM", 1),
+}
+
+# defect -> (a limit/draw pin moves, the lln_jump.cfg digest moves)
+STREAM_CAUGHT = {
+    "none": (False, False),
+    "w_from_v_substream": (True, True),
+    "jumps_from_w_substream": (True, True),
+    "v_from_w_substream": (True, False),
+}
+
+LLN_JUMP = Path(__file__).resolve().parent.parent / "configs" / "lln_jump.cfg"
+
+
+def _fails(gate, *args) -> bool:
+    try:
+        gate(*args)
+    except AssertionError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("defect", sorted(STREAM_DEFECTS))
+def test_simulator_stream_defect_caught_by_its_gates(monkeypatch, tmp_path, capsys, defect):
+    if STREAM_DEFECTS[defect] is not None:
+        monkeypatch.setattr(uvstat.simulate, *STREAM_DEFECTS[defect])
+    caught = (
+        _fails(test_sampler.test_limits_and_draws_pinned_bits),
+        _fails(test_cli.test_shipped_config_reports_byte_identical, LLN_JUMP, tmp_path, capsys),
+    )
+    assert caught == STREAM_CAUGHT[defect]

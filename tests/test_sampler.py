@@ -7,7 +7,15 @@ import pytest
 from scipy.stats import kstest
 
 from uvstat.kernels import Factor1D, GaussBump, KernelSpec
-from uvstat.limits import cond_var_jump, cond_var_mixed, cov_c_matrix, vbar, vtilde
+from uvstat.limits import (
+    cond_var_jump,
+    cond_var_mixed,
+    cov_c_matrix,
+    jump_limit,
+    mixed_limit,
+    vbar,
+    vtilde,
+)
 from uvstat.sampler import (
     SamplerError,
     augment,
@@ -23,6 +31,7 @@ from uvstat.simulate import (
     Uniform,
     VolatilityModel,
     simulate_path,
+    simulate_truth,
 )
 
 from test_limits import synthetic_path, K1, K22, KMIX
@@ -324,3 +333,40 @@ def test_limits_and_draws_pinned_bits():
     kjump3 = KernelSpec(d=3, l=3, p=(4.0, 4.0, 4.0), regime="JumpCLT")
     assert _layer_bits(itosm, kmix2, kjump2, 0.7) == PINNED_ITOSM
     assert _layer_bits(const, kmix3, kjump3, None) == PINNED_CONST
+
+
+TRUTH_MODELS = {
+    "itosm": ModelConfig(
+        drift_b=0.1,
+        vol=VolatilityModel(kind="ItoSM", sigma0=1.0, tilde_sigma=0.2, tilde_v=0.2),
+        jumps=JumpModel(intensity=3.0, size_dist=Uniform(-1.5, 1.5), max_abs=3.0),
+        bound_A=10.0,
+    ),
+    "const": ModelConfig(
+        drift_b=0.0,
+        vol=VolatilityModel(kind="Constant", sigma0=1.1),
+        jumps=JumpModel(intensity=3.0, size_dist=AtomList(((1.0, 0.5), (-0.7, 0.5))), max_abs=3.0),
+        bound_A=10.0,
+    ),
+}
+
+
+def test_limits_and_draws_on_the_ground_truth_alone_keep_their_pinned_bits():
+    # the paths of test_limits_and_draws_pinned_bits, drawn as ground truth
+    # alone: every limit, variance and draw reads the same bits
+    itosm = simulate_truth(TRUTH_MODELS["itosm"], n=64, T=1.0, seed=4)
+    const = simulate_truth(TRUTH_MODELS["const"], n=64, T=1.0, seed=11)
+    kmix2 = KernelSpec(d=2, l=1, p=(0.5,), q=(4.0,), L=GaussBump(0.6, 1), regime="MixedCLT")
+    kjump2 = KernelSpec(d=2, l=1, p=(4.0,), q=(0.0,), L=GaussBump(0.8, 1), regime="JumpCLT")
+    kmix3 = KernelSpec(d=3, l=1, p=(0.5,), q=(4.0, 4.0), regime="MixedCLT")
+    kjump3 = KernelSpec(d=3, l=3, p=(4.0, 4.0, 4.0), regime="JumpCLT")
+    assert _layer_bits(itosm, kmix2, kjump2, 0.7) == PINNED_ITOSM
+    assert _layer_bits(const, kmix3, kjump3, None) == PINNED_CONST
+    for name, truth, seed in (("itosm", itosm, 4), ("const", const, 11)):
+        path = simulate_path(TRUTH_MODELS[name], n=64, T=1.0, seed=seed)
+        for k in (kmix2, kmix3):
+            assert mixed_limit(truth, k).value.hex() == mixed_limit(path, k).value.hex()
+        for k in (kjump2, kjump3):
+            assert jump_limit(truth, k).value.hex() == jump_limit(path, k).value.hex()
+        aug = augment(truth, seed=5)
+        assert aug.r.tobytes() == augment(path, seed=5).r.tobytes()

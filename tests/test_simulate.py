@@ -1,5 +1,6 @@
 """Path simulation: determinism, reconstruction, jump ground truth."""
 
+import dataclasses
 import itertools
 import json
 import math
@@ -10,8 +11,10 @@ import pytest
 from scipy.integrate import quad
 from scipy.stats import chisquare, ks_2samp, norm, poisson
 
+import uvstat.simulate
 from uvstat.simulate import (
     AtomList,
+    GroundTruth,
     JumpModel,
     JumpRecord,
     ModelConfig,
@@ -28,6 +31,7 @@ from uvstat.simulate import (
     path_to_binary,
     path_to_json,
     simulate_path,
+    simulate_truth,
 )
 from uvstat.simulate import _count
 
@@ -342,6 +346,23 @@ def test_binary_round_trip():
         path_from_binary(b"NOTMAGIC" + b"\x00" * 64)
 
 
+@pytest.mark.parametrize("name", ["x_grid", "sigma_grid", "w_increments", "w_before_jump"])
+def test_inconsistent_path_document_is_refused(name):
+    # one array cut short: grid, increments and jump columns no longer agree
+    cfg = make_config(drift=0.2, intensity=4.0, size_dist=Uniform(-1.0, 1.0))
+    path = simulate_path(cfg, n=64, T=1.0, seed=37)
+    assert len(path.jumps) >= 2
+    cut = 10 if name == "x_grid" else len(getattr(path, name)) - 1
+    message = rf"inconsistent path document: array lengths \{{.*'{name}': {cut}\b"
+    doc = json.loads(path_to_json(path))
+    doc[name] = doc[name][:cut]
+    with pytest.raises(SimulationError, match=message):
+        path_from_json(json.dumps(doc))
+    short = dataclasses.replace(path, **{name: getattr(path, name)[:cut]})
+    with pytest.raises(SimulationError, match=message):
+        path_from_binary(path_to_binary(short))
+
+
 def test_path_from_json_is_strict_about_the_model_block():
     path = simulate_path(make_config(), n=16, T=1.0, seed=3)
     doc = json.loads(path_to_json(path))
@@ -548,3 +569,102 @@ def test_simulate_path_matches_scalar_oracle_over_the_clamp_budget():
                     simulate_path(cfg, 257, 1.0, seed, clamp_budget=budget)
             else:
                 assert_same_path(simulate_path(cfg, 257, 1.0, seed, clamp_budget=budget), expected)
+
+
+# ---------------------------------------------------------------------------
+# the ground-truth stage alone
+# ---------------------------------------------------------------------------
+
+
+def _truth_bytes(p):
+    """Every ground-truth field, floats as bytes so that -0.0 and NaN payloads count."""
+    columns = [[getattr(r, f) for r in p.jumps] for f in ("time", "size", "sigma_pre", "sigma_post")]
+    return (
+        p.T, p.n, p.seed, p.config, p.n_sigma_clamps, p.n_steps,
+        p.sigma_grid.dtype, p.sigma_grid.shape, p.sigma_grid.tobytes(),
+        np.array(columns, dtype=float).tobytes(),
+        [r.interval_index for r in p.jumps],
+    )
+
+
+@pytest.mark.parametrize("model", sorted(ORACLE_MODELS))
+def test_ground_truth_alone_matches_simulate_path(model):
+    cfg = ORACLE_MODELS[model]
+    no_jumps = shared = past_grid = 0
+    for seed in range(60):
+        n, T = ORACLE_GRIDS[seed % len(ORACLE_GRIDS)]
+        truth, path = simulate_truth(cfg, n, T, seed), simulate_path(cfg, n, T, seed)
+        assert type(truth) is GroundTruth and isinstance(path, GroundTruth)
+        assert _truth_bytes(truth) == _truth_bytes(path)
+        assert truth.jumps == path.jumps
+        assert truth.window() == path.window() and truth.clamped == path.clamped
+        intervals = [r.interval_index for r in truth.jumps]
+        no_jumps += not intervals
+        shared += len(intervals) > len(set(intervals))
+        past_grid += any(i > truth.n_steps for i in intervals)
+    assert past_grid > 0
+    if "dense" in model:
+        assert shared > 0
+    else:
+        assert no_jumps > 0
+
+
+def test_ground_truth_over_the_clamp_budget_raises_as_simulate_path():
+    cfg = ORACLE_MODELS["itosm_clamping"]
+    raised = 0
+    for seed in range(20):
+        try:
+            path = simulate_path(cfg, 257, 1.0, seed, clamp_budget=3)
+        except SimulationError as exc:
+            raised += 1
+            with pytest.raises(SimulationError, match=re.escape(str(exc))):
+                simulate_truth(cfg, 257, 1.0, seed, clamp_budget=3)
+        else:
+            assert _truth_bytes(simulate_truth(cfg, 257, 1.0, seed, clamp_budget=3)) == (
+                _truth_bytes(path)
+            )
+    assert raised > 0
+
+
+@pytest.mark.parametrize(
+    "model, observe, opened",
+    [
+        ("constant", False, [0]),
+        ("constant", True, [0, 1]),
+        ("itosm", False, [0, 1, 2]),
+        ("itosm", True, [0, 1, 2]),
+    ],
+)
+def test_each_stage_opens_only_the_substreams_it_reads(monkeypatch, model, observe, opened):
+    # substreams: 0 jumps, 1 W, 2 V; an ItoSM sigma reads W, and the
+    # observation reuses those draws
+    seen = []
+    substream = uvstat.simulate._substream
+
+    def spy(seed, index):
+        seen.append(index)
+        return substream(seed, index)
+
+    monkeypatch.setattr(uvstat.simulate, "_substream", spy)
+    draw = simulate_path if observe else simulate_truth
+    draw(ORACLE_MODELS[model], 64, 1.0, 5)
+    assert sorted(seen) == opened
+
+
+def test_substream_spawn_key_equals_spawn():
+    wide = np.random.SeedSequence(2015).generate_state(500, np.uint64)
+    seeds = list(range(500)) + [int(s) for s in wide]  # small ints and derive_seed-like 64-bit
+    for seed in seeds:
+        children = np.random.SeedSequence(seed).spawn(3)
+        for i, child in enumerate(children):
+            direct = np.random.SeedSequence(seed, spawn_key=(i,))
+            assert np.array_equal(direct.generate_state(8), child.generate_state(8)), (seed, i)
+
+
+def test_observation_readers_refuse_a_ground_truth():
+    truth = simulate_truth(make_config(intensity=3.0), n=64, T=1.0, seed=5)
+    assert truth.jumps
+    for reader in (lambda: jump_neighborhood(truth, 0), lambda: increments(truth),
+                   lambda: path_to_json(truth), lambda: path_to_binary(truth)):
+        with pytest.raises(AttributeError):
+            reader()
