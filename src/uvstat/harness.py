@@ -309,6 +309,8 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
     sqrt(n)(statistic - limit) against limit draws on independent paths,
     of which only the ground truth is drawn.  Each path's ground truth is
     read once: the limit and the conditional variance share one context.
+    A model's reject_bound_excursions checks |X| on the observed path
+    only; the limit-law path has no X grid to check.
     """
     if plan.kind not in ("CLT_jump", "CLT_mixed"):
         raise HarnessError(f"run_clt got plan of kind {plan.kind}")
@@ -409,7 +411,8 @@ def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
     One draw per replication and side: the first jump that sits alone in
     its grid interval (discrete side) vs. the first jump's R_k
     (extension side), on independent paths; the extension side draws
-    only its path's ground truth.
+    only its path's ground truth.  A model's reject_bound_excursions
+    checks |X| on the discrete side's path only.
     """
     if plan.kind != "RNP":
         raise HarnessError(f"run_rnp_check got plan of kind {plan.kind}")

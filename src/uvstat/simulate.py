@@ -287,6 +287,8 @@ class ModelConfig:
     vol: VolatilityModel
     jumps: JumpModel
     bound_A: float
+    # checked on the X grid, so only by simulate_path: a ground truth drawn
+    # alone (simulate_truth) has no X to check
     reject_bound_excursions: bool = False
 
     def __post_init__(self):
@@ -469,16 +471,16 @@ def _brownian(seed: int, n: int, N: int, times: np.ndarray, jumps_by_interval: d
     return w_inc, w_before
 
 
-def simulate_truth(
-    cfg: ModelConfig, n: int, T: float, seed: int, clamp_budget: int = 1000
-) -> GroundTruth:
+def simulate_truth(cfg: ModelConfig, n: int, T: float, seed: int) -> GroundTruth:
     """The ground-truth stage of simulate_path alone: its GroundTruth, bit for bit.
 
     Reads the jump substream and, for an ItoSM volatility, the W and V
     substreams; a Constant volatility opens neither, so no Brownian
     increment is drawn.  This is all a draw from the limit law reads.
+    The clamp budget is simulate_path's default.  With no X grid, a
+    model's reject_bound_excursions is not checked here.
     """
-    return _simulate(cfg, n, T, seed, clamp_budget, observe=False)
+    return _simulate(cfg, n, T, seed, 1000, observe=False)
 
 
 def simulate_path(

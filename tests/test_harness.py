@@ -13,6 +13,7 @@ import uvstat.simulate
 
 from uvstat.harness import (
     _S_PATH,
+    _S_PATH2,
     ExperimentPlan,
     HarnessError,
     _find_path_with_jumps,
@@ -29,6 +30,7 @@ from uvstat.simulate import (
     AtomList,
     JumpModel,
     ModelConfig,
+    SimulationError,
     Uniform,
     VolatilityModel,
     simulate_path,
@@ -370,6 +372,41 @@ def test_limit_law_path_draws_no_brownian_fill(monkeypatch, kind, kernel, vol, f
     assert len(fills) == fills_per_rep * 2 * 3
     observed = {derive_seed(9, _S_PATH, n, r) for n in (32, 64) for r in range(3)}
     assert observed <= set(fills)
+
+
+def bounded_model():
+    return ModelConfig(
+        drift_b=0.0,
+        vol=VolatilityModel(kind="Constant", sigma0=1.0),
+        jumps=JumpModel(intensity=3.0, size_dist=AtomList(((1.0, 0.5), (-1.0, 0.5))), max_abs=2.0),
+        bound_A=3.0,
+        reject_bound_excursions=True,
+    )
+
+
+def _breaks_bound(cfg, n, seed):
+    try:
+        simulate_path(cfg, n, 1.0, seed)
+    except SimulationError:
+        return True
+    return False
+
+
+@pytest.mark.parametrize("kind, kernel", [("CLT_mixed", KMIX), ("CLT_jump", K1), ("RNP", None)])
+def test_bound_excursions_are_checked_on_the_observed_path_only(kind, kernel):
+    # the limit-law path is drawn as ground truth alone, with no X grid:
+    # at base seed 33 every observed path keeps |X| <= bound_A, three
+    # limit-law paths would not, and the plan still runs
+    cfg = bounded_model()
+    keys = [(n, r) for n in (32, 64) for r in range(3)]
+    assert not any(_breaks_bound(cfg, n, derive_seed(33, _S_PATH, n, r)) for n, r in keys)
+    assert sum(_breaks_bound(cfg, n, derive_seed(33, _S_PATH2, n, r)) for n, r in keys) == 3
+    report = run_plan(ExperimentPlan(kind, cfg, kernel, 1.0, (32, 64), 3, base_seed=33))
+    assert [(row["n"], row["rep"]) for row in report.rows] == keys
+    # an observed path out of bounds still stops the plan
+    assert any(_breaks_bound(cfg, n, derive_seed(2, _S_PATH, n, r)) for n, r in keys)
+    with pytest.raises(SimulationError, match="bound_A"):
+        run_plan(ExperimentPlan(kind, cfg, kernel, 1.0, (32, 64), 3, base_seed=2))
 
 
 def test_clt_mixed_plan_expands_once_and_reads_each_path_once(monkeypatch):

@@ -33,7 +33,7 @@ from uvstat.simulate import (
     simulate_path,
     simulate_truth,
 )
-from uvstat.simulate import _count
+from uvstat.simulate import _count, _simulate
 
 
 def make_config(
@@ -610,6 +610,8 @@ def test_ground_truth_alone_matches_simulate_path(model):
 
 
 def test_ground_truth_over_the_clamp_budget_raises_as_simulate_path():
+    # simulate_truth runs the ground-truth stage at the default budget; the
+    # stage itself honours a small one as simulate_path does
     cfg = ORACLE_MODELS["itosm_clamping"]
     raised = 0
     for seed in range(20):
@@ -618,9 +620,9 @@ def test_ground_truth_over_the_clamp_budget_raises_as_simulate_path():
         except SimulationError as exc:
             raised += 1
             with pytest.raises(SimulationError, match=re.escape(str(exc))):
-                simulate_truth(cfg, 257, 1.0, seed, clamp_budget=3)
+                _simulate(cfg, 257, 1.0, seed, 3, observe=False)
         else:
-            assert _truth_bytes(simulate_truth(cfg, 257, 1.0, seed, clamp_budget=3)) == (
+            assert _truth_bytes(_simulate(cfg, 257, 1.0, seed, 3, observe=False)) == (
                 _truth_bytes(path)
             )
     assert raised > 0
