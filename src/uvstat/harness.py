@@ -6,8 +6,8 @@ Six experiment kinds:
                reports median errors and the fitted log-log rate.
 * CLT_jump  -- standardized sqrt(n)(V^n - V)/sqrt(cond. variance) tested
                against N(0,1), plus a two-sample comparison with draws
-               from the sampled limit law on independent paths (scipy's
-               kstest and ks_2samp, asymptotic p-values).
+               from the sampled limit law on independent paths (asymptotic
+               KS tests, ported from scipy onto scipy.special by uvstat.ks).
 * CLT_mixed -- same for the Y-statistic and its mixed limit law.
 * RNP       -- two-sample comparison of the discrete jump neighborhoods
                R(n,p) with the extension-space R_k draws.
@@ -33,6 +33,7 @@ from typing import Optional
 import numpy as np
 
 from uvstat.kernels import _GRID_POWER, KernelSpec, grid_test_kernel, kernel_to_text
+from uvstat.ks import ks_2samp_asymp, kstest_norm_asymp
 from uvstat.limits import _cond_var_jump, _cond_var_mixed, _jump_limit, _mixed_limit, _Truth
 from uvstat.sampler import augment, sample_U_jump, sample_V_mixed, truncated_Z
 from uvstat.simulate import (
@@ -314,9 +315,6 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
     """
     if plan.kind not in ("CLT_jump", "CLT_mixed"):
         raise HarnessError(f"run_clt got plan of kind {plan.kind}")
-    # scipy is imported where it runs, to keep the CLI's cold start at numpy's
-    from scipy.stats import ks_2samp, kstest
-
     kernel = plan.kernel
     mixed = plan.kind == "CLT_mixed"
     rows = []
@@ -363,11 +361,11 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
         n_excluded = sum(1 for r in results if r["excluded"])
         table = {"reps": plan.reps, "excluded": int(n_excluded)}
         if len(zs) >= 10:
-            ks = kstest(zs, "norm", method="asymp")
+            ks_stat, ks_pvalue = kstest_norm_asymp(zs)
             table.update(
                 {
-                    "ks_stat": float(ks.statistic),
-                    "ks_pvalue": float(ks.pvalue),
+                    "ks_stat": ks_stat,
+                    "ks_pvalue": ks_pvalue,
                     "z_mean": float(np.mean(zs)),
                     "z_var": float(np.var(zs, ddof=1)),
                 }
@@ -381,9 +379,7 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
         draws = np.array([r["limit_draw"] for r in results if not r["draw_excluded"]])
         table["draw_excluded"] = int(sum(1 for r in results if r["draw_excluded"]))
         if len(raws) >= 10 and len(draws) >= 10:
-            ks = ks_2samp(raws, draws, method="asymp")
-            table["two_sample_ks_stat"] = float(ks.statistic)
-            table["two_sample_ks_pvalue"] = float(ks.pvalue)
+            table["two_sample_ks_stat"], table["two_sample_ks_pvalue"] = ks_2samp_asymp(raws, draws)
         per_n[str(n)] = table
     report = ExperimentReport(
         kind=plan.kind, plan=plan.to_dict(), tables={"per_n": per_n}, rows=rows
@@ -416,9 +412,6 @@ def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
     """
     if plan.kind != "RNP":
         raise HarnessError(f"run_rnp_check got plan of kind {plan.kind}")
-    # scipy is imported where it runs, to keep the CLI's cold start at numpy's
-    from scipy.stats import ks_2samp
-
     rows = []
     per_n = {}
     for n in plan.n_list:
@@ -446,8 +439,8 @@ def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
         b = np.array([r["r_limit"] for r in results if r["r_limit"] is not None])
         table = {"n_discrete": int(len(a)), "n_limit": int(len(b))}
         if len(a) >= 10 and len(b) >= 10:
-            ks = ks_2samp(a, b, method="asymp")
-            table.update({"ks_stat": float(ks.statistic), "ks_pvalue": float(ks.pvalue)})
+            ks_stat, ks_pvalue = ks_2samp_asymp(a, b)
+            table.update({"ks_stat": ks_stat, "ks_pvalue": ks_pvalue})
         per_n[str(n)] = table
     return ExperimentReport(kind="RNP", plan=plan.to_dict(), tables={"per_n": per_n}, rows=rows)
 

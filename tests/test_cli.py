@@ -699,11 +699,11 @@ def test_shipped_config_reports_byte_identical(cfgfile, tmp_path, capsys):
 
 
 # run in a fresh interpreter; prints the scipy submodules loaded after the
-# numpy-only routes, then after a verify-clt run (whose KS test needs scipy.stats)
+# numpy-only routes, then after the command given on the command line
 COLD_START_PROBE = """
 import contextlib, io, json, sys
 from pathlib import Path
-root, out = Path(sys.argv[1]), sys.argv[2]
+root, out, last = Path(sys.argv[1]), sys.argv[2], sys.argv[3:]
 sys.path.insert(0, str(root / "src"))
 import uvstat, uvstat.cli
 from uvstat.config import parse_config
@@ -721,21 +721,41 @@ run("stat", "--config", clt_mixed, "--stat", "Y")
 run("limits", "--config", clt_mixed)
 run("verify-lln", "--config", str(root / "configs" / "lln_jump.cfg"))
 numpy_only = loaded()
-run("verify-clt", "--config", str(root / "configs" / "clt_jump.cfg"))
+run(*last)
 print(json.dumps([numpy_only, loaded()]))
 """
 
 
-def test_cold_start_loads_scipy_submodules_only_where_they_run(tmp_path):
+def _cold_start(tmp_path, *command) -> list:
+    """The heavy scipy submodules loaded by the command after the numpy-only routes."""
     root = Path(__file__).resolve().parent.parent
+    out = tmp_path / "out"
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START_PROBE, str(root), str(tmp_path)],
+        [sys.executable, "-c", COLD_START_PROBE, str(root), str(out), *command],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    numpy_only, after_clt = json.loads(proc.stdout)
+    numpy_only, after = json.loads(proc.stdout)
     assert numpy_only == []
-    assert "scipy.stats" in after_clt
+    # the KS tests ran, so they are what loaded scipy.special
+    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
+    assert all("ks_pvalue" in table for table in report["tables"]["per_n"].values())
+    return after
+
+
+# the KS tests of verify-clt and rnp-check run on scipy.special alone
+def test_cold_start_loads_scipy_submodules_only_where_they_run(tmp_path):
+    clt_jump = Path(__file__).resolve().parent.parent / "configs" / "clt_jump.cfg"
+    assert _cold_start(tmp_path, "verify-clt", "--config", str(clt_jump)) == ["scipy.special"]
+
+
+def test_cold_start_of_rnp_check_loads_scipy_special_only(tmp_path):
+    doc = config_doc()
+    doc["model"]["jumps"]["intensity"] = 3.0
+    doc["experiment"] = {"kind": "RNP", "n_list": [256], "reps": 20}
+    cfgfile = tmp_path / "rnp.cfg"
+    cfgfile.write_text(json.dumps(doc), encoding="utf-8")
+    assert _cold_start(tmp_path, "rnp-check", "--config", str(cfgfile)) == ["scipy.special"]
 
 
 BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"

@@ -25,18 +25,31 @@ statistics read off X):
     W drawn from the V substream (2,)        caught (ItoSM)    caught
     jumps drawn from the W substream (1,)    caught            caught
     V drawn from the W substream (1,)        caught (ItoSM)    missed (V unread)
+
+Two-sample KS defects are patched into ``uvstat.ks``, whose
+``ks_2samp_asymp`` computes the p-value as kstwo.sf(d, round(en)).  The
+gates are the oracle against scipy.stats (``test_ks``) and the report
+digests of the ``clt_mixed`` benchmark plan at seeds 0-3:
+
+    defect                                      scipy oracle   clt_mixed digests
+    p = kolmogorov(sqrt(en) d), the limit tail  caught         caught
+    round(en) replaced by int(en)               caught         caught
 """
 
+import math
 import re
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from scipy.special import kolmogorov
 
+import uvstat.ks
 import uvstat.simulate
 from uvstat.kernels import Factor1D, QuadratureError
 
 import test_cli
+import test_ks
 import test_sampler
 from test_acceptance import RHO_QUAD_TOL, rho_quadrature_worst
 from test_kernels import QUAD_PINS, QUAD_SIGMAS
@@ -121,3 +134,37 @@ def test_simulator_stream_defect_caught_by_its_gates(monkeypatch, tmp_path, caps
         _fails(test_cli.test_shipped_config_reports_byte_identical, LLN_JUMP, tmp_path, capsys),
     )
     assert caught == STREAM_CAUGHT[defect]
+
+
+def _limiting_tail(d, en):
+    return kolmogorov(math.sqrt(en) * d)
+
+
+# defect -> module attributes of uvstat.ks it replaces
+KS_DEFECTS = {
+    "none": {},
+    # en passed on unrounded, to the limiting Kolmogorov tail
+    "limiting_tail": {"round": lambda en: en, "_kstwo_sf": _limiting_tail},
+    "int_en": {"round": int},
+}
+
+# defect -> (the scipy oracle fails, a clt_mixed benchmark digest moves)
+KS_CAUGHT = {
+    "none": (False, False),
+    "limiting_tail": (True, True),
+    "int_en": (True, True),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(KS_DEFECTS))
+def test_two_sample_ks_defect_caught_by_its_gates(monkeypatch, tmp_path, capsys, defect):
+    for name, value in KS_DEFECTS[defect].items():
+        monkeypatch.setattr(uvstat.ks, name, value, raising=False)
+    caught = (
+        _fails(test_ks.test_ks_tests_match_scipy_bit_for_bit),
+        _fails(
+            test_cli.test_benchmark_plans_match_pinned_digests,
+            "clt_mixed", "verify-clt", tmp_path, capsys,
+        ),
+    )
+    assert caught == KS_CAUGHT[defect]

@@ -1,5 +1,5 @@
 """Source hygiene of src/uvstat: no unused imports, no unbound exports, one expanding module,
-no scipy submodule imported at module level."""
+no scipy submodule imported at module level and scipy.stats imported nowhere."""
 
 import ast
 from pathlib import Path
@@ -92,6 +92,15 @@ def test_only_kernels_expands_kernels(path):
     assert expansion_calls(path.read_text(encoding="utf-8")) == []
 
 
+def imported_modules(node) -> list:
+    """The modules an import statement names; ``from scipy import x`` names scipy.x."""
+    if isinstance(node, ast.Import):
+        return [alias.name for alias in node.names]
+    if node.module == "scipy":
+        return [f"scipy.{alias.name}" for alias in node.names]
+    return [node.module or ""]
+
+
 def eager_scipy_imports(source: str) -> list:
     """Imports of a scipy submodule that run on import, i.e. outside any function body."""
     found = []
@@ -100,16 +109,14 @@ def eager_scipy_imports(source: str) -> list:
         node = stack.pop()
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
             continue
-        if isinstance(node, ast.Import):
-            names = [alias.name for alias in node.names]
-        elif isinstance(node, ast.ImportFrom):
-            names = [node.module or ""]
-            if node.module == "scipy":
-                names = [f"scipy.{alias.name}" for alias in node.names]
-        else:
+        if not isinstance(node, (ast.Import, ast.ImportFrom)):
             stack.extend(ast.iter_child_nodes(node))
             continue
-        found += [f"line {node.lineno}: {name}" for name in names if name.startswith("scipy.")]
+        found += [
+            f"line {node.lineno}: {name}"
+            for name in imported_modules(node)
+            if name.startswith("scipy.")
+        ]
     return sorted(found)
 
 
@@ -135,6 +142,41 @@ def test_eager_scipy_imports_detected():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_no_scipy_submodule_on_import(path):
     assert eager_scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def scipy_stats_imports(source: str) -> list:
+    """Imports of scipy.stats or its submodules anywhere in the source, function bodies included."""
+    return sorted(
+        f"line {node.lineno}: {name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, (ast.Import, ast.ImportFrom))
+        for name in imported_modules(node)
+        if name == "scipy.stats" or name.startswith("scipy.stats.")
+    )
+
+
+def test_scipy_stats_imports_detected():
+    source = (
+        "import scipy\n"
+        "from scipy.special import ndtr\n"
+        "from scipy.stats import ks_2samp\n"
+        "def f():\n"
+        "    from scipy import stats, special\n"
+        "    class C:\n"
+        "        def g(self):\n"
+        "            import scipy.stats._ksstats as k\n"
+        "from scipy.statistics import x\n"
+    )
+    assert scipy_stats_imports(source) == [
+        "line 3: scipy.stats", "line 5: scipy.stats", "line 8: scipy.stats._ksstats"
+    ]
+
+
+# scipy.stats costs about 45 MB and most of a second of cold start; the KS
+# tests it served run on scipy.special (uvstat.ks)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_never_imports_scipy_stats(path):
+    assert scipy_stats_imports(path.read_text(encoding="utf-8")) == []
 
 
 def bound_names(tree) -> set:
