@@ -15,16 +15,26 @@ Six experiment kinds:
 * ZTRUNC    -- truncated limit sums Z(m) vs. the full Z(J).
 
 Replication r of an experiment uses seeds derived by hashing
-(base_seed, stream, n, r) through numpy's SeedSequence, so streams never
-overlap and any plan re-runs bit-identically from its manifest.
-Replications run one after another and reduce in rep order.  The
-independent second path of a CLT or RNP replication feeds only the
+(base_seed, stream, n, r) through numpy's SeedSequence (``derive_seed``),
+so streams never overlap and any plan re-runs bit-identically from its
+manifest.  Replications run one after another and reduce in rep order.
+The independent second path of a CLT or RNP replication feeds only the
 limit law, so it is drawn as ground truth alone (``simulate_truth``):
 no Brownian increments or X grid where nothing reads them.
+
+The LLN, CLT and RNP loops seed every rep of one n at once
+(``_RepSeeds``): one vectorized SeedSequence pass (``uvstat.seeding``)
+gives each rep's derive_seed values and the PCG64 states of the
+generators its paths, augmentation and field draw read, so a rep builds
+no SeedSequence; the streams and every report byte are those of the
+public functions called with derive_seed.  The paths of one n also share
+one memo of their constant-grid moments and Gaussian field
+(``limits._Truth``).
 """
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 from dataclasses import dataclass, field
@@ -32,17 +42,22 @@ from typing import Optional
 
 import numpy as np
 
+from uvstat import seeding
 from uvstat.kernels import _GRID_POWER, KernelSpec, grid_test_kernel, kernel_to_text
 from uvstat.ks import ks_2samp_asymp, kstest_norm_asymp
 from uvstat.limits import _cond_var_jump, _cond_var_mixed, _jump_limit, _mixed_limit, _Truth
-from uvstat.sampler import augment, sample_U_jump, sample_V_mixed, truncated_Z
+from uvstat.sampler import _augment, _sample_V_mixed, augment, sample_U_jump, truncated_Z
 from uvstat.simulate import (
+    _CLAMP_BUDGET,
+    GroundTruth,
     ModelConfig,
     SamplePath,
     _jump_stream,
+    _seed_substreams,
+    _simulate,
+    _substreams_read,
     jump_neighborhood,
     simulate_path,
-    simulate_truth,
 )
 from uvstat.simulate import config_to_dict
 from uvstat.stats import power_variation, v_stat, y_stat
@@ -106,7 +121,9 @@ def derive_seed(base_seed: int, *indices: int) -> int:
 
     SeedSequence mixes the entropy tuple through a hash with avalanche
     properties, so distinct index tuples give independent streams by
-    construction.
+    construction.  The result is SeedSequence(entropy).generate_state(1,
+    np.uint64)[0]; the rep loops compute the same value for every rep of
+    one n in one pass (``_RepSeeds``, ``uvstat.seeding``).
     """
     ss = np.random.SeedSequence((int(base_seed),) + tuple(int(i) for i in indices))
     return int(ss.generate_state(1, np.uint64)[0])
@@ -114,6 +131,71 @@ def derive_seed(base_seed: int, *indices: int) -> int:
 
 # streams
 _S_PATH, _S_PATH2, _S_AUG, _S_FIELD = 0, 1, 2, 3
+
+
+def _derive_rows(base_seed: int, stream: int, n: int, reps: int) -> list:
+    """The SeedSequence entropy words of derive_seed(base_seed, stream, n, r), r = 0 .. reps-1.
+
+    Each int of the entropy tuple contributes its own words, so the
+    words of (base_seed, stream, n) are shared by every rep.
+    """
+    head = seeding.entropy_words((base_seed, stream, n))
+    return [head + seeding.entropy_words(r) for r in range(reps)]
+
+
+class _RepSeeds:
+    """Every seed the reps of one n read, from one vectorized SeedSequence pass.
+
+    seed(stream, r) is derive_seed(plan.base_seed, stream, n, r) for each
+    stream asked for: the observed path (_S_PATH) always, the limit-law
+    path (_S_PATH2) with limit_law, and the plain streams (augmentation,
+    field draw), whose generators are SeedSequence(seed)'s.  A path seed is expanded into the PCG64 states of the
+    simulator substreams its stage reads (simulate._substreams_read), a
+    plain seed into the state of SeedSequence(seed).  uvstat.seeding
+    hashes all of them in two passes over numpy arrays, and each
+    generator is built from its state where it is read: the same draws
+    as simulate_path, simulate_truth, augment and sample_V_mixed make
+    from the same seeds.
+    """
+
+    def __init__(self, plan: ExperimentPlan, n: int, limit_law: bool = False, plain: tuple = ()):
+        self.model, self.n, self.t = plan.model, n, plan.t
+        paths = (_S_PATH, _S_PATH2) if limit_law else (_S_PATH,)
+        streams = paths + tuple(plain)
+        rows = [row for s in streams for row in _derive_rows(plan.base_seed, s, n, plan.reps)]
+        seeds = seeding.seed_states(rows, 1).reshape(len(streams), plan.reps)
+        self._seeds = {s: [int(seed) for seed in row] for s, row in zip(streams, seeds)}
+        keys = [(s, i) for s in paths for i in _substreams_read(plan.model, observe=s == _S_PATH)]
+        keys += [(s, None) for s in plain]
+        rows = [
+            seeding.entropy_words(seed, () if i is None else (i,))
+            for s, i in keys
+            for seed in self._seeds[s]
+        ]
+        states = seeding.seed_states(rows, 4).reshape(len(keys), plan.reps, 4)
+        self._states = dict(zip(keys, states))
+
+    def seed(self, stream: int, r: int) -> int:
+        return self._seeds[stream][r]
+
+    def rng(self, stream: int, r: int):
+        """The generator of SeedSequence(seed(stream, r)), for a plain stream."""
+        return seeding.generator(self._states[stream, None][r])
+
+    def _draw_path(self, stream: int, r: int, observe: bool):
+        states = self._states
+        return _simulate(
+            self.model, self.n, self.t, self.seed(stream, r), _CLAMP_BUDGET, observe,
+            lambda index: seeding.generator(states[stream, index][r]),
+        )
+
+    def path(self, r: int) -> SamplePath:
+        """simulate_path(model, n, t, seed(_S_PATH, r))."""
+        return self._draw_path(_S_PATH, r, observe=True)
+
+    def truth(self, r: int) -> GroundTruth:
+        """simulate_truth(model, n, t, seed(_S_PATH2, r))."""
+        return self._draw_path(_S_PATH2, r, observe=False)
 
 
 # ---------------------------------------------------------------------------
@@ -263,15 +345,16 @@ def run_lln(plan: ExperimentPlan) -> ExperimentReport:
     rows = []
     per_n = {}
     for n in plan.n_list:
+        seeds = _RepSeeds(plan, n)
+        shared: dict = {}  # the constant-grid moments of the n's paths
         results = []
         for r in range(plan.reps):
-            seed = derive_seed(plan.base_seed, _S_PATH, n, r)
-            path = simulate_path(plan.model, n, plan.t, seed)
-            stat, lim = _stat_and_limit(_Truth(path, kernel, plan.t))
+            path = seeds.path(r)
+            stat, lim = _stat_and_limit(_Truth(path, kernel, plan.t, shared))
             results.append({
                 "n": n,
                 "rep": r,
-                "seed": seed,
+                "seed": path.seed,
                 "stat": stat,
                 "limit": lim,
                 "error": stat - lim,
@@ -320,27 +403,26 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
     rows = []
     per_n = {}
     for n in plan.n_list:
+        plain = (_S_AUG, _S_FIELD) if mixed else (_S_AUG,)
+        seeds = _RepSeeds(plan, n, limit_law=True, plain=plain)
+        shared: dict = {}  # the constant-grid moments and field of the n's paths
         results = []
         for r in range(plan.reps):
-            seed = derive_seed(plan.base_seed, _S_PATH, n, r)
-            path = simulate_path(plan.model, n, plan.t, seed)
-            truth = _Truth(path, kernel, plan.t)
+            path = seeds.path(r)
+            truth = _Truth(path, kernel, plan.t, shared)
             stat, lim = _stat_and_limit(truth)
             cv = _cond_var_mixed(truth) if mixed else _cond_var_jump(truth)
             raw = math.sqrt(n) * (stat - lim)
             excluded = cv.total <= 0.0 or (mixed and path.clamped)
             z = raw / math.sqrt(cv.total) if not excluded else None
 
-            seed2 = derive_seed(plan.base_seed, _S_PATH2, n, r)
-            path2 = simulate_truth(plan.model, n, plan.t, seed2)
-            aug = augment(path2, derive_seed(plan.base_seed, _S_AUG, n, r))
+            path2 = seeds.truth(r)
+            aug = _augment(path2, seeds.seed(_S_AUG, r), seeds.rng(_S_AUG, r))
             if mixed:
-                draw = sample_V_mixed(
-                    path2,
-                    kernel,
+                draw = _sample_V_mixed(
+                    _Truth(path2, kernel, plan.t, shared),
                     aug,
-                    seed=derive_seed(plan.base_seed, _S_FIELD, n, r),
-                    t=plan.t,
+                    functools.partial(seeds.rng, _S_FIELD, r),
                 )
             else:
                 draw = sample_U_jump(path2, kernel, aug, t=plan.t)
@@ -348,7 +430,7 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
             results.append({
                 "n": n,
                 "rep": r,
-                "seed": seed,
+                "seed": path.seed,
                 "scaled_error": raw,
                 "cond_var": cv.total,
                 "z": z,
@@ -415,24 +497,23 @@ def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
     rows = []
     per_n = {}
     for n in plan.n_list:
+        seeds = _RepSeeds(plan, n, limit_law=True, plain=(_S_AUG,))
         results = []
         for r in range(plan.reps):
-            seed = derive_seed(plan.base_seed, _S_PATH, n, r)
-            path = simulate_path(plan.model, n, plan.t, seed)
+            path = seeds.path(r)
             discrete = None
             for p in range(len(path.jumps)):
                 nb = jump_neighborhood(path, p)
                 if not nb.shared_interval:
                     discrete = nb.r
                     break
-            seed2 = derive_seed(plan.base_seed, _S_PATH2, n, r)
-            path2 = simulate_truth(plan.model, n, plan.t, seed2)
+            path2 = seeds.truth(r)
             limit_r = None
             if path2.jumps:
-                aug = augment(path2, derive_seed(plan.base_seed, _S_AUG, n, r))
+                aug = _augment(path2, seeds.seed(_S_AUG, r), seeds.rng(_S_AUG, r))
                 limit_r = float(aug.r[0])
             results.append(
-                {"n": n, "rep": r, "seed": seed, "r_discrete": discrete, "r_limit": limit_r}
+                {"n": n, "rep": r, "seed": path.seed, "r_discrete": discrete, "r_limit": limit_r}
             )
         rows.extend(results)
         a = np.array([r["r_discrete"] for r in results if r["r_discrete"] is not None])
@@ -513,7 +594,7 @@ def _find_path_with_jumps(plan: ExperimentPlan, n: int) -> SamplePath:
     tries = 10_000
     for k in range(tries):
         seed = derive_seed(plan.base_seed, _S_PATH, n, k)
-        n_jumps = _jump_stream(plan.model, plan.t, seed)[0]
+        n_jumps = _jump_stream(plan.model, plan.t, _seed_substreams(seed))[0]
         if plan.require_jumps is None or n_jumps == plan.require_jumps:
             return simulate_path(plan.model, n, plan.t, seed)
     raise HarnessError(

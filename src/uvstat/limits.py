@@ -36,16 +36,19 @@ spot volatilities once, builds the sigma grid on first use and
 evaluates the Gaussian moment vector of each distinct factor once,
 whether a limit, a variance profile or the field covariance asks for it;
 a constant grid (a Constant volatility path) costs one moment evaluation
-per factor.  The Gaussian field is part of that context: its covariance
-C(y, y') = v(y)^T P v(y') is held as the weights w and the matrix P
-(``_Truth.field``, built on first use), from which the field
-vector v(y), its sum over the jump tuples and the matrix V P V^T are
-read.  The left-Riemann weights are built once per (n, t), and the
-time integral of a constant over them once per (n, t, value).  Each
-public function opens its own context and calls a private twin that
-takes one (``_jump_limit``, ``_mixed_limit``, ``_cond_var_jump``,
-``_cond_var_mixed``), so a caller that reads one path several times, as
-``harness.run_clt`` does, opens one context per path and passes it on.
+per factor, and a caller that passes one memo to the contexts of many
+paths of one kernel (the harness, per n) shares those moments and the
+field across every path with the same grid and sigma.  The Gaussian
+field is part of that context: its covariance C(y, y') = v(y)^T P v(y')
+is held as the weights w and the matrix P (``_Truth.field``, built on
+first use), from which the field vector v(y), its sum over the jump
+tuples and the matrix V P V^T are read.  The left-Riemann weights are
+built once per (n, t), and the time integral of a constant over them
+once per (n, t, value).  Each public function opens its own context and
+calls a private twin that takes one (``_jump_limit``, ``_mixed_limit``,
+``_cond_var_jump``, ``_cond_var_mixed``), so a caller that reads one
+path several times, as ``harness.run_clt`` does, opens one context per
+path and passes it on.
 
 Every function reads only the path's ground truth, so it accepts a
 ``GroundTruth`` (a ``SamplePath`` is one), and reads the block split l
@@ -132,6 +135,16 @@ def _constant_integral(n: int, t: float, count: int, value: float) -> float:
     return float(np.dot(weights, np.full(len(weights), value)))
 
 
+class _GridMoments:
+    """Per distinct factor, (moment, time integral) on one grid, and the field (w, P) built from them."""
+
+    __slots__ = ("moments", "field")
+
+    def __init__(self):
+        self.moments: dict = {}
+        self.field: Optional[tuple] = None
+
+
 class _Truth:
     """The ground truth of one path up to t, read once per path.
 
@@ -142,9 +155,21 @@ class _Truth:
     on that grid with its time integral (computed on first use), and the
     Gaussian-field covariance (w, P) (``field``, built on first use).  A
     constant grid costs one moment evaluation per factor.
+
+    On a constant grid the moments, their integrals and (w, P) depend on
+    the kernel, the grid key (n, t, count) and sigma alone.  A caller that
+    reads many paths of one kernel (the harness's rep loop) passes one
+    ``shared`` dict, which holds them per (grid key, sigma) for every
+    path; any other grid keeps its own.
     """
 
-    def __init__(self, path: GroundTruth, kernel: KernelSpec, t: Optional[float] = None):
+    def __init__(
+        self,
+        path: GroundTruth,
+        kernel: KernelSpec,
+        t: Optional[float] = None,
+        shared: Optional[dict] = None,
+    ):
         self.path, self.kernel = path, kernel
         self.t, count = path.window(t)
         self._grid_key = (path.n, self.t, count)
@@ -154,7 +179,7 @@ class _Truth:
         self.post = np.array([r.sigma_post for r in recs])
         self.compiled = kernel._compiled
         self.terms = self.compiled.terms
-        self._moments = {}
+        self._shared = shared
 
     @functools.cached_property
     def grid(self):
@@ -168,6 +193,17 @@ class _Truth:
         sigmas = self.grid[0]
         return len(sigmas) > 0 and bool((sigmas == sigmas[0]).all())
 
+    @functools.cached_property
+    def _memo(self) -> _GridMoments:
+        """This path's moments and field: shared per (grid key, sigma) on a constant grid."""
+        if self._shared is None or not self.constant_grid:
+            return _GridMoments()
+        key = (self._grid_key, float(self.grid[0][0]))
+        memo = self._shared.get(key)
+        if memo is None:
+            memo = self._shared[key] = _GridMoments()
+        return memo
+
     def _evaluate(self, factor: Factor1D) -> tuple:
         """(E[f(sigma_u U)] on the grid, int_0^t E[f(sigma_u U)] du), once per factor.
 
@@ -176,7 +212,7 @@ class _Truth:
         integral is that value repeated over the grid, dotted with the
         weights.
         """
-        found = self._moments.get(factor)
+        found = self._memo.moments.get(factor)
         if found is None:
             sigmas, weights = self.grid
             if self.constant_grid:
@@ -185,7 +221,7 @@ class _Truth:
             else:
                 vec = factor.gaussian_moment_vec(sigmas)
                 found = (vec, float(np.dot(weights, vec)))
-            self._moments[factor] = found
+            self._memo.moments[factor] = found
         return found
 
     def integral(self, factor: Factor1D) -> float:
@@ -204,9 +240,19 @@ class _Truth:
             return _constant_integral(*self._grid_key, cov)
         return float(np.dot(self.grid[1], cov))
 
-    @functools.cached_property
+    @property
     def field(self) -> tuple:
         """(w, P): the covariance of the limiting Gaussian field is C(y, y') = v(y)^T P v(y').
+
+        Built on first use and kept with the moments (``_GridMoments``).
+        """
+        memo = self._memo
+        if memo.field is None:
+            memo.field = self._build_field()
+        return memo.field
+
+    def _build_field(self) -> tuple:
+        """(w, P) from the separable expansion.
 
         With the separable expansion H = sum_m c_m prod_k f_{m,k}, the
         smoothing functions collapse to f_i(u, y) = sum_m g_{m,i}(u) *

@@ -81,9 +81,17 @@ class JumpAugmentation:
         return len(self.kappa)
 
 
+def _seeded(seed: int):
+    return np.random.default_rng(np.random.SeedSequence(seed))
+
+
 def augment(path: GroundTruth, seed: int) -> JumpAugmentation:
     """Draw (kappa, psi-, psi+) per recorded jump; deterministic in (path, seed)."""
-    gen = np.random.default_rng(np.random.SeedSequence(seed))
+    return _augment(path, seed, _seeded(seed))
+
+
+def _augment(path: GroundTruth, seed: int, gen) -> JumpAugmentation:
+    """augment with its generator given: gen is SeedSequence(seed)'s, or one on its precomputed state."""
     J = len(path.jumps)
     kappa = np.clip(gen.random(J), _EPS, 1.0 - _EPS)
     psi_minus = gen.standard_normal(J)
@@ -154,10 +162,21 @@ def sample_V_mixed(
     the same field value.
     """
     truth = _Truth(path, kernel, t)
-    d, l = kernel.d, kernel.l
+    return _sample_V_mixed(
+        truth, aug, lambda: _seeded(field_subseed(aug.seed) if seed is None else int(seed))
+    )
+
+
+def _sample_V_mixed(truth: _Truth, aug: JumpAugmentation, field_gen) -> float:
+    """sample_V_mixed on a ground-truth context; field_gen() builds the field's generator.
+
+    The generator is built only when the field is drawn (a non-zero
+    covariance).
+    """
+    d, l = truth.kernel.d, truth.kernel.l
     if not 1 <= l < d:
         raise KernelError("mixed-case sampling needs 1 <= l < d")
-    if len(aug) != len(path.jumps):
+    if len(aug) != len(truth.path.jumps):
         raise SamplerError("augmentation does not match the path's jump count")
     sizes = truth.sizes
     J = len(sizes)
@@ -185,9 +204,7 @@ def sample_V_mixed(
     chol = _cholesky_with_jitter(truth.field_cov(y_list))
     field_term = 0.0
     if chol is not None:
-        fseed = field_subseed(aug.seed) if seed is None else int(seed)
-        gen = np.random.default_rng(np.random.SeedSequence(fseed))
-        g = chol @ gen.standard_normal(len(y_list))
+        g = chol @ field_gen().standard_normal(len(y_list))
         field_term = float(np.dot(weights, g))
     return jump_term + field_term
 

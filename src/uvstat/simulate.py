@@ -14,7 +14,12 @@ Everything is a deterministic function of (config, n, T, seed): the seed
 is expanded into three independent substreams, jumps, W and V, so the
 Brownian draws do not depend on how many jumps were placed.  Substream
 i is SeedSequence(seed, spawn_key=(i,)), equal bit for bit to
-SeedSequence(seed).spawn(3)[i], and each is built only where it is read.
+SeedSequence(seed).spawn(3)[i], and each is built only where it is read
+(``_substreams_read`` lists them per stage).  simulate_path and
+simulate_truth build each from its SeedSequence; the harness passes the
+private ``_simulate`` generators on the same PCG64 states, which it
+computes for every rep of one n in one vectorized pass
+(``uvstat.seeding``), so both routes draw the same stream.
 
 A path is drawn in two stages.  The ground-truth stage
 (``simulate_truth``, a ``GroundTruth``) reads the jump substream for the
@@ -156,13 +161,19 @@ class AtomList:
 
     @functools.cached_property
     def _table(self) -> tuple:
-        """(values, probabilities) as arrays, built once per distribution."""
-        return np.array([v for v, _ in self.atoms]), np.array([p for _, p in self.atoms])
+        """(values, normalized cdf) as arrays, built once per distribution.
+
+        The cdf is the cumulative sum of the probabilities divided by its
+        last entry, as Generator.choice(p=...) builds it on every call.
+        """
+        cdf = np.array([p for _, p in self.atoms]).cumsum()
+        cdf /= cdf[-1]
+        return np.array([v for v, _ in self.atoms]), cdf
 
     def draw(self, gen: np.random.Generator, count: int) -> np.ndarray:
-        values, probs = self._table
-        idx = gen.choice(len(values), size=count, p=probs)
-        return values[idx]
+        """count sizes: gen.choice(len(atoms), size=count, p=probs), the same draws and stream."""
+        values, cdf = self._table
+        return values[cdf.searchsorted(gen.random(count), side="right")]
 
     def max_abs_support(self) -> float:
         return max(abs(v) for v, _ in self.atoms)
@@ -398,25 +409,49 @@ def _count(n: int, t: float) -> int:
 _JUMP_STREAM, _W_STREAM, _V_STREAM = 0, 1, 2
 
 
+# simulate_path's default clamp budget, which simulate_truth runs at
+_CLAMP_BUDGET = 1000
+
+
 def _substream(seed: int, index: int) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(index,)))
 
 
-def _jump_stream(cfg: ModelConfig, T: float, seed: int):
-    """The jump substream of a path seed, after its first draw, the jump count.
+def _seed_substreams(seed: int):
+    """The substreams of a path seed as a function of their index, each built when called."""
+    return functools.partial(_substream, seed)
+
+
+def _substreams_read(cfg: ModelConfig, observe: bool) -> tuple:
+    """The indices of the substreams a stage opens: the ground truth, plus the observation if observe.
+
+    The jumps always; W for the observation or an ItoSM sigma; V for an
+    ItoSM sigma.
+    """
+    itosm = cfg.vol.kind == "ItoSM"
+    read = [_JUMP_STREAM]
+    if observe or itosm:
+        read.append(_W_STREAM)
+    if itosm:
+        read.append(_V_STREAM)
+    return tuple(read)
+
+
+def _jump_stream(cfg: ModelConfig, T: float, substream):
+    """The jump substream, opened by substream(index), after its first draw, the jump count.
 
     Returns (n_jumps, jump_gen): the Poisson number of jumps on (0, T] is
     the first draw of the jump generator, so callers that only need the
     count (harness._find_path_with_jumps) read it without simulating the
     path.
     """
-    jump_gen = _substream(seed, _JUMP_STREAM)
+    jump_gen = substream(_JUMP_STREAM)
     n_jumps = int(jump_gen.poisson(cfg.jumps.intensity * T)) if cfg.jumps.intensity > 0 else 0
     return n_jumps, jump_gen
 
 
-def _brownian(seed: int, n: int, N: int, times: np.ndarray, jumps_by_interval: dict):
-    """(w_increments, w_before_jump): the Brownian fill from the W substream.
+def _brownian(w_gen, n: int, N: int, times: np.ndarray, jumps_by_interval: dict):
+    """(w_increments, w_before_jump): the Brownian fill from the W substream w_gen.
 
     The Brownian increment of an interval containing jumps is the sum of
     the sub-increments between consecutive jump times, so W is known
@@ -445,7 +480,7 @@ def _brownian(seed: int, n: int, N: int, times: np.ndarray, jumps_by_interval: d
     # numpy's normal(0.0, scale) is 0.0 + scale * z, element by element:
     # every draw scaled by sqrt(1/n), then the sub-segment draws rescaled
     # from their standard normals by sqrt(dt)
-    dw = _substream(seed, _W_STREAM).standard_normal(draws)
+    dw = w_gen.standard_normal(draws)
     z = dw[seg_draws]
     dw *= step
     dw[seg_draws] = z * np.sqrt(seg_dts)
@@ -480,11 +515,11 @@ def simulate_truth(cfg: ModelConfig, n: int, T: float, seed: int) -> GroundTruth
     The clamp budget is simulate_path's default.  With no X grid, a
     model's reject_bound_excursions is not checked here.
     """
-    return _simulate(cfg, n, T, seed, 1000, observe=False)
+    return _simulate(cfg, n, T, seed, _CLAMP_BUDGET, observe=False)
 
 
 def simulate_path(
-    cfg: ModelConfig, n: int, T: float, seed: int, clamp_budget: int = 1000
+    cfg: ModelConfig, n: int, T: float, seed: int, clamp_budget: int = _CLAMP_BUDGET
 ) -> SamplePath:
     """Simulate X on {0, 1/n, ..., floor(nT)/n} with exact jump placement.
 
@@ -508,7 +543,17 @@ def simulate_path(
     return _simulate(cfg, n, T, seed, clamp_budget, observe=True)
 
 
-def _simulate(cfg: ModelConfig, n: int, T: float, seed: int, clamp_budget: int, observe: bool):
+def _simulate(
+    cfg: ModelConfig, n: int, T: float, seed: int, clamp_budget: int, observe: bool, substream=None
+):
+    """simulate_path (observe) or simulate_truth; substream(i) opens substream i of the seed.
+
+    By default substream i is SeedSequence(seed, spawn_key=(i,)); the
+    harness passes generators built from the same states, precomputed for
+    every rep of one n (uvstat.seeding).  Each substream is opened only
+    where it is read (_substreams_read).
+    """
+    substream = substream or _seed_substreams(seed)
     if n < 1:
         raise SimulationError(f"n must be >= 1, got {n}")
     if not T > 0:
@@ -518,7 +563,7 @@ def _simulate(cfg: ModelConfig, n: int, T: float, seed: int, clamp_budget: int, 
         raise SimulationError(f"grid {{0, 1/n, ...}} has no step for n={n}, T={T}")
 
     # jumps: sorted times on (0, T], then sizes in time order
-    n_jumps, jump_gen = _jump_stream(cfg, T, seed)
+    n_jumps, jump_gen = _jump_stream(cfg, T, substream)
     if n_jumps > 0:
         times = np.sort(T * (1.0 - jump_gen.random(n_jumps)))
         sizes = cfg.jumps.draw_sizes(jump_gen, n_jumps)
@@ -537,14 +582,14 @@ def _simulate(cfg: ModelConfig, n: int, T: float, seed: int, clamp_budget: int, 
     vol = cfg.vol
     brownian = None
     if observe or vol.kind == "ItoSM":
-        brownian = _brownian(seed, n, N, times, jumps_by_interval)
+        brownian = _brownian(substream(_W_STREAM), n, N, times, jumps_by_interval)
     n_clamps = 0
     first_clamp = -1
     if vol.kind == "Constant":
         sigma = np.full(N + 1, vol.sigma0)
     else:
         w_inc = brownian[0]
-        v_inc = _substream(seed, _V_STREAM).normal(0.0, math.sqrt(1.0 / n), size=N)
+        v_inc = substream(_V_STREAM).normal(0.0, math.sqrt(1.0 / n), size=N)
         terms = np.empty(3 * N + 1)
         terms[0] = vol.sigma0
         terms[1::3] = vol.tilde_b / n

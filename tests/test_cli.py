@@ -698,14 +698,16 @@ def test_shipped_config_reports_byte_identical(cfgfile, tmp_path, capsys):
     assert digests == SHIPPED_DIGESTS[cfgfile.name]
 
 
-# run in a fresh interpreter; prints the scipy submodules loaded after the
-# numpy-only routes, then after the command given on the command line
+# run in a fresh interpreter; prints whether importing uvstat.cli loaded
+# numpy.random, the scipy submodules loaded after the numpy-only routes, then
+# after the command given on the command line
 COLD_START_PROBE = """
 import contextlib, io, json, sys
 from pathlib import Path
 root, out, last = Path(sys.argv[1]), sys.argv[2], sys.argv[3:]
 sys.path.insert(0, str(root / "src"))
 import uvstat, uvstat.cli
+random_on_import = "numpy.random" in sys.modules
 from uvstat.config import parse_config
 for cfg in sorted(root.glob("configs/*.cfg")) + sorted(root.glob("bench/workloads/*.cfg")):
     parse_config(cfg.read_text(encoding="utf-8"))
@@ -722,12 +724,16 @@ run("limits", "--config", clt_mixed)
 run("verify-lln", "--config", str(root / "configs" / "lln_jump.cfg"))
 numpy_only = loaded()
 run(*last)
-print(json.dumps([numpy_only, loaded()]))
+print(json.dumps([random_on_import, numpy_only, loaded()]))
 """
 
 
 def _cold_start(tmp_path, *command) -> list:
-    """The heavy scipy submodules loaded by the command after the numpy-only routes."""
+    """The heavy scipy submodules loaded by the command after the numpy-only routes.
+
+    Importing uvstat.cli loads no numpy.random: the generators are built
+    where a path or a draw is seeded.
+    """
     root = Path(__file__).resolve().parent.parent
     out = tmp_path / "out"
     proc = subprocess.run(
@@ -735,7 +741,8 @@ def _cold_start(tmp_path, *command) -> list:
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    numpy_only, after = json.loads(proc.stdout)
+    random_on_import, numpy_only, after = json.loads(proc.stdout)
+    assert not random_on_import
     assert numpy_only == []
     # the KS tests ran, so they are what loaded scipy.special
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))

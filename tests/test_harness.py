@@ -25,7 +25,7 @@ from uvstat.harness import (
     run_rnp_check,
     run_ztrunc,
 )
-from uvstat.kernels import KernelSpec, Sum, grid_test_kernel, kernel_from_text
+from uvstat.kernels import Factor1D, KernelSpec, Sum, grid_test_kernel, kernel_from_text
 from uvstat.simulate import (
     AtomList,
     JumpModel,
@@ -34,6 +34,7 @@ from uvstat.simulate import (
     Uniform,
     VolatilityModel,
     simulate_path,
+    simulate_truth,
 )
 
 from test_limits import synthetic_path
@@ -358,19 +359,25 @@ def itosm_model():
     ],
 )
 def test_limit_law_path_draws_no_brownian_fill(monkeypatch, kind, kernel, vol, fills_per_rep):
+    # each fill is identified by the fresh state of the W generator it reads
     fills = []
     brownian = uvstat.simulate._brownian
 
-    def spy(*args):
-        fills.append(args[0])
-        return brownian(*args)
+    def spy(w_gen, *args):
+        fills.append(w_gen.bit_generator.state["state"]["state"])
+        return brownian(w_gen, *args)
 
     monkeypatch.setattr(uvstat.simulate, "_brownian", spy)
     m = model(intensity=3.0) if vol == "Constant" else itosm_model()
     plan = ExperimentPlan(kind, m, kernel, 1.0, (32, 64), 3, base_seed=9)
     run_plan(plan)
     assert len(fills) == fills_per_rep * 2 * 3
-    observed = {derive_seed(9, _S_PATH, n, r) for n in (32, 64) for r in range(3)}
+    observed = {
+        np.random.PCG64(np.random.SeedSequence(derive_seed(9, _S_PATH, n, r), spawn_key=(1,)))
+        .state["state"]["state"]
+        for n in (32, 64)
+        for r in range(3)
+    }
     assert observed <= set(fills)
 
 
@@ -435,10 +442,10 @@ def test_clt_mixed_plan_expands_once_and_reads_each_path_once(monkeypatch):
         uvstat.limits._Truth, "__init__", counted("truths", uvstat.limits._Truth.__init__)
     )
     monkeypatch.setattr(
-        uvstat.harness, "simulate_path", counted("paths", uvstat.harness.simulate_path)
+        uvstat.harness._RepSeeds, "path", counted("paths", uvstat.harness._RepSeeds.path)
     )
     monkeypatch.setattr(
-        uvstat.harness, "simulate_truth", counted("ground_truths", uvstat.harness.simulate_truth)
+        uvstat.harness._RepSeeds, "truth", counted("ground_truths", uvstat.harness._RepSeeds.truth)
     )
     first = run_plan(plan)
     assert calls == {
@@ -450,3 +457,36 @@ def test_clt_mixed_plan_expands_once_and_reads_each_path_once(monkeypatch):
         "sep_terms": 1, "separable_terms": 1, "truths": 32, "paths": 16, "ground_truths": 16
     }
     assert again.to_json() == first.to_json()
+
+
+@pytest.mark.parametrize("vol", ["Constant", "ItoSM"])
+def test_constant_grid_moments_are_evaluated_once_per_factor_per_n(monkeypatch, vol):
+    # KMIX integrates |x|^0.5 and, in the field covariance, its square |x|^1.
+    # On a constant grid every path of one n shares them, observed or drawn
+    # from the limit law; an ItoSM grid evaluates them per path, at every sigma
+    calls = []
+    moment = Factor1D.gaussian_moment_vec
+
+    def counted(self, sigmas):
+        calls.append((self.power, len(sigmas)))
+        return moment(self, sigmas)
+
+    monkeypatch.setattr(Factor1D, "gaussian_moment_vec", counted)
+    cfg = model(intensity=3.0) if vol == "Constant" else itosm_model()
+    plan = ExperimentPlan("CLT_mixed", cfg, KMIX, 1.0, (32, 64), 4, base_seed=3)
+    run_plan(plan)
+    if vol == "Constant":
+        assert calls == [(0.5, 1), (1.0, 1), (0.5, 1), (1.0, 1)]
+        return
+    with_jumps = [
+        n
+        for n in plan.n_list
+        for r in range(plan.reps)
+        for path in (
+            simulate_path(cfg, n, 1.0, derive_seed(3, _S_PATH, n, r)),
+            simulate_truth(cfg, n, 1.0, derive_seed(3, _S_PATH2, n, r)),
+        )
+        if path.jumps
+    ]
+    assert len(with_jumps) > 8
+    assert sorted(calls) == sorted((p, n) for n in with_jumps for p in (0.5, 1.0))

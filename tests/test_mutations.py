@@ -34,6 +34,21 @@ digests of the ``clt_mixed`` benchmark plan at seeds 0-3:
     defect                                      scipy oracle   clt_mixed digests
     p = kolmogorov(sqrt(en) d), the limit tail  caught         caught
     round(en) replaced by int(en)               caught         caught
+
+Seed-pass defects are patched into ``uvstat.seeding``, the vectorized
+port of numpy's SeedSequence, and into ``harness._derive_rows``, which
+lays out the derive_seed entropy of every rep of one n.  The gates are
+the port's oracle against numpy's SeedSequence
+(``test_seed_pass_matches_numpy_seed_sequence``), the per-n seeds
+against derive_seed, simulate_path and simulate_truth
+(``test_rep_seeds_match_derive_seed``, Constant volatility, base seed
+2**32 + 7) and the report digests of the ``clt_mixed`` benchmark plan at
+seeds 0-3:
+
+    defect                                      port oracle   per-n seeds   clt_mixed digests
+    spawn key appended to unpadded run entropy  caught        caught        caught
+    generate_state multiplier off by one        caught        caught        caught
+    rep indices in the pass shifted by one      missed        caught        caught
 """
 
 import math
@@ -44,13 +59,16 @@ from pathlib import Path
 import pytest
 from scipy.special import kolmogorov
 
+import uvstat.harness
 import uvstat.ks
+import uvstat.seeding
 import uvstat.simulate
 from uvstat.kernels import Factor1D, QuadratureError
 
 import test_cli
 import test_ks
 import test_sampler
+import test_seeding
 from test_acceptance import RHO_QUAD_TOL, rho_quadrature_worst
 from test_kernels import QUAD_PINS, QUAD_SIGMAS
 
@@ -168,3 +186,41 @@ def test_two_sample_ks_defect_caught_by_its_gates(monkeypatch, tmp_path, capsys,
         ),
     )
     assert caught == KS_CAUGHT[defect]
+
+
+_derive_rows = uvstat.harness._derive_rows
+
+# defect -> (module, attribute, replacement)
+SEED_DEFECTS = {
+    "none": None,
+    "unpadded_spawn_key": (uvstat.seeding, "_pad_run_entropy", lambda words: words),
+    "generate_state_multiplier": (uvstat.seeding, "_MULT_B", uvstat.seeding._MULT_B + 1),
+    "reps_shifted": (
+        uvstat.harness,
+        "_derive_rows",
+        lambda base_seed, stream, n, reps: _derive_rows(base_seed, stream, n, reps + 1)[1:],
+    ),
+}
+
+# defect -> (the port oracle fails, the per-n seeds fail, a clt_mixed benchmark digest moves)
+SEED_CAUGHT = {
+    "none": (False, False, False),
+    "unpadded_spawn_key": (True, True, True),
+    "generate_state_multiplier": (True, True, True),
+    "reps_shifted": (False, True, True),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(SEED_DEFECTS))
+def test_seed_pass_defect_caught_by_its_gates(monkeypatch, tmp_path, capsys, defect):
+    if SEED_DEFECTS[defect] is not None:
+        monkeypatch.setattr(*SEED_DEFECTS[defect])
+    caught = (
+        _fails(test_seeding.test_seed_pass_matches_numpy_seed_sequence),
+        _fails(test_seeding.test_rep_seeds_match_derive_seed, "constant", 2**32 + 7),
+        _fails(
+            test_cli.test_benchmark_plans_match_pinned_digests,
+            "clt_mixed", "verify-clt", tmp_path, capsys,
+        ),
+    )
+    assert caught == SEED_CAUGHT[defect]

@@ -247,6 +247,38 @@ def test_sigma_clamp_budget():
         simulate_path(cfg, n=256, T=1.0, seed=1, clamp_budget=1)
 
 
+def atom_sets(count: int, seed: int = 7):
+    """Seeded AtomLists of 1-9 atoms: some probabilities zero, some float sums not exactly 1."""
+    rng = np.random.default_rng(seed)
+    sets = [AtomList(tuple((float(k + 1), 0.1) for k in range(10)))]  # sums to 0.9999999999999999
+    while len(sets) < count:
+        size = int(rng.integers(1, 10))
+        probs = rng.random(size) * (rng.random(size) > 0.25)
+        if probs.sum() == 0.0:
+            continue
+        probs /= probs.sum()
+        values = rng.choice([-1.0, 1.0], size) * rng.uniform(0.1, 3.0, size)
+        sets.append(AtomList(tuple(zip(values.tolist(), probs.tolist()))))
+    return sets
+
+
+def test_atom_draws_match_generator_choice_bitwise():
+    # draw() searches a cdf built once; Generator.choice(p=...) builds the
+    # same cdf per call and draws the same uniforms
+    sets = atom_sets(3000)
+    assert sum(p == 0.0 for atoms in sets for _, p in atoms.atoms) > 100
+    assert sum(sum(p for _, p in atoms.atoms) != 1.0 for atoms in sets) > 100
+    for k, atoms in enumerate(sets):
+        values = np.array([v for v, _ in atoms.atoms])
+        probs = np.array([p for _, p in atoms.atoms])
+        count = k % 17
+        ours, theirs = np.random.default_rng(k), np.random.default_rng(k)
+        drawn = atoms.draw(ours, count)
+        expected = values[theirs.choice(len(values), size=count, p=probs)]
+        assert drawn.tobytes() == expected.tobytes(), k
+        assert ours.random() == theirs.random(), k
+
+
 def test_config_validation():
     with pytest.raises(SimulationError):
         VolatilityModel(kind="Constant", sigma0=-1.0)

@@ -1,5 +1,5 @@
 """Source hygiene of src/uvstat: no unused imports, no unbound exports, one expanding module,
-no scipy submodule imported at module level and scipy.stats imported nowhere."""
+no scipy submodule or numpy.random imported at module level and scipy.stats imported nowhere."""
 
 import ast
 from pathlib import Path
@@ -93,16 +93,27 @@ def test_only_kernels_expands_kernels(path):
 
 
 def imported_modules(node) -> list:
-    """The modules an import statement names; ``from scipy import x`` names scipy.x."""
+    """The modules an import statement names; ``from scipy import x`` names scipy.x, and
+    ``from numpy import x`` numpy.x."""
     if isinstance(node, ast.Import):
         return [alias.name for alias in node.names]
-    if node.module == "scipy":
-        return [f"scipy.{alias.name}" for alias in node.names]
+    if node.module in ("scipy", "numpy"):
+        return [f"{node.module}.{alias.name}" for alias in node.names]
     return [node.module or ""]
 
 
 def eager_scipy_imports(source: str) -> list:
     """Imports of a scipy submodule that run on import, i.e. outside any function body."""
+    return eager_imports(source, lambda name: name.startswith("scipy."))
+
+
+def in_package(package: str):
+    """Whether a module name is the package or one of its submodules."""
+    return lambda name: name == package or name.startswith(package + ".")
+
+
+def eager_imports(source: str, matches) -> list:
+    """Imports of modules whose name matches that run on import, i.e. outside any function body."""
     found = []
     stack = list(ast.parse(source).body)
     while stack:
@@ -115,7 +126,7 @@ def eager_scipy_imports(source: str) -> list:
         found += [
             f"line {node.lineno}: {name}"
             for name in imported_modules(node)
-            if name.startswith("scipy.")
+            if matches(name)
         ]
     return sorted(found)
 
@@ -142,6 +153,40 @@ def test_eager_scipy_imports_detected():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_no_scipy_submodule_on_import(path):
     assert eager_scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def test_eager_numpy_random_imports_detected():
+    source = (
+        "import numpy as np\n"
+        "import numpy.random\n"
+        "from numpy import random as npr, ndarray\n"
+        "from numpy.random import default_rng\n"
+        "from numpy.random.bit_generator import ISeedSequence\n"
+        "try:\n"
+        "    from numpy.random import PCG64\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def f():\n"
+        "    from numpy.random import Generator\n"
+        "class C:\n"
+        "    def g(self):\n"
+        "        import numpy.random.bit_generator\n"
+    )
+    assert eager_imports(source, in_package("numpy.random")) == [
+        "line 2: numpy.random",
+        "line 3: numpy.random",
+        "line 4: numpy.random",
+        "line 5: numpy.random.bit_generator",
+        "line 7: numpy.random",
+    ]
+
+
+# numpy.random is imported where a generator is built (uvstat.seeding and
+# the np.random calls of the simulator and the sampler), so importing uvstat
+# does not load it
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_numpy_random_on_import(path):
+    assert eager_imports(path.read_text(encoding="utf-8"), in_package("numpy.random")) == []
 
 
 def scipy_stats_imports(source: str) -> list:
