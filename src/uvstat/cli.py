@@ -143,7 +143,7 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
     else:
         target = outdir / "path.bin"
         target.write_bytes(path_to_binary(path))
-    print(f"simulated path: n={n}, T={plan.t}, jumps={len(path.jumps)}")
+    print(f"simulated path: n={n}, T={plan.t}, jumps={len(path.sizes)}")
     print(f"wrote {target}")
     return 0
 
@@ -197,7 +197,7 @@ def _cmd_limits(args, cfg: RunConfig) -> int:
     doc = {
         "n": n,
         "seed": plan.base_seed,
-        "n_jumps": len(path.jumps),
+        "n_jumps": len(path.sizes),
         "limit": lv.value,
         "contributions": list(lv.contributions),
     }

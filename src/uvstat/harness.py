@@ -318,10 +318,8 @@ def _stat_and_limit(truth: _Truth):
 
 
 def _collision_count(path: SamplePath) -> int:
-    seen: dict = {}
-    for r in path.jumps:
-        seen[r.interval_index] = seen.get(r.interval_index, 0) + 1
-    return sum(1 for c in seen.values() if c > 1)
+    """The number of intervals holding more than one jump (those past the grid count as one)."""
+    return int(np.count_nonzero(np.unique(path.intervals, return_counts=True)[1] > 1))
 
 
 def _quantiles(values: np.ndarray) -> dict:
@@ -358,7 +356,7 @@ def run_lln(plan: ExperimentPlan) -> ExperimentReport:
                 "stat": stat,
                 "limit": lim,
                 "error": stat - lim,
-                "n_jumps": len(path.jumps),
+                "n_jumps": len(path.sizes),
                 "n_collisions": _collision_count(path),
             })
         rows.extend(results)
@@ -426,7 +424,7 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
                 )
             else:
                 draw = sample_U_jump(path2, kernel, aug, t=plan.t)
-            draw_excluded = len(path2.jumps_until(plan.t)) == 0 or (mixed and path2.clamped)
+            draw_excluded = path2.jump_count(plan.t) == 0 or (mixed and path2.clamped)
             results.append({
                 "n": n,
                 "rep": r,
@@ -501,15 +499,14 @@ def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
         results = []
         for r in range(plan.reps):
             path = seeds.path(r)
-            discrete = None
-            for p in range(len(path.jumps)):
-                nb = jump_neighborhood(path, p)
-                if not nb.shared_interval:
-                    discrete = nb.r
-                    break
+            # the first jump alone in its interval; jump_neighborhood refuses
+            # a jump past the last full interval, as it ends the jumps
+            values, first, counts = np.unique(path.intervals, return_index=True, return_counts=True)
+            stop = first[(counts == 1) | (values > path.n_steps)]
+            discrete = jump_neighborhood(path, int(stop[0])).r if len(stop) else None
             path2 = seeds.truth(r)
             limit_r = None
-            if path2.jumps:
+            if len(path2.sizes):
                 aug = _augment(path2, seeds.seed(_S_AUG, r), seeds.rng(_S_AUG, r))
                 limit_r = float(aug.r[0])
             results.append(
@@ -625,7 +622,7 @@ def run_ztrunc(plan: ExperimentPlan) -> ExperimentReport:
     kernel = plan.kernel
     n = plan.n_list[-1]
     path = _find_path_with_jumps(plan, n)
-    J = len(path.jumps)
+    J = len(path.sizes)
     if J == 0:
         raise HarnessError("truncation experiment needs a path with jumps")
     m_list = plan.m_list if plan.m_list else tuple(range(J + 1))

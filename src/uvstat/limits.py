@@ -173,10 +173,8 @@ class _Truth:
         self.path, self.kernel = path, kernel
         self.t, count = path.window(t)
         self._grid_key = (path.n, self.t, count)
-        recs = path.jumps_until(self.t)
-        self.sizes = np.array([r.size for r in recs])
-        self.pre = np.array([r.sigma_pre for r in recs])
-        self.post = np.array([r.sigma_post for r in recs])
+        J = path.jump_count(self.t)
+        self.sizes, self.pre, self.post = path.sizes[:J], path.sigma_pre[:J], path.sigma_post[:J]
         self.compiled = kernel._compiled
         self.terms = self.compiled.terms
         self._shared = shared

@@ -92,14 +92,12 @@ def augment(path: GroundTruth, seed: int) -> JumpAugmentation:
 
 def _augment(path: GroundTruth, seed: int, gen) -> JumpAugmentation:
     """augment with its generator given: gen is SeedSequence(seed)'s, or one on its precomputed state."""
-    J = len(path.jumps)
+    J = len(path.sizes)
     kappa = np.clip(gen.random(J), _EPS, 1.0 - _EPS)
     psi_minus = gen.standard_normal(J)
     psi_plus = gen.standard_normal(J)
-    pre = np.array([r.sigma_pre for r in path.jumps])
-    post = np.array([r.sigma_post for r in path.jumps])
-    r_minus = np.sqrt(kappa) * pre * psi_minus
-    r_plus = np.sqrt(1.0 - kappa) * post * psi_plus
+    r_minus = np.sqrt(kappa) * path.sigma_pre * psi_minus
+    r_plus = np.sqrt(1.0 - kappa) * path.sigma_post * psi_plus
     return JumpAugmentation(
         kappa=kappa,
         psi_minus=psi_minus,
@@ -129,7 +127,7 @@ def sample_U_jump(
     sum_q [t^{d-l} sum_k Vbar_k(Delta X_q)] R_q: the truncated draw
     :func:`truncated_Z` with every jump kept.
     """
-    return truncated_Z(path, kernel, len(path.jumps), aug, t)
+    return truncated_Z(path, kernel, len(path.sizes), aug, t)
 
 
 def _cholesky_with_jitter(M: np.ndarray):
@@ -176,7 +174,7 @@ def _sample_V_mixed(truth: _Truth, aug: JumpAugmentation, field_gen) -> float:
     d, l = truth.kernel.d, truth.kernel.l
     if not 1 <= l < d:
         raise KernelError("mixed-case sampling needs 1 <= l < d")
-    if len(aug) != len(truth.path.jumps):
+    if len(aug) != len(truth.path.sizes):
         raise SamplerError("augmentation does not match the path's jump count")
     sizes = truth.sizes
     J = len(sizes)
@@ -224,7 +222,7 @@ def truncated_Z(
     truth = _Truth(path, kernel, t)
     if m < 0:
         raise SamplerError(f"truncation level must be >= 0, got {m}")
-    if len(aug) != len(path.jumps):
+    if len(aug) != len(path.sizes):
         raise SamplerError("augmentation does not match the path's jump count")
     sizes = truth.sizes
     J = len(sizes)

@@ -7,8 +7,10 @@ either constant or itself a continuous Ito semimartingale driven by W
 and an independent Brownian motion V (Euler scheme, clamped away from
 zero).  Jumps come from a finite-activity compound Poisson process with
 exact times, so the path carries all the ground truth the limit
-formulas need: jump times/sizes, one-sided spot volatilities, and the
-Brownian increment accumulated up to each jump inside its grid interval.
+formulas need: the jump table (five arrays of a GroundTruth, see there),
+and the Brownian increment accumulated up to each jump inside its grid
+interval.  Every reader reads the table's arrays; neither the simulator
+nor a reader loops over the jumps in Python.
 
 Everything is a deterministic function of (config, n, T, seed): the seed
 is expanded into three independent substreams, jumps, W and V, so the
@@ -35,11 +37,12 @@ substream itself.  A draw from a limit law reads the ground truth only.
 from __future__ import annotations
 
 import functools
+import itertools
 import json
 import math
 import struct
 from dataclasses import MISSING, asdict, dataclass, fields
-from typing import Optional
+from typing import ClassVar, Optional
 
 import numpy as np
 
@@ -322,7 +325,7 @@ class ModelConfig:
 
 @dataclass(frozen=True)
 class JumpRecord:
-    """Ground truth for one jump: exact time, size, one-sided volatilities."""
+    """One row of a jump table: exact time, size, one-sided volatilities, grid interval."""
 
     time: float
     size: float
@@ -331,27 +334,41 @@ class JumpRecord:
     interval_index: int  # 1-based: (i-1)/n < S_p <= i/n
 
 
+# the GroundTruth array of each JumpRecord field
+_JUMP_COLUMNS = ("times", "sizes", "sigma_pre", "sigma_post", "intervals")
+
+
 @dataclass(frozen=True)
 class GroundTruth:
     """The ground truth of a simulated path, immutable: all a limit law reads.
 
-    The jumps (exact times, sizes, one-sided spot volatilities) and the
-    volatility on the grid {0, 1/n, ..., floor(nT)/n} with its clamp
-    count.  The limits, conditional variances and limit-law draws accept
-    a GroundTruth; the statistics, jump_neighborhood and serialization
-    need the observation that SamplePath adds.
+    The jump table, one entry per jump in time order: times S_p, sizes,
+    the spot volatility just before and at S_p, and the 1-based grid
+    interval i of S_p (int; n_steps + 1 past the last full interval).
+    ``jumps`` is the table as JumpRecord rows, built on each read, which
+    the library never reads.  Beside it, the volatility on the grid
+    {0, 1/n, ..., floor(nT)/n} with its clamp count.  The limits,
+    conditional variances and limit-law draws accept a GroundTruth; the
+    statistics, jump_neighborhood and serialization need the observation
+    that SamplePath adds.
     """
 
     T: float
     n: int
     sigma_grid: np.ndarray
-    jumps: tuple
+    times: np.ndarray
+    sizes: np.ndarray
+    sigma_pre: np.ndarray
+    sigma_post: np.ndarray
+    intervals: np.ndarray
     seed: int
     config: ModelConfig
     n_sigma_clamps: int = 0
+    _arrays: ClassVar[tuple] = ("sigma_grid",) + _JUMP_COLUMNS  # frozen on construction
 
     def __post_init__(self):
-        self.sigma_grid.setflags(write=False)
+        for name in self._arrays:
+            getattr(self, name).setflags(write=False)
 
     @property
     def n_steps(self) -> int:
@@ -362,15 +379,15 @@ class GroundTruth:
     def clamped(self) -> bool:
         return self.n_sigma_clamps > 0
 
-    def jump_sizes(self, t: Optional[float] = None) -> np.ndarray:
-        if t is None:
-            return np.array([r.size for r in self.jumps])
-        return np.array([r.size for r in self.jumps if r.time <= t])
+    @property
+    def jumps(self) -> tuple:
+        """The jump table as a tuple of JumpRecord rows, built on each read."""
+        columns = (getattr(self, name).tolist() for name in _JUMP_COLUMNS)
+        return tuple(itertools.starmap(JumpRecord, zip(*columns)))
 
-    def jumps_until(self, t: Optional[float] = None) -> tuple:
-        if t is None:
-            return self.jumps
-        return tuple(r for r in self.jumps if r.time <= t)
+    def jump_count(self, t: float) -> int:
+        """The number of jumps at or before t."""
+        return int(self.times.searchsorted(t, side="right"))
 
     def window(self, t: Optional[float] = None) -> tuple:
         """(t, count): t in (0, T] (T by default) and its grid steps min(floor(n t), n_steps)."""
@@ -393,15 +410,16 @@ class SamplePath(GroundTruth):
     x_grid: np.ndarray
     w_increments: np.ndarray
     w_before_jump: np.ndarray
-
-    def __post_init__(self):
-        super().__post_init__()
-        for arr in (self.x_grid, self.w_increments, self.w_before_jump):
-            arr.setflags(write=False)
+    _arrays: ClassVar[tuple] = GroundTruth._arrays + ("x_grid", "w_increments", "w_before_jump")
 
 
 def _count(n: int, t: float) -> int:
     return int(math.floor(n * t + 1e-12))
+
+
+def _grid_intervals(times: np.ndarray, n: int) -> np.ndarray:
+    """The 1-based grid interval i of each time, (i-1)/n < t <= i/n up to 1e-12/n."""
+    return np.maximum(np.ceil(times * n - 1e-12).astype(int), 1)
 
 
 # the substream index i of each source: SeedSequence(seed, spawn_key=(i,)),
@@ -450,60 +468,78 @@ def _jump_stream(cfg: ModelConfig, T: float, substream):
     return n_jumps, jump_gen
 
 
-def _brownian(w_gen, n: int, N: int, times: np.ndarray, jumps_by_interval: dict):
+def _split_intervals(intervals: np.ndarray, N: int) -> tuple:
+    """(split, first, rows, cols): the grid intervals 1..N holding jumps, and each jump's place.
+
+    split[r] is the r-th such interval and first[r] its first jump; jump p
+    (of those inside the grid) is the cols[p]-th, from 1, of split[rows[p]].
+    """
+    iv = intervals[: intervals.searchsorted(N, side="right")]
+    starts = np.empty(len(iv), dtype=bool)
+    starts[:1] = True
+    np.not_equal(iv[1:], iv[:-1], out=starts[1:])
+    first = starts.nonzero()[0]
+    rows = starts.cumsum() - 1
+    cols = np.arange(1, len(iv) + 1) - first[rows]
+    return iv[first], first, rows, cols
+
+
+def _brownian(w_gen, n: int, N: int, times: np.ndarray, split, rows, cols):
     """(w_increments, w_before_jump): the Brownian fill from the W substream w_gen.
 
-    The Brownian increment of an interval containing jumps is the sum of
-    the sub-increments between consecutive jump times, so W is known
-    exactly at every jump.  The draws are one standard-normal fill,
-    scaled in place, in the order of a per-interval scalar loop: sqrt(1/n)
-    for an interval without jumps, sqrt(dt) for each sub-segment of one
-    with jumps (a segment with dt <= 0 draws nothing), so the random
-    stream and every bit (0.0 + scale * z, as numpy's normal forms it)
-    are those of one scalar draw per segment.
+    An interval holding jumps is a row of cut times (its left edge, its
+    jump times, its right edge, padded with the right edge), whose
+    differences are its sub-segments.  The draws are one standard-normal
+    fill, scaled in place, in the order of a per-interval scalar loop:
+    sqrt(1/n) for an interval without jumps, sqrt(dt) for each sub-segment
+    (dt <= 0 draws nothing), so the stream and every bit (0.0 + scale * z,
+    as numpy's normal forms it) are those of one scalar draw per segment.
+    A row's running sum gives W before each jump and the interval's
+    increment, added in the scalar loop's order.
     """
-    step = math.sqrt(1.0 / n)
-    segments = {}  # sub-segment lengths of each interval holding jumps
-    seg_draws, seg_dts = [], []  # draw index and length of each drawn sub-segment
-    draws = prev = 0  # draws so far; intervals prev+1 .. i-1 hold no jump
-    for i, here in jumps_by_interval.items():
-        cuts = [(i - 1) / n] + [times[p] for p in here] + [i / n]
-        segments[i] = [b - a for a, b in zip(cuts[:-1], cuts[1:])]
-        draws += i - 1 - prev
-        for dt in segments[i]:
-            if dt > 0:
-                seg_draws.append(draws)
-                seg_dts.append(dt)
-                draws += 1
-        prev = i
-    draws += N - prev
+    S = len(split)
+    w_before = np.full(len(times), np.nan)
+    if not S:  # no interval to split: one draw per interval
+        dw = w_gen.standard_normal(N)
+        dw *= math.sqrt(1.0 / n)
+        dw += 0.0
+        return dw, w_before
+    cuts = np.empty((S, cols.max() + 2))
+    cuts[:, 0] = (split - 1) / n
+    cuts[:, 1:] = (split / n)[:, None]
+    cuts[rows, cols] = times[: len(rows)]
+    dts = cuts[:, 1:] - cuts[:, :-1]
+    drawn = dts > 0
+    ranks = drawn.cumsum(axis=1)  # the draws of a row up to each segment
+    per_row = ranks[:, -1]
+    # a row's draws follow the split - 1 intervals before it, which draw
+    # one each, plus per_row - 1 more for each earlier row
+    start = split - per_row + (per_row - 1).cumsum()
+    seg_draws = (start[:, None] + ranks - 1)[drawn]
+
     # numpy's normal(0.0, scale) is 0.0 + scale * z, element by element:
     # every draw scaled by sqrt(1/n), then the sub-segment draws rescaled
     # from their standard normals by sqrt(dt)
-    dw = w_gen.standard_normal(draws)
-    z = dw[seg_draws]
-    dw *= step
-    dw[seg_draws] = z * np.sqrt(seg_dts)
+    dw = w_gen.standard_normal(N - S + len(seg_draws))
+    segments = dw[seg_draws] * np.sqrt(dts[drawn])
+    dw *= math.sqrt(1.0 / n)
+    dw[seg_draws] = segments
     dw += 0.0
 
-    w_inc = np.empty(N)
-    w_before = np.full(len(times), np.nan)
-    k = prev = 0  # next unread draw; intervals done
-    for i, dts in segments.items():
-        w_inc[prev : i - 1] = dw[k : k + i - 1 - prev]
-        k += i - 1 - prev
-        here = jumps_by_interval[i]
-        acc = 0.0
-        for seg, dt in enumerate(dts):
-            if dt > 0:
-                acc += dw[k]
-                k += 1
-            if seg < len(here):
-                w_before[here[seg]] = acc
-        w_inc[i - 1] = acc
-        prev = i
-    w_inc[prev:] = dw[k:]
-    return w_inc, w_before
+    # each row's running sum, as the scalar loop's acc = 0.0; acc += dw:
+    # a leading 0.0, then each segment's draw or 0.0 (from a +0.0 start a
+    # -0.0 adds as +0.0 does, so the segments need no += 0.0)
+    acc = np.zeros(cuts.shape)
+    acc[:, 1:][drawn] = segments
+    acc = acc.cumsum(axis=1)
+    w_before[: len(rows)] = acc[rows, cols]
+    # every row draws (its cuts rise from its left edge to its right one):
+    # its first draw becomes the interval's increment, the others go
+    dw[start] = acc[:, -1]
+    keep = np.ones(len(dw), dtype=bool)
+    keep[seg_draws] = False
+    keep[start] = True
+    return dw[keep], w_before
 
 
 def simulate_truth(cfg: ModelConfig, n: int, T: float, seed: int) -> GroundTruth:
@@ -564,25 +600,16 @@ def _simulate(
 
     # jumps: sorted times on (0, T], then sizes in time order
     n_jumps, jump_gen = _jump_stream(cfg, T, substream)
-    if n_jumps > 0:
-        times = np.sort(T * (1.0 - jump_gen.random(n_jumps)))
-        sizes = cfg.jumps.draw_sizes(jump_gen, n_jumps)
-    else:
-        times = np.zeros(0)
-        sizes = np.zeros(0)
-    intervals = np.ceil(times * n - 1e-12).astype(int)
-    intervals = np.maximum(intervals, 1)
-    jumps_by_interval: dict = {}
-    for p, idx in enumerate(intervals):
-        if idx <= N:
-            jumps_by_interval.setdefault(int(idx), []).append(p)
+    times = np.sort(T * (1.0 - jump_gen.random(n_jumps)))
+    sizes = cfg.jumps.draw_sizes(jump_gen, n_jumps)
+    intervals = _grid_intervals(times, n)
 
     # volatility on the grid (Euler, clamped at floor_eps); an ItoSM
     # volatility reads W, and the observation reuses those draws
     vol = cfg.vol
-    brownian = None
     if observe or vol.kind == "ItoSM":
-        brownian = _brownian(substream(_W_STREAM), n, N, times, jumps_by_interval)
+        split, first, rows, cols = _split_intervals(intervals, N)
+        brownian = _brownian(substream(_W_STREAM), n, N, times, split, rows, cols)
     n_clamps = 0
     first_clamp = -1
     if vol.kind == "Constant":
@@ -613,41 +640,28 @@ def _simulate(
 
     # spot volatility at jump times: left grid state plus deterministic
     # partial Euler drift step (continuous volatility, so pre = post)
-    records = []
-    for p in range(n_jumps):
-        idx = int(intervals[p])
-        left = sigma[min(idx - 1, N)]
-        if vol.kind == "ItoSM":
-            pre = max(left + vol.tilde_b * (times[p] - (idx - 1) / n), vol.floor_eps)
-        else:
-            pre = left
-        records.append(
-            JumpRecord(
-                time=float(times[p]),
-                size=float(sizes[p]),
-                sigma_pre=float(pre),
-                sigma_post=float(pre),
-                interval_index=idx,
-            )
-        )
+    pre = sigma[np.minimum(intervals - 1, N)]
+    if vol.kind == "ItoSM":
+        pre = np.maximum(pre + vol.tilde_b * (times - (intervals - 1) / n), vol.floor_eps)
     truth = dict(
-        T=float(T),
-        n=int(n),
-        sigma_grid=sigma,
-        jumps=tuple(records),
-        seed=int(seed),
-        config=cfg,
-        n_sigma_clamps=n_clamps,
+        T=float(T), n=int(n), sigma_grid=sigma, seed=int(seed), config=cfg, n_sigma_clamps=n_clamps,
+        times=times, sizes=sizes, sigma_pre=pre, sigma_post=pre, intervals=intervals,
     )
     if not observe:
         return GroundTruth(**truth)
 
-    # the observation: X increments and grid values
+    # the observation: X increments and grid values; an interval holding
+    # jumps adds their sizes as sizes[here].sum() sums them (c > 1 jumps:
+    # the rows of a table of the intervals holding c, summed)
     w_inc, w_before = brownian
     inc = sigma[:N] * w_inc
     inc += cfg.drift_b / n
-    for i, here in jumps_by_interval.items():
-        inc[i - 1] += sizes[here].sum()
+    counts = np.bincount(rows)
+    jump_sums = sizes[first]
+    for c in set(counts.tolist()) - {1}:
+        here = counts == c
+        jump_sums[here] = sizes[first[here][:, None] + np.arange(c)].sum(axis=1)
+    inc[split - 1] += jump_sums
     x_grid = np.empty(N + 1)
     x_grid[0] = 0.0
     np.cumsum(inc, out=x_grid[1:])
@@ -691,39 +705,30 @@ def jump_neighborhood(path: SamplePath, p: int) -> JumpNeighborhood:
 
     R_- = sqrt(n) (X_{S_p-} - X_{(i-1)/n}), R_+ = sqrt(n) (X_{i/n} - X_{S_p});
     X_{S_p-} is reconstructed exactly from the stored Brownian sub-increment
-    and any earlier jumps in the same interval.  A jump sharing its
-    interval with another one is flagged (it degrades CLT-quality
-    diagnostics only).
+    and any earlier jumps in the same interval, which the sorted interval
+    column locates by bisection.  A jump sharing its interval with
+    another one is flagged (it degrades CLT-quality diagnostics only).
     """
-    if not 0 <= p < len(path.jumps):
-        raise SimulationError(f"jump index {p} outside 0..{len(path.jumps) - 1}")
-    rec = path.jumps[p]
-    i = rec.interval_index
+    if not 0 <= p < len(path.times):
+        raise SimulationError(f"jump index {p} outside 0..{len(path.times) - 1}")
+    n, i, time = path.n, int(path.intervals[p]), float(path.times[p])
     if i > path.n_steps:
-        raise SimulationError(
-            f"jump {p} at time {rec.time} falls past the last full grid interval"
-        )
-    n = path.n
+        raise SimulationError(f"jump {p} at time {time} falls past the last full grid interval")
     sqn = math.sqrt(n)
-    delta = rec.time - (i - 1) / n
-    sigma_left = path.sigma_grid[i - 1]
-    cont = path.config.drift_b * delta + sigma_left * path.w_before_jump[p]
+    delta = time - (i - 1) / n
+    cont = path.config.drift_b * delta + path.sigma_grid[i - 1] * path.w_before_jump[p]
+    lo, hi = path.intervals.searchsorted((i, i + 1)).tolist()
     earlier = 0.0
-    shared = False
-    for q, other in enumerate(path.jumps):
-        if other.interval_index == i and q != p:
-            shared = True
-            if q < p:
-                earlier += other.size
+    for other in path.sizes[lo:p].tolist():
+        earlier += other
     pre_displacement = cont + earlier
-    inc_i = path.x_grid[i] - path.x_grid[i - 1]
     r_minus = sqn * pre_displacement
-    r_plus = sqn * (inc_i - pre_displacement - rec.size)
+    r_plus = sqn * (path.x_grid[i] - path.x_grid[i - 1] - pre_displacement - path.sizes[p])
     return JumpNeighborhood(
         r_minus=float(r_minus),
         r_plus=float(r_plus),
         r=float(r_minus + r_plus),
-        shared_interval=shared,
+        shared_interval=hi - lo > 1,
     )
 
 
@@ -810,37 +815,36 @@ def config_from_dict(d) -> ModelConfig:
 
 
 _MAGIC = b"UVSTATP1"
-# the scalar head of a path (binary layout _HEAD_FORMAT), its grid arrays
-# and the columns of its jump records, in the order both formats use
+# the scalar head of a path (binary layout _HEAD_FORMAT; the seed unsigned),
+# its grid arrays and the columns of its jump table, in the order both
+# formats use
 _PATH_HEAD = ("T", "n", "seed", "n_sigma_clamps")
-_HEAD_FORMAT = "<dqqq"
+_HEAD_FORMAT = "<dqQq"
 _PATH_ARRAYS = ("x_grid", "sigma_grid", "w_increments", "w_before_jump")
 _JUMP_FIELDS = tuple(f.name for f in fields(JumpRecord))
 
 
-def _assemble_path(head, model, arrays, jump_rows) -> SamplePath:
-    """A SamplePath from a document's parts; arrays of mismatched lengths raise SimulationError."""
-    jumps = tuple(
-        JumpRecord(*map(float, row[:-1]), interval_index=int(row[-1])) for row in jump_rows
-    )
-    arrays = {name: np.asarray(arr, dtype=float) for name, arr in zip(_PATH_ARRAYS, arrays)}
+def _assemble_path(head, model, columns) -> SamplePath:
+    """A SamplePath from a document's head, model block and columns (_PATH_ARRAYS, then the jumps').
+
+    Arrays of mismatched lengths, jumps out of time order or off their grid
+    intervals raise SimulationError.
+    """
+    names = _PATH_ARRAYS + _JUMP_COLUMNS
+    arrays = {name: np.asarray(column, dtype=float) for name, column in zip(names, columns)}
+    arrays["intervals"] = arrays["intervals"].astype(int)
     lengths = {name: len(arr) for name, arr in arrays.items()}
-    steps = lengths["w_increments"]
-    if not (
-        lengths["x_grid"] == lengths["sigma_grid"] == steps + 1
-        and lengths["w_before_jump"] == len(jumps)
-    ):
+    grid = lengths["x_grid"] == lengths["sigma_grid"] == lengths["w_increments"] + 1
+    if not grid or len({lengths[name] for name in ("w_before_jump",) + _JUMP_COLUMNS}) > 1:
         raise SimulationError(
-            f"inconsistent path document: array lengths {lengths} with {len(jumps)} jumps; "
+            f"inconsistent path document: array lengths {lengths}; "
             "x_grid and sigma_grid need len(w_increments) + 1 entries, "
-            "w_before_jump one per jump"
+            "w_before_jump and each jump column one per jump"
         )
-    return SamplePath(
-        **dict(zip(_PATH_HEAD, head)),
-        **arrays,
-        jumps=jumps,
-        config=config_from_dict(model),
-    )
+    times = arrays["times"]
+    if (np.diff(times) < 0).any() or (arrays["intervals"] != _grid_intervals(times, head[1])).any():
+        raise SimulationError("inconsistent path document: jumps out of time order or off their intervals")
+    return SamplePath(**dict(zip(_PATH_HEAD, head)), **arrays, config=config_from_dict(model))
 
 
 def path_to_json(path: SamplePath) -> str:
@@ -859,12 +863,9 @@ def path_from_json(text: str) -> SamplePath:
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != "uvstat.sample_path":
         raise SimulationError("not a sample path document")
-    return _assemble_path(
-        [doc[name] for name in _PATH_HEAD],
-        doc["model"],
-        [doc[name] for name in _PATH_ARRAYS],
-        [[j[name] for name in _JUMP_FIELDS] for j in doc["jumps"]],
-    )
+    columns = [doc[name] for name in _PATH_ARRAYS]
+    columns += [[row[name] for row in doc["jumps"]] for name in _JUMP_FIELDS]
+    return _assemble_path([doc[name] for name in _PATH_HEAD], doc["model"], columns)
 
 
 def _pack_array(arr: np.ndarray) -> bytes:
@@ -883,13 +884,17 @@ def path_to_binary(path: SamplePath) -> bytes:
     """Compact dump: little-endian float64 arrays with length prefixes.
 
     The model configuration rides along as a length-prefixed JSON blob so
-    the dump stays self-contained.
+    the dump stays self-contained.  The jump table follows the grid arrays
+    column by column, the intervals as float64.  The seed is unsigned
+    64-bit; a larger one raises SimulationError.
     """
+    if not 0 <= path.seed < 2**64:
+        raise SimulationError(
+            f"path seed {path.seed} does not fit the binary format's unsigned 64-bit seed field"
+        )
     cfg_blob = json.dumps(config_to_dict(path.config), sort_keys=True).encode()
     head = _MAGIC + struct.pack(_HEAD_FORMAT, *(getattr(path, name) for name in _PATH_HEAD))
-    columns = [getattr(path, name) for name in _PATH_ARRAYS] + [
-        np.array([float(getattr(r, name)) for r in path.jumps]) for name in _JUMP_FIELDS
-    ]
+    columns = [getattr(path, name) for name in _PATH_ARRAYS + _JUMP_COLUMNS]
     body = b"".join([struct.pack("<Q", len(cfg_blob)), cfg_blob] + [_pack_array(c) for c in columns])
     return head + body
 
@@ -905,8 +910,7 @@ def path_from_binary(buf: bytes) -> SamplePath:
     model = json.loads(buf[offset : offset + blob_len].decode())
     offset += blob_len
     columns = []
-    for _ in range(len(_PATH_ARRAYS) + len(_JUMP_FIELDS)):
+    for _ in _PATH_ARRAYS + _JUMP_COLUMNS:
         column, offset = _unpack_array(buf, offset)
         columns.append(column)
-    arrays, jump_columns = columns[: len(_PATH_ARRAYS)], columns[len(_PATH_ARRAYS) :]
-    return _assemble_path(head, model, arrays, zip(*jump_columns))
+    return _assemble_path(head, model, columns)

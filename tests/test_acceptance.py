@@ -219,7 +219,7 @@ def test_criterion_06_mixed_lln():
     rels = []
     for r in range(200):
         path = simulate_path(cfg, 8192, 1.0, derive_seed(81, 0, 8192, r))
-        s4 = float(np.sum(np.abs(path.jump_sizes()) ** 4))
+        s4 = float(np.sum(np.abs(path.sizes) ** 4))
         closed = abs_moment(0.5) * sigma**0.5 * s4  # t * m_{1/2} sigma^{1/2} sum |dX|^4
         stat = y_stat(path, KMIX).value
         rels.append(abs(stat - closed) / max(abs(closed), 1e-300))
@@ -298,7 +298,7 @@ def test_criterion_08_rho_and_c_closed_forms():
     ok_c = abs(got_c - closed_c) / abs(closed_c) <= 1e-6
 
     pth2 = synthetic_path([0.5, -1.0, 1.5, 2.0], sigma=1.1)
-    M = cov_c_matrix(pth2, KMIX, [[z] for z in pth2.jump_sizes()])
+    M = cov_c_matrix(pth2, KMIX, [[z] for z in pth2.sizes])
     eig_min = float(np.linalg.eigvalsh(M).min())
     ok_psd = np.allclose(M, M.T) and eig_min >= -1e-8 * np.trace(M)
     check(

@@ -664,6 +664,22 @@ def test_simulate_binary_matches_json(tmp_path):
         np.testing.assert_array_equal(getattr(back, name), getattr(ref, name))
 
 
+def test_simulate_binary_takes_every_64_bit_seed(tmp_path, capsys):
+    # the binary head packs the seed unsigned: 2^63 writes and reads back,
+    # 2^64 is refused with one runtime error line
+    cfgfile = next(c for c in CONFIGS if c.name == "clt_mixed.cfg")
+    out = tmp_path / "out"
+    argv = ["simulate", "--config", str(cfgfile), "--format", "binary", "--output", str(out)]
+    assert main(argv + ["--seed", str(2**63)]) == 0
+    assert path_from_binary((out / "path.bin").read_bytes()).seed == 2**63
+    capsys.readouterr()
+    assert main(argv + ["--seed", str(2**64)]) == 2
+    assert capsys.readouterr().err.splitlines() == [
+        f"runtime error: path seed {2**64} does not fit the binary format's "
+        "unsigned 64-bit seed field"
+    ]
+
+
 # sha256 of report.json and errors.csv for each shipped config at its own seed
 SHIPPED_DIGESTS = {
     "clt_jump.cfg": (

@@ -37,7 +37,6 @@ from uvstat.sampler import augment, sample_V_mixed
 from uvstat.simulate import (
     AtomList,
     JumpModel,
-    JumpRecord,
     ModelConfig,
     SamplePath,
     VolatilityModel,
@@ -56,23 +55,14 @@ def synthetic_path(sizes, sigma=1.0, n=64, T=1.0, drift=0.0):
         jumps=JumpModel(intensity=1.0, size_dist=AtomList(((1.0, 1.0),)), max_abs=10.0),
         bound_A=20.0,
     )
-    sizes = [float(s) for s in sizes]
+    sizes = np.array(sizes, dtype=float)
     J = len(sizes)
     N = int(round(n * T))
-    times = [(p + 1) * T / (J + 1) for p in range(J)]
-    recs = tuple(
-        JumpRecord(
-            time=times[p],
-            size=sizes[p],
-            sigma_pre=sigma,
-            sigma_post=sigma,
-            interval_index=int(math.ceil(times[p] * n - 1e-12)),
-        )
-        for p in range(J)
-    )
+    times = np.array([(p + 1) * T / (J + 1) for p in range(J)])
+    intervals = np.array([int(math.ceil(t * n - 1e-12)) for t in times], dtype=int)
     inc = np.zeros(N)
-    for r in recs:
-        inc[r.interval_index - 1] += r.size
+    for i, size in zip(intervals, sizes):
+        inc[i - 1] += size
     x = np.zeros(N + 1)
     x[1:] = np.cumsum(inc)
     return SamplePath(
@@ -81,7 +71,11 @@ def synthetic_path(sizes, sigma=1.0, n=64, T=1.0, drift=0.0):
         x_grid=x,
         sigma_grid=np.full(N + 1, sigma),
         w_increments=np.zeros(N),
-        jumps=recs,
+        times=times,
+        sizes=sizes,
+        sigma_pre=np.full(J, sigma),
+        sigma_post=np.full(J, sigma),
+        intervals=intervals,
         seed=0,
         config=cfg,
         w_before_jump=np.zeros(J),
@@ -130,7 +124,7 @@ def test_jump_limit_contribution_table():
     lv = jump_limit(path, K22)
     assert sum(v for _, v in lv.contributions) == pytest.approx(lv.value, rel=1e-12)
     brute = sum(
-        abs(a) ** 4 * abs(b) ** 4 for a in path.jump_sizes() for b in path.jump_sizes()
+        abs(a) ** 4 * abs(b) ** 4 for a in path.sizes for b in path.sizes
     )
     assert lv.value == pytest.approx(brute, rel=1e-12)
 
@@ -177,7 +171,7 @@ def test_mixed_limit_stochastic_sigma_riemann():
     )
     path = simulate_path(cfg, n=128, T=1.0, seed=5)
     lv = mixed_limit(path, KMIX)
-    sizes = path.jump_sizes()
+    sizes = path.sizes
     direct = 0.0
     for z in sizes:
         acc = 0.0
@@ -198,7 +192,7 @@ def test_mixed_limit_grid_sin_itosm_pinned_bits():
     )
     k = kernel_from_text("d=2 l=1 p=0.5 q=4.0 regime=MixedLLN L=(grid_sin 1.0 0 1)")
     path = simulate_path(cfg, n=64, T=1.0, seed=4)
-    assert len(path.jump_sizes()) == 5
+    assert len(path.sizes) == 5
     assert mixed_limit(path, k).value.hex() == "0x1.1ce5e760d4d94p+1"
 
 
@@ -225,7 +219,7 @@ def test_vbar_single_coordinate():
 
 def test_vbar_against_partial_h_enumeration():
     path = synthetic_path([0.8, -1.3])
-    sizes = path.jump_sizes()
+    sizes = path.sizes
     y = 0.65
     for k_idx in (1, 2):
         brute = 0.0
@@ -258,7 +252,7 @@ def test_cond_var_jump_no_jumps():
 def test_cond_var_jump_two_jumps_brute_force():
     sigma = 1.2
     path = synthetic_path([0.9, -1.4], sigma=sigma)
-    sizes = path.jump_sizes()
+    sizes = path.sizes
     cv = cond_var_jump(path, K22)
     brute = 0.0
     for z in sizes:
@@ -316,7 +310,7 @@ def test_cov_c_zero_tuple():
 
 def test_cov_c_matrix_psd():
     path = synthetic_path([0.5, -1.0, 1.5, 2.0], sigma=1.1)
-    ys = [[z] for z in path.jump_sizes()]
+    ys = [[z] for z in path.sizes]
     M = cov_c_matrix(path, KMIX, ys)
     assert np.allclose(M, M.T, rtol=1e-12)
     eig = np.linalg.eigvalsh(M)
@@ -362,7 +356,7 @@ def test_cond_var_mixed_no_jumps():
 
 def test_cond_var_mixed_field_term_matches_pairwise():
     path = synthetic_path([0.7, -1.2, 0.4], sigma=1.1)
-    sizes = path.jump_sizes()
+    sizes = path.sizes
     cv = cond_var_mixed(path, KMIX)
     pairwise = 0.0
     for a in sizes:
@@ -451,7 +445,7 @@ def test_vbar_and_partial_h_agree_at_zero():
         vbar(path, k1, y=0.0)
     assert vbar(path, k1, y=-0.65) == partial_h(k1, 0, [-0.65]) == -1.0
     k0 = KernelSpec(d=2, l=2, p=(0.0, 4.0), L=GridSin(1.3, 0, 1), regime="JumpCLT")
-    brute = sum(partial_h(k0, 0, [0.0, z]) for z in path.jump_sizes())
+    brute = sum(partial_h(k0, 0, [0.0, z]) for z in path.sizes)
     assert brute != 0.0
     assert vbar(path, k0, y=0.0) == pytest.approx(brute, rel=1e-12)
 
@@ -460,7 +454,7 @@ def test_cond_var_jump_power_below_one_brute_force():
     sigma = 0.9
     k = KernelSpec(d=2, l=2, p=(0.5, 1.5), regime="JumpCLT")
     path = synthetic_path([0.8, -1.3, 0.55], sigma=sigma)
-    sizes = path.jump_sizes()
+    sizes = path.sizes
     brute = 0.0
     for z in sizes:
         w = 0.0
@@ -475,7 +469,7 @@ def test_cond_var_jump_power_below_one_brute_force():
 def test_cond_var_mixed_field_term_pairwise_d3():
     k = next(k for k in catalog_kernels() if (k.d, k.l) == (3, 1))
     path = synthetic_path([0.7, -1.2, 0.4], sigma=1.1)
-    tuples = [list(c) for c in itertools.product(path.jump_sizes(), repeat=2)]
+    tuples = [list(c) for c in itertools.product(path.sizes, repeat=2)]
     pairwise = sum(cov_c(path, k, a, b) for a in tuples for b in tuples)
     assert cond_var_mixed(path, k).field_term == pytest.approx(pairwise, rel=1e-9)
 
@@ -552,7 +546,7 @@ def test_moment_sigmas_per_call_constant_vs_itosm(monkeypatch):
         (VolatilityModel(kind="ItoSM", sigma0=1.0, tilde_sigma=0.2, tilde_v=0.2), 512),
     ):
         path = simulate_path(ModelConfig(0.0, vol, jumps, 10.0), n=512, T=1.0, seed=2)
-        assert len(path.jump_sizes()) > 0
+        assert len(path.sizes) > 0
         lengths.clear()
         mixed_limit(path, KMIX)
         cond_var_mixed(path, KMIX)
@@ -564,8 +558,12 @@ def test_mixed_limit_on_an_empty_grid():
     # t <= 1e-15 leaves no grid step, but a jump at 5e-17 is counted and
     # contributes an exact 0.0
     path = synthetic_path([1.0, -0.7], sigma=1.1)
-    first = JumpRecord(time=5e-17, size=1.3, sigma_pre=1.1, sigma_post=1.1, interval_index=1)
-    path = dataclasses.replace(path, jumps=(first,) + path.jumps)
+    path = dataclasses.replace(
+        path,
+        **{name: np.r_[first, getattr(path, name)] for name, first in (
+            ("times", 5e-17), ("sizes", 1.3), ("sigma_pre", 1.1), ("sigma_post", 1.1),
+            ("intervals", 1), ("w_before_jump", 0.0))},
+    )
     for t in (1e-16, 1e-15):
         truth = _Truth(path, KMIX, t)
         assert len(truth.grid[0]) == 0 and not truth.constant_grid
@@ -649,7 +647,7 @@ PINNED_DRAWS = {
 def test_sample_V_mixed_on_repeated_jump_sizes_pinned_bits():
     for name, path in _shared_truth_paths():
         if name.endswith("-shared"):
-            assert sorted(set(path.jump_sizes())) == [-0.7, 0.5, 1.0]
+            assert sorted(set(path.sizes)) == [-0.7, 0.5, 1.0]
             aug = augment(path, seed=3)
             draws = [sample_V_mixed(path, k, aug, seed=17, t=t) for k in (KM2, KM3) for t in (None, 0.7)]
             assert [d.hex() for d in draws] == PINNED_DRAWS[name.split("-")[0]]

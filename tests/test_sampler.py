@@ -227,7 +227,7 @@ def test_truncated_z_median_gap_decreases():
 
 def _layer_bits(path, kmix, kjump, t):
     """float.hex of every conditional variance, covariance, profile and draw."""
-    sizes = path.jump_sizes(t)
+    sizes = path.sizes[: path.jump_count(path.window(t)[0])]
     aug = augment(path, seed=5)
     e = kmix.d - kmix.l
     ys = [[float(sizes[(i + j) % len(sizes)]) for j in range(e)] for i in range(3)]
@@ -317,8 +317,8 @@ def test_limits_and_draws_pinned_bits():
         T=1.0,
         seed=11,
     )
-    assert len(itosm.jump_sizes(0.7)) == 4
-    assert len(const.jump_sizes()) == 5
+    assert len(itosm.sizes[: itosm.jump_count(0.7)]) == 4
+    assert len(const.sizes) == 5
     kmix2 = KernelSpec(d=2, l=1, p=(0.5,), q=(4.0,), L=GaussBump(0.6, 1), regime="MixedCLT")
     kjump2 = KernelSpec(d=2, l=1, p=(4.0,), q=(0.0,), L=GaussBump(0.8, 1), regime="JumpCLT")
     kmix3 = KernelSpec(d=3, l=1, p=(0.5,), q=(4.0, 4.0), regime="MixedCLT")

@@ -5,9 +5,12 @@ import itertools
 import json
 import math
 import re
+import struct
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.integrate import quad
 from scipy.stats import chisquare, ks_2samp, norm, poisson
 
@@ -18,7 +21,6 @@ from uvstat.simulate import (
     JumpModel,
     JumpRecord,
     ModelConfig,
-    SamplePath,
     SimulationError,
     TruncNormal,
     Uniform,
@@ -33,7 +35,7 @@ from uvstat.simulate import (
     simulate_path,
     simulate_truth,
 )
-from uvstat.simulate import _count, _simulate
+from uvstat.simulate import _brownian, _count, _simulate, _split_intervals
 
 
 def make_config(
@@ -378,6 +380,30 @@ def test_binary_round_trip():
         path_from_binary(b"NOTMAGIC" + b"\x00" * 64)
 
 
+def test_every_array_of_a_path_is_read_only():
+    cfg = make_config(intensity=3.0)
+    for draw, count in ((simulate_path, 9), (simulate_truth, 6)):
+        path = draw(cfg, 64, 1.0, 5)
+        arrays = [getattr(path, f.name) for f in dataclasses.fields(path)]
+        arrays = [a for a in arrays if isinstance(a, np.ndarray)]
+        assert len(arrays) == count and not any(a.flags.writeable for a in arrays)
+
+
+def test_binary_round_trip_above_2_63():
+    # the seed is packed unsigned: a derive_seed value of 2^63 or more writes
+    # and reads back, and below 2^63 the bytes are those of a signed field
+    cfg = make_config(drift=0.2, intensity=4.0, size_dist=Uniform(-1.0, 1.0))
+    path = simulate_path(cfg, n=64, T=1.0, seed=2**63 + 1)
+    back = path_from_binary(path_to_binary(path))
+    assert back.seed == 2**63 + 1 and back.jumps == path.jumps
+    assert back.x_grid.tobytes() == path.x_grid.tobytes()
+    low = simulate_path(cfg, n=64, T=1.0, seed=2**63 - 1)
+    head = struct.pack("<dqqq", low.T, low.n, low.seed, low.n_sigma_clamps)
+    assert path_to_binary(low)[8 : 8 + len(head)] == head
+    with pytest.raises(SimulationError, match="unsigned 64-bit seed field"):
+        path_to_binary(dataclasses.replace(path, seed=2**64))
+
+
 @pytest.mark.parametrize("name", ["x_grid", "sigma_grid", "w_increments", "w_before_jump"])
 def test_inconsistent_path_document_is_refused(name):
     # one array cut short: grid, increments and jump columns no longer agree
@@ -392,6 +418,23 @@ def test_inconsistent_path_document_is_refused(name):
         path_from_json(json.dumps(doc))
     short = dataclasses.replace(path, **{name: getattr(path, name)[:cut]})
     with pytest.raises(SimulationError, match=message):
+        path_from_binary(path_to_binary(short))
+
+
+def test_path_document_with_a_broken_jump_table_is_refused():
+    # jumps out of time order or off their interval (json), a jump column
+    # cut short (binary)
+    path = simulate_path(make_config(intensity=4.0, size_dist=Uniform(-1.0, 1.0)), 64, 1.0, 37)
+    for edit in ("swap", "interval"):
+        doc = json.loads(path_to_json(path))
+        if edit == "swap":
+            doc["jumps"][:2] = doc["jumps"][1::-1]
+        else:
+            doc["jumps"][0]["interval_index"] += 1
+        with pytest.raises(SimulationError, match="out of time order or off their intervals"):
+            path_from_json(json.dumps(doc))
+    short = dataclasses.replace(path, sizes=path.sizes[:-1])
+    with pytest.raises(SimulationError, match=r"array lengths \{.*'sizes': 3\b"):
         path_from_binary(path_to_binary(short))
 
 
@@ -516,7 +559,8 @@ def _simulate_path_scalar(cfg, n, T, seed, clamp_budget=1000):
             f"path exceeded bound_A={cfg.bound_A} (max |X| = {np.max(np.abs(x_grid)):.6g})"
         )
 
-    return SamplePath(
+    # the fields assert_same_path compares, with the jumps as records
+    return SimpleNamespace(
         T=float(T),
         n=int(n),
         x_grid=x_grid,
@@ -601,6 +645,96 @@ def test_simulate_path_matches_scalar_oracle_over_the_clamp_budget():
                     simulate_path(cfg, 257, 1.0, seed, clamp_budget=budget)
             else:
                 assert_same_path(simulate_path(cfg, 257, 1.0, seed, clamp_budget=budget), expected)
+
+
+def _brownian_scalar(gen, n, N, times, intervals):
+    """The scalar loop's Brownian fill: one normal draw per grid segment, W summed per interval."""
+    w_inc = np.empty(N)
+    w_before = np.full(len(times), np.nan)
+    for i in range(1, N + 1):
+        here = [p for p in range(len(times)) if intervals[p] == i]
+        if not here:
+            w_inc[i - 1] = gen.normal(0.0, math.sqrt(1.0 / n))
+            continue
+        cuts = [(i - 1) / n] + [times[p] for p in here] + [i / n]
+        acc = 0.0
+        for seg, (a, b) in enumerate(zip(cuts[:-1], cuts[1:])):
+            dt = b - a
+            acc += gen.normal(0.0, math.sqrt(dt)) if dt > 0 else 0.0
+            if seg < len(here):
+                w_before[here[seg]] = acc
+        w_inc[i - 1] = acc
+    return w_inc, w_before
+
+
+# (n, T, jump times) that random draws almost never produce
+HAND_BUILT_SPLITS = {
+    "on_grid_points": (8, 1.0, [0.25, 0.5, 0.5, 1.0]),
+    "four_in_one_interval": (8, 1.0, [0.05, 0.4, 0.41, 0.45, 0.49, 0.9]),
+    "past_the_last_interval": (4, 1.1, [0.3, 1.0, 1.05, 1.09]),
+    "first_instant_and_fuzz": (8, 1.0, [1e-300, (3 + 5e-13) / 8, 0.7]),
+    "no_jump_inside": (4, 1.1, [1.02]),
+    "every_interval": (4, 1.0, [0.1, 0.2, 0.3, 0.6, 0.7, 0.8, 0.95, 1.0]),
+}
+
+
+@pytest.mark.parametrize("case", sorted(HAND_BUILT_SPLITS))
+def test_brownian_split_matches_a_scalar_loop_on_hand_built_jumps(case):
+    n, T, times = HAND_BUILT_SPLITS[case]
+    times = np.array(times)
+    N = _count(n, T)
+    intervals = np.maximum(np.ceil(times * n - 1e-12).astype(int), 1)
+    split, first, rows, cols = _split_intervals(intervals, N)
+    gen, ref_gen = np.random.default_rng(11), np.random.default_rng(11)
+    w_inc, w_before = _brownian(gen, n, N, times, split, rows, cols)
+    ref_inc, ref_before = _brownian_scalar(ref_gen, n, N, times, intervals)
+    assert (w_inc.tobytes(), w_before.tobytes()) == (ref_inc.tobytes(), ref_before.tobytes())
+    assert gen.random() == ref_gen.random()  # the same number of draws
+    assert sorted(set(intervals[intervals <= N].tolist())) == split.tolist()
+
+
+def test_hand_built_splits_cover_the_edge_cases():
+    dts_zero = many = past = 0
+    for n, T, times in HAND_BUILT_SPLITS.values():
+        intervals = np.maximum(np.ceil(np.array(times) * n - 1e-12).astype(int), 1)
+        counts = np.bincount(intervals)
+        many += counts.max() >= 3
+        past += (intervals > _count(n, T)).any()
+        dts_zero += any(t * n == round(t * n) for t in times)
+    assert dts_zero and many and past
+
+
+def test_jump_neighborhood_matches_a_scan_of_every_jump():
+    cfg = ORACLE_MODELS["constant_dense"]
+    checked = shared = refused = 0
+    for seed, (n, T) in enumerate([(64, 1.0), (64, 1.37), (257, 1.0), (7, 1.0)]):
+        path = simulate_path(cfg, n, T, seed)
+        jumps = path.jumps
+        for p, rec in enumerate(jumps):
+            i = rec.interval_index
+            if i > path.n_steps:
+                with pytest.raises(SimulationError, match="past the last full grid interval"):
+                    jump_neighborhood(path, p)
+                refused += 1
+                continue
+            others = [q for q, other in enumerate(jumps) if other.interval_index == i and q != p]
+            earlier = 0.0
+            for q in others:
+                if q < p:
+                    earlier += jumps[q].size
+            pre = (
+                path.config.drift_b * (rec.time - (i - 1) / n)
+                + path.sigma_grid[i - 1] * path.w_before_jump[p]
+                + earlier
+            )
+            r_minus = math.sqrt(n) * pre
+            r_plus = math.sqrt(n) * (path.x_grid[i] - path.x_grid[i - 1] - pre - rec.size)
+            nb = jump_neighborhood(path, p)
+            assert nb.shared_interval == bool(others)
+            assert (nb.r_minus, nb.r_plus, nb.r) == (r_minus, r_plus, r_minus + r_plus)
+            checked += 1
+            shared += bool(others)
+    assert checked > 300 and shared > 100 and refused > 0
 
 
 # ---------------------------------------------------------------------------
@@ -702,3 +836,78 @@ def test_observation_readers_refuse_a_ground_truth():
                    lambda: path_to_json(truth), lambda: path_to_binary(truth)):
         with pytest.raises(AttributeError):
             reader()
+
+
+# ---------------------------------------------------------------------------
+# metamorphic: every scale parameter doubled on the same seed
+# ---------------------------------------------------------------------------
+
+
+def _doubled(cfg):
+    """cfg with every scale doubled: sigma0, the ItoSM coefficients, floor_eps, the jump sizes,
+    max_abs and bound_A."""
+    vol, jumps = cfg.vol, cfg.jumps
+    dist = jumps.size_dist
+    if isinstance(dist, AtomList):
+        dist = AtomList(tuple((2.0 * v, p) for v, p in dist.atoms))
+    else:
+        dist = Uniform(2.0 * dist.a, 2.0 * dist.b)
+    return dataclasses.replace(
+        cfg,
+        vol=dataclasses.replace(
+            vol,
+            sigma0=2.0 * vol.sigma0,
+            tilde_b=2.0 * vol.tilde_b,
+            tilde_sigma=2.0 * vol.tilde_sigma,
+            tilde_v=2.0 * vol.tilde_v,
+            floor_eps=2.0 * vol.floor_eps,
+        ),
+        jumps=dataclasses.replace(jumps, size_dist=dist, max_abs=2.0 * jumps.max_abs),
+        bound_A=2.0 * cfg.bound_A,
+    )
+
+
+def assert_doubles(cfg, n, T, seed):
+    """X, sigma and the jump sizes and sigmas double bit for bit; times, intervals and W stay."""
+    a, b = simulate_path(cfg, n, T, seed), simulate_path(_doubled(cfg), n, T, seed)
+    for name in ("x_grid", "sigma_grid", "sizes", "sigma_pre", "sigma_post"):
+        assert (2.0 * getattr(a, name)).tobytes() == getattr(b, name).tobytes(), name
+    for name in ("times", "intervals", "w_increments", "w_before_jump"):
+        assert getattr(a, name).tobytes() == getattr(b, name).tobytes(), name
+    assert a.n_sigma_clamps == b.n_sigma_clamps
+    return a
+
+
+@st.composite
+def scalable_models(draw):
+    """A zero-drift model, Constant or ItoSM, with AtomList jumps; and a grid and seed."""
+    itosm = draw(st.booleans())
+    coef = st.floats(-2.0, 2.0, allow_nan=False)
+    vol = VolatilityModel(
+        kind="ItoSM" if itosm else "Constant",
+        sigma0=draw(st.floats(0.05, 3.0)),
+        tilde_b=draw(coef) if itosm else 0.0,
+        tilde_sigma=draw(coef) if itosm else 0.0,
+        tilde_v=draw(coef) if itosm else 0.0,
+        floor_eps=draw(st.floats(1e-4, 0.5)),
+    )
+    values = draw(st.lists(st.floats(0.01, 3.0) | st.floats(-3.0, -0.01), min_size=1, max_size=3))
+    atoms = tuple((v, 1.0 / len(values)) for v in values)
+    jumps = JumpModel(intensity=draw(st.sampled_from([0.0, 3.0, 60.0])),
+                      size_dist=AtomList(atoms), max_abs=3.0)
+    n, T = draw(st.sampled_from(ORACLE_GRIDS))
+    return ModelConfig(0.0, vol, jumps, bound_A=5.0), n, T, draw(st.integers(0, 2**64 - 1))
+
+
+@settings(max_examples=80, deadline=None, derandomize=True, database=None)
+@given(case=scalable_models())
+def test_doubling_every_scale_doubles_the_path_bit_for_bit(case):
+    assert_doubles(*case)
+
+
+@pytest.mark.parametrize("model", ["constant_dense", "itosm_clamping", "itosm_dense"])
+def test_doubling_every_scale_doubles_the_oracle_models(model):
+    # the drift-free oracle models: shared intervals, past-grid jumps, clamps
+    paths = [assert_doubles(ORACLE_MODELS[model], *ORACLE_GRIDS[s % 5], s) for s in range(10)]
+    if model == "itosm_clamping":
+        assert sum(p.clamped for p in paths) > 5

@@ -92,6 +92,63 @@ def test_only_kernels_expands_kernels(path):
     assert expansion_calls(path.read_text(encoding="utf-8")) == []
 
 
+# the jump table's row format stays inside the simulator: no other module
+# names JumpRecord (__init__.py only re-exports it), and the layers that
+# read a path's jumps read its arrays, never the GroundTruth.jumps rows
+JUMP_FORMAT_MODULE = "simulate.py"
+JUMP_ARRAY_READERS = ("limits.py", "sampler.py", "harness.py")
+
+
+def jump_record_names(source: str) -> list:
+    """Where the source names JumpRecord (a name, an attribute or an import), by line."""
+    return sorted(
+        f"line {node.lineno}"
+        for node in ast.walk(ast.parse(source))
+        if (isinstance(node, ast.Name) and node.id == "JumpRecord")
+        or (isinstance(node, ast.Attribute) and node.attr == "JumpRecord")
+        or (isinstance(node, ast.alias) and node.name == "JumpRecord")
+    )
+
+
+def jump_row_reads(source: str) -> list:
+    """Reads of an attribute .jumps, by line, except a model's jump model: a .jumps
+    that is itself read an attribute of (model.jumps.intensity)."""
+    tree = ast.parse(source)
+    objects = {id(node.value) for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+    return sorted(
+        f"line {node.lineno}"
+        for node in ast.walk(tree)
+        if isinstance(node, ast.Attribute) and node.attr == "jumps" and id(node) not in objects
+    )
+
+
+def test_jump_format_uses_detected():
+    source = (
+        "from uvstat.simulate import JumpRecord\n"
+        "row = simulate.JumpRecord(0.5, 1.0, 1.0, 1.0, 1)\n"
+        "count = len(path.jumps)\n"
+        "first = truth.jumps[0]\n"
+        "rate = cfg.jumps.intensity\n"
+        "sizes = path.sizes\n"
+    )
+    assert jump_record_names(source) == ["line 1", "line 2"]
+    assert jump_row_reads(source) == ["line 3", "line 4"]
+
+
+@pytest.mark.parametrize(
+    "path",
+    [p for p in MODULES if p.name != JUMP_FORMAT_MODULE],
+    ids=lambda p: p.name,
+)
+def test_only_the_simulator_names_jump_records(path):
+    assert jump_record_names(path.read_text(encoding="utf-8")) == []
+
+
+@pytest.mark.parametrize("name", JUMP_ARRAY_READERS)
+def test_jump_readers_read_the_arrays(name):
+    assert jump_row_reads((SRC / name).read_text(encoding="utf-8")) == []
+
+
 def imported_modules(node) -> list:
     """The modules an import statement names; ``from scipy import x`` names scipy.x, and
     ``from numpy import x`` numpy.x."""
