@@ -174,7 +174,9 @@ class _Truth:
         self.t, count = path.window(t)
         self._grid_key = (path.n, self.t, count)
         J = path.jump_count(self.t)
-        self.sizes, self.pre, self.post = path.sizes[:J], path.sigma_pre[:J], path.sigma_post[:J]
+        self.sizes = path.sizes[:J]
+        self.pre = path.sigma_pre[:J]
+        self.post = path.sigma_post[:J]
         self.compiled = kernel._compiled
         self.terms = self.compiled.terms
         self._shared = shared

@@ -9,8 +9,10 @@ zero).  Jumps come from a finite-activity compound Poisson process with
 exact times, so the path carries all the ground truth the limit
 formulas need: the jump table (five arrays of a GroundTruth, see there),
 and the Brownian increment accumulated up to each jump inside its grid
-interval.  Every reader reads the table's arrays; neither the simulator
-nor a reader loops over the jumps in Python.
+interval.  Every reader reads the table's arrays, and none walks its
+JumpRecord rows.  The Python loops left are bounded: the simulator's over
+the grid intervals that hold jumps, jump_neighborhood's over the earlier
+jumps of one interval.
 
 Everything is a deterministic function of (config, n, T, seed): the seed
 is expanded into three independent substreams, jumps, W and V, so the
@@ -335,7 +337,13 @@ class JumpRecord:
 
 
 # the GroundTruth array of each JumpRecord field
-_JUMP_COLUMNS = ("times", "sizes", "sigma_pre", "sigma_post", "intervals")
+_JUMP_COLUMNS = {
+    "time": "times",
+    "size": "sizes",
+    "sigma_pre": "sigma_pre",
+    "sigma_post": "sigma_post",
+    "interval_index": "intervals",
+}
 
 
 @dataclass(frozen=True)
@@ -345,8 +353,8 @@ class GroundTruth:
     The jump table, one entry per jump in time order: times S_p, sizes,
     the spot volatility just before and at S_p, and the 1-based grid
     interval i of S_p (int; n_steps + 1 past the last full interval).
-    ``jumps`` is the table as JumpRecord rows, built on each read, which
-    the library never reads.  Beside it, the volatility on the grid
+    ``jumps`` is the table as JumpRecord rows, built on each read; in the
+    library only path_to_json reads it.  Beside it, the volatility on the grid
     {0, 1/n, ..., floor(nT)/n} with its clamp count.  The limits,
     conditional variances and limit-law draws accept a GroundTruth; the
     statistics, jump_neighborhood and serialization need the observation
@@ -364,7 +372,7 @@ class GroundTruth:
     seed: int
     config: ModelConfig
     n_sigma_clamps: int = 0
-    _arrays: ClassVar[tuple] = ("sigma_grid",) + _JUMP_COLUMNS  # frozen on construction
+    _arrays: ClassVar[tuple] = ("sigma_grid", *_JUMP_COLUMNS.values())  # frozen on construction
 
     def __post_init__(self):
         for name in self._arrays:
@@ -382,8 +390,8 @@ class GroundTruth:
     @property
     def jumps(self) -> tuple:
         """The jump table as a tuple of JumpRecord rows, built on each read."""
-        columns = (getattr(self, name).tolist() for name in _JUMP_COLUMNS)
-        return tuple(itertools.starmap(JumpRecord, zip(*columns)))
+        columns = [getattr(self, name).tolist() for name in _JUMP_COLUMNS.values()]
+        return tuple(JumpRecord(**dict(zip(_JUMP_COLUMNS, row))) for row in zip(*columns))
 
     def jump_count(self, t: float) -> int:
         """The number of jumps at or before t."""
@@ -468,78 +476,70 @@ def _jump_stream(cfg: ModelConfig, T: float, substream):
     return n_jumps, jump_gen
 
 
-def _split_intervals(intervals: np.ndarray, N: int) -> tuple:
-    """(split, first, rows, cols): the grid intervals 1..N holding jumps, and each jump's place.
-
-    split[r] is the r-th such interval and first[r] its first jump; jump p
-    (of those inside the grid) is the cols[p]-th, from 1, of split[rows[p]].
-    """
-    iv = intervals[: intervals.searchsorted(N, side="right")]
-    starts = np.empty(len(iv), dtype=bool)
-    starts[:1] = True
-    np.not_equal(iv[1:], iv[:-1], out=starts[1:])
-    first = starts.nonzero()[0]
-    rows = starts.cumsum() - 1
-    cols = np.arange(1, len(iv) + 1) - first[rows]
-    return iv[first], first, rows, cols
+def _jump_runs(intervals: np.ndarray, N: int) -> list:
+    """(i, lo, hi) for each grid interval i in 1..N holding jumps: jumps lo..hi-1, in time order."""
+    runs, lo = [], 0
+    for i, group in itertools.groupby(intervals[: intervals.searchsorted(N, side="right")].tolist()):
+        hi = lo + len(list(group))
+        runs.append((i, lo, hi))
+        lo = hi
+    return runs
 
 
-def _brownian(w_gen, n: int, N: int, times: np.ndarray, split, rows, cols):
+def _brownian(w_gen, n: int, N: int, times: np.ndarray, runs: list):
     """(w_increments, w_before_jump): the Brownian fill from the W substream w_gen.
 
-    An interval holding jumps is a row of cut times (its left edge, its
-    jump times, its right edge, padded with the right edge), whose
-    differences are its sub-segments.  The draws are one standard-normal
-    fill, scaled in place, in the order of a per-interval scalar loop:
-    sqrt(1/n) for an interval without jumps, sqrt(dt) for each sub-segment
-    (dt <= 0 draws nothing), so the stream and every bit (0.0 + scale * z,
-    as numpy's normal forms it) are those of one scalar draw per segment.
-    A row's running sum gives W before each jump and the interval's
-    increment, added in the scalar loop's order.
+    The Brownian increment of an interval containing jumps is the sum of
+    the sub-increments between consecutive jump times, so W is known
+    exactly at every jump.  The draws are one standard-normal fill,
+    scaled in place, in the order of a per-interval scalar loop: sqrt(1/n)
+    for an interval without jumps, sqrt(dt) for each sub-segment of one
+    with jumps (a segment with dt <= 0 draws nothing), so the random
+    stream and every bit (0.0 + scale * z, as numpy's normal forms it)
+    are those of one scalar draw per segment.  runs lists the intervals
+    holding jumps (_jump_runs).
     """
-    S = len(split)
-    w_before = np.full(len(times), np.nan)
-    if not S:  # no interval to split: one draw per interval
-        dw = w_gen.standard_normal(N)
-        dw *= math.sqrt(1.0 / n)
-        dw += 0.0
-        return dw, w_before
-    cuts = np.empty((S, cols.max() + 2))
-    cuts[:, 0] = (split - 1) / n
-    cuts[:, 1:] = (split / n)[:, None]
-    cuts[rows, cols] = times[: len(rows)]
-    dts = cuts[:, 1:] - cuts[:, :-1]
-    drawn = dts > 0
-    ranks = drawn.cumsum(axis=1)  # the draws of a row up to each segment
-    per_row = ranks[:, -1]
-    # a row's draws follow the split - 1 intervals before it, which draw
-    # one each, plus per_row - 1 more for each earlier row
-    start = split - per_row + (per_row - 1).cumsum()
-    seg_draws = (start[:, None] + ranks - 1)[drawn]
-
+    step = math.sqrt(1.0 / n)
+    segments = []  # sub-segment lengths of each interval holding jumps
+    seg_draws, seg_dts = [], []  # draw index and length of each drawn sub-segment
+    draws = prev = 0  # draws so far; intervals prev+1 .. i-1 hold no jump
+    for i, lo, hi in runs:
+        cuts = [(i - 1) / n] + times[lo:hi].tolist() + [i / n]
+        segments.append([b - a for a, b in zip(cuts[:-1], cuts[1:])])
+        draws += i - 1 - prev
+        for dt in segments[-1]:
+            if dt > 0:
+                seg_draws.append(draws)
+                seg_dts.append(dt)
+                draws += 1
+        prev = i
+    draws += N - prev
     # numpy's normal(0.0, scale) is 0.0 + scale * z, element by element:
     # every draw scaled by sqrt(1/n), then the sub-segment draws rescaled
     # from their standard normals by sqrt(dt)
-    dw = w_gen.standard_normal(N - S + len(seg_draws))
-    segments = dw[seg_draws] * np.sqrt(dts[drawn])
-    dw *= math.sqrt(1.0 / n)
-    dw[seg_draws] = segments
+    dw = w_gen.standard_normal(draws)
+    z = dw[seg_draws]
+    dw *= step
+    dw[seg_draws] = z * np.sqrt(seg_dts)
     dw += 0.0
 
-    # each row's running sum, as the scalar loop's acc = 0.0; acc += dw:
-    # a leading 0.0, then each segment's draw or 0.0 (from a +0.0 start a
-    # -0.0 adds as +0.0 does, so the segments need no += 0.0)
-    acc = np.zeros(cuts.shape)
-    acc[:, 1:][drawn] = segments
-    acc = acc.cumsum(axis=1)
-    w_before[: len(rows)] = acc[rows, cols]
-    # every row draws (its cuts rise from its left edge to its right one):
-    # its first draw becomes the interval's increment, the others go
-    dw[start] = acc[:, -1]
-    keep = np.ones(len(dw), dtype=bool)
-    keep[seg_draws] = False
-    keep[start] = True
-    return dw[keep], w_before
+    w_inc = np.empty(N)
+    w_before = np.full(len(times), np.nan)
+    k = prev = 0  # next unread draw; intervals done
+    for (i, lo, hi), dts in zip(runs, segments):
+        w_inc[prev : i - 1] = dw[k : k + i - 1 - prev]
+        k += i - 1 - prev
+        acc = 0.0
+        for seg, dt in enumerate(dts):
+            if dt > 0:
+                acc += dw[k]
+                k += 1
+            if seg < hi - lo:
+                w_before[lo + seg] = acc
+        w_inc[i - 1] = acc
+        prev = i
+    w_inc[prev:] = dw[k:]
+    return w_inc, w_before
 
 
 def simulate_truth(cfg: ModelConfig, n: int, T: float, seed: int) -> GroundTruth:
@@ -608,8 +608,8 @@ def _simulate(
     # volatility reads W, and the observation reuses those draws
     vol = cfg.vol
     if observe or vol.kind == "ItoSM":
-        split, first, rows, cols = _split_intervals(intervals, N)
-        brownian = _brownian(substream(_W_STREAM), n, N, times, split, rows, cols)
+        runs = _jump_runs(intervals, N)
+        brownian = _brownian(substream(_W_STREAM), n, N, times, runs)
     n_clamps = 0
     first_clamp = -1
     if vol.kind == "Constant":
@@ -644,24 +644,27 @@ def _simulate(
     if vol.kind == "ItoSM":
         pre = np.maximum(pre + vol.tilde_b * (times - (intervals - 1) / n), vol.floor_eps)
     truth = dict(
-        T=float(T), n=int(n), sigma_grid=sigma, seed=int(seed), config=cfg, n_sigma_clamps=n_clamps,
-        times=times, sizes=sizes, sigma_pre=pre, sigma_post=pre, intervals=intervals,
+        T=float(T),
+        n=int(n),
+        sigma_grid=sigma,
+        times=times,
+        sizes=sizes,
+        sigma_pre=pre,
+        sigma_post=pre,
+        intervals=intervals,
+        seed=int(seed),
+        config=cfg,
+        n_sigma_clamps=n_clamps,
     )
     if not observe:
         return GroundTruth(**truth)
 
-    # the observation: X increments and grid values; an interval holding
-    # jumps adds their sizes as sizes[here].sum() sums them (c > 1 jumps:
-    # the rows of a table of the intervals holding c, summed)
+    # the observation: X increments and grid values
     w_inc, w_before = brownian
     inc = sigma[:N] * w_inc
     inc += cfg.drift_b / n
-    counts = np.bincount(rows)
-    jump_sums = sizes[first]
-    for c in set(counts.tolist()) - {1}:
-        here = counts == c
-        jump_sums[here] = sizes[first[here][:, None] + np.arange(c)].sum(axis=1)
-    inc[split - 1] += jump_sums
+    for i, lo, hi in runs:
+        inc[i - 1] += sizes[lo:hi].sum()
     x_grid = np.empty(N + 1)
     x_grid[0] = 0.0
     np.cumsum(inc, out=x_grid[1:])
@@ -711,19 +714,25 @@ def jump_neighborhood(path: SamplePath, p: int) -> JumpNeighborhood:
     """
     if not 0 <= p < len(path.times):
         raise SimulationError(f"jump index {p} outside 0..{len(path.times) - 1}")
-    n, i, time = path.n, int(path.intervals[p]), float(path.times[p])
+    time = float(path.times[p])
+    i = int(path.intervals[p])
     if i > path.n_steps:
-        raise SimulationError(f"jump {p} at time {time} falls past the last full grid interval")
+        raise SimulationError(
+            f"jump {p} at time {time} falls past the last full grid interval"
+        )
+    n = path.n
     sqn = math.sqrt(n)
     delta = time - (i - 1) / n
-    cont = path.config.drift_b * delta + path.sigma_grid[i - 1] * path.w_before_jump[p]
-    lo, hi = path.intervals.searchsorted((i, i + 1)).tolist()
+    sigma_left = path.sigma_grid[i - 1]
+    cont = path.config.drift_b * delta + sigma_left * path.w_before_jump[p]
+    lo, hi = path.intervals.searchsorted((i, i + 1)).tolist()  # the jumps of interval i
     earlier = 0.0
-    for other in path.sizes[lo:p].tolist():
-        earlier += other
+    for size in path.sizes[lo:p].tolist():
+        earlier += size
     pre_displacement = cont + earlier
+    inc_i = path.x_grid[i] - path.x_grid[i - 1]
     r_minus = sqn * pre_displacement
-    r_plus = sqn * (path.x_grid[i] - path.x_grid[i - 1] - pre_displacement - path.sizes[p])
+    r_plus = sqn * (inc_i - pre_displacement - path.sizes[p])
     return JumpNeighborhood(
         r_minus=float(r_minus),
         r_plus=float(r_plus),
@@ -815,27 +824,29 @@ def config_from_dict(d) -> ModelConfig:
 
 
 _MAGIC = b"UVSTATP1"
-# the scalar head of a path (binary layout _HEAD_FORMAT; the seed unsigned),
-# its grid arrays and the columns of its jump table, in the order both
-# formats use
+# the scalar head of a path (binary layout _HEAD_FORMAT, the seed unsigned)
+# and its columns, the grid arrays and then the jump table's, in the order
+# both formats use
 _PATH_HEAD = ("T", "n", "seed", "n_sigma_clamps")
 _HEAD_FORMAT = "<dqQq"
 _PATH_ARRAYS = ("x_grid", "sigma_grid", "w_increments", "w_before_jump")
-_JUMP_FIELDS = tuple(f.name for f in fields(JumpRecord))
+_PATH_COLUMNS = (*_PATH_ARRAYS, *_JUMP_COLUMNS.values())
 
 
-def _assemble_path(head, model, columns) -> SamplePath:
-    """A SamplePath from a document's head, model block and columns (_PATH_ARRAYS, then the jumps').
+def _assemble_path(head, model, columns: dict) -> SamplePath:
+    """A SamplePath from a document's head, model block and columns, keyed by _PATH_COLUMNS.
 
     Arrays of mismatched lengths, jumps out of time order or off their grid
     intervals raise SimulationError.
     """
-    names = _PATH_ARRAYS + _JUMP_COLUMNS
-    arrays = {name: np.asarray(column, dtype=float) for name, column in zip(names, columns)}
+    arrays = {name: np.asarray(columns[name], dtype=float) for name in _PATH_COLUMNS}
     arrays["intervals"] = arrays["intervals"].astype(int)
     lengths = {name: len(arr) for name, arr in arrays.items()}
-    grid = lengths["x_grid"] == lengths["sigma_grid"] == lengths["w_increments"] + 1
-    if not grid or len({lengths[name] for name in ("w_before_jump",) + _JUMP_COLUMNS}) > 1:
+    steps = lengths["w_increments"]
+    if not (
+        lengths["x_grid"] == lengths["sigma_grid"] == steps + 1
+        and len({lengths[name] for name in ("w_before_jump", *_JUMP_COLUMNS.values())}) == 1
+    ):
         raise SimulationError(
             f"inconsistent path document: array lengths {lengths}; "
             "x_grid and sigma_grid need len(w_increments) + 1 entries, "
@@ -843,8 +854,14 @@ def _assemble_path(head, model, columns) -> SamplePath:
         )
     times = arrays["times"]
     if (np.diff(times) < 0).any() or (arrays["intervals"] != _grid_intervals(times, head[1])).any():
-        raise SimulationError("inconsistent path document: jumps out of time order or off their intervals")
-    return SamplePath(**dict(zip(_PATH_HEAD, head)), **arrays, config=config_from_dict(model))
+        raise SimulationError(
+            "inconsistent path document: jumps out of time order or off their intervals"
+        )
+    return SamplePath(
+        **dict(zip(_PATH_HEAD, head)),
+        **arrays,
+        config=config_from_dict(model),
+    )
 
 
 def path_to_json(path: SamplePath) -> str:
@@ -863,8 +880,9 @@ def path_from_json(text: str) -> SamplePath:
     doc = json.loads(text)
     if not isinstance(doc, dict) or doc.get("format") != "uvstat.sample_path":
         raise SimulationError("not a sample path document")
-    columns = [doc[name] for name in _PATH_ARRAYS]
-    columns += [[row[name] for row in doc["jumps"]] for name in _JUMP_FIELDS]
+    columns = {name: doc[name] for name in _PATH_ARRAYS}
+    for field, name in _JUMP_COLUMNS.items():
+        columns[name] = [row[field] for row in doc["jumps"]]
     return _assemble_path([doc[name] for name in _PATH_HEAD], doc["model"], columns)
 
 
@@ -894,7 +912,7 @@ def path_to_binary(path: SamplePath) -> bytes:
         )
     cfg_blob = json.dumps(config_to_dict(path.config), sort_keys=True).encode()
     head = _MAGIC + struct.pack(_HEAD_FORMAT, *(getattr(path, name) for name in _PATH_HEAD))
-    columns = [getattr(path, name) for name in _PATH_ARRAYS + _JUMP_COLUMNS]
+    columns = [getattr(path, name) for name in _PATH_COLUMNS]
     body = b"".join([struct.pack("<Q", len(cfg_blob)), cfg_blob] + [_pack_array(c) for c in columns])
     return head + body
 
@@ -909,8 +927,7 @@ def path_from_binary(buf: bytes) -> SamplePath:
     offset += 8
     model = json.loads(buf[offset : offset + blob_len].decode())
     offset += blob_len
-    columns = []
-    for _ in _PATH_ARRAYS + _JUMP_COLUMNS:
-        column, offset = _unpack_array(buf, offset)
-        columns.append(column)
+    columns = {}
+    for name in _PATH_COLUMNS:
+        columns[name], offset = _unpack_array(buf, offset)
     return _assemble_path(head, model, columns)

@@ -35,7 +35,7 @@ from uvstat.simulate import (
     simulate_path,
     simulate_truth,
 )
-from uvstat.simulate import _brownian, _count, _simulate, _split_intervals
+from uvstat.simulate import _brownian, _count, _jump_runs, _simulate
 
 
 def make_config(
@@ -684,13 +684,15 @@ def test_brownian_split_matches_a_scalar_loop_on_hand_built_jumps(case):
     times = np.array(times)
     N = _count(n, T)
     intervals = np.maximum(np.ceil(times * n - 1e-12).astype(int), 1)
-    split, first, rows, cols = _split_intervals(intervals, N)
+    runs = _jump_runs(intervals, N)
     gen, ref_gen = np.random.default_rng(11), np.random.default_rng(11)
-    w_inc, w_before = _brownian(gen, n, N, times, split, rows, cols)
+    w_inc, w_before = _brownian(gen, n, N, times, runs)
     ref_inc, ref_before = _brownian_scalar(ref_gen, n, N, times, intervals)
     assert (w_inc.tobytes(), w_before.tobytes()) == (ref_inc.tobytes(), ref_before.tobytes())
     assert gen.random() == ref_gen.random()  # the same number of draws
-    assert sorted(set(intervals[intervals <= N].tolist())) == split.tolist()
+    inside = intervals[intervals <= N].tolist()
+    expected = [(i, inside.index(i), len(inside) - inside[::-1].index(i)) for i in sorted(set(inside))]
+    assert runs == expected
 
 
 def test_hand_built_splits_cover_the_edge_cases():
