@@ -22,14 +22,14 @@ The independent second path of a CLT or RNP replication feeds only the
 limit law, so it is drawn as ground truth alone (``simulate_truth``):
 no Brownian increments or X grid where nothing reads them.
 
-The LLN, CLT and RNP loops seed every rep of one n at once
-(``_RepSeeds``): one vectorized SeedSequence pass (``uvstat.seeding``)
+The LLN, CLT and RNP plans run one per-n rep loop (``_run_reps``) over
+their own per-rep and per-n functions.  It seeds every rep of one n at
+once (``_RepSeeds``): one vectorized SeedSequence pass (``uvstat.seeding``)
 gives each rep's derive_seed values and the PCG64 states of the
 generators its paths, augmentation and field draw read, so a rep builds
 no SeedSequence; the streams and every report byte are those of the
-public functions called with derive_seed.  The paths of one n also share
-one memo of their constant-grid moments and Gaussian field
-(``limits._Truth``).
+public functions called with derive_seed.  The paths of one n share one
+memo of their constant-grid moments and Gaussian field (``limits._Truth``).
 """
 
 from __future__ import annotations
@@ -122,7 +122,7 @@ def derive_seed(base_seed: int, *indices: int) -> int:
     SeedSequence mixes the entropy tuple through a hash with avalanche
     properties, so distinct index tuples give independent streams by
     construction.  The result is SeedSequence(entropy).generate_state(1,
-    np.uint64)[0]; the rep loops compute the same value for every rep of
+    np.uint64)[0]; the rep loop computes the same value for every rep of
     one n in one pass (``_RepSeeds``, ``uvstat.seeding``).
     """
     ss = np.random.SeedSequence((int(base_seed),) + tuple(int(i) for i in indices))
@@ -318,8 +318,9 @@ def _stat_and_limit(truth: _Truth):
 
 
 def _collision_count(path: SamplePath) -> int:
-    """The number of intervals holding more than one jump (those past the grid count as one)."""
-    return int(np.count_nonzero(np.unique(path.intervals, return_counts=True)[1] > 1))
+    """The number of grid intervals (index <= n_steps) holding more than one jump."""
+    values, counts = np.unique(path.intervals, return_counts=True)
+    return int(np.count_nonzero((counts > 1) & (values <= path.n_steps)))
 
 
 def _quantiles(values: np.ndarray) -> dict:
@@ -328,6 +329,26 @@ def _quantiles(values: np.ndarray) -> dict:
         "q25": float(np.quantile(values, 0.25)),
         "q75": float(np.quantile(values, 0.75)),
     }
+
+
+def _run_reps(plan: ExperimentPlan, rep, tabulate, limit_law: bool = False, plain: tuple = ()):
+    """The report of an LLN, CLT or RNP plan, its reps run n by n and in rep order.
+
+    Each n takes one seed pass and one memo of its paths' constant-grid
+    moments and field; rep r adds rep(seeds, r, path, memo) to a row keyed
+    n, rep and its observed path's seed, and tabulate(rows of n) is per_n[str(n)].
+    """
+    rows, per_n = [], {}
+    for n in plan.n_list:
+        seeds = _RepSeeds(plan, n, limit_law, plain)
+        shared: dict = {}  # the constant-grid moments and field of the n's paths
+        results = []
+        for r in range(plan.reps):
+            path = seeds.path(r)
+            results.append({"n": n, "rep": r, "seed": path.seed, **rep(seeds, r, path, shared)})
+        rows.extend(results)
+        per_n[str(n)] = tabulate(results)
+    return ExperimentReport(kind=plan.kind, plan=plan.to_dict(), tables={"per_n": per_n}, rows=rows)
 
 
 # ---------------------------------------------------------------------------
@@ -339,42 +360,35 @@ def run_lln(plan: ExperimentPlan) -> ExperimentReport:
     """Median statistic-vs-limit errors per n, plus the fitted log-log rate."""
     if plan.kind != "LLN":
         raise HarnessError(f"run_lln got plan of kind {plan.kind}")
-    kernel = plan.kernel
-    rows = []
-    per_n = {}
-    for n in plan.n_list:
-        seeds = _RepSeeds(plan, n)
-        shared: dict = {}  # the constant-grid moments of the n's paths
-        results = []
-        for r in range(plan.reps):
-            path = seeds.path(r)
-            stat, lim = _stat_and_limit(_Truth(path, kernel, plan.t, shared))
-            results.append({
-                "n": n,
-                "rep": r,
-                "seed": path.seed,
-                "stat": stat,
-                "limit": lim,
-                "error": stat - lim,
-                "n_jumps": len(path.sizes),
-                "n_collisions": _collision_count(path),
-            })
-        rows.extend(results)
+
+    def rep(seeds, r, path, shared):
+        stat, lim = _stat_and_limit(_Truth(path, plan.kernel, plan.t, shared))
+        return {
+            "stat": stat,
+            "limit": lim,
+            "error": stat - lim,
+            "n_jumps": len(path.sizes),
+            "n_collisions": _collision_count(path),
+        }
+
+    def tabulate(results):
         abs_err = np.array([abs(r["error"]) for r in results])
         denom = np.array([max(abs(r["limit"]), 1e-300) for r in results])
-        per_n[str(n)] = {
+        return {
             "abs_error": _quantiles(abs_err),
             "rel_error": _quantiles(abs_err / denom),
             "collision_reps": int(sum(1 for r in results if r["n_collisions"] > 0)),
         }
-    med = [per_n[str(n)]["abs_error"]["median"] for n in plan.n_list]
+
+    report = _run_reps(plan, rep, tabulate)
+    med = [report.tables["per_n"][str(n)]["abs_error"]["median"] for n in plan.n_list]
     slope = None
     if len(plan.n_list) >= 2 and all(m > 0 for m in med):
         slope = float(
             np.polyfit(np.log(np.array(plan.n_list, dtype=float)), np.log(med), 1)[0]
         )
-    tables = {"per_n": per_n, "log_log_slope": slope}
-    return ExperimentReport(kind="LLN", plan=plan.to_dict(), tables=tables, rows=rows)
+    report.tables["log_log_slope"] = slope
+    return report
 
 
 # ---------------------------------------------------------------------------
@@ -398,45 +412,36 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
         raise HarnessError(f"run_clt got plan of kind {plan.kind}")
     kernel = plan.kernel
     mixed = plan.kind == "CLT_mixed"
-    rows = []
-    per_n = {}
-    for n in plan.n_list:
-        plain = (_S_AUG, _S_FIELD) if mixed else (_S_AUG,)
-        seeds = _RepSeeds(plan, n, limit_law=True, plain=plain)
-        shared: dict = {}  # the constant-grid moments and field of the n's paths
-        results = []
-        for r in range(plan.reps):
-            path = seeds.path(r)
-            truth = _Truth(path, kernel, plan.t, shared)
-            stat, lim = _stat_and_limit(truth)
-            cv = _cond_var_mixed(truth) if mixed else _cond_var_jump(truth)
-            raw = math.sqrt(n) * (stat - lim)
-            excluded = cv.total <= 0.0 or (mixed and path.clamped)
-            z = raw / math.sqrt(cv.total) if not excluded else None
 
-            path2 = seeds.truth(r)
-            aug = _augment(path2, seeds.seed(_S_AUG, r), seeds.rng(_S_AUG, r))
-            if mixed:
-                draw = _sample_V_mixed(
-                    _Truth(path2, kernel, plan.t, shared),
-                    aug,
-                    functools.partial(seeds.rng, _S_FIELD, r),
-                )
-            else:
-                draw = sample_U_jump(path2, kernel, aug, t=plan.t)
-            draw_excluded = path2.jump_count(plan.t) == 0 or (mixed and path2.clamped)
-            results.append({
-                "n": n,
-                "rep": r,
-                "seed": path.seed,
-                "scaled_error": raw,
-                "cond_var": cv.total,
-                "z": z,
-                "excluded": excluded,
-                "limit_draw": draw,
-                "draw_excluded": draw_excluded,
-            })
-        rows.extend(results)
+    def rep(seeds, r, path, shared):
+        truth = _Truth(path, kernel, plan.t, shared)
+        stat, lim = _stat_and_limit(truth)
+        cv = _cond_var_mixed(truth) if mixed else _cond_var_jump(truth)
+        raw = math.sqrt(seeds.n) * (stat - lim)
+        excluded = cv.total <= 0.0 or (mixed and path.clamped)
+        z = raw / math.sqrt(cv.total) if not excluded else None
+
+        path2 = seeds.truth(r)
+        aug = _augment(path2, seeds.seed(_S_AUG, r), seeds.rng(_S_AUG, r))
+        if mixed:
+            draw = _sample_V_mixed(
+                _Truth(path2, kernel, plan.t, shared),
+                aug,
+                functools.partial(seeds.rng, _S_FIELD, r),
+            )
+        else:
+            draw = sample_U_jump(path2, kernel, aug, t=plan.t)
+        draw_excluded = path2.jump_count(plan.t) == 0 or (mixed and path2.clamped)
+        return {
+            "scaled_error": raw,
+            "cond_var": cv.total,
+            "z": z,
+            "excluded": excluded,
+            "limit_draw": draw,
+            "draw_excluded": draw_excluded,
+        }
+
+    def tabulate(results):
         zs = np.array([r["z"] for r in results if not r["excluded"]])
         n_excluded = sum(1 for r in results if r["excluded"])
         table = {"reps": plan.reps, "excluded": int(n_excluded)}
@@ -460,16 +465,16 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
         table["draw_excluded"] = int(sum(1 for r in results if r["draw_excluded"]))
         if len(raws) >= 10 and len(draws) >= 10:
             table["two_sample_ks_stat"], table["two_sample_ks_pvalue"] = ks_2samp_asymp(raws, draws)
-        per_n[str(n)] = table
-    report = ExperimentReport(
-        kind=plan.kind, plan=plan.to_dict(), tables={"per_n": per_n}, rows=rows
-    )
+        return table
+
+    plain = (_S_AUG, _S_FIELD) if mixed else (_S_AUG,)
+    report = _run_reps(plan, rep, tabulate, limit_law=True, plain=plain)
     if plan.collect_samples:
         report.samples = {
             str(n): {
-                "z": [r["z"] for r in rows if r["n"] == n and not r["excluded"]],
-                "scaled_error": [r["scaled_error"] for r in rows if r["n"] == n],
-                "limit_draw": [r["limit_draw"] for r in rows if r["n"] == n],
+                "z": [r["z"] for r in report.rows if r["n"] == n and not r["excluded"]],
+                "scaled_error": [r["scaled_error"] for r in report.rows if r["n"] == n],
+                "limit_draw": [r["limit_draw"] for r in report.rows if r["n"] == n],
             }
             for n in plan.n_list
         }
@@ -492,35 +497,30 @@ def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
     """
     if plan.kind != "RNP":
         raise HarnessError(f"run_rnp_check got plan of kind {plan.kind}")
-    rows = []
-    per_n = {}
-    for n in plan.n_list:
-        seeds = _RepSeeds(plan, n, limit_law=True, plain=(_S_AUG,))
-        results = []
-        for r in range(plan.reps):
-            path = seeds.path(r)
-            # the first jump alone in its interval; jump_neighborhood refuses
-            # a jump past the last full interval, as it ends the jumps
-            values, first, counts = np.unique(path.intervals, return_index=True, return_counts=True)
-            stop = first[(counts == 1) | (values > path.n_steps)]
-            discrete = jump_neighborhood(path, int(stop[0])).r if len(stop) else None
-            path2 = seeds.truth(r)
-            limit_r = None
-            if len(path2.sizes):
-                aug = _augment(path2, seeds.seed(_S_AUG, r), seeds.rng(_S_AUG, r))
-                limit_r = float(aug.r[0])
-            results.append(
-                {"n": n, "rep": r, "seed": path.seed, "r_discrete": discrete, "r_limit": limit_r}
-            )
-        rows.extend(results)
+
+    def rep(seeds, r, path, shared):
+        # the first jump alone in its interval; jump_neighborhood refuses
+        # a jump past the last full interval, as it ends the jumps
+        values, first, counts = np.unique(path.intervals, return_index=True, return_counts=True)
+        stop = first[(counts == 1) | (values > path.n_steps)]
+        discrete = jump_neighborhood(path, int(stop[0])).r if len(stop) else None
+        path2 = seeds.truth(r)
+        limit_r = None
+        if len(path2.sizes):
+            aug = _augment(path2, seeds.seed(_S_AUG, r), seeds.rng(_S_AUG, r))
+            limit_r = float(aug.r[0])
+        return {"r_discrete": discrete, "r_limit": limit_r}
+
+    def tabulate(results):
         a = np.array([r["r_discrete"] for r in results if r["r_discrete"] is not None])
         b = np.array([r["r_limit"] for r in results if r["r_limit"] is not None])
         table = {"n_discrete": int(len(a)), "n_limit": int(len(b))}
         if len(a) >= 10 and len(b) >= 10:
             ks_stat, ks_pvalue = ks_2samp_asymp(a, b)
             table.update({"ks_stat": ks_stat, "ks_pvalue": ks_pvalue})
-        per_n[str(n)] = table
-    return ExperimentReport(kind="RNP", plan=plan.to_dict(), tables={"per_n": per_n}, rows=rows)
+        return table
+
+    return _run_reps(plan, rep, tabulate, limit_law=True, plain=(_S_AUG,))
 
 
 # ---------------------------------------------------------------------------

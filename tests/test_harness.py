@@ -119,6 +119,23 @@ def test_run_lln_pure_jump_exact():
             assert abs(row["error"]) < 1e-9
 
 
+def test_collision_count_reads_only_the_grid_intervals():
+    # n t = 87.68: the jumps past the last full interval share index 88,
+    # which no statistic reads, so they are no collision
+    cfg = ModelConfig(
+        drift_b=0.0,
+        vol=VolatilityModel(kind="Constant", sigma0=1.0),
+        jumps=JumpModel(intensity=200.0, size_dist=Uniform(-1.0, 1.0), max_abs=3.0),
+        bound_A=1e9,
+    )
+    path = simulate_path(cfg, 64, 1.37, 4)
+    grid = [i for i in path.intervals.tolist() if i <= path.n_steps]
+    shared = sum(1 for i in set(grid) if grid.count(i) > 1)
+    assert (path.n_steps, shared) == (87, 73)
+    assert np.count_nonzero(path.intervals > path.n_steps) > 1
+    assert uvstat.harness._collision_count(path) == shared
+
+
 def test_run_lln_errors_decrease():
     plan = ExperimentPlan(
         "LLN", model(), KernelSpec(d=2, l=2, p=(4.0, 4.0), regime="JumpCLT"),

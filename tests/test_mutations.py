@@ -49,10 +49,35 @@ seeds 0-3:
     spawn key appended to unpadded run entropy  caught        caught        caught
     generate_state multiplier off by one        caught        caught        caught
     rep indices in the pass shifted by one      missed        caught        caught
+
+Limit-law defects are compiled from the source of the function they
+change, or wrap it, and replace it in every module that imports it.  The
+gates are the homogeneity relations (``test_homogeneity``: every scale
+of the model doubled on one seed, on ``ITOSM_CASE``) and the acceptance
+criteria that read the changed code, run at their own seeds:
+
+    defect                                   homogeneity   acceptance
+    sigma^{2p} for sigma^p in a moment       caught        missed by 7 and 8
+    R drawn with sigma^2 for sigma           caught        missed by 5 and 11
+    H for dH in the jump cond. variance      caught        caught by 4 (z_var 16.9, 63.4)
+    mixed cond. variance x 1.25              missed        caught by 7 (z_var 0.837)
+    field term dropped from the mixed var.   missed        missed by 7 (z_var 1.069)
+
+Every acceptance plan that reads a moment or an R draw has sigma = 1,
+where sigma^{2p} = sigma^p and sigma^2 = sigma; only the homogeneity
+relations see those two defects.  Criterion 7 also compares 1e4 limit
+draws with the conditional variance on one path: x 1.25 moves that by
+20%, the dropped field by 2.3%, inside its 5% bound.
+
+The homogeneity relations see only a defect that changes a degree of
+homogeneity: a wrong n-normalization, the p and q blocks swapped or a
+misplaced jump time keeps every degree, and no row here tests them.
 """
 
+import inspect
 import math
 import re
+import textwrap
 from dataclasses import replace
 from pathlib import Path
 
@@ -61,11 +86,16 @@ from scipy.special import kolmogorov
 
 import uvstat.harness
 import uvstat.ks
+import uvstat.limits
+import uvstat.sampler
 import uvstat.seeding
 import uvstat.simulate
 from uvstat.kernels import Factor1D, QuadratureError
+from uvstat.limits import CondVariance
 
+import test_acceptance
 import test_cli
+import test_homogeneity
 import test_ks
 import test_sampler
 import test_seeding
@@ -224,3 +254,96 @@ def test_seed_pass_defect_caught_by_its_gates(monkeypatch, tmp_path, capsys, def
         ),
     )
     assert caught == SEED_CAUGHT[defect]
+
+
+def _mutated(fn, *edits):
+    """fn compiled again from its source with each (old, new) edit made once."""
+    source = textwrap.dedent(inspect.getsource(fn))
+    for old, new in edits:
+        assert source.count(old) == 1, old
+        source = source.replace(old, new)
+    namespace = dict(fn.__globals__)
+    exec(compile(source, f"<mutated {fn.__qualname__}>", "exec"), namespace)
+    return namespace[fn.__name__]
+
+
+def _scaled_cond_var(factor, field):
+    """_cond_var_mixed with its total times factor and its field term times field."""
+    cond_var_mixed = uvstat.limits._cond_var_mixed
+
+    def defect(truth):
+        cv = cond_var_mixed(truth)
+        jump, fld = factor * cv.jump_term, factor * field * cv.field_term
+        return CondVariance(total=jump + fld, jump_term=jump, field_term=fld)
+
+    return defect
+
+
+# defect -> (owner, name, a builder of the replacement), which replaces the
+# name in every module that binds it
+LIMIT_DEFECTS = {
+    "none": None,
+    "moment_sigma_2p": (Factor1D, "gaussian_moment_vec", lambda: _mutated(
+        Factor1D.gaussian_moment_vec,
+        ("sigmas ** self.power * scale", "sigmas ** (2 * self.power) * scale"),
+    )),
+    "r_sigma_squared": (uvstat.sampler, "_augment", lambda: _mutated(
+        uvstat.sampler._augment,
+        ("path.sigma_pre * psi_minus", "path.sigma_pre ** 2 * psi_minus"),
+        ("path.sigma_post * psi_plus", "path.sigma_post ** 2 * psi_plus"),
+    )),
+    # H summed like the jump limit's terms, where the variance sums dH
+    "cond_var_jump_h_for_dh": (uvstat.limits, "_cond_var_jump", lambda: _mutated(
+        uvstat.limits._cond_var_jump,
+        ("truth.compiled.vbar_slots",
+         '("free",) + ("sum",) * (kernel.l - 1) + (0.0,) * (kernel.d - kernel.l)'),
+    )),
+    "cond_var_mixed_x1_25": (uvstat.limits, "_cond_var_mixed", lambda: _scaled_cond_var(1.25, 1.0)),
+    "field_term_dropped": (uvstat.limits, "_cond_var_mixed", lambda: _scaled_cond_var(1.0, 0.0)),
+}
+
+
+def _homogeneity_fails():
+    return test_homogeneity.scaling_breaks(*test_homogeneity.ITOSM_CASE) != []
+
+
+def _fixture(name):
+    """A module fixture of the acceptance suite, computed afresh."""
+    return getattr(test_acceptance, name).__wrapped__()
+
+
+ACCEPTANCE_GATES = {
+    4: lambda: _fails(
+        test_acceptance.test_criterion_04_jump_clt, _fixture("clt_jump_d1"), _fixture("clt_jump_d2")
+    ),
+    5: lambda: _fails(
+        test_acceptance.test_criterion_05_sampler_marginal_law, _fixture("clt_jump_marginal")
+    ),
+    7: lambda: _fails(test_acceptance.test_criterion_07_mixed_clt, _fixture("clt_mixed")),
+    8: lambda: _fails(test_acceptance.test_criterion_08_rho_and_c_closed_forms),
+    11: lambda: _fails(test_acceptance.test_criterion_11_rnp_convergence),
+}
+
+# defect -> (the homogeneity relations fail, {acceptance criterion: it fails})
+LIMIT_CAUGHT = {
+    "none": (False, {}),
+    "moment_sigma_2p": (True, {7: False, 8: False}),
+    "r_sigma_squared": (True, {5: False, 11: False}),
+    "cond_var_jump_h_for_dh": (True, {4: True}),
+    "cond_var_mixed_x1_25": (False, {7: True}),
+    "field_term_dropped": (False, {7: False}),
+}
+
+
+@pytest.mark.parametrize("defect", sorted(LIMIT_DEFECTS))
+def test_limit_law_defect_caught_by_its_gates(monkeypatch, defect):
+    if LIMIT_DEFECTS[defect] is not None:
+        owner, name, build = LIMIT_DEFECTS[defect]
+        original, replacement = getattr(owner, name), build()
+        monkeypatch.setattr(owner, name, replacement)
+        for module in (uvstat.harness, uvstat.limits, uvstat.sampler):
+            if getattr(module, name, None) is original:
+                monkeypatch.setattr(module, name, replacement)
+    homogeneity, criteria = LIMIT_CAUGHT[defect]
+    caught = (_homogeneity_fails(), {c: ACCEPTANCE_GATES[c]() for c in criteria})
+    assert caught == (homogeneity, criteria)

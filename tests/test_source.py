@@ -371,3 +371,62 @@ EXEC_SITES = {"kernels.py": ["Factor1D._steps"]}
 def test_exec_only_in_the_step_compiler(path):
     sites = [s.split(": ", 1)[1] for s in exec_sites(path.read_text(encoding="utf-8"))]
     assert sites == EXEC_SITES.get(path.name, [])
+
+
+# the LLN, CLT and RNP plans run their reps through one per-n loop, which
+# seeds each n once; ZTRUNC keeps its own loop over one path's augmentations
+def called_name(node):
+    """The name a call calls (f or x.f), or None for any other node."""
+    if not isinstance(node, ast.Call):
+        return None
+    return getattr(node.func, "id", getattr(node.func, "attr", None))
+
+
+def rep_loop_sites(source: str) -> list:
+    """Where the source builds a _RepSeeds or loops over range(<x>.reps), a for or a
+    comprehension: 'line N: <what> in <top-level function>'."""
+    found = []
+    for top in ast.parse(source).body:
+        scope = getattr(top, "name", "<module>")
+        for node in ast.walk(top):
+            if called_name(node) == "_RepSeeds":
+                found.append(f"line {node.lineno}: _RepSeeds in {scope}")
+            elif (
+                isinstance(node, (ast.For, ast.comprehension))
+                and called_name(node.iter) == "range"
+                and any(getattr(arg, "attr", None) == "reps" for arg in node.iter.args)
+            ):
+                found.append(f"line {node.iter.lineno}: range(reps) in {scope}")
+    return sorted(found)
+
+
+def test_rep_loop_sites_detected():
+    # the shape of the three runners before they shared one loop
+    source = (
+        "def run_lln(plan):\n"
+        "    for n in plan.n_list:\n"
+        "        seeds = _RepSeeds(plan, n)\n"
+        "        for r in range(plan.reps):\n"
+        "            pass\n"
+        "def run_clt(plan):\n"
+        "    def rep(n):\n"
+        "        seeds = harness._RepSeeds(plan, n, limit_law=True)\n"
+        "        return [seeds.path(r) for r in range(plan.reps)]\n"
+        "def run_rnp_check(plan):\n"
+        "    for r in range(len(plan.n_list)):\n"
+        "        _RepSeeds\n"
+        "    return [r for r in range(reps)]\n"
+    )
+    assert rep_loop_sites(source) == [
+        "line 3: _RepSeeds in run_lln",
+        "line 4: range(reps) in run_lln",
+        "line 8: _RepSeeds in run_clt",
+        "line 9: range(reps) in run_clt",
+    ]
+
+
+def test_lln_clt_and_rnp_plans_run_one_rep_loop():
+    sites = rep_loop_sites((SRC / "harness.py").read_text(encoding="utf-8"))
+    assert sorted({site.split(": ", 1)[1] for site in sites}) == [
+        "_RepSeeds in _run_reps", "range(reps) in _run_reps", "range(reps) in run_ztrunc"
+    ]
