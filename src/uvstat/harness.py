@@ -24,12 +24,12 @@ no Brownian increments or X grid where nothing reads them.
 
 The LLN, CLT and RNP plans run one per-n rep loop (``_run_reps``) over
 their own per-rep and per-n functions.  It seeds every rep of one n at
-once (``_RepSeeds``): one vectorized SeedSequence pass (``uvstat.seeding``)
-gives each rep's derive_seed values and the PCG64 states of the
-generators its paths, augmentation and field draw read, so a rep builds
-no SeedSequence; the streams and every report byte are those of the
-public functions called with derive_seed.  The paths of one n share one
-memo of their constant-grid moments and Gaussian field (``limits._Truth``).
+once (``_RepSeeds``): three vectorized SeedSequence passes
+(``uvstat.seeding``) hash every seed and PCG64 state a rep of any kind
+can read, so a rep builds no SeedSequence; the streams and every report
+byte are those of the public functions called with derive_seed.  The
+paths of one n share one memo of their constant-grid moments and
+Gaussian field (``limits._Truth``).
 """
 
 from __future__ import annotations
@@ -48,14 +48,14 @@ from uvstat.ks import ks_2samp_asymp, kstest_norm_asymp
 from uvstat.limits import _cond_var_jump, _cond_var_mixed, _jump_limit, _mixed_limit, _Truth
 from uvstat.sampler import _augment, _sample_V_mixed, augment, sample_U_jump, truncated_Z
 from uvstat.simulate import (
-    _CLAMP_BUDGET,
+    _SUBSTREAMS,
     GroundTruth,
     ModelConfig,
     SamplePath,
+    _count,
     _jump_stream,
     _seed_substreams,
     _simulate,
-    _substreams_read,
     jump_neighborhood,
     simulate_path,
 )
@@ -123,69 +123,61 @@ def derive_seed(base_seed: int, *indices: int) -> int:
     properties, so distinct index tuples give independent streams by
     construction.  The result is SeedSequence(entropy).generate_state(1,
     np.uint64)[0]; the rep loop computes the same value for every rep of
-    one n in one pass (``_RepSeeds``, ``uvstat.seeding``).
+    one n in one seed table (``_RepSeeds``, ``uvstat.seeding``).
     """
     ss = np.random.SeedSequence((int(base_seed),) + tuple(int(i) for i in indices))
     return int(ss.generate_state(1, np.uint64)[0])
 
 
-# streams
-_S_PATH, _S_PATH2, _S_AUG, _S_FIELD = 0, 1, 2, 3
-
-
-def _derive_rows(base_seed: int, stream: int, n: int, reps: int) -> list:
-    """The SeedSequence entropy words of derive_seed(base_seed, stream, n, r), r = 0 .. reps-1.
-
-    Each int of the entropy tuple contributes its own words, so the
-    words of (base_seed, stream, n) are shared by every rep.
-    """
-    head = seeding.entropy_words((base_seed, stream, n))
-    return [head + seeding.entropy_words(r) for r in range(reps)]
+# streams, the two path streams first
+_STREAMS = _S_PATH, _S_PATH2, _S_AUG, _S_FIELD = (0, 1, 2, 3)
 
 
 class _RepSeeds:
-    """Every seed the reps of one n read, from one vectorized SeedSequence pass.
+    """Every seed a rep of one n can read, hashed in three fixed-width passes.
 
     seed(stream, r) is derive_seed(plan.base_seed, stream, n, r) for each
-    stream asked for: the observed path (_S_PATH) always, the limit-law
-    path (_S_PATH2) with limit_law, and the plain streams (augmentation,
-    field draw), whose generators are SeedSequence(seed)'s.  A path seed is expanded into the PCG64 states of the
-    simulator substreams its stage reads (simulate._substreams_read), a
-    plain seed into the state of SeedSequence(seed).  uvstat.seeding
-    hashes all of them in two passes over numpy arrays, and each
-    generator is built from its state where it is read: the same draws
-    as simulate_path, simulate_truth, augment and sample_V_mixed make
-    from the same seeds.
+    of the four streams: the observed path (_S_PATH), the limit-law path
+    (_S_PATH2), the augmentation (_S_AUG) and the field draw (_S_FIELD).
+    A path seed is expanded into the PCG64 states of all three simulator
+    substreams (simulate._SUBSTREAMS), an augmentation or field seed into
+    the state of SeedSequence(seed).  uvstat.seeding hashes them in one
+    pass per row width: the derive_seed rows (the words of (base_seed,
+    stream, n) and the rep index as the last column), the substream rows
+    [lo, hi, 0, 0, i] and the augmentation and field rows [lo, hi].  Each
+    generator is built from its state where it is read: the same draws as
+    simulate_path, simulate_truth, augment and sample_V_mixed make from
+    the same seeds.
     """
 
-    def __init__(self, plan: ExperimentPlan, n: int, limit_law: bool = False, plain: tuple = ()):
+    def __init__(self, plan: ExperimentPlan, n: int):
         self.model, self.n, self.t = plan.model, n, plan.t
-        paths = (_S_PATH, _S_PATH2) if limit_law else (_S_PATH,)
-        streams = paths + tuple(plain)
-        rows = [row for s in streams for row in _derive_rows(plan.base_seed, s, n, plan.reps)]
-        seeds = seeding.seed_states(rows, 1).reshape(len(streams), plan.reps)
-        self._seeds = {s: [int(seed) for seed in row] for s, row in zip(streams, seeds)}
-        keys = [(s, i) for s in paths for i in _substreams_read(plan.model, observe=s == _S_PATH)]
-        keys += [(s, None) for s in plain]
-        rows = [
-            seeding.entropy_words(seed, () if i is None else (i,))
-            for s, i in keys
-            for seed in self._seeds[s]
-        ]
-        states = seeding.seed_states(rows, 4).reshape(len(keys), plan.reps, 4)
-        self._states = dict(zip(keys, states))
+        heads = [seeding.entropy_words((plan.base_seed, s, n, 0)) for s in _STREAMS]
+        rows = np.repeat(np.array(heads, dtype=np.uint32), plan.reps, axis=0)
+        rows[:, -1] = np.tile(np.arange(plan.reps), len(_STREAMS))  # rep r is one word, 0 in heads
+        seeds = seeding.seed_states(rows, 1).reshape(len(_STREAMS), plan.reps)
+        self._seeds = seeds.tolist()
+        paths, draws = [_S_PATH, _S_PATH2], [_S_AUG, _S_FIELD]
+        path_seeds = seeds[paths].ravel()
+        path_rows = np.concatenate([seeding.seed_rows(path_seeds, i) for i in _SUBSTREAMS])
+        states = np.concatenate([
+            seeding.seed_states(path_rows, 4),
+            seeding.seed_states(seeding.seed_rows(seeds[draws].ravel()), 4),
+        ])
+        keys = [(s, i) for i in _SUBSTREAMS for s in paths] + [(s, None) for s in draws]
+        self._states = dict(zip(keys, states.reshape(len(keys), plan.reps, 4)))
 
     def seed(self, stream: int, r: int) -> int:
         return self._seeds[stream][r]
 
     def rng(self, stream: int, r: int):
-        """The generator of SeedSequence(seed(stream, r)), for a plain stream."""
+        """The generator of SeedSequence(seed(stream, r)), for _S_AUG or _S_FIELD."""
         return seeding.generator(self._states[stream, None][r])
 
     def _draw_path(self, stream: int, r: int, observe: bool):
         states = self._states
         return _simulate(
-            self.model, self.n, self.t, self.seed(stream, r), _CLAMP_BUDGET, observe,
+            self.model, self.n, self.t, self.seed(stream, r), observe,
             lambda index: seeding.generator(states[stream, index][r]),
         )
 
@@ -233,6 +225,8 @@ class ExperimentPlan:
             raise HarnessError(f"n_list must be strictly increasing, got {self.n_list}")
         if not self.t > 0:
             raise HarnessError(f"t must be > 0, got {self.t}")
+        if _count(self.n_list[0], self.t) < 1:  # the smallest n has the fewest steps
+            raise HarnessError(f"n_list entry {self.n_list[0]} has no grid step at t = {self.t!r}")
         if self.kind == "GRID" and not self.beta_grid:
             raise HarnessError("GRID experiments need a beta_grid")
         if any(b <= 0 for b in self.beta_grid):
@@ -331,16 +325,16 @@ def _quantiles(values: np.ndarray) -> dict:
     }
 
 
-def _run_reps(plan: ExperimentPlan, rep, tabulate, limit_law: bool = False, plain: tuple = ()):
+def _run_reps(plan: ExperimentPlan, rep, tabulate):
     """The report of an LLN, CLT or RNP plan, its reps run n by n and in rep order.
 
-    Each n takes one seed pass and one memo of its paths' constant-grid
+    Each n takes one seed table and one memo of its paths' constant-grid
     moments and field; rep r adds rep(seeds, r, path, memo) to a row keyed
     n, rep and its observed path's seed, and tabulate(rows of n) is per_n[str(n)].
     """
     rows, per_n = [], {}
     for n in plan.n_list:
-        seeds = _RepSeeds(plan, n, limit_law, plain)
+        seeds = _RepSeeds(plan, n)
         shared: dict = {}  # the constant-grid moments and field of the n's paths
         results = []
         for r in range(plan.reps):
@@ -467,8 +461,7 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
             table["two_sample_ks_stat"], table["two_sample_ks_pvalue"] = ks_2samp_asymp(raws, draws)
         return table
 
-    plain = (_S_AUG, _S_FIELD) if mixed else (_S_AUG,)
-    report = _run_reps(plan, rep, tabulate, limit_law=True, plain=plain)
+    report = _run_reps(plan, rep, tabulate)
     if plan.collect_samples:
         report.samples = {
             str(n): {
@@ -520,7 +513,7 @@ def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
             table.update({"ks_stat": ks_stat, "ks_pvalue": ks_pvalue})
         return table
 
-    return _run_reps(plan, rep, tabulate, limit_law=True, plain=(_S_AUG,))
+    return _run_reps(plan, rep, tabulate)
 
 
 # ---------------------------------------------------------------------------

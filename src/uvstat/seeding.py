@@ -1,19 +1,18 @@
 """numpy's SeedSequence, vectorized over rows of entropy words.
 
-A replication of an experiment seeds up to nine generators: four
-``derive_seed`` hashes, the substreams its paths read, its augmentation
-and its Gaussian-field draw.  One ``SeedSequence`` costs about 10 µs of
-Python-level work, which is most of the fixed cost of a replication.
-This module computes the same hashes for every row of a batch at once,
-in numpy uint32 arithmetic, and builds each generator from its
-precomputed PCG64 seed state.
+A replication of an experiment reads up to four ``derive_seed`` streams,
+and each path stream up to three simulator substreams.  One
+``SeedSequence`` costs about 10 µs of Python-level work, which is most
+of the fixed cost of a replication.  This module computes the same
+hashes for every row of a batch at once, in numpy uint32 arithmetic,
+and builds each generator from its precomputed PCG64 seed state.
 
 The port follows numpy's ``SeedSequence`` (numpy/random/bit_generator.pyx)
 with the default pool of four words:
 
 * entropy: every int becomes its little-endian 32-bit words (0 is one
-  word); a spawn key first pads the run entropy with zeros to four
-  words, then appends its own words (``entropy_words``);
+  word, ``entropy_words``); a spawn key first pads the run entropy with
+  zeros to four words, then appends its own words;
 * ``mix_entropy``: each pool word hashes one entropy word (0 past the
   end, so a row of four words or fewer hashes like its zero-padded
   four-word form), every pool word is mixed into every other, and each
@@ -21,11 +20,14 @@ with the default pool of four words:
 * ``generate_state``: word i hashes pool word i mod 4 with a running
   multiplier; two consecutive words make one little-endian uint64.
 
-The hash multipliers depend only on the position of a step, never on
-the data, so every row of one length runs the same steps; rows are
-grouped by length.  ``tests/test_seeding.py`` checks the port against
-numpy's own ``SeedSequence``.  numpy.random is imported where a
-generator is built, not on import.
+So the entropy of a uint64 seed is the fixed-width row [lo, hi] even
+when hi is 0, and with spawn key (i,) the row [lo, hi, 0, 0, i]
+(``seed_rows``).  The hash multipliers depend only on the position of a
+step, never on the data, so every row of one width runs the same steps:
+``seed_states`` hashes one (rows, width) matrix at once.
+``tests/test_seeding.py`` checks the port against numpy's own
+``SeedSequence``.  numpy.random is imported where a generator is built,
+not on import.
 """
 
 from __future__ import annotations
@@ -34,7 +36,7 @@ import functools
 
 import numpy as np
 
-__all__ = ["entropy_words", "seed_states", "generator"]
+__all__ = ["entropy_words", "seed_rows", "seed_states", "generator"]
 
 _POOL_SIZE = 4
 _INIT_A, _MULT_A = 0x43B0D7E5, 0x931E8875
@@ -57,25 +59,23 @@ def _int_words(value: int) -> list:
     return words
 
 
-def _pad_run_entropy(words: list) -> list:
-    """Run entropy zero-padded to the pool size, as numpy does before a spawn key."""
-    return words + [0] * (_POOL_SIZE - len(words))
+def entropy_words(entropy: tuple) -> list:
+    """The entropy words of SeedSequence(entropy): each int of entropy contributes its own words."""
+    return [w for value in entropy for w in _int_words(value)]
 
 
-def entropy_words(entropy, spawn_key=()) -> list:
-    """The entropy words of SeedSequence(entropy, spawn_key=spawn_key).
+def seed_rows(seeds, spawn_index=None) -> np.ndarray:
+    """The entropy rows of SeedSequence(seed, spawn_key=(spawn_index,)) for each uint64 seed.
 
-    entropy is an int or a sequence of ints, each contributing its own
-    words; a non-empty spawn key pads the run entropy to the pool size
-    first.
+    [lo, hi] without a spawn index, [lo, hi, 0, 0, spawn_index] with one:
+    a (len(seeds), width) uint32 matrix for ``seed_states``.
     """
-    if isinstance(entropy, (int, np.integer)):
-        words = _int_words(entropy)
-    else:
-        words = [w for value in entropy for w in _int_words(value)]
-    if spawn_key:
-        words = _pad_run_entropy(words) + [w for value in spawn_key for w in _int_words(value)]
-    return words
+    words = np.asarray(seeds, dtype="<u8").view("<u4").reshape(-1, 2)  # [lo, hi] per seed
+    rows = np.zeros((len(words), 2 if spawn_index is None else _POOL_SIZE + 1), dtype=np.uint32)
+    rows[:, :2] = words
+    if spawn_index is not None:
+        rows[:, -1] = spawn_index
+    return rows
 
 
 class _Hash:
@@ -120,22 +120,15 @@ def _generate(pool: list, n_words: int) -> np.ndarray:
     return halves[:, 0::2] | (halves[:, 1::2] << np.uint64(32))
 
 
-def seed_states(rows, n_words: int) -> np.ndarray:
+def seed_states(rows: np.ndarray, n_words: int) -> np.ndarray:
     """SeedSequence(...).generate_state(n_words, np.uint64) of every entropy row.
 
-    rows holds lists of entropy words (``entropy_words``); the result is
-    a (len(rows), n_words) uint64 array, row for row.  Rows of one length
-    are hashed together.
+    rows is a (rows, width) uint32 matrix, one row of entropy words each
+    (``entropy_words``, ``seed_rows``); the result is a (rows, n_words)
+    uint64 array, row for row.
     """
-    out = np.empty((len(rows), n_words), dtype=np.uint64)
-    by_length: dict = {}
-    for k, row in enumerate(rows):
-        by_length.setdefault(len(row), []).append(k)
     with np.errstate(over="ignore"):
-        for index in by_length.values():
-            words = np.array([rows[k] for k in index], dtype=np.uint32)
-            out[index] = _generate(_pool(words), n_words)
-    return out
+        return _generate(_pool(rows), n_words)
 
 
 @functools.cache

@@ -15,14 +15,13 @@ the grid intervals that hold jumps, jump_neighborhood's over the earlier
 jumps of one interval.
 
 Everything is a deterministic function of (config, n, T, seed): the seed
-is expanded into three independent substreams, jumps, W and V, so the
-Brownian draws do not depend on how many jumps were placed.  Substream
-i is SeedSequence(seed, spawn_key=(i,)), equal bit for bit to
-SeedSequence(seed).spawn(3)[i], and each is built only where it is read
-(``_substreams_read`` lists them per stage).  simulate_path and
-simulate_truth build each from its SeedSequence; the harness passes the
-private ``_simulate`` generators on the same PCG64 states, which it
-computes for every rep of one n in one vectorized pass
+is expanded into three independent substreams (``_SUBSTREAMS``), jumps,
+W and V, so the Brownian draws do not depend on how many jumps were
+placed.  Substream i is SeedSequence(seed, spawn_key=(i,)), equal bit for
+bit to SeedSequence(seed).spawn(3)[i], and each generator is built only
+where it is read.  simulate_path and simulate_truth build each from its
+SeedSequence; the harness hands ``_simulate`` generators on the same
+PCG64 states, hashed for every rep of one n in one vectorized pass
 (``uvstat.seeding``), so both routes draw the same stream.
 
 A path is drawn in two stages.  The ground-truth stage
@@ -433,9 +432,10 @@ def _grid_intervals(times: np.ndarray, n: int) -> np.ndarray:
 # the substream index i of each source: SeedSequence(seed, spawn_key=(i,)),
 # which is SeedSequence(seed).spawn(3)[i] bit for bit
 _JUMP_STREAM, _W_STREAM, _V_STREAM = 0, 1, 2
+_SUBSTREAMS = (_JUMP_STREAM, _W_STREAM, _V_STREAM)
 
 
-# simulate_path's default clamp budget, which simulate_truth runs at
+# the most volatility clamps a path may take
 _CLAMP_BUDGET = 1000
 
 
@@ -446,21 +446,6 @@ def _substream(seed: int, index: int) -> np.random.Generator:
 def _seed_substreams(seed: int):
     """The substreams of a path seed as a function of their index, each built when called."""
     return functools.partial(_substream, seed)
-
-
-def _substreams_read(cfg: ModelConfig, observe: bool) -> tuple:
-    """The indices of the substreams a stage opens: the ground truth, plus the observation if observe.
-
-    The jumps always; W for the observation or an ItoSM sigma; V for an
-    ItoSM sigma.
-    """
-    itosm = cfg.vol.kind == "ItoSM"
-    read = [_JUMP_STREAM]
-    if observe or itosm:
-        read.append(_W_STREAM)
-    if itosm:
-        read.append(_V_STREAM)
-    return tuple(read)
 
 
 def _jump_stream(cfg: ModelConfig, T: float, substream):
@@ -547,16 +532,13 @@ def simulate_truth(cfg: ModelConfig, n: int, T: float, seed: int) -> GroundTruth
 
     Reads the jump substream and, for an ItoSM volatility, the W and V
     substreams; a Constant volatility opens neither, so no Brownian
-    increment is drawn.  This is all a draw from the limit law reads.
-    The clamp budget is simulate_path's default.  With no X grid, a
-    model's reject_bound_excursions is not checked here.
+    increment is drawn.  This is all a draw from the limit law reads.  With
+    no X grid, a model's reject_bound_excursions is not checked here.
     """
-    return _simulate(cfg, n, T, seed, _CLAMP_BUDGET, observe=False)
+    return _simulate(cfg, n, T, seed, observe=False)
 
 
-def simulate_path(
-    cfg: ModelConfig, n: int, T: float, seed: int, clamp_budget: int = _CLAMP_BUDGET
-) -> SamplePath:
+def simulate_path(cfg: ModelConfig, n: int, T: float, seed: int) -> SamplePath:
     """Simulate X on {0, 1/n, ..., floor(nT)/n} with exact jump placement.
 
     Two stages, each substream built only where it is read.  The ground
@@ -573,21 +555,20 @@ def simulate_path(
     An ItoSM volatility is one sequential running sum of sigma0, b~/n,
     s~ Delta W_i, v~ Delta V_i, ... (the Euler step's own order of
     additions) up to the first value below floor_eps; from there on a
-    scalar loop clamps and counts.  With reject_bound_excursions, a path
-    whose |X| exceeds bound_A raises SimulationError.
+    scalar loop clamps and counts; more than _CLAMP_BUDGET clamps raise
+    SimulationError.  With reject_bound_excursions, a path whose |X|
+    exceeds bound_A raises SimulationError.
     """
-    return _simulate(cfg, n, T, seed, clamp_budget, observe=True)
+    return _simulate(cfg, n, T, seed, observe=True)
 
 
-def _simulate(
-    cfg: ModelConfig, n: int, T: float, seed: int, clamp_budget: int, observe: bool, substream=None
-):
+def _simulate(cfg: ModelConfig, n: int, T: float, seed: int, observe: bool, substream=None):
     """simulate_path (observe) or simulate_truth; substream(i) opens substream i of the seed.
 
     By default substream i is SeedSequence(seed, spawn_key=(i,)); the
-    harness passes generators built from the same states, precomputed for
-    every rep of one n (uvstat.seeding).  Each substream is opened only
-    where it is read (_substreams_read).
+    harness passes generators on the same states (uvstat.seeding).  A
+    stage opens only the substreams it reads: the jumps always, W for the
+    observation or an ItoSM sigma, V for an ItoSM sigma.
     """
     substream = substream or _seed_substreams(seed)
     if n < 1:
@@ -632,9 +613,9 @@ def _simulate(
                 if first_clamp < 0:
                     first_clamp = i + 1
             sigma[i + 1] = nxt
-    if n_clamps > clamp_budget:
+    if n_clamps > _CLAMP_BUDGET:
         raise SimulationError(
-            f"volatility clamped {n_clamps} times (> budget {clamp_budget}); "
+            f"volatility clamped {n_clamps} times (> budget {_CLAMP_BUDGET}); "
             f"first offending interval {first_clamp}"
         )
 
@@ -831,15 +812,31 @@ _PATH_HEAD = ("T", "n", "seed", "n_sigma_clamps")
 _HEAD_FORMAT = "<dqQq"
 _PATH_ARRAYS = ("x_grid", "sigma_grid", "w_increments", "w_before_jump")
 _PATH_COLUMNS = (*_PATH_ARRAYS, *_JUMP_COLUMNS.values())
+# the keys of a path.json document and of each of its jump rows
+_PATH_KEYS = dict.fromkeys(
+    ("format", "version", "model", "jumps", *_PATH_HEAD, *_PATH_ARRAYS), _REQUIRED
+)
+_JUMP_KEYS = dict.fromkeys(_JUMP_COLUMNS, _REQUIRED)
+
+
+def _column(value, name: str) -> np.ndarray:
+    """A path column as a 1-D float array; anything else raises SimulationError naming it."""
+    try:
+        arr = np.asarray(value, dtype=float)
+    except (TypeError, ValueError):
+        arr = None
+    if arr is None or arr.ndim != 1:
+        raise SimulationError(f"path column {name} must be an array of numbers, got {value!r:.60}")
+    return arr
 
 
 def _assemble_path(head, model, columns: dict) -> SamplePath:
     """A SamplePath from a document's head, model block and columns, keyed by _PATH_COLUMNS.
 
-    Arrays of mismatched lengths, jumps out of time order or off their grid
-    intervals raise SimulationError.
+    A non-numeric column, arrays of mismatched lengths, jumps out of time
+    order or off their grid intervals raise SimulationError.
     """
-    arrays = {name: np.asarray(columns[name], dtype=float) for name in _PATH_COLUMNS}
+    arrays = {name: _column(columns[name], name) for name in _PATH_COLUMNS}
     arrays["intervals"] = arrays["intervals"].astype(int)
     lengths = {name: len(arr) for name, arr in arrays.items()}
     steps = lengths["w_increments"]
@@ -877,12 +874,19 @@ def path_to_json(path: SamplePath) -> str:
 
 
 def path_from_json(text: str) -> SamplePath:
-    doc = json.loads(text)
+    """The SamplePath of a path.json document; a malformed one raises SimulationError."""
+    try:
+        doc = json.loads(text)
+    except ValueError:
+        raise SimulationError("not a sample path document: not JSON") from None
     if not isinstance(doc, dict) or doc.get("format") != "uvstat.sample_path":
         raise SimulationError("not a sample path document")
+    doc = _require(doc, "path", _PATH_KEYS)
+    jumps = _array(doc["jumps"], "path.jumps")
+    rows = [_require(row, f"path.jumps[{k}]", _JUMP_KEYS) for k, row in enumerate(jumps)]
     columns = {name: doc[name] for name in _PATH_ARRAYS}
     for field, name in _JUMP_COLUMNS.items():
-        columns[name] = [row[field] for row in doc["jumps"]]
+        columns[name] = [row[field] for row in rows]
     return _assemble_path([doc[name] for name in _PATH_HEAD], doc["model"], columns)
 
 
@@ -891,11 +895,19 @@ def _pack_array(arr: np.ndarray) -> bytes:
     return struct.pack("<Q", len(arr)) + data
 
 
-def _unpack_array(buf: bytes, offset: int):
-    (length,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    arr = np.frombuffer(buf, dtype="<f8", count=length, offset=offset).copy()
-    return arr, offset + 8 * length
+def _read(view: memoryview, offset: int, size: int):
+    """(the size bytes at offset, the offset past them); a dump cut short raises SimulationError."""
+    end = offset + size
+    if end > len(view):
+        raise SimulationError(f"truncated binary path dump: {len(view)} bytes, {end} needed")
+    return view[offset:end], end
+
+
+def _read_prefixed(view: memoryview, offset: int, item_size: int):
+    """A block of items after its uint64 item count: (its bytes, the offset past it)."""
+    raw, offset = _read(view, offset, 8)
+    (length,) = struct.unpack("<Q", raw)
+    return _read(view, offset, item_size * length)
 
 
 def path_to_binary(path: SamplePath) -> bytes:
@@ -918,16 +930,16 @@ def path_to_binary(path: SamplePath) -> bytes:
 
 
 def path_from_binary(buf: bytes) -> SamplePath:
+    """The SamplePath of a path_to_binary dump; a malformed or short one raises SimulationError."""
     if buf[: len(_MAGIC)] != _MAGIC:
         raise SimulationError("bad magic in binary path dump")
-    offset = len(_MAGIC)
-    head = struct.unpack_from(_HEAD_FORMAT, buf, offset)
-    offset += struct.calcsize(_HEAD_FORMAT)
-    (blob_len,) = struct.unpack_from("<Q", buf, offset)
-    offset += 8
-    model = json.loads(buf[offset : offset + blob_len].decode())
-    offset += blob_len
+    view = memoryview(buf)
+    raw, offset = _read(view, len(_MAGIC), struct.calcsize(_HEAD_FORMAT))
+    head = struct.unpack(_HEAD_FORMAT, raw)
+    blob, offset = _read_prefixed(view, offset, 1)
+    model = json.loads(bytes(blob))
     columns = {}
     for name in _PATH_COLUMNS:
-        columns[name], offset = _unpack_array(buf, offset)
+        raw, offset = _read_prefixed(view, offset, 8)
+        columns[name] = np.frombuffer(raw, dtype="<f8").copy()
     return _assemble_path(head, model, columns)

@@ -604,6 +604,23 @@ def test_size_budgets_exit_1(tmp_path, capsys, n, t, intensity, expected):
     assert not (tmp_path / "out").exists()
 
 
+@pytest.mark.parametrize(
+    "command", [["verify-lln"], ["simulate"], ["stat", "--stat", "V"], ["limits"]], ids=lambda c: c[0]
+)
+def test_n_list_entry_without_a_grid_step_exits_1(tmp_path, capsys, command):
+    # floor(1 * 0.5) = 0: the first n has no grid step, though the last has two
+    doc = jump_clt_doc(kind="LLN", kernel="d=1 l=1 p=4.0 q=- regime=JumpLLN L=one")
+    doc["experiment"].update(n_list=[1, 4], t=0.5)
+    doc["io"] = {"output_dir": str(tmp_path / "out")}
+    rc = main([command[0], "--config", str(write_config(tmp_path, doc)), *command[1:]])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 1
+    assert [line for line in err if line.startswith("error")] == [
+        "error: invalid experiment plan: n_list entry 1 has no grid step at t = 0.5"
+    ]
+    assert not (tmp_path / "out").exists()
+
+
 def test_gaussian_bounded_polynomial_kernel_passes_verify_clt(tmp_path):
     # (1 + x^2/2) exp(-x^2/2) on the scaled coordinate is admissible under MixedCLT
     kernel = (

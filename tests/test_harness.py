@@ -9,6 +9,7 @@ from scipy.stats import ks_2samp
 import uvstat.harness
 import uvstat.kernels
 import uvstat.limits
+import uvstat.seeding
 import uvstat.simulate
 
 from uvstat.harness import (
@@ -91,6 +92,8 @@ def test_plan_rejects_bad_inputs():
         ExperimentPlan("BOGUS", model(), K1, 1.0, (512,), 10, 1)
     with pytest.raises(HarnessError):
         ExperimentPlan("GRID", model(), grid_test_kernel(1.0), 1.0, (512,), 10, 1)
+    with pytest.raises(HarnessError, match=r"n_list entry 1 has no grid step at t = 0.5"):
+        ExperimentPlan("LLN", model(), K1, 0.5, (1, 4), 10, 1)
 
 
 def test_plan_rejects_inadmissible_kernel():
@@ -396,6 +399,35 @@ def test_limit_law_path_draws_no_brownian_fill(monkeypatch, kind, kernel, vol, f
         for r in range(3)
     }
     assert observed <= set(fills)
+
+
+@pytest.mark.parametrize("vol", ["Constant", "ItoSM"])
+@pytest.mark.parametrize(
+    "kind, kernel", [("LLN", K1), ("CLT_jump", K1), ("CLT_mixed", KMIX), ("RNP", None)]
+)
+def test_each_n_costs_three_seed_passes_and_no_seed_sequence(monkeypatch, kind, kernel, vol):
+    # the seed table of one n: the derive_seed rows of all four streams,
+    # the substream states of both paths, the augmentation and field states;
+    # a rep hashes nothing
+    passes, sequences = [], []
+    seed_states = uvstat.seeding.seed_states
+
+    def counted_states(rows, n_words):
+        passes.append(rows.shape)
+        return seed_states(rows, n_words)
+
+    class CountedSequence(np.random.SeedSequence):
+        def __init__(self, *args, **kwargs):
+            sequences.append(args)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(uvstat.seeding, "seed_states", counted_states)
+    m = model(intensity=3.0) if vol == "Constant" else itosm_model()
+    plan = ExperimentPlan(kind, m, kernel, 1.0, (32, 64), 3, base_seed=5)
+    monkeypatch.setattr(np.random, "SeedSequence", CountedSequence)
+    run_plan(plan)
+    assert passes == [(4 * 3, 4), (2 * 3 * 3, 5), (2 * 3, 2)] * 2
+    assert sequences == []
 
 
 def bounded_model():

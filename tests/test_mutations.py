@@ -36,19 +36,22 @@ digests of the ``clt_mixed`` benchmark plan at seeds 0-3:
     round(en) replaced by int(en)               caught         caught
 
 Seed-pass defects are patched into ``uvstat.seeding``, the vectorized
-port of numpy's SeedSequence, and into ``harness._derive_rows``, which
-lays out the derive_seed entropy of every rep of one n.  The gates are
-the port's oracle against numpy's SeedSequence
-(``test_seed_pass_matches_numpy_seed_sequence``), the per-n seeds
-against derive_seed, simulate_path and simulate_truth
+port of numpy's SeedSequence and its fixed-width row builder
+``seed_rows``, and into ``harness._RepSeeds``, which lays out the seed
+table of every rep of one n.  The gates are the port's oracle against
+numpy's SeedSequence on rows built by the test's own word rule
+(``test_seed_pass_matches_numpy_seed_sequence``), the row rule against
+numpy (``test_seed_rows_match_numpy_seed_sequence``), the per-n seeds
+against derive_seed, numpy, simulate_path and simulate_truth
 (``test_rep_seeds_match_derive_seed``, Constant volatility, base seed
 2**32 + 7) and the report digests of the ``clt_mixed`` benchmark plan at
 seeds 0-3:
 
-    defect                                      port oracle   per-n seeds   clt_mixed digests
-    spawn key appended to unpadded run entropy  caught        caught        caught
-    generate_state multiplier off by one        caught        caught        caught
-    rep indices in the pass shifted by one      missed        caught        caught
+    defect                                   port oracle  row rule  per-n seeds  clt_mixed digests
+    spawn key appended to an unpadded row    missed       caught    caught       caught
+    a seed's high word dropped from its row  missed       caught    caught       caught
+    generate_state multiplier off by one     caught       caught    caught       caught
+    rep column of the table shifted by one   missed       missed    caught       caught
 
 Limit-law defects are compiled from the source of the function they
 change, or wrap it, and replace it in every module that imports it.  The
@@ -81,6 +84,7 @@ import textwrap
 from dataclasses import replace
 from pathlib import Path
 
+import numpy as np
 import pytest
 from scipy.special import kolmogorov
 
@@ -218,35 +222,57 @@ def test_two_sample_ks_defect_caught_by_its_gates(monkeypatch, tmp_path, capsys,
     assert caught == KS_CAUGHT[defect]
 
 
-_derive_rows = uvstat.harness._derive_rows
+_seed_rows = uvstat.seeding.seed_rows
 
-# defect -> (module, attribute, replacement)
+
+def _unpadded_rows(seeds, spawn_index=None):
+    """seed_rows with the spawn index right after the seed: [lo, hi, i]."""
+    rows = _seed_rows(seeds, spawn_index)
+    return rows if spawn_index is None else np.delete(rows, [2, 3], axis=1)
+
+
+def _high_word_dropped(seeds, spawn_index=None):
+    rows = _seed_rows(seeds, spawn_index)
+    rows[:, 1] = 0
+    return rows
+
+
+# defect -> (owner, attribute, a builder of the replacement)
 SEED_DEFECTS = {
     "none": None,
-    "unpadded_spawn_key": (uvstat.seeding, "_pad_run_entropy", lambda words: words),
-    "generate_state_multiplier": (uvstat.seeding, "_MULT_B", uvstat.seeding._MULT_B + 1),
-    "reps_shifted": (
-        uvstat.harness,
-        "_derive_rows",
-        lambda base_seed, stream, n, reps: _derive_rows(base_seed, stream, n, reps + 1)[1:],
+    "unpadded_spawn_key": (uvstat.seeding, "seed_rows", lambda: _unpadded_rows),
+    "high_word_dropped": (uvstat.seeding, "seed_rows", lambda: _high_word_dropped),
+    "generate_state_multiplier": (
+        uvstat.seeding, "_MULT_B", lambda: uvstat.seeding._MULT_B + 1
     ),
+    "reps_shifted": (uvstat.harness._RepSeeds, "__init__", lambda: _mutated(
+        uvstat.harness._RepSeeds.__init__,
+        ("np.arange(plan.reps)", "np.arange(1, plan.reps + 1)"),
+    )),
 }
 
-# defect -> (the port oracle fails, the per-n seeds fail, a clt_mixed benchmark digest moves)
+# defect -> (the port oracle fails, the row rule fails, the per-n seeds fail,
+# a clt_mixed benchmark digest moves)
 SEED_CAUGHT = {
-    "none": (False, False, False),
-    "unpadded_spawn_key": (True, True, True),
-    "generate_state_multiplier": (True, True, True),
-    "reps_shifted": (False, True, True),
+    "none": (False, False, False, False),
+    "unpadded_spawn_key": (False, True, True, True),
+    "high_word_dropped": (False, True, True, True),
+    "generate_state_multiplier": (True, True, True, True),
+    "reps_shifted": (False, False, True, True),
 }
 
 
 @pytest.mark.parametrize("defect", sorted(SEED_DEFECTS))
 def test_seed_pass_defect_caught_by_its_gates(monkeypatch, tmp_path, capsys, defect):
     if SEED_DEFECTS[defect] is not None:
-        monkeypatch.setattr(*SEED_DEFECTS[defect])
+        owner, name, build = SEED_DEFECTS[defect]
+        original, replacement = getattr(owner, name), build()
+        monkeypatch.setattr(owner, name, replacement)
+        if getattr(test_seeding, name, None) is original:  # the tests' own import
+            monkeypatch.setattr(test_seeding, name, replacement)
     caught = (
         _fails(test_seeding.test_seed_pass_matches_numpy_seed_sequence),
+        _fails(test_seeding.test_seed_rows_match_numpy_seed_sequence),
         _fails(test_seeding.test_rep_seeds_match_derive_seed, "constant", 2**32 + 7),
         _fails(
             test_cli.test_benchmark_plans_match_pinned_digests,

@@ -35,7 +35,7 @@ from uvstat.simulate import (
     simulate_path,
     simulate_truth,
 )
-from uvstat.simulate import _brownian, _count, _jump_runs, _simulate
+from uvstat.simulate import _brownian, _count, _jump_runs
 
 
 def make_config(
@@ -233,7 +233,7 @@ def test_shared_interval_flagged():
     assert any(flags)
 
 
-def test_sigma_clamp_budget():
+def test_sigma_clamp_budget(monkeypatch):
     vol = VolatilityModel(kind="ItoSM", sigma0=0.01, tilde_b=-2.0, tilde_sigma=0.0, tilde_v=0.0)
     cfg = ModelConfig(
         drift_b=0.0,
@@ -241,12 +241,14 @@ def test_sigma_clamp_budget():
         jumps=JumpModel(intensity=0.0, size_dist=AtomList(((1.0, 1.0),)), max_abs=5.0),
         bound_A=10.0,
     )
-    path = simulate_path(cfg, n=256, T=1.0, seed=1, clamp_budget=100000)
+    monkeypatch.setattr(uvstat.simulate, "_CLAMP_BUDGET", 100000)
+    path = simulate_path(cfg, n=256, T=1.0, seed=1)
     assert path.n_sigma_clamps > 0
     assert path.clamped
     assert np.min(path.sigma_grid) >= vol.floor_eps
+    monkeypatch.setattr(uvstat.simulate, "_CLAMP_BUDGET", 1)
     with pytest.raises(SimulationError):
-        simulate_path(cfg, n=256, T=1.0, seed=1, clamp_budget=1)
+        simulate_path(cfg, n=256, T=1.0, seed=1)
 
 
 def atom_sets(count: int, seed: int = 7):
@@ -446,6 +448,70 @@ def test_path_from_json_is_strict_about_the_model_block():
         path_from_json(json.dumps(doc))
 
 
+def _edited_json(edit):
+    """A case reading path.json with edit(doc) applied to the document."""
+    def case(path):
+        doc = json.loads(path_to_json(path))
+        edit(doc)
+        return path_from_json, json.dumps(doc)
+    return case
+
+
+def _cut_binary(keep):
+    """A case reading path.bin cut to its first keep(len) bytes."""
+    def case(path):
+        dump = path_to_binary(path)
+        return path_from_binary, dump[: keep(len(dump))]
+    return case
+
+
+MALFORMED_PATHS = {
+    "bare_document": (
+        lambda path: (path_from_json, '{"format": "uvstat.sample_path"}'),
+        r"missing required key 'version' in path$",
+    ),
+    "not_json": (lambda path: (path_from_json, "{"), "not a sample path document: not JSON"),
+    "jump_row_without_time": (
+        _edited_json(lambda doc: doc["jumps"][1].pop("time")),
+        r"missing required key 'time' in path\.jumps\[1\]",
+    ),
+    "unknown_jump_key": (
+        _edited_json(lambda doc: doc["jumps"][0].update(tme=0.5)),
+        r"unknown key\(s\) \['tme'\] in path\.jumps\[0\]",
+    ),
+    "jumps_not_an_array": (
+        _edited_json(lambda doc: doc.update(jumps={})), r"path\.jumps must be an array, got \{\}"
+    ),
+    "non_numeric_grid": (
+        _edited_json(lambda doc: doc.update(x_grid="abc")),
+        "path column x_grid must be an array of numbers, got 'abc'",
+    ),
+    "non_numeric_jump_column": (
+        _edited_json(lambda doc: doc["jumps"][2].update(size="big")),
+        "path column sizes must be an array of numbers",
+    ),
+    "nested_grid": (
+        _edited_json(lambda doc: doc.update(sigma_grid=[[1.0]])),
+        r"path column sigma_grid must be an array of numbers, got \[\[1\.0\]\]",
+    ),
+    "binary_cut_in_head": (_cut_binary(lambda size: 12), "truncated binary path dump: 12 bytes"),
+    "binary_cut_in_model": (_cut_binary(lambda size: 60), "truncated binary path dump: 60 bytes"),
+    "binary_cut_in_last_column": (
+        _cut_binary(lambda size: size - 1), "truncated binary path dump: .* bytes, .* needed"
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(MALFORMED_PATHS))
+def test_malformed_path_documents_raise_simulation_error(case):
+    build, message = MALFORMED_PATHS[case]
+    path = simulate_path(make_config(intensity=4.0, size_dist=Uniform(-1.0, 1.0)), 16, 1.0, 37)
+    assert len(path.sizes) >= 3
+    reader, data = build(path)
+    with pytest.raises(SimulationError, match=message):
+        reader(data)
+
+
 # ---------------------------------------------------------------------------
 # scalar oracle: one normal draw per grid segment, a per-step Euler loop
 # ---------------------------------------------------------------------------
@@ -634,17 +700,18 @@ def test_simulate_path_matches_scalar_oracle_at_benchmark_size(model):
         assert shared > 0
 
 
-def test_simulate_path_matches_scalar_oracle_over_the_clamp_budget():
+def test_simulate_path_matches_scalar_oracle_over_the_clamp_budget(monkeypatch):
     cfg = ORACLE_MODELS["itosm_clamping"]
     for seed in range(20):
         for budget in (0, 3, 1000):
+            monkeypatch.setattr(uvstat.simulate, "_CLAMP_BUDGET", budget)
             try:
                 expected = _simulate_path_scalar(cfg, 257, 1.0, seed, clamp_budget=budget)
             except SimulationError as exc:
                 with pytest.raises(SimulationError, match=re.escape(str(exc))):
-                    simulate_path(cfg, 257, 1.0, seed, clamp_budget=budget)
+                    simulate_path(cfg, 257, 1.0, seed)
             else:
-                assert_same_path(simulate_path(cfg, 257, 1.0, seed, clamp_budget=budget), expected)
+                assert_same_path(simulate_path(cfg, 257, 1.0, seed), expected)
 
 
 def _brownian_scalar(gen, n, N, times, intervals):
@@ -777,22 +844,21 @@ def test_ground_truth_alone_matches_simulate_path(model):
         assert no_jumps > 0
 
 
-def test_ground_truth_over_the_clamp_budget_raises_as_simulate_path():
-    # simulate_truth runs the ground-truth stage at the default budget; the
-    # stage itself honours a small one as simulate_path does
+def test_ground_truth_over_the_clamp_budget_raises_as_simulate_path(monkeypatch):
+    # simulate_truth runs the ground-truth stage at the same clamp budget
+    # as simulate_path, and raises where it does
+    monkeypatch.setattr(uvstat.simulate, "_CLAMP_BUDGET", 3)
     cfg = ORACLE_MODELS["itosm_clamping"]
     raised = 0
     for seed in range(20):
         try:
-            path = simulate_path(cfg, 257, 1.0, seed, clamp_budget=3)
+            path = simulate_path(cfg, 257, 1.0, seed)
         except SimulationError as exc:
             raised += 1
             with pytest.raises(SimulationError, match=re.escape(str(exc))):
-                _simulate(cfg, 257, 1.0, seed, 3, observe=False)
+                simulate_truth(cfg, 257, 1.0, seed)
         else:
-            assert _truth_bytes(_simulate(cfg, 257, 1.0, seed, 3, observe=False)) == (
-                _truth_bytes(path)
-            )
+            assert _truth_bytes(simulate_truth(cfg, 257, 1.0, seed)) == _truth_bytes(path)
     assert raised > 0
 
 
