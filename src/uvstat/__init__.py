@@ -27,7 +27,6 @@ from uvstat.simulate import (
     AtomList,
     GroundTruth,
     JumpModel,
-    JumpRecord,
     ModelConfig,
     SamplePath,
     SimulationError,

@@ -25,6 +25,7 @@ from uvstat.simulate import (
     SimulationError,
     _array,
     _boolean,
+    _integer,
     _number,
     _require,
     _string,
@@ -74,14 +75,6 @@ def _config_errors():
         yield
     except SimulationError as exc:
         raise ConfigError(str(exc)) from exc
-
-
-def _integer(value, where, lo=None):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ConfigError(f"{where} must be an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise ConfigError(f"{where} must be >= {lo}, got {value}")
-    return value
 
 
 @_config_errors()

@@ -37,7 +37,7 @@ from __future__ import annotations
 import functools
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from typing import Optional
 
 import numpy as np
@@ -86,6 +86,13 @@ _KIND_REGIMES = {
     "CLT_mixed": ("MixedCLT",),
     "GRID": ("GridTest",),
     "ZTRUNC": ("JumpCLT", "GridTest"),
+}
+# the plan fields that only some kinds read; another kind refuses a non-default value
+_KIND_FIELDS = {
+    "beta_grid": ("GRID",),
+    "m_list": ("ZTRUNC",),
+    "require_jumps": ("GRID", "ZTRUNC"),
+    "collect_samples": ("CLT_jump", "CLT_mixed"),
 }
 
 
@@ -227,6 +234,14 @@ class ExperimentPlan:
             raise HarnessError(f"t must be > 0, got {self.t}")
         if _count(self.n_list[0], self.t) < 1:  # the smallest n has the fewest steps
             raise HarnessError(f"n_list entry {self.n_list[0]} has no grid step at t = {self.t!r}")
+        defaults = {f.name: f.default for f in fields(self)}
+        for name, kinds in _KIND_FIELDS.items():
+            value = getattr(self, name)
+            if self.kind not in kinds and value != defaults[name]:
+                raise HarnessError(
+                    f"{name} = {value!r} is read only by {' and '.join(kinds)} experiments, "
+                    f"not by {self.kind}"
+                )
         if self.kind == "GRID" and not self.beta_grid:
             raise HarnessError("GRID experiments need a beta_grid")
         if any(b <= 0 for b in self.beta_grid):

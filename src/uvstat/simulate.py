@@ -9,8 +9,8 @@ zero).  Jumps come from a finite-activity compound Poisson process with
 exact times, so the path carries all the ground truth the limit
 formulas need: the jump table (five arrays of a GroundTruth, see there),
 and the Brownian increment accumulated up to each jump inside its grid
-interval.  Every reader reads the table's arrays, and none walks its
-JumpRecord rows.  The Python loops left are bounded: the simulator's over
+interval.  The arrays are the table's one form; only path.json spells it
+out as rows.  The Python loops left are bounded: the simulator's over
 the grid intervals that hold jumps, jump_neighborhood's over the earlier
 jumps of one interval.
 
@@ -55,7 +55,6 @@ __all__ = [
     "TruncNormal",
     "JumpModel",
     "ModelConfig",
-    "JumpRecord",
     "GroundTruth",
     "SamplePath",
     "simulate_truth",
@@ -103,6 +102,17 @@ def _number(value, where, lo=None) -> float:
     if lo is not None and v < lo:
         raise SimulationError(f"{where} must be >= {lo}, got {v}")
     return v
+
+
+def _integer(value, where, lo=None, hi=None) -> int:
+    """An integer, not a bool, at least lo and below hi when given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise SimulationError(f"{where} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise SimulationError(f"{where} must be >= {lo}, got {value}")
+    if hi is not None and value >= hi:
+        raise SimulationError(f"{where} must be < {hi}, got {value}")
+    return value
 
 
 # ---------------------------------------------------------------------------
@@ -324,18 +334,7 @@ class ModelConfig:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class JumpRecord:
-    """One row of a jump table: exact time, size, one-sided volatilities, grid interval."""
-
-    time: float
-    size: float
-    sigma_pre: float
-    sigma_post: float
-    interval_index: int  # 1-based: (i-1)/n < S_p <= i/n
-
-
-# the GroundTruth array of each JumpRecord field
+# the GroundTruth array of each field of a path.json jump row
 _JUMP_COLUMNS = {
     "time": "times",
     "size": "sizes",
@@ -351,9 +350,8 @@ class GroundTruth:
 
     The jump table, one entry per jump in time order: times S_p, sizes,
     the spot volatility just before and at S_p, and the 1-based grid
-    interval i of S_p (int; n_steps + 1 past the last full interval).
-    ``jumps`` is the table as JumpRecord rows, built on each read; in the
-    library only path_to_json reads it.  Beside it, the volatility on the grid
+    interval i of S_p (int; n_steps + 1 past the last full interval);
+    len(times) is the jump count.  Beside it, the volatility on the grid
     {0, 1/n, ..., floor(nT)/n} with its clamp count.  The limits,
     conditional variances and limit-law draws accept a GroundTruth; the
     statistics, jump_neighborhood and serialization need the observation
@@ -385,12 +383,6 @@ class GroundTruth:
     @property
     def clamped(self) -> bool:
         return self.n_sigma_clamps > 0
-
-    @property
-    def jumps(self) -> tuple:
-        """The jump table as a tuple of JumpRecord rows, built on each read."""
-        columns = [getattr(self, name).tolist() for name in _JUMP_COLUMNS.values()]
-        return tuple(JumpRecord(**dict(zip(_JUMP_COLUMNS, row))) for row in zip(*columns))
 
     def jump_count(self, t: float) -> int:
         """The number of jumps at or before t."""
@@ -830,14 +822,30 @@ def _column(value, name: str) -> np.ndarray:
     return arr
 
 
+def _path_head(head) -> dict:
+    """The checked scalar head: T finite and > 0, n in [1, 2**63), seed and n_sigma_clamps >= 0."""
+    T, n, seed, clamps = head
+    T = _number(T, "path.T")
+    if not T > 0:
+        raise SimulationError(f"path.T must be > 0, got {T}")
+    return dict(
+        T=T,
+        n=_integer(n, "path.n", 1, 2**63),
+        seed=_integer(seed, "path.seed", 0),
+        n_sigma_clamps=_integer(clamps, "path.n_sigma_clamps", 0),
+    )
+
+
 def _assemble_path(head, model, columns: dict) -> SamplePath:
     """A SamplePath from a document's head, model block and columns, keyed by _PATH_COLUMNS.
 
-    A non-numeric column, arrays of mismatched lengths, jumps out of time
-    order or off their grid intervals raise SimulationError.
+    A bad head value, a non-numeric column, arrays of mismatched lengths or
+    of other than floor(n T) grid steps, jumps out of time order, outside
+    (0, T] or off their grid intervals raise SimulationError.
     """
+    head = _path_head(head)
+    n, T = head["n"], head["T"]
     arrays = {name: _column(columns[name], name) for name in _PATH_COLUMNS}
-    arrays["intervals"] = arrays["intervals"].astype(int)
     lengths = {name: len(arr) for name, arr in arrays.items()}
     steps = lengths["w_increments"]
     if not (
@@ -849,24 +857,34 @@ def _assemble_path(head, model, columns: dict) -> SamplePath:
             "x_grid and sigma_grid need len(w_increments) + 1 entries, "
             "w_before_jump and each jump column one per jump"
         )
+    grid = _count(n, T) if math.isfinite(n * T) else math.inf
+    if grid != steps:
+        raise SimulationError(
+            f"inconsistent path document: path.n = {n} and path.T = {T} give floor(n T) = {grid} "
+            f"grid steps, but w_increments has {steps}"
+        )
     times = arrays["times"]
-    if (np.diff(times) < 0).any() or (arrays["intervals"] != _grid_intervals(times, head[1])).any():
+    if not ((times > 0) & (times <= T)).all():
+        raise SimulationError(f"inconsistent path document: jump times outside (0, path.T = {T}]")
+    if (np.diff(times) < 0).any() or (arrays["intervals"] != _grid_intervals(times, n)).any():
         raise SimulationError(
             "inconsistent path document: jumps out of time order or off their intervals"
         )
+    arrays["intervals"] = arrays["intervals"].astype(int)
     return SamplePath(
-        **dict(zip(_PATH_HEAD, head)),
+        **head,
         **arrays,
         config=config_from_dict(model),
     )
 
 
 def path_to_json(path: SamplePath) -> str:
+    columns = [getattr(path, name).tolist() for name in _JUMP_COLUMNS.values()]
     doc = {
         "format": "uvstat.sample_path",
         "version": 1,
         "model": config_to_dict(path.config),
-        "jumps": [asdict(r) for r in path.jumps],
+        "jumps": [dict(zip(_JUMP_COLUMNS, row)) for row in zip(*columns)],
         **{name: getattr(path, name) for name in _PATH_HEAD},
         **{name: getattr(path, name).tolist() for name in _PATH_ARRAYS},
     }
@@ -937,7 +955,10 @@ def path_from_binary(buf: bytes) -> SamplePath:
     raw, offset = _read(view, len(_MAGIC), struct.calcsize(_HEAD_FORMAT))
     head = struct.unpack(_HEAD_FORMAT, raw)
     blob, offset = _read_prefixed(view, offset, 1)
-    model = json.loads(bytes(blob))
+    try:
+        model = json.loads(bytes(blob))
+    except ValueError:
+        raise SimulationError("path.model: the binary model block is not JSON") from None
     columns = {}
     for name in _PATH_COLUMNS:
         raw, offset = _read_prefixed(view, offset, 8)

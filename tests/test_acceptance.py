@@ -243,7 +243,7 @@ def test_criterion_07_mixed_clt(clt_mixed):
     path = None
     for k in range(10_000):
         cand = simulate_path(cfg, 512, 1.0, derive_seed(404, 0, 512, k))
-        if len(cand.jumps) == 2:
+        if len(cand.times) == 2:
             path = cand
             break
     draws = np.array(

@@ -106,6 +106,46 @@ def test_rejects_zero_beta():
         parse_config(json.dumps(doc))
 
 
+LLN_JUMP_CFG = Path(__file__).resolve().parent.parent / "configs" / "lln_jump.cfg"
+
+
+def _small_lln_doc(tmp_path):
+    """configs/lln_jump.cfg shrunk to n_list [16, 32] and 2 reps, writing under tmp_path."""
+    doc = json.loads(LLN_JUMP_CFG.read_text(encoding="utf-8"))
+    doc["experiment"].update(n_list=[16, 32], reps=2)
+    doc["io"] = {"output_dir": str(tmp_path / "out")}
+    return doc
+
+
+@pytest.mark.parametrize(
+    "name, value, readers",
+    [
+        ("require_jumps", 3, "GRID and ZTRUNC"),
+        ("m_list", [0, 1], "ZTRUNC"),
+        ("beta_grid", [0.5, 1.0], "GRID"),
+        ("collect_samples", True, "CLT_jump and CLT_mixed"),
+    ],
+    ids=["require_jumps", "m_list", "beta_grid", "collect_samples"],
+)
+def test_plan_field_the_kind_never_reads_exits_1(tmp_path, capsys, name, value, readers):
+    doc = _small_lln_doc(tmp_path)
+    doc["experiment"][name] = value
+    rc = main(["verify-lln", "--config", str(write_config(tmp_path, doc))])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert f"error: invalid experiment plan: {name} = " in err
+    assert f"is read only by {readers} experiments, not by LLN" in err
+    assert not (tmp_path / "out").exists()
+
+
+def test_grid_test_beta_on_a_non_grid_config_exits_1(tmp_path, capsys):
+    cfgfile = write_config(tmp_path, _small_lln_doc(tmp_path))
+    rc = main(["grid-test", "--config", str(cfgfile), "--beta", "0.5:1.0:0.5"])
+    assert rc == 1
+    assert "beta_grid = (0.5, 1.0) is read only by GRID experiments, not by LLN" in capsys.readouterr().err
+    assert not (tmp_path / "out").exists()
+
+
 def test_rejects_malformed_json():
     with pytest.raises(ConfigError, match="JSON"):
         parse_config("{not json")
@@ -676,7 +716,9 @@ def test_simulate_binary_matches_json(tmp_path):
     ref = path_from_json((tmp_path / "out" / "path.json").read_text(encoding="utf-8"))
     assert back.n == 128 and back.seed == 7
     assert back.config == ref.config == parse_config(cfgfile.read_text()).plan.model
-    assert back.jumps == ref.jumps and len(back.jumps) > 0
+    assert len(back.times) > 0
+    for name in ("times", "sizes", "sigma_pre", "sigma_post", "intervals"):
+        assert getattr(back, name).tolist() == getattr(ref, name).tolist(), name
     for name in ("x_grid", "sigma_grid", "w_increments", "w_before_jump"):
         np.testing.assert_array_equal(getattr(back, name), getattr(ref, name))
 

@@ -39,6 +39,7 @@ from uvstat.simulate import (
 )
 
 from test_limits import synthetic_path
+from test_simulate import jump_columns
 
 K1 = KernelSpec(d=1, l=1, p=(4.0,), regime="JumpCLT")
 KMIX = KernelSpec(d=2, l=1, p=(0.5,), q=(4.0,), regime="MixedCLT")
@@ -272,13 +273,13 @@ def test_find_path_with_jumps_matches_a_simulated_search():
             k = 0
             while True:
                 expected = simulate_path(cfg, 64, 1.0, derive_seed(base_seed, _S_PATH, 64, k))
-                if require_jumps is None or len(expected.jumps) == require_jumps:
+                if require_jumps is None or len(expected.times) == require_jumps:
                     break
                 k += 1
             path = _find_path_with_jumps(plan, 64)
             assert path.seed == expected.seed
             assert np.array_equal(path.x_grid, expected.x_grid)
-            assert path.jumps == expected.jumps
+            assert jump_columns(path) == jump_columns(expected)
 
 
 def test_find_path_with_jumps_gives_up_after_10000_seeds():
@@ -535,7 +536,7 @@ def test_constant_grid_moments_are_evaluated_once_per_factor_per_n(monkeypatch, 
             simulate_path(cfg, n, 1.0, derive_seed(3, _S_PATH, n, r)),
             simulate_truth(cfg, n, 1.0, derive_seed(3, _S_PATH2, n, r)),
         )
-        if path.jumps
+        if len(path.times)
     ]
     assert len(with_jumps) > 8
     assert sorted(calls) == sorted((p, n) for n in with_jumps for p in (0.5, 1.0))

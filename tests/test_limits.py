@@ -601,9 +601,9 @@ def _shared_truth_paths():
         )
         apart = simulate_path(ModelConfig(0.05, vol, _SHARED_JUMPS, 10.0), n=512, T=1.0, seed=2)
         shared = simulate_path(ModelConfig(0.05, vol, _SHARED_JUMPS, 10.0), n=16, T=1.0, seed=0)
-        intervals = [r.interval_index for r in apart.jumps]
-        assert not none.jumps and len(apart.jumps) > 2 and len(set(intervals)) == len(intervals)
-        assert [r.interval_index for r in shared.jumps] == [2, 3, 3, 6, 12, 15]
+        intervals = apart.intervals.tolist()
+        assert len(none.times) == 0 and len(apart.times) > 2 and len(set(intervals)) == len(intervals)
+        assert shared.intervals.tolist() == [2, 3, 3, 6, 12, 15]
         out += [(f"{vol.kind}-none", none), (f"{vol.kind}-apart", apart), (f"{vol.kind}-shared", shared)]
     return out
 

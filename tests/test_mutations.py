@@ -56,25 +56,37 @@ seeds 0-3:
 Limit-law defects are compiled from the source of the function they
 change, or wrap it, and replace it in every module that imports it.  The
 gates are the homogeneity relations (``test_homogeneity``: every scale
-of the model doubled on one seed, on ``ITOSM_CASE``) and the acceptance
+of the model doubled on one seed, on ``ITOSM_CASE``), the pinned bits of
+the mixed limit on an ItoSM path (``test_limits``'s grid_sin pin), the
+pinned bits of the conditional variances and limit-law draws on an ItoSM
+and a Constant path (``test_sampler``'s layer pins) and the acceptance
 criteria that read the changed code, run at their own seeds:
 
-    defect                                   homogeneity   acceptance
-    sigma^{2p} for sigma^p in a moment       caught        missed by 7 and 8
-    R drawn with sigma^2 for sigma           caught        missed by 5 and 11
-    H for dH in the jump cond. variance      caught        caught by 4 (z_var 16.9, 63.4)
-    mixed cond. variance x 1.25              missed        caught by 7 (z_var 0.837)
-    field term dropped from the mixed var.   missed        missed by 7 (z_var 1.069)
+    defect                                   homogeneity  limit pin  layer pins  acceptance
+    sigma^{2p} for sigma^p in a moment       caught       caught     caught      missed by 7 and 8
+    R drawn with sigma^2 for sigma           caught       missed     caught      missed by 5 and 11
+    H for dH in the jump cond. variance      caught       missed     caught      caught by 4 (z_var 16.9, 63.4)
+    mixed cond. variance x 1.25              missed       missed     caught      caught by 7 (z_var 0.837)
+    field term dropped from the mixed var.   missed       missed     caught      missed by 7 (z_var 1.069)
+    mixed limit + sd / sqrt(n)               missed       caught     missed      caught by 7
+    Riemann sigma one grid step late         missed       caught     caught      none run
+    sigma_pre one grid interval late         missed       missed     caught      none run
 
 Every acceptance plan that reads a moment or an R draw has sigma = 1,
-where sigma^{2p} = sigma^p and sigma^2 = sigma; only the homogeneity
-relations see those two defects.  Criterion 7 also compares 1e4 limit
-draws with the conditional variance on one path: x 1.25 moves that by
-20%, the dropped field by 2.3%, inside its 5% bound.
+where sigma^{2p} = sigma^p and sigma^2 = sigma; among the end-to-end
+gates only the homogeneity relations see those two defects.  Criterion 7
+also compares 1e4 limit draws with the conditional variance on one path:
+x 1.25 moves that by 20%, the dropped field by 2.3%, inside its 5%
+bound.  The last two defects change only what a varying sigma reads, and
+every acceptance plan has Constant volatility, so no criterion is run
+for them; they keep every degree of homogeneity, and only the ItoSM pins
+see them.  The shifted limit adds sqrt(total / n) where a conditional
+variance exists (1 <= l < d), which keeps every degree as well.
 
 The homogeneity relations see only a defect that changes a degree of
 homogeneity: a wrong n-normalization, the p and q blocks swapped or a
-misplaced jump time keeps every degree, and no row here tests them.
+misplaced jump time keeps every degree.  The last three rows are such
+defects, and the pins catch each of them.
 """
 
 import inspect
@@ -101,6 +113,7 @@ import test_acceptance
 import test_cli
 import test_homogeneity
 import test_ks
+import test_limits
 import test_sampler
 import test_seeding
 from test_acceptance import RHO_QUAD_TOL, rho_quadrature_worst
@@ -305,6 +318,27 @@ def _scaled_cond_var(factor, field):
     return defect
 
 
+def _shifted_mixed_limit():
+    """_mixed_limit plus one conditional standard deviation over sqrt(n), for every kernel
+    that has a conditional variance (1 <= l < d)."""
+    mixed_limit, cond_var_mixed = uvstat.limits._mixed_limit, uvstat.limits._cond_var_mixed
+
+    def defect(truth):
+        lv = mixed_limit(truth)
+        if not 1 <= truth.kernel.l < truth.kernel.d:
+            return lv
+        return replace(lv, value=lv.value + math.sqrt(cond_var_mixed(truth).total / truth.path.n))
+
+    return defect
+
+
+def _mutated_property(cls, name, *edits):
+    """The cached property cls.name compiled again from its source with the edits made."""
+    prop = _mutated(getattr(cls, name).func, *edits)
+    prop.__set_name__(cls, name)
+    return prop
+
+
 # defect -> (owner, name, a builder of the replacement), which replaces the
 # name in every module that binds it
 LIMIT_DEFECTS = {
@@ -326,11 +360,31 @@ LIMIT_DEFECTS = {
     )),
     "cond_var_mixed_x1_25": (uvstat.limits, "_cond_var_mixed", lambda: _scaled_cond_var(1.25, 1.0)),
     "field_term_dropped": (uvstat.limits, "_cond_var_mixed", lambda: _scaled_cond_var(1.0, 0.0)),
+    "mixed_limit_shifted": (uvstat.limits, "_mixed_limit", _shifted_mixed_limit),
+    # each left-Riemann weight paired with the grid sigma one step later (the
+    # partial last weight dropped where no later sigma is left)
+    "riemann_one_step_late": (uvstat.limits._Truth, "grid", lambda: _mutated_property(
+        uvstat.limits._Truth, "grid",
+        ("return self.path.sigma_grid[: len(weights)], weights",
+         "sigmas = self.path.sigma_grid[1 : len(weights) + 1]\n    return sigmas, weights[: len(sigmas)]"),
+    )),
+    "sigma_pre_one_interval_late": (uvstat.simulate, "_simulate", lambda: _mutated(
+        uvstat.simulate._simulate,
+        ("sigma[np.minimum(intervals - 1, N)]", "sigma[np.minimum(intervals, N)]"),
+    )),
 }
 
 
 def _homogeneity_fails():
     return test_homogeneity.scaling_breaks(*test_homogeneity.ITOSM_CASE) != []
+
+
+def _pins_fail():
+    """(the ItoSM mixed-limit pin moves, a layer pin of an ItoSM or Constant path moves)."""
+    return (
+        _fails(test_limits.test_mixed_limit_grid_sin_itosm_pinned_bits),
+        _fails(test_sampler.test_limits_and_draws_pinned_bits),
+    )
 
 
 def _fixture(name):
@@ -350,14 +404,18 @@ ACCEPTANCE_GATES = {
     11: lambda: _fails(test_acceptance.test_criterion_11_rnp_convergence),
 }
 
-# defect -> (the homogeneity relations fail, {acceptance criterion: it fails})
+# defect -> (the homogeneity relations fail, the mixed-limit pin moves, a
+# layer pin moves, {acceptance criterion: it fails})
 LIMIT_CAUGHT = {
-    "none": (False, {}),
-    "moment_sigma_2p": (True, {7: False, 8: False}),
-    "r_sigma_squared": (True, {5: False, 11: False}),
-    "cond_var_jump_h_for_dh": (True, {4: True}),
-    "cond_var_mixed_x1_25": (False, {7: True}),
-    "field_term_dropped": (False, {7: False}),
+    "none": (False, False, False, {}),
+    "moment_sigma_2p": (True, True, True, {7: False, 8: False}),
+    "r_sigma_squared": (True, False, True, {5: False, 11: False}),
+    "cond_var_jump_h_for_dh": (True, False, True, {4: True}),
+    "cond_var_mixed_x1_25": (False, False, True, {7: True}),
+    "field_term_dropped": (False, False, True, {7: False}),
+    "mixed_limit_shifted": (False, True, False, {7: True}),
+    "riemann_one_step_late": (False, True, True, {}),
+    "sigma_pre_one_interval_late": (False, False, True, {}),
 }
 
 
@@ -370,6 +428,6 @@ def test_limit_law_defect_caught_by_its_gates(monkeypatch, defect):
         for module in (uvstat.harness, uvstat.limits, uvstat.sampler):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, replacement)
-    homogeneity, criteria = LIMIT_CAUGHT[defect]
-    caught = (_homogeneity_fails(), {c: ACCEPTANCE_GATES[c]() for c in criteria})
-    assert caught == (homogeneity, criteria)
+    *_, criteria = LIMIT_CAUGHT[defect]
+    caught = (_homogeneity_fails(), *_pins_fail(), {c: ACCEPTANCE_GATES[c]() for c in criteria})
+    assert caught == LIMIT_CAUGHT[defect]

@@ -19,8 +19,8 @@ from uvstat.simulate import (
     AtomList,
     GroundTruth,
     JumpModel,
-    JumpRecord,
     ModelConfig,
+    SamplePath,
     SimulationError,
     TruncNormal,
     Uniform,
@@ -36,6 +36,16 @@ from uvstat.simulate import (
     simulate_truth,
 )
 from uvstat.simulate import _brownian, _count, _jump_runs
+
+from test_cli import _DELETE, FIELD_VALUES
+
+
+JUMP_COLUMNS = ("times", "sizes", "sigma_pre", "sigma_post", "intervals")
+
+
+def jump_columns(path):
+    """The jump table as one list per column: equal exactly when every entry is."""
+    return [getattr(path, name).tolist() for name in JUMP_COLUMNS]
 
 
 def make_config(
@@ -76,14 +86,14 @@ def test_degenerate_zero_path():
     path = simulate_path(cfg, n=16, T=1.0, seed=1)
     np.testing.assert_allclose(path.x_grid, 0.0, atol=1e-10)
     assert len(path.x_grid) == 17
-    assert path.jumps == ()
+    assert jump_columns(path) == [[]] * 5
 
 
 def test_pure_counting_process():
     cfg = near_zero_vol_config(intensity=3.0, size_dist=AtomList(((1.0, 1.0),)))
     path = simulate_path(cfg, n=64, T=1.0, seed=7)
-    total = sum(r.size for r in path.jumps)
-    assert path.x_grid[-1] == pytest.approx(len(path.jumps) * 1.0, abs=1e-9)
+    total = sum(path.sizes.tolist())
+    assert path.x_grid[-1] == pytest.approx(len(path.times) * 1.0, abs=1e-9)
     assert path.x_grid[-1] == pytest.approx(total, abs=1e-9)
 
 
@@ -95,7 +105,7 @@ def test_determinism_bit_identical():
     assert np.array_equal(a.x_grid, b.x_grid)
     assert np.array_equal(a.sigma_grid, b.sigma_grid)
     assert np.array_equal(a.w_increments, b.w_increments)
-    assert a.jumps == b.jumps
+    assert jump_columns(a) == jump_columns(b)
     c = simulate_path(cfg, n=256, T=1.0, seed=43)
     assert not np.array_equal(a.x_grid, c.x_grid)
 
@@ -109,8 +119,8 @@ def test_reconstruction_identity():
     n = path.n
     inc = cfg.drift_b / n + path.sigma_grid[:-1] * path.w_increments
     inc = inc.copy()
-    for r in path.jumps:
-        inc[r.interval_index - 1] += r.size
+    for i, size in zip(path.intervals.tolist(), path.sizes.tolist()):
+        inc[i - 1] += size
     rebuilt = np.empty(len(path.x_grid))
     rebuilt[0] = 0.0
     np.cumsum(inc, out=rebuilt[1:])
@@ -120,11 +130,11 @@ def test_reconstruction_identity():
 def test_jump_records_consistent():
     cfg = make_config(intensity=6.0, size_dist=Uniform(0.5, 1.5))
     path = simulate_path(cfg, n=128, T=1.0, seed=3)
-    for r in path.jumps:
-        assert 0.0 < r.time <= 1.0
-        assert (r.interval_index - 1) / path.n < r.time <= r.interval_index / path.n
-        assert r.size != 0.0
-        assert r.sigma_pre > 0 and r.sigma_post > 0
+    for time, size, sigma_pre, sigma_post, i in zip(*jump_columns(path)):
+        assert 0.0 < time <= 1.0
+        assert (i - 1) / path.n < time <= i / path.n
+        assert size != 0.0
+        assert sigma_pre > 0 and sigma_post > 0
 
 
 def test_increments_directly():
@@ -169,7 +179,7 @@ def test_quadratic_variation_monte_carlo():
 
 def test_jump_count_is_poisson():
     cfg = make_config(intensity=3.0, size_dist=Uniform(0.5, 1.5))
-    counts = [len(simulate_path(cfg, n=32, T=1.0, seed=s).jumps) for s in range(600)]
+    counts = [len(simulate_path(cfg, n=32, T=1.0, seed=s).times) for s in range(600)]
     edges = list(range(8))
     observed = np.array([sum(1 for c in counts if c == e) for e in edges] +
                         [sum(1 for c in counts if c >= 8)])
@@ -181,8 +191,8 @@ def test_jump_count_is_poisson():
 def test_jump_neighborhood_pure_jump():
     cfg = near_zero_vol_config(intensity=4.0, size_dist=AtomList(((1.0, 1.0),)))
     path = simulate_path(cfg, n=64, T=1.0, seed=17)
-    assert path.jumps
-    for p in range(len(path.jumps)):
+    assert len(path.times)
+    for p in range(len(path.times)):
         nb = jump_neighborhood(path, p)
         if not nb.shared_interval:
             assert nb.r_minus == pytest.approx(0.0, abs=1e-6)
@@ -198,8 +208,8 @@ def test_jump_neighborhood_drift_only():
     )
     n = 64
     path = simulate_path(cfg, n=n, T=1.0, seed=23)
-    assert path.jumps
-    for p in range(len(path.jumps)):
+    assert len(path.times)
+    for p in range(len(path.times)):
         nb = jump_neighborhood(path, p)
         if not nb.shared_interval:
             assert nb.r == pytest.approx(1.0 / math.sqrt(n), abs=1e-6)
@@ -215,7 +225,7 @@ def test_jump_neighborhood_limit_law():
     while len(rs) < 600:
         path = simulate_path(cfg, n=2048, T=1.0, seed=seed)
         seed += 1
-        for p in range(len(path.jumps)):
+        for p in range(len(path.times)):
             nb = jump_neighborhood(path, p)
             if not nb.shared_interval:
                 rs.append(nb.r)
@@ -229,7 +239,7 @@ def test_jump_neighborhood_limit_law():
 def test_shared_interval_flagged():
     cfg = make_config(intensity=40.0, size_dist=Uniform(0.5, 1.5))
     path = simulate_path(cfg, n=8, T=1.0, seed=1)
-    flags = [jump_neighborhood(path, p).shared_interval for p in range(len(path.jumps))]
+    flags = [jump_neighborhood(path, p).shared_interval for p in range(len(path.times))]
     assert any(flags)
 
 
@@ -366,7 +376,7 @@ def test_json_round_trip():
     assert np.array_equal(back.x_grid, path.x_grid)
     assert np.array_equal(back.sigma_grid, path.sigma_grid)
     assert np.array_equal(back.w_increments, path.w_increments)
-    assert back.jumps == path.jumps
+    assert jump_columns(back) == jump_columns(path)
     assert back.seed == path.seed
     assert back.config == path.config
 
@@ -376,7 +386,7 @@ def test_binary_round_trip():
     path = simulate_path(cfg, n=64, T=1.0, seed=37)
     back = path_from_binary(path_to_binary(path))
     assert np.array_equal(back.x_grid, path.x_grid)
-    assert back.jumps == path.jumps
+    assert jump_columns(back) == jump_columns(path)
     np.testing.assert_array_equal(back.w_before_jump, path.w_before_jump)
     with pytest.raises(SimulationError):
         path_from_binary(b"NOTMAGIC" + b"\x00" * 64)
@@ -397,7 +407,7 @@ def test_binary_round_trip_above_2_63():
     cfg = make_config(drift=0.2, intensity=4.0, size_dist=Uniform(-1.0, 1.0))
     path = simulate_path(cfg, n=64, T=1.0, seed=2**63 + 1)
     back = path_from_binary(path_to_binary(path))
-    assert back.seed == 2**63 + 1 and back.jumps == path.jumps
+    assert back.seed == 2**63 + 1 and jump_columns(back) == jump_columns(path)
     assert back.x_grid.tobytes() == path.x_grid.tobytes()
     low = simulate_path(cfg, n=64, T=1.0, seed=2**63 - 1)
     head = struct.pack("<dqqq", low.T, low.n, low.seed, low.n_sigma_clamps)
@@ -411,7 +421,7 @@ def test_inconsistent_path_document_is_refused(name):
     # one array cut short: grid, increments and jump columns no longer agree
     cfg = make_config(drift=0.2, intensity=4.0, size_dist=Uniform(-1.0, 1.0))
     path = simulate_path(cfg, n=64, T=1.0, seed=37)
-    assert len(path.jumps) >= 2
+    assert len(path.times) >= 2
     cut = 10 if name == "x_grid" else len(getattr(path, name)) - 1
     message = rf"inconsistent path document: array lengths \{{.*'{name}': {cut}\b"
     doc = json.loads(path_to_json(path))
@@ -465,6 +475,20 @@ def _cut_binary(keep):
     return case
 
 
+def _overwritten_binary(offset, byte):
+    """A case reading path.bin with the byte at offset overwritten."""
+    def case(path):
+        dump = bytearray(path_to_binary(path))
+        dump[offset] = byte
+        return path_from_binary, bytes(dump)
+    return case
+
+
+# where the model block of a path.bin starts: after the magic, the head and
+# the block's length
+MODEL_BLOCK_OFFSET = 8 + struct.calcsize("<dqQq") + 8
+
+
 MALFORMED_PATHS = {
     "bare_document": (
         lambda path: (path_from_json, '{"format": "uvstat.sample_path"}'),
@@ -499,6 +523,33 @@ MALFORMED_PATHS = {
     "binary_cut_in_last_column": (
         _cut_binary(lambda size: size - 1), "truncated binary path dump: .* bytes, .* needed"
     ),
+    "T_not_a_number": (_edited_json(lambda doc: doc.update(T="x")), r"path\.T must be a number"),
+    "T_negative": (_edited_json(lambda doc: doc.update(T=-1.0)), r"path\.T must be > 0, got -1\.0"),
+    "T_off_the_grid": (
+        _edited_json(lambda doc: doc.update(T=2.0)),
+        r"path\.n = 16 and path\.T = 2\.0 give floor\(n T\) = 32 grid steps, but w_increments has 16",
+    ),
+    "n_a_string": (_edited_json(lambda doc: doc.update(n="64")), r"path\.n must be an integer, got '64'"),
+    "seed_negative": (_edited_json(lambda doc: doc.update(seed=-3)), r"path\.seed must be >= 0, got -3"),
+    "clamps_negative": (
+        _edited_json(lambda doc: doc.update(n_sigma_clamps=-2)), r"path\.n_sigma_clamps must be >= 0"
+    ),
+    "clamps_a_string": (
+        _edited_json(lambda doc: doc.update(n_sigma_clamps="z")),
+        r"path\.n_sigma_clamps must be an integer, got 'z'",
+    ),
+    "jump_time_nan": (
+        _edited_json(lambda doc: doc["jumps"][0].update(time=math.nan, interval_index=1)),
+        r"jump times outside \(0, path\.T = 1\.0\]",
+    ),
+    "interval_not_an_integer": (
+        _edited_json(lambda doc: doc["jumps"][0].update(interval_index=4.5)),  # its interval is 4
+        "out of time order or off their intervals",
+    ),
+    "binary_model_not_json": (
+        _overwritten_binary(MODEL_BLOCK_OFFSET, ord("x")),
+        r"path\.model: the binary model block is not JSON",
+    ),
 }
 
 
@@ -510,6 +561,50 @@ def test_malformed_path_documents_raise_simulation_error(case):
     reader, data = build(path)
     with pytest.raises(SimulationError, match=message):
         reader(data)
+
+
+PATH_KEY_KINDS = ("head", "array_entry", "jump_field")
+
+
+@st.composite
+def damaged_path_files(draw):
+    """(reader, data): the path.json of a 16-step path with one head key, array entry or
+    jump-row field replaced by a FIELD_VALUES entry or deleted, or its path.bin cut short
+    or with one byte overwritten."""
+    path = simulate_path(make_config(intensity=4.0, size_dist=Uniform(-1.0, 1.0)), 16, 1.0, 37)
+    if draw(st.booleans()):
+        doc = json.loads(path_to_json(path))
+        kind = draw(st.sampled_from(PATH_KEY_KINDS))
+        if kind == "head":
+            parent, key = doc, draw(st.sampled_from(sorted(doc)))
+        elif kind == "array_entry":
+            parent = doc[draw(st.sampled_from(["x_grid", "sigma_grid", "w_increments", "w_before_jump"]))]
+            key = draw(st.integers(0, len(parent) - 1))
+        else:
+            parent = draw(st.sampled_from(doc["jumps"]))
+            key = draw(st.sampled_from(sorted(parent)))
+        value = draw(st.sampled_from(FIELD_VALUES))
+        if value is _DELETE:
+            del parent[key]
+        else:
+            parent[key] = value
+        return path_from_json, json.dumps(doc)
+    dump = path_to_binary(path)
+    at = draw(st.integers(0, len(dump) - 1))
+    if draw(st.booleans()):
+        return path_from_binary, dump[:at]
+    return path_from_binary, dump[:at] + bytes([draw(st.integers(0, 255))]) + dump[at + 1 :]
+
+
+@settings(max_examples=300, deadline=None, derandomize=True, database=None)
+@given(case=damaged_path_files())
+def test_fuzzed_path_files_return_a_path_or_raise_simulation_error(case):
+    reader, data = case
+    try:
+        path = reader(data)
+    except SimulationError:
+        return
+    assert isinstance(path, SamplePath)
 
 
 # ---------------------------------------------------------------------------
@@ -594,7 +689,7 @@ def _simulate_path_scalar(cfg, n, T, seed, clamp_budget=1000):
 
     # spot volatility at jump times: left grid state plus deterministic
     # partial Euler drift step (continuous volatility, so pre = post)
-    records = []
+    pres = []
     for p in range(n_jumps):
         idx = int(intervals[p])
         left = sigma[min(idx - 1, N)]
@@ -602,15 +697,7 @@ def _simulate_path_scalar(cfg, n, T, seed, clamp_budget=1000):
             pre = max(left + vol.tilde_b * (times[p] - (idx - 1) / n), vol.floor_eps)
         else:
             pre = left
-        records.append(
-            JumpRecord(
-                time=float(times[p]),
-                size=float(sizes[p]),
-                sigma_pre=float(pre),
-                sigma_post=float(pre),
-                interval_index=idx,
-            )
-        )
+        pres.append(float(pre))
 
     # X increments and grid values
     inc = cfg.drift_b / n + sigma[:N] * w_inc
@@ -625,14 +712,18 @@ def _simulate_path_scalar(cfg, n, T, seed, clamp_budget=1000):
             f"path exceeded bound_A={cfg.bound_A} (max |X| = {np.max(np.abs(x_grid)):.6g})"
         )
 
-    # the fields assert_same_path compares, with the jumps as records
+    # the fields assert_same_path compares
     return SimpleNamespace(
         T=float(T),
         n=int(n),
         x_grid=x_grid,
         sigma_grid=sigma,
         w_increments=w_inc,
-        jumps=tuple(records),
+        times=times,
+        sizes=sizes,
+        sigma_pre=np.array(pres),
+        sigma_post=np.array(pres),
+        intervals=intervals,
         seed=int(seed),
         config=cfg,
         w_before_jump=w_before,
@@ -662,7 +753,7 @@ def assert_same_path(a, b):
         x, y = getattr(a, name), getattr(b, name)
         assert (x.dtype, x.shape, x.tobytes()) == (y.dtype, y.shape, y.tobytes()), name
     assert np.array_equal(np.isnan(a.w_before_jump), np.isnan(b.w_before_jump))
-    assert a.jumps == b.jumps
+    assert jump_columns(a) == jump_columns(b)
     assert a.n_sigma_clamps == b.n_sigma_clamps
 
 
@@ -675,7 +766,7 @@ def test_simulate_path_matches_scalar_oracle(model):
         path = simulate_path(cfg, n, T, seed)
         assert_same_path(path, _simulate_path_scalar(cfg, n, T, seed))
         clamped += path.clamped
-        intervals = [r.interval_index for r in path.jumps]
+        intervals = path.intervals.tolist()
         shared += len(intervals) > len(set(intervals))
         past_grid += any(i > path.n_steps for i in intervals)
     assert past_grid > 0
@@ -694,7 +785,7 @@ def test_simulate_path_matches_scalar_oracle_at_benchmark_size(model):
     for seed in range(3):
         path = simulate_path(cfg, 8192, 1.0, seed)
         assert_same_path(path, _simulate_path_scalar(cfg, 8192, 1.0, seed))
-        intervals = [r.interval_index for r in path.jumps]
+        intervals = path.intervals.tolist()
         shared += len(intervals) > len(set(intervals))
     if "dense" in model:
         assert shared > 0
@@ -778,26 +869,25 @@ def test_jump_neighborhood_matches_a_scan_of_every_jump():
     checked = shared = refused = 0
     for seed, (n, T) in enumerate([(64, 1.0), (64, 1.37), (257, 1.0), (7, 1.0)]):
         path = simulate_path(cfg, n, T, seed)
-        jumps = path.jumps
-        for p, rec in enumerate(jumps):
-            i = rec.interval_index
+        times, sizes, intervals = path.times.tolist(), path.sizes.tolist(), path.intervals.tolist()
+        for p, i in enumerate(intervals):
             if i > path.n_steps:
                 with pytest.raises(SimulationError, match="past the last full grid interval"):
                     jump_neighborhood(path, p)
                 refused += 1
                 continue
-            others = [q for q, other in enumerate(jumps) if other.interval_index == i and q != p]
+            others = [q for q, other in enumerate(intervals) if other == i and q != p]
             earlier = 0.0
             for q in others:
                 if q < p:
-                    earlier += jumps[q].size
+                    earlier += sizes[q]
             pre = (
-                path.config.drift_b * (rec.time - (i - 1) / n)
+                path.config.drift_b * (times[p] - (i - 1) / n)
                 + path.sigma_grid[i - 1] * path.w_before_jump[p]
                 + earlier
             )
             r_minus = math.sqrt(n) * pre
-            r_plus = math.sqrt(n) * (path.x_grid[i] - path.x_grid[i - 1] - pre - rec.size)
+            r_plus = math.sqrt(n) * (path.x_grid[i] - path.x_grid[i - 1] - pre - sizes[p])
             nb = jump_neighborhood(path, p)
             assert nb.shared_interval == bool(others)
             assert (nb.r_minus, nb.r_plus, nb.r) == (r_minus, r_plus, r_minus + r_plus)
@@ -813,12 +903,12 @@ def test_jump_neighborhood_matches_a_scan_of_every_jump():
 
 def _truth_bytes(p):
     """Every ground-truth field, floats as bytes so that -0.0 and NaN payloads count."""
-    columns = [[getattr(r, f) for r in p.jumps] for f in ("time", "size", "sigma_pre", "sigma_post")]
+    *columns, intervals = jump_columns(p)
     return (
         p.T, p.n, p.seed, p.config, p.n_sigma_clamps, p.n_steps,
         p.sigma_grid.dtype, p.sigma_grid.shape, p.sigma_grid.tobytes(),
         np.array(columns, dtype=float).tobytes(),
-        [r.interval_index for r in p.jumps],
+        intervals,
     )
 
 
@@ -831,9 +921,9 @@ def test_ground_truth_alone_matches_simulate_path(model):
         truth, path = simulate_truth(cfg, n, T, seed), simulate_path(cfg, n, T, seed)
         assert type(truth) is GroundTruth and isinstance(path, GroundTruth)
         assert _truth_bytes(truth) == _truth_bytes(path)
-        assert truth.jumps == path.jumps
+        assert jump_columns(truth) == jump_columns(path)
         assert truth.window() == path.window() and truth.clamped == path.clamped
-        intervals = [r.interval_index for r in truth.jumps]
+        intervals = truth.intervals.tolist()
         no_jumps += not intervals
         shared += len(intervals) > len(set(intervals))
         past_grid += any(i > truth.n_steps for i in intervals)
@@ -899,7 +989,7 @@ def test_substream_spawn_key_equals_spawn():
 
 def test_observation_readers_refuse_a_ground_truth():
     truth = simulate_truth(make_config(intensity=3.0), n=64, T=1.0, seed=5)
-    assert truth.jumps
+    assert len(truth.times)
     for reader in (lambda: jump_neighborhood(truth, 0), lambda: increments(truth),
                    lambda: path_to_json(truth), lambda: path_to_binary(truth)):
         with pytest.raises(AttributeError):

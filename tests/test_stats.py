@@ -181,7 +181,7 @@ def test_power_variation_pure_jump_unscaled():
     )
     path = simulate_path(cfg, n=512, T=1.0, seed=11)
     pv = power_variation(path, p=4.0, scaled=False).value
-    expected = sum(abs(r.size) ** 4 for r in path.jumps)
+    expected = sum(abs(size) ** 4 for size in path.sizes.tolist())
     # only jump intervals contribute materially; the 1e-12 diffusion is noise
     assert pv == pytest.approx(expected, rel=1e-6)
 
