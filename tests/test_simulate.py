@@ -563,9 +563,6 @@ def test_malformed_path_documents_raise_simulation_error(case):
         reader(data)
 
 
-PATH_KEY_KINDS = ("head", "array_entry", "jump_field")
-
-
 @st.composite
 def damaged_path_files(draw):
     """(reader, data): the path.json of a 16-step path with one head key, array entry or
@@ -574,7 +571,7 @@ def damaged_path_files(draw):
     path = simulate_path(make_config(intensity=4.0, size_dist=Uniform(-1.0, 1.0)), 16, 1.0, 37)
     if draw(st.booleans()):
         doc = json.loads(path_to_json(path))
-        kind = draw(st.sampled_from(PATH_KEY_KINDS))
+        kind = draw(st.sampled_from(("head", "array_entry", "jump_field")))
         if kind == "head":
             parent, key = doc, draw(st.sampled_from(sorted(doc)))
         elif kind == "array_entry":
