@@ -7,7 +7,7 @@ Six experiment kinds:
 * CLT_jump  -- standardized sqrt(n)(V^n - V)/sqrt(cond. variance) tested
                against N(0,1), plus a two-sample comparison with draws
                from the sampled limit law on independent paths (asymptotic
-               KS tests, ported from scipy onto scipy.special by uvstat.ks).
+               KS tests, ported from scipy onto math and numpy by uvstat.ks).
 * CLT_mixed -- same for the Y-statistic and its mixed limit law.
 * RNP       -- two-sample comparison of the discrete jump neighborhoods
                R(n,p) with the extension-space R_k draws.

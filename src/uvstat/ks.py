@@ -1,23 +1,36 @@
-"""Asymptotic Kolmogorov-Smirnov tests on scipy.special alone.
+"""Asymptotic Kolmogorov-Smirnov tests without scipy.stats.
 
 ``kstest_norm_asymp(z)`` returns, bit for bit, the statistic and p-value
 of scipy's ``kstest(z, "norm", method="asymp")``, and
 ``ks_2samp_asymp(a, b)`` those of ``ks_2samp(a, b, method="asymp")``,
 for 1-D float64 samples.  Loading ``scipy.stats`` for these two numbers
 would cost about 45 MB of resident memory and most of a second of cold
-start, so the CLT and RNP checks compute them here.
+start, and ``scipy.special`` about 18 MB more, so the CLT and RNP checks
+compute them here.
 
-The one-sample p-value is the limiting Kolmogorov tail
-``scipy.special.kolmogorov(D sqrt(N))``.  The two-sample p-value is
-``kstwo.sf(d, round(en))``, the finite-n two-sided distribution that has
-no ``scipy.special`` ufunc.  It is computed by a port of the survival
-route of ``_kolmogn`` (Simard & L'Ecuyer 2011, J. Stat. Softw. 39(11))
-and the routines it calls from scipy 1.17.1, ``scipy/stats/_ksstats.py``:
-Ruben-Gambino, ``smirnov``, the Durbin matrix (Marsaglia-Tsang-Wang),
-Pomeranz and Pelz-Good.  The port keeps scipy's arithmetic, including
-the longdouble rescaling, and casts to float64 where scipy does, so the
-p-values match to the last bit.  They follow that scipy release, not
-later ones.
+The one-sample test needs the normal cdf ``ndtr`` and the limiting
+Kolmogorov tail ``kolmogorov(D sqrt(N))``.  Both are scalar ports, on
+``math`` alone, of scipy 1.17.1's ``xsf/cephes/ndtr.h`` (``ndtr`` with
+its ``erf``, ``erfc`` and ``polevl``) and
+``xsf/cephes/kolmogorov.h`` (the two unrolled series with the 0.82
+cutover).  They use libm through ``math.exp`` and ``math.pow``, as the
+compiled ufuncs do, never numpy's vectorized ``exp``, which may round
+differently; so they return scipy.special's values to the last bit.  The
+cephes routines are from the Cephes Math Library, Copyright 1984, 1987,
+1988, 1992, 2000 by Stephen L. Moshier, distributed with scipy under the
+BSD license below.
+
+The two-sample p-value is ``kstwo.sf(d, round(en))``, the finite-n
+two-sided distribution that has no ``scipy.special`` ufunc.  It is
+computed by a port of the survival route of ``_kolmogn`` (Simard &
+L'Ecuyer 2011, J. Stat. Softw. 39(11)) and the routines it calls from
+scipy 1.17.1, ``scipy/stats/_ksstats.py``: Ruben-Gambino, ``smirnov``,
+the Durbin matrix (Marsaglia-Tsang-Wang), Pomeranz and Pelz-Good.  The
+port keeps scipy's arithmetic, including the longdouble rescaling, and
+casts to float64 where scipy does, so the p-values match to the last
+bit.  Only the ``smirnov`` routes call ``scipy.special``, which is
+imported there.  All these values follow scipy 1.17.1, not later
+releases.
 
 The ported code carries scipy's license:
 
@@ -64,17 +77,13 @@ __all__ = ["kstest_norm_asymp", "ks_2samp_asymp"]
 
 def kstest_norm_asymp(z) -> tuple:
     """(D, p) of the two-sided KS test of the sample z against N(0, 1)."""
-    # scipy.special is imported where it runs, to keep the CLI's cold start at numpy's
-    from scipy.special import kolmogorov, ndtr
-
     x = np.sort(np.asarray(z, dtype=float))
     n = len(x)
-    cdfvals = ndtr(x)
+    cdfvals = np.array([_ndtr(v) for v in x.tolist()])
     d_plus = (np.arange(1.0, n + 1) / n - cdfvals).max()
     d_minus = (cdfvals - np.arange(0.0, n) / n).max()
     d = d_plus if d_plus > d_minus else d_minus
-    p = np.clip(kolmogorov(d * math.sqrt(n)), 0.0, 1.0)
-    return float(d), float(p)
+    return float(d), _kolmogorov(float(d) * math.sqrt(n))
 
 
 def ks_2samp_asymp(a, b) -> tuple:
@@ -93,6 +102,113 @@ def ks_2samp_asymp(a, b) -> tuple:
     m, n = sorted([float(len(a)), float(len(b))], reverse=True)
     en = m * n / (m + n)
     return float(d), float(np.clip(_kstwo_sf(float(d), round(en)), 0, 1))
+
+
+# ---------------------------------------------------------------------------
+# ndtr and kolmogorov: scalar ports of scipy.special's cephes routines
+# ---------------------------------------------------------------------------
+
+_SQRTH = 7.07106781186547524401E-1  # sqrt(1/2)
+_MAXLOG = 7.09782712893383996843E2  # log(DBL_MAX)
+
+# erfc(x) = exp(-x^2) P(x)/Q(x) for 1 <= x < 8, R(x)/S(x) for x >= 8, and
+# erf(x) = x T(x^2)/U(x^2) for |x| <= 1; Q, S and U lead with the 1 that cephes'
+# p1evl leaves implicit, which changes no bit as 1 * x == x
+_NDTR_P = (
+    2.46196981473530512524E-10, 5.64189564831068821977E-1, 7.46321056442269912687E0,
+    4.86371970985681366614E1, 1.96520832956077098242E2, 5.26445194995477358631E2,
+    9.34528527171957607540E2, 1.02755188689515710272E3, 5.57535335369399327526E2,
+)
+_NDTR_Q = (
+    1.0, 1.32281951154744992508E1, 8.67072140885989742329E1, 3.54937778887819891062E2,
+    9.75708501743205489753E2, 1.82390916687909736289E3, 2.24633760818710981792E3,
+    1.65666309194161350182E3, 5.57535340817727675546E2,
+)
+_NDTR_R = (
+    5.64189583547755073984E-1, 1.27536670759978104416E0, 5.01905042251180477414E0,
+    6.16021097993053585195E0, 7.40974269950448939160E0, 2.97886665372100240670E0,
+)
+_NDTR_S = (
+    1.0, 2.26052863220117276590E0, 9.39603524938001434673E0, 1.20489539808096656605E1,
+    1.70814450747565897222E1, 9.60896809063285878198E0, 3.36907645100081516050E0,
+)
+_NDTR_T = (
+    9.60497373987051638749E0, 9.00260197203842689217E1, 2.23200534594684319226E3,
+    7.00332514112805075473E3, 5.55923013010394962768E4,
+)
+_NDTR_U = (
+    1.0, 3.35617141647503099647E1, 5.21357949780152679795E2, 4.59432382970980127987E3,
+    2.26290000613890934246E4, 4.92673942608635921086E4,
+)
+
+
+def _polevl(x: float, coef) -> float:
+    """coef[0] x^N + ... + coef[N] by Horner's rule."""
+    ans = coef[0]
+    for c in coef[1:]:
+        ans = ans * x + c
+    return ans
+
+
+# erf and erfc are restricted to the arguments ndtr passes them, which drops
+# cephes' branches for negative and out-of-range ones
+def _erf(x: float) -> float:
+    """erf(x) for |x| < 1."""
+    z = x * x
+    return x * _polevl(z, _NDTR_T) / _polevl(z, _NDTR_U)
+
+
+def _erfc(a: float) -> float:
+    """erfc(a) for a >= sqrt(1/2)."""
+    if a < 1.0:
+        return 1.0 - _erf(a)
+    z = -a * a
+    if z < -_MAXLOG:  # exp(z) underflows
+        return 0.0
+    p, q = (_NDTR_P, _NDTR_Q) if a < 8.0 else (_NDTR_R, _NDTR_S)
+    return math.exp(z) * _polevl(a, p) / _polevl(a, q)
+
+
+def _ndtr(a: float) -> float:
+    """The standard normal cdf at a, as scipy.special.ndtr."""
+    if math.isnan(a):
+        return math.nan
+    x = a * _SQRTH
+    z = abs(x)
+    if z < _SQRTH:
+        return 0.5 + 0.5 * _erf(x)
+    y = 0.5 * _erfc(z)
+    return 1.0 - y if x > 0 else y
+
+
+_KOLMOG_CUTOVER = 0.82
+# below this x, exp(-pi^2/(8x^2)) is under exp(-746) and the tail is 1
+_KOLMOG_ONE = math.pi / math.sqrt(746 * 8)
+_SQRT_2PI = math.sqrt(2 * math.pi)
+
+
+def _kolmogorov(x: float) -> float:
+    """Pr(K > x) for the Kolmogorov limit law, as scipy.special.kolmogorov."""
+    if math.isnan(x):
+        return math.nan
+    if x <= _KOLMOG_ONE:
+        return 1.0
+    if x <= _KOLMOG_CUTOVER:
+        # 1 - (sqrt(2pi)/x) u (1 + u^8 + u^24 + u^48), u = exp(-pi^2/(8x^2))
+        w = _SQRT_2PI / x
+        logu8 = -math.pi * math.pi / (x * x)
+        u = math.exp(logu8 / 8)
+        if u == 0:  # w u, by logs
+            cdf = math.exp(logu8 / 8 + math.log(w))
+        else:
+            u8 = math.exp(logu8)
+            cdf = w * u * (1 + u8 * (1 + u8 * u8 * (1 + math.pow(u8, 3))))
+        # both series stay in [0, 1] on their ranges, so scipy's clip to [0, 1] never binds
+        return 1 - cdf
+    # 2 v (1 - v^3 (1 - v^5 (1 - v^7))), v = exp(-2x^2)
+    v = math.exp(-2 * x * x)
+    v3 = math.pow(v, 3)
+    return 2 * v * (1 - v3 * (1 - v3 * (v * v) * (1 - v3 * v3 * v)))
 
 
 # ---------------------------------------------------------------------------
@@ -138,8 +254,6 @@ def _clip_prob(p):
 
 def _kolmogn_sf(n: int, x):
     """Pr(D_n >= x) for 0.5/n < x < 1 (Simard & L'Ecuyer 2011)."""
-    from scipy.special import smirnov
-
     t = n * x
     if t <= 1.0:  # Ruben-Gambino: 1/2n <= x <= 1/n
         if t <= 0.5:
@@ -152,7 +266,7 @@ def _kolmogn_sf(n: int, x):
     if t >= n - 1:  # Ruben-Gambino
         return _clip_prob(2 * (1.0 - x) ** n)
     if x >= 0.5:  # exact: 2 * smirnov
-        return _clip_prob(2 * smirnov(n, x))
+        return _twice_smirnov(n, x)
 
     nxsquared = t * x
     if n <= 140:
@@ -163,17 +277,24 @@ def _kolmogn_sf(n: int, x):
             prob = _kolmogn_Pomeranz(n, x)
             return _clip_prob(1.0 - prob)
         # Miller approximation of 2 * smirnov
-        return _clip_prob(2 * smirnov(n, x))
+        return _twice_smirnov(n, x)
 
     if nxsquared >= 370.0:
         return 0.0
     if nxsquared >= 2.2:
-        return _clip_prob(2 * smirnov(n, x))
+        return _twice_smirnov(n, x)
     if n <= 100000 and n * x**1.5 <= 1.4:
         cdfprob = _kolmogn_DMTW(n, x)
     else:
         cdfprob = _kolmogn_PelzGood(n, x)
     return _clip_prob(1.0 - cdfprob)
+
+
+def _twice_smirnov(n, x):
+    # the one scipy.special call of the KS tests, imported only where a route needs it
+    from scipy.special import smirnov
+
+    return _clip_prob(2 * smirnov(n, x))
 
 
 def _log_nfactorial_div_n_pow_n(n):

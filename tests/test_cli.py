@@ -819,25 +819,31 @@ def _cold_start(tmp_path, *command) -> list:
     random_on_import, numpy_only, after = json.loads(proc.stdout)
     assert not random_on_import
     assert numpy_only == []
-    # the KS tests ran, so they are what loaded scipy.special
+    # the KS tests ran, so an empty list shows that they loaded no scipy submodule
     report = json.loads((out / "report.json").read_text(encoding="utf-8"))
     assert all("ks_pvalue" in table for table in report["tables"]["per_n"].values())
     return after
 
 
-# the KS tests of verify-clt and rnp-check run on scipy.special alone
+# the KS tests of verify-clt and rnp-check run on math and numpy (uvstat.ks);
+# scipy.special loads only where a two-sample p-value takes a smirnov route
 def test_cold_start_loads_scipy_submodules_only_where_they_run(tmp_path):
     clt_jump = Path(__file__).resolve().parent.parent / "configs" / "clt_jump.cfg"
-    assert _cold_start(tmp_path, "verify-clt", "--config", str(clt_jump)) == ["scipy.special"]
+    assert _cold_start(tmp_path, "verify-clt", "--config", str(clt_jump)) == []
 
 
-def test_cold_start_of_rnp_check_loads_scipy_special_only(tmp_path):
+def test_cold_start_of_the_clt_mixed_workload_loads_no_scipy_submodule(tmp_path):
+    clt_mixed = Path(__file__).resolve().parent.parent / "bench" / "workloads" / "clt_mixed.cfg"
+    assert _cold_start(tmp_path, "verify-clt", "--config", str(clt_mixed)) == []
+
+
+def test_cold_start_of_rnp_check_loads_no_scipy_submodule(tmp_path):
     doc = config_doc()
     doc["model"]["jumps"]["intensity"] = 3.0
     doc["experiment"] = {"kind": "RNP", "n_list": [256], "reps": 20}
     cfgfile = tmp_path / "rnp.cfg"
     cfgfile.write_text(json.dumps(doc), encoding="utf-8")
-    assert _cold_start(tmp_path, "rnp-check", "--config", str(cfgfile)) == ["scipy.special"]
+    assert _cold_start(tmp_path, "rnp-check", "--config", str(cfgfile)) == []
 
 
 BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"

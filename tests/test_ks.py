@@ -1,15 +1,21 @@
-"""uvstat.ks against scipy.stats, bit for bit.
+"""uvstat.ks against scipy.stats and scipy.special, bit for bit.
 
 The harness computes its KS statistics and p-values with uvstat.ks so
-that scipy.stats is never loaded; scipy.stats stays the oracle here.
+that scipy.stats, and scipy.special off the smirnov routes, are never
+loaded; scipy stays the oracle here.
 """
 
+import json
 import math
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
+from scipy.special import kolmogorov, ndtr
 from scipy.stats import ks_2samp, kstest, kstwo
 
-from uvstat.ks import _kstwo_sf, ks_2samp_asymp, kstest_norm_asymp
+from uvstat.ks import _kolmogorov, _kstwo_sf, _ndtr, ks_2samp_asymp, kstest_norm_asymp
 
 # equal odd sizes put en at k + 1/2, where round-half-even decides n
 FIXED_SIZES = [(10, 10), (11, 11), (13, 13), (10, 11), (5, 700), (600, 600), (599, 601), (700, 613)]
@@ -101,3 +107,123 @@ def test_kstwo_sf_matches_scipy_bit_for_bit():
         (d, n) for d, n in sf_grid() if _kstwo_sf(d, n).hex() != float(kstwo.sf(d, n)).hex()
     ]
     assert mismatched == []
+
+
+def ndtr_branch(a: float) -> str:
+    """Which route of cephes' ndtr computes the normal cdf at a."""
+    if math.isnan(a):
+        return "nan"
+    z = abs(a) * math.sqrt(0.5)
+    if z < math.sqrt(0.5):
+        return "erf"
+    if z < 1.0:
+        return "1 - erf"
+    if z * z > math.log(sys.float_info.max):
+        return "erfc underflow"
+    return "erfc P/Q" if z < 8.0 else "erfc R/S"
+
+
+def neighbours(x: float) -> list:
+    return [math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)]
+
+
+def ndtr_grid():
+    edges = [0.0, -0.0, math.inf, -math.inf, math.nan, 5e-324, -5e-324]
+    for x in (1.0, math.sqrt(2), 8 * math.sqrt(2), math.sqrt(2 * math.log(sys.float_info.max))):
+        edges += neighbours(x) + neighbours(-x)
+    grid = np.random.default_rng(20261).uniform(-40.0, 40.0, 200_000)
+    return [*edges, *grid.tolist()]
+
+
+def test_ndtr_grid_reaches_every_branch():
+    branches = {ndtr_branch(a) for a in ndtr_grid()}
+    assert branches == {"nan", "erf", "1 - erf", "erfc P/Q", "erfc R/S", "erfc underflow"}
+    assert {ndtr_branch(a) for a in ndtr_grid() if a < 0} == branches - {"nan"}
+
+
+def test_ndtr_matches_scipy_bit_for_bit():
+    grid = ndtr_grid()
+    want = ndtr(np.array(grid))
+    mismatched = [a for a, w in zip(grid, want.tolist()) if _ndtr(a).hex() != w.hex()]
+    assert mismatched == []
+
+
+KOLMOG_CUTOVER = 0.82
+KOLMOG_ONE = math.pi / math.sqrt(8 * 746)  # exp(-pi^2/(8x^2)) < exp(-746) below it
+
+
+def kolmogorov_branch(x: float) -> str:
+    """Which route of xsf's kolmogorov computes the tail at x."""
+    if math.isnan(x):
+        return "nan"
+    if x <= 0:
+        return "x <= 0"
+    if x <= KOLMOG_ONE:
+        return "tail 1"
+    if x <= KOLMOG_CUTOVER:
+        return "small x, by logs" if math.exp(-math.pi**2 / x**2 / 8) == 0 else "small x"
+    return "large x: 0" if math.exp(-2 * x * x) == 0 else "large x"
+
+
+def kolmogorov_grid():
+    edges = [math.nan, math.inf, -math.inf, -1.0, 0.0, -0.0, 5e-324, 40.0]
+    edges += neighbours(KOLMOG_CUTOVER) + neighbours(KOLMOG_ONE)
+    rng = np.random.default_rng(20262)
+    grid = np.concatenate([
+        rng.uniform(0.0, 3.0, 100_000),
+        rng.uniform(KOLMOG_ONE, 0.0407, 200),  # exp(-pi^2/(8x^2)) underflows to 0 up to 0.04069
+        rng.uniform(3.0, 25.0, 2_000),  # exp(-2x^2) underflows to 0 from 19.31
+    ])
+    return [*edges, *grid.tolist()]
+
+
+def test_kolmogorov_grid_reaches_every_branch():
+    assert {kolmogorov_branch(x) for x in kolmogorov_grid()} == {
+        "nan", "x <= 0", "tail 1", "small x, by logs", "small x", "large x", "large x: 0"
+    }
+
+
+def test_kolmogorov_matches_scipy_bit_for_bit():
+    grid = kolmogorov_grid()
+    want = kolmogorov(np.array(grid))
+    mismatched = [x for x, w in zip(grid, want.tolist()) if _kolmogorov(x).hex() != w.hex()]
+    assert mismatched == []
+
+
+# run in a fresh interpreter: ks_2samp_asymp on each (a, b) given as JSON,
+# with whether scipy.special was loaded after each
+LAZY_SMIRNOV_PROBE = """
+import json, sys
+sys.path.insert(0, sys.argv[1])
+from uvstat.ks import ks_2samp_asymp
+out = []
+for a, b in json.loads(sys.argv[2]):
+    out.append([*ks_2samp_asymp(a, b), "scipy.special" in sys.modules])
+print(json.dumps(out))
+"""
+
+
+def test_scipy_special_loads_only_on_a_smirnov_route():
+    rng = np.random.default_rng(20263)
+    pomeranz = (rng.standard_normal(40), rng.standard_normal(40))
+    pelz_good = (rng.standard_normal(300), rng.standard_normal(300) + 0.05)
+    smirnov = (rng.standard_normal(30), rng.standard_normal(30) + 2.0)
+    dmtw = (rng.standard_normal(100), rng.standard_normal(100))
+    pairs = [pomeranz, dmtw, pelz_good, smirnov]
+    src = Path(__file__).resolve().parent.parent / "src"
+    proc = subprocess.run(
+        [sys.executable, "-c", LAZY_SMIRNOV_PROBE, str(src),
+         json.dumps([[a.tolist(), b.tolist()] for a, b in pairs])],
+        capture_output=True, text=True, timeout=300,
+    )
+    assert proc.returncode == 0, proc.stderr
+    routes, loaded = [], []
+    for (a, b), (d, p, special) in zip(pairs, json.loads(proc.stdout)):
+        want = ks_2samp(a, b, method="asymp")
+        assert hexes(d, p) == hexes(want.statistic, want.pvalue)
+        routes.append(sf_branch(d, round(len(a) * len(b) / (len(a) + len(b)))))
+        loaded.append(special)
+    assert routes == [
+        "n <= 140: Pomeranz", "n <= 140: DMTW", "n > 140: Pelz-Good", "x >= 0.5: smirnov"
+    ]
+    assert loaded == [False, False, False, True]

@@ -1,5 +1,6 @@
 """Source hygiene of src/uvstat: no unused imports, no unbound exports, one expanding module,
-no scipy submodule or numpy.random imported at module level and scipy.stats imported nowhere."""
+no scipy submodule or numpy.random imported at module level, scipy.stats imported nowhere and
+scipy.special only where it runs."""
 
 import ast
 from pathlib import Path
@@ -218,10 +219,59 @@ def test_scipy_stats_imports_detected():
 
 
 # scipy.stats costs about 45 MB and most of a second of cold start; the KS
-# tests it served run on scipy.special (uvstat.ks)
+# tests it served run on math and numpy (uvstat.ks)
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_never_imports_scipy_stats(path):
     assert scipy_stats_imports(path.read_text(encoding="utf-8")) == []
+
+
+def import_sites(source: str, matches) -> list:
+    """'function: module' for each import of a module whose name matches, by the innermost
+    enclosing function, '<module>' outside any."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.Import, ast.ImportFrom)):
+                names = imported_modules(child)
+                found.extend(f"{where}: {name}" for name in names if matches(name))
+            inner = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if inner else where)
+
+    visit(ast.parse(source), "<module>")
+    return sorted(found)
+
+
+def test_import_sites_detected():
+    source = (
+        "from scipy.special import ndtr\n"
+        "def f():\n"
+        "    from scipy import special, integrate\n"
+        "    def g():\n"
+        "        import scipy.special._ufuncs\n"
+        "    if f:\n"
+        "        from scipy.special import smirnov\n"
+        "class C:\n"
+        "    def h(self):\n"
+        "        import scipy.specialty\n"
+    )
+    assert import_sites(source, in_package("scipy.special")) == [
+        "<module>: scipy.special",
+        "f: scipy.special",
+        "f: scipy.special",
+        "g: scipy.special._ufuncs",
+    ]
+
+
+# scipy.special costs about 18 MB; the KS tests of verify-clt and rnp-check
+# load it only on a smirnov route of the two-sample p-value
+def test_scipy_special_is_imported_at_two_sites_only():
+    sites = [
+        f"{path.stem}.{site}"
+        for path in sorted(SRC.glob("*.py"))
+        for site in import_sites(path.read_text(encoding="utf-8"), in_package("scipy.special"))
+    ]
+    assert sites == ["ks._twice_smirnov: scipy.special", "stats.empirical_process: scipy.special"]
 
 
 def bound_names(tree) -> set:
