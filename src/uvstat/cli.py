@@ -33,7 +33,7 @@ from uvstat.harness import ExperimentReport, HarnessError, finite_json, grid_sca
 from uvstat.harness import _is_jump_route
 from uvstat.kernels import KernelError
 from uvstat.limits import cond_var_jump, cond_var_mixed, jump_limit, mixed_limit
-from uvstat.simulate import SimulationError, path_to_binary, path_to_json, simulate_path
+from uvstat.simulate import SimulationError, path_to_json, simulate_path
 from uvstat.stats import load_increments_csv, power_variation, realized_qv, u_stat, v_stat, y_stat
 
 __all__ = ["main", "entrypoint"]
@@ -58,9 +58,7 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--output", default=None, help="override the config output directory")
         return p
 
-    add("simulate", "simulate one path and write it to disk").add_argument(
-        "--format", choices=("json", "binary"), default="json"
-    )
+    add("simulate", "simulate one path and write it to path.json")
     p_stat = add("stat", "compute one statistic on simulated or CSV data")
     p_stat.add_argument(
         "--stat", choices=("V", "Y", "U", "QV", "PV"), default="V", dest="stat_kind"
@@ -137,12 +135,8 @@ def _cmd_simulate(args, cfg: RunConfig) -> int:
     path = simulate_path(plan.model, n, plan.t, plan.base_seed)
     outdir = Path(cfg.output_dir)
     outdir.mkdir(parents=True, exist_ok=True)
-    if args.format == "json":
-        target = outdir / "path.json"
-        target.write_text(path_to_json(path), encoding="utf-8")
-    else:
-        target = outdir / "path.bin"
-        target.write_bytes(path_to_binary(path))
+    target = outdir / "path.json"
+    target.write_text(path_to_json(path), encoding="utf-8")
     print(f"simulated path: n={n}, T={plan.t}, jumps={len(path.sizes)}")
     print(f"wrote {target}")
     return 0

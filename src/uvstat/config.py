@@ -4,11 +4,10 @@ A config fully determines a run: model block, textual kernel, experiment
 block, io block, base seed.  Parsing is strict: every block must be a
 JSON object, unknown keys are rejected, and every message names the
 offending key and the violated constraint.  The model block, jump-size
-distribution included, is decoded by simulate.config_from_dict, the same
-decoder that reads path files, so the model dataclasses alone hold its
-field names, defaults and checks.  Canonicalization is exact: parse ->
-canonical_text is a fixed point, so configs round-trip byte-identically
-and manifests can re-run any plan.
+distribution included, is decoded by simulate.config_from_dict, so the
+model dataclasses alone hold its field names, defaults and checks.
+Canonicalization is exact: parse -> canonical_text is a fixed point, so
+configs round-trip byte-identically and manifests can re-run any plan.
 """
 
 from __future__ import annotations

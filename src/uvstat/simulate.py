@@ -41,7 +41,6 @@ import functools
 import itertools
 import json
 import math
-import struct
 from dataclasses import MISSING, asdict, dataclass, fields
 from typing import ClassVar, Optional
 
@@ -64,9 +63,6 @@ __all__ = [
     "jump_neighborhood",
     "JumpNeighborhood",
     "path_to_json",
-    "path_from_json",
-    "path_to_binary",
-    "path_from_binary",
 ]
 
 
@@ -104,14 +100,12 @@ def _number(value, where, lo=None) -> float:
     return v
 
 
-def _integer(value, where, lo=None, hi=None) -> int:
-    """An integer, not a bool, at least lo and below hi when given."""
+def _integer(value, where, lo=None) -> int:
+    """An integer, not a bool, and at least lo when given."""
     if isinstance(value, bool) or not isinstance(value, int):
         raise SimulationError(f"{where} must be an integer, got {value!r}")
     if lo is not None and value < lo:
         raise SimulationError(f"{where} must be >= {lo}, got {value}")
-    if hi is not None and value >= hi:
-        raise SimulationError(f"{where} must be < {hi}, got {value}")
     return value
 
 
@@ -786,99 +780,22 @@ def _decode(cls, block, where: str):
 def config_from_dict(d) -> ModelConfig:
     """Decode a model block (the inverse of config_to_dict).
 
-    This is the one decoder behind run configs and both path formats.  It
-    is strict: every block must be a JSON object, unknown and missing keys
-    are rejected (fields with a dataclass default may be omitted), float
-    fields must be finite numbers, and booleans must be true/false.  Every
-    error is a SimulationError naming its key path, e.g.
-    model.jumps.size_dist.mu.
+    This is the one decoder behind run configs.  It is strict: every block
+    must be a JSON object, unknown and missing keys are rejected (fields
+    with a dataclass default may be omitted), float fields must be finite
+    numbers, and booleans must be true/false.  Every error is a
+    SimulationError naming its key path, e.g. model.jumps.size_dist.mu.
     """
     return _decode(ModelConfig, d, "model")
 
 
-_MAGIC = b"UVSTATP1"
-# the scalar head of a path (binary layout _HEAD_FORMAT, the seed unsigned)
-# and its columns, the grid arrays and then the jump table's, in the order
-# both formats use
+# the scalar head of a path.json document and its grid arrays
 _PATH_HEAD = ("T", "n", "seed", "n_sigma_clamps")
-_HEAD_FORMAT = "<dqQq"
 _PATH_ARRAYS = ("x_grid", "sigma_grid", "w_increments", "w_before_jump")
-_PATH_COLUMNS = (*_PATH_ARRAYS, *_JUMP_COLUMNS.values())
-# the keys of a path.json document and of each of its jump rows
-_PATH_KEYS = dict.fromkeys(
-    ("format", "version", "model", "jumps", *_PATH_HEAD, *_PATH_ARRAYS), _REQUIRED
-)
-_JUMP_KEYS = dict.fromkeys(_JUMP_COLUMNS, _REQUIRED)
-
-
-def _column(value, name: str) -> np.ndarray:
-    """A path column as a 1-D float array; anything else raises SimulationError naming it."""
-    try:
-        arr = np.asarray(value, dtype=float)
-    except (TypeError, ValueError):
-        arr = None
-    if arr is None or arr.ndim != 1:
-        raise SimulationError(f"path column {name} must be an array of numbers, got {value!r:.60}")
-    return arr
-
-
-def _path_head(head) -> dict:
-    """The checked scalar head: T finite and > 0, n in [1, 2**63), seed and n_sigma_clamps >= 0."""
-    T, n, seed, clamps = head
-    T = _number(T, "path.T")
-    if not T > 0:
-        raise SimulationError(f"path.T must be > 0, got {T}")
-    return dict(
-        T=T,
-        n=_integer(n, "path.n", 1, 2**63),
-        seed=_integer(seed, "path.seed", 0),
-        n_sigma_clamps=_integer(clamps, "path.n_sigma_clamps", 0),
-    )
-
-
-def _assemble_path(head, model, columns: dict) -> SamplePath:
-    """A SamplePath from a document's head, model block and columns, keyed by _PATH_COLUMNS.
-
-    A bad head value, a non-numeric column, arrays of mismatched lengths or
-    of other than floor(n T) grid steps, jumps out of time order, outside
-    (0, T] or off their grid intervals raise SimulationError.
-    """
-    head = _path_head(head)
-    n, T = head["n"], head["T"]
-    arrays = {name: _column(columns[name], name) for name in _PATH_COLUMNS}
-    lengths = {name: len(arr) for name, arr in arrays.items()}
-    steps = lengths["w_increments"]
-    if not (
-        lengths["x_grid"] == lengths["sigma_grid"] == steps + 1
-        and len({lengths[name] for name in ("w_before_jump", *_JUMP_COLUMNS.values())}) == 1
-    ):
-        raise SimulationError(
-            f"inconsistent path document: array lengths {lengths}; "
-            "x_grid and sigma_grid need len(w_increments) + 1 entries, "
-            "w_before_jump and each jump column one per jump"
-        )
-    grid = _count(n, T) if math.isfinite(n * T) else math.inf
-    if grid != steps:
-        raise SimulationError(
-            f"inconsistent path document: path.n = {n} and path.T = {T} give floor(n T) = {grid} "
-            f"grid steps, but w_increments has {steps}"
-        )
-    times = arrays["times"]
-    if not ((times > 0) & (times <= T)).all():
-        raise SimulationError(f"inconsistent path document: jump times outside (0, path.T = {T}]")
-    if (np.diff(times) < 0).any() or (arrays["intervals"] != _grid_intervals(times, n)).any():
-        raise SimulationError(
-            "inconsistent path document: jumps out of time order or off their intervals"
-        )
-    arrays["intervals"] = arrays["intervals"].astype(int)
-    return SamplePath(
-        **head,
-        **arrays,
-        config=config_from_dict(model),
-    )
 
 
 def path_to_json(path: SamplePath) -> str:
+    """The path.json document of path: its head, model block and grid arrays, one row per jump."""
     columns = [getattr(path, name).tolist() for name in _JUMP_COLUMNS.values()]
     doc = {
         "format": "uvstat.sample_path",
@@ -889,78 +806,3 @@ def path_to_json(path: SamplePath) -> str:
         **{name: getattr(path, name).tolist() for name in _PATH_ARRAYS},
     }
     return json.dumps(doc, sort_keys=True, indent=1)
-
-
-def path_from_json(text: str) -> SamplePath:
-    """The SamplePath of a path.json document; a malformed one raises SimulationError."""
-    try:
-        doc = json.loads(text)
-    except ValueError:
-        raise SimulationError("not a sample path document: not JSON") from None
-    if not isinstance(doc, dict) or doc.get("format") != "uvstat.sample_path":
-        raise SimulationError("not a sample path document")
-    doc = _require(doc, "path", _PATH_KEYS)
-    jumps = _array(doc["jumps"], "path.jumps")
-    rows = [_require(row, f"path.jumps[{k}]", _JUMP_KEYS) for k, row in enumerate(jumps)]
-    columns = {name: doc[name] for name in _PATH_ARRAYS}
-    for field, name in _JUMP_COLUMNS.items():
-        columns[name] = [row[field] for row in rows]
-    return _assemble_path([doc[name] for name in _PATH_HEAD], doc["model"], columns)
-
-
-def _pack_array(arr: np.ndarray) -> bytes:
-    data = np.asarray(arr, dtype="<f8").tobytes()
-    return struct.pack("<Q", len(arr)) + data
-
-
-def _read(view: memoryview, offset: int, size: int):
-    """(the size bytes at offset, the offset past them); a dump cut short raises SimulationError."""
-    end = offset + size
-    if end > len(view):
-        raise SimulationError(f"truncated binary path dump: {len(view)} bytes, {end} needed")
-    return view[offset:end], end
-
-
-def _read_prefixed(view: memoryview, offset: int, item_size: int):
-    """A block of items after its uint64 item count: (its bytes, the offset past it)."""
-    raw, offset = _read(view, offset, 8)
-    (length,) = struct.unpack("<Q", raw)
-    return _read(view, offset, item_size * length)
-
-
-def path_to_binary(path: SamplePath) -> bytes:
-    """Compact dump: little-endian float64 arrays with length prefixes.
-
-    The model configuration rides along as a length-prefixed JSON blob so
-    the dump stays self-contained.  The jump table follows the grid arrays
-    column by column, the intervals as float64.  The seed is unsigned
-    64-bit; a larger one raises SimulationError.
-    """
-    if not 0 <= path.seed < 2**64:
-        raise SimulationError(
-            f"path seed {path.seed} does not fit the binary format's unsigned 64-bit seed field"
-        )
-    cfg_blob = json.dumps(config_to_dict(path.config), sort_keys=True).encode()
-    head = _MAGIC + struct.pack(_HEAD_FORMAT, *(getattr(path, name) for name in _PATH_HEAD))
-    columns = [getattr(path, name) for name in _PATH_COLUMNS]
-    body = b"".join([struct.pack("<Q", len(cfg_blob)), cfg_blob] + [_pack_array(c) for c in columns])
-    return head + body
-
-
-def path_from_binary(buf: bytes) -> SamplePath:
-    """The SamplePath of a path_to_binary dump; a malformed or short one raises SimulationError."""
-    if buf[: len(_MAGIC)] != _MAGIC:
-        raise SimulationError("bad magic in binary path dump")
-    view = memoryview(buf)
-    raw, offset = _read(view, len(_MAGIC), struct.calcsize(_HEAD_FORMAT))
-    head = struct.unpack(_HEAD_FORMAT, raw)
-    blob, offset = _read_prefixed(view, offset, 1)
-    try:
-        model = json.loads(bytes(blob))
-    except ValueError:
-        raise SimulationError("path.model: the binary model block is not JSON") from None
-    columns = {}
-    for name in _PATH_COLUMNS:
-        raw, offset = _read_prefixed(view, offset, 8)
-        columns[name] = np.frombuffer(raw, dtype="<f8").copy()
-    return _assemble_path(head, model, columns)

@@ -12,14 +12,13 @@ import tempfile
 import warnings
 from pathlib import Path
 
-import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
 import uvstat.kernels
 from uvstat.cli import main
 from uvstat.config import ConfigError, canonical_text, parse_beta_grid, parse_config
-from uvstat.simulate import path_from_binary, path_from_json
+from uvstat.simulate import config_from_dict
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
@@ -706,37 +705,21 @@ def test_memory_error_exits_2_with_one_line(tmp_path, monkeypatch, capsys):
     assert not (tmp_path / "out").exists()
 
 
-def test_simulate_binary_matches_json(tmp_path):
+def test_simulate_writes_the_last_n_at_the_seed_given(tmp_path, capsys):
+    # the plan's model at its last n_list entry, the seed exactly as given on
+    # the command line (2^63 included); path.json is the one format
     doc = jump_clt_doc(kind="LLN", reps=2, n=128)
+    doc["experiment"]["n_list"] = [64, 128]
     doc["io"] = {"output_dir": str(tmp_path / "out")}
     cfgfile = write_config(tmp_path, doc)
-    assert main(["simulate", "--config", str(cfgfile), "--format", "binary"]) == 0
-    assert main(["simulate", "--config", str(cfgfile), "--format", "json"]) == 0
-    back = path_from_binary((tmp_path / "out" / "path.bin").read_bytes())
-    ref = path_from_json((tmp_path / "out" / "path.json").read_text(encoding="utf-8"))
-    assert back.n == 128 and back.seed == 7
-    assert back.config == ref.config == parse_config(cfgfile.read_text()).plan.model
-    assert len(back.times) > 0
-    for name in ("times", "sizes", "sigma_pre", "sigma_post", "intervals"):
-        assert getattr(back, name).tolist() == getattr(ref, name).tolist(), name
-    for name in ("x_grid", "sigma_grid", "w_increments", "w_before_jump"):
-        np.testing.assert_array_equal(getattr(back, name), getattr(ref, name))
-
-
-def test_simulate_binary_takes_every_64_bit_seed(tmp_path, capsys):
-    # the binary head packs the seed unsigned: 2^63 writes and reads back,
-    # 2^64 is refused with one runtime error line
-    cfgfile = next(c for c in CONFIGS if c.name == "clt_mixed.cfg")
-    out = tmp_path / "out"
-    argv = ["simulate", "--config", str(cfgfile), "--format", "binary", "--output", str(out)]
-    assert main(argv + ["--seed", str(2**63)]) == 0
-    assert path_from_binary((out / "path.bin").read_bytes()).seed == 2**63
+    assert main(["simulate", "--config", str(cfgfile), "--seed", str(2**63)]) == 0
+    written = json.loads((tmp_path / "out" / "path.json").read_text(encoding="utf-8"))
+    assert (written["n"], written["seed"]) == (128, 2**63)
+    assert config_from_dict(written["model"]) == parse_config(cfgfile.read_text()).plan.model
     capsys.readouterr()
-    assert main(argv + ["--seed", str(2**64)]) == 2
-    assert capsys.readouterr().err.splitlines() == [
-        f"runtime error: path seed {2**64} does not fit the binary format's "
-        "unsigned 64-bit seed field"
-    ]
+    assert main(["simulate", "--config", str(cfgfile), "--format", "binary"]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("usage: uvstat") and "unrecognized arguments: --format binary" in err
 
 
 # sha256 of report.json and errors.csv for each shipped config at its own seed
@@ -771,6 +754,16 @@ def test_shipped_config_reports_byte_identical(cfgfile, tmp_path, capsys):
         for name in ("report.json", "errors.csv")
     )
     assert digests == SHIPPED_DIGESTS[cfgfile.name]
+
+
+# sha256 of the path.json that simulate writes for clt_mixed.cfg at its own seed
+SHIPPED_PATH_DIGEST = "38f198738f24b85242cde479e4ca21a7400846b8fb19385df52d5dc43efad911"
+
+
+def test_shipped_config_path_json_byte_identical(tmp_path, capsys):
+    cfgfile = next(c for c in CONFIGS if c.name == "clt_mixed.cfg")
+    assert main(["simulate", "--config", str(cfgfile), "--output", str(tmp_path)]) == 0
+    assert hashlib.sha256((tmp_path / "path.json").read_bytes()).hexdigest() == SHIPPED_PATH_DIGEST
 
 
 # run in a fresh interpreter; prints whether importing uvstat.cli loaded

@@ -5,7 +5,6 @@ import itertools
 import json
 import math
 import re
-import struct
 from types import SimpleNamespace
 
 import numpy as np
@@ -20,24 +19,19 @@ from uvstat.simulate import (
     GroundTruth,
     JumpModel,
     ModelConfig,
-    SamplePath,
     SimulationError,
     TruncNormal,
     Uniform,
     VolatilityModel,
+    config_from_dict,
     first_order_increments,
     increments,
     jump_neighborhood,
-    path_from_binary,
-    path_from_json,
-    path_to_binary,
     path_to_json,
     simulate_path,
     simulate_truth,
 )
 from uvstat.simulate import _brownian, _count, _jump_runs
-
-from test_cli import _DELETE, FIELD_VALUES
 
 
 JUMP_COLUMNS = ("times", "sizes", "sigma_pre", "sigma_post", "intervals")
@@ -368,28 +362,44 @@ def test_truncnormal_second_moment_against_quadrature():
         assert dist.second_moment() == pytest.approx(oracle, rel=1e-9), (mu, s, a)
 
 
-def test_json_round_trip():
-    cfg = make_config(drift=0.2, vol_kind="ItoSM", intensity=3.0, tilde=(0.1, 0.2, 0.1),
-                      size_dist=Uniform(-1.0, 1.0))
-    path = simulate_path(cfg, n=64, T=1.0, seed=31)
-    back = path_from_json(path_to_json(path))
-    assert np.array_equal(back.x_grid, path.x_grid)
-    assert np.array_equal(back.sigma_grid, path.sigma_grid)
-    assert np.array_equal(back.w_increments, path.w_increments)
-    assert jump_columns(back) == jump_columns(path)
-    assert back.seed == path.seed
-    assert back.config == path.config
+# (config, n, T, seed) of the paths the writer test reads: an ItoSM path, a
+# dense path on a grid that leaves jumps past its last full interval (and
+# shares intervals), and a seed above 2^63
+WRITTEN_PATHS = (
+    (make_config(drift=0.2, vol_kind="ItoSM", intensity=3.0, tilde=(0.1, 0.2, 0.1),
+                 size_dist=Uniform(-1.0, 1.0)), 64, 1.0, 31),
+    (make_config(intensity=200.0, size_dist=Uniform(-1.0, 1.0)), 64, 1.37, 5),
+    (make_config(drift=0.2, intensity=4.0, size_dist=TruncNormal(0.0, 1.0, 0.3)), 64, 1.0, 2**63 + 1),
+)
+# the path.json key of each jump-table column
+JUMP_FIELDS = dict(zip(("time", "size", "sigma_pre", "sigma_post", "interval_index"), JUMP_COLUMNS))
+PATH_HEAD = ("T", "n", "seed", "n_sigma_clamps")
 
 
-def test_binary_round_trip():
-    cfg = make_config(drift=0.2, intensity=4.0, size_dist=TruncNormal(0.0, 1.0, 0.3))
-    path = simulate_path(cfg, n=64, T=1.0, seed=37)
-    back = path_from_binary(path_to_binary(path))
-    assert np.array_equal(back.x_grid, path.x_grid)
-    assert jump_columns(back) == jump_columns(path)
-    np.testing.assert_array_equal(back.w_before_jump, path.w_before_jump)
-    with pytest.raises(SimulationError):
-        path_from_binary(b"NOTMAGIC" + b"\x00" * 64)
+def exact(values):
+    """A list compared entry by entry exactly: NaN equals NaN, 0.0 differs from -0.0 and 1 from 1.0."""
+    return [repr(v) for v in values]
+
+
+def test_path_json_holds_every_array_and_the_model_exactly():
+    itosm = past = shared = 0
+    for cfg, n, T, seed in WRITTEN_PATHS:
+        path = simulate_path(cfg, n, T, seed)
+        doc = json.loads(path_to_json(path))
+        assert (doc.pop("format"), doc.pop("version")) == ("uvstat.sample_path", 1)
+        assert config_from_dict(doc.pop("model")) == path.config
+        rows = doc.pop("jumps")
+        assert all(row.keys() == JUMP_FIELDS.keys() for row in rows)
+        for field, name in JUMP_FIELDS.items():
+            assert exact(row[field] for row in rows) == exact(getattr(path, name).tolist()), name
+        assert [doc.pop(name) for name in PATH_HEAD] == [getattr(path, name) for name in PATH_HEAD]
+        assert sorted(doc) == ["sigma_grid", "w_before_jump", "w_increments", "x_grid"]
+        for name, values in doc.items():
+            assert exact(values) == exact(getattr(path, name).tolist()), name
+        itosm += cfg.vol.kind == "ItoSM"
+        past += bool((path.intervals > path.n_steps).any())
+        shared += len(set(path.intervals.tolist())) < len(path.intervals)
+    assert itosm and past and shared and path.seed == 2**63 + 1
 
 
 def test_every_array_of_a_path_is_read_only():
@@ -399,209 +409,6 @@ def test_every_array_of_a_path_is_read_only():
         arrays = [getattr(path, f.name) for f in dataclasses.fields(path)]
         arrays = [a for a in arrays if isinstance(a, np.ndarray)]
         assert len(arrays) == count and not any(a.flags.writeable for a in arrays)
-
-
-def test_binary_round_trip_above_2_63():
-    # the seed is packed unsigned: a derive_seed value of 2^63 or more writes
-    # and reads back, and below 2^63 the bytes are those of a signed field
-    cfg = make_config(drift=0.2, intensity=4.0, size_dist=Uniform(-1.0, 1.0))
-    path = simulate_path(cfg, n=64, T=1.0, seed=2**63 + 1)
-    back = path_from_binary(path_to_binary(path))
-    assert back.seed == 2**63 + 1 and jump_columns(back) == jump_columns(path)
-    assert back.x_grid.tobytes() == path.x_grid.tobytes()
-    low = simulate_path(cfg, n=64, T=1.0, seed=2**63 - 1)
-    head = struct.pack("<dqqq", low.T, low.n, low.seed, low.n_sigma_clamps)
-    assert path_to_binary(low)[8 : 8 + len(head)] == head
-    with pytest.raises(SimulationError, match="unsigned 64-bit seed field"):
-        path_to_binary(dataclasses.replace(path, seed=2**64))
-
-
-@pytest.mark.parametrize("name", ["x_grid", "sigma_grid", "w_increments", "w_before_jump"])
-def test_inconsistent_path_document_is_refused(name):
-    # one array cut short: grid, increments and jump columns no longer agree
-    cfg = make_config(drift=0.2, intensity=4.0, size_dist=Uniform(-1.0, 1.0))
-    path = simulate_path(cfg, n=64, T=1.0, seed=37)
-    assert len(path.times) >= 2
-    cut = 10 if name == "x_grid" else len(getattr(path, name)) - 1
-    message = rf"inconsistent path document: array lengths \{{.*'{name}': {cut}\b"
-    doc = json.loads(path_to_json(path))
-    doc[name] = doc[name][:cut]
-    with pytest.raises(SimulationError, match=message):
-        path_from_json(json.dumps(doc))
-    short = dataclasses.replace(path, **{name: getattr(path, name)[:cut]})
-    with pytest.raises(SimulationError, match=message):
-        path_from_binary(path_to_binary(short))
-
-
-def test_path_document_with_a_broken_jump_table_is_refused():
-    # jumps out of time order or off their interval (json), a jump column
-    # cut short (binary)
-    path = simulate_path(make_config(intensity=4.0, size_dist=Uniform(-1.0, 1.0)), 64, 1.0, 37)
-    for edit in ("swap", "interval"):
-        doc = json.loads(path_to_json(path))
-        if edit == "swap":
-            doc["jumps"][:2] = doc["jumps"][1::-1]
-        else:
-            doc["jumps"][0]["interval_index"] += 1
-        with pytest.raises(SimulationError, match="out of time order or off their intervals"):
-            path_from_json(json.dumps(doc))
-    short = dataclasses.replace(path, sizes=path.sizes[:-1])
-    with pytest.raises(SimulationError, match=r"array lengths \{.*'sizes': 3\b"):
-        path_from_binary(path_to_binary(short))
-
-
-def test_path_from_json_is_strict_about_the_model_block():
-    path = simulate_path(make_config(), n=16, T=1.0, seed=3)
-    doc = json.loads(path_to_json(path))
-    doc["model"]["vol"]["sigma"] = 1.0
-    with pytest.raises(SimulationError, match=r"unknown key\(s\) \['sigma'\] in model.vol"):
-        path_from_json(json.dumps(doc))
-
-
-def _edited_json(edit):
-    """A case reading path.json with edit(doc) applied to the document."""
-    def case(path):
-        doc = json.loads(path_to_json(path))
-        edit(doc)
-        return path_from_json, json.dumps(doc)
-    return case
-
-
-def _cut_binary(keep):
-    """A case reading path.bin cut to its first keep(len) bytes."""
-    def case(path):
-        dump = path_to_binary(path)
-        return path_from_binary, dump[: keep(len(dump))]
-    return case
-
-
-def _overwritten_binary(offset, byte):
-    """A case reading path.bin with the byte at offset overwritten."""
-    def case(path):
-        dump = bytearray(path_to_binary(path))
-        dump[offset] = byte
-        return path_from_binary, bytes(dump)
-    return case
-
-
-# where the model block of a path.bin starts: after the magic, the head and
-# the block's length
-MODEL_BLOCK_OFFSET = 8 + struct.calcsize("<dqQq") + 8
-
-
-MALFORMED_PATHS = {
-    "bare_document": (
-        lambda path: (path_from_json, '{"format": "uvstat.sample_path"}'),
-        r"missing required key 'version' in path$",
-    ),
-    "not_json": (lambda path: (path_from_json, "{"), "not a sample path document: not JSON"),
-    "jump_row_without_time": (
-        _edited_json(lambda doc: doc["jumps"][1].pop("time")),
-        r"missing required key 'time' in path\.jumps\[1\]",
-    ),
-    "unknown_jump_key": (
-        _edited_json(lambda doc: doc["jumps"][0].update(tme=0.5)),
-        r"unknown key\(s\) \['tme'\] in path\.jumps\[0\]",
-    ),
-    "jumps_not_an_array": (
-        _edited_json(lambda doc: doc.update(jumps={})), r"path\.jumps must be an array, got \{\}"
-    ),
-    "non_numeric_grid": (
-        _edited_json(lambda doc: doc.update(x_grid="abc")),
-        "path column x_grid must be an array of numbers, got 'abc'",
-    ),
-    "non_numeric_jump_column": (
-        _edited_json(lambda doc: doc["jumps"][2].update(size="big")),
-        "path column sizes must be an array of numbers",
-    ),
-    "nested_grid": (
-        _edited_json(lambda doc: doc.update(sigma_grid=[[1.0]])),
-        r"path column sigma_grid must be an array of numbers, got \[\[1\.0\]\]",
-    ),
-    "binary_cut_in_head": (_cut_binary(lambda size: 12), "truncated binary path dump: 12 bytes"),
-    "binary_cut_in_model": (_cut_binary(lambda size: 60), "truncated binary path dump: 60 bytes"),
-    "binary_cut_in_last_column": (
-        _cut_binary(lambda size: size - 1), "truncated binary path dump: .* bytes, .* needed"
-    ),
-    "T_not_a_number": (_edited_json(lambda doc: doc.update(T="x")), r"path\.T must be a number"),
-    "T_negative": (_edited_json(lambda doc: doc.update(T=-1.0)), r"path\.T must be > 0, got -1\.0"),
-    "T_off_the_grid": (
-        _edited_json(lambda doc: doc.update(T=2.0)),
-        r"path\.n = 16 and path\.T = 2\.0 give floor\(n T\) = 32 grid steps, but w_increments has 16",
-    ),
-    "n_a_string": (_edited_json(lambda doc: doc.update(n="64")), r"path\.n must be an integer, got '64'"),
-    "seed_negative": (_edited_json(lambda doc: doc.update(seed=-3)), r"path\.seed must be >= 0, got -3"),
-    "clamps_negative": (
-        _edited_json(lambda doc: doc.update(n_sigma_clamps=-2)), r"path\.n_sigma_clamps must be >= 0"
-    ),
-    "clamps_a_string": (
-        _edited_json(lambda doc: doc.update(n_sigma_clamps="z")),
-        r"path\.n_sigma_clamps must be an integer, got 'z'",
-    ),
-    "jump_time_nan": (
-        _edited_json(lambda doc: doc["jumps"][0].update(time=math.nan, interval_index=1)),
-        r"jump times outside \(0, path\.T = 1\.0\]",
-    ),
-    "interval_not_an_integer": (
-        _edited_json(lambda doc: doc["jumps"][0].update(interval_index=4.5)),  # its interval is 4
-        "out of time order or off their intervals",
-    ),
-    "binary_model_not_json": (
-        _overwritten_binary(MODEL_BLOCK_OFFSET, ord("x")),
-        r"path\.model: the binary model block is not JSON",
-    ),
-}
-
-
-@pytest.mark.parametrize("case", sorted(MALFORMED_PATHS))
-def test_malformed_path_documents_raise_simulation_error(case):
-    build, message = MALFORMED_PATHS[case]
-    path = simulate_path(make_config(intensity=4.0, size_dist=Uniform(-1.0, 1.0)), 16, 1.0, 37)
-    assert len(path.sizes) >= 3
-    reader, data = build(path)
-    with pytest.raises(SimulationError, match=message):
-        reader(data)
-
-
-@st.composite
-def damaged_path_files(draw):
-    """(reader, data): the path.json of a 16-step path with one head key, array entry or
-    jump-row field replaced by a FIELD_VALUES entry or deleted, or its path.bin cut short
-    or with one byte overwritten."""
-    path = simulate_path(make_config(intensity=4.0, size_dist=Uniform(-1.0, 1.0)), 16, 1.0, 37)
-    if draw(st.booleans()):
-        doc = json.loads(path_to_json(path))
-        kind = draw(st.sampled_from(("head", "array_entry", "jump_field")))
-        if kind == "head":
-            parent, key = doc, draw(st.sampled_from(sorted(doc)))
-        elif kind == "array_entry":
-            parent = doc[draw(st.sampled_from(["x_grid", "sigma_grid", "w_increments", "w_before_jump"]))]
-            key = draw(st.integers(0, len(parent) - 1))
-        else:
-            parent = draw(st.sampled_from(doc["jumps"]))
-            key = draw(st.sampled_from(sorted(parent)))
-        value = draw(st.sampled_from(FIELD_VALUES))
-        if value is _DELETE:
-            del parent[key]
-        else:
-            parent[key] = value
-        return path_from_json, json.dumps(doc)
-    dump = path_to_binary(path)
-    at = draw(st.integers(0, len(dump) - 1))
-    if draw(st.booleans()):
-        return path_from_binary, dump[:at]
-    return path_from_binary, dump[:at] + bytes([draw(st.integers(0, 255))]) + dump[at + 1 :]
-
-
-@settings(max_examples=300, deadline=None, derandomize=True, database=None)
-@given(case=damaged_path_files())
-def test_fuzzed_path_files_return_a_path_or_raise_simulation_error(case):
-    reader, data = case
-    try:
-        path = reader(data)
-    except SimulationError:
-        return
-    assert isinstance(path, SamplePath)
 
 
 # ---------------------------------------------------------------------------
@@ -988,7 +795,7 @@ def test_observation_readers_refuse_a_ground_truth():
     truth = simulate_truth(make_config(intensity=3.0), n=64, T=1.0, seed=5)
     assert len(truth.times)
     for reader in (lambda: jump_neighborhood(truth, 0), lambda: increments(truth),
-                   lambda: path_to_json(truth), lambda: path_to_binary(truth)):
+                   lambda: path_to_json(truth)):
         with pytest.raises(AttributeError):
             reader()
 
