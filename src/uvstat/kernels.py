@@ -38,8 +38,11 @@ factorization, lives with the tests in ``tests/oracles.py``.
 from __future__ import annotations
 
 import functools
+import importlib.machinery
+import importlib.util
 import itertools
 import math
+import os
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -100,6 +103,47 @@ def abs_moment(p: float) -> float:
 # ---------------------------------------------------------------------------
 # One-dimensional factors
 # ---------------------------------------------------------------------------
+
+
+@functools.cache
+def _qagie():
+    """QUADPACK's QAGIE, ``_qagie`` of scipy's ``_quadpack`` extension, loaded alone.
+
+    The extension is found and run from its file in scipy's integrate
+    directory, so the scipy.integrate package (scipy.linalg, scipy.sparse,
+    scipy.special and a second OpenBLAS) is never imported;
+    importlib.util.find_spec would import it.
+    """
+    import scipy
+
+    where = os.path.join(scipy.__path__[0], "integrate")
+    finder = importlib.machinery.FileFinder(
+        where, (importlib.machinery.ExtensionFileLoader, importlib.machinery.EXTENSION_SUFFIXES)
+    )
+    spec = finder.find_spec("scipy.integrate._quadpack")
+    if spec is None:
+        raise ImportError(f"QUADPACK extension _quadpack not found in {where}")
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module._qagie
+
+
+# QUADPACK's note for each exit code ier of QAGIE that leaves a result, as
+# scipy 1.17.1's quad words it for limit=400, its whitespace folded
+_QUADPACK_NOTES = {
+    1: "The maximum number of subdivisions (400) has been achieved. If increasing the limit "
+    "yields no improvement it is advised to analyze the integrand in order to determine the "
+    "difficulties. If the position of a local difficulty can be determined (singularity, "
+    "discontinuity) one will probably gain from splitting up the interval and calling the "
+    "integrator on the subranges. Perhaps a special-purpose integrator should be used.",
+    2: "The occurrence of roundoff error is detected, which prevents the requested tolerance "
+    "from being achieved. The error may be underestimated.",
+    3: "Extremely bad integrand behavior occurs at some points of the integration interval.",
+    4: "The algorithm does not converge. Roundoff error is detected in the extrapolation table. "
+    "It is assumed that the requested tolerance cannot be achieved, and that the returned "
+    "result (if full_output = 1) is the best which can be obtained.",
+    5: "The integral is probably divergent, or slowly convergent.",
+}
 
 
 @dataclass(frozen=True)
@@ -275,19 +319,20 @@ class Factor1D:
         return (self.sign_pow + len(self.sin_args)) % 2 == 1
 
     def _moment_quad(self, sigma: float) -> float:
-        # scipy is imported where it runs, to keep the CLI's cold start at numpy's
-        from scipy.integrate import quad
-
+        # QUADPACK's QAGIE is called straight from scipy's _quadpack
+        # extension (_qagie): importing the scipy.integrate package around it
+        # costs about 45 MB and 0.5 s.  The arguments are the ones
+        # quad(integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400,
+        # full_output=1) passes, so the value and error keep quad's bits.
+        #
         # integrand is even here, so integrate the positive half axis twice;
         # splitting at 0 keeps the |x|^p cusp off the panel interior.  The
-        # integrand has val's bits; full_output hands back QUADPACK's note
-        # for the error instead of warning.  A c sigma u that overflows
-        # makes math.cos/math.sin raise on inf: that quadrature fails too.
+        # integrand has val's bits; an unmet tolerance carries QUADPACK's
+        # note for its exit code.  A c sigma u that overflows makes
+        # math.cos/math.sin raise on inf: that quadrature fails too.
         integrand = self._steps["_integrand"](sigma)
         try:
-            val, err, _, *msg = quad(
-                integrand, 0.0, np.inf, epsabs=1e-13, epsrel=1e-11, limit=400, full_output=1
-            )
+            val, err, _, ier = _qagie()(integrand, 0.0, 1, (), 1, 1e-13, 1e-11, 400)
         except ValueError as exc:
             raise QuadratureError(
                 f"gaussian moment quadrature failed for factor {self} at sigma={sigma}: "
@@ -296,7 +341,7 @@ class Factor1D:
             ) from None
         val, err = 2.0 * val, 2.0 * err
         if err > 1e-8 * (1.0 + abs(val)):
-            note = f" ({' '.join(msg[0].split())})" if msg else ""
+            note = f" ({_QUADPACK_NOTES[ier]})" if ier in _QUADPACK_NOTES else ""
             raise QuadratureError(
                 f"gaussian moment quadrature achieved tolerance {err:.3e} "
                 f"for factor {self} at sigma={sigma}{note}",

@@ -812,22 +812,28 @@ def _cold_start(tmp_path, *command) -> list:
     random_on_import, numpy_only, after = json.loads(proc.stdout)
     assert not random_on_import
     assert numpy_only == []
-    # the KS tests ran, so an empty list shows that they loaded no scipy submodule
-    report = json.loads((out / "report.json").read_text(encoding="utf-8"))
-    assert all("ks_pvalue" in table for table in report["tables"]["per_n"].values())
     return after
 
 
+def _ks_ran(tmp_path) -> bool:
+    """Whether every per-n table of the probe's last report holds a KS p-value."""
+    report = json.loads((tmp_path / "out" / "report.json").read_text(encoding="utf-8"))
+    return all("ks_pvalue" in table for table in report["tables"]["per_n"].values())
+
+
 # the KS tests of verify-clt and rnp-check run on math and numpy (uvstat.ks);
-# scipy.special loads only where a two-sample p-value takes a smirnov route
+# scipy.special loads only where a two-sample p-value takes a smirnov route.
+# The KS tests ran, so an empty list shows that they loaded no scipy submodule
 def test_cold_start_loads_scipy_submodules_only_where_they_run(tmp_path):
     clt_jump = Path(__file__).resolve().parent.parent / "configs" / "clt_jump.cfg"
     assert _cold_start(tmp_path, "verify-clt", "--config", str(clt_jump)) == []
+    assert _ks_ran(tmp_path)
 
 
 def test_cold_start_of_the_clt_mixed_workload_loads_no_scipy_submodule(tmp_path):
     clt_mixed = Path(__file__).resolve().parent.parent / "bench" / "workloads" / "clt_mixed.cfg"
     assert _cold_start(tmp_path, "verify-clt", "--config", str(clt_mixed)) == []
+    assert _ks_ran(tmp_path)
 
 
 def test_cold_start_of_rnp_check_loads_no_scipy_submodule(tmp_path):
@@ -837,6 +843,15 @@ def test_cold_start_of_rnp_check_loads_no_scipy_submodule(tmp_path):
     cfgfile = tmp_path / "rnp.cfg"
     cfgfile.write_text(json.dumps(doc), encoding="utf-8")
     assert _cold_start(tmp_path, "rnp-check", "--config", str(cfgfile)) == []
+    assert _ks_ran(tmp_path)
+
+
+# the grid_sin kernel's Gaussian moments run one QUADPACK QAGIE per grid
+# sigma, called from scipy's _quadpack extension without scipy.integrate
+def test_cold_start_of_the_mixed_trig_lln_workload_loads_no_scipy_submodule(tmp_path):
+    cfgfile = Path(__file__).resolve().parent.parent / "bench" / "workloads" / "mixed_trig_lln.cfg"
+    assert "grid_sin" in json.loads(cfgfile.read_text(encoding="utf-8"))["kernel"]
+    assert _cold_start(tmp_path, "verify-lln", "--config", str(cfgfile)) == []
 
 
 BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"

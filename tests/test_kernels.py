@@ -30,6 +30,7 @@ from uvstat.kernels import (
     kernel_to_text,
     rho,
     separable_terms,
+    _qagie,
 )
 
 from oracles import eval_h, moment_integrand, partial_h, rho_mc, val_scalar
@@ -485,6 +486,65 @@ def test_moment_quad_overflowing_frequency_is_a_quadrature_error():
     text = str(info.value)
     assert "\n" not in text
     assert "cos_args=(6.28e+305,)" in text and text.endswith("(math domain error)")
+
+
+def _quad_reference(f, sigma):
+    """scipy.integrate.quad on the factor's moment integrand with _moment_quad's tolerances."""
+    return quad(
+        f._steps["_integrand"](sigma), 0.0, np.inf,
+        epsabs=1e-13, epsrel=1e-11, limit=400, full_output=1,
+    )
+
+
+# the factor shapes of the oracle grid, at power p and cos/sin frequency c
+ORACLE_SHAPES = (
+    lambda p, c: Factor1D(power=p, cos_args=(c,)),
+    lambda p, c: Factor1D(power=p, sign_pow=1, sin_args=(c,)),
+    lambda p, c: Factor1D(power=p, cos_args=(c,), gauss_args=(0.5,)),
+    lambda p, c: Factor1D(power=p, cos_args=(c,), poly2=(1.0, 0.25)),
+    lambda p, c: Factor1D(power=p, cos_args=(c, c), sin_args=(c,), poly2=(0.5, -0.25, 1.0)),
+)
+
+
+def test_loaded_qagie_matches_scipy_quad_bit_for_bit():
+    # _qagie is QUADPACK's QAGIE from scipy's extension, called as quad calls it
+    rng = np.random.default_rng(20281)
+    qagie = _qagie()
+    for _ in range(60):
+        shape = ORACLE_SHAPES[rng.integers(len(ORACLE_SHAPES))]
+        power = float(rng.choice([-0.5, 0.0, 0.5, 1.0, 2.5, 4.0]))
+        f = shape(power, float(rng.uniform(0.1, 4.0 * math.pi)))
+        sigma = float(np.exp(rng.uniform(math.log(0.05), math.log(3.0))))
+        val, err, _, ier = qagie(f._steps["_integrand"](sigma), 0.0, 1, (), 1, 1e-13, 1e-11, 400)
+        ref = _quad_reference(f, sigma)
+        assert (val.hex(), err.hex()) == (ref[0].hex(), ref[1].hex()), (f, sigma)
+        assert (ier == 0) == (len(ref) == 3), (f, sigma, ier)
+
+
+def test_missing_quadpack_extension_is_an_import_error_naming_the_directory(monkeypatch, tmp_path):
+    import scipy
+
+    monkeypatch.setattr(scipy, "__path__", [str(tmp_path)])
+    _qagie.cache_clear()
+    try:
+        with pytest.raises(ImportError, match=re.escape(str(tmp_path / "integrate"))):
+            _qagie()
+    finally:
+        _qagie.cache_clear()
+
+
+@pytest.mark.parametrize(
+    "factor",
+    [Factor1D(power=4.0, cos_args=(50.0,)), Factor1D(power=0.5, cos_args=(TWO_PI / 0.125,))],
+    ids=["cos50", "grid_sin_0.125"],
+)
+def test_moment_quad_failure_carries_the_note_of_scipy_quad(factor):
+    # the two factors whose quadrature fails at sigma = 5: the (grid_sin 0.125 0 1)
+    # factor is |x|^0.5 cos(16 pi x)
+    with pytest.raises(QuadratureError) as info:
+        factor._moment_quad(5.0)
+    *_, note = _quad_reference(factor, 5.0)
+    assert str(info.value).endswith(f" ({' '.join(note.split())})")
 
 
 # ---------------------------------------------------------------------------

@@ -7,6 +7,8 @@ import math
 import numpy as np
 import pytest
 
+import uvstat.simulate
+from uvstat.harness import derive_seed
 from uvstat.kernels import (
     Factor1D,
     GaussBump,
@@ -41,7 +43,9 @@ from uvstat.simulate import (
     SamplePath,
     VolatilityModel,
     simulate_path,
+    simulate_truth,
 )
+from uvstat.stats import y_stat
 
 from oracles import eval_h, partial_h
 from test_kernels import catalog_kernels
@@ -671,3 +675,70 @@ def test_compiled_view_matches_a_fresh_expansion():
         # an equal kernel compiles its own view, equal to this one
         twin = kernel_from_text(k.text())
         assert twin == k and twin._compiled is not view and twin._compiled.terms == view.terms
+
+
+# ---------------------------------------------------------------------------
+# the conditional law on fixed jumps
+# ---------------------------------------------------------------------------
+
+# KMIX's field term is about 0.18 k / sigma0^2 times its jump term on k jumps of
+# +-2, so sigma0 = 0.5 makes the field material; sigma0 != 1 also lets a wrong
+# degree of sigma move the variance
+COND_LAW_MODEL = ModelConfig(
+    drift_b=0.0,
+    vol=VolatilityModel(kind="Constant", sigma0=0.5),
+    jumps=JumpModel(intensity=5.0, size_dist=AtomList(((2.0, 0.5), (-2.0, 0.5))), max_abs=3.0),
+    bound_A=20.0,
+)
+COND_LAW_N, COND_LAW_REDRAWS, COND_LAW_BASE_SEED = 8192, 1000, 4101
+# 3 paths at 1,000 redraws: the pooled ratio's sampling sd is about sqrt(2 / 2997) = 0.026
+COND_LAW_WINDOW = (0.9, 1.1)
+
+
+def _fixed_jump_truths(count: int, min_jumps: int = 4) -> list:
+    """(jump seed, ground truth) of the first count jump seeds whose paths hold min_jumps jumps."""
+    found = []
+    for k in itertools.count():
+        seed = derive_seed(COND_LAW_BASE_SEED, 0, k)
+        truth = simulate_truth(COND_LAW_MODEL, COND_LAW_N, 1.0, seed)
+        if len(truth.times) >= min_jumps:
+            found.append((seed, truth))
+            if len(found) == count:
+                return found
+
+
+def _w_redraw(jump_seed: int, w_seed: int) -> SamplePath:
+    """The path of jump_seed's jump substream with the W substream of w_seed."""
+
+    def substream(index):
+        return uvstat.simulate._substream(
+            jump_seed if index == uvstat.simulate._JUMP_STREAM else w_seed, index
+        )
+
+    return uvstat.simulate._simulate(
+        COND_LAW_MODEL, COND_LAW_N, 1.0, w_seed, observe=True, substream=substream
+    )
+
+
+def test_conditional_variance_matches_w_redraws_on_fixed_jumps():
+    # The stable CLT is conditional on F: with Constant volatility that is the
+    # jump substream.  Holding it fixed and redrawing W gives sqrt(n)(Y - limit)
+    # a fixed mean (the bias) and the variance cond_var_mixed(...).total, of
+    # which the Gaussian field is a material share here.
+    ratios, detail = [], []
+    for j, (jump_seed, truth) in enumerate(_fixed_jump_truths(3)):
+        limit = mixed_limit(truth, KMIX).value
+        cv = cond_var_mixed(truth, KMIX)
+        errors = []
+        for r in range(COND_LAW_REDRAWS):
+            path = _w_redraw(jump_seed, derive_seed(COND_LAW_BASE_SEED, 1 + j, r))
+            assert np.array_equal(path.times, truth.times) and np.array_equal(path.sizes, truth.sizes)
+            errors.append(math.sqrt(COND_LAW_N) * (y_stat(path, KMIX).value - limit))
+        ratios.append(float(np.var(errors, ddof=1)) / cv.total)
+        detail.append(
+            f"{len(truth.times)} jumps, field share {cv.field_term / cv.total:.2f}, "
+            f"var / total {ratios[-1]:.3f}"
+        )
+    pooled = float(np.mean(ratios))
+    lo, hi = COND_LAW_WINDOW
+    assert lo <= pooled <= hi, f"pooled var / total {pooled:.3f}: " + "; ".join(detail)

@@ -59,29 +59,37 @@ gates are the homogeneity relations (``test_homogeneity``: every scale
 of the model doubled on one seed, on ``ITOSM_CASE``), the pinned bits of
 the mixed limit on an ItoSM path (``test_limits``'s grid_sin pin), the
 pinned bits of the conditional variances and limit-law draws on an ItoSM
-and a Constant path (``test_sampler``'s layer pins) and the acceptance
-criteria that read the changed code, run at their own seeds:
+and a Constant path (``test_sampler``'s layer pins), the conditional law
+on fixed jumps (``test_limits``' W-redraw gate: the variance of
+sqrt(n)(Y - limit) over 1,000 W redraws on each of three paths with their
+jumps held, Constant sigma0 = 0.5, pooled over cond_var_mixed's total and
+held to [0.9, 1.1]) and the acceptance criteria that read the changed
+code, run at their own seeds:
 
-    defect                                   homogeneity  limit pin  layer pins  acceptance
-    sigma^{2p} for sigma^p in a moment       caught       caught     caught      missed by 7 and 8
-    R drawn with sigma^2 for sigma           caught       missed     caught      missed by 5 and 11
-    H for dH in the jump cond. variance      caught       missed     caught      caught by 4 (z_var 16.9, 63.4)
-    mixed cond. variance x 1.25              missed       missed     caught      caught by 7 (z_var 0.837)
-    field term dropped from the mixed var.   missed       missed     caught      missed by 7 (z_var 1.069)
-    mixed limit + sd / sqrt(n)               missed       caught     missed      caught by 7
-    Riemann sigma one grid step late         missed       caught     caught      none run
-    sigma_pre one grid interval late         missed       missed     caught      none run
+    defect                                   homogeneity  limit pin  layer pins  W redraws  acceptance
+    sigma^{2p} for sigma^p in a moment       caught       caught     caught      caught     missed by 7 and 8
+    R drawn with sigma^2 for sigma           caught       missed     caught      missed     missed by 5 and 11
+    H for dH in the jump cond. variance      caught       missed     caught      missed     caught by 4 (z_var 16.9, 63.4)
+    mixed cond. variance x 1.25              missed       missed     caught      caught     caught by 7 (z_var 0.837)
+    field term dropped from the mixed var.   missed       missed     caught      caught     missed by 7 (z_var 1.069)
+    mixed limit + sd / sqrt(n)               missed       caught     missed      missed     caught by 7
+    Riemann sigma one grid step late         missed       caught     caught      missed     none run
+    sigma_pre one grid interval late         missed       missed     caught      missed     none run
 
 Every acceptance plan that reads a moment or an R draw has sigma = 1,
 where sigma^{2p} = sigma^p and sigma^2 = sigma; among the end-to-end
 gates only the homogeneity relations see those two defects.  Criterion 7
 also compares 1e4 limit draws with the conditional variance on one path:
 x 1.25 moves that by 20%, the dropped field by 2.3%, inside its 5%
-bound.  The last two defects change only what a varying sigma reads, and
-every acceptance plan has Constant volatility, so no criterion is run
-for them; they keep every degree of homogeneity, and only the ItoSM pins
-see them.  The shifted limit adds sqrt(total / n) where a conditional
-variance exists (1 <= l < d), which keeps every degree as well.
+bound.  The W-redraw gate, where the field is 42-59% of the variance,
+reads a pooled ratio of 1.04 on clean code, 2.08 with sigma^{2p}, 0.83
+with x 1.25 and 2.04 with the field dropped; a shifted limit moves only
+the mean of its errors, and it draws no R.  The Riemann and sigma_pre
+defects change only what a varying sigma reads, and every acceptance
+plan has Constant volatility, so no criterion is run for them; they
+keep every degree of homogeneity, and only the ItoSM pins see them.  The
+shifted limit adds sqrt(total / n) where a conditional variance exists
+(1 <= l < d), which keeps every degree as well.
 
 The homogeneity relations see only a defect that changes a degree of
 homogeneity: a wrong n-normalization, the p and q blocks swapped or a
@@ -387,6 +395,10 @@ def _pins_fail():
     )
 
 
+def _conditional_law_fails():
+    return _fails(test_limits.test_conditional_variance_matches_w_redraws_on_fixed_jumps)
+
+
 def _fixture(name):
     """A module fixture of the acceptance suite, computed afresh."""
     return getattr(test_acceptance, name).__wrapped__()
@@ -405,17 +417,18 @@ ACCEPTANCE_GATES = {
 }
 
 # defect -> (the homogeneity relations fail, the mixed-limit pin moves, a
-# layer pin moves, {acceptance criterion: it fails})
+# layer pin moves, the conditional law on fixed jumps fails, {acceptance
+# criterion: it fails})
 LIMIT_CAUGHT = {
-    "none": (False, False, False, {}),
-    "moment_sigma_2p": (True, True, True, {7: False, 8: False}),
-    "r_sigma_squared": (True, False, True, {5: False, 11: False}),
-    "cond_var_jump_h_for_dh": (True, False, True, {4: True}),
-    "cond_var_mixed_x1_25": (False, False, True, {7: True}),
-    "field_term_dropped": (False, False, True, {7: False}),
-    "mixed_limit_shifted": (False, True, False, {7: True}),
-    "riemann_one_step_late": (False, True, True, {}),
-    "sigma_pre_one_interval_late": (False, False, True, {}),
+    "none": (False, False, False, False, {}),
+    "moment_sigma_2p": (True, True, True, True, {7: False, 8: False}),
+    "r_sigma_squared": (True, False, True, False, {5: False, 11: False}),
+    "cond_var_jump_h_for_dh": (True, False, True, False, {4: True}),
+    "cond_var_mixed_x1_25": (False, False, True, True, {7: True}),
+    "field_term_dropped": (False, False, True, True, {7: False}),
+    "mixed_limit_shifted": (False, True, False, False, {7: True}),
+    "riemann_one_step_late": (False, True, True, False, {}),
+    "sigma_pre_one_interval_late": (False, False, True, False, {}),
 }
 
 
@@ -429,5 +442,10 @@ def test_limit_law_defect_caught_by_its_gates(monkeypatch, defect):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, replacement)
     *_, criteria = LIMIT_CAUGHT[defect]
-    caught = (_homogeneity_fails(), *_pins_fail(), {c: ACCEPTANCE_GATES[c]() for c in criteria})
+    caught = (
+        _homogeneity_fails(),
+        *_pins_fail(),
+        _conditional_law_fails(),
+        {c: ACCEPTANCE_GATES[c]() for c in criteria},
+    )
     assert caught == LIMIT_CAUGHT[defect]

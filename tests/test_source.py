@@ -1,6 +1,6 @@
 """Source hygiene of src/uvstat: no unused imports, no unbound exports, one expanding module,
-no scipy submodule or numpy.random imported at module level, scipy.stats imported nowhere and
-scipy.special only where it runs."""
+no scipy submodule or numpy.random imported at module level, scipy.stats and scipy.integrate
+imported nowhere and scipy.special only where it runs."""
 
 import ast
 from pathlib import Path
@@ -190,14 +190,14 @@ def test_module_imports_no_numpy_random_on_import(path):
     assert eager_imports(path.read_text(encoding="utf-8"), in_package("numpy.random")) == []
 
 
-def scipy_stats_imports(source: str) -> list:
-    """Imports of scipy.stats or its submodules anywhere in the source, function bodies included."""
+def imports_anywhere(source: str, matches) -> list:
+    """Imports of modules whose name matches anywhere in the source, function bodies included."""
     return sorted(
         f"line {node.lineno}: {name}"
         for node in ast.walk(ast.parse(source))
         if isinstance(node, (ast.Import, ast.ImportFrom))
         for name in imported_modules(node)
-        if name == "scipy.stats" or name.startswith("scipy.stats.")
+        if matches(name)
     )
 
 
@@ -213,7 +213,7 @@ def test_scipy_stats_imports_detected():
         "            import scipy.stats._ksstats as k\n"
         "from scipy.statistics import x\n"
     )
-    assert scipy_stats_imports(source) == [
+    assert imports_anywhere(source, in_package("scipy.stats")) == [
         "line 3: scipy.stats", "line 5: scipy.stats", "line 8: scipy.stats._ksstats"
     ]
 
@@ -222,7 +222,14 @@ def test_scipy_stats_imports_detected():
 # tests it served run on math and numpy (uvstat.ks)
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_never_imports_scipy_stats(path):
-    assert scipy_stats_imports(path.read_text(encoding="utf-8")) == []
+    assert imports_anywhere(path.read_text(encoding="utf-8"), in_package("scipy.stats")) == []
+
+
+# importing scipy.integrate costs about 45 MB and 0.5 s; the Gaussian moments
+# call QUADPACK's _qagie from scipy's _quadpack extension alone (kernels._qagie)
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_never_imports_scipy_integrate(path):
+    assert imports_anywhere(path.read_text(encoding="utf-8"), in_package("scipy.integrate")) == []
 
 
 def import_sites(source: str, matches) -> list:
