@@ -33,7 +33,6 @@ from uvstat.simulate import (
     TruncNormal,
     Uniform,
     VolatilityModel,
-    first_order_increments,
     increments,
     jump_neighborhood,
     simulate_path,
@@ -41,8 +40,6 @@ from uvstat.simulate import (
 )
 from uvstat.stats import (
     StatValue,
-    empirical_process,
-    phi_bar,
     power_variation,
     realized_qv,
     u_stat,

@@ -23,6 +23,7 @@ import json
 import sys
 import time
 from pathlib import Path
+from typing import Optional
 
 import numpy as np
 import scipy
@@ -104,7 +105,8 @@ def _manifest(cfg: RunConfig) -> dict:
     }
 
 
-def _write_report(report: ExperimentReport, cfg: RunConfig, outdir: Path) -> list:
+def _write_report(report: ExperimentReport, cfg: Optional[RunConfig], outdir: Path) -> list:
+    """Write report.json, errors.csv, samples.csv when sampled and, given cfg, manifest.json."""
     text = report.to_json()  # refuses a non-finite number before anything is written
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -123,9 +125,10 @@ def _write_report(report: ExperimentReport, cfg: RunConfig, outdir: Path) -> lis
                     lines.append(f"{n_key},{series},{i},{v!r}")
         (outdir / "samples.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
         written.append(outdir / "samples.csv")
-    manifest = json.dumps(_manifest(cfg), sort_keys=True, indent=1) + "\n"
-    (outdir / "manifest.json").write_text(manifest, encoding="utf-8")
-    written.append(outdir / "manifest.json")
+    if cfg is not None:
+        manifest = json.dumps(_manifest(cfg), sort_keys=True, indent=1) + "\n"
+        (outdir / "manifest.json").write_text(manifest, encoding="utf-8")
+        written.append(outdir / "manifest.json")
     return written
 
 
@@ -223,15 +226,12 @@ def _cmd_grid_csv(args) -> int:
     if not beta_grid:
         raise ConfigError("grid-test on CSV input needs --beta start:stop:step")
     report = grid_scan(data, beta_grid)
-    text = report.to_json()
-    outdir = Path(args.output or "out")
-    outdir.mkdir(parents=True, exist_ok=True)
-    (outdir / "report.json").write_text(text, encoding="utf-8")
-    (outdir / "errors.csv").write_text(report.rows_csv(), encoding="utf-8")
+    # no manifest: the run has no config to record
+    written = _write_report(report, None, Path(args.output or "out"))
     best = report.tables["beta_min_normalized"]
     print(f"grid scan over {len(beta_grid)} beta values; minimizer beta = {best}")
-    print(f"wrote {outdir / 'report.json'}")
-    print(f"wrote {outdir / 'errors.csv'}")
+    for item in written:
+        print(f"wrote {item}")
     return 0
 
 

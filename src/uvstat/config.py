@@ -3,9 +3,10 @@
 A config fully determines a run: model block, textual kernel, experiment
 block, io block, base seed.  Parsing is strict: every block must be a
 JSON object, unknown keys are rejected, and every message names the
-offending key and the violated constraint.  The model block, jump-size
-distribution included, is decoded by simulate.config_from_dict, so the
-model dataclasses alone hold its field names, defaults and checks.
+offending key and the violated constraint.  This module decodes every
+block, the model block included: config_from_dict builds it, jump-size
+distribution and all, from the fields of the model dataclasses, so they
+alone hold its field names, defaults and checks.
 Canonicalization is exact: parse -> canonical_text is a fixed point, so
 configs round-trip byte-identically and manifests can re-run any plan.
 """
@@ -14,24 +15,30 @@ from __future__ import annotations
 
 import contextlib
 import json
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
 from typing import Optional
 
 from uvstat.harness import EXPERIMENT_KINDS, ExperimentPlan, HarnessError
 from uvstat.kernels import KernelError, kernel_from_text
 from uvstat.simulate import (
-    _REQUIRED,
+    AtomList,
+    JumpModel,
+    ModelConfig,
     SimulationError,
-    _array,
-    _boolean,
-    _integer,
+    TruncNormal,
+    Uniform,
+    VolatilityModel,
     _number,
-    _require,
-    _string,
-    config_from_dict,
 )
 
-__all__ = ["ConfigError", "RunConfig", "parse_config", "canonical_text", "parse_beta_grid"]
+__all__ = [
+    "ConfigError",
+    "RunConfig",
+    "parse_config",
+    "canonical_text",
+    "parse_beta_grid",
+    "config_from_dict",
+]
 
 # largest number of entries a 'start:stop:step' beta range may expand to
 _MAX_BETA_GRID = 10_000
@@ -74,6 +81,103 @@ def _config_errors():
         yield
     except SimulationError as exc:
         raise ConfigError(str(exc)) from exc
+
+
+_REQUIRED = object()
+
+
+def _require(block, where: str, allowed: dict) -> dict:
+    """Reject a non-object block and unknown or missing keys; apply defaults."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object, got {block!r}")
+    unknown = sorted(set(block) - set(allowed))
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
+    out = {}
+    for key, default in allowed.items():
+        if default is _REQUIRED and key not in block:
+            raise ConfigError(f"missing required key {key!r} in {where}")
+        out[key] = block.get(key, default)
+    return out
+
+
+def _integer(value, where, lo=None) -> int:
+    """An integer, not a bool, and at least lo when given."""
+    if isinstance(value, bool) or not isinstance(value, int):
+        raise ConfigError(f"{where} must be an integer, got {value!r}")
+    if lo is not None and value < lo:
+        raise ConfigError(f"{where} must be >= {lo}, got {value}")
+    return value
+
+
+def _boolean(value, where) -> bool:
+    if not isinstance(value, bool):
+        raise ConfigError(f"{where} must be true or false, got {value!r}")
+    return value
+
+
+def _string(value, where, null=False):
+    if not (isinstance(value, str) or (null and value is None)):
+        raise ConfigError(f"{where} must be a string{' or null' if null else ''}, got {value!r}")
+    return value
+
+
+def _array(value, where) -> tuple:
+    if not isinstance(value, (list, tuple)):
+        raise ConfigError(f"{where} must be an array, got {value!r}")
+    return tuple(value)
+
+
+_SIZE_DISTS = {cls.__name__: cls for cls in (AtomList, Uniform, TruncNormal)}
+
+
+def _size_dist(block, where):
+    """A tagged size distribution: "type" names the class, the other keys are its fields."""
+    if not isinstance(block, dict):
+        raise ConfigError(f"{where} must be an object, got {block!r}")
+    rest = dict(block)
+    kind = rest.pop("type", None)
+    cls = _SIZE_DISTS.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"{where}.type must be one of {sorted(_SIZE_DISTS)}, got {kind!r}")
+    return _decode(cls, rest, where)
+
+
+# decoder of a model dataclass field, keyed by its annotation; "object" is
+# JumpModel.size_dist
+_FIELD_DECODERS = {
+    "float": _number,
+    "bool": _boolean,
+    "str": _string,
+    "tuple": _array,
+    "object": _size_dist,
+    "VolatilityModel": lambda value, where: _decode(VolatilityModel, value, where),
+    "JumpModel": lambda value, where: _decode(JumpModel, value, where),
+}
+
+
+def _decode(cls, block, where: str):
+    """Build the dataclass cls from a JSON object; field names and defaults come from cls."""
+    allowed = {f.name: _REQUIRED if f.default is MISSING else f.default for f in fields(cls)}
+    vals = _require(block, where, allowed)
+    kwargs = {f.name: _FIELD_DECODERS[f.type](vals[f.name], f"{where}.{f.name}") for f in fields(cls)}
+    try:
+        return cls(**kwargs)
+    except SimulationError as exc:
+        raise ConfigError(f"{where}: {exc}") from exc
+
+
+@_config_errors()
+def config_from_dict(d) -> ModelConfig:
+    """Decode a model block (the inverse of simulate.config_to_dict).
+
+    It is strict: every block must be a JSON object, unknown and missing
+    keys are rejected (fields with a dataclass default may be omitted),
+    float fields must be finite numbers, and booleans must be true/false.
+    Every error is a ConfigError naming its key path, e.g.
+    model.jumps.size_dist.mu.
+    """
+    return _decode(ModelConfig, d, "model")
 
 
 @_config_errors()

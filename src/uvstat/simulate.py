@@ -41,7 +41,7 @@ import functools
 import itertools
 import json
 import math
-from dataclasses import MISSING, asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 from typing import ClassVar, Optional
 
 import numpy as np
@@ -59,7 +59,6 @@ __all__ = [
     "simulate_truth",
     "simulate_path",
     "increments",
-    "first_order_increments",
     "jump_neighborhood",
     "JumpNeighborhood",
     "path_to_json",
@@ -68,24 +67,6 @@ __all__ = [
 
 class SimulationError(ValueError):
     """Invalid model configuration or simulation failure."""
-
-
-_REQUIRED = object()
-
-
-def _require(block, where: str, allowed: dict) -> dict:
-    """Reject a non-object block and unknown or missing keys; apply defaults."""
-    if not isinstance(block, dict):
-        raise SimulationError(f"{where} must be an object, got {block!r}")
-    unknown = sorted(set(block) - set(allowed))
-    if unknown:
-        raise SimulationError(f"unknown key(s) {unknown} in {where}; allowed: {sorted(allowed)}")
-    out = {}
-    for key, default in allowed.items():
-        if default is _REQUIRED and key not in block:
-            raise SimulationError(f"missing required key {key!r} in {where}")
-        out[key] = block.get(key, default)
-    return out
 
 
 def _number(value, where, lo=None) -> float:
@@ -98,15 +79,6 @@ def _number(value, where, lo=None) -> float:
     if lo is not None and v < lo:
         raise SimulationError(f"{where} must be >= {lo}, got {v}")
     return v
-
-
-def _integer(value, where, lo=None) -> int:
-    """An integer, not a bool, and at least lo when given."""
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise SimulationError(f"{where} must be an integer, got {value!r}")
-    if lo is not None and value < lo:
-        raise SimulationError(f"{where} must be >= {lo}, got {value}")
-    return value
 
 
 # ---------------------------------------------------------------------------
@@ -654,12 +626,6 @@ def increments(path: SamplePath, t: Optional[float] = None) -> np.ndarray:
     return np.diff(path.x_grid[: m + 1])
 
 
-def first_order_increments(path: SamplePath, t: Optional[float] = None) -> np.ndarray:
-    """First-order approximation sqrt(n) sigma_{(i-1)/n} Delta_i W of the scaled increments."""
-    m = path.window(t)[1]
-    return math.sqrt(path.n) * path.sigma_grid[:m] * path.w_increments[:m]
-
-
 @dataclass(frozen=True)
 class JumpNeighborhood:
     """R_-(n,p), R_+(n,p) and R = R_- + R_+ around one jump."""
@@ -718,75 +684,6 @@ def config_to_dict(cfg: ModelConfig) -> dict:
     doc = asdict(cfg)
     doc["jumps"]["size_dist"]["type"] = type(cfg.jumps.size_dist).__name__
     return doc
-
-
-_SIZE_DISTS = {cls.__name__: cls for cls in (AtomList, Uniform, TruncNormal)}
-
-
-def _boolean(value, where) -> bool:
-    if not isinstance(value, bool):
-        raise SimulationError(f"{where} must be true or false, got {value!r}")
-    return value
-
-
-def _string(value, where, null=False):
-    if not (isinstance(value, str) or (null and value is None)):
-        raise SimulationError(f"{where} must be a string{' or null' if null else ''}, got {value!r}")
-    return value
-
-
-def _array(value, where) -> tuple:
-    if not isinstance(value, (list, tuple)):
-        raise SimulationError(f"{where} must be an array, got {value!r}")
-    return tuple(value)
-
-
-def _size_dist(block, where):
-    """A tagged size distribution: "type" names the class, the other keys are its fields."""
-    if not isinstance(block, dict):
-        raise SimulationError(f"{where} must be an object, got {block!r}")
-    rest = dict(block)
-    kind = rest.pop("type", None)
-    cls = _SIZE_DISTS.get(kind) if isinstance(kind, str) else None
-    if cls is None:
-        raise SimulationError(f"{where}.type must be one of {sorted(_SIZE_DISTS)}, got {kind!r}")
-    return _decode(cls, rest, where)
-
-
-# decoder of a model dataclass field, keyed by its annotation; "object" is
-# JumpModel.size_dist
-_FIELD_DECODERS = {
-    "float": _number,
-    "bool": _boolean,
-    "str": _string,
-    "tuple": _array,
-    "object": _size_dist,
-    "VolatilityModel": lambda value, where: _decode(VolatilityModel, value, where),
-    "JumpModel": lambda value, where: _decode(JumpModel, value, where),
-}
-
-
-def _decode(cls, block, where: str):
-    """Build the dataclass cls from a JSON object; field names and defaults come from cls."""
-    allowed = {f.name: _REQUIRED if f.default is MISSING else f.default for f in fields(cls)}
-    vals = _require(block, where, allowed)
-    kwargs = {f.name: _FIELD_DECODERS[f.type](vals[f.name], f"{where}.{f.name}") for f in fields(cls)}
-    try:
-        return cls(**kwargs)
-    except SimulationError as exc:
-        raise SimulationError(f"{where}: {exc}") from exc
-
-
-def config_from_dict(d) -> ModelConfig:
-    """Decode a model block (the inverse of config_to_dict).
-
-    This is the one decoder behind run configs.  It is strict: every block
-    must be a JSON object, unknown and missing keys are rejected (fields
-    with a dataclass default may be omitted), float fields must be finite
-    numbers, and booleans must be true/false.  Every error is a
-    SimulationError naming its key path, e.g. model.jumps.size_dist.mu.
-    """
-    return _decode(ModelConfig, d, "model")
 
 
 # the scalar head of a path.json document and its grid arrays

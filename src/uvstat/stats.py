@@ -18,12 +18,12 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Optional, Union
+from typing import Optional, Union
 
 import numpy as np
 
 from uvstat.kernels import KernelSpec, KernelError
-from uvstat.simulate import SamplePath, SimulationError, _count, first_order_increments, increments
+from uvstat.simulate import SamplePath, SimulationError, _count, increments
 
 __all__ = [
     "IndexWindow",
@@ -33,9 +33,6 @@ __all__ = [
     "u_stat",
     "realized_qv",
     "power_variation",
-    "EmpiricalProcess",
-    "empirical_process",
-    "phi_bar",
     "load_increments_csv",
 ]
 
@@ -184,41 +181,6 @@ def power_variation(
     else:
         value = float(np.sum(np.abs(inc) ** p))
     return StatValue("PV", value, window, None)
-
-
-class EmpiricalProcess(NamedTuple):
-    f_n: float
-    f_bar: float
-    g_n: float
-
-
-def phi_bar(z: float, x: float) -> float:
-    """E[V 1{zV <= x}] for V ~ N(0,1): -phi(x/z) for z > 0, in closed form."""
-    if z <= 0:
-        raise KernelError(f"phi_bar needs z > 0, got {z}")
-    u = x / z
-    return -math.exp(-0.5 * u * u) / math.sqrt(2.0 * math.pi)
-
-
-def empirical_process(path: SamplePath, t: float, x: float) -> EmpiricalProcess:
-    """Empirical distribution diagnostics of the first-order increments.
-
-    F_n(t, x)    = n^{-1} sum_{i <= floor(nt)} 1{alpha_i <= x}
-    F_bar(t, x)  = n^{-1} sum Phi_{sigma_{(i-1)/n}}(x)   (the compensator)
-    G_n(t, x)    = sqrt(n) (F_n - F_bar)
-    """
-    # scipy is imported where it runs, to keep the CLI's cold start at numpy's;
-    # ndtr is what scipy.stats.norm.cdf evaluates at loc 0 and scale 1
-    from scipy.special import ndtr
-
-    alpha = first_order_increments(path, t)
-    m = len(alpha)
-    n = path.n
-    sig = path.sigma_grid[:m]
-    f_n = float(np.sum(alpha <= x)) / n
-    f_bar = float(np.sum(ndtr(x / sig))) / n
-    g_n = math.sqrt(n) * (f_n - f_bar)
-    return EmpiricalProcess(f_n=f_n, f_bar=f_bar, g_n=g_n)
 
 
 def load_increments_csv(path_or_file) -> np.ndarray:

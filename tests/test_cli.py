@@ -17,8 +17,7 @@ from hypothesis import given, settings, strategies as st
 
 import uvstat.kernels
 from uvstat.cli import main
-from uvstat.config import ConfigError, canonical_text, parse_beta_grid, parse_config
-from uvstat.simulate import config_from_dict
+from uvstat.config import ConfigError, canonical_text, config_from_dict, parse_beta_grid, parse_config
 
 CONFIGS = sorted((Path(__file__).resolve().parent.parent / "configs").glob("*.cfg"))
 
@@ -57,12 +56,37 @@ def jump_clt_doc(reps=5, n=256, intensity=5.0, kind="CLT_jump", kernel="d=1 l=1 
 # ---------------------------------------------------------------------------
 
 
-def test_minimal_config_round_trip():
-    text = json.dumps(config_doc())
-    cfg = parse_config(text)
+ITOSM_VOL = {
+    "kind": "ItoSM", "sigma0": 0.8, "tilde_b": -0.1, "tilde_sigma": 0.25, "tilde_v": 0.5,
+    "floor_eps": 0.001,
+}
+UNIFORM_JUMPS = {"intensity": 3.0, "size_dist": {"type": "Uniform", "a": -1.5, "b": 0.5}, "max_abs": 2.0}
+TRUNCNORMAL_JUMPS = {
+    "intensity": 3.0,
+    "size_dist": {"type": "TruncNormal", "mu": 0.25, "s": 1.0, "min_abs": 0.5},
+    "max_abs": 2.0,
+}
+
+
+@pytest.mark.parametrize(
+    "model",
+    [
+        {},
+        {"vol": ITOSM_VOL, "reject_bound_excursions": True},
+        {"jumps": UNIFORM_JUMPS, "reject_bound_excursions": False},
+        {"vol": ITOSM_VOL, "jumps": TRUNCNORMAL_JUMPS, "reject_bound_excursions": True},
+    ],
+    ids=["atoms_constant", "atoms_itosm_reject", "uniform_constant_keep", "truncnormal_itosm_reject"],
+)
+def test_minimal_config_round_trip(model):
+    doc = config_doc()
+    doc["model"].update(model)
+    cfg = parse_config(json.dumps(doc))
     canon = canonical_text(cfg)
-    again = canonical_text(parse_config(canon))
-    assert canon == again
+    # every field given is decoded, not replaced by its default
+    assert all(json.loads(canon)["model"][key] == value for key, value in model.items())
+    assert parse_config(canon) == cfg
+    assert canonical_text(parse_config(canon)) == canon
 
 
 @pytest.mark.parametrize("cfgfile", CONFIGS, ids=lambda p: p.name)
@@ -279,6 +303,32 @@ def test_grid_test_on_csv(tmp_path, capsys):
     rows = (tmp_path / "out" / "errors.csv").read_text().splitlines()
     assert rows[0].startswith("beta,")
     assert len(rows) == 5
+
+
+# sha256 of report.json and errors.csv that grid-test writes for GRID_CSV_TEXT
+GRID_CSV_TEXT = "increment\n" + "".join(f"{((k * 37) % 101 - 50) / 40}\n" for k in range(200))
+GRID_CSV_DIGESTS = (
+    "c06d2652fa4f39ac3171b40f2b28d17fb695ff511373c1687d06eee802d6e9db",
+    "711dfc2964d9faea857f16eaa4e1e1a38477b468dc8b6115882c23461a0ca054",
+)
+
+
+def test_grid_test_on_csv_bytes_pinned_and_no_manifest(tmp_path, capsys):
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_text(GRID_CSV_TEXT, encoding="utf-8")
+    out = tmp_path / "out"
+    rc = main(["grid-test", "--input", str(ticks), "--beta", "0.25:3.0:0.25", "--output", str(out)])
+    assert rc == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "grid scan over 12 beta values; minimizer beta = 2.25",
+        f"wrote {out / 'report.json'}",
+        f"wrote {out / 'errors.csv'}",
+    ]
+    assert sorted(p.name for p in out.iterdir()) == ["errors.csv", "report.json"]
+    digests = tuple(
+        hashlib.sha256((out / name).read_bytes()).hexdigest() for name in ("report.json", "errors.csv")
+    )
+    assert digests == GRID_CSV_DIGESTS
 
 
 def test_grid_test_on_zero_increments_exits_1(tmp_path, capsys):

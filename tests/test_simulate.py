@@ -14,6 +14,7 @@ from scipy.integrate import quad
 from scipy.stats import chisquare, ks_2samp, norm, poisson
 
 import uvstat.simulate
+from uvstat.config import config_from_dict
 from uvstat.simulate import (
     AtomList,
     GroundTruth,
@@ -23,8 +24,6 @@ from uvstat.simulate import (
     TruncNormal,
     Uniform,
     VolatilityModel,
-    config_from_dict,
-    first_order_increments,
     increments,
     jump_neighborhood,
     path_to_json,
@@ -144,21 +143,6 @@ def test_increments_constant_path_zero():
     cfg = near_zero_vol_config()
     path = simulate_path(cfg, n=32, T=1.0, seed=2)
     np.testing.assert_allclose(increments(path), 0.0, atol=1e-10)
-
-
-def test_first_order_increments_sigma_one():
-    cfg = make_config()
-    path = simulate_path(cfg, n=64, T=1.0, seed=11)
-    alpha = first_order_increments(path)
-    np.testing.assert_allclose(alpha, math.sqrt(64) * path.w_increments, rtol=1e-15)
-
-
-def test_first_order_increments_drift_gap():
-    # no jumps, constant sigma: sqrt(n) Delta X - alpha = sqrt(n) b / n exactly
-    cfg = make_config(drift=0.7)
-    path = simulate_path(cfg, n=128, T=1.0, seed=13)
-    gap = math.sqrt(path.n) * increments(path) - first_order_increments(path)
-    np.testing.assert_allclose(gap, math.sqrt(128) * 0.7 / 128, rtol=1e-9)
 
 
 def test_quadratic_variation_monte_carlo():

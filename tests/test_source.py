@@ -1,6 +1,6 @@
 """Source hygiene of src/uvstat: no unused imports, no unbound exports, one expanding module,
 no scipy submodule or numpy.random imported at module level, scipy.stats and scipy.integrate
-imported nowhere and scipy.special only where it runs."""
+imported nowhere and scipy.special only where it runs, one run-config decoder."""
 
 import ast
 from pathlib import Path
@@ -272,13 +272,13 @@ def test_import_sites_detected():
 
 # scipy.special costs about 18 MB; the KS tests of verify-clt and rnp-check
 # load it only on a smirnov route of the two-sample p-value
-def test_scipy_special_is_imported_at_two_sites_only():
+def test_scipy_special_is_imported_by_ks_twice_smirnov_only():
     sites = [
         f"{path.stem}.{site}"
         for path in sorted(SRC.glob("*.py"))
         for site in import_sites(path.read_text(encoding="utf-8"), in_package("scipy.special"))
     ]
-    assert sites == ["ks._twice_smirnov: scipy.special", "stats.empirical_process: scipy.special"]
+    assert sites == ["ks._twice_smirnov: scipy.special"]
 
 
 def bound_names(tree) -> set:
@@ -328,6 +328,50 @@ def test_package_reexports_only_exported_names():
             exported = set(exported_names(ast.parse(source)))
             stray += [f"{module}.{a.name}" for a in node.names if a.name not in exported]
     assert stray == []
+
+
+def private_imports(source: str, module: str) -> list:
+    """The underscore names imported from module, function bodies included, by line."""
+    return sorted(
+        f"line {node.lineno}: {alias.name}"
+        for node in ast.walk(ast.parse(source))
+        if isinstance(node, ast.ImportFrom) and node.module == module
+        for alias in node.names
+        if alias.name.startswith("_")
+    )
+
+
+def test_private_imports_detected():
+    source = (
+        "import uvstat.simulate\n"
+        "from uvstat.simulate import SimulationError, _number\n"
+        "from uvstat.simulate import _REQUIRED as required\n"
+        "from uvstat.harness import _is_jump_route\n"
+        "from uvstat.simulate_more import _x\n"
+        "def f():\n"
+        "    from uvstat.simulate import _require\n"
+    )
+    assert private_imports(source, "uvstat.simulate") == [
+        "line 2: _number", "line 3: _REQUIRED", "line 7: _require"
+    ]
+
+
+# uvstat.config is the one run-config decoder; the simulator keeps the model
+# dataclasses, the _number check that they call, and the writers
+CONFIG_DECODERS = {
+    "_REQUIRED", "_require", "_integer", "_boolean", "_string", "_array",
+    "_SIZE_DISTS", "_size_dist", "_FIELD_DECODERS", "_decode", "config_from_dict",
+}
+
+
+def test_simulate_defines_no_config_decoder():
+    tree = ast.parse((SRC / "simulate.py").read_text(encoding="utf-8"))
+    assert sorted(bound_names(tree) & CONFIG_DECODERS) == []
+
+
+def test_config_imports_no_private_simulate_name_but_number():
+    found = private_imports((SRC / "config.py").read_text(encoding="utf-8"), "uvstat.simulate")
+    assert [site.split(": ", 1)[1] for site in found] == ["_number"]
 
 
 def exec_sites(source: str) -> list:

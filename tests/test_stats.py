@@ -13,14 +13,11 @@ from uvstat.simulate import (
     ModelConfig,
     SimulationError,
     VolatilityModel,
-    first_order_increments,
     increments,
     simulate_path,
 )
 from uvstat.stats import (
-    empirical_process,
     load_increments_csv,
-    phi_bar,
     power_variation,
     realized_qv,
     u_stat,
@@ -198,61 +195,6 @@ def test_power_variation_scaled_monte_carlo():
         path = brownian_path(seed=seed, n=1024)
         vals.append(power_variation(path, p=1.0, scaled=True).value)
     assert np.median(vals) == pytest.approx(abs_moment(1.0), abs=0.02)
-
-
-# ---------------------------------------------------------------------------
-# empirical process diagnostics
-# ---------------------------------------------------------------------------
-
-
-def test_empirical_process_large_x():
-    path = brownian_path(seed=13, n=128)
-    ep = empirical_process(path, t=1.0, x=1e9)
-    assert ep.f_n == pytest.approx(1.0)
-    assert ep.f_bar == pytest.approx(1.0)
-    assert ep.g_n == pytest.approx(0.0, abs=1e-9)
-
-
-def test_empirical_process_f_bar_is_the_norm_cdf_sum():
-    from scipy.stats import norm
-
-    cfg = ModelConfig(
-        drift_b=0.0,
-        vol=VolatilityModel(kind="ItoSM", sigma0=1.0, tilde_sigma=0.5, tilde_v=0.5),
-        jumps=JumpModel(intensity=2.0, size_dist=AtomList(((1.0, 0.5), (-1.0, 0.5))), max_abs=3.0),
-        bound_A=10.0,
-    )
-    path = simulate_path(cfg, n=256, T=1.0, seed=3)
-    for t, x in [(1.0, 0.3), (0.5, -1.2), (1.0, 1e9), (0.75, -1e9)]:
-        sig = path.sigma_grid[: len(first_order_increments(path, t))]
-        expected = float(np.sum(norm.cdf(x / sig))) / path.n
-        assert empirical_process(path, t=t, x=x).f_bar == expected
-
-
-def test_phi_bar_closed_form():
-    # E[V 1{V <= 0}] = -phi(0), frozen from the numeric integration oracle
-    assert phi_bar(1.0, 0.0) == pytest.approx(-0.3989422804014327, abs=1e-10)
-    from scipy.integrate import quad
-
-    for z, x in [(1.0, 0.5), (2.0, -0.7), (0.5, 1.2)]:
-        # for z > 0 the event {zV <= x} is {V <= x/z}
-        val, _ = quad(
-            lambda v: v * math.exp(-v * v / 2) / math.sqrt(2 * math.pi),
-            -40.0,
-            x / z,
-            limit=200,
-        )
-        assert phi_bar(z, x) == pytest.approx(val, abs=1e-8)
-    with pytest.raises(KernelError):
-        phi_bar(0.0, 1.0)
-
-
-def test_empirical_process_centering():
-    g_vals = [
-        empirical_process(brownian_path(seed=s, n=512), t=1.0, x=0.3).g_n for s in range(200)
-    ]
-    se = np.std(g_vals, ddof=1) / math.sqrt(len(g_vals))
-    assert abs(np.mean(g_vals)) <= 3 * se
 
 
 # ---------------------------------------------------------------------------
