@@ -5,13 +5,17 @@ grid-test, ztrunc.  All are driven by a config file (see config module);
 --seed overrides the config's base seed.  --threads is accepted and
 ignored, so existing command lines still parse.
 
-Exit codes: 0 success, 1 validation error (bad config/usage), 2 runtime
-error during execution.
+Exit codes: 0 success, 1 validation error (bad config/usage, or --input
+CSV content with a non-numeric line after the header, a non-finite value,
+no increments or bytes that are not UTF-8), 2 runtime error during
+execution (a missing --input file among them).
 
 Each experiment run writes report.json, errors.csv, manifest.json and
 optionally samples.csv into the output directory.  The manifest carries
 the canonical config plus library versions (but not wall time, so
 reports stay byte-identical across re-runs); timing is printed to stdout.
+scipy's version is read from its version file without importing scipy,
+so importing this module loads numpy and no scipy module.
 """
 
 from __future__ import annotations
@@ -19,14 +23,15 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import functools
+import importlib.util
 import json
+import runpy
 import sys
 import time
 from pathlib import Path
 from typing import Optional
 
 import numpy as np
-import scipy
 
 import uvstat
 from uvstat.config import ConfigError, RunConfig, parse_beta_grid, parse_config
@@ -93,13 +98,24 @@ def _load_config(args) -> RunConfig:
     return cfg
 
 
+@functools.cache
+def _scipy_version() -> str:
+    """scipy's version, run from the file scipy/__init__ takes __version__ from.
+
+    find_spec locates the package without importing it, so writing a
+    manifest loads no scipy module.
+    """
+    package = Path(importlib.util.find_spec("scipy").origin).parent
+    return runpy.run_path(str(package / "version.py"))["version"]
+
+
 def _manifest(cfg: RunConfig) -> dict:
     return {
         "config": cfg.canonical_dict(),
         "versions": {
             "uvstat": uvstat.__version__,
             "numpy": np.__version__,
-            "scipy": scipy.__version__,
+            "scipy": _scipy_version(),
             "python": sys.version.split()[0],
         },
     }
@@ -132,6 +148,21 @@ def _write_report(report: ExperimentReport, cfg: Optional[RunConfig], outdir: Pa
     return written
 
 
+def _read_increments(path) -> np.ndarray:
+    """The increments of a CSV file, whose bad content is a validation error.
+
+    A non-numeric line after the header, a non-finite value, no increments
+    at all or bytes that are not UTF-8 exit 1, like any other bad input; a
+    file that cannot be opened stays an OSError (exit 2).
+    """
+    try:
+        return load_increments_csv(path)
+    except SimulationError as exc:
+        raise ConfigError(str(exc)) from None
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"CSV input is not UTF-8 text ({exc})") from None
+
+
 def _cmd_simulate(args, cfg: RunConfig) -> int:
     plan = cfg.plan
     n = plan.n_list[-1]
@@ -149,7 +180,7 @@ def _cmd_stat(args, cfg: RunConfig) -> int:
     plan = cfg.plan
     input_csv = args.input or cfg.input_csv
     if input_csv:
-        data = load_increments_csv(input_csv)
+        data = _read_increments(input_csv)
         n = len(data)
         source = f"csv:{input_csv}"
     else:
@@ -221,7 +252,7 @@ def _cmd_experiment(args, cfg: RunConfig, expected_kinds) -> int:
 
 
 def _cmd_grid_csv(args) -> int:
-    data = load_increments_csv(args.input)
+    data = _read_increments(args.input)
     beta_grid = parse_beta_grid(args.beta)
     if not beta_grid:
         raise ConfigError("grid-test on CSV input needs --beta start:stop:step")

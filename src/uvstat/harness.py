@@ -332,12 +332,35 @@ def _collision_count(path: SamplePath) -> int:
     return int(np.count_nonzero((counts > 1) & (values <= path.n_steps)))
 
 
-def _quantiles(values: np.ndarray) -> dict:
-    return {
-        "median": float(np.median(values)),
-        "q25": float(np.quantile(values, 0.25)),
-        "q75": float(np.quantile(values, 0.75)),
-    }
+def _order_stats(values) -> dict:
+    """The median and the linear quartiles of one or more values, from one sort.
+
+    On the non-negative values the tables give it, they are numpy 2.4.6's
+    median and its default quantile at 0.25 and 0.75 bit for bit, without
+    numpy's NaN check, which imports numpy.ma (with both signed zeros,
+    numpy's partition and this sort may pick different ones).  The median
+    is the middle value or (a + b) / 2 of the two middle ones; a quartile
+    interpolates between the order statistics i = floor(v) and i + 1 at
+    v = (n - 1) q as numpy's _lerp does; a NaN anywhere makes all three
+    NaN.  Like uvstat.ks for scipy, this pins those bits rather than
+    following later numpy releases.
+    """
+    x = np.sort(np.asarray(values, dtype=float))
+    if math.isnan(x[-1]):  # np.sort puts NaN last
+        return dict.fromkeys(("median", "q25", "q75"), math.nan)
+    h = len(x) // 2
+    median = float(x[h]) if len(x) % 2 else (float(x[h - 1]) + float(x[h])) / 2
+    return {"median": median, "q25": _linear_quantile(x, 0.25), "q75": _linear_quantile(x, 0.75)}
+
+
+def _linear_quantile(x: np.ndarray, q: float) -> float:
+    """numpy's quantile (method "linear") at 0 <= q < 1 of sorted, NaN-free x."""
+    v = (len(x) - 1) * q
+    i = math.floor(v)
+    g = v - i
+    a, b = float(x[i]), float(x[min(i + 1, len(x) - 1)])
+    d = b - a
+    return a + d * g if g < 0.5 else b - d * (1.0 - g)
 
 
 def _run_reps(plan: ExperimentPlan, rep, tabulate):
@@ -384,8 +407,8 @@ def run_lln(plan: ExperimentPlan) -> ExperimentReport:
         abs_err = np.array([abs(r["error"]) for r in results])
         denom = np.array([max(abs(r["limit"]), 1e-300) for r in results])
         return {
-            "abs_error": _quantiles(abs_err),
-            "rel_error": _quantiles(abs_err / denom),
+            "abs_error": _order_stats(abs_err),
+            "rel_error": _order_stats(abs_err / denom),
             "collision_reps": int(sum(1 for r in results if r["n_collisions"] > 0)),
         }
 
@@ -644,7 +667,7 @@ def run_ztrunc(plan: ExperimentPlan) -> ExperimentReport:
             row[f"gap_m{m}"] = abs(truncated_Z(path, kernel, m=m, aug=aug, t=plan.t) - zj)
         rows.append(row)
     medians = {
-        str(m): float(np.median([row[f"gap_m{m}"] for row in rows])) for m in m_list
+        str(m): _order_stats([row[f"gap_m{m}"] for row in rows])["median"] for m in m_list
     }
     ordered = [medians[str(m)] for m in sorted(m_list)]
     tables = {

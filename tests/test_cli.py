@@ -341,6 +341,41 @@ def test_grid_test_on_zero_increments_exits_1(tmp_path, capsys):
     assert not out.exists()
 
 
+# bad --input content is a validation error; a missing file stays a runtime error
+BAD_CSV = [
+    (b"x\n1.0\nabc\n", "non-numeric increment on line 3: 'abc'"),
+    (b"increment\n1.0\ninf\n", "non-finite increment on line 3: 'inf'"),
+    (b"increment\n\n", "no increments found in CSV input"),
+    (
+        b"x\n\xff\n",
+        "CSV input is not UTF-8 text ('utf-8' codec can't decode byte 0xff in position 2: "
+        "invalid start byte)",
+    ),
+]
+BAD_CSV_IDS = ["non_numeric", "non_finite", "empty", "not_utf8"]
+
+
+@pytest.mark.parametrize("text, cause", BAD_CSV, ids=BAD_CSV_IDS)
+@pytest.mark.parametrize("command", ["grid-test", "stat"])
+def test_bad_csv_input_exits_1(tmp_path, capsys, command, text, cause):
+    ticks = tmp_path / "ticks.csv"
+    ticks.write_bytes(text)
+    out = tmp_path / "out"
+    cfgfile = write_config(tmp_path, jump_clt_doc(kind="LLN", reps=2, n=64))
+    argv = {
+        "grid-test": ["grid-test", "--beta", "0.5:1.0:0.5"],
+        "stat": ["stat", "--config", str(cfgfile), "--stat", "QV"],
+    }[command]
+    rc = main([*argv, "--input", str(ticks), "--output", str(out)])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        f"error: {cause}"
+    ]
+    assert not out.exists()
+
+
 def test_simulate_and_stat_commands(tmp_path, capsys):
     doc = jump_clt_doc(kind="LLN", reps=2, n=128)
     doc["io"] = {"output_dir": str(tmp_path / "out")}
@@ -544,6 +579,17 @@ def test_non_finite_output_prints_no_numpy_warning(tmp_path):
     assert proc.stderr.splitlines() == [
         "runtime error: stat holds a non-finite number at stat.value; nothing written"
     ]
+
+
+def test_manifest_records_the_scipy_version(tmp_path):
+    import scipy
+
+    doc = jump_clt_doc(kind="LLN", reps=2, n=64)
+    doc["io"] = {"output_dir": str(tmp_path / "out")}
+    with contextlib.redirect_stdout(io.StringIO()):
+        assert main(["verify-lln", "--config", str(write_config(tmp_path, doc))]) == 0
+    manifest = json.loads((tmp_path / "out" / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["versions"]["scipy"] == scipy.__version__
 
 
 def test_manifest_suffices_to_rerun(tmp_path):
@@ -816,22 +862,71 @@ def test_shipped_config_path_json_byte_identical(tmp_path, capsys):
     assert hashlib.sha256((tmp_path / "path.json").read_bytes()).hexdigest() == SHIPPED_PATH_DIGEST
 
 
-# run in a fresh interpreter; prints whether importing uvstat.cli loaded
-# numpy.random, the scipy submodules loaded after the numpy-only routes, then
-# after the command given on the command line
+# a small ZTRUNC plan: 20 augmentations of one path with 8 jumps
+ZTRUNC_DOC = {
+    "model": {
+        "drift_b": 0.0,
+        "vol": {"kind": "Constant", "sigma0": 1.0},
+        "jumps": {
+            "intensity": 10.0,
+            "size_dist": {"type": "Uniform", "a": 0.5, "b": 2.0},
+            "max_abs": 2.5,
+        },
+        "bound_A": 10.0,
+    },
+    "kernel": "d=1 l=1 p=4.0 q=- regime=JumpCLT L=one",
+    "experiment": {
+        "kind": "ZTRUNC", "n_list": [256], "reps": 20, "m_list": [0, 2, 5, 8], "require_jumps": 8,
+    },
+    "io": {"output_dir": "out"},
+    "base_seed": 37,
+}
+
+
+def _odd_reps_lln_doc():
+    """configs/lln_jump.cfg at n_list [64, 256] with 9 reps, so each quartile falls on a value."""
+    doc = json.loads(LLN_JUMP_CFG.read_text(encoding="utf-8"))
+    doc["experiment"].update(n_list=[64, 256], reps=9)
+    return doc
+
+
+# sha256 of report.json for plans whose order statistics no other pin covers:
+# ZTRUNC's median_gap, and the LLN quartiles of an odd number of reps
+ORDER_STAT_DIGESTS = {
+    "ztrunc": "86d46f07a57677f325bab04340d1925bf9b9f85f8b700975319b1ba78ab22cc0",
+    "verify-lln": "9048c766170f5d4c1f2785a0f80831b07121fae74e260e55376c08dca700c11b",
+}
+
+
+@pytest.mark.parametrize(
+    "command, doc", [("ztrunc", ZTRUNC_DOC), ("verify-lln", _odd_reps_lln_doc())],
+    ids=["ztrunc", "lln_odd_reps"],
+)
+def test_order_statistic_reports_byte_identical(command, doc, tmp_path, capsys):
+    cfgfile = write_config(tmp_path, doc)
+    out = tmp_path / "out"
+    assert main([command, "--config", str(cfgfile), "--output", str(out)]) == 0
+    digest = hashlib.sha256((out / "report.json").read_bytes()).hexdigest()
+    assert digest == ORDER_STAT_DIGESTS[command]
+
+
+# run in a fresh interpreter; prints the watched modules loaded by importing
+# uvstat.cli, then after the numpy-only routes and a ZTRUNC plan (its config
+# is the first argument after the output directory), then after the command
+# given on the rest of the command line
 COLD_START_PROBE = """
 import contextlib, io, json, sys
 from pathlib import Path
-root, out, last = Path(sys.argv[1]), sys.argv[2], sys.argv[3:]
+root, out, ztrunc, last = Path(sys.argv[1]), sys.argv[2], sys.argv[3], sys.argv[4:]
 sys.path.insert(0, str(root / "src"))
+watched = ("numpy.random", "numpy.ma", "scipy", "scipy.stats", "scipy.integrate", "scipy.special")
+def loaded():
+    return [m for m in watched if m in sys.modules]
 import uvstat, uvstat.cli
-random_on_import = "numpy.random" in sys.modules
+on_import = loaded()
 from uvstat.config import parse_config
 for cfg in sorted(root.glob("configs/*.cfg")) + sorted(root.glob("bench/workloads/*.cfg")):
     parse_config(cfg.read_text(encoding="utf-8"))
-heavy = ("scipy.stats", "scipy.integrate", "scipy.special")
-def loaded():
-    return [m for m in heavy if m in sys.modules]
 def run(*argv):
     with contextlib.redirect_stdout(io.StringIO()):
         assert uvstat.cli.main([*argv, "--output", out]) == 0, argv
@@ -840,29 +935,34 @@ run("simulate", "--config", clt_mixed)
 run("stat", "--config", clt_mixed, "--stat", "Y")
 run("limits", "--config", clt_mixed)
 run("verify-lln", "--config", str(root / "configs" / "lln_jump.cfg"))
+run("ztrunc", "--config", ztrunc)
 numpy_only = loaded()
 run(*last)
-print(json.dumps([random_on_import, numpy_only, loaded()]))
+print(json.dumps([on_import, numpy_only, loaded()]))
 """
 
 
 def _cold_start(tmp_path, *command) -> list:
-    """The heavy scipy submodules loaded by the command after the numpy-only routes.
+    """The scipy modules and numpy.ma loaded by the command after the numpy-only routes.
 
-    Importing uvstat.cli loads no numpy.random: the generators are built
-    where a path or a draw is seeded.
+    Importing uvstat.cli loads none of numpy.random, numpy.ma or scipy:
+    the generators are built where a path or a draw is seeded, the
+    manifest reads scipy's version file, and the order statistics of the
+    LLN and ZTRUNC tables are ported from numpy.  The numpy-only routes
+    and a ZTRUNC plan then load numpy.random alone.
     """
     root = Path(__file__).resolve().parent.parent
     out = tmp_path / "out"
+    ztrunc = write_config(tmp_path, ZTRUNC_DOC, name="ztrunc.cfg")
     proc = subprocess.run(
-        [sys.executable, "-c", COLD_START_PROBE, str(root), str(out), *command],
+        [sys.executable, "-c", COLD_START_PROBE, str(root), str(out), str(ztrunc), *command],
         capture_output=True, text=True, timeout=300,
     )
     assert proc.returncode == 0, proc.stderr
-    random_on_import, numpy_only, after = json.loads(proc.stdout)
-    assert not random_on_import
-    assert numpy_only == []
-    return after
+    on_import, numpy_only, after = json.loads(proc.stdout)
+    assert on_import == []
+    assert numpy_only == ["numpy.random"]
+    return [m for m in after if m != "numpy.random"]
 
 
 def _ks_ran(tmp_path) -> bool:
@@ -873,7 +973,7 @@ def _ks_ran(tmp_path) -> bool:
 
 # the KS tests of verify-clt and rnp-check run on math and numpy (uvstat.ks);
 # scipy.special loads only where a two-sample p-value takes a smirnov route.
-# The KS tests ran, so an empty list shows that they loaded no scipy submodule
+# The KS tests ran, so an empty list shows that they loaded no scipy module
 def test_cold_start_loads_scipy_submodules_only_where_they_run(tmp_path):
     clt_jump = Path(__file__).resolve().parent.parent / "configs" / "clt_jump.cfg"
     assert _cold_start(tmp_path, "verify-clt", "--config", str(clt_jump)) == []
@@ -897,11 +997,13 @@ def test_cold_start_of_rnp_check_loads_no_scipy_submodule(tmp_path):
 
 
 # the grid_sin kernel's Gaussian moments run one QUADPACK QAGIE per grid
-# sigma, called from scipy's _quadpack extension without scipy.integrate
+# sigma, called from scipy's _quadpack extension without scipy.integrate;
+# the scipy package loads there, as kernels._qagie finds the extension
+# through scipy.__path__.  The plan's quartiles load no numpy.ma
 def test_cold_start_of_the_mixed_trig_lln_workload_loads_no_scipy_submodule(tmp_path):
     cfgfile = Path(__file__).resolve().parent.parent / "bench" / "workloads" / "mixed_trig_lln.cfg"
     assert "grid_sin" in json.loads(cfgfile.read_text(encoding="utf-8"))["kernel"]
-    assert _cold_start(tmp_path, "verify-lln", "--config", str(cfgfile)) == []
+    assert _cold_start(tmp_path, "verify-lln", "--config", str(cfgfile)) == ["scipy"]
 
 
 BENCH_WORKLOADS = Path(__file__).resolve().parent.parent / "bench" / "workloads"

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 from scipy.stats import ks_2samp
 
 import uvstat.harness
@@ -18,6 +19,7 @@ from uvstat.harness import (
     ExperimentPlan,
     HarnessError,
     _find_path_with_jumps,
+    _order_stats,
     derive_seed,
     grid_scan,
     run_clt,
@@ -285,6 +287,63 @@ def test_find_path_with_jumps_matches_a_simulated_search():
 def test_find_path_with_jumps_gives_up_after_10000_seeds():
     with pytest.raises(HarnessError, match="no path with exactly 1 jumps found in 10000 seeds"):
         _find_path_with_jumps(grid_plan(model(intensity=0.0), 1), 64)
+
+
+# ---------------------------------------------------------------------------
+# order statistics
+# ---------------------------------------------------------------------------
+
+
+def numpy_order_stats(values) -> dict:
+    x = np.array(values, dtype=float)
+    with np.errstate(all="ignore"):  # a sum of two middle values may overflow
+        return {
+            "median": float(np.median(x)),
+            "q25": float(np.quantile(x, 0.25)),
+            "q75": float(np.quantile(x, 0.75)),
+        }
+
+
+def as_hex(stats: dict) -> dict:
+    """Each value by float.hex, so bits are compared and NaN equals NaN."""
+    return {key: float.hex(value) for key, value in stats.items()}
+
+
+# +0.0, subnormals, the smallest normal, values whose pairwise sum overflows, +inf
+EDGE_VALUES = (0.0, 5e-324, 1e-310, 2.2250738585072014e-308, 1.0, 1e308, 1.7976931348623157e308, math.inf)
+# the helper reads absolute values only, whose zeros are all +0.0
+ABS_FLOATS = st.one_of(st.sampled_from(EDGE_VALUES), st.floats(min_value=0.0), st.floats(0.0, 4.0))
+
+
+@st.composite
+def order_stat_inputs(draw):
+    """1 to 64 non-negative floats with ties, edge values and, one time in ten, a NaN."""
+    pool = draw(st.lists(ABS_FLOATS, min_size=1, max_size=6))
+    values = draw(st.lists(st.sampled_from(pool) | ABS_FLOATS, min_size=1, max_size=64))
+    if draw(st.integers(0, 9)) == 0:
+        values[draw(st.integers(0, len(values) - 1))] = math.nan
+    return values
+
+
+@settings(max_examples=1000, deadline=None, derandomize=True, database=None)
+@given(values=order_stat_inputs())
+def test_order_stats_match_numpy_bit_for_bit(values):
+    assert as_hex(_order_stats(values)) == as_hex(numpy_order_stats(values))
+
+
+# every size the helper meets in a plan of up to 64 reps, odd n and
+# n = 1 (mod 4), where a quartile falls on a value, among them
+@pytest.mark.parametrize("n", range(1, 65))
+def test_order_stats_match_numpy_at_every_size(n):
+    rng = np.random.default_rng(n)
+    pool = np.concatenate([EDGE_VALUES, rng.exponential(size=4)])
+    for values in (rng.choice(pool, n), rng.exponential(size=n), np.full(n, math.inf)):
+        assert list(_order_stats(values)) == ["median", "q25", "q75"]
+        assert as_hex(_order_stats(values)) == as_hex(numpy_order_stats(values))
+    with_nan = rng.exponential(size=n)
+    with_nan[rng.integers(n)] = math.nan
+    assert as_hex(_order_stats(with_nan)) == {"median": "nan", "q25": "nan", "q75": "nan"}
+    assert as_hex(numpy_order_stats(with_nan)) == {"median": "nan", "q25": "nan", "q75": "nan"}
 
 
 # ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 """Source hygiene of src/uvstat: no unused imports, no unbound exports, one expanding module,
-no scipy submodule or numpy.random imported at module level, scipy.stats and scipy.integrate
-imported nowhere and scipy.special only where it runs, one run-config decoder."""
+no scipy package, scipy submodule or numpy.random imported at module level, scipy.stats and
+scipy.integrate imported nowhere and scipy.special only where it runs, one run-config decoder."""
 
 import ast
 from pathlib import Path
@@ -154,6 +154,31 @@ def test_eager_scipy_imports_detected():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_module_imports_no_scipy_submodule_on_import(path):
     assert eager_scipy_imports(path.read_text(encoding="utf-8")) == []
+
+
+def eager_scipy_package_imports(source: str) -> list:
+    """Imports of the scipy package itself that run on import, i.e. outside any function body."""
+    return eager_imports(source, lambda name: name == "scipy")
+
+
+def test_eager_scipy_package_imports_detected():
+    source = (
+        "import scipy\n"
+        "import scipy as sp, numpy\n"
+        "from scipy import special\n"
+        "import scipy.stats\n"
+        "def f():\n"
+        "    import scipy\n"
+        "    return scipy.__path__\n"
+    )
+    assert eager_scipy_package_imports(source) == ["line 1: scipy", "line 2: scipy"]
+
+
+# importing the scipy package adds about 0.8 MB to a fresh interpreter's peak RSS,
+# so it loads where a scipy part runs; the manifest reads its version file
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_scipy_package_on_import(path):
+    assert eager_scipy_package_imports(path.read_text(encoding="utf-8")) == []
 
 
 def test_eager_numpy_random_imports_detected():
