@@ -43,12 +43,12 @@ field is part of that context: its covariance C(y, y') = v(y)^T P v(y')
 is held as the weights w and the matrix P (``_Truth.field``, built on
 first use), from which the field vector v(y), its sum over the jump
 tuples and the matrix V P V^T are read.  The left-Riemann weights are
-built once per (n, t), and the time integral of a constant over them
-once per (n, t, value).  Each public function opens its own context and
-calls a private twin that takes one (``_jump_limit``, ``_mixed_limit``,
-``_cond_var_jump``, ``_cond_var_mixed``), so a caller that reads one
-path several times, as ``harness.run_clt`` does, opens one context per
-path and passes it on.
+built once per (n, t), and every time integral is those weights dotted
+with a moment vector (on a constant grid, one value repeated).  Each
+public function opens its own context and calls a private twin that
+takes one (``_jump_limit``, ``_mixed_limit``, ``_cond_var_jump``,
+``_cond_var_mixed``), so a caller that reads one path several times, as
+``harness.run_clt`` does, opens one context per path and passes it on.
 
 Every function reads only the path's ground truth, so it accepts a
 ``GroundTruth`` (a ``SamplePath`` is one), and reads the block split l
@@ -124,19 +124,8 @@ def _riemann_weights(n: int, t: float, count: int) -> np.ndarray:
     return weights
 
 
-@functools.lru_cache(maxsize=256)
-def _constant_integral(n: int, t: float, count: int, value: float) -> float:
-    """int_0^t of a constant on the left-Riemann grid: the weights dotted with the value repeated.
-
-    That dot product rounds differently from value * sum(weights), so it
-    is taken as is and kept per (n, t, count, value).
-    """
-    weights = _riemann_weights(n, t, count)
-    return float(np.dot(weights, np.full(len(weights), value)))
-
-
 class _GridMoments:
-    """Per distinct factor, (moment, time integral) on one grid, and the field (w, P) built from them."""
+    """Per distinct factor, (moment vector, time integral) on one grid, and the field (w, P)."""
 
     __slots__ = ("moments", "field")
 
@@ -207,21 +196,18 @@ class _Truth:
     def _evaluate(self, factor: Factor1D) -> tuple:
         """(E[f(sigma_u U)] on the grid, int_0^t E[f(sigma_u U)] du), once per factor.
 
-        On a constant grid the moment is one value, evaluated at the first
-        sigma (repeated, it is the full-grid vector bit for bit), and its
-        integral is that value repeated over the grid, dotted with the
-        weights.
+        The integral is the weights dotted with the moment vector.  On a
+        constant grid that vector is one moment, evaluated at the first
+        sigma and repeated, which is the full-grid vector bit for bit.
         """
         found = self._memo.moments.get(factor)
         if found is None:
             sigmas, weights = self.grid
             if self.constant_grid:
-                value = factor.gaussian_moment_vec(sigmas[:1])[0]
-                found = (value, _constant_integral(*self._grid_key, value))
+                vec = np.full(len(sigmas), factor.gaussian_moment_vec(sigmas[:1])[0])
             else:
                 vec = factor.gaussian_moment_vec(sigmas)
-                found = (vec, float(np.dot(weights, vec)))
-            self._memo.moments[factor] = found
+            found = self._memo.moments[factor] = (vec, float(np.dot(weights, vec)))
         return found
 
     def integral(self, factor: Factor1D) -> float:
@@ -231,14 +217,11 @@ class _Truth:
     def cov_integral(self, fa: Factor1D, fb: Factor1D, fab: Factor1D) -> float:
         """int_0^t Cov(fa(sigma_u U), fb(sigma_u U)) du on the grid; fab is fa fb.
 
-        The covariance E[fab] - E[fa] E[fb] is taken on the grid (one
-        value on a constant grid) and integrated as the moments are.
+        The covariance E[fab] - E[fa] E[fb] is taken on the grid's moment
+        vectors and dotted with the weights, as the moments are.
         """
         (ab, _), (a, _), (b, _) = (self._evaluate(f) for f in (fab, fa, fb))
-        cov = ab - a * b
-        if self.constant_grid:
-            return _constant_integral(*self._grid_key, cov)
-        return float(np.dot(self.grid[1], cov))
+        return float(np.dot(self.grid[1], ab - a * b))
 
     @property
     def field(self) -> tuple:

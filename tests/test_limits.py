@@ -506,8 +506,7 @@ def test_constant_grid_moment_matches_full_grid_bitwise(length):
         assert len(sigmas) == length and truth.constant_grid
         for f in factors:
             full = f.gaussian_moment_vec(sigmas)
-            value, integral = truth._evaluate(f)
-            vec = np.full(length, value)
+            vec, integral = truth._evaluate(f)
             assert vec.dtype == full.dtype and vec.tobytes() == full.tobytes(), (f, sigma)
             assert integral.hex() == float(np.dot(weights, full)).hex(), (f, sigma)
             assert truth.integral(f) == integral

@@ -17,14 +17,16 @@ The Gaussian-moment integrand is u -> f(sigma u) phi(u):
 Simulator-stream defects move a substream index of ``uvstat.simulate``
 (substream i of a path seed is SeedSequence(seed, spawn_key=(i,)): 0
 jumps, 1 W, 2 V).  The gates are the limit and draw bits pinned on an
-ItoSM and a Constant path (``test_limits_and_draws_pinned_bits``) and
-the report digest of the shipped ``lln_jump.cfg`` (Constant volatility,
-statistics read off X):
+ItoSM and a Constant path (``test_limits_and_draws_pinned_bits``), the
+report digest of the shipped ``lln_jump.cfg`` (Constant volatility,
+statistics read off X) and, as the oracle that no re-pin rewrites, the
+scalar simulator (``test_simulate_path_matches_scalar_oracle``, one run
+per model of ``ORACLE_MODELS``), which spawns its own three substreams:
 
-    defect                                   limit/draw pins   lln_jump.cfg digest
-    W drawn from the V substream (2,)        caught (ItoSM)    caught
-    jumps drawn from the W substream (1,)    caught            caught
-    V drawn from the W substream (1,)        caught (ItoSM)    missed (V unread)
+    defect                                   limit/draw pins   lln_jump.cfg digest   scalar oracle
+    W drawn from the V substream (2,)        caught (ItoSM)    caught                all 5 models
+    jumps drawn from the W substream (1,)    caught            caught                all 5 models
+    V drawn from the W substream (1,)        caught (ItoSM)    missed (V unread)     the 3 ItoSM models
 
 Two-sample KS defects are patched into ``uvstat.ks``, whose
 ``ks_2samp_asymp`` computes the p-value as kstwo.sf(d, round(en)).  The
@@ -87,9 +89,37 @@ with x 1.25 and 2.04 with the field dropped; a shifted limit moves only
 the mean of its errors, and it draws no R.  The Riemann and sigma_pre
 defects change only what a varying sigma reads, and every acceptance
 plan has Constant volatility, so no criterion is run for them; they
-keep every degree of homogeneity, and only the ItoSM pins see them.  The
-shifted limit adds sqrt(total / n) where a conditional variance exists
+keep every degree of homogeneity, so among these columns only the ItoSM
+pins see them, and the oracle column below catches both.  The shifted
+limit adds sqrt(total / n) where a conditional variance exists
 (1 <= l < d), which keeps every degree as well.
+
+The oracle column runs, on every row, loop forms and tolerance gates
+that a re-pin leaves standing: the mixed limit against an independent
+Riemann sum of rho values on an ItoSM path (``test_limits``, rel 1e-9),
+the scalar simulator on the three ItoSM models and over the clamp budget
+(``test_simulate``), and six sampler tests that hold 10,000 draws to the
+kappa mean and R variance, to the conditional variance or to N(0, 1)
+(``test_sampler``: one for the augmentation, three for U_jump, two for
+V_mixed):
+
+    defect                                   Riemann sum  scalar simulator   sampler tests
+    sigma^{2p} for sigma^p in a moment       missed       missed             missed
+    R drawn with sigma^2 for sigma           missed       missed             all six
+    H for dH in the jump cond. variance      missed       missed             the three U_jump
+    mixed cond. variance x 1.25              missed       missed             the two V_mixed
+    field term dropped from the mixed var.   missed       missed             missed
+    mixed limit + sd / sqrt(n)               caught       missed             missed
+    Riemann sigma one grid step late         caught       missed             missed
+    sigma_pre one grid interval late         missed       all four           missed
+
+The Riemann sum reads its moments through ``rho``, so it shares a
+sigma^{2p} moment with the code it checks, and the sampler tests compare
+draws with a conditional variance built from the same moments.  On the
+V_mixed tests' path the field is 1.3% of the variance, inside their 5%
+bound, so a dropped field passes them.  Those two rows are caught by
+gates that are not bit pins either: the homogeneity relations and the W
+redraws (sigma^{2p}), the W redraws (the dropped field).
 
 The homogeneity relations see only a defect that changes a degree of
 homogeneity: a wrong n-normalization, the p and q blocks swapped or a
@@ -124,6 +154,7 @@ import test_ks
 import test_limits
 import test_sampler
 import test_seeding
+import test_simulate
 from test_acceptance import RHO_QUAD_TOL, rho_quadrature_worst
 from test_kernels import QUAD_PINS, QUAD_SIGMAS
 
@@ -207,6 +238,27 @@ def test_simulator_stream_defect_caught_by_its_gates(monkeypatch, tmp_path, caps
         _fails(test_cli.test_shipped_config_reports_byte_identical, LLN_JUMP, tmp_path, capsys),
     )
     assert caught == STREAM_CAUGHT[defect]
+
+
+# defect -> the models of the scalar simulator oracle whose paths stop matching
+STREAM_ORACLE_CAUGHT = {
+    "none": set(),
+    "w_from_v_substream": set(test_simulate.ORACLE_MODELS),
+    "jumps_from_w_substream": set(test_simulate.ORACLE_MODELS),
+    "v_from_w_substream": {"itosm", "itosm_clamping", "itosm_dense"},
+}
+
+
+def _scalar_oracle_fails(model) -> bool:
+    return _fails(test_simulate.test_simulate_path_matches_scalar_oracle, model)
+
+
+@pytest.mark.parametrize("defect", sorted(STREAM_DEFECTS))
+def test_simulator_stream_defect_caught_by_the_scalar_oracle(monkeypatch, defect):
+    if STREAM_DEFECTS[defect] is not None:
+        monkeypatch.setattr(uvstat.simulate, *STREAM_DEFECTS[defect])
+    caught = {m for m in test_simulate.ORACLE_MODELS if _scalar_oracle_fails(m)}
+    assert caught == STREAM_ORACLE_CAUGHT[defect]
 
 
 def _limiting_tail(d, en):
@@ -304,14 +356,24 @@ def test_seed_pass_defect_caught_by_its_gates(monkeypatch, tmp_path, capsys, def
 
 
 def _mutated(fn, *edits):
-    """fn compiled again from its source with each (old, new) edit made once."""
+    """fn compiled again from its source with each (old, new) edit made once.
+
+    It is compiled in fn's own module namespace, so it reads the module's
+    names as a gate patches them (``_CLAMP_BUDGET`` in ``uvstat.simulate``);
+    the module keeps its own binding of the name.
+    """
     source = textwrap.dedent(inspect.getsource(fn))
     for old, new in edits:
         assert source.count(old) == 1, old
         source = source.replace(old, new)
-    namespace = dict(fn.__globals__)
+    namespace, name = fn.__globals__, fn.__name__
+    missing = object()
+    kept = namespace.get(name, missing)
     exec(compile(source, f"<mutated {fn.__qualname__}>", "exec"), namespace)
-    return namespace[fn.__name__]
+    mutated = namespace.pop(name)
+    if kept is not missing:
+        namespace[name] = kept
+    return mutated
 
 
 def _scaled_cond_var(factor, field):
@@ -432,8 +494,7 @@ LIMIT_CAUGHT = {
 }
 
 
-@pytest.mark.parametrize("defect", sorted(LIMIT_DEFECTS))
-def test_limit_law_defect_caught_by_its_gates(monkeypatch, defect):
+def _apply_limit_defect(monkeypatch, defect):
     if LIMIT_DEFECTS[defect] is not None:
         owner, name, build = LIMIT_DEFECTS[defect]
         original, replacement = getattr(owner, name), build()
@@ -441,6 +502,11 @@ def test_limit_law_defect_caught_by_its_gates(monkeypatch, defect):
         for module in (uvstat.harness, uvstat.limits, uvstat.sampler):
             if getattr(module, name, None) is original:
                 monkeypatch.setattr(module, name, replacement)
+
+
+@pytest.mark.parametrize("defect", sorted(LIMIT_DEFECTS))
+def test_limit_law_defect_caught_by_its_gates(monkeypatch, defect):
+    _apply_limit_defect(monkeypatch, defect)
     *_, criteria = LIMIT_CAUGHT[defect]
     caught = (
         _homogeneity_fails(),
@@ -449,3 +515,52 @@ def test_limit_law_defect_caught_by_its_gates(monkeypatch, defect):
         {c: ACCEPTANCE_GATES[c]() for c in criteria},
     )
     assert caught == LIMIT_CAUGHT[defect]
+
+
+def _clamp_budget_oracle_fails() -> bool:
+    with pytest.MonkeyPatch.context() as mp:
+        return _fails(
+            test_simulate.test_simulate_path_matches_scalar_oracle_over_the_clamp_budget, mp
+        )
+
+
+# the oracle column: loop forms and tolerance gates, none of them a bit pin
+LIMIT_ORACLES = {
+    "riemann_sum": lambda: _fails(test_limits.test_mixed_limit_stochastic_sigma_riemann),
+    "scalar_sim[itosm]": lambda: _scalar_oracle_fails("itosm"),
+    "scalar_sim[itosm_clamping]": lambda: _scalar_oracle_fails("itosm_clamping"),
+    "scalar_sim[itosm_dense]": lambda: _scalar_oracle_fails("itosm_dense"),
+    "clamp_budget": _clamp_budget_oracle_fails,
+    "kappa_r_var": lambda: _fails(test_sampler.test_augment_kappa_mean_and_r_variance),
+    "u_jump_var": lambda: _fails(test_sampler.test_sample_u_jump_centering_and_variance),
+    "u_jump_var_d2": lambda: _fails(test_sampler.test_sample_u_jump_variance_match_d2),
+    "u_jump_gauss": lambda: _fails(test_sampler.test_sample_u_jump_conditionally_gaussian),
+    "v_mixed_var": lambda: _fails(test_sampler.test_sample_v_mixed_variance_match),
+    "v_mixed_field": lambda: _fails(test_sampler.test_sample_v_mixed_field_switch),
+}
+
+_U_JUMP_DRAWS = {"u_jump_var", "u_jump_var_d2", "u_jump_gauss"}
+_V_MIXED_DRAWS = {"v_mixed_var", "v_mixed_field"}
+
+# defect -> the oracles that fail
+LIMIT_ORACLE_CAUGHT = {
+    "none": set(),
+    "moment_sigma_2p": set(),
+    "r_sigma_squared": {"kappa_r_var"} | _U_JUMP_DRAWS | _V_MIXED_DRAWS,
+    "cond_var_jump_h_for_dh": _U_JUMP_DRAWS,
+    "cond_var_mixed_x1_25": _V_MIXED_DRAWS,
+    "field_term_dropped": set(),
+    "mixed_limit_shifted": {"riemann_sum"},
+    "riemann_one_step_late": {"riemann_sum"},
+    "sigma_pre_one_interval_late": {
+        "scalar_sim[itosm]", "scalar_sim[itosm_clamping]", "scalar_sim[itosm_dense]",
+        "clamp_budget",
+    },
+}
+
+
+@pytest.mark.parametrize("defect", sorted(LIMIT_DEFECTS))
+def test_limit_law_defect_caught_by_its_oracles(monkeypatch, defect):
+    _apply_limit_defect(monkeypatch, defect)
+    caught = {name for name, fails in LIMIT_ORACLES.items() if fails()}
+    assert caught == LIMIT_ORACLE_CAUGHT[defect]
