@@ -48,6 +48,7 @@ from uvstat.stats import (
 )
 from uvstat.limits import (
     CondVariance,
+    Context,
     LimitValue,
     cond_var_jump,
     cond_var_mixed,

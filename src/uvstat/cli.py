@@ -38,7 +38,7 @@ from uvstat.config import ConfigError, RunConfig, parse_beta_grid, parse_config
 from uvstat.harness import ExperimentReport, HarnessError, finite_json, grid_scan, run_plan
 from uvstat.harness import _is_jump_route
 from uvstat.kernels import KernelError
-from uvstat.limits import cond_var_jump, cond_var_mixed, jump_limit, mixed_limit
+from uvstat.limits import Context, cond_var_jump, cond_var_mixed, jump_limit, mixed_limit
 from uvstat.simulate import SimulationError, path_to_json, simulate_path
 from uvstat.stats import load_increments_csv, power_variation, realized_qv, u_stat, v_stat, y_stat
 
@@ -221,7 +221,8 @@ def _cmd_limits(args, cfg: RunConfig) -> int:
         limit, cond_var = jump_limit, cond_var_jump
     else:
         limit, cond_var = mixed_limit, cond_var_mixed
-    lv = limit(path, kernel, t=plan.t)
+    ctx = Context(path, kernel, plan.t)
+    lv = limit(ctx)
     doc = {
         "n": n,
         "seed": plan.base_seed,
@@ -230,7 +231,7 @@ def _cmd_limits(args, cfg: RunConfig) -> int:
         "contributions": list(lv.contributions),
     }
     if kernel.regime in ("JumpCLT", "GridTest", "MixedCLT"):
-        doc["cond_variance"] = dataclasses.asdict(cond_var(path, kernel, t=plan.t))
+        doc["cond_variance"] = dataclasses.asdict(cond_var(ctx))
     print(finite_json(doc, "limits"))
     return 0
 

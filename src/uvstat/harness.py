@@ -28,13 +28,14 @@ once (``_RepSeeds``): three vectorized SeedSequence passes
 (``uvstat.seeding``) hash every seed and PCG64 state a rep of any kind
 can read, so a rep builds no SeedSequence; the streams and every report
 byte are those of the public functions called with derive_seed.  The
-paths of one n share one memo of their constant-grid moments and
-Gaussian field (``limits._Truth``).
+harness opens the ground-truth context of every path it reads
+(``limits.Context``) and passes it to the limits, the conditional
+variances and the draws; the contexts of one n share one memo of their
+constant-grid moments and Gaussian field.
 """
 
 from __future__ import annotations
 
-import functools
 import json
 import math
 from dataclasses import dataclass, field, fields
@@ -45,8 +46,8 @@ import numpy as np
 from uvstat import seeding
 from uvstat.kernels import _GRID_POWER, KernelSpec, grid_test_kernel, kernel_to_text
 from uvstat.ks import ks_2samp_asymp, kstest_norm_asymp
-from uvstat.limits import _cond_var_jump, _cond_var_mixed, _jump_limit, _mixed_limit, _Truth
-from uvstat.sampler import _augment, _sample_V_mixed, augment, sample_U_jump, truncated_Z
+from uvstat.limits import Context, cond_var_jump, cond_var_mixed, jump_limit, mixed_limit
+from uvstat.sampler import augment, sample_U_jump, sample_V_mixed, truncated_Z
 from uvstat.simulate import (
     _SUBSTREAMS,
     GroundTruth,
@@ -152,9 +153,10 @@ class _RepSeeds:
     pass per row width: the derive_seed rows (the words of (base_seed,
     stream, n) and the rep index as the last column), the substream rows
     [lo, hi, 0, 0, i] and the augmentation and field rows [lo, hi].  Each
-    generator is built from its state where it is read: the same draws as
-    simulate_path, simulate_truth, augment and sample_V_mixed make from
-    the same seeds.
+    generator is built from its state where it is read: the draws that
+    simulate_path and simulate_truth make from the same seeds, and those
+    of np.random.default_rng(seed), which augment and sample_V_mixed are
+    given.
     """
 
     def __init__(self, plan: ExperimentPlan, n: int):
@@ -314,15 +316,15 @@ def _is_jump_route(kernel: KernelSpec) -> bool:
     return kernel.regime in _JUMP_REGIMES
 
 
-def _stat_and_limit(truth: _Truth):
-    """The statistic of the truth's path and its limit, read off that ground truth."""
-    path, kernel, t = truth.path, truth.kernel, truth.t
+def _stat_and_limit(ctx: Context):
+    """The statistic of the context's path and its limit, read off that ground truth."""
+    path, kernel, t = ctx.path, ctx.kernel, ctx.t
     if _is_jump_route(kernel):
         stat = v_stat(path, kernel, t=t).value
-        lim = _jump_limit(truth).value
+        lim = jump_limit(ctx).value
     else:
         stat = y_stat(path, kernel, t=t).value
-        lim = _mixed_limit(truth).value
+        lim = mixed_limit(ctx).value
     return stat, lim
 
 
@@ -394,7 +396,7 @@ def run_lln(plan: ExperimentPlan) -> ExperimentReport:
         raise HarnessError(f"run_lln got plan of kind {plan.kind}")
 
     def rep(seeds, r, path, shared):
-        stat, lim = _stat_and_limit(_Truth(path, plan.kernel, plan.t, shared))
+        stat, lim = _stat_and_limit(Context(path, plan.kernel, plan.t, shared))
         return {
             "stat": stat,
             "limit": lim,
@@ -446,23 +448,20 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
     mixed = plan.kind == "CLT_mixed"
 
     def rep(seeds, r, path, shared):
-        truth = _Truth(path, kernel, plan.t, shared)
-        stat, lim = _stat_and_limit(truth)
-        cv = _cond_var_mixed(truth) if mixed else _cond_var_jump(truth)
+        ctx = Context(path, kernel, plan.t, shared)
+        stat, lim = _stat_and_limit(ctx)
+        cv = cond_var_mixed(ctx) if mixed else cond_var_jump(ctx)
         raw = math.sqrt(seeds.n) * (stat - lim)
         excluded = cv.total <= 0.0 or (mixed and path.clamped)
         z = raw / math.sqrt(cv.total) if not excluded else None
 
         path2 = seeds.truth(r)
-        aug = _augment(path2, seeds.seed(_S_AUG, r), seeds.rng(_S_AUG, r))
+        aug = augment(path2, seeds.rng(_S_AUG, r))
+        ctx2 = Context(path2, kernel, plan.t, shared)
         if mixed:
-            draw = _sample_V_mixed(
-                _Truth(path2, kernel, plan.t, shared),
-                aug,
-                functools.partial(seeds.rng, _S_FIELD, r),
-            )
+            draw = sample_V_mixed(ctx2, aug, seeds.rng(_S_FIELD, r))
         else:
-            draw = sample_U_jump(path2, kernel, aug, t=plan.t)
+            draw = sample_U_jump(ctx2, aug)
         draw_excluded = path2.jump_count(plan.t) == 0 or (mixed and path2.clamped)
         return {
             "scaled_error": raw,
@@ -538,7 +537,7 @@ def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
         path2 = seeds.truth(r)
         limit_r = None
         if len(path2.sizes):
-            aug = _augment(path2, seeds.seed(_S_AUG, r), seeds.rng(_S_AUG, r))
+            aug = augment(path2, seeds.rng(_S_AUG, r))
             limit_r = float(aug.r[0])
         return {"r_discrete": discrete, "r_limit": limit_r}
 
@@ -588,9 +587,9 @@ def grid_scan(data, beta_grid, t: Optional[float] = None) -> ExperimentReport:
         sv = v_stat(data, kernel, t=t)
         row = {"beta": beta, "statistic": sv.value, "normalized": sv.value / envelope}
         if is_path:
-            truth = _Truth(data, kernel, t)
-            lim = _jump_limit(truth).value
-            cv = _cond_var_jump(truth).total
+            ctx = Context(data, kernel, t)
+            lim = jump_limit(ctx).value
+            cv = cond_var_jump(ctx).total
             row["limit"] = lim
             row["cond_var"] = cv
             nn = data.n
@@ -658,13 +657,14 @@ def run_ztrunc(plan: ExperimentPlan) -> ExperimentReport:
         raise HarnessError("truncation experiment needs a path with jumps")
     m_list = plan.m_list if plan.m_list else tuple(range(J + 1))
 
+    ctx = Context(path, kernel, plan.t)
     rows = []
     for r in range(plan.reps):
-        aug = augment(path, derive_seed(plan.base_seed, _S_AUG, n, r))
-        zj = truncated_Z(path, kernel, m=J, aug=aug, t=plan.t)
+        aug = augment(path, np.random.default_rng(derive_seed(plan.base_seed, _S_AUG, n, r)))
+        zj = truncated_Z(ctx, J, aug)
         row = {"rep": r, "n": n}
         for m in m_list:
-            row[f"gap_m{m}"] = abs(truncated_Z(path, kernel, m=m, aug=aug, t=plan.t) - zj)
+            row[f"gap_m{m}"] = abs(truncated_Z(ctx, m, aug) - zj)
         rows.append(row)
     medians = {
         str(m): _order_stats([row[f"gap_m{m}"] for row in rows])["median"] for m in m_list

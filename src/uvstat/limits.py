@@ -30,29 +30,29 @@ Two things are read once and shared.  The kernel's separable terms,
 their derivatives, the Gaussian-field factor products and the slot
 layouts are compiled once per kernel (``KernelSpec._compiled``, built on
 first use and held by the kernel).  A path's ground truth up to t is one
-private context, ``_Truth``: it takes t and its grid steps from the
-path (``GroundTruth.window``), reads the jump sizes and the one-sided
-spot volatilities once, builds the sigma grid on first use and
-evaluates the Gaussian moment vector of each distinct factor once,
-whether a limit, a variance profile or the field covariance asks for it;
-a constant grid (a Constant volatility path) costs one moment evaluation
-per factor, and a caller that passes one memo to the contexts of many
-paths of one kernel (the harness, per n) shares those moments and the
-field across every path with the same grid and sigma.  The Gaussian
-field is part of that context: its covariance C(y, y') = v(y)^T P v(y')
-is held as the weights w and the matrix P (``_Truth.field``, built on
-first use), from which the field vector v(y), its sum over the jump
-tuples and the matrix V P V^T are read.  The left-Riemann weights are
-built once per (n, t), and every time integral is those weights dotted
-with a moment vector (on a constant grid, one value repeated).  Each
-public function opens its own context and calls a private twin that
-takes one (``_jump_limit``, ``_mixed_limit``, ``_cond_var_jump``,
-``_cond_var_mixed``), so a caller that reads one path several times, as
-``harness.run_clt`` does, opens one context per path and passes it on.
+context, ``Context(path, kernel, t=None, shared=None)``: it takes t and
+its grid steps from the path (``GroundTruth.window``), reads the jump
+sizes and the one-sided spot volatilities once, builds the sigma grid on
+first use and evaluates the Gaussian moment vector of each distinct
+factor once, whether a limit, a variance profile or the field covariance
+asks for it; a constant grid (a Constant volatility path) costs one
+moment evaluation per factor, and a caller that passes one memo to the
+contexts of many paths of one kernel (the harness, per n) shares those
+moments and the field across every path with the same grid and sigma.
+The Gaussian field is part of that context: its covariance
+C(y, y') = v(y)^T P v(y') is held as the weights w and the matrix P
+(``Context.field``, built on first use), from which the field vector
+v(y), its sum over the jump tuples and the matrix V P V^T are read.  The
+left-Riemann weights are built once per (n, t), and every time integral
+is those weights dotted with a moment vector (on a constant grid, one
+value repeated).  Every function here and in :mod:`uvstat.sampler`
+takes a context as its first argument and opens none of its own, so a
+caller that reads one path several times, as ``harness.run_clt`` does,
+opens one context per path and passes it to each.
 
-Every function reads only the path's ground truth, so it accepts a
-``GroundTruth`` (a ``SamplePath`` is one), and reads the block split l
-from the kernel (``kernel.l``).
+A context reads only the path's ground truth, so it accepts a
+``GroundTruth`` (a ``SamplePath`` is one), and every function reads the
+block split l from the context's kernel (``kernel.l``).
 The limits carry the per-jump contribution table that ``uvstat limits``
 prints; the conditional variances return only their total and its jump
 and field terms.
@@ -77,6 +77,7 @@ __all__ = [
     "separable_terms",
     "LimitValue",
     "CondVariance",
+    "Context",
     "jump_limit",
     "mixed_limit",
     "vbar",
@@ -134,7 +135,7 @@ class _GridMoments:
         self.field: Optional[tuple] = None
 
 
-class _Truth:
+class Context:
     """The ground truth of one path up to t, read once per path.
 
     t and its grid steps come from the path (``GroundTruth.window``, which
@@ -381,42 +382,34 @@ def _limit_from_contributions(contrib) -> LimitValue:
 # ---------------------------------------------------------------------------
 
 
-def jump_limit(path: GroundTruth, kernel: KernelSpec, t: Optional[float] = None) -> LimitValue:
+def jump_limit(ctx: Context) -> LimitValue:
     """V(H, X, l)_t = t^{d-l} sum_{s in (0,t]^l} H(Delta X_s, 0).
 
     The sum runs over all l-tuples (with repetition) of recorded jumps;
     the factorized form collapses it to per-jump sums.  Contribution p of
     the table aggregates every tuple whose first slot is jump p.
     """
-    return _jump_limit(_Truth(path, kernel, t))
-
-
-def _jump_limit(truth: _Truth) -> LimitValue:
-    d, l = truth.kernel.d, truth.kernel.l
-    scale = truth.t ** (d - l)
+    d, l = ctx.kernel.d, ctx.kernel.l
+    scale = ctx.t ** (d - l)
     if l == 0:
-        value = truth.contract((0.0,) * d) * scale
+        value = ctx.contract((0.0,) * d) * scale
         return LimitValue(value, (("deterministic", value),))
-    if len(truth.sizes) == 0:
+    if len(ctx.sizes) == 0:
         return LimitValue(0.0, ())
     slots = ("free",) + ("sum",) * (l - 1) + (0.0,) * (d - l)
-    return _limit_from_contributions(truth.contract(slots, truth.sizes) * scale)
+    return _limit_from_contributions(ctx.contract(slots, ctx.sizes) * scale)
 
 
-def mixed_limit(path: GroundTruth, kernel: KernelSpec, t: Optional[float] = None) -> LimitValue:
+def mixed_limit(ctx: Context) -> LimitValue:
     """Y_t(H, X, l) = sum over jump tuples of int_{[0,t]^l} rho_H(sigma_u, Delta X) du."""
-    return _mixed_limit(_Truth(path, kernel, t))
-
-
-def _mixed_limit(truth: _Truth) -> LimitValue:
-    d, l = truth.kernel.d, truth.kernel.l
+    d, l = ctx.kernel.d, ctx.kernel.l
     if d == l:
-        value = truth.contract(("moment",) * l)
+        value = ctx.contract(("moment",) * l)
         return LimitValue(value, (("time_integral", value),))
-    if len(truth.sizes) == 0:
+    if len(ctx.sizes) == 0:
         return LimitValue(0.0, ())
     slots = ("moment",) * l + ("free",) + ("sum",) * (d - l - 1)
-    return _limit_from_contributions(truth.contract(slots, truth.sizes))
+    return _limit_from_contributions(ctx.contract(slots, ctx.sizes))
 
 
 # ---------------------------------------------------------------------------
@@ -424,44 +417,31 @@ def _mixed_limit(truth: _Truth) -> LimitValue:
 # ---------------------------------------------------------------------------
 
 
-def vbar(
-    path: GroundTruth,
-    kernel: KernelSpec,
-    k_idx: int = 1,
-    y: float = 0.0,
-    t: Optional[float] = None,
-) -> float:
+def vbar(ctx: Context, k_idx: int = 1, y: float = 0.0) -> float:
     """Vbar_k(H, X, l, y): partial_k H summed over (l-1)-tuples of jumps.
 
     k_idx is 1-based within the first block (1 <= k_idx <= l).  With every
-    first-block slot marked "deriv", _Truth.contract gives sum_k Vbar_k at each
-    point: the profile that the jump-case variance and draw use.
+    first-block slot marked "deriv", Context.contract gives sum_k Vbar_k at
+    each point: the profile that the jump-case variance and draw use.
     """
-    truth = _Truth(path, kernel, t)
-    l = kernel.l
+    d, l = ctx.kernel.d, ctx.kernel.l
     if not 1 <= k_idx <= l:
         raise KernelError(f"k_idx={k_idx} outside 1..l={l}")
-    slots = ["sum"] * l + [0.0] * (kernel.d - l)
+    slots = ["sum"] * l + [0.0] * (d - l)
     slots[k_idx - 1] = "deriv"
-    return truth.contract(slots, y)
+    return ctx.contract(slots, y)
 
 
-def cond_var_jump(
-    path: GroundTruth, kernel: KernelSpec, t: Optional[float] = None
-) -> CondVariance:
+def cond_var_jump(ctx: Context) -> CondVariance:
     """E[U(H,X,l)_t^2 | F] = 1/2 t^{2(d-l)} sum_s (sum_k Vbar_k(DX_s))^2 (s-^2 + s^2)."""
-    return _cond_var_jump(_Truth(path, kernel, t))
-
-
-def _cond_var_jump(truth: _Truth) -> CondVariance:
-    kernel = truth.kernel
+    kernel = ctx.kernel
     if kernel.l < 1:
         raise KernelError("jump-case conditional variance needs l >= 1")
-    if len(truth.sizes) == 0:
+    if len(ctx.sizes) == 0:
         return CondVariance(0.0, 0.0, 0.0)
-    w = truth.contract(truth.compiled.vbar_slots, truth.sizes)
-    scale = 0.5 * truth.t ** (2 * (kernel.d - kernel.l))
-    pre, post = truth.pre, truth.post
+    w = ctx.contract(ctx.compiled.vbar_slots, ctx.sizes)
+    scale = 0.5 * ctx.t ** (2 * (kernel.d - kernel.l))
+    pre, post = ctx.pre, ctx.post
     total = float(np.sum(scale * w * w * (pre * pre + post * post)))
     return CondVariance(total=total, jump_term=total, field_term=0.0)
 
@@ -471,66 +451,46 @@ def _cond_var_jump(truth: _Truth) -> CondVariance:
 # ---------------------------------------------------------------------------
 
 
-def cov_c(
-    path: GroundTruth,
-    kernel: KernelSpec,
-    y,
-    y2,
-    t: Optional[float] = None,
-) -> float:
+def cov_c(ctx: Context, y, y2) -> float:
     """Covariance C(y, y') of the limiting Gaussian field at two tuple points."""
-    truth = _Truth(path, kernel, t)
-    return float(truth.field_vector(y) @ truth.field[1] @ truth.field_vector(y2))
+    return float(ctx.field_vector(y) @ ctx.field[1] @ ctx.field_vector(y2))
 
 
-def cov_c_matrix(path: GroundTruth, kernel: KernelSpec, y_list, t: Optional[float] = None):
+def cov_c_matrix(ctx: Context, y_list):
     """The matrix [C(y_a, y_b)] over a list of tuple points (symmetric PSD)."""
-    return _Truth(path, kernel, t).field_cov(y_list)
+    return ctx.field_cov(y_list)
 
 
-def vtilde(
-    path: GroundTruth,
-    kernel: KernelSpec,
-    k_idx: int,
-    y: float = 0.0,
-    t: Optional[float] = None,
-) -> float:
+def vtilde(ctx: Context, k_idx: int, y: float = 0.0) -> float:
     """Vtilde_k(H, X, l, y): rho_{partial_k H} integrated in time, summed
     over (d-l-1)-tuples of jumps in the other second-block slots.
 
     k_idx is the 1-based global coordinate, l < k_idx <= d.  With every
-    second-block slot marked "deriv", _Truth.contract gives sum_{k>l} Vtilde_k
-    at each point.
+    second-block slot marked "deriv", Context.contract gives
+    sum_{k>l} Vtilde_k at each point.
     """
-    truth = _Truth(path, kernel, t)
-    d, l = kernel.d, kernel.l
+    d, l = ctx.kernel.d, ctx.kernel.l
     if not l < k_idx <= d:
         raise KernelError(f"k_idx={k_idx} outside l+1..d={d}")
     slots = ["moment"] * l + ["sum"] * (d - l)
     slots[k_idx - 1] = "deriv"
-    return truth.contract(slots, y)
+    return ctx.contract(slots, y)
 
 
-def cond_var_mixed(
-    path: GroundTruth, kernel: KernelSpec, t: Optional[float] = None
-) -> CondVariance:
+def cond_var_mixed(ctx: Context) -> CondVariance:
     """Conditional variance of the mixed-case limit: jump term plus field term.
 
     jump term:  sum_s (sum_{k>l} Vtilde_k(Delta X_s))^2 sigma_s^2
     field term: sum over pairs of jump tuples of C(Delta X_s1, Delta X_s2),
                 computed in factorized form (no tuple enumeration).
     """
-    return _cond_var_mixed(_Truth(path, kernel, t))
-
-
-def _cond_var_mixed(truth: _Truth) -> CondVariance:
-    kernel = truth.kernel
+    kernel = ctx.kernel
     if not 1 <= kernel.l < kernel.d:
         raise KernelError("mixed-case conditional variance needs 1 <= l < d")
-    if len(truth.sizes) == 0:
+    if len(ctx.sizes) == 0:
         return CondVariance(0.0, 0.0, 0.0)
-    prof = truth.contract(truth.compiled.vtilde_slots, truth.sizes)
-    jump_term = float(np.sum(prof * prof * truth.post * truth.post))
-    svec = truth.field_tuple_sum()
-    field_term = float(svec @ truth.field[1] @ svec)
+    prof = ctx.contract(ctx.compiled.vtilde_slots, ctx.sizes)
+    jump_term = float(np.sum(prof * prof * ctx.post * ctx.post))
+    svec = ctx.field_tuple_sum()
+    field_term = float(svec @ ctx.field[1] @ svec)
     return CondVariance(total=jump_term + field_term, jump_term=jump_term, field_term=field_term)

@@ -9,6 +9,7 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 from scipy.integrate import quad
 
 from uvstat.harness import (
@@ -24,7 +25,7 @@ from uvstat.harness import (
     _find_path_with_jumps,
 )
 from uvstat.kernels import Factor1D, KernelSpec, abs_moment
-from uvstat.limits import cond_var_mixed, cov_c, cov_c_matrix
+from uvstat.limits import Context, cond_var_mixed, cov_c, cov_c_matrix
 from uvstat.sampler import augment, sample_V_mixed
 from uvstat.simulate import (
     AtomList,
@@ -246,13 +247,14 @@ def test_criterion_07_mixed_clt(clt_mixed):
         if len(cand.times) == 2:
             path = cand
             break
+    from test_limits import field_gen
+
+    ctx = Context(path, KMIX)
+    seeds = [derive_seed(404, 1, 0, s) for s in range(10_000)]
     draws = np.array(
-        [
-            sample_V_mixed(path, KMIX, augment(path, derive_seed(404, 1, 0, s)))
-            for s in range(10_000)
-        ]
+        [sample_V_mixed(ctx, augment(path, default_rng(seed)), field_gen(seed)) for seed in seeds]
     )
-    cv = cond_var_mixed(path, KMIX)
+    cv = cond_var_mixed(ctx)
     rel = abs(draws.var(ddof=1) - cv.total) / cv.total
     check(
         7,
@@ -294,11 +296,11 @@ def test_criterion_08_rho_and_c_closed_forms():
     pq, qq = 0.5, 4.0
     y1, y2 = 1.3, 0.7
     closed_c = (abs_moment(2 * pq) - abs_moment(pq) ** 2) * abs(y1) ** qq * abs(y2) ** qq
-    got_c = cov_c(pth, KMIX, [y1], [y2])
+    got_c = cov_c(Context(pth, KMIX), [y1], [y2])
     ok_c = abs(got_c - closed_c) / abs(closed_c) <= 1e-6
 
     pth2 = synthetic_path([0.5, -1.0, 1.5, 2.0], sigma=1.1)
-    M = cov_c_matrix(pth2, KMIX, [[z] for z in pth2.sizes])
+    M = cov_c_matrix(Context(pth2, KMIX), [[z] for z in pth2.sizes])
     eig_min = float(np.linalg.eigvalsh(M).min())
     ok_psd = np.allclose(M, M.T) and eig_min >= -1e-8 * np.trace(M)
     check(

@@ -548,7 +548,7 @@ def test_clt_mixed_plan_expands_once_and_reads_each_path_once(monkeypatch):
         uvstat.kernels, "separable_terms", counted("separable_terms", uvstat.kernels.separable_terms)
     )
     monkeypatch.setattr(
-        uvstat.limits._Truth, "__init__", counted("truths", uvstat.limits._Truth.__init__)
+        uvstat.limits.Context, "__init__", counted("truths", uvstat.limits.Context.__init__)
     )
     monkeypatch.setattr(
         uvstat.harness._RepSeeds, "path", counted("paths", uvstat.harness._RepSeeds.path)

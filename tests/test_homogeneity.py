@@ -15,14 +15,16 @@ p and q blocks swapped, a misplaced jump time).
 import math
 
 from hypothesis import given, settings
+from numpy.random import default_rng
 
 from uvstat.kernels import ONE, REGIMES, KernelSpec
-from uvstat.limits import cond_var_jump, cond_var_mixed, jump_limit, mixed_limit
+from uvstat.limits import Context, cond_var_jump, cond_var_mixed, jump_limit, mixed_limit
 from uvstat.sampler import augment, sample_U_jump, sample_V_mixed
 from uvstat.simulate import AtomList, JumpModel, ModelConfig, VolatilityModel, simulate_path
 from uvstat.stats import u_stat, v_stat, y_stat
 
 from random_kernels import random_kernels
+from test_limits import field_gen
 from test_simulate import _doubled, scalable_models
 
 # fixed before the first run, about ten times the largest error (1.2e-13)
@@ -82,7 +84,7 @@ def scaling_breaks(cfg, n, T, seed, known=KNOWN_BREAKS) -> list:
     """The (kernel, output, original, doubled) whose doubled value is not 2^s (2^{2s}) times,
     apart from the known breaks."""
     a, b = simulate_path(cfg, n, T, seed), simulate_path(_doubled(cfg), n, T, seed)
-    aug_a, aug_b = augment(a, seed), augment(b, seed)
+    aug_a, aug_b = augment(a, default_rng(seed)), augment(b, default_rng(seed))
     broken = []
 
     def check(kernel, name, fn, degree, sd=0.0):
@@ -99,18 +101,21 @@ def scaling_breaks(cfg, n, T, seed, known=KNOWN_BREAKS) -> list:
             check(kernel, "u_stat", lambda p, _: u_stat(p, kernel).value, s)
         if kernel.regime.startswith("Jump"):
             check(kernel, "v_stat", lambda p, _: v_stat(p, kernel).value, s)
-            check(kernel, "jump_limit", lambda p, _: jump_limit(p, kernel).value, s)
+            check(kernel, "jump_limit", lambda p, _: jump_limit(Context(p, kernel)).value, s)
         if kernel.regime == "JumpCLT":
-            cv = cond_var_jump(a, kernel).total
-            check(kernel, "cond_var_jump", lambda p, _: cond_var_jump(p, kernel).total, 2 * s)
-            check(kernel, "sample_U_jump", lambda p, g: sample_U_jump(p, kernel, g), s, math.sqrt(cv))
+            cv = cond_var_jump(Context(a, kernel)).total
+            check(kernel, "cond_var_jump", lambda p, _: cond_var_jump(Context(p, kernel)).total, 2 * s)
+            check(kernel, "sample_U_jump", lambda p, g: sample_U_jump(Context(p, kernel), g), s, math.sqrt(cv))
         if kernel.regime.startswith("Mixed"):
             check(kernel, "y_stat", lambda p, _: y_stat(p, kernel).value, s)
-            check(kernel, "mixed_limit", lambda p, _: mixed_limit(p, kernel).value, s)
+            check(kernel, "mixed_limit", lambda p, _: mixed_limit(Context(p, kernel)).value, s)
         if kernel.regime == "MixedCLT" and 1 <= kernel.l < kernel.d:
-            cv = cond_var_mixed(a, kernel).total
-            check(kernel, "cond_var_mixed", lambda p, _: cond_var_mixed(p, kernel).total, 2 * s)
-            check(kernel, "sample_V_mixed", lambda p, g: sample_V_mixed(p, kernel, g), s, math.sqrt(cv))
+            cv = cond_var_mixed(Context(a, kernel)).total
+            check(kernel, "cond_var_mixed", lambda p, _: cond_var_mixed(Context(p, kernel)).total, 2 * s)
+            check(
+                kernel, "sample_V_mixed",
+                lambda p, g: sample_V_mixed(Context(p, kernel), g, field_gen(seed)), s, math.sqrt(cv),
+            )
     return broken
 
 

@@ -440,7 +440,7 @@ def test_generated_steps_match_the_loop_oracle_bitwise():
 
 
 def test_compiled_steps_leave_equality_and_hash_alone(monkeypatch):
-    # a _Truth's moment table keys on factors: a compiled factor must find its twin's entry
+    # a Context's moment table keys on factors: a compiled factor must find its twin's entry
     f, twin = Factor1D(power=0.5, cos_args=(TWO_PI,)), Factor1D(power=0.5, cos_args=(TWO_PI,))
     before = (hash(f), repr(f))
     table = {twin: "moment"}

@@ -1,11 +1,13 @@
 """Limit functionals and conditional variances vs hand values and brute force."""
 
 import dataclasses
+import hashlib
 import itertools
 import math
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 
 import uvstat.simulate
 from uvstat.harness import derive_seed
@@ -21,11 +23,7 @@ from uvstat.kernels import (
     separable_terms,
 )
 from uvstat.limits import (
-    _cond_var_jump,
-    _cond_var_mixed,
-    _jump_limit,
-    _mixed_limit,
-    _Truth,
+    Context,
     cond_var_jump,
     cond_var_mixed,
     cov_c,
@@ -86,6 +84,17 @@ def synthetic_path(sizes, sigma=1.0, n=64, T=1.0, drift=0.0):
     )
 
 
+def field_gen(aug_seed: int):
+    """The generator of a mixed draw's Gaussian field, keyed to its augmentation seed.
+
+    The pinned draws and the draw gates were recorded with the field
+    seeded by this rule: blake2s of f"{aug_seed}:field", its first 8 bytes
+    read little-endian.
+    """
+    digest = hashlib.blake2s(f"{aug_seed}:field".encode()).digest()
+    return default_rng(int.from_bytes(digest[:8], "little"))
+
+
 K1 = KernelSpec(d=1, l=1, p=(4.0,), regime="JumpCLT")
 K22 = KernelSpec(d=2, l=2, p=(4.0, 4.0), regime="JumpCLT")
 KMIX = KernelSpec(d=2, l=1, p=(0.5,), q=(4.0,), regime="MixedCLT")
@@ -98,34 +107,34 @@ KMIX = KernelSpec(d=2, l=1, p=(0.5,), q=(4.0,), regime="MixedCLT")
 
 def test_jump_limit_hand_values():
     path = synthetic_path([1.0, -2.0])
-    assert jump_limit(path, K1).value == pytest.approx(17.0)
-    assert jump_limit(path, K22).value == pytest.approx(289.0)
+    assert jump_limit(Context(path, K1)).value == pytest.approx(17.0)
+    assert jump_limit(Context(path, K22)).value == pytest.approx(289.0)
     empty = synthetic_path([])
-    assert jump_limit(empty, K1).value == 0.0
+    assert jump_limit(Context(empty, K1)).value == 0.0
 
 
 def test_jump_limit_zero_power_tail():
     # H = |x|^4 on the first coordinate only: limit t^{d-l} sum |z|^4
     k = KernelSpec(d=2, l=1, p=(4.0,), q=(0.0,), regime="JumpLLN")
     path = synthetic_path([1.0, -2.0])
-    assert jump_limit(path, k).value == pytest.approx(17.0)
+    assert jump_limit(Context(path, k)).value == pytest.approx(17.0)
     # positive q kills the zeroed tail
     kq = KernelSpec(d=2, l=1, p=(4.0,), q=(4.0,), regime="JumpLLN")
-    assert jump_limit(path, kq).value == 0.0
+    assert jump_limit(Context(path, kq)).value == 0.0
 
 
 def test_jump_limit_homogeneity():
     path1 = synthetic_path([0.7, -1.1, 0.4])
     c = 1.9
     path2 = synthetic_path([c * 0.7, -c * 1.1, c * 0.4])
-    v1 = jump_limit(path1, K22).value
-    v2 = jump_limit(path2, K22).value
+    v1 = jump_limit(Context(path1, K22)).value
+    v2 = jump_limit(Context(path2, K22)).value
     assert v2 == pytest.approx(abs(c) ** 8 * v1, rel=1e-12)
 
 
 def test_jump_limit_contribution_table():
     path = synthetic_path([0.5, 1.5, -0.25])
-    lv = jump_limit(path, K22)
+    lv = jump_limit(Context(path, K22))
     assert sum(v for _, v in lv.contributions) == pytest.approx(lv.value, rel=1e-12)
     brute = sum(
         abs(a) ** 4 * abs(b) ** 4 for a in path.sizes for b in path.sizes
@@ -141,7 +150,7 @@ def test_jump_limit_contribution_table():
 def test_mixed_limit_constant_sigma_closed_form():
     sigma = 1.4
     path = synthetic_path([0.8, -1.2], sigma=sigma)
-    lv = mixed_limit(path, KMIX)
+    lv = mixed_limit(Context(path, KMIX))
     closed = 1.0 * abs_moment(0.5) * sigma**0.5 * sum(abs(z) ** 4 for z in (0.8, -1.2))
     assert lv.value == pytest.approx(closed, rel=1e-6)
     assert sum(v for _, v in lv.contributions) == pytest.approx(lv.value, rel=1e-12)
@@ -151,7 +160,9 @@ def test_mixed_limit_l0_is_jump_sum():
     path = synthetic_path([0.6, -0.9])
     k0 = KernelSpec(d=2, l=0, q=(4.0, 4.0), regime="JumpLLN")
     kj = KernelSpec(d=2, l=2, p=(4.0, 4.0), regime="JumpCLT")
-    assert mixed_limit(path, k0).value == pytest.approx(jump_limit(path, kj).value, rel=1e-12)
+    assert mixed_limit(Context(path, k0)).value == pytest.approx(
+        jump_limit(Context(path, kj)).value, rel=1e-12
+    )
 
 
 def test_mixed_limit_power_variation_target():
@@ -160,13 +171,15 @@ def test_mixed_limit_power_variation_target():
     path = synthetic_path([], sigma=sigma)
     for p in (0.5, 1.0, 1.5):
         k = KernelSpec(d=1, l=1, p=(p,), regime="MixedLLN")
-        assert mixed_limit(path, k).value == pytest.approx(
+        assert mixed_limit(Context(path, k)).value == pytest.approx(
             abs_moment(p) * sigma**p, rel=1e-12
         )
 
 
 def test_mixed_limit_stochastic_sigma_riemann():
-    # generic path against an independently coded Riemann sum of rho values
+    # generic path against an independently coded Riemann sum of rho values;
+    # KMIX's rho_H(sigma, z) = m_{1/2} sigma^{1/2} |z|^4 is written out from
+    # abs_moment, so the sum shares no moment code with the limit
     cfg = ModelConfig(
         drift_b=0.0,
         vol=VolatilityModel(kind="ItoSM", sigma0=1.0, tilde_b=0.0, tilde_sigma=0.3, tilde_v=0.2),
@@ -174,13 +187,13 @@ def test_mixed_limit_stochastic_sigma_riemann():
         bound_A=10.0,
     )
     path = simulate_path(cfg, n=128, T=1.0, seed=5)
-    lv = mixed_limit(path, KMIX)
+    lv = mixed_limit(Context(path, KMIX))
     sizes = path.sizes
     direct = 0.0
     for z in sizes:
         acc = 0.0
         for i in range(path.n):
-            acc += rho(KMIX, [path.sigma_grid[i]], [z]) / path.n
+            acc += abs_moment(0.5) * path.sigma_grid[i] ** 0.5 * abs(z) ** 4 / path.n
         direct += acc
     assert lv.value == pytest.approx(direct, rel=1e-9)
 
@@ -197,14 +210,14 @@ def test_mixed_limit_grid_sin_itosm_pinned_bits():
     k = kernel_from_text("d=2 l=1 p=0.5 q=4.0 regime=MixedLLN L=(grid_sin 1.0 0 1)")
     path = simulate_path(cfg, n=64, T=1.0, seed=4)
     assert len(path.sizes) == 5
-    assert mixed_limit(path, k).value.hex() == "0x1.1ce5e760d4d94p+1"
+    assert mixed_limit(Context(path, k)).value.hex() == "0x1.1ce5e760d4d94p+1"
 
 
 def test_mixed_limit_gauss_bump_vs_quadrature():
     sigma = 1.1
     kg = KernelSpec(d=2, l=1, p=(0.5,), q=(4.0,), L=GaussBump(0.4, 0), regime="MixedCLT")
     path = synthetic_path([1.3], sigma=sigma)
-    lv = mixed_limit(path, kg)
+    lv = mixed_limit(Context(path, kg))
     direct = rho(kg, [sigma], [1.3])  # constant sigma: time integral is t * rho
     assert lv.value == pytest.approx(direct, rel=1e-8)
 
@@ -217,8 +230,8 @@ def test_mixed_limit_gauss_bump_vs_quadrature():
 def test_vbar_single_coordinate():
     path = synthetic_path([2.0])
     # d = l = 1: Vbar_1(y) = dH(y) = 4 sign(y) |y|^3
-    assert vbar(path, K1, k_idx=1, y=2.0) == pytest.approx(32.0)
-    assert vbar(path, K1, k_idx=1, y=-1.5) == pytest.approx(-4 * 1.5**3)
+    assert vbar(Context(path, K1), k_idx=1, y=2.0) == pytest.approx(32.0)
+    assert vbar(Context(path, K1), k_idx=1, y=-1.5) == pytest.approx(-4 * 1.5**3)
 
 
 def test_vbar_against_partial_h_enumeration():
@@ -230,18 +243,18 @@ def test_vbar_against_partial_h_enumeration():
         for z in sizes:
             pt = [y, z] if k_idx == 1 else [z, y]
             brute += partial_h(K22, k_idx - 1, pt)
-        assert vbar(path, K22, k_idx=k_idx, y=y) == pytest.approx(brute, rel=1e-12)
+        assert vbar(Context(path, K22), k_idx=k_idx, y=y) == pytest.approx(brute, rel=1e-12)
 
 
 def test_vbar_index_bounds():
     path = synthetic_path([1.0])
     with pytest.raises(KernelError):
-        vbar(path, K1, k_idx=2, y=1.0)
+        vbar(Context(path, K1), k_idx=2, y=1.0)
 
 
 def test_cond_var_jump_hand_value():
     path = synthetic_path([2.0], sigma=1.0)
-    cv = cond_var_jump(path, K1)
+    cv = cond_var_jump(Context(path, K1))
     assert cv.total == pytest.approx(1024.0)
     assert cv.field_term == 0.0
     assert cv.jump_term == cv.total
@@ -249,7 +262,7 @@ def test_cond_var_jump_hand_value():
 
 def test_cond_var_jump_no_jumps():
     path = synthetic_path([])
-    cv = cond_var_jump(path, K1)
+    cv = cond_var_jump(Context(path, K1))
     assert cv.total == 0.0
 
 
@@ -257,7 +270,7 @@ def test_cond_var_jump_two_jumps_brute_force():
     sigma = 1.2
     path = synthetic_path([0.9, -1.4], sigma=sigma)
     sizes = path.sizes
-    cv = cond_var_jump(path, K22)
+    cv = cond_var_jump(Context(path, K22))
     brute = 0.0
     for z in sizes:
         w = 0.0
@@ -280,7 +293,7 @@ def test_cov_c_closed_form():
     p, q = 0.5, 4.0
     y1, y2 = 1.3, -0.7
     expected = (abs_moment(2 * p) - abs_moment(p) ** 2) * abs(y1) ** q * abs(y2) ** q
-    assert cov_c(path, KMIX, [y1], [y2]) == pytest.approx(expected, rel=1e-6)
+    assert cov_c(Context(path, KMIX), [y1], [y2]) == pytest.approx(expected, rel=1e-6)
 
 
 def test_cov_c_general_sigma_closed_form():
@@ -294,7 +307,7 @@ def test_cov_c_general_sigma_closed_form():
         * abs(y1) ** q
         * abs(y2) ** q
     )
-    assert cov_c(path, KMIX, [y1], [y2]) == pytest.approx(expected, rel=1e-6)
+    assert cov_c(Context(path, KMIX), [y1], [y2]) == pytest.approx(expected, rel=1e-6)
 
 
 def test_cov_c_symmetry():
@@ -302,20 +315,20 @@ def test_cov_c_symmetry():
     gen = np.random.default_rng(3)
     for _ in range(10):
         y1, y2 = gen.uniform(-2, 2, size=2)
-        assert cov_c(path, KMIX, [y1], [y2]) == pytest.approx(
-            cov_c(path, KMIX, [y2], [y1]), rel=1e-12
+        assert cov_c(Context(path, KMIX), [y1], [y2]) == pytest.approx(
+            cov_c(Context(path, KMIX), [y2], [y1]), rel=1e-12
         )
 
 
 def test_cov_c_zero_tuple():
     path = synthetic_path([1.0])
-    assert cov_c(path, KMIX, [0.0], [1.0]) == 0.0
+    assert cov_c(Context(path, KMIX), [0.0], [1.0]) == 0.0
 
 
 def test_cov_c_matrix_psd():
     path = synthetic_path([0.5, -1.0, 1.5, 2.0], sigma=1.1)
     ys = [[z] for z in path.sizes]
-    M = cov_c_matrix(path, KMIX, ys)
+    M = cov_c_matrix(Context(path, KMIX), ys)
     assert np.allclose(M, M.T, rtol=1e-12)
     eig = np.linalg.eigvalsh(M)
     assert eig.min() >= -1e-8 * np.trace(M)
@@ -331,16 +344,16 @@ def test_vtilde_closed_form():
     path = synthetic_path([0.9], sigma=sigma)
     z = 0.9
     expected = abs_moment(0.5) * sigma**0.5 * 4 * abs(z) ** 3 * math.copysign(1.0, z)
-    assert vtilde(path, KMIX, k_idx=2, y=z) == pytest.approx(expected, rel=1e-9)
+    assert vtilde(Context(path, KMIX), k_idx=2, y=z) == pytest.approx(expected, rel=1e-9)
     with pytest.raises(KernelError):
-        vtilde(path, KMIX, k_idx=1, y=z)
+        vtilde(Context(path, KMIX), k_idx=1, y=z)
 
 
 def test_cond_var_mixed_closed_forms():
     sigma = 1.3
     z = 1.1
     path = synthetic_path([z], sigma=sigma)
-    cv = cond_var_mixed(path, KMIX)
+    cv = cond_var_mixed(Context(path, KMIX))
     p, q = 0.5, 4.0
     jump_expected = (abs_moment(p) * sigma**p * q * abs(z) ** 3) ** 2 * sigma**2
     field_expected = (
@@ -354,18 +367,18 @@ def test_cond_var_mixed_closed_forms():
 
 def test_cond_var_mixed_no_jumps():
     path = synthetic_path([])
-    cv = cond_var_mixed(path, KMIX)
+    cv = cond_var_mixed(Context(path, KMIX))
     assert cv.total == 0.0
 
 
 def test_cond_var_mixed_field_term_matches_pairwise():
     path = synthetic_path([0.7, -1.2, 0.4], sigma=1.1)
     sizes = path.sizes
-    cv = cond_var_mixed(path, KMIX)
+    cv = cond_var_mixed(Context(path, KMIX))
     pairwise = 0.0
     for a in sizes:
         for b in sizes:
-            pairwise += cov_c(path, KMIX, [a], [b])
+            pairwise += cov_c(Context(path, KMIX), [a], [b])
     assert cv.field_term == pytest.approx(pairwise, rel=1e-9)
 
 
@@ -374,7 +387,7 @@ def test_cond_var_mixed_total_nonnegative_random():
     for trial in range(5):
         sizes = gen.uniform(0.3, 2.0, size=3) * np.where(gen.random(3) < 0.5, -1, 1)
         path = synthetic_path(sizes, sigma=float(gen.uniform(0.5, 2.0)))
-        cv = cond_var_mixed(path, KMIX)
+        cv = cond_var_mixed(Context(path, KMIX))
         assert cv.total >= 0.0
 
 
@@ -387,7 +400,7 @@ def test_constant_sigma_closed_forms_across_catalog():
     for k in catalog_kernels():
         if k.regime not in ("MixedLLN", "MixedCLT") or k.l > 2:
             continue
-        lv = mixed_limit(path, k)
+        lv = mixed_limit(Context(path, k))
         direct = 0.0
         for combo in itertools.product(sizes, repeat=k.d - k.l):
             direct += rho(k, [sigma] * k.l, list(combo))
@@ -408,7 +421,8 @@ def test_jump_limit_against_eval_h_enumeration_across_catalog():
         for combo in itertools.product(sizes, repeat=k.l):
             brute += eval_h(k, list(combo) + [0.0] * (k.d - k.l))
         brute *= t ** (k.d - k.l)
-        assert jump_limit(path, k).value == pytest.approx(brute, rel=1e-10, abs=1e-12), k.text()
+        got = jump_limit(Context(path, k)).value
+        assert got == pytest.approx(brute, rel=1e-10, abs=1e-12), k.text()
 
 
 def test_vbar_against_partial_h_enumeration_across_catalog():
@@ -423,7 +437,7 @@ def test_vbar_against_partial_h_enumeration_across_catalog():
                 first = list(combo)
                 first.insert(k_idx - 1, y)
                 brute += partial_h(k, k_idx - 1, first + [0.0] * (k.d - k.l))
-            got = vbar(path, k, k_idx=k_idx, y=y)
+            got = vbar(Context(path, k), k_idx=k_idx, y=y)
             assert got == pytest.approx(brute, rel=1e-10, abs=1e-12), (k.text(), k_idx)
             checked += 1
     assert checked >= 15
@@ -433,9 +447,9 @@ def test_vbar_first_block_power_below_one():
     # d/dx |x|^0.5 = 0.5 sign(x) |x|^-0.5: finite away from 0, undefined at 0
     k = KernelSpec(d=1, l=1, p=(0.5,), regime="JumpCLT")
     path = synthetic_path([0.8, -1.3])
-    assert vbar(path, k, y=-0.65) == pytest.approx(partial_h(k, 0, [-0.65]), rel=1e-12)
+    assert vbar(Context(path, k), y=-0.65) == pytest.approx(partial_h(k, 0, [-0.65]), rel=1e-12)
     with pytest.raises(KernelError, match="not defined at 0"):
-        vbar(path, k, y=0.0)
+        vbar(Context(path, k), y=0.0)
 
 
 def test_vbar_and_partial_h_agree_at_zero():
@@ -446,12 +460,12 @@ def test_vbar_and_partial_h_agree_at_zero():
     with pytest.raises(KernelError, match="not defined"):
         partial_h(k1, 0, [0.0])
     with pytest.raises(KernelError, match="not defined at 0"):
-        vbar(path, k1, y=0.0)
-    assert vbar(path, k1, y=-0.65) == partial_h(k1, 0, [-0.65]) == -1.0
+        vbar(Context(path, k1), y=0.0)
+    assert vbar(Context(path, k1), y=-0.65) == partial_h(k1, 0, [-0.65]) == -1.0
     k0 = KernelSpec(d=2, l=2, p=(0.0, 4.0), L=GridSin(1.3, 0, 1), regime="JumpCLT")
     brute = sum(partial_h(k0, 0, [0.0, z]) for z in path.sizes)
     assert brute != 0.0
-    assert vbar(path, k0, y=0.0) == pytest.approx(brute, rel=1e-12)
+    assert vbar(Context(path, k0), y=0.0) == pytest.approx(brute, rel=1e-12)
 
 
 def test_cond_var_jump_power_below_one_brute_force():
@@ -467,15 +481,15 @@ def test_cond_var_jump_power_below_one_brute_force():
                 pt = [z, other] if k_idx == 1 else [other, z]
                 w += partial_h(k, k_idx - 1, pt)
         brute += 0.5 * w * w * (sigma**2 + sigma**2)
-    assert cond_var_jump(path, k).total == pytest.approx(brute, rel=1e-12)
+    assert cond_var_jump(Context(path, k)).total == pytest.approx(brute, rel=1e-12)
 
 
 def test_cond_var_mixed_field_term_pairwise_d3():
     k = next(k for k in catalog_kernels() if (k.d, k.l) == (3, 1))
     path = synthetic_path([0.7, -1.2, 0.4], sigma=1.1)
     tuples = [list(c) for c in itertools.product(path.sizes, repeat=2)]
-    pairwise = sum(cov_c(path, k, a, b) for a in tuples for b in tuples)
-    assert cond_var_mixed(path, k).field_term == pytest.approx(pairwise, rel=1e-9)
+    pairwise = sum(cov_c(Context(path, k), a, b) for a in tuples for b in tuples)
+    assert cond_var_mixed(Context(path, k)).field_term == pytest.approx(pairwise, rel=1e-9)
 
 
 # ---------------------------------------------------------------------------
@@ -501,7 +515,7 @@ def test_constant_grid_moment_matches_full_grid_bitwise(length):
     factors = _catalog_moment_factors()
     assert len(factors) > 40
     for sigma in (0.3, 1.0, 1.1, 2.5):
-        truth = _Truth(synthetic_path([], sigma=sigma, n=length), KMIX)
+        truth = Context(synthetic_path([], sigma=sigma, n=length), KMIX)
         sigmas, weights = truth.grid
         assert len(sigmas) == length and truth.constant_grid
         for f in factors:
@@ -518,7 +532,7 @@ def test_constant_grid_cov_integral_matches_full_grid_bitwise(length):
     # moment, against the full-grid vectors it stands for
     kernels = [k for k in catalog_kernels() if 1 <= k.l < k.d] + [KM2, KM3]
     for sigma in (0.3, 1.1):
-        truth = _Truth(synthetic_path([], sigma=sigma, n=length), KMIX)
+        truth = Context(synthetic_path([], sigma=sigma, n=length), KMIX)
         sigmas, weights = truth.grid
         assert truth.constant_grid
         for k in kernels:
@@ -551,9 +565,9 @@ def test_moment_sigmas_per_call_constant_vs_itosm(monkeypatch):
         path = simulate_path(ModelConfig(0.0, vol, jumps, 10.0), n=512, T=1.0, seed=2)
         assert len(path.sizes) > 0
         lengths.clear()
-        mixed_limit(path, KMIX)
-        cond_var_mixed(path, KMIX)
-        sample_V_mixed(path, KMIX, augment(path, seed=1))
+        mixed_limit(Context(path, KMIX))
+        cond_var_mixed(Context(path, KMIX))
+        sample_V_mixed(Context(path, KMIX), augment(path, default_rng(1)), field_gen(1))
         assert len(lengths) == 5 and set(lengths) == {expected}, vol.kind
 
 
@@ -568,11 +582,11 @@ def test_mixed_limit_on_an_empty_grid():
             ("intervals", 1), ("w_before_jump", 0.0))},
     )
     for t in (1e-16, 1e-15):
-        truth = _Truth(path, KMIX, t)
+        truth = Context(path, KMIX, t)
         assert len(truth.grid[0]) == 0 and not truth.constant_grid
-        lv = mixed_limit(path, KMIX, t)
+        lv = mixed_limit(Context(path, KMIX, t))
         assert lv.value.hex() == "0x0.0p+0" and lv.contributions == (("jump_0", 0.0),)
-        cv = cond_var_mixed(path, KMIX, t)
+        cv = cond_var_mixed(Context(path, KMIX, t))
         assert (cv.total, cv.jump_term, cv.field_term) == (0.0, 0.0, 0.0)
 
 
@@ -620,23 +634,30 @@ def _var_bits(cv):
 
 
 def test_shared_truth_matches_public_functions_bitwise():
-    # run_clt reads each path through one _Truth: the private twins on it,
-    # in either order, give the floats of the public functions called apart
+    # run_clt reads each path through one Context: the limit and the
+    # variance on it, in either order, give the floats they give on a
+    # context of their own
     for name, path in _shared_truth_paths():
         for t in (None, 0.7):
             for k in (KM2, KM3):
-                public = (_limit_bits(mixed_limit(path, k, t)), _var_bits(cond_var_mixed(path, k, t)))
-                truth = _Truth(path, k, t)
-                assert (_limit_bits(_mixed_limit(truth)), _var_bits(_cond_var_mixed(truth))) == public
-                truth = _Truth(path, k, t)
-                var_first = _var_bits(_cond_var_mixed(truth))
-                assert (_limit_bits(_mixed_limit(truth)), var_first) == public, (name, t, k)
-            public = (_limit_bits(jump_limit(path, KJ2, t)), _var_bits(cond_var_jump(path, KJ2, t)))
-            truth = _Truth(path, KJ2, t)
-            assert (_limit_bits(_jump_limit(truth)), _var_bits(_cond_var_jump(truth))) == public
+                apart = (
+                    _limit_bits(mixed_limit(Context(path, k, t))),
+                    _var_bits(cond_var_mixed(Context(path, k, t))),
+                )
+                ctx = Context(path, k, t)
+                assert (_limit_bits(mixed_limit(ctx)), _var_bits(cond_var_mixed(ctx))) == apart
+                ctx = Context(path, k, t)
+                var_first = _var_bits(cond_var_mixed(ctx))
+                assert (_limit_bits(mixed_limit(ctx)), var_first) == apart, (name, t, k)
+            apart = (
+                _limit_bits(jump_limit(Context(path, KJ2, t))),
+                _var_bits(cond_var_jump(Context(path, KJ2, t))),
+            )
+            ctx = Context(path, KJ2, t)
+            assert (_limit_bits(jump_limit(ctx)), _var_bits(cond_var_jump(ctx))) == apart
 
 
-# sample_V_mixed(path, k, augment(path, seed=3), seed=17, t) on the two
+# sample_V_mixed(Context(path, k, t), augment(path, default_rng(3)), default_rng(17)) on the two
 # shared-interval paths, whose jumps take three sizes with repeats; values
 # recorded before the compiled view and the jump-size tally
 PINNED_DRAWS = {
@@ -651,8 +672,12 @@ def test_sample_V_mixed_on_repeated_jump_sizes_pinned_bits():
     for name, path in _shared_truth_paths():
         if name.endswith("-shared"):
             assert sorted(set(path.sizes)) == [-0.7, 0.5, 1.0]
-            aug = augment(path, seed=3)
-            draws = [sample_V_mixed(path, k, aug, seed=17, t=t) for k in (KM2, KM3) for t in (None, 0.7)]
+            aug = augment(path, default_rng(3))
+            draws = [
+                sample_V_mixed(Context(path, k, t), aug, default_rng(17))
+                for k in (KM2, KM3)
+                for t in (None, 0.7)
+            ]
             assert [d.hex() for d in draws] == PINNED_DRAWS[name.split("-")[0]]
 
 
@@ -726,8 +751,8 @@ def test_conditional_variance_matches_w_redraws_on_fixed_jumps():
     # which the Gaussian field is a material share here.
     ratios, detail = [], []
     for j, (jump_seed, truth) in enumerate(_fixed_jump_truths(3)):
-        limit = mixed_limit(truth, KMIX).value
-        cv = cond_var_mixed(truth, KMIX)
+        limit = mixed_limit(Context(truth, KMIX)).value
+        cv = cond_var_mixed(Context(truth, KMIX))
         errors = []
         for r in range(COND_LAW_REDRAWS):
             path = _w_redraw(jump_seed, derive_seed(COND_LAW_BASE_SEED, 1 + j, r))

@@ -96,7 +96,8 @@ limit adds sqrt(total / n) where a conditional variance exists
 
 The oracle column runs, on every row, loop forms and tolerance gates
 that a re-pin leaves standing: the mixed limit against an independent
-Riemann sum of rho values on an ItoSM path (``test_limits``, rel 1e-9),
+Riemann sum of rho values on an ItoSM path (``test_limits``, rel 1e-9,
+rho written out as m_{1/2} sigma^{1/2} |z|^4 from ``abs_moment``),
 the scalar simulator on the three ItoSM models and over the clamp budget
 (``test_simulate``), and six sampler tests that hold 10,000 draws to the
 kappa mean and R variance, to the conditional variance or to N(0, 1)
@@ -104,7 +105,7 @@ kappa mean and R variance, to the conditional variance or to N(0, 1)
 V_mixed):
 
     defect                                   Riemann sum  scalar simulator   sampler tests
-    sigma^{2p} for sigma^p in a moment       missed       missed             missed
+    sigma^{2p} for sigma^p in a moment       caught       missed             missed
     R drawn with sigma^2 for sigma           missed       missed             all six
     H for dH in the jump cond. variance      missed       missed             the three U_jump
     mixed cond. variance x 1.25              missed       missed             the two V_mixed
@@ -113,13 +114,12 @@ V_mixed):
     Riemann sigma one grid step late         caught       missed             missed
     sigma_pre one grid interval late         missed       all four           missed
 
-The Riemann sum reads its moments through ``rho``, so it shares a
-sigma^{2p} moment with the code it checks, and the sampler tests compare
-draws with a conditional variance built from the same moments.  On the
-V_mixed tests' path the field is 1.3% of the variance, inside their 5%
-bound, so a dropped field passes them.  Those two rows are caught by
-gates that are not bit pins either: the homogeneity relations and the W
-redraws (sigma^{2p}), the W redraws (the dropped field).
+The Riemann sum takes no moment from the code it checks, so it sees a
+sigma^{2p} moment where sigma varies; the sampler tests compare draws
+with a conditional variance built from the same moments as the draws,
+so they do not.  On the V_mixed tests' path the field is 1.3% of the
+variance, inside their 5% bound, so a dropped field passes them.  That
+row is caught by a gate that is not a bit pin either: the W redraws.
 
 The homogeneity relations see only a defect that changes a degree of
 homogeneity: a wrong n-normalization, the p and q blocks swapped or a
@@ -130,6 +130,7 @@ defects, and the pins catch each of them.
 import inspect
 import math
 import re
+import sys
 import textwrap
 from dataclasses import replace
 from pathlib import Path
@@ -377,11 +378,11 @@ def _mutated(fn, *edits):
 
 
 def _scaled_cond_var(factor, field):
-    """_cond_var_mixed with its total times factor and its field term times field."""
-    cond_var_mixed = uvstat.limits._cond_var_mixed
+    """cond_var_mixed with its total times factor and its field term times field."""
+    cond_var_mixed = uvstat.limits.cond_var_mixed
 
-    def defect(truth):
-        cv = cond_var_mixed(truth)
+    def defect(ctx):
+        cv = cond_var_mixed(ctx)
         jump, fld = factor * cv.jump_term, factor * field * cv.field_term
         return CondVariance(total=jump + fld, jump_term=jump, field_term=fld)
 
@@ -389,15 +390,15 @@ def _scaled_cond_var(factor, field):
 
 
 def _shifted_mixed_limit():
-    """_mixed_limit plus one conditional standard deviation over sqrt(n), for every kernel
+    """mixed_limit plus one conditional standard deviation over sqrt(n), for every kernel
     that has a conditional variance (1 <= l < d)."""
-    mixed_limit, cond_var_mixed = uvstat.limits._mixed_limit, uvstat.limits._cond_var_mixed
+    mixed_limit, cond_var_mixed = uvstat.limits.mixed_limit, uvstat.limits.cond_var_mixed
 
-    def defect(truth):
-        lv = mixed_limit(truth)
-        if not 1 <= truth.kernel.l < truth.kernel.d:
+    def defect(ctx):
+        lv = mixed_limit(ctx)
+        if not 1 <= ctx.kernel.l < ctx.kernel.d:
             return lv
-        return replace(lv, value=lv.value + math.sqrt(cond_var_mixed(truth).total / truth.path.n))
+        return replace(lv, value=lv.value + math.sqrt(cond_var_mixed(ctx).total / ctx.path.n))
 
     return defect
 
@@ -417,24 +418,24 @@ LIMIT_DEFECTS = {
         Factor1D.gaussian_moment_vec,
         ("sigmas ** self.power * scale", "sigmas ** (2 * self.power) * scale"),
     )),
-    "r_sigma_squared": (uvstat.sampler, "_augment", lambda: _mutated(
-        uvstat.sampler._augment,
+    "r_sigma_squared": (uvstat.sampler, "augment", lambda: _mutated(
+        uvstat.sampler.augment,
         ("path.sigma_pre * psi_minus", "path.sigma_pre ** 2 * psi_minus"),
         ("path.sigma_post * psi_plus", "path.sigma_post ** 2 * psi_plus"),
     )),
     # H summed like the jump limit's terms, where the variance sums dH
-    "cond_var_jump_h_for_dh": (uvstat.limits, "_cond_var_jump", lambda: _mutated(
-        uvstat.limits._cond_var_jump,
-        ("truth.compiled.vbar_slots",
+    "cond_var_jump_h_for_dh": (uvstat.limits, "cond_var_jump", lambda: _mutated(
+        uvstat.limits.cond_var_jump,
+        ("ctx.compiled.vbar_slots",
          '("free",) + ("sum",) * (kernel.l - 1) + (0.0,) * (kernel.d - kernel.l)'),
     )),
-    "cond_var_mixed_x1_25": (uvstat.limits, "_cond_var_mixed", lambda: _scaled_cond_var(1.25, 1.0)),
-    "field_term_dropped": (uvstat.limits, "_cond_var_mixed", lambda: _scaled_cond_var(1.0, 0.0)),
-    "mixed_limit_shifted": (uvstat.limits, "_mixed_limit", _shifted_mixed_limit),
+    "cond_var_mixed_x1_25": (uvstat.limits, "cond_var_mixed", lambda: _scaled_cond_var(1.25, 1.0)),
+    "field_term_dropped": (uvstat.limits, "cond_var_mixed", lambda: _scaled_cond_var(1.0, 0.0)),
+    "mixed_limit_shifted": (uvstat.limits, "mixed_limit", _shifted_mixed_limit),
     # each left-Riemann weight paired with the grid sigma one step later (the
     # partial last weight dropped where no later sigma is left)
-    "riemann_one_step_late": (uvstat.limits._Truth, "grid", lambda: _mutated_property(
-        uvstat.limits._Truth, "grid",
+    "riemann_one_step_late": (uvstat.limits.Context, "grid", lambda: _mutated_property(
+        uvstat.limits.Context, "grid",
         ("return self.path.sigma_grid[: len(weights)], weights",
          "sigmas = self.path.sigma_grid[1 : len(weights) + 1]\n    return sigmas, weights[: len(sigmas)]"),
     )),
@@ -499,9 +500,11 @@ def _apply_limit_defect(monkeypatch, defect):
         owner, name, build = LIMIT_DEFECTS[defect]
         original, replacement = getattr(owner, name), build()
         monkeypatch.setattr(owner, name, replacement)
-        for module in (uvstat.harness, uvstat.limits, uvstat.sampler):
-            if getattr(module, name, None) is original:
-                monkeypatch.setattr(module, name, replacement)
+        # the package's callers and the gates' own imports
+        for key, module in list(sys.modules.items()):
+            if key.split(".")[0] == "uvstat" or key.startswith("test_"):
+                if getattr(module, name, None) is original:
+                    monkeypatch.setattr(module, name, replacement)
 
 
 @pytest.mark.parametrize("defect", sorted(LIMIT_DEFECTS))
@@ -545,7 +548,7 @@ _V_MIXED_DRAWS = {"v_mixed_var", "v_mixed_field"}
 # defect -> the oracles that fail
 LIMIT_ORACLE_CAUGHT = {
     "none": set(),
-    "moment_sigma_2p": set(),
+    "moment_sigma_2p": {"riemann_sum"},
     "r_sigma_squared": {"kappa_r_var"} | _U_JUMP_DRAWS | _V_MIXED_DRAWS,
     "cond_var_jump_h_for_dh": _U_JUMP_DRAWS,
     "cond_var_mixed_x1_25": _V_MIXED_DRAWS,

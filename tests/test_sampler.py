@@ -4,18 +4,12 @@ import math
 
 import numpy as np
 import pytest
+from numpy.random import default_rng
 from scipy.stats import kstest
 
 from uvstat.kernels import Factor1D, GaussBump, KernelSpec
-from uvstat.limits import cond_var_jump, cond_var_mixed, cov_c_matrix, vbar, vtilde
-from uvstat.sampler import (
-    SamplerError,
-    augment,
-    field_subseed,
-    sample_U_jump,
-    sample_V_mixed,
-    truncated_Z,
-)
+from uvstat.limits import Context, cond_var_jump, cond_var_mixed, cov_c_matrix, vbar, vtilde
+from uvstat.sampler import SamplerError, augment, sample_U_jump, sample_V_mixed, truncated_Z
 from uvstat.simulate import (
     AtomList,
     JumpModel,
@@ -26,28 +20,28 @@ from uvstat.simulate import (
     simulate_truth,
 )
 
-from test_limits import synthetic_path, K1, K22, KMIX
+from test_limits import field_gen, synthetic_path, K1, K22, KMIX
 
 
 def test_augment_empty():
     path = synthetic_path([])
-    aug = augment(path, seed=1)
+    aug = augment(path, default_rng(1))
     assert len(aug) == 0
 
 
 def test_augment_deterministic():
     path = synthetic_path([1.0, -0.5])
-    a = augment(path, seed=7)
-    b = augment(path, seed=7)
+    a = augment(path, default_rng(7))
+    b = augment(path, default_rng(7))
     assert np.array_equal(a.kappa, b.kappa)
     assert np.array_equal(a.r, b.r)
-    c = augment(path, seed=8)
+    c = augment(path, default_rng(8))
     assert not np.array_equal(a.r, c.r)
 
 
 def test_augment_r_decomposition_exact():
     path = synthetic_path([1.0, -0.5, 2.0], sigma=1.4)
-    aug = augment(path, seed=3)
+    aug = augment(path, default_rng(3))
     np.testing.assert_array_equal(aug.r, aug.r_minus + aug.r_plus)
     assert np.all((aug.kappa > 0) & (aug.kappa < 1))
 
@@ -57,7 +51,7 @@ def test_augment_kappa_mean_and_r_variance():
     kappas = []
     rs = []
     for seed in range(10_000):
-        aug = augment(path, seed=seed)
+        aug = augment(path, default_rng(seed))
         kappas.append(aug.kappa[0])
         rs.append(aug.r[0])
     assert np.mean(kappas) == pytest.approx(0.5, abs=0.02)
@@ -72,24 +66,25 @@ def test_augment_kappa_mean_and_r_variance():
 
 def test_sample_u_jump_no_jumps():
     path = synthetic_path([])
-    aug = augment(path, seed=1)
-    assert sample_U_jump(path, K1, aug) == 0.0
+    aug = augment(path, default_rng(1))
+    assert sample_U_jump(Context(path, K1), aug) == 0.0
 
 
 def test_sample_u_jump_single_jump_formula():
     z = -1.7
     path = synthetic_path([z])
     for seed in range(5):
-        aug = augment(path, seed=seed)
-        draw = sample_U_jump(path, K1, aug)
+        aug = augment(path, default_rng(seed))
+        draw = sample_U_jump(Context(path, K1), aug)
         expected = 4 * math.copysign(1.0, z) * abs(z) ** 3 * aug.r[0]
         assert draw == pytest.approx(expected, rel=1e-12)
 
 
 def test_sample_u_jump_centering_and_variance():
     path = synthetic_path([0.8, -1.2, 1.5], sigma=1.1)
-    draws = np.array([sample_U_jump(path, K1, augment(path, seed=s)) for s in range(10_000)])
-    cv = cond_var_jump(path, K1)
+    ctx = Context(path, K1)
+    draws = np.array([sample_U_jump(ctx, augment(path, default_rng(s))) for s in range(10_000)])
+    cv = cond_var_jump(ctx)
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean()) <= 3 * se
     assert draws.var(ddof=1) == pytest.approx(cv.total, rel=0.05)
@@ -97,16 +92,18 @@ def test_sample_u_jump_centering_and_variance():
 
 def test_sample_u_jump_variance_match_d2():
     path = synthetic_path([0.9, -0.6], sigma=0.8)
-    draws = np.array([sample_U_jump(path, K22, augment(path, seed=s)) for s in range(10_000)])
-    cv = cond_var_jump(path, K22)
+    ctx = Context(path, K22)
+    draws = np.array([sample_U_jump(ctx, augment(path, default_rng(s))) for s in range(10_000)])
+    cv = cond_var_jump(ctx)
     assert draws.var(ddof=1) == pytest.approx(cv.total, rel=0.05)
 
 
 def test_sample_u_jump_conditionally_gaussian():
     path = synthetic_path([1.0, -1.3, 0.6], sigma=1.2)
-    cv = cond_var_jump(path, K1)
+    ctx = Context(path, K1)
+    cv = cond_var_jump(ctx)
     zs = np.array(
-        [sample_U_jump(path, K1, augment(path, seed=s)) for s in range(10_000)]
+        [sample_U_jump(ctx, augment(path, default_rng(s))) for s in range(10_000)]
     ) / math.sqrt(cv.total)
     stat, p = kstest(zs, "norm")
     assert p > 0.01
@@ -119,29 +116,33 @@ def test_sample_u_jump_conditionally_gaussian():
 
 def test_sample_v_mixed_no_jumps():
     path = synthetic_path([])
-    aug = augment(path, seed=1)
-    assert sample_V_mixed(path, KMIX, aug) == 0.0
+    aug = augment(path, default_rng(1))
+    assert sample_V_mixed(Context(path, KMIX), aug, field_gen(1)) == 0.0
 
 
 def test_sample_v_mixed_breakdown_and_determinism():
     path = synthetic_path([1.0, -0.7], sigma=1.1)
-    aug = augment(path, seed=11)
-    d1 = sample_V_mixed(path, KMIX, aug)
-    d2 = sample_V_mixed(path, KMIX, aug)
+    aug = augment(path, default_rng(11))
+    ctx = Context(path, KMIX)
+    d1 = sample_V_mixed(ctx, aug, field_gen(11))
+    d2 = sample_V_mixed(ctx, aug, field_gen(11))
     assert d1 == d2
-    # explicit seed overrides the derived field sub-seed
-    d3 = sample_V_mixed(path, KMIX, aug, seed=field_subseed(aug.seed))
+    # the draw is set by the path and the two generators alone: a fresh
+    # context and the augmentation drawn again give the same draw, another
+    # field generator another one
+    d3 = sample_V_mixed(Context(path, KMIX), augment(path, default_rng(11)), field_gen(11))
     assert d3 == d1
-    d4 = sample_V_mixed(path, KMIX, aug, seed=12345)
+    d4 = sample_V_mixed(ctx, aug, default_rng(12345))
     assert d4 != d1
 
 
 def test_sample_v_mixed_variance_match():
     path = synthetic_path([1.0, -0.7], sigma=1.1)
+    ctx = Context(path, KMIX)
     draws = np.array(
-        [sample_V_mixed(path, KMIX, augment(path, seed=s)) for s in range(10_000)]
+        [sample_V_mixed(ctx, augment(path, default_rng(s)), field_gen(s)) for s in range(10_000)]
     )
-    cv = cond_var_mixed(path, KMIX)
+    cv = cond_var_mixed(ctx)
     se = draws.std(ddof=1) / math.sqrt(len(draws))
     assert abs(draws.mean()) <= 3 * se
     assert draws.var(ddof=1) == pytest.approx(cv.total, rel=0.05)
@@ -152,10 +153,11 @@ def test_sample_v_mixed_field_switch():
     # exactly 0 and a draw is its jump term alone
     kzero = KernelSpec(d=2, l=1, p=(0.0,), q=(4.0,), regime="MixedCLT")
     path = synthetic_path([1.0, -0.7], sigma=1.1)
-    cv = cond_var_mixed(path, kzero)
+    ctx = Context(path, kzero)
+    cv = cond_var_mixed(ctx)
     assert cv.field_term == 0.0
     draws = np.array(
-        [sample_V_mixed(path, kzero, augment(path, seed=s)) for s in range(10_000)]
+        [sample_V_mixed(ctx, augment(path, default_rng(s)), field_gen(s)) for s in range(10_000)]
     )
     assert draws.var(ddof=1) == pytest.approx(cv.jump_term, rel=0.05)
 
@@ -172,19 +174,20 @@ def test_one_moment_vector_per_distinct_factor(monkeypatch):
 
     monkeypatch.setattr(Factor1D, "gaussian_moment_vec", counted)
     path = synthetic_path([1.0, -0.7], sigma=1.1)
-    cond_var_mixed(path, KMIX)
+    cond_var_mixed(Context(path, KMIX))
     assert sorted(f.power for f in calls) == [0.5, 1.0]
     calls.clear()
-    sample_V_mixed(path, KMIX, augment(path, seed=3))
+    sample_V_mixed(Context(path, KMIX), augment(path, default_rng(3)), field_gen(3))
     assert sorted(f.power for f in calls) == [0.5, 1.0]
 
 
 def test_sample_v_mixed_repeated_sizes_share_field_value():
     # two jumps of identical size: only one distinct tuple, one field value
     path = synthetic_path([1.0, 1.0], sigma=1.0)
-    cv = cond_var_mixed(path, KMIX)
+    ctx = Context(path, KMIX)
+    cv = cond_var_mixed(ctx)
     draws = np.array(
-        [sample_V_mixed(path, KMIX, augment(path, seed=s)) for s in range(10_000)]
+        [sample_V_mixed(ctx, augment(path, default_rng(s)), field_gen(s)) for s in range(10_000)]
     )
     assert draws.var(ddof=1) == pytest.approx(cv.total, rel=0.05)
 
@@ -196,25 +199,26 @@ def test_sample_v_mixed_repeated_sizes_share_field_value():
 
 def test_truncated_z_extremes():
     path = synthetic_path([0.5, -1.5, 1.0], sigma=1.0)
-    aug = augment(path, seed=3)
-    full = sample_U_jump(path, K1, aug)
-    assert truncated_Z(path, K1, m=3, aug=aug) == pytest.approx(full, rel=1e-12)
-    assert truncated_Z(path, K1, m=10, aug=aug) == pytest.approx(full, rel=1e-12)
-    assert truncated_Z(path, K1, m=0, aug=aug) == 0.0
+    aug = augment(path, default_rng(3))
+    full = sample_U_jump(Context(path, K1), aug)
+    assert truncated_Z(Context(path, K1), m=3, aug=aug) == pytest.approx(full, rel=1e-12)
+    assert truncated_Z(Context(path, K1), m=10, aug=aug) == pytest.approx(full, rel=1e-12)
+    assert truncated_Z(Context(path, K1), m=0, aug=aug) == 0.0
     with pytest.raises(SamplerError):
-        truncated_Z(path, K1, m=-1, aug=aug)
+        truncated_Z(Context(path, K1), m=-1, aug=aug)
 
 
 def test_truncated_z_median_gap_decreases():
     gen = np.random.default_rng(71)
     sizes = gen.uniform(0.5, 2.0, size=20) * np.where(gen.random(20) < 0.5, -1, 1)
     path = synthetic_path(sizes, sigma=1.0, n=256)
+    ctx = Context(path, K1)
     gaps = {m: [] for m in (0, 5, 10, 15, 20)}
     for seed in range(500):
-        aug = augment(path, seed=seed)
-        zj = truncated_Z(path, K1, m=20, aug=aug)
+        aug = augment(path, default_rng(seed))
+        zj = truncated_Z(ctx, m=20, aug=aug)
         for m in gaps:
-            gaps[m].append(abs(truncated_Z(path, K1, m=m, aug=aug) - zj))
+            gaps[m].append(abs(truncated_Z(ctx, m=m, aug=aug) - zj))
     medians = [np.median(gaps[m]) for m in sorted(gaps)]
     assert all(b <= a for a, b in zip(medians, medians[1:]))
     assert medians[-1] == 0.0
@@ -228,23 +232,23 @@ def test_truncated_z_median_gap_decreases():
 def _layer_bits(path, kmix, kjump, t):
     """float.hex of every conditional variance, covariance, profile and draw."""
     sizes = path.sizes[: path.jump_count(path.window(t)[0])]
-    aug = augment(path, seed=5)
+    aug = augment(path, default_rng(5))
     e = kmix.d - kmix.l
     ys = [[float(sizes[(i + j) % len(sizes)]) for j in range(e)] for i in range(3)]
-    cv = cond_var_mixed(path, kmix, t=t)
-    cj = cond_var_jump(path, kjump, t=t)
+    cv = cond_var_mixed(Context(path, kmix, t))
+    cj = cond_var_jump(Context(path, kjump, t))
     out = {
         "cond_var_mixed": [cv.total, cv.jump_term, cv.field_term],
-        "cov_c_matrix": list(np.ravel(cov_c_matrix(path, kmix, ys, t=t))),
+        "cov_c_matrix": list(np.ravel(cov_c_matrix(Context(path, kmix, t), ys))),
         "sample_V_mixed": [
-            sample_V_mixed(path, kmix, aug, t=t),
-            sample_V_mixed(path, kmix, aug, seed=9, t=t),
+            sample_V_mixed(Context(path, kmix, t), aug, field_gen(5)),
+            sample_V_mixed(Context(path, kmix, t), aug, default_rng(9)),
         ],
-        "vtilde": [vtilde(path, kmix, k_idx=k, y=0.8, t=t) for k in range(kmix.l + 1, kmix.d + 1)],
+        "vtilde": [vtilde(Context(path, kmix, t), k_idx=k, y=0.8) for k in range(kmix.l + 1, kmix.d + 1)],
         "cond_var_jump": [cj.total, cj.jump_term, cj.field_term],
-        "vbar": [vbar(path, kjump, k_idx=k, y=-0.6, t=t) for k in range(1, kjump.l + 1)],
-        "truncated_Z": [truncated_Z(path, kjump, m, aug, t=t) for m in (1, 3)]
-        + [sample_U_jump(path, kjump, aug, t=t)],
+        "vbar": [vbar(Context(path, kjump, t), k_idx=k, y=-0.6) for k in range(1, kjump.l + 1)],
+        "truncated_Z": [truncated_Z(Context(path, kjump, t), m, aug) for m in (1, 3)]
+        + [sample_U_jump(Context(path, kjump, t), aug)],
     }
     return {name: [float(v).hex() for v in vals] for name, vals in out.items()}
 

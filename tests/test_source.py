@@ -1,6 +1,7 @@
 """Source hygiene of src/uvstat: no unused imports, no unbound exports, one expanding module,
 no scipy package, scipy submodule or numpy.random imported at module level, scipy.stats and
-scipy.integrate imported nowhere and scipy.special only where it runs, one run-config decoder."""
+scipy.integrate imported nowhere and scipy.special only where it runs, one run-config decoder,
+one entry per function (no private twin) and ground-truth contexts opened only by the callers."""
 
 import ast
 from pathlib import Path
@@ -499,3 +500,72 @@ def test_lln_clt_and_rnp_plans_run_one_rep_loop():
     assert sorted({site.split(": ", 1)[1] for site in sites}) == [
         "_RepSeeds in _run_reps", "range(reps) in _run_reps", "range(reps) in run_ztrunc"
     ]
+
+
+# one entry per function: a module defines no public f beside a private _f
+def twin_definitions(source: str) -> list:
+    """The top-level functions and classes f defined beside a top-level _f."""
+    defined = {
+        node.name
+        for node in ast.parse(source).body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+    }
+    return sorted(name for name in defined if not name.startswith("_") and f"_{name}" in defined)
+
+
+def test_twin_definitions_detected():
+    # the shape of the limits before each function took a context
+    source = (
+        "class _Truth:\n"
+        "    def jump_limit(self):\n"
+        "        pass\n"
+        "def _jump_limit(truth):\n"
+        "    pass\n"
+        "def jump_limit(path, kernel, t=None):\n"
+        "    return _jump_limit(_Truth(path, kernel, t))\n"
+        "_augment = None\n"
+        "def augment(path, seed):\n"
+        "    pass\n"
+        "class _Context:\n"
+        "    pass\n"
+        "class Context:\n"
+        "    pass\n"
+    )
+    assert twin_definitions(source) == ["Context", "jump_limit"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_defines_no_private_twin(path):
+    assert twin_definitions(path.read_text(encoding="utf-8")) == []
+
+
+# the limits and the sampler take a ground-truth context and open none:
+# the command line and the harness open them
+CONTEXT_OPENERS = ["cli.py", "harness.py"]
+
+
+def context_constructions(source: str) -> list:
+    """Calls of Context(...) or x.Context(...), by line."""
+    return sorted(
+        f"line {node.lineno}: Context"
+        for node in ast.walk(ast.parse(source))
+        if called_name(node) == "Context"
+    )
+
+
+def test_context_constructions_detected():
+    source = (
+        "from uvstat import limits\n"
+        "from uvstat.limits import Context\n"
+        "def f(path, kernel):\n"
+        "    ctx = Context(path, kernel)\n"
+        "    return limits.Context(path, kernel, 0.5), ctx.Context, Context\n"
+    )
+    assert context_constructions(source) == ["line 4: Context", "line 5: Context"]
+
+
+def test_only_the_callers_open_a_context():
+    opening = [
+        p.name for p in sorted(SRC.glob("*.py")) if context_constructions(p.read_text(encoding="utf-8"))
+    ]
+    assert opening == CONTEXT_OPENERS
