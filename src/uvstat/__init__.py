@@ -41,7 +41,6 @@ from uvstat.simulate import (
 from uvstat.stats import (
     StatValue,
     power_variation,
-    realized_qv,
     u_stat,
     v_stat,
     y_stat,

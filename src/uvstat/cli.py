@@ -1,7 +1,9 @@
 """Command-line entry point.
 
 Subcommands: simulate, stat, limits, verify-lln, verify-clt, rnp-check,
-grid-test, ztrunc.  All are driven by a config file (see config module);
+grid-test, ztrunc.  stat computes V, Y or U (on the config's kernel) or
+the power variation PV; PV at --power 2 is the realized quadratic
+variation.  All are driven by a config file (see config module);
 --seed overrides the config's base seed.  --threads is accepted and
 ignored, so existing command lines still parse.
 
@@ -37,10 +39,10 @@ import uvstat
 from uvstat.config import ConfigError, RunConfig, parse_beta_grid, parse_config
 from uvstat.harness import ExperimentReport, HarnessError, finite_json, grid_scan, run_plan
 from uvstat.harness import _is_jump_route
-from uvstat.kernels import KernelError
+from uvstat.kernels import KernelError, kernel_to_text
 from uvstat.limits import Context, cond_var_jump, cond_var_mixed, jump_limit, mixed_limit
 from uvstat.simulate import SimulationError, path_to_json, simulate_path
-from uvstat.stats import load_increments_csv, power_variation, realized_qv, u_stat, v_stat, y_stat
+from uvstat.stats import load_increments_csv, power_variation, u_stat, v_stat, y_stat
 
 __all__ = ["main", "entrypoint"]
 
@@ -66,10 +68,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     add("simulate", "simulate one path and write it to path.json")
     p_stat = add("stat", "compute one statistic on simulated or CSV data")
-    p_stat.add_argument(
-        "--stat", choices=("V", "Y", "U", "QV", "PV"), default="V", dest="stat_kind"
-    )
-    p_stat.add_argument("--power", type=float, default=2.0, help="power for PV")
+    p_stat.add_argument("--stat", choices=("V", "Y", "U", "PV"), default="V", dest="stat_kind")
+    p_stat.add_argument("--power", type=float, default=2.0, help="power for PV (2: realized QV)")
     p_stat.add_argument("--scaled", action="store_true", help="scaled power variation")
     p_stat.add_argument("--input", default=None, help="CSV of increments (one per line)")
     add("limits", "exact limit functionals and conditional variances of one path")
@@ -188,22 +188,21 @@ def _cmd_stat(args, cfg: RunConfig) -> int:
         data = simulate_path(plan.model, n, plan.t, plan.base_seed)
         source = f"simulated(seed={plan.base_seed})"
     kind = args.stat_kind
-    if kind == "QV":
-        sv = realized_qv(data, t=plan.t if input_csv is None else None)
-    elif kind == "PV":
-        sv = power_variation(
-            data, p=args.power, scaled=args.scaled, t=plan.t if input_csv is None else None
-        )
+    t = plan.t if input_csv is None else None
+    if kind == "PV":
+        sv = power_variation(data, p=args.power, scaled=args.scaled, t=t)
+        kernel_text = None
     else:
         if plan.kernel is None:
             raise ConfigError(f"statistic kind {kind} needs a kernel in the config")
         fn = {"V": v_stat, "Y": y_stat, "U": u_stat}[kind]
-        sv = fn(data, plan.kernel, t=plan.t if input_csv is None else None)
+        sv = fn(data, plan.kernel, t=t)
+        kernel_text = kernel_to_text(plan.kernel)
     doc = {
         "kind": sv.kind,
         "value": sv.value,
         "window": dataclasses.asdict(sv.window),
-        "kernel": sv.kernel_id,
+        "kernel": kernel_text,
         "source": source,
     }
     print(finite_json(doc, "stat"))

@@ -305,11 +305,6 @@ class Context:
         ]
         return self._field_weighted(ypart)
 
-    def field_cov(self, y_list) -> np.ndarray:
-        """[C(y_a, y_b)] = V P V^T over a list of (d-l)-tuple points."""
-        V = np.stack([self.field_vector(y) for y in y_list])
-        return V @ self.field[1] @ V.T
-
     def contract(self, slots, points=None, sizes=None):
         """Contract the separable terms of H slot by slot against the ground truth.
 
@@ -456,9 +451,10 @@ def cov_c(ctx: Context, y, y2) -> float:
     return float(ctx.field_vector(y) @ ctx.field[1] @ ctx.field_vector(y2))
 
 
-def cov_c_matrix(ctx: Context, y_list):
-    """The matrix [C(y_a, y_b)] over a list of tuple points (symmetric PSD)."""
-    return ctx.field_cov(y_list)
+def cov_c_matrix(ctx: Context, y_list) -> np.ndarray:
+    """The matrix [C(y_a, y_b)] = V P V^T over a list of tuple points (symmetric PSD)."""
+    V = np.stack([ctx.field_vector(y) for y in y_list])
+    return V @ ctx.field[1] @ V.T
 
 
 def vtilde(ctx: Context, k_idx: int, y: float = 0.0) -> float:

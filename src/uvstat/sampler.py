@@ -19,8 +19,8 @@ A draw reads only the path's ground truth, through the ground-truth
 context of :mod:`uvstat.limits` (``Context``) that the caller opens and
 passes in, as the limits do: the window t from the path, the jump sizes
 up to t and one Gaussian moment vector per distinct factor, shared by
-the jump-term coefficients and the field covariance matrix V P V^T,
-which the context also holds.  ``augment`` reads the path itself (a
+the jump-term coefficients and the field covariance matrix V P V^T
+(``limits.cov_c_matrix``).  ``augment`` reads the path itself (a
 ``GroundTruth``; a ``SamplePath`` is one).  The kernel's separable
 terms, their derivatives, the field-factor products and the slot
 layouts come from the kernel's compiled view, built once per kernel.
@@ -37,7 +37,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from uvstat.kernels import KernelError
-from uvstat.limits import Context
+from uvstat.limits import Context, cov_c_matrix
 from uvstat.simulate import GroundTruth
 
 __all__ = [
@@ -162,7 +162,7 @@ def sample_V_mixed(ctx: Context, aug: JumpAugmentation, field_gen) -> float:
     combos = list(itertools.product(range(K), repeat=d - l))
     y_list = [[uniq[i] for i in combo] for combo in combos]
     weights = np.array([math.prod(counts[i] for i in combo) for combo in combos], dtype=float)
-    chol = _cholesky_with_jitter(ctx.field_cov(y_list))
+    chol = _cholesky_with_jitter(cov_c_matrix(ctx, y_list))
     field_term = 0.0
     if chol is not None:
         g = chol @ field_gen.standard_normal(len(y_list))

@@ -158,9 +158,6 @@ class AtomList:
     def max_abs_support(self) -> float:
         return max(abs(v) for v, _ in self.atoms)
 
-    def second_moment(self) -> float:
-        return sum(p * v * v for v, p in self.atoms)
-
 
 @dataclass(frozen=True)
 class Uniform:
@@ -178,9 +175,6 @@ class Uniform:
 
     def max_abs_support(self) -> float:
         return max(abs(self.a), abs(self.b))
-
-    def second_moment(self) -> float:
-        return (self.a ** 2 + self.a * self.b + self.b ** 2) / 3.0
 
 
 # draw() rejects a candidate with probability 1 - P(|Z| >= min_abs); below
@@ -230,20 +224,6 @@ class TruncNormal:
         return 0.5 * (
             math.erfc((self.min_abs - self.mu) / scale) + math.erfc((self.min_abs + self.mu) / scale)
         )
-
-    def second_moment(self) -> float:
-        """E[Z^2 | |Z| >= a] in closed form, with Q = 1 - Phi:
-
-        E[Z^2; |Z| >= a] = (mu^2 + s^2)(Q(alpha) + Phi(beta))
-                           + s (a + mu) phi(alpha) - s (mu - a) phi(beta).
-        """
-        mu, s, a = self.mu, self.s, self.min_abs
-        alpha, beta = (a - mu) / s, (-a - mu) / s
-        mass = self._tail_mass()
-        pdf_alpha = math.exp(-0.5 * alpha * alpha) / math.sqrt(2.0 * math.pi)
-        pdf_beta = math.exp(-0.5 * beta * beta) / math.sqrt(2.0 * math.pi)
-        tail = (mu * mu + s * s) * mass + s * (a + mu) * pdf_alpha - s * (mu - a) * pdf_beta
-        return tail / mass
 
 
 @dataclass(frozen=True)

@@ -10,6 +10,9 @@ are evaluated through the kernel's exact separable expansion: each term
 factorizes into per-coordinate sums, so the cost is O(n) regardless of
 d (for U-statistics an O(n d) prefix-sum recursion handles the ordering
 constraint).  Per-coordinate sums go through numpy's pairwise summation.
+The realized quadratic variation sum (Delta_i X)^2 is the unscaled power
+variation at p = 2: numpy computes |x|^2 as a square, so the value is the
+same float bit for bit.
 The independent brute-force oracles over all index tuples live with the
 tests (``tests/oracles.py``).
 """
@@ -31,7 +34,6 @@ __all__ = [
     "v_stat",
     "y_stat",
     "u_stat",
-    "realized_qv",
     "power_variation",
     "load_increments_csv",
 ]
@@ -48,12 +50,11 @@ class IndexWindow:
 
 @dataclass(frozen=True)
 class StatValue:
-    """A computed statistic plus the metadata needed to reproduce it."""
+    """A computed statistic and the observation window it was computed on."""
 
     kind: str
     value: float
     window: IndexWindow
-    kernel_id: Optional[str]
 
 
 def _resolve(data: Union[SamplePath, np.ndarray], t, n):
@@ -105,7 +106,7 @@ def v_stat(
     inc, n, t, window = _resolve(data, t, n)
     raw = _factorized_value(kernel, [inc] * kernel.d)
     value = raw * float(n) ** (-(kernel.d - kernel.l))
-    return StatValue("V", value, window, kernel.text())
+    return StatValue("V", value, window)
 
 
 def y_stat(
@@ -124,7 +125,7 @@ def y_stat(
     coord_data = [math.sqrt(n) * inc] * l + [inc] * (kernel.d - l)
     raw = _factorized_value(kernel, coord_data)
     value = raw * float(n) ** (-l)
-    return StatValue("Y", value, window, kernel.text())
+    return StatValue("Y", value, window)
 
 
 def u_stat(
@@ -155,13 +156,7 @@ def u_stat(
             prev = cur
         total += coeff * prev[count]
     value = total / math.comb(count, d)
-    return StatValue("U", value, window, kernel.text())
-
-
-def realized_qv(data, t: Optional[float] = None, n: Optional[int] = None) -> StatValue:
-    """Realized quadratic variation sum_{i <= floor(nt)} (Delta_i X)^2."""
-    inc, n, t, window = _resolve(data, t, n)
-    return StatValue("QV", float(np.sum(inc * inc)), window, None)
+    return StatValue("U", value, window)
 
 
 def power_variation(
@@ -180,7 +175,7 @@ def power_variation(
         value = float(np.sum(np.abs(math.sqrt(n) * inc) ** p)) / n
     else:
         value = float(np.sum(np.abs(inc) ** p))
-    return StatValue("PV", value, window, None)
+    return StatValue("PV", value, window)
 
 
 def load_increments_csv(path_or_file) -> np.ndarray:

@@ -35,7 +35,7 @@ from uvstat.simulate import (
     VolatilityModel,
     simulate_path,
 )
-from uvstat.stats import power_variation, realized_qv, u_stat, v_stat, y_stat
+from uvstat.stats import power_variation, u_stat, v_stat, y_stat
 
 from oracles import nested_u_stat, nested_v_stat, nested_y_stat
 from test_kernels import catalog_kernels
@@ -100,15 +100,16 @@ def clt_mixed():
 def test_criterion_01_quadratic_variation():
     cfg = model(0.0)
     vals = [
-        realized_qv(simulate_path(cfg, 4096, 1.0, derive_seed(202, 0, 4096, r))).value
+        power_variation(simulate_path(cfg, 4096, 1.0, derive_seed(202, 0, 4096, r)), 2.0).value
         for r in range(500)
     ]
     mean_nj = float(np.mean(vals))
     ok1 = 0.99 <= mean_nj <= 1.01
     cfg_j = model(5.0, AtomList(((0.2, 0.5), (-0.2, 0.5))), max_abs=1.0)
-    target = 1.0 + 5.0 * cfg_j.jumps.size_dist.second_moment()  # compound-Poisson mean
+    # the compound-Poisson mean: 1 + intensity E[size^2]
+    target = 1.0 + 5.0 * sum(p * v * v for v, p in cfg_j.jumps.size_dist.atoms)
     vals_j = [
-        realized_qv(simulate_path(cfg_j, 4096, 1.0, derive_seed(202, 1, 4096, r))).value
+        power_variation(simulate_path(cfg_j, 4096, 1.0, derive_seed(202, 1, 4096, r)), 2.0).value
         for r in range(500)
     ]
     mean_j = float(np.mean(vals_j))

@@ -364,7 +364,7 @@ def test_bad_csv_input_exits_1(tmp_path, capsys, command, text, cause):
     cfgfile = write_config(tmp_path, jump_clt_doc(kind="LLN", reps=2, n=64))
     argv = {
         "grid-test": ["grid-test", "--beta", "0.5:1.0:0.5"],
-        "stat": ["stat", "--config", str(cfgfile), "--stat", "QV"],
+        "stat": ["stat", "--config", str(cfgfile), "--stat", "PV", "--power", "2"],
     }[command]
     rc = main([*argv, "--input", str(ticks), "--output", str(out)])
     captured = capsys.readouterr()
@@ -412,6 +412,40 @@ def test_stat_on_csv_input(tmp_path, capsys):
     doc_out = json.loads(capsys.readouterr().out)
     assert set(doc_out) == {"kind", "value", "window", "kernel", "source"}
     assert doc_out["value"] == pytest.approx(289.0)
+
+
+# stdout of `uvstat stat --config configs/lln_jump.cfg --stat PV --power 2`: the
+# realized quadratic variation of the config's path.  numpy computes |x|^2 as a
+# square, so the value does not depend on which SIMD loops numpy dispatches.
+LLN_JUMP_QV_STDOUT = (
+    '{\n "kernel": null,\n "kind": "PV",\n "source": "simulated(seed=71)",\n'
+    ' "value": 5.950268361717013,\n "window": {\n  "count": 8192,\n  "n": 8192,\n'
+    '  "t": 1.0\n }\n}\n'
+)
+
+
+def test_stat_pv_power_two_stdout_pin(capsys):
+    assert main(["stat", "--config", str(LLN_JUMP_CFG), "--stat", "PV", "--power", "2"]) == 0
+    assert capsys.readouterr().out == LLN_JUMP_QV_STDOUT
+
+
+@pytest.mark.parametrize("kind", ["V", "Y", "U"])
+def test_stat_kernel_field_is_the_config_kernel_text(capsys, kind):
+    kernel_text = json.loads(LLN_JUMP_CFG.read_text(encoding="utf-8"))["kernel"]
+    assert main(["stat", "--config", str(LLN_JUMP_CFG), "--stat", kind]) == 0
+    doc_out = json.loads(capsys.readouterr().out)
+    assert set(doc_out) == {"kind", "value", "window", "kernel", "source"}
+    assert (doc_out["kind"], doc_out["kernel"]) == (kind, kernel_text)
+
+
+def test_stat_qv_is_not_a_choice(capsys):
+    # the realized quadratic variation is --stat PV --power 2
+    assert main(["stat", "--config", str(LLN_JUMP_CFG), "--stat", "QV"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if "error:" in line]
+    assert len(errors) == 1
+    assert "invalid choice: 'QV'" in errors[0]
 
 
 def test_quadrature_failure_exits_2_with_one_line(tmp_path, capsys):

@@ -10,7 +10,6 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
-from scipy.integrate import quad
 from scipy.stats import chisquare, ks_2samp, norm, poisson
 
 import uvstat.simulate
@@ -332,18 +331,15 @@ def test_truncnormal_sizes():
     gen = np.random.default_rng(5)
     draws = dist.draw(gen, 500)
     assert np.all(np.abs(draws) >= 0.4)
-    assert dist.second_moment() > 0.4**2
 
 
-def test_truncnormal_second_moment_against_quadrature():
+def test_truncnormal_tail_mass_against_scipy():
     for mu, s, a in itertools.product((-2.0, -0.3, 0.0, 0.7, 3.0), (0.2, 1.0, 2.5), (0.05, 0.4, 1.5)):
         mass = norm.sf(a, mu, s) + norm.cdf(-a, mu, s)
         if mass < 1e-6:
             continue  # refused by TruncNormal itself
         dist = TruncNormal(mu=mu, s=s, min_abs=a)
-        integrand = lambda z: z * z * norm.pdf(z, mu, s)
-        oracle = (quad(integrand, -np.inf, -a)[0] + quad(integrand, a, np.inf)[0]) / mass
-        assert dist.second_moment() == pytest.approx(oracle, rel=1e-9), (mu, s, a)
+        assert dist._tail_mass() == pytest.approx(mass, rel=1e-9), (mu, s, a)
 
 
 # (config, n, T, seed) of the paths the writer test reads: an ItoSM path, a

@@ -1,7 +1,8 @@
 """Source hygiene of src/uvstat: no unused imports, no unbound exports, one expanding module,
 no scipy package, scipy submodule or numpy.random imported at module level, scipy.stats and
 scipy.integrate imported nowhere and scipy.special only where it runs, one run-config decoder,
-one entry per function (no private twin) and ground-truth contexts opened only by the callers."""
+one entry per function (no private twin), ground-truth contexts opened only by the callers and
+kernel text formatted only where it is written."""
 
 import ast
 from pathlib import Path
@@ -569,3 +570,43 @@ def test_only_the_callers_open_a_context():
         p.name for p in sorted(SRC.glob("*.py")) if context_constructions(p.read_text(encoding="utf-8"))
     ]
     assert opening == CONTEXT_OPENERS
+
+
+# a kernel's text is formatted where it is written: the stat command's stdout,
+# the report's plan block and the serializer itself
+KERNEL_FORMATTERS = ["cli.py", "harness.py", "kernels.py"]
+
+
+def kernel_text_calls(source: str) -> list:
+    """Calls of kernel_to_text(...), x.kernel_to_text(...) or a .text() method, by line."""
+    return sorted(
+        f"line {node.lineno}: {called_name(node)}"
+        for node in ast.walk(ast.parse(source))
+        if called_name(node) == "kernel_to_text"
+        or (called_name(node) == "text" and isinstance(node.func, ast.Attribute))
+    )
+
+
+def test_kernel_text_calls_detected():
+    # the shape of the statistics when each value carried its kernel's text
+    source = (
+        "from uvstat import kernels\n"
+        "from uvstat.kernels import kernel_to_text\n"
+        "def v_stat(data, kernel):\n"
+        "    return StatValue('V', 0.0, None, kernel.text())\n"
+        "def label(kernel):\n"
+        "    return kernels.kernel_to_text(kernel), kernel_to_text(kernel)\n"
+        "to_text = kernel_to_text\n"
+        "def text():\n"
+        "    return text(), kernel.text\n"
+    )
+    assert kernel_text_calls(source) == [
+        "line 4: text", "line 6: kernel_to_text", "line 6: kernel_to_text"
+    ]
+
+
+def test_only_the_writers_format_a_kernel():
+    formatting = [
+        p.name for p in sorted(SRC.glob("*.py")) if kernel_text_calls(p.read_text(encoding="utf-8"))
+    ]
+    assert formatting == KERNEL_FORMATTERS

@@ -19,7 +19,6 @@ from uvstat.simulate import (
 from uvstat.stats import (
     load_increments_csv,
     power_variation,
-    realized_qv,
     u_stat,
     v_stat,
     y_stat,
@@ -87,7 +86,7 @@ def test_y_stat_power_two_is_qv():
     path = brownian_path(seed=3)
     k = KernelSpec(d=1, l=1, p=(2.0,), regime="MixedLLN")
     y = y_stat(path, k).value
-    qv = realized_qv(path).value
+    qv = power_variation(path, 2.0).value
     assert y == pytest.approx(qv, rel=1e-12)
 
 
@@ -153,19 +152,19 @@ def test_u_stat_prefix_vs_brute_force():
 
 
 # ---------------------------------------------------------------------------
-# realized quadratic variation and power variation
+# power variation; at p = 2 unscaled, the realized quadratic variation
 # ---------------------------------------------------------------------------
 
 
 def test_realized_qv_hand_values():
-    assert realized_qv(np.zeros(8), t=1.0).value == 0.0
-    assert realized_qv(np.array([1.0, -2.0]), t=1.0).value == pytest.approx(5.0)
+    assert power_variation(np.zeros(8), 2.0, t=1.0).value == 0.0
+    assert power_variation(np.array([1.0, -2.0]), 2.0, t=1.0).value == pytest.approx(5.0)
 
 
 def test_power_variation_p2_scaled_is_qv():
     path = brownian_path(seed=7)
     pv = power_variation(path, p=2.0, scaled=True).value
-    qv = realized_qv(path).value
+    qv = power_variation(path, p=2.0).value
     assert pv == pytest.approx(qv, rel=1e-12)
 
 
@@ -304,8 +303,8 @@ RAW_STATS = {
     "v_stat": lambda data, **kw: v_stat(data, K_RAW, **kw),
     "y_stat": lambda data, **kw: y_stat(data, K_RAW, **kw),
     "u_stat": lambda data, **kw: u_stat(data, K_RAW, **kw),
-    "realized_qv": realized_qv,
     "power_variation": lambda data, **kw: power_variation(data, 2.0, **kw),
+    "power_variation_scaled": lambda data, **kw: power_variation(data, 2.0, scaled=True, **kw),
 }
 
 
