@@ -12,8 +12,9 @@ CSV content with a non-numeric line after the header, a non-finite value,
 no increments or bytes that are not UTF-8), 2 runtime error during
 execution (a missing --input file among them).
 
-Each experiment run writes report.json, errors.csv, manifest.json and
-optionally samples.csv into the output directory.  The manifest carries
+Each experiment run writes report.json, errors.csv and manifest.json
+into the output directory; errors.csv has one row per rep (a CLT rep's z,
+scaled_error and limit_draw among its columns).  The manifest carries
 the canonical config plus library versions (but not wall time, so
 reports stay byte-identical across re-runs); timing is printed to stdout.
 scipy's version is read from its version file without importing scipy,
@@ -122,7 +123,7 @@ def _manifest(cfg: RunConfig) -> dict:
 
 
 def _write_report(report: ExperimentReport, cfg: Optional[RunConfig], outdir: Path) -> list:
-    """Write report.json, errors.csv, samples.csv when sampled and, given cfg, manifest.json."""
+    """Write report.json, errors.csv and, given cfg, manifest.json."""
     text = report.to_json()  # refuses a non-finite number before anything is written
     outdir.mkdir(parents=True, exist_ok=True)
     written = []
@@ -130,17 +131,6 @@ def _write_report(report: ExperimentReport, cfg: Optional[RunConfig], outdir: Pa
     written.append(outdir / "report.json")
     (outdir / "errors.csv").write_text(report.rows_csv(), encoding="utf-8")
     written.append(outdir / "errors.csv")
-    if report.samples is not None:
-        lines = ["n,series,index,value"]
-        for n_key in sorted(report.samples):
-            series_map = report.samples[n_key]
-            for series in sorted(series_map):
-                for i, v in enumerate(series_map[series]):
-                    if v is None:
-                        continue
-                    lines.append(f"{n_key},{series},{i},{v!r}")
-        (outdir / "samples.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
-        written.append(outdir / "samples.csv")
     if cfg is not None:
         manifest = json.dumps(_manifest(cfg), sort_keys=True, indent=1) + "\n"
         (outdir / "manifest.json").write_text(manifest, encoding="utf-8")

@@ -298,7 +298,11 @@ def parse_config(text: str) -> RunConfig:
     )
     if exp["require_jumps"] is not None:
         exp["require_jumps"] = _integer(exp["require_jumps"], "experiment.require_jumps", lo=1)
-    exp["collect_samples"] = _boolean(exp["collect_samples"], "experiment.collect_samples")
+    if _boolean(exp.pop("collect_samples"), "experiment.collect_samples"):
+        raise ConfigError(
+            "experiment.collect_samples must be false: errors.csv holds each rep's z, "
+            "scaled_error and limit_draw"
+        )
     iob = _require(top["io"], "io", {"input_csv": None, "output_dir": "out"})
     base_seed = _integer(top["base_seed"], "base_seed")
     try:

@@ -32,6 +32,9 @@ harness opens the ground-truth context of every path it reads
 (``limits.Context``) and passes it to the limits, the conditional
 variances and the draws; the contexts of one n share one memo of their
 constant-grid moments and Gaussian field.
+
+A report holds the plan block and the tables; its rows are errors.csv,
+one per rep, so each CLT rep's z, scaled_error and limit_draw are there.
 """
 
 from __future__ import annotations
@@ -93,7 +96,6 @@ _KIND_FIELDS = {
     "beta_grid": ("GRID",),
     "m_list": ("ZTRUNC",),
     "require_jumps": ("GRID", "ZTRUNC"),
-    "collect_samples": ("CLT_jump", "CLT_mixed"),
 }
 
 
@@ -216,7 +218,6 @@ class ExperimentPlan:
     beta_grid: tuple = ()
     m_list: tuple = ()
     require_jumps: Optional[int] = None
-    collect_samples: bool = False
 
     def __post_init__(self):
         object.__setattr__(self, "n_list", tuple(int(n) for n in self.n_list))
@@ -274,7 +275,7 @@ class ExperimentPlan:
             "beta_grid": list(self.beta_grid),
             "m_list": list(self.m_list),
             "require_jumps": self.require_jumps,
-            "collect_samples": self.collect_samples,
+            "collect_samples": False,  # a format constant, kept in every plan block until a re-pin
         }
 
 
@@ -284,12 +285,9 @@ class ExperimentReport:
     plan: dict
     tables: dict
     rows: list = field(default_factory=list)
-    samples: Optional[dict] = None
 
     def to_json(self) -> str:
         doc = {"kind": self.kind, "plan": self.plan, "tables": self.tables}
-        if self.samples is not None:
-            doc["samples"] = self.samples
         return finite_json(doc, "report") + "\n"
 
     def rows_csv(self) -> str:
@@ -498,17 +496,7 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
             table["two_sample_ks_stat"], table["two_sample_ks_pvalue"] = ks_2samp_asymp(raws, draws)
         return table
 
-    report = _run_reps(plan, rep, tabulate)
-    if plan.collect_samples:
-        report.samples = {
-            str(n): {
-                "z": [r["z"] for r in report.rows if r["n"] == n and not r["excluded"]],
-                "scaled_error": [r["scaled_error"] for r in report.rows if r["n"] == n],
-                "limit_draw": [r["limit_draw"] for r in report.rows if r["n"] == n],
-            }
-            for n in plan.n_list
-        }
-    return report
+    return _run_reps(plan, rep, tabulate)
 
 
 # ---------------------------------------------------------------------------
@@ -520,7 +508,7 @@ def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
     """Two-sample KS between discrete R(n,p) draws and extension-space R draws.
 
     One draw per replication and side: the first jump that sits alone in
-    its grid interval (discrete side) vs. the first jump's R_k
+    a full grid interval (discrete side) vs. the first jump's R_k
     (extension side), on independent paths; the extension side draws
     only its path's ground truth.  A model's reject_bound_excursions
     checks |X| on the discrete side's path only.
@@ -529,11 +517,11 @@ def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
         raise HarnessError(f"run_rnp_check got plan of kind {plan.kind}")
 
     def rep(seeds, r, path, shared):
-        # the first jump alone in its interval; jump_neighborhood refuses
-        # a jump past the last full interval, as it ends the jumps
+        # the first jump alone in a full grid interval, or None; a jump past
+        # the last full interval (t not on the grid) has no neighborhood
         values, first, counts = np.unique(path.intervals, return_index=True, return_counts=True)
-        stop = first[(counts == 1) | (values > path.n_steps)]
-        discrete = jump_neighborhood(path, int(stop[0])).r if len(stop) else None
+        lone = first[(counts == 1) & (values <= path.n_steps)]
+        discrete = jump_neighborhood(path, int(lone[0])).r if len(lone) else None
         path2 = seeds.truth(r)
         limit_r = None
         if len(path2.sizes):

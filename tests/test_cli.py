@@ -140,25 +140,67 @@ def _small_lln_doc(tmp_path):
     return doc
 
 
+COLLECT_SAMPLES_ERROR = (
+    "error: experiment.collect_samples must be false: errors.csv holds each rep's z, "
+    "scaled_error and limit_draw"
+)
+
+
 @pytest.mark.parametrize(
-    "name, value, readers",
+    "name, value, expected",
     [
-        ("require_jumps", 3, "GRID and ZTRUNC"),
-        ("m_list", [0, 1], "ZTRUNC"),
-        ("beta_grid", [0.5, 1.0], "GRID"),
-        ("collect_samples", True, "CLT_jump and CLT_mixed"),
+        ("require_jumps", 3, "require_jumps = 3 is read only by GRID and ZTRUNC experiments"),
+        ("m_list", [0, 1], "m_list = (0, 1) is read only by ZTRUNC experiments"),
+        ("beta_grid", [0.5, 1.0], "beta_grid = (0.5, 1.0) is read only by GRID experiments"),
+        # no kind reads it (see test_collect_samples_true_exits_1_on_a_clt_plan)
+        ("collect_samples", True, None),
     ],
     ids=["require_jumps", "m_list", "beta_grid", "collect_samples"],
 )
-def test_plan_field_the_kind_never_reads_exits_1(tmp_path, capsys, name, value, readers):
+def test_plan_field_the_kind_never_reads_exits_1(tmp_path, capsys, name, value, expected):
     doc = _small_lln_doc(tmp_path)
     doc["experiment"][name] = value
     rc = main(["verify-lln", "--config", str(write_config(tmp_path, doc))])
     err = capsys.readouterr().err
     assert rc == 1
-    assert f"error: invalid experiment plan: {name} = " in err
-    assert f"is read only by {readers} experiments, not by LLN" in err
+    if expected is None:
+        assert COLLECT_SAMPLES_ERROR in err
+    else:
+        assert f"error: invalid experiment plan: {expected}, not by LLN" in err
     assert not (tmp_path / "out").exists()
+
+
+@pytest.mark.parametrize(
+    "kind, kernel",
+    [
+        ("CLT_jump", "d=1 l=1 p=4.0 q=- regime=JumpCLT L=one"),
+        ("CLT_mixed", "d=2 l=1 p=0.5 q=4.0 regime=MixedCLT L=one"),
+    ],
+    ids=["CLT_jump", "CLT_mixed"],
+)
+def test_collect_samples_true_exits_1_on_a_clt_plan(tmp_path, capsys, kind, kernel):
+    # the LLN case is test_plan_field_the_kind_never_reads_exits_1[collect_samples]
+    doc = jump_clt_doc(kind=kind, reps=2, n=64, kernel=kernel)
+    doc["experiment"]["collect_samples"] = True
+    doc["io"] = {"output_dir": str(tmp_path / "out")}
+    rc = main(["verify-clt", "--config", str(write_config(tmp_path, doc))])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        COLLECT_SAMPLES_ERROR
+    ]
+    assert not (tmp_path / "out").exists()
+
+
+def test_collect_samples_false_parses_and_round_trips():
+    doc = jump_clt_doc(reps=2, n=64)
+    doc["experiment"]["collect_samples"] = False
+    text = canonical_text(parse_config(json.dumps(doc)))
+    assert '"collect_samples": false' in text
+    assert canonical_text(parse_config(text)) == text
+    del doc["experiment"]["collect_samples"]
+    assert canonical_text(parse_config(json.dumps(doc))) == text
 
 
 def test_grid_test_beta_on_a_non_grid_config_exits_1(tmp_path, capsys):
@@ -339,6 +381,59 @@ def test_grid_test_on_zero_increments_exits_1(tmp_path, capsys):
     assert rc == 1
     assert "envelope" in capsys.readouterr().err
     assert not out.exists()
+
+
+def test_verify_clt_without_config_exits_1(tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    assert main(["verify-clt"]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        "error: missing --config (path to the JSON run configuration)"
+    ]
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_grid_test_on_csv_without_beta_exits_1(tmp_path, capsys):
+    ticks = tmp_path / "f.csv"
+    ticks.write_text("increment\n0.5\n1.5\n", encoding="utf-8")
+    out = tmp_path / "out"
+    assert main(["grid-test", "--input", str(ticks), "--output", str(out)]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert [line for line in captured.err.splitlines() if line.startswith("error:")] == [
+        "error: grid-test on CSV input needs --beta start:stop:step"
+    ]
+    assert not out.exists()
+
+
+def test_grid_test_beta_overrides_the_config_grid(tmp_path, capsys):
+    cfgfile = next(c for c in CONFIGS if c.name == "grid_test.cfg")
+    argv = ["grid-test", "--config", str(cfgfile), "--beta", "1:1.2:0.1", "--output", str(tmp_path)]
+    assert main(argv) == 0
+    report = json.loads((tmp_path / "report.json").read_text(encoding="utf-8"))
+    assert report["plan"]["beta_grid"] == [1.0, 1.1, 1.2]
+    assert [row.split(",")[0] for row in (tmp_path / "errors.csv").read_text().splitlines()] == [
+        "beta", "1.0", "1.1", "1.2"
+    ]
+    manifest = json.loads((tmp_path / "manifest.json").read_text(encoding="utf-8"))
+    assert manifest["config"]["experiment"]["beta_grid"] == [1.0, 1.1, 1.2]
+
+
+def test_rnp_jump_past_the_last_full_interval_is_skipped(tmp_path, capsys):
+    # at t = 0.97 and n = 8 the grid ends at 7/8; at seed 1 two reps have no
+    # jump alone in a full interval, and one of them has a lone jump past the
+    # grid's end: both record no discrete draw
+    doc = config_doc()
+    doc["model"]["jumps"].update(intensity=10.0, size_dist={"type": "AtomList", "atoms": [[1.0, 0.5], [-1.0, 0.5]]})
+    doc["experiment"] = {"kind": "RNP", "n_list": [8], "reps": 20, "t": 0.97}
+    doc["io"] = {"output_dir": str(tmp_path / "out")}
+    rc = main(["rnp-check", "--config", str(write_config(tmp_path, doc)), "--seed", "1"])
+    assert rc == 0, capsys.readouterr().err
+    table = json.loads((tmp_path / "out" / "report.json").read_text())["tables"]["per_n"]["8"]
+    assert (table["n_discrete"], table["n_limit"]) == (18, 20)
+    rows = (tmp_path / "out" / "errors.csv").read_text().splitlines()
+    assert sum(1 for row in rows[1:] if row.split(",")[3] == "") == 2
 
 
 # bad --input content is a validation error; a missing file stays a runtime error

@@ -295,6 +295,13 @@ def test_rho_quadrature_vs_monte_carlo():
         assert abs(est - exact) <= 3 * se
 
 
+def test_rho_exact_zero_second_block_factor_ends_the_term():
+    # |y_1|^4 = 0 at y_1 = 0 and |y_2|^4 = inf at y_2 = 1e100: the term is 0, not NaN
+    k = KernelSpec(d=3, l=1, p=(0.5,), q=(4.0, 4.0), regime="MixedCLT")
+    with np.errstate(over="ignore"):
+        assert rho(k, [1.0], [0.0, 1e100]) == 0.0
+
+
 def test_rho_rejects_bad_sigma():
     k = KernelSpec(d=1, l=1, p=(0.5,), regime="MixedCLT")
     with pytest.raises(KernelError):

@@ -325,6 +325,15 @@ def test_cov_c_zero_tuple():
     assert cov_c(Context(path, KMIX), [0.0], [1.0]) == 0.0
 
 
+def test_field_vector_exact_zero_factor_ends_the_term():
+    # |y_1|^4 = 0 at y_1 = 0 and |y_2|^4 = inf at y_2 = 1e100: v(y) is 0, not NaN
+    k = KernelSpec(d=3, l=1, p=(0.5,), q=(4.0, 4.0), regime="MixedCLT")
+    ctx = Context(synthetic_path([1.0]), k)
+    with np.errstate(over="ignore"):
+        v = ctx.field_vector([0.0, 1e100])
+    assert v.tolist() == [0.0] * len(v)
+
+
 def test_cov_c_matrix_psd():
     path = synthetic_path([0.5, -1.0, 1.5, 2.0], sigma=1.1)
     ys = [[z] for z in path.sizes]

@@ -1,10 +1,11 @@
 """Source hygiene of src/uvstat: no unused imports, no unbound exports, one expanding module,
 no scipy package, scipy submodule or numpy.random imported at module level, scipy.stats and
 scipy.integrate imported nowhere and scipy.special only where it runs, one run-config decoder,
-one entry per function (no private twin), ground-truth contexts opened only by the callers and
-kernel text formatted only where it is written."""
+one entry per function (no private twin), ground-truth contexts opened only by the callers,
+kernel text formatted only where it is written and output files named only by the command line."""
 
 import ast
+import re
 from pathlib import Path
 
 import pytest
@@ -610,3 +611,53 @@ def test_only_the_writers_format_a_kernel():
         p.name for p in sorted(SRC.glob("*.py")) if kernel_text_calls(p.read_text(encoding="utf-8"))
     ]
     assert formatting == KERNEL_FORMATTERS
+
+
+# the files a run writes, each named where the command line writes it; the
+# config's collect_samples error points at errors.csv
+OUTPUT_FILES = {
+    "cli.py": ["errors.csv", "manifest.json", "path.json", "report.json"],
+    "config.py": ["errors.csv"],
+}
+# an f-string's replacement fields read as {}
+FILE_NAME = re.compile(r"[\w.{}-]+\.(?:json|csv)\b")
+
+
+def output_file_names(source: str) -> list:
+    """The .json and .csv file names in the string literals and f-strings of source,
+    docstrings aside."""
+    tree = ast.parse(source)
+    scopes = (ast.Module, ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)
+    skipped = {
+        id(node.body[0].value)
+        for node in ast.walk(tree)
+        if isinstance(node, scopes) and node.body and isinstance(node.body[0], ast.Expr)
+    }
+    texts = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.JoinedStr):
+            skipped.update(id(part) for part in node.values)
+            texts.append("".join(p.value if isinstance(p, ast.Constant) else "{}" for p in node.values))
+        elif isinstance(node, ast.Constant) and isinstance(node.value, str) and id(node) not in skipped:
+            texts.append(node.value)
+    return sorted({name for text in texts for name in FILE_NAME.findall(text)})
+
+
+def test_output_file_names_detected():
+    source = (
+        '"""A module that writes report.json."""\n'
+        "def write(outdir, n):\n"
+        '    """Write samples.csv."""\n'
+        '    (outdir / "samples.csv").write_text("n,series")  # and path.json\n'
+        '    return f"{outdir}/draws_{n}.json", "not valid JSON", ".csv"\n'
+    )
+    assert output_file_names(source) == ["draws_{}.json", "samples.csv"]
+
+
+def test_only_the_command_line_names_output_files():
+    named = {}
+    for p in sorted(SRC.glob("*.py")):
+        names = output_file_names(p.read_text(encoding="utf-8"))
+        if names:
+            named[p.name] = names
+    assert named == OUTPUT_FILES

@@ -115,6 +115,14 @@ def test_y_stat_scaling_identity():
     assert y == pytest.approx(direct / n**2, rel=1e-12)
 
 
+def test_y_stat_exact_zero_coordinate_sum_ends_the_term():
+    # at z = sqrt(4) 1e100 the first coordinate's |z|^0.5 exp(-z^2) sums to exactly 0
+    # and the second's |x|^4 to inf: the term is 0, not 0 * inf = NaN
+    k = KernelSpec(d=2, l=1, p=(0.5,), q=(4.0,), L=GaussBump(1.0, 0), regime="MixedLLN")
+    with np.errstate(over="ignore"):
+        assert y_stat(np.full(4, 1e100), k, t=1.0).value == 0.0
+
+
 # ---------------------------------------------------------------------------
 # u_stat
 # ---------------------------------------------------------------------------
