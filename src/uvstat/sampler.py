@@ -7,37 +7,36 @@ Each recorded jump k gets independent extension variables
           + sqrt(1 - kappa_k) sigma_{T_k} psi_{k+}.
 
 The jump-case limit draw contracts the per-jump derivative sums against
-R; the mixed-case draw adds a conditionally Gaussian field evaluated at
-the distinct jump-size tuples, sampled by Cholesky factorization of the
-exact covariance matrix (with escalating diagonal jitter).  A draw is a
-plain float and a deterministic function of the path and the generators
-it is given: ``augment`` draws R from one, and ``sample_V_mixed`` draws
-the field from another, so the two terms stay reproducible
-independently.  The block split l is read from the kernel.
+R; the mixed-case draw adds the conditionally Gaussian field U_t(H, .)
+summed over every (d-l)-tuple of jumps.  With v(y) the field vector at a
+tuple point and P its covariance core (``Context.field``), that sum is
+N(0, svec^T P svec) for svec = sum_y v(y) (``Context.field_tuple_sum``),
+so one standard normal times its standard deviation draws it.  A draw
+is a plain float and a deterministic function of the path and the
+generators it is given: ``augment`` draws R from one, and
+``sample_V_mixed`` draws the field from another, so the two terms stay
+reproducible independently.  The block split l is read from the kernel.
 
 A draw reads only the path's ground truth, through the ground-truth
 context of :mod:`uvstat.limits` (``Context``) that the caller opens and
 passes in, as the limits do: the window t from the path, the jump sizes
 up to t and one Gaussian moment vector per distinct factor, shared by
-the jump-term coefficients and the field covariance matrix V P V^T
-(``limits.cov_c_matrix``).  ``augment`` reads the path itself (a
-``GroundTruth``; a ``SamplePath`` is one).  The kernel's separable
-terms, their derivatives, the field-factor products and the slot
-layouts come from the kernel's compiled view, built once per kernel.
-The distinct jump sizes of the field are an exact tally of the (finite,
-nonzero) sizes, in increasing order.
+the jump-term coefficients and the field covariance core.  ``augment``
+reads the path itself (a ``GroundTruth``; a ``SamplePath`` is one).  The
+kernel's separable terms, their derivatives, the field-factor products
+and the slot layouts come from the kernel's compiled view, built once
+per kernel.
 """
 
 from __future__ import annotations
 
-import itertools
 import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from uvstat.kernels import KernelError
-from uvstat.limits import Context, cov_c_matrix
+from uvstat.limits import Context
 from uvstat.simulate import GroundTruth
 
 __all__ = [
@@ -47,16 +46,13 @@ __all__ = [
     "sample_U_jump",
     "sample_V_mixed",
     "truncated_Z",
-    "FIELD_TUPLE_BUDGET",
 ]
-
-FIELD_TUPLE_BUDGET = 4096
 
 _EPS = 2.0**-53
 
 
 class SamplerError(RuntimeError):
-    """Limit-law sampling failure (covariance factorization, budgets)."""
+    """Limit-law sampling failure (an augmentation of another path, a negative truncation level)."""
 
 
 @dataclass(frozen=True)
@@ -110,29 +106,14 @@ def sample_U_jump(ctx: Context, aug: JumpAugmentation) -> float:
     return truncated_Z(ctx, len(ctx.path.sizes), aug)
 
 
-def _cholesky_with_jitter(M: np.ndarray):
-    trace = float(np.trace(M))
-    if trace <= 0.0:
-        return None  # identically zero field
-    for decade in range(4):
-        jitter = 1e-10 * trace * 10.0**decade
-        try:
-            return np.linalg.cholesky(M + jitter * np.eye(len(M)))
-        except np.linalg.LinAlgError:
-            continue
-    eigmin = float(np.linalg.eigvalsh(M).min())
-    raise SamplerError(
-        f"covariance Cholesky failed after jitter escalation; smallest eigenvalue {eigmin:.3e}"
-    )
-
-
 def sample_V_mixed(ctx: Context, aug: JumpAugmentation, field_gen) -> float:
     """Mixed-case limit draw: R-contracted drift-of-jump term plus Gaussian field.
 
-    The field U_t(H, .) is a single realization, drawn from the generator
-    field_gen (read only when the field covariance is not zero),
-    evaluated at each distinct (d-l)-tuple of jump sizes; index tuples
-    with equal size vectors reuse the same field value.
+    The field U_t(H, .) enters summed over every (d-l)-tuple of jumps, a
+    centred normal of variance svec^T P svec (the field term of
+    ``limits.cond_var_mixed``, computed here on its own).  It is drawn
+    as one standard normal from the generator field_gen, which is read
+    only when that variance is not zero.
     """
     d, l = ctx.kernel.d, ctx.kernel.l
     if not 1 <= l < d:
@@ -145,28 +126,9 @@ def sample_V_mixed(ctx: Context, aug: JumpAugmentation, field_gen) -> float:
         return 0.0
     coeff = ctx.contract(ctx.compiled.vtilde_slots, sizes)
     jump_term = float(np.sum(coeff * aug.r[:J]))
-
-    # distinct jump sizes in increasing order, with their counts (the sizes
-    # are finite and nonzero, so a float tally sorts and counts them exactly)
-    tally: dict = {}
-    for size in sizes.tolist():
-        tally[size] = tally.get(size, 0) + 1
-    uniq = sorted(tally)
-    counts = [tally[size] for size in uniq]
-    K = len(uniq)
-    n_tuples = K ** (d - l)
-    if n_tuples > FIELD_TUPLE_BUDGET:
-        raise SamplerError(
-            f"{n_tuples} distinct jump tuples exceed the field budget {FIELD_TUPLE_BUDGET}"
-        )
-    combos = list(itertools.product(range(K), repeat=d - l))
-    y_list = [[uniq[i] for i in combo] for combo in combos]
-    weights = np.array([math.prod(counts[i] for i in combo) for combo in combos], dtype=float)
-    chol = _cholesky_with_jitter(cov_c_matrix(ctx, y_list))
-    field_term = 0.0
-    if chol is not None:
-        g = chol @ field_gen.standard_normal(len(y_list))
-        field_term = float(np.dot(weights, g))
+    svec = ctx.field_tuple_sum()
+    field_var = float(svec @ ctx.field[1] @ svec)
+    field_term = math.sqrt(field_var) * field_gen.standard_normal() if field_var > 0 else 0.0
     return jump_term + field_term
 
 

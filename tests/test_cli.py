@@ -897,6 +897,24 @@ def test_gaussian_bounded_polynomial_kernel_passes_verify_clt(tmp_path):
     assert report["kind"] == "CLT_mixed" and report["tables"]["per_n"]["64"]["reps"] == 3
 
 
+def test_mixed_clt_on_many_distinct_jump_sizes_exits_0(tmp_path):
+    # about 81 distinct sizes per path, so 81^2 distinct jump tuples in the
+    # two second-block slots: the field draw enumerates none of them
+    doc = jump_clt_doc(
+        kind="CLT_mixed", reps=3, n=256, intensity=81.0,
+        kernel="d=3 l=1 p=0.5 q=4.0,4.0 regime=MixedCLT L=one",
+    )
+    doc["model"]["jumps"]["size_dist"] = {"type": "Uniform", "a": 0.5, "b": 1.5}
+    doc["base_seed"] = 3607
+    doc["io"] = {"output_dir": str(tmp_path / "out")}
+    assert main(["verify-clt", "--config", str(write_config(tmp_path, doc))]) == 0
+    report = json.loads(
+        (tmp_path / "out" / "report.json").read_text(),
+        parse_constant=lambda name: pytest.fail(f"report.json holds {name}"),
+    )
+    assert report["tables"]["per_n"]["256"]["reps"] == 3
+
+
 def test_size_budgets_admit_their_bounds():
     # parsed only: a path at either bound is allowed, nothing is simulated
     doc = jump_clt_doc(kind="LLN", n=2**22, intensity=200000.0)
@@ -955,7 +973,7 @@ SHIPPED_DIGESTS = {
     ),
     "clt_mixed.cfg": (
         "7a56d1ea30c304c1e862fbd9dbe5fc77b4f567cfbef1bfde86bd4d62f501b153",
-        "9aa0f4c01225b369c85823190f3962457495fa670f3f1c1d5e1bb06517365e4a",
+        "7ba597ecd8ad9b997afaee95614cbeb922caaac7e068e323d6d8045afbf56aaf",
     ),
     "grid_test.cfg": (
         "b662d6003626888fc12146151dd6761aaecc276d1c1f912d2e65052bb2ecf8d8",

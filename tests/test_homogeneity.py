@@ -5,8 +5,7 @@ s = sum p + sum q.  Doubling every scale parameter of a zero-drift model
 on one seed doubles X, sigma and the jump sizes (the simulator's own
 gate, ``test_simulate.test_doubling_every_scale_doubles_*``), so every
 statistic, limit and limit draw scales by 2^s and every conditional
-variance by 2^{2s} (``KNOWN_BREAKS`` holds the one output that does not,
-to REL_TOL).  The relations run on every L = one kernel of
+variance by 2^{2s}.  The relations run on every L = one kernel of
 ``random_kernels``, in each regime whose admissibility it passes; they
 cannot see a defect that keeps the degree (a wrong n-normalization, the
 p and q blocks swapped, a misplaced jump time).
@@ -14,7 +13,7 @@ p and q blocks swapped, a misplaced jump time).
 
 import math
 
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from numpy.random import default_rng
 
 from uvstat.kernels import ONE, REGIMES, KernelSpec
@@ -54,14 +53,11 @@ ITOSM_CASE = (
 )
 
 
-# The one output that breaks at REL_TOL.  The mixed draw takes its Gaussian
-# field from a jittered Cholesky of the K^(d-l) tuple covariance, which is
-# rank one for L = one, so its null directions carry jitter and rounding
-# only: on FIELD_BREAK_CASES the doubled draw is off by up to 1.3e-12 of its
-# conditional standard deviation, for both MixedCLT kernels.  Drawing the
-# field as one scalar ends the break.
-KNOWN_BREAKS = {"sample_V_mixed"}
-FIELD_BREAK_CASES = [
+# Two Constant paths with few distinct jump sizes, where the field covariance
+# over the jump-size tuples is singular: a field drawn by a jittered
+# factorization of that matrix misses 2^s here by up to 1.3e-12 of its
+# conditional standard deviation.
+FIELD_CASES = [
     (
         ModelConfig(
             drift_b=0.0,
@@ -80,16 +76,13 @@ FIELD_BREAK_CASES = [
 ]
 
 
-def scaling_breaks(cfg, n, T, seed, known=KNOWN_BREAKS) -> list:
-    """The (kernel, output, original, doubled) whose doubled value is not 2^s (2^{2s}) times,
-    apart from the known breaks."""
+def scaling_breaks(cfg, n, T, seed) -> list:
+    """The (kernel, output, original, doubled) whose doubled value is not 2^s (2^{2s}) times."""
     a, b = simulate_path(cfg, n, T, seed), simulate_path(_doubled(cfg), n, T, seed)
     aug_a, aug_b = augment(a, default_rng(seed)), augment(b, default_rng(seed))
     broken = []
 
     def check(kernel, name, fn, degree, sd=0.0):
-        if name in known:
-            return
         x, y = fn(a, aug_a), fn(b, aug_b)
         want = 2.0**degree * x
         if not abs(y - want) <= REL_TOL * max(abs(want), 2.0**degree * sd):
@@ -127,6 +120,8 @@ def test_the_kernels_cover_every_output():
 
 @settings(max_examples=80, deadline=None, derandomize=True, database=None)
 @given(case=scalable_models())
+@example(case=FIELD_CASES[0])
+@example(case=FIELD_CASES[1])
 def test_doubling_every_scale_scales_every_output_by_its_degree(case):
     assert scaling_breaks(*case) == []
 
@@ -136,15 +131,3 @@ def test_doubling_scales_every_output_on_an_itosm_path():
     assert path.clamped and path.n_steps < path.intervals[-1]
     assert len(set(path.intervals.tolist())) < len(path.sizes)
     assert scaling_breaks(*ITOSM_CASE) == []
-
-
-def test_the_known_break_is_the_field_draw():
-    # fails once the field is drawn as one scalar: then KNOWN_BREAKS goes
-    broken = {
-        (text, name)
-        for case in FIELD_BREAK_CASES
-        for text, name, _, _ in scaling_breaks(*case, known=frozenset())
-    }
-    assert broken == {
-        (k.text(), "sample_V_mixed") for k in KERNELS if k.regime == "MixedCLT" and 1 <= k.l < k.d
-    }

