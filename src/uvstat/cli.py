@@ -90,7 +90,11 @@ def _load_config(args) -> RunConfig:
     path = Path(args.config)
     if not path.exists():
         raise ConfigError(f"config file not found: {path}")
-    cfg = parse_config(path.read_text(encoding="utf-8"))
+    try:
+        text = path.read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise ConfigError(f"config file {path} is not UTF-8 text ({exc})") from None
+    cfg = parse_config(text)
     if args.seed is not None:
         plan = dataclasses.replace(cfg.plan, base_seed=int(args.seed))
         cfg = dataclasses.replace(cfg, plan=plan)

@@ -248,6 +248,8 @@ def parse_config(text: str) -> RunConfig:
         doc = json.loads(text)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except RecursionError:
+        raise ConfigError("config JSON nests too deeply to parse") from None
     top = _require(
         doc,
         "config",

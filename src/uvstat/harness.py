@@ -30,8 +30,8 @@ can read, so a rep builds no SeedSequence; the streams and every report
 byte are those of the public functions called with derive_seed.  The
 harness opens the ground-truth context of every path it reads
 (``limits.Context``) and passes it to the limits, the conditional
-variances and the draws; the contexts of one n share one memo of their
-constant-grid moments and Gaussian field.
+variances and the draws; the contexts of one kernel share its
+constant-grid moments and Gaussian field through the kernel.
 
 A report holds the plan block and the tables; its rows are errors.csv,
 one per rep, so each CLT rep's z, scaled_error and limit_draw are there.
@@ -366,18 +366,17 @@ def _linear_quantile(x: np.ndarray, q: float) -> float:
 def _run_reps(plan: ExperimentPlan, rep, tabulate):
     """The report of an LLN, CLT or RNP plan, its reps run n by n and in rep order.
 
-    Each n takes one seed table and one memo of its paths' constant-grid
-    moments and field; rep r adds rep(seeds, r, path, memo) to a row keyed
-    n, rep and its observed path's seed, and tabulate(rows of n) is per_n[str(n)].
+    Each n takes one seed table; rep r adds rep(seeds, r, path) to a row
+    keyed n, rep and its observed path's seed, and tabulate(rows of n) is
+    per_n[str(n)].
     """
     rows, per_n = [], {}
     for n in plan.n_list:
         seeds = _RepSeeds(plan, n)
-        shared: dict = {}  # the constant-grid moments and field of the n's paths
         results = []
         for r in range(plan.reps):
             path = seeds.path(r)
-            results.append({"n": n, "rep": r, "seed": path.seed, **rep(seeds, r, path, shared)})
+            results.append({"n": n, "rep": r, "seed": path.seed, **rep(seeds, r, path)})
         rows.extend(results)
         per_n[str(n)] = tabulate(results)
     return ExperimentReport(kind=plan.kind, plan=plan.to_dict(), tables={"per_n": per_n}, rows=rows)
@@ -393,8 +392,8 @@ def run_lln(plan: ExperimentPlan) -> ExperimentReport:
     if plan.kind != "LLN":
         raise HarnessError(f"run_lln got plan of kind {plan.kind}")
 
-    def rep(seeds, r, path, shared):
-        stat, lim = _stat_and_limit(Context(path, plan.kernel, plan.t, shared))
+    def rep(seeds, r, path):
+        stat, lim = _stat_and_limit(Context(path, plan.kernel, plan.t))
         return {
             "stat": stat,
             "limit": lim,
@@ -445,8 +444,8 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
     kernel = plan.kernel
     mixed = plan.kind == "CLT_mixed"
 
-    def rep(seeds, r, path, shared):
-        ctx = Context(path, kernel, plan.t, shared)
+    def rep(seeds, r, path):
+        ctx = Context(path, kernel, plan.t)
         stat, lim = _stat_and_limit(ctx)
         cv = cond_var_mixed(ctx) if mixed else cond_var_jump(ctx)
         raw = math.sqrt(seeds.n) * (stat - lim)
@@ -455,7 +454,7 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
 
         path2 = seeds.truth(r)
         aug = augment(path2, seeds.rng(_S_AUG, r))
-        ctx2 = Context(path2, kernel, plan.t, shared)
+        ctx2 = Context(path2, kernel, plan.t)
         if mixed:
             draw = sample_V_mixed(ctx2, aug, seeds.rng(_S_FIELD, r))
         else:
@@ -516,7 +515,7 @@ def run_rnp_check(plan: ExperimentPlan) -> ExperimentReport:
     if plan.kind != "RNP":
         raise HarnessError(f"run_rnp_check got plan of kind {plan.kind}")
 
-    def rep(seeds, r, path, shared):
+    def rep(seeds, r, path):
         # the first jump alone in a full grid interval, or None; a jump past
         # the last full interval (t not on the grid) has no neighborhood
         values, first, counts = np.unique(path.intervals, return_index=True, return_counts=True)

@@ -22,7 +22,8 @@ the package (statistics, limit functionals, conditional variances,
 limit draws) are written against the separable terms, which each kernel
 expands once, on first use, into its compiled view
 (``KernelSpec._compiled``: the terms, their derivatives, the
-Gaussian-field factor products and the slot layouts of the limits).
+Gaussian-field factor products, the slot layouts of the limits and the
+memo of their per-grid quantities).
 Every admissibility item is structural: past the power bounds, each is
 read off the separable terms of L (which coordinates L touches, its
 evenness and boundedness in the scaled block, and the Taylor
@@ -635,7 +636,12 @@ class _CompiledKernel:
       (first block integrated, second differentiated);
     * ``pairs`` and ``products``: the (term, scaled slot) pairs (m, i) of
       the Gaussian-field covariance and, for pairs a <= b,
-      ``products[a][b - a]``, the product of their factors.
+      ``products[a][b - a]``, the product of their factors;
+    * ``grids``: per grid key (n, t, count), what the ground truth of
+      every path on that grid shares, filled by :class:`uvstat.limits.Context`
+      on first use: the left-Riemann weights and, per constant sigma, the
+      Gaussian moment vectors, their integrals and the field (w, P).  Each
+      is a function of the kernel, the grid and sigma alone.
 
     The derivatives and the products are built on first use.
     """
@@ -646,6 +652,7 @@ class _CompiledKernel:
         self.vbar_slots = ("deriv",) * l + (0.0,) * (d - l)
         self.vtilde_slots = ("moment",) * l + ("deriv",) * (d - l)
         self.pairs = tuple((m, i) for m in range(len(self.terms)) for i in range(l))
+        self.grids: dict = {}
 
     @functools.cached_property
     def derivatives(self) -> tuple:
@@ -1024,6 +1031,8 @@ def kernel_from_text(text: str) -> KernelSpec:
         raise
     except (ValueError, TypeError) as exc:
         raise KernelError(f"malformed kernel text {text!r}: {exc}") from exc
+    except RecursionError:
+        raise KernelError("L expression nests too deeply to parse") from None
 
 
 _GRID_POWER = 4.0

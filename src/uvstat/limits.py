@@ -30,25 +30,26 @@ Two things are read once and shared.  The kernel's separable terms,
 their derivatives, the Gaussian-field factor products and the slot
 layouts are compiled once per kernel (``KernelSpec._compiled``, built on
 first use and held by the kernel).  A path's ground truth up to t is one
-context, ``Context(path, kernel, t=None, shared=None)``: it takes t and
-its grid steps from the path (``GroundTruth.window``), reads the jump
-sizes and the one-sided spot volatilities once, builds the sigma grid on
-first use and evaluates the Gaussian moment vector of each distinct
-factor once, whether a limit, a variance profile or the field covariance
-asks for it; a constant grid (a Constant volatility path) costs one
-moment evaluation per factor, and a caller that passes one memo to the
-contexts of many paths of one kernel (the harness, per n) shares those
-moments and the field across every path with the same grid and sigma.
-The Gaussian field is part of that context: its covariance
+context, ``Context(path, kernel, t=None)``: it takes t and its grid
+steps from the path (``GroundTruth.window``), reads the jump sizes and
+the one-sided spot volatilities once, builds the sigma grid on first
+use and evaluates the Gaussian moment vector of each distinct factor
+once, whether a limit, a variance profile or the field covariance asks
+for it.  The Gaussian field is part of that context: its covariance
 C(y, y') = v(y)^T P v(y') is held as the weights w and the matrix P
 (``Context.field``, built on first use), from which the field vector
-v(y), its sum over the jump tuples and the matrix V P V^T are read.  The
-left-Riemann weights are built once per (n, t), and every time integral
-is those weights dotted with a moment vector (on a constant grid, one
-value repeated).  Every function here and in :mod:`uvstat.sampler`
-takes a context as its first argument and opens none of its own, so a
-caller that reads one path several times, as ``harness.run_clt`` does,
-opens one context per path and passes it to each.
+v(y), its sum over the jump tuples and the matrix V P V^T are read.
+Every time integral is the left-Riemann weights dotted with a moment
+vector (on a constant grid, one value repeated).  What depends only on
+the kernel, the grid and sigma is kept on the kernel's compiled view
+(``grids``), so every context of that kernel shares it: the weights,
+built once per grid key (n, t, count), and, on a constant grid (a
+Constant volatility path), the moments and the field per sigma, which
+cost one moment evaluation per factor for all the paths of one n.
+Every function here and in :mod:`uvstat.sampler` takes a context as its
+first argument and opens none of its own, so a caller that reads one
+path several times, as ``harness.run_clt`` does, opens one context per
+path and passes it to each.
 
 A context reads only the path's ground truth, so it accepts a
 ``GroundTruth`` (a ``SamplePath`` is one), and every function reads the
@@ -109,22 +110,6 @@ class CondVariance:
 _JUMP_SLOTS = ("sum", "free", "deriv")
 
 
-@functools.lru_cache(maxsize=4)
-def _riemann_weights(n: int, t: float, count: int) -> np.ndarray:
-    """Left-Riemann weights up to t over the window's count steps (1/n, ..., partial last).
-
-    Read-only, and built once per (n, t, count): every path of an
-    experiment at one n shares them (an experiment runs its n one after
-    another, so a few entries suffice).
-    """
-    weights = np.full(count + 1, 1.0 / n)
-    weights[-1] = t - count / n
-    if weights[-1] <= 1e-15:
-        weights = weights[:count]
-    weights.setflags(write=False)
-    return weights
-
-
 class _GridMoments:
     """Per distinct factor, (moment vector, time integral) on one grid, and the field (w, P)."""
 
@@ -147,19 +132,13 @@ class Context:
     constant grid costs one moment evaluation per factor.
 
     On a constant grid the moments, their integrals and (w, P) depend on
-    the kernel, the grid key (n, t, count) and sigma alone.  A caller that
-    reads many paths of one kernel (the harness's rep loop) passes one
-    ``shared`` dict, which holds them per (grid key, sigma) for every
-    path; any other grid keeps its own.
+    the kernel, the grid key (n, t, count) and sigma alone, so they are
+    kept per sigma on the kernel's compiled view (``grids``), beside the
+    weights of the grid key, for every context of the kernel; any other
+    grid keeps its own.
     """
 
-    def __init__(
-        self,
-        path: GroundTruth,
-        kernel: KernelSpec,
-        t: Optional[float] = None,
-        shared: Optional[dict] = None,
-    ):
+    def __init__(self, path: GroundTruth, kernel: KernelSpec, t: Optional[float] = None):
         self.path, self.kernel = path, kernel
         self.t, count = path.window(t)
         self._grid_key = (path.n, self.t, count)
@@ -169,12 +148,29 @@ class Context:
         self.post = path.sigma_post[:J]
         self.compiled = kernel._compiled
         self.terms = self.compiled.terms
-        self._shared = shared
+
+    @functools.cached_property
+    def _grid_memo(self) -> tuple:
+        """(weights, {sigma: _GridMoments}) of the grid key, kept by the kernel's compiled view.
+
+        The weights are 1/n per step up to t and the partial last step,
+        read-only.
+        """
+        memo = self.compiled.grids.get(self._grid_key)
+        if memo is None:
+            n, t, count = self._grid_key
+            weights = np.full(count + 1, 1.0 / n)
+            weights[-1] = t - count / n
+            if weights[-1] <= 1e-15:
+                weights = weights[:count]
+            weights.setflags(write=False)
+            memo = self.compiled.grids[self._grid_key] = (weights, {})
+        return memo
 
     @functools.cached_property
     def grid(self):
         """(sigmas, weights) of the left Riemann sum up to t, exact for constant sigma."""
-        weights = _riemann_weights(*self._grid_key)
+        weights = self._grid_memo[0]
         return self.path.sigma_grid[: len(weights)], weights
 
     @functools.cached_property
@@ -185,13 +181,13 @@ class Context:
 
     @functools.cached_property
     def _memo(self) -> _GridMoments:
-        """This path's moments and field: shared per (grid key, sigma) on a constant grid."""
-        if self._shared is None or not self.constant_grid:
+        """This path's moments and field: the kernel's, per sigma, on a constant grid."""
+        if not self.constant_grid:
             return _GridMoments()
-        key = (self._grid_key, float(self.grid[0][0]))
-        memo = self._shared.get(key)
+        per_sigma, sigma = self._grid_memo[1], float(self.grid[0][0])
+        memo = per_sigma.get(sigma)
         if memo is None:
-            memo = self._shared[key] = _GridMoments()
+            memo = per_sigma[sigma] = _GridMoments()
         return memo
 
     def _evaluate(self, factor: Factor1D) -> tuple:

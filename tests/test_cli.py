@@ -223,6 +223,8 @@ def test_parse_beta_grid_range():
         parse_beta_grid("0.5:2.0")
     with pytest.raises(ConfigError):
         parse_beta_grid("2.0:0.5:0.1")
+    with pytest.raises(ConfigError, match="^non-numeric beta_grid range 'a:b:c'$"):
+        parse_beta_grid("a:b:c")
     grid = parse_beta_grid("0.5:2.0:0.01")
     assert len(grid) == 151 and grid[0] == 0.5 and grid[-1] == 2.0
     # the grid_test.cfg grid: 151 decimal values, bit for bit
@@ -263,6 +265,47 @@ def test_missing_config_exits_1(tmp_path, capsys):
     captured = capsys.readouterr()
     assert rc == 1
     assert "usage" in captured.err
+
+
+def test_config_that_is_not_utf8_exits_1(tmp_path, capsys):
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_bytes(b'{"model": "\xff\xfe"}')
+    rc = main(["verify-lln", "--config", str(cfgfile)])
+    err = capsys.readouterr().err
+    assert rc == 1 and "Traceback" not in err
+    assert [line for line in err.splitlines() if "error" in line] == [
+        f"error: config file {cfgfile} is not UTF-8 text ('utf-8' codec can't decode byte "
+        "0xff in position 11: invalid start byte)"
+    ]
+
+
+# bad input nested past Python's recursion limit is a validation error
+DEEP_NESTING = {
+    "config_json": (
+        lambda: "[" * 100_000 + "]" * 100_000,
+        "error: config JSON nests too deeply to parse",
+    ),
+    "kernel_l": (
+        lambda: json.dumps(
+            jump_clt_doc(
+                kind="LLN",
+                kernel="d=1 l=1 p=4.0 q=- regime=JumpCLT L=" + "(product " * 5000 + "one" + ")" * 5000,
+            )
+        ),
+        "error: invalid kernel text: L expression nests too deeply to parse",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(DEEP_NESTING))
+def test_over_deep_nesting_exits_1(tmp_path, capsys, case):
+    text, expected = DEEP_NESTING[case]
+    cfgfile = tmp_path / "run.cfg"
+    cfgfile.write_text(text(), encoding="utf-8")
+    rc = main(["verify-lln", "--config", str(cfgfile)])
+    err = capsys.readouterr().err
+    assert rc == 1
+    assert [line for line in err.splitlines() if "error" in line] == [expected]
 
 
 def test_verify_lln_writes_reports(tmp_path, capsys):

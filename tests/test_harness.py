@@ -1,6 +1,7 @@
 """Experiment harness: seeding, plan validation, reproducibility."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -97,6 +98,10 @@ def test_plan_rejects_bad_inputs():
         ExperimentPlan("GRID", model(), grid_test_kernel(1.0), 1.0, (512,), 10, 1)
     with pytest.raises(HarnessError, match=r"n_list entry 1 has no grid step at t = 0.5"):
         ExperimentPlan("LLN", model(), K1, 0.5, (1, 4), 10, 1)
+    with pytest.raises(HarnessError, match="^n_list must not be empty$"):
+        ExperimentPlan("LLN", model(), K1, 1.0, (), 10, 1)
+    with pytest.raises(HarnessError, match="^CLT_mixed experiments need a kernel$"):
+        ExperimentPlan("CLT_mixed", model(), None, 1.0, (512,), 10, 1)
 
 
 def test_plan_rejects_inadmissible_kernel():
@@ -374,6 +379,13 @@ def test_run_ztrunc_monotone():
     assert rep.tables["median_gap"]["12"] == 0.0
 
 
+def test_run_ztrunc_on_a_first_path_without_jumps_fails():
+    # with require_jumps null the plan takes the first seed's path, here jump-free
+    plan = ExperimentPlan("ZTRUNC", model(intensity=0.001), K1, 1.0, (64,), 3, base_seed=1)
+    with pytest.raises(HarnessError, match="^truncation experiment needs a path with jumps$"):
+        run_ztrunc(plan)
+
+
 # ---------------------------------------------------------------------------
 # determinism
 # ---------------------------------------------------------------------------
@@ -582,7 +594,8 @@ def test_constant_grid_moments_are_evaluated_once_per_factor_per_n(monkeypatch, 
 
     monkeypatch.setattr(Factor1D, "gaussian_moment_vec", counted)
     cfg = model(intensity=3.0) if vol == "Constant" else itosm_model()
-    plan = ExperimentPlan("CLT_mixed", cfg, KMIX, 1.0, (32, 64), 4, base_seed=3)
+    # a fresh kernel: the kernel keeps the constant-grid moments it evaluates
+    plan = ExperimentPlan("CLT_mixed", cfg, replace(KMIX), 1.0, (32, 64), 4, base_seed=3)
     run_plan(plan)
     if vol == "Constant":
         assert calls == [(0.5, 1), (1.0, 1), (0.5, 1), (1.0, 1)]
@@ -599,3 +612,23 @@ def test_constant_grid_moments_are_evaluated_once_per_factor_per_n(monkeypatch, 
     ]
     assert len(with_jumps) > 8
     assert sorted(calls) == sorted((p, n) for n in with_jumps for p in (0.5, 1.0))
+
+
+def test_a_second_plan_run_on_one_kernel_evaluates_no_constant_grid_moment(monkeypatch):
+    # the kernel keeps the weights of each grid and, per constant sigma, the
+    # moments and the field, so a second run reads every one of them from it
+    calls = []
+    moment = Factor1D.gaussian_moment_vec
+
+    def counted(self, sigmas):
+        calls.append((self.power, len(sigmas)))
+        return moment(self, sigmas)
+
+    monkeypatch.setattr(Factor1D, "gaussian_moment_vec", counted)
+    plan = ExperimentPlan(
+        "CLT_mixed", model(intensity=3.0), replace(KMIX), 1.0, (32, 64), 4, base_seed=3
+    )
+    first = run_plan(plan).to_json()
+    assert calls == [(0.5, 1), (1.0, 1), (0.5, 1), (1.0, 1)]
+    assert run_plan(plan).to_json() == first
+    assert len(calls) == 4

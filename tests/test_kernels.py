@@ -848,6 +848,22 @@ def test_kernel_text_round_trip():
         assert kernel_to_text(back) == text
 
 
+@pytest.mark.parametrize(
+    "ltext, message",
+    [
+        ("(product one", "unexpected end of L expression"),
+        ("(product one 1.0)", "unexpected token '1.0' in L expression"),
+        ("(cosine 0)", "unknown L atom 'cosine'"),
+        ("(gauss_bump 0.5 0 1)", "expected ')' after gauss_bump, got '1'"),
+        ("one one", "trailing tokens in L expression: ['one']"),
+    ],
+)
+def test_l_parse_errors_name_their_cause(ltext, message):
+    with pytest.raises(KernelError) as caught:
+        kernel_from_text("d=2 l=1 p=0.5 q=4.0 regime=MixedCLT L=" + ltext)
+    assert str(caught.value) == message
+
+
 def test_kernel_text_parse_errors():
     with pytest.raises(KernelError):
         kernel_from_text("d=2 l=1 p=0.5 q=4.0 regime=Bogus L=one")

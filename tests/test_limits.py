@@ -557,7 +557,8 @@ def test_constant_grid_cov_integral_matches_full_grid_bitwise(length):
 
 def test_moment_sigmas_per_call_constant_vs_itosm(monkeypatch):
     # a Constant path evaluates each moment at one sigma, an ItoSM path at
-    # every sigma of its grid
+    # every sigma of its grid; each call has a fresh kernel, as a kernel
+    # keeps the moments of a constant grid
     lengths = []
     moment = Factor1D.gaussian_moment_vec
 
@@ -574,9 +575,11 @@ def test_moment_sigmas_per_call_constant_vs_itosm(monkeypatch):
         path = simulate_path(ModelConfig(0.0, vol, jumps, 10.0), n=512, T=1.0, seed=2)
         assert len(path.sizes) > 0
         lengths.clear()
-        mixed_limit(Context(path, KMIX))
-        cond_var_mixed(Context(path, KMIX))
-        sample_V_mixed(Context(path, KMIX), augment(path, default_rng(1)), field_gen(1))
+        mixed_limit(Context(path, dataclasses.replace(KMIX)))
+        cond_var_mixed(Context(path, dataclasses.replace(KMIX)))
+        sample_V_mixed(
+            Context(path, dataclasses.replace(KMIX)), augment(path, default_rng(1)), field_gen(1)
+        )
         assert len(lengths) == 5 and set(lengths) == {expected}, vol.kind
 
 

@@ -56,7 +56,10 @@ seeds 0-3:
     rep column of the table shifted by one   missed       missed    caught       caught
 
 Limit-law defects are compiled from the source of the function they
-change, or wrap it, and replace it in every module that imports it.  The
+change, or wrap it, and replace it in every module that imports it.  A
+kernel keeps the moments of a constant grid, so each row also gives the
+test modules fresh kernels (``_fresh_kernels``): its gates evaluate
+their moments under the defect, and none outlives the row.  The
 gates are the homogeneity relations (``test_homogeneity``: every scale
 of the model doubled on one seed, on ``ITOSM_CASE``), the pinned bits of
 the mixed limit on an ItoSM path (``test_limits``'s grid_sin pin), the
@@ -157,7 +160,7 @@ import uvstat.limits
 import uvstat.sampler
 import uvstat.seeding
 import uvstat.simulate
-from uvstat.kernels import Factor1D, QuadratureError
+from uvstat.kernels import Factor1D, KernelSpec, QuadratureError
 from uvstat.limits import CondVariance
 
 import test_acceptance
@@ -516,7 +519,22 @@ LIMIT_CAUGHT = {
 }
 
 
+def _fresh_kernels(monkeypatch):
+    """Every kernel of a test module's globals replaced by an equal one, built afresh.
+
+    A kernel keeps the moments of a constant grid on its compiled view, so
+    a gate that read a kernel used before the defect would miss a moment
+    or grid defect, and the defect's moments would outlive its row.
+    """
+    for key, module in list(sys.modules.items()):
+        if key.startswith("test_"):
+            for name, value in list(vars(module).items()):
+                if isinstance(value, KernelSpec):
+                    monkeypatch.setattr(module, name, replace(value))
+
+
 def _apply_limit_defect(monkeypatch, defect):
+    _fresh_kernels(monkeypatch)
     if LIMIT_DEFECTS[defect] is not None:
         owner, name, build = LIMIT_DEFECTS[defect]
         original, replacement = getattr(owner, name), build()

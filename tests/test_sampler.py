@@ -1,6 +1,7 @@
 """Extension-space augmentation and limit-law draws."""
 
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -212,7 +213,8 @@ def test_sample_v_mixed_on_many_distinct_sizes_is_finite():
 
 def test_one_moment_vector_per_distinct_factor(monkeypatch):
     # KMIX integrates |x|^0.5 and, in the field covariance, its square
-    # |x|^1: each call evaluates one moment vector per distinct factor
+    # |x|^1: each call evaluates one moment vector per distinct factor, on
+    # a fresh kernel (a kernel keeps the moments of a constant grid)
     calls = []
     moment = Factor1D.gaussian_moment_vec
 
@@ -222,10 +224,10 @@ def test_one_moment_vector_per_distinct_factor(monkeypatch):
 
     monkeypatch.setattr(Factor1D, "gaussian_moment_vec", counted)
     path = synthetic_path([1.0, -0.7], sigma=1.1)
-    cond_var_mixed(Context(path, KMIX))
+    cond_var_mixed(Context(path, replace(KMIX)))
     assert sorted(f.power for f in calls) == [0.5, 1.0]
     calls.clear()
-    sample_V_mixed(Context(path, KMIX), augment(path, default_rng(3)), field_gen(3))
+    sample_V_mixed(Context(path, replace(KMIX)), augment(path, default_rng(3)), field_gen(3))
     assert sorted(f.power for f in calls) == [0.5, 1.0]
 
 
