@@ -19,18 +19,18 @@ form, or, when cos/sin are present, quadrature over an integrand that
 each factor generates once from val's steps: one straight-line Python
 function per factor, with val's bits).  rho_H and everything else in
 the package (statistics, limit functionals, conditional variances,
-limit draws) are written against the separable terms, which each kernel
-expands once, on first use, into its compiled view
-(``KernelSpec._compiled``: the terms, their derivatives, the
-Gaussian-field factor products, the slot layouts of the limits and the
-memo of their per-grid quantities).
-Every admissibility item is structural: past the power bounds, each is
-read off the separable terms of L (which coordinates L touches, its
-evenness and boundedness in the scaled block, and the Taylor
-coefficients of L at 0 that decide the jump LLN's small-x condition and
-the smooth class).
-Deciding that a sum of Taylor coefficients vanishes is the one place a
-tolerance enters, 1e-12 of the sum of the magnitudes, for rounding only.
+limit draws) are written against the separable terms.  Each kernel
+expands L once, on construction (``KernelSpec._expansion``), and every
+structural question reads that expansion: the coordinates L touches, the
+compiled view (``KernelSpec._compiled``: the terms, their derivatives,
+the Gaussian-field factor products, the slot layouts of the limits and
+the memo of their per-grid quantities) and every admissibility item past
+the power bounds.  The Taylor read of L at 0 stops at the lowest
+coefficient that does not vanish; deciding that a sum of coefficients
+vanishes is the one place a tolerance enters, 1e-12 of the sum of the
+magnitudes, for rounding only.  An L that would expand past
+:data:`_MAX_TERMS` terms (k two-term sums multiply into 2^k) is refused
+before it is expanded.
 The :class:`LExpr` tree only parses, prints and expands into separable
 terms.  The direct evaluation of L and H, the oracle independent of the
 factorization, lives with the tests in ``tests/oracles.py``.
@@ -387,16 +387,20 @@ def _pow_factor(p: float) -> Factor1D:
 class LExpr:
     """Base class for the smooth-factor expression tree.
 
-    Nodes parse and print (:meth:`to_text`) and expand into separable
-    terms (:meth:`sep_terms`).  Every structural question (which
-    coordinates L touches, evenness, boundedness, Taylor coefficients at
-    0) and every derivative is answered on the separable terms, not on
-    the tree.
+    Nodes parse and print (:meth:`to_text`), count their separable terms
+    (:meth:`n_terms`) and expand into them (:meth:`sep_terms`).  Every
+    structural question (which coordinates L touches, evenness,
+    boundedness, Taylor coefficients at 0) and every derivative is
+    answered on the kernel's one expansion, not on the tree.
     """
 
     def sep_terms(self) -> tuple:
         """Expansion into ((coeff, {coord: Factor1D}), ...). Exact."""
         raise NotImplementedError
+
+    def n_terms(self) -> int:
+        """len(self.sep_terms()), counted without expanding: one for an atom."""
+        return 1
 
     def to_text(self) -> str:
         raise NotImplementedError
@@ -439,6 +443,9 @@ class GridSin(LExpr):
             (-0.5, {self.i: Factor1D(cos_args=(c,)), self.j: Factor1D(cos_args=(c,))}),
             (-0.5, {self.i: Factor1D(sin_args=(c,)), self.j: Factor1D(sin_args=(c,))}),
         )
+
+    def n_terms(self):
+        return 3
 
     def to_text(self):
         return f"(grid_sin {self.beta!r} {self.i} {self.j})"
@@ -499,6 +506,9 @@ class Sum(LExpr):
             out.extend(t.sep_terms())
         return tuple(out)
 
+    def n_terms(self):
+        return sum(t.n_terms() for t in self.terms)
+
     def to_text(self):
         return "(sum %s)" % " ".join(t.to_text() for t in self.terms)
 
@@ -525,13 +535,16 @@ class Product(LExpr):
             out = new
         return tuple(out)
 
+    def n_terms(self):
+        return math.prod(t.n_terms() for t in self.factors)
+
     def to_text(self):
         return "(product %s)" % " ".join(t.to_text() for t in self.factors)
 
 
-def _l_factors(L: LExpr) -> list:
-    """(coord, Factor1D) for every factor of every separable term of L."""
-    return [(c, f) for _, fdict in L.sep_terms() for c, f in fdict.items()]
+# The most separable terms an L may expand into; past it the kernel is refused
+# before it is expanded.
+_MAX_TERMS = 10_000
 
 
 # ---------------------------------------------------------------------------
@@ -573,7 +586,10 @@ class KernelSpec:
             raise KernelError(f"powers must be finite and nonnegative, got {bad[0]}")
         if self.regime not in REGIMES:
             raise KernelError(f"unknown regime {self.regime!r}; choose from {REGIMES}")
-        bad = sorted({c for c, _ in _l_factors(self.L)} - set(range(self.d)))
+        count = self.L.n_terms()
+        if count > _MAX_TERMS:
+            raise KernelError(f"L expands into {count} separable terms, past the budget of {_MAX_TERMS}")
+        bad = sorted({c for _, fdict in self._expansion for c in fdict} - set(range(self.d)))
         if bad:
             raise KernelError(f"L references coordinates {bad} outside 0..{self.d - 1}")
 
@@ -583,6 +599,11 @@ class KernelSpec:
 
     def text(self) -> str:
         return kernel_to_text(self)
+
+    @functools.cached_property
+    def _expansion(self) -> tuple:
+        """``L.sep_terms()``, the one expansion of L, built on construction."""
+        return self.L.sep_terms()
 
     @functools.cached_property
     def _compiled(self) -> "_CompiledKernel":
@@ -610,7 +631,7 @@ def separable_terms(kernel: KernelSpec) -> tuple:
     """
     powers = kernel.powers
     out = []
-    for coeff, fdict in kernel.L.sep_terms():
+    for coeff, fdict in kernel._expansion:
         factors = []
         for i in range(kernel.d):
             f = _pow_factor(powers[i]) if powers[i] != 0.0 else _F_ONE
@@ -766,36 +787,43 @@ def _canonical(f: Factor1D):
     return scale, replace(f, poly2=poly, gauss_args=tuple(c for c in f.gauss_args if c))
 
 
-def _nonvanishing_coefficients(L: LExpr, block, others, max_degree: int) -> list:
-    """The alpha, |alpha| <= max_degree, whose x^alpha coefficient in L is not zero.
+def _exponents(n: int, degree: int):
+    """The alpha in N^n with |alpha| = degree, in increasing order (stars and bars)."""
+    for bars in itertools.combinations(range(degree + n - 1), n - 1):
+        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, degree + n - 1)))
 
-    x ranges over the coordinates in ``block``.  In a term c * prod f_i the
-    coefficient is c * prod_i f_i^(alpha_i)(0) / alpha_i! times the term's
-    factors on ``others``; it is zero when the sum over the terms with the
-    same such factors is, for each of them (to :data:`_VANISH_RTOL`).
-    Distinct factor tuples can still be linearly dependent
-    (cos^2 + sin^2 = 1), so the read errs only toward "not zero".  Sorted
-    by degree.
+
+def _first_nonvanishing(kernel: KernelSpec, block, others, max_degree: int, keep=lambda alpha: True):
+    """The lowest alpha (by degree, then order) that ``keep`` admits whose x^alpha coefficient in L is not 0.
+
+    x ranges over the coordinates in ``block``, |alpha| <= max_degree, and None
+    means every coefficient vanishes.  In a term c * prod f_i the coefficient is
+    c * prod_i f_i^(alpha_i)(0) / alpha_i! times the term's factors on ``others``;
+    it is zero when the sum over the terms with the same such factors is, for each
+    of them (to :data:`_VANISH_RTOL`).  Distinct factor tuples can still be linearly
+    dependent (cos^2 + sin^2 = 1), so the read errs only toward "not zero".
     """
-    alphas = itertools.product(range(max_degree + 1), repeat=len(block))
-    alphas = [a for a in alphas if sum(a) <= max_degree]
-    groups = {}
-    for coeff, fdict in L.sep_terms():
+    terms = []
+    for coeff, fdict in kernel._expansion:
         value, key = coeff, []
         for j in others:
             s, f = _canonical(fdict.get(j, _F_ONE))
             value *= s
             key.append(f)
-        taylors = [_taylor(fdict.get(i, _F_ONE), max_degree) for i in block]
-        for alpha in alphas:
-            v, a = value, abs(value)
-            for series, k in zip(taylors, alpha):
-                v, a = v * series[k][0], a * series[k][1]
-            group = groups.setdefault((alpha, tuple(key)), [0.0, 0.0])
-            group[0] += v
-            group[1] += a
-    bad = {alpha for (alpha, _), (v, a) in groups.items() if not abs(v) <= _VANISH_RTOL * a < math.inf}
-    return sorted(bad, key=lambda alpha: (sum(alpha), alpha))
+        terms.append((value, tuple(key), [_taylor(fdict.get(i, _F_ONE), max_degree) for i in block]))
+    for degree in range(max_degree + 1):
+        for alpha in filter(keep, _exponents(len(block), degree)):
+            groups = {}
+            for value, key, taylors in terms:
+                v, a = value, abs(value)
+                for series, k in zip(taylors, alpha):
+                    v, a = v * series[k][0], a * series[k][1]
+                group = groups.setdefault(key, [0.0, 0.0])
+                group[0] += v
+                group[1] += a
+            if any(not abs(v) <= _VANISH_RTOL * a < math.inf for v, a in groups.values()):
+                return alpha
+    return None
 
 
 def _check_alln(kernel: KernelSpec) -> AdmissibilityItem:
@@ -809,10 +837,10 @@ def _check_alln(kernel: KernelSpec) -> AdmissibilityItem:
     if l == 0:
         return AdmissibilityItem("lln_small_x_condition", True, "no jump block (l=0)")
     margin = 2 * l - math.fsum(kernel.p)
-    bad = _nonvanishing_coefficients(kernel.L, range(l), range(l, d), math.floor(margin))
+    bad = _first_nonvanishing(kernel, range(l), range(l, d), math.floor(margin))
     detail = f"x^alpha coefficients of L with |alpha| <= 2l - sum(p) = {margin:g}: "
-    detail += f"x^{bad[0]} does not vanish" if bad else "all vanish"
-    return AdmissibilityItem("lln_small_x_condition", not bad, detail)
+    detail += "all vanish" if bad is None else f"x^{bad} does not vanish"
+    return AdmissibilityItem("lln_small_x_condition", bad is None, detail)
 
 
 def _check_kernel_class(kernel: KernelSpec) -> AdmissibilityItem:
@@ -829,11 +857,17 @@ def _check_kernel_class(kernel: KernelSpec) -> AdmissibilityItem:
             "smooth_class_membership", True, "l = d: any C^{d+1} smooth factor qualifies"
         )
     margin = 1.0 - math.fsum(kernel.q)
-    nonzero = _nonvanishing_coefficients(kernel.L, range(l, d), range(l), math.floor(margin))
-    bad = [a for a in nonzero if any(q + k != 0.0 for q, k in zip(kernel.q, a))]
+    survives = lambda alpha: any(q + k != 0.0 for q, k in zip(kernel.q, alpha))
+    bad = _first_nonvanishing(kernel, range(l, d), range(l), math.floor(margin), survives)
     detail = f"y^alpha coefficients of L with |alpha| <= 1 - sum(q) = {margin:g}: "
-    detail += f"y^{bad[0]} does not vanish, nor does its d_k(|y|^q y^alpha)" if bad else "none survives"
-    return AdmissibilityItem("smooth_class_membership", not bad, detail)
+    detail += "none survives" if bad is None else f"y^{bad} does not vanish, nor does its d_k(|y|^q y^alpha)"
+    return AdmissibilityItem("smooth_class_membership", bad is None, detail)
+
+
+def _scaled_block_item(kernel: KernelSpec, name: str, fails, ok: str, failed: str) -> AdmissibilityItem:
+    """Whether no factor of L on a scaled-block coordinate ``fails``; ``failed`` lists those that do."""
+    bad = sorted({c for _, fdict in kernel._expansion for c, f in fdict.items() if c < kernel.l and fails(f)})
+    return AdmissibilityItem(name, not bad, f"{failed} {bad}" if bad else ok)
 
 
 def _check_bounded_in_first_block(kernel: KernelSpec) -> AdmissibilityItem:
@@ -845,31 +879,18 @@ def _check_bounded_in_first_block(kernel: KernelSpec) -> AdmissibilityItem:
     poly2[k] is k = 0, so a zero polynomial qualifies) or its Gaussian
     exponents sum to more than 0.
     """
-    bad = sorted(
-        {
-            c
-            for c, f in _l_factors(kernel.L)
-            if c < kernel.l
-            and any(a != 0.0 for a in f.poly2[1:])
-            and not sum(f.gauss_args) > 0.0
-        }
+    unbounded = lambda f: any(a != 0.0 for a in f.poly2[1:]) and not sum(f.gauss_args) > 0.0
+    return _scaled_block_item(
+        kernel, "smooth_factor_bounded", unbounded,
+        "smooth factor bounded in the scaled block", "smooth factor unbounded in scaled coordinates",
     )
-    ok = not bad
-    detail = "smooth factor bounded in the scaled block" if ok else (
-        f"smooth factor unbounded in scaled coordinates {bad}"
-    )
-    return AdmissibilityItem("smooth_factor_bounded", ok, detail)
 
 
 def _check_even(kernel: KernelSpec) -> AdmissibilityItem:
-    bad = sorted({c for c, f in _l_factors(kernel.L) if c < kernel.l and f._moment_parity_odd()})
-    ok = not bad
-    detail = (
-        "kernel even in every scaled-block coordinate"
-        if ok
-        else f"smooth factor not even in scaled coordinates {bad}"
+    return _scaled_block_item(
+        kernel, "even_in_scaled_block", Factor1D._moment_parity_odd,
+        "kernel even in every scaled-block coordinate", "smooth factor not even in scaled coordinates",
     )
-    return AdmissibilityItem("even_in_scaled_block", ok, detail)
 
 
 def _power_item(name, values, ok_fn, requirement) -> AdmissibilityItem:
@@ -883,8 +904,8 @@ def check_admissibility(kernel: KernelSpec) -> AdmissibilityReport:
     """Check the declared regime's hypotheses, item by item.
 
     Every item is structural: the powers are compared with the regime's
-    bounds, and the rest is read off the separable expansion
-    ``kernel.L.sep_terms()`` (evenness and boundedness in the scaled
+    bounds, and the rest is read off the kernel's one separable expansion
+    ``kernel._expansion`` (evenness and boundedness in the scaled
     block, the grid test's grid_sin factor, and the Taylor coefficients
     of L at 0 that decide the small-x and smooth-class items).  The one
     tolerance is :data:`_VANISH_RTOL`, the rounding allowed when a sum of
@@ -906,7 +927,7 @@ def check_admissibility(kernel: KernelSpec) -> AdmissibilityReport:
         )
         items.append(_check_kernel_class(kernel))
         if regime == "GridTest":
-            has_gridsin = any(f.sin_args for _, f in _l_factors(kernel.L))
+            has_gridsin = any(f.sin_args for _, fdict in kernel._expansion for f in fdict.values())
             items.append(
                 AdmissibilityItem(
                     "grid_test_shape",

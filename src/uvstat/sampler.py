@@ -55,7 +55,7 @@ class SamplerError(RuntimeError):
     """Limit-law sampling failure (an augmentation of another path, a negative truncation level)."""
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class JumpAugmentation:
     """Extension-space randomness attached to each recorded jump."""
 

@@ -290,7 +290,7 @@ _JUMP_COLUMNS = {
 }
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class GroundTruth:
     """The ground truth of a simulated path, immutable: all a limit law reads.
 
@@ -301,7 +301,8 @@ class GroundTruth:
     {0, 1/n, ..., floor(nT)/n} with its clamp count.  The limits,
     conditional variances and limit-law draws accept a GroundTruth; the
     statistics, jump_neighborhood and serialization need the observation
-    that SamplePath adds.
+    that SamplePath adds.  A path is equal only to itself and hashes by
+    identity: its fields are arrays.
     """
 
     T: float
@@ -342,7 +343,7 @@ class GroundTruth:
         return t, min(_count(self.n, t), self.n_steps)
 
 
-@dataclass(frozen=True, kw_only=True)
+@dataclass(frozen=True, eq=False, kw_only=True)
 class SamplePath(GroundTruth):
     """A simulated path: its ground truth plus the observation on the grid.
 

@@ -308,6 +308,42 @@ def test_over_deep_nesting_exits_1(tmp_path, capsys, case):
     assert [line for line in err.splitlines() if "error" in line] == [expected]
 
 
+# kernel texts refused on construction, each with the cause its one error line names
+INVALID_KERNELS = {
+    "grid_sin_same_coordinate": (
+        "d=2 l=2 p=4.0,4.0 q=- regime=JumpCLT L=(grid_sin 1.0 0 0)", "grid_sin coordinates must differ"
+    ),
+    "poly_even_no_coefficient": (
+        "d=1 l=1 p=4.0 q=- regime=JumpCLT L=(poly_even 0)", "poly_even needs at least one coefficient"
+    ),
+    "empty_sum": ("d=1 l=1 p=4.0 q=- regime=JumpCLT L=(sum)", "empty sum"),
+    "empty_product": ("d=1 l=1 p=4.0 q=- regime=JumpCLT L=(product)", "empty product"),
+    "d_zero": ("d=0 l=0 p=- q=- regime=JumpCLT L=one", "kernel dimension d must be >= 1, got 0"),
+    "l_past_d": ("d=2 l=3 p=4.0,4.0,4.0 q=- regime=JumpCLT L=one", "block split l=3 outside 0..d=2"),
+    # a product of 40 two-term sums would expand into 2^40 terms: refused before expanding
+    "expansion_past_budget": (
+        "d=1 l=1 p=4.0 q=- regime=JumpCLT L=(product"
+        + " (sum (gauss_bump 0.5 0) (gauss_bump 0.25 0))" * 40
+        + ")",
+        "L expands into 1099511627776 separable terms, past the budget of 10000",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(INVALID_KERNELS))
+def test_invalid_kernel_exits_1_with_one_line(tmp_path, capsys, case):
+    kernel, cause = INVALID_KERNELS[case]
+    doc = jump_clt_doc(kernel=kernel)
+    doc["io"] = {"output_dir": str(tmp_path / "out")}
+    rc = main(["verify-clt", "--config", str(write_config(tmp_path, doc))])
+    captured = capsys.readouterr()
+    assert rc == 1
+    assert captured.out == ""
+    errors = [line for line in captured.err.splitlines() if line.startswith("error:")]
+    assert errors == [f"error: invalid kernel text: {cause}"]
+    assert not (tmp_path / "out").exists()
+
+
 def test_verify_lln_writes_reports(tmp_path, capsys):
     doc = jump_clt_doc(kind="LLN", reps=4, n=128)
     doc["io"] = {"output_dir": str(tmp_path / "out")}

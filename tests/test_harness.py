@@ -538,13 +538,6 @@ def test_bound_excursions_are_checked_on_the_observed_path_only(kind, kernel):
 
 
 def test_clt_mixed_plan_expands_once_and_reads_each_path_once(monkeypatch):
-    kernel = kernel_from_text(
-        "d=3 l=1 p=0.5 q=4.0,4.0 regime=MixedCLT L=(sum (grid_sin 1.0 1 2) (gauss_bump 0.5 0))"
-    )
-    plan = ExperimentPlan(
-        kind="CLT_mixed", model=model(intensity=3.0), kernel=kernel, t=1.0,
-        n_list=(32, 64), reps=4, base_seed=3,
-    )
     calls = {"sep_terms": 0, "separable_terms": 0, "truths": 0, "paths": 0, "ground_truths": 0}
 
     def counted(name, fn):
@@ -554,7 +547,8 @@ def test_clt_mixed_plan_expands_once_and_reads_each_path_once(monkeypatch):
         return wrapper
 
     # the kernel's top-level L node (a Sum), the expansion, the path contexts,
-    # the observed paths and the limit-law paths drawn as ground truth alone
+    # the observed paths and the limit-law paths drawn as ground truth alone,
+    # counted from the kernel's construction on
     monkeypatch.setattr(Sum, "sep_terms", counted("sep_terms", Sum.sep_terms))
     monkeypatch.setattr(
         uvstat.kernels, "separable_terms", counted("separable_terms", uvstat.kernels.separable_terms)
@@ -567,6 +561,13 @@ def test_clt_mixed_plan_expands_once_and_reads_each_path_once(monkeypatch):
     )
     monkeypatch.setattr(
         uvstat.harness._RepSeeds, "truth", counted("ground_truths", uvstat.harness._RepSeeds.truth)
+    )
+    kernel = kernel_from_text(
+        "d=3 l=1 p=0.5 q=4.0,4.0 regime=MixedCLT L=(sum (grid_sin 1.0 1 2) (gauss_bump 0.5 0))"
+    )
+    plan = ExperimentPlan(
+        kind="CLT_mixed", model=model(intensity=3.0), kernel=kernel, t=1.0,
+        n_list=(32, 64), reps=4, base_seed=3,
     )
     first = run_plan(plan)
     assert calls == {

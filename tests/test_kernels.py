@@ -2,6 +2,7 @@
 
 import collections
 import hashlib
+import itertools
 import math
 import re
 import warnings
@@ -19,6 +20,7 @@ from uvstat.kernels import (
     KernelError,
     KernelSpec,
     ONE,
+    One,
     PolyEven,
     Product,
     QuadratureError,
@@ -30,6 +32,7 @@ from uvstat.kernels import (
     kernel_to_text,
     rho,
     separable_terms,
+    _exponents,
     _qagie,
 )
 
@@ -819,6 +822,65 @@ def test_admissibility_random_kernel_verdicts_pinned():
         counts["report", rep.passed] += 1
     assert dict(counts) == _RANDOM_VERDICT_COUNTS
     assert hashlib.sha256("\n".join(lines).encode()).hexdigest() == _RANDOM_VERDICTS_SHA256
+
+
+def test_admissibility_alln_stops_at_the_lowest_nonvanishing_coefficient():
+    # degree <= 2l - sum(p) = 24 in 12 coordinates is a box of 25^12 exponents;
+    # the walk reads the constant term first, and it does not vanish
+    k = kernel_from_text("d=12 l=12 p=0,0,0,0,0,0,0,0,0,0,0,0 q=- regime=JumpLLN L=one")
+    item = check_admissibility(k).items[0]
+    assert not item.passed
+    assert item.detail.endswith(": x^(0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0, 0) does not vanish")
+
+
+@pytest.mark.parametrize("n", [1, 2, 3, 4])
+def test_exponents_walk_by_degree_then_in_increasing_order(n):
+    walked = [alpha for degree in range(6) for alpha in _exponents(n, degree)]
+    box = [alpha for alpha in itertools.product(range(6), repeat=n) if sum(alpha) <= 5]
+    assert walked == sorted(box, key=lambda alpha: (sum(alpha), alpha))
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "d=1 l=1 p=4.0 q=- regime=JumpCLT L=one",
+        "d=2 l=2 p=4.0,4.0 q=- regime=GridTest L=(grid_sin 1.0 0 1)",
+        "d=2 l=1 p=0.5 q=4.0 regime=MixedCLT L=one",
+        "d=3 l=1 p=0.5 q=4.0,4.0 regime=MixedCLT L=(sum (grid_sin 1.0 1 2) (gauss_bump 0.5 0))",
+        "d=2 l=1 p=1.5 q=4.0 regime=MixedLLN L=(product (poly_even 1 1.0 0.5) (gauss_bump 0.3 0))",
+        "d=2 l=1 p=1.0 q=0.0 regime=JumpLLN L=(sum one (grid_sin 0.5 0 1))",
+    ],
+)
+def test_kernel_expands_l_once(monkeypatch, text):
+    # the depth of every expansion of an L node while the kernel is parsed,
+    # checked and compiled; a node expanding its children is not at depth 0
+    depths, depth = [], [0]
+
+    def counted(expand):
+        def wrapper(node):
+            depths.append(depth[0])
+            depth[0] += 1
+            try:
+                return expand(node)
+            finally:
+                depth[0] -= 1
+        return wrapper
+
+    for cls in (One, GridSin, GaussBump, PolyEven, Sum, Product):
+        monkeypatch.setattr(cls, "sep_terms", counted(cls.sep_terms))
+    kernel = kernel_from_text(text)
+    check_admissibility(kernel)
+    assert kernel._compiled.terms
+    assert depths.count(0) == 1
+
+
+def test_kernel_past_the_expansion_budget_is_refused_unexpanded(monkeypatch):
+    # the count read off the tree is the length of the expansion it stands for
+    assert all(k.L.n_terms() == len(k.L.sep_terms()) for k in random_kernels())
+    monkeypatch.setattr(Sum, "sep_terms", lambda node: pytest.fail("expanded"))
+    two = Sum((GaussBump(0.5, 0), GaussBump(0.25, 0)))
+    with pytest.raises(KernelError, match=r"^L expands into 16384 separable terms, past the budget of 10000$"):
+        KernelSpec(d=1, l=1, p=(4.0,), L=Product((two,) * 14), regime="JumpCLT")
 
 
 def test_grid_sin_rejects_an_overflowing_frequency():

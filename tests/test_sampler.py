@@ -40,6 +40,20 @@ def test_augment_deterministic():
     assert not np.array_equal(a.r, c.r)
 
 
+def test_paths_and_augmentations_compare_and_hash_by_identity():
+    # their fields are arrays: == and hash() on the fields would raise
+    model = TRUTH_MODELS["const"]
+    truth, twin = (simulate_truth(model, n=64, T=1.0, seed=5) for _ in range(2))
+    path = simulate_path(model, n=64, T=1.0, seed=5)
+    aug = augment(synthetic_path([1.0, -0.5]), default_rng(7))
+    again = augment(synthetic_path([1.0, -0.5]), default_rng(7))
+    for one, other in ((truth, twin), (path, simulate_path(model, n=64, T=1.0, seed=5)), (aug, again)):
+        assert one == one and one != other
+        assert one in [other, one] and other not in [one]
+        assert len({one, other, one}) == 2
+    assert np.array_equal(truth.sigma_grid, twin.sigma_grid) and np.array_equal(aug.r, again.r)
+
+
 def test_augment_r_decomposition_exact():
     path = synthetic_path([1.0, -0.5, 2.0], sigma=1.4)
     aug = augment(path, default_rng(3))

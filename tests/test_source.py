@@ -1,8 +1,9 @@
-"""Source hygiene of src/uvstat: no unused imports, no unbound exports, one expanding module,
-no scipy package, scipy submodule or numpy.random imported at module level, scipy.stats and
-scipy.integrate imported nowhere and scipy.special only where it runs, one run-config decoder,
-one entry per function (no private twin), ground-truth contexts opened only by the callers,
-kernel text formatted only where it is written and output files named only by the command line."""
+"""Source hygiene of src/uvstat: no unused imports, no unbound exports, one expanding module with
+one expansion site of L, no scipy package, scipy submodule or numpy.random imported at module
+level, scipy.stats and scipy.integrate imported nowhere and scipy.special only where it runs,
+one run-config decoder, one entry per function (no private twin), ground-truth contexts opened
+only by the callers, kernel text formatted only where it is written and output files named only
+by the command line."""
 
 import ast
 import re
@@ -94,6 +95,60 @@ def test_expansion_calls_detected():
 )
 def test_only_kernels_expands_kernels(path):
     assert expansion_calls(path.read_text(encoding="utf-8")) == []
+
+
+def stray_expansions(source: str) -> list:
+    """The .sep_terms() calls of a module outside an L node class's sep_terms and
+    KernelSpec._expansion, by line and enclosing definition: L has one expansion site."""
+    tree = ast.parse(source)
+    nodes = {
+        c.name for c in tree.body
+        if isinstance(c, ast.ClassDef) and any(isinstance(b, ast.Name) and b.id == "LExpr" for b in c.bases)
+    }
+    allowed = {f"{name}.sep_terms" for name in nodes} | {"KernelSpec._expansion"}
+    found = []
+
+    def visit(node, scope):
+        for child in ast.iter_child_nodes(node):
+            inner = scope
+            if isinstance(child, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                inner = f"{scope}.{child.name}" if scope else child.name
+            if (
+                isinstance(child, ast.Call)
+                and getattr(child.func, "attr", None) == "sep_terms"
+                and scope not in allowed
+            ):
+                found.append(f"line {child.lineno}: {scope or '<module>'}")
+            visit(child, inner)
+
+    visit(tree, "")
+    return sorted(found)
+
+
+def test_stray_expansions_detected():
+    source = (
+        "class LExpr:\n"
+        "    def sep_terms(self):\n"
+        "        raise NotImplementedError\n"
+        "class Sum(LExpr):\n"
+        "    def sep_terms(self):\n"
+        "        return [t.sep_terms() for t in self.terms]\n"
+        "class KernelSpec:\n"
+        "    def _expansion(self):\n"
+        "        return self.L.sep_terms()\n"
+        "    def coordinates(self):\n"
+        "        return self.L.sep_terms()\n"
+        "def reader(kernel):\n"
+        "    return [t for t in kernel.L.sep_terms()]\n"
+        "terms = ONE.sep_terms()\n"
+    )
+    assert stray_expansions(source) == [
+        "line 11: KernelSpec.coordinates", "line 13: reader", "line 14: <module>"
+    ]
+
+
+def test_kernels_expands_l_at_one_site():
+    assert stray_expansions((SRC / EXPANDING_MODULE).read_text(encoding="utf-8")) == []
 
 
 def imported_modules(node) -> list:
