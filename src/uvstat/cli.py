@@ -3,9 +3,12 @@
 Subcommands: simulate, stat, limits, verify-lln, verify-clt, rnp-check,
 grid-test, ztrunc.  stat computes V, Y or U (on the config's kernel) or
 the power variation PV; PV at --power 2 is the realized quadratic
-variation.  All are driven by a config file (see config module);
---seed overrides the config's base seed.  --threads is accepted and
-ignored, so existing command lines still parse.
+variation.  limits prints a path's limit on the route its kernel's regime
+picks (kernels.JUMP_REGIMES: jump or mixed) and, for a regime with a
+stable CLT (kernels.CLT_REGIMES), its conditional variance.  All are
+driven by a config file (see config module); --seed overrides the
+config's base seed.  --threads is accepted and ignored, so existing
+command lines still parse.
 
 Exit codes: 0 success, 1 validation error (bad config/usage, or --input
 CSV content with a non-numeric line after the header, a non-finite value,
@@ -39,8 +42,7 @@ import numpy as np
 import uvstat
 from uvstat.config import ConfigError, RunConfig, parse_beta_grid, parse_config
 from uvstat.harness import ExperimentReport, HarnessError, finite_json, grid_scan, run_plan
-from uvstat.harness import _is_jump_route
-from uvstat.kernels import KernelError, kernel_to_text
+from uvstat.kernels import CLT_REGIMES, JUMP_REGIMES, KernelError, kernel_to_text
 from uvstat.limits import Context, cond_var_jump, cond_var_mixed, jump_limit, mixed_limit
 from uvstat.simulate import SimulationError, path_to_json, simulate_path
 from uvstat.stats import load_increments_csv, power_variation, u_stat, v_stat, y_stat
@@ -210,7 +212,7 @@ def _cmd_limits(args, cfg: RunConfig) -> int:
     n = plan.n_list[-1]
     path = simulate_path(plan.model, n, plan.t, plan.base_seed)
     kernel = plan.kernel
-    if _is_jump_route(kernel):
+    if kernel.regime in JUMP_REGIMES:
         limit, cond_var = jump_limit, cond_var_jump
     else:
         limit, cond_var = mixed_limit, cond_var_mixed
@@ -223,7 +225,7 @@ def _cmd_limits(args, cfg: RunConfig) -> int:
         "limit": lv.value,
         "contributions": list(lv.contributions),
     }
-    if kernel.regime in ("JumpCLT", "GridTest", "MixedCLT"):
+    if kernel.regime in CLT_REGIMES:
         doc["cond_variance"] = dataclasses.asdict(cond_var(ctx))
     print(finite_json(doc, "limits"))
     return 0

@@ -14,6 +14,13 @@ Six experiment kinds:
 * GRID      -- the jump-size lattice scan of the grid-test kernel (power 4).
 * ZTRUNC    -- truncated limit sums Z(m) vs. the full Z(J).
 
+The kernel's regime picks the route of an LLN or CLT plan
+(kernels.JUMP_REGIMES): the V-statistic and the jump limit, variance and
+draw where the first block is the jump block, the Y-statistic and the
+mixed ones otherwise.  Each sample of the CLT two-sample comparison drops
+its own degenerate atom at 0: the observed reps whose conditional
+variance is 0, and the draws that are exactly 0.0 (draw_excluded).
+
 Replication r of an experiment uses seeds derived by hashing
 (base_seed, stream, n, r) through numpy's SeedSequence (``derive_seed``),
 so streams never overlap and any plan re-runs bit-identically from its
@@ -47,7 +54,7 @@ from typing import Optional
 import numpy as np
 
 from uvstat import seeding
-from uvstat.kernels import _GRID_POWER, KernelSpec, grid_test_kernel, kernel_to_text
+from uvstat.kernels import _GRID_POWER, CLT_REGIMES, JUMP_REGIMES, KernelSpec, grid_test_kernel, kernel_to_text
 from uvstat.ks import ks_2samp_asymp, kstest_norm_asymp
 from uvstat.limits import Context, cond_var_jump, cond_var_mixed, jump_limit, mixed_limit
 from uvstat.sampler import augment, sample_U_jump, sample_V_mixed, truncated_Z
@@ -84,13 +91,12 @@ __all__ = [
 
 EXPERIMENT_KINDS = ("LLN", "CLT_jump", "CLT_mixed", "RNP", "GRID", "ZTRUNC")
 
-_JUMP_REGIMES = ("JumpLLN", "JumpCLT", "GridTest")
 _KIND_REGIMES = {
-    "CLT_jump": ("JumpCLT", "GridTest"),
-    "CLT_mixed": ("MixedCLT",),
+    "CLT_jump": tuple(r for r in CLT_REGIMES if r in JUMP_REGIMES),
+    "CLT_mixed": tuple(r for r in CLT_REGIMES if r not in JUMP_REGIMES),
     "GRID": ("GridTest",),
-    "ZTRUNC": ("JumpCLT", "GridTest"),
 }
+_KIND_REGIMES["ZTRUNC"] = _KIND_REGIMES["CLT_jump"]
 # the plan fields that only some kinds read; another kind refuses a non-default value
 _KIND_FIELDS = {
     "beta_grid": ("GRID",),
@@ -310,14 +316,10 @@ def _csv_cell(v) -> str:
     return str(v)
 
 
-def _is_jump_route(kernel: KernelSpec) -> bool:
-    return kernel.regime in _JUMP_REGIMES
-
-
 def _stat_and_limit(ctx: Context):
     """The statistic of the context's path and its limit, read off that ground truth."""
     path, kernel, t = ctx.path, ctx.kernel, ctx.t
-    if _is_jump_route(kernel):
+    if kernel.regime in JUMP_REGIMES:
         stat = v_stat(path, kernel, t=t).value
         lim = jump_limit(ctx).value
     else:
@@ -431,10 +433,13 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
     """Standardized CLT errors vs N(0,1), plus the limit-law two-sample check.
 
     Z_r = sqrt(n) (statistic - limit) / sqrt(ground-truth conditional
-    variance); reps whose conditional variance is zero (no jumps) are
-    excluded from Z and counted.  The marginal-law comparison pits
-    sqrt(n)(statistic - limit) against limit draws on independent paths,
-    of which only the ground truth is drawn.  Each path's ground truth is
+    variance); reps whose conditional variance is zero (no jump, or none
+    where dH is not 0) are excluded from Z and counted.  The marginal-law
+    comparison pits sqrt(n)(statistic - limit) against limit draws on
+    independent paths, of which only the ground truth is drawn; a draw of
+    exactly 0.0 is excluded and counted (draw_excluded), as is, on the
+    mixed route, one on a clamped path.  The kernel's regime picks the
+    route (kernels.JUMP_REGIMES).  Each path's ground truth is
     read once: the limit and the conditional variance share one context.
     A model's reject_bound_excursions checks |X| on the observed path
     only; the limit-law path has no X grid to check.
@@ -442,7 +447,7 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
     if plan.kind not in ("CLT_jump", "CLT_mixed"):
         raise HarnessError(f"run_clt got plan of kind {plan.kind}")
     kernel = plan.kernel
-    mixed = plan.kind == "CLT_mixed"
+    mixed = kernel.regime not in JUMP_REGIMES
 
     def rep(seeds, r, path):
         ctx = Context(path, kernel, plan.t)
@@ -459,7 +464,7 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
             draw = sample_V_mixed(ctx2, aug, seeds.rng(_S_FIELD, r))
         else:
             draw = sample_U_jump(ctx2, aug)
-        draw_excluded = path2.jump_count(plan.t) == 0 or (mixed and path2.clamped)
+        draw_excluded = draw == 0.0 or (mixed and path2.clamped)
         return {
             "scaled_error": raw,
             "cond_var": cv.total,
@@ -486,8 +491,11 @@ def run_clt(plan: ExperimentPlan) -> ExperimentReport:
         else:
             table["degenerate"] = "no-jump degenerate"
         # marginal-law comparison conditioned on the F-measurable event
-        # "path has jumps": the degenerate atom at 0 is removed from both
-        # samples symmetrically (stable convergence survives conditioning)
+        # "conditional variance > 0" (stable convergence survives it): each
+        # sample drops its own degenerate atom at 0, the observed one by its
+        # conditional variance, the draws by value, since R and the field
+        # normal are continuous and a draw is 0.0 a.s. only when its path's
+        # conditional variance is 0
         raws = np.array([r["scaled_error"] for r in results if not r["excluded"]])
         draws = np.array([r["limit_draw"] for r in results if not r["draw_excluded"]])
         table["draw_excluded"] = int(sum(1 for r in results if r["draw_excluded"]))

@@ -41,7 +41,6 @@ from __future__ import annotations
 import functools
 import importlib.machinery
 import importlib.util
-import itertools
 import math
 import os
 from dataclasses import dataclass, replace
@@ -62,6 +61,8 @@ __all__ = [
     "KernelError",
     "QuadratureError",
     "REGIMES",
+    "JUMP_REGIMES",
+    "CLT_REGIMES",
     "abs_moment",
     "rho",
     "separable_terms",
@@ -74,6 +75,10 @@ __all__ = [
 ]
 
 REGIMES = ("JumpLLN", "JumpCLT", "MixedLLN", "MixedCLT", "GridTest")
+# the regimes whose first block is the jump block (V-statistics); the rest are mixed (Y)
+JUMP_REGIMES = ("JumpLLN", "JumpCLT", "GridTest")
+# the regimes with a stable CLT: a conditional variance and a limit draw
+CLT_REGIMES = ("JumpCLT", "MixedCLT", "GridTest")
 
 _SQRT_PI = math.sqrt(math.pi)
 _SQRT_2PI = math.sqrt(2.0 * math.pi)
@@ -557,10 +562,10 @@ class KernelSpec:
     """Shape of a statistic kernel: block split (d, l), powers, smooth factor.
 
     The first block of l coordinates carries powers ``p``; the remaining
-    d - l coordinates carry powers ``q``.  Whether the first block is the
-    jump block (V-statistics) or the scaled continuous block
-    (Y-statistics) is decided by the regime tag; the admissibility checker
-    knows the hypotheses of each regime.
+    d - l coordinates carry powers ``q``.  Whether the first block is the jump
+    block (V-statistics) or the scaled continuous block (Y-statistics) is decided
+    by the regime tag (:data:`JUMP_REGIMES`), as is a stable CLT (:data:`CLT_REGIMES`);
+    the admissibility checker knows the hypotheses of each regime.
     """
 
     d: int
@@ -787,10 +792,28 @@ def _canonical(f: Factor1D):
     return scale, replace(f, poly2=poly, gauss_args=tuple(c for c in f.gauss_args if c))
 
 
-def _exponents(n: int, degree: int):
-    """The alpha in N^n with |alpha| = degree, in increasing order (stars and bars)."""
-    for bars in itertools.combinations(range(degree + n - 1), n - 1):
-        yield tuple(b - a - 1 for a, b in zip((-1, *bars), (*bars, degree + n - 1)))
+def _exponents(degrees: list, max_degree: int):
+    """The alpha with each alpha_i in degrees[i] and |alpha| <= max_degree.
+
+    They come by degree, then in increasing order; ``degrees[i]`` is increasing.
+    A coordinate takes a degree only where the rest can still make up the
+    total, so the walk visits no dead branch.
+    """
+    reach = [{0}]  # reach[j]: the totals the last j coordinates can make
+    for options in reversed(degrees):
+        reach.append({a + s for a in options for s in reach[-1] if a + s <= max_degree})
+
+    def walk(i, rest):
+        if i == len(degrees):
+            yield ()
+            return
+        for a in degrees[i]:
+            if rest - a in reach[len(degrees) - i - 1]:
+                for tail in walk(i + 1, rest - a):
+                    yield (a, *tail)
+
+    for degree in sorted(reach[-1]):
+        yield from walk(0, degree)
 
 
 def _first_nonvanishing(kernel: KernelSpec, block, others, max_degree: int, keep=lambda alpha: True):
@@ -802,6 +825,11 @@ def _first_nonvanishing(kernel: KernelSpec, block, others, max_degree: int, keep
     it is zero when the sum over the terms with the same such factors is, for each
     of them (to :data:`_VANISH_RTOL`).  Distinct factor tuples can still be linearly
     dependent (cos^2 + sin^2 = 1), so the read errs only toward "not zero".
+
+    alpha_i walks only the degrees where some term's Taylor entry in x_i is not
+    exactly 0: any other alpha has a coefficient of exactly 0.  That holds while
+    no product of a term's entries can be non-finite, for 0 x inf reads as "not
+    zero"; a term whose entries could reach one makes every degree present.
     """
     terms = []
     for coeff, fdict in kernel._expansion:
@@ -811,18 +839,30 @@ def _first_nonvanishing(kernel: KernelSpec, block, others, max_degree: int, keep
             value *= s
             key.append(f)
         terms.append((value, tuple(key), [_taylor(fdict.get(i, _F_ONE), max_degree) for i in block]))
-    for degree in range(max_degree + 1):
-        for alpha in filter(keep, _exponents(len(block), degree)):
-            groups = {}
-            for value, key, taylors in terms:
-                v, a = value, abs(value)
-                for series, k in zip(taylors, alpha):
-                    v, a = v * series[k][0], a * series[k][1]
-                group = groups.setdefault(key, [0.0, 0.0])
-                group[0] += v
-                group[1] += a
-            if any(not abs(v) <= _VANISH_RTOL * a < math.inf for v, a in groups.values()):
-                return alpha
+    every = range(max_degree + 1)
+    degrees = [
+        [k for k in every if any(taylors[i][k] != (0.0, 0.0) for _, _, taylors in terms)]
+        for i in range(len(block))
+    ]
+    for value, _, taylors in terms:
+        # bounds every partial product the walk below forms; a NaN or inf stays
+        bound = abs(value)
+        for series in taylors:
+            bound *= 1.0 + sum(abs(x) for entry in series for x in entry)
+        if not bound < math.inf:
+            degrees = [every] * len(block)
+            break
+    for alpha in filter(keep, _exponents(degrees, max_degree)):
+        groups = {}
+        for value, key, taylors in terms:
+            v, a = value, abs(value)
+            for series, k in zip(taylors, alpha):
+                v, a = v * series[k][0], a * series[k][1]
+            group = groups.setdefault(key, [0.0, 0.0])
+            group[0] += v
+            group[1] += a
+        if any(not abs(v) <= _VANISH_RTOL * a < math.inf for v, a in groups.values()):
+            return alpha
     return None
 
 

@@ -180,6 +180,19 @@ def test_run_clt_degenerate_no_jumps():
     assert table["degenerate"] == "no-jump degenerate"
 
 
+def test_run_clt_draws_drop_their_own_atom_at_zero():
+    # H = x^4 (3 - 2 x^2) has H'(1) = H'(-1) = 0: a path whose jumps are all +-1
+    # has conditional variance 0, so both samples drop it, the draws by value
+    kernel = kernel_from_text("d=1 l=1 p=4.0 q=- regime=JumpCLT L=(poly_even 0 3.0 -2.0)")
+    sizes = ((1.0, 0.4), (-1.0, 0.4), (2.0, 0.2))
+    plan = ExperimentPlan("CLT_jump", model(2.0, sizes=sizes), kernel, 1.0, (4096,), 400, base_seed=5)
+    report = run_clt(plan)
+    table = report.tables["per_n"]["4096"]
+    assert [row["limit_draw"] for row in report.rows if not row["draw_excluded"]].count(0.0) == 0
+    assert table["draw_excluded"] == [row["limit_draw"] for row in report.rows].count(0.0)
+    assert table["two_sample_ks_pvalue"] > 0.01
+
+
 def test_run_clt_mixed_small():
     # lower jump intensity: the scaled block sees each jump interval at an
     # n^{-1/4} rate, which is the bias floor of the mixed-case CLT

@@ -5,6 +5,7 @@ import hashlib
 import itertools
 import math
 import re
+import time
 import warnings
 from dataclasses import replace
 
@@ -835,9 +836,42 @@ def test_admissibility_alln_stops_at_the_lowest_nonvanishing_coefficient():
 
 @pytest.mark.parametrize("n", [1, 2, 3, 4])
 def test_exponents_walk_by_degree_then_in_increasing_order(n):
-    walked = [alpha for degree in range(6) for alpha in _exponents(n, degree)]
     box = [alpha for alpha in itertools.product(range(6), repeat=n) if sum(alpha) <= 5]
-    assert walked == sorted(box, key=lambda alpha: (sum(alpha), alpha))
+    assert list(_exponents([range(6)] * n, 5)) == sorted(box, key=lambda alpha: (sum(alpha), alpha))
+    # each coordinate restricted to its own degrees, the order kept
+    degrees = [[0, 2, 3], [1, 4], [0, 5], [2]][:n]
+    kept = [alpha for alpha in box if all(k in ds for k, ds in zip(alpha, degrees))]
+    assert list(_exponents(degrees, 5)) == sorted(kept, key=lambda alpha: (sum(alpha), alpha))
+
+
+def test_admissibility_walks_only_the_degrees_each_coordinate_carries():
+    # each x_i^2 is the one degree coordinate i carries: one alpha, not the box of 19^9
+    factors = " ".join(f"(poly_even {i} 0.0 1.0)" for i in range(9))
+    k = kernel_from_text(f"d=9 l=9 p={','.join(['0'] * 9)} q=- regime=JumpLLN L=(product {factors})")
+    start = time.perf_counter()
+    item = check_admissibility(k).items[0]
+    assert time.perf_counter() - start < 1.0
+    assert item.detail.endswith(": x^(2, 2, 2, 2, 2, 2, 2, 2, 2) does not vanish")
+
+
+def test_admissibility_reads_zero_times_inf_as_not_vanishing():
+    # x_1^6 carries no degree <= 4, but exp(-1e200 x_0^2)'s entries overflow, and
+    # the x^(2, 0) coefficient 0 x inf = nan reads "does not vanish" as it always has
+    L = "(product (gauss_bump 1e200 0) (poly_even 1 0.0 0.0 0.0 1.0))"
+    item = check_admissibility(kernel_from_text(f"d=2 l=2 p=0,0 q=- regime=JumpLLN L={L}")).items[0]
+    assert item.detail.endswith(": x^(2, 0) does not vanish")
+
+
+# sha256 over the "\n"-joined summaries of random_kernels(5000, 7), random_kernels()
+# and catalog_kernels(): 7,014 kernels, from before the walk skipped any degree
+_CORPUS_SUMMARIES_SHA256 = "1869e80e92281152dd11b4c674ba697dcf0c156a4576409c7fa6cca9738f4060"
+
+
+def test_admissibility_summaries_of_the_corpus_pinned():
+    kernels = random_kernels(5000, 7) + random_kernels() + catalog_kernels()
+    text = "\n".join(check_admissibility(k).summary() for k in kernels)
+    assert len(kernels) == 7014
+    assert hashlib.sha256(text.encode()).hexdigest() == _CORPUS_SUMMARIES_SHA256
 
 
 @pytest.mark.parametrize(

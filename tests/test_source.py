@@ -1,9 +1,10 @@
 """Source hygiene of src/uvstat: no unused imports, no unbound exports, one expanding module with
 one expansion site of L, no scipy package, scipy submodule or numpy.random imported at module
 level, scipy.stats and scipy.integrate imported nowhere and scipy.special only where it runs,
-one run-config decoder, one entry per function (no private twin), ground-truth contexts opened
-only by the callers, kernel text formatted only where it is written and output files named only
-by the command line."""
+one run-config decoder, no private name of the harness or the command line imported elsewhere,
+one entry per function (no private twin), ground-truth contexts opened only by the callers,
+kernel text formatted only where it is written and output files named only by the command
+line."""
 
 import ast
 import re
@@ -455,6 +456,31 @@ def test_simulate_defines_no_config_decoder():
 def test_config_imports_no_private_simulate_name_but_number():
     found = private_imports((SRC / "config.py").read_text(encoding="utf-8"), "uvstat.simulate")
     assert [site.split(": ", 1)[1] for site in found] == ["_number"]
+
+
+# the harness and the command line are the top layers: what another module
+# needs of them (the route of a kernel's regime, say) belongs lower down
+TOP_LAYERS = ("uvstat.harness", "uvstat.cli")
+
+
+def top_layer_private_imports(source: str) -> list:
+    return sorted(site for module in TOP_LAYERS for site in private_imports(source, module))
+
+
+def test_top_layer_private_imports_detected():
+    source = (
+        "from uvstat.harness import ExperimentPlan, run_plan\n"
+        "from uvstat.harness import _is_jump_route\n"
+        "from uvstat.simulate import _number\n"
+        "def f():\n"
+        "    from uvstat.cli import _write_report as write\n"
+    )
+    assert top_layer_private_imports(source) == ["line 2: _is_jump_route", "line 5: _write_report"]
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_module_imports_no_private_harness_or_cli_name(path):
+    assert top_layer_private_imports(path.read_text(encoding="utf-8")) == []
 
 
 def exec_sites(source: str) -> list:
